@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke all clean
 
 install:
 	python setup.py develop
@@ -107,6 +107,21 @@ capacity-smoke:
 	python -m repro check --capacity --seeds 1 --schedules 25 --timeout 300
 	pytest tests/properties/test_prop_autoscale.py tests/core/test_breaker.py \
 		tests/core/test_rescache.py tests/bench/test_capacity.py -q
+
+# The repo's benchmark (BENCHMARK.json): a client request through the
+# whole stack on the wall clock — five workloads x three untraced repeats
+# plus one traced run each for the per-layer numbers; writes
+# bench_e2e/out/results.json.  Run it on the parent commit and on the
+# change, judge the pair with bench_e2e/compare.py, and append both
+# records to BENCH_e2e.json (EXPERIMENTS.md "bench_e2e before/after").
+bench-e2e:
+	python3 bench_e2e/run.py --seed 42 --traced
+
+# The CI tier: a functional pass over every workload (short soaks, 1/20
+# windows — not a measurement), then the benchmark's own checks.
+bench-e2e-smoke:
+	python3 bench_e2e/run.py --smoke
+	PYTHONPATH=src python -m pytest bench_e2e -q
 
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt

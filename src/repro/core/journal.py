@@ -30,12 +30,18 @@ the result) and the journal is bounded: once ``capacity`` is exceeded the
 oldest ``DONE`` entries are evicted — an evicted entry degrades that
 invocation back to at-least-once, which the campaign's duplicate audit
 would surface, so capacity is sized well above the retry horizon.
+
+Steady state *is* the full journal: a long-lived peer evicts one entry per
+insertion for the rest of its life.  Eviction therefore walks the entry map
+from its head and touches only its victims (plus any in-flight markers
+parked before them), never the ``capacity`` keys behind them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Any, List, Optional, Tuple
 
 __all__ = ["DedupJournal", "JournalEntry", "JournalStats", "EXECUTING", "DONE"]
@@ -45,7 +51,7 @@ EXECUTING = "executing"
 DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class JournalEntry:
     """One invocation's dedup record.
 
@@ -75,7 +81,14 @@ class JournalEntry:
 
     def replicable(self) -> "JournalEntry":
         """A copy safe to ship to other peers (transient state stripped)."""
-        return replace(self, request=None)
+        return JournalEntry(
+            invocation_id=self.invocation_id,
+            state=self.state,
+            reply=self.reply,
+            epoch=self.epoch,
+            recorded_at=self.recorded_at,
+            origin=self.origin,
+        )
 
 
 @dataclass
@@ -232,11 +245,11 @@ class DedupJournal:
 
     def _evict(self) -> None:
         """Evict oldest ``DONE`` entries past capacity (never in-flight)."""
-        if len(self._entries) <= self.capacity:
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
             return
-        for key in list(self._entries):
-            if len(self._entries) <= self.capacity:
-                break
-            if self._entries[key].done:
-                del self._entries[key]
-                self.stats.evictions += 1
+        done = (key for key, entry in self._entries.items() if entry.done)
+        # The head of the dict is walked in place; only the victims are copied.
+        for key in list(islice(done, excess)):
+            del self._entries[key]
+            self.stats.evictions += 1

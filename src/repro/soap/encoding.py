@@ -1,4 +1,4 @@
-"""Encoding Python values as XML element trees and back.
+"""Encoding Python values as XML elements and back.
 
 SOAP bodies carry structured values.  We use a small self-describing
 encoding: every element gets a ``type`` attribute (string, int, float,
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Any
+from typing import Any, Optional
 
-__all__ = ["value_to_element", "element_to_value", "EncodingError"]
+__all__ = ["encode_value", "element_to_value", "EncodingError"]
 
 
 class EncodingError(Exception):
@@ -40,42 +40,69 @@ def _check_xml_text(text: str, what: str) -> str:
     return text
 
 
-def value_to_element(tag: str, value: Any) -> ET.Element:
-    """Encode ``value`` into an element named ``tag``."""
-    element = ET.Element(tag)
+def escape_text(text: str) -> str:
+    """Escape character data exactly as ElementTree's serialiser does."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def escape_attr(text: str) -> str:
+    """Escape an attribute value exactly as ElementTree's serialiser does."""
+    text = escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def xml_element(tag: str, attrs: str, body: str) -> str:
+    """One serialised element; an empty ``body`` takes the ``<tag />`` form."""
+    return f"<{tag}{attrs}>{body}</{tag}>" if body else f"<{tag}{attrs} />"
+
+
+def encode_value(tag: str, value: Any, name: Optional[str] = None) -> str:
+    """Encode ``value`` as the XML of an element named ``tag`` (``name``: its
+    ``name`` attribute), byte for byte as ElementTree would serialise it."""
     if value is None:
-        element.set("type", "null")
+        kind, body = "null", ""
     elif isinstance(value, bool):
-        element.set("type", "bool")
-        element.text = "true" if value else "false"
+        kind, body = "bool", "true" if value else "false"
     elif isinstance(value, int):
-        element.set("type", "int")
-        element.text = str(value)
+        kind, body = "int", str(value)
     elif isinstance(value, float):
-        element.set("type", "float")
-        element.text = repr(value)
+        kind, body = "float", repr(value)
     elif isinstance(value, str):
-        element.set("type", "string")
-        element.text = _check_xml_text(value, "string value")
+        kind, body = "string", escape_text(_check_xml_text(value, "string value"))
     elif isinstance(value, (list, tuple)):
-        element.set("type", "list")
-        for entry in value:
-            element.append(value_to_element("item", entry))
+        kind, body = "list", "".join([encode_value("item", entry) for entry in value])
     elif isinstance(value, dict):
-        element.set("type", "struct")
+        members = []
         for key in value:
             if not isinstance(key, str):
                 raise EncodingError(f"struct keys must be strings, got {key!r}")
-            member = value_to_element("member", value[key])
-            member.set("name", _check_xml_text(key, "struct key"))
-            element.append(member)
+            _check_xml_text(key, "struct key")
+            members.append(encode_value("member", value[key], key))
+        kind, body = "struct", "".join(members)
     else:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
-    return element
+    attrs = f' type="{kind}"'
+    if name is not None:
+        attrs += f' name="{escape_attr(name)}"'
+    return xml_element(tag, attrs, body)
 
 
 def element_to_value(element: ET.Element) -> Any:
-    """Decode an element produced by :func:`value_to_element`."""
+    """Decode a (parsed) element produced by :func:`encode_value`."""
     kind = element.get("type", "string")
     if kind == "null":
         return None

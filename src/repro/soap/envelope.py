@@ -12,7 +12,13 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from .encoding import element_to_value, value_to_element
+from .encoding import (
+    element_to_value,
+    encode_value,
+    escape_attr,
+    escape_text,
+    xml_element,
+)
 from .fault import SoapFault
 
 __all__ = ["Envelope", "EnvelopeError", "SOAP_ENV_NS"]
@@ -23,6 +29,12 @@ _ENVELOPE = f"{{{SOAP_ENV_NS}}}Envelope"
 _HEADER = f"{{{SOAP_ENV_NS}}}Header"
 _BODY = f"{{{SOAP_ENV_NS}}}Body"
 _FAULT = f"{{{SOAP_ENV_NS}}}Fault"
+
+#: Prolog and root start tag, as ElementTree's serialiser writes them.
+_OPEN = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
+)
 
 
 class EnvelopeError(Exception):
@@ -83,39 +95,40 @@ class Envelope:
     # -- XML ------------------------------------------------------------------------
 
     def to_xml(self) -> str:
-        ET.register_namespace("soapenv", SOAP_ENV_NS)
-        root = ET.Element(_ENVELOPE)
+        parts = [_OPEN]
+        add = parts.append
         if self.headers:
-            header_el = ET.SubElement(root, _HEADER)
+            add("<soapenv:Header>")
             for name, value in sorted(self.headers.items()):
-                entry = ET.SubElement(header_el, "header", {"name": name})
-                entry.text = str(value)
-        body = ET.SubElement(root, _BODY)
+                attrs = f' name="{escape_attr(name)}"'
+                add(xml_element("header", attrs, escape_text(str(value))))
+            add("</soapenv:Header>")
+        add("<soapenv:Body>")
 
         if self.kind == "call":
-            call_el = ET.SubElement(body, "call", {"operation": self.operation or ""})
-            for name, value in self.arguments.items():
-                argument = value_to_element("argument", value)
-                argument.set("name", name)
-                call_el.append(argument)
+            arguments = [
+                encode_value("argument", value, name)
+                for name, value in self.arguments.items()
+            ]
+            attrs = f' operation="{escape_attr(self.operation or "")}"'
+            add(xml_element("call", attrs, "".join(arguments)))
         elif self.kind == "result":
-            result_el = ET.SubElement(
-                body, "result", {"operation": self.operation or ""}
-            )
-            result_el.append(value_to_element("return", self.value))
+            attrs = f' operation="{escape_attr(self.operation or "")}"'
+            add(xml_element("result", attrs, encode_value("return", self.value)))
         elif self.kind == "fault":
             fault = self.fault
-            fault_el = ET.SubElement(body, _FAULT)
-            ET.SubElement(fault_el, "faultcode").text = fault.faultcode
-            ET.SubElement(fault_el, "faultstring").text = fault.faultstring
+            add("<soapenv:Fault>")
+            add(xml_element("faultcode", "", escape_text(fault.faultcode)))
+            add(xml_element("faultstring", "", escape_text(fault.faultstring)))
             if fault.faultactor:
-                ET.SubElement(fault_el, "faultactor").text = fault.faultactor
+                add(xml_element("faultactor", "", escape_text(fault.faultactor)))
             if fault.detail is not None:
-                detail_el = ET.SubElement(fault_el, "detail")
-                detail_el.append(value_to_element("value", fault.detail))
+                add(xml_element("detail", "", encode_value("value", fault.detail)))
+            add("</soapenv:Fault>")
         else:
             raise EnvelopeError(f"unknown envelope kind {self.kind!r}")
-        return ET.tostring(root, encoding="unicode", xml_declaration=True)
+        add("</soapenv:Body></soapenv:Envelope>")
+        return "".join(parts)
 
     @classmethod
     def from_xml(cls, document: str) -> "Envelope":

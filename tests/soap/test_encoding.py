@@ -4,7 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.soap import EncodingError, element_to_value, value_to_element
+from repro.soap import EncodingError, element_to_value, encode_value
+
+from .et_oracle import value_to_xml
+
+
+def _decode(xml):
+    return element_to_value(ET.fromstring(xml))
 
 
 class TestRoundTrip:
@@ -26,32 +32,42 @@ class TestRoundTrip:
         ],
     )
     def test_value_roundtrips(self, value):
-        element = value_to_element("v", value)
-        assert element_to_value(element) == value
+        xml = encode_value("v", value)
+        assert xml == value_to_xml("v", value)
+        assert _decode(xml) == value
 
     def test_roundtrip_through_serialised_xml(self):
         value = {"id": "S1", "courses": ["M101", "E204"], "year": 3}
-        xml = ET.tostring(value_to_element("v", value), encoding="unicode")
-        assert element_to_value(ET.fromstring(xml)) == value
+        assert _decode(encode_value("v", value)) == value
 
     def test_types_distinguished(self):
-        assert element_to_value(value_to_element("v", 1)) == 1
-        assert element_to_value(value_to_element("v", "1")) == "1"
-        assert element_to_value(value_to_element("v", 1.0)) == 1.0
-        assert element_to_value(value_to_element("v", True)) is True
+        assert _decode(encode_value("v", 1)) == 1
+        assert _decode(encode_value("v", "1")) == "1"
+        assert _decode(encode_value("v", 1.0)) == 1.0
+        assert _decode(encode_value("v", True)) is True
 
     def test_tuple_decodes_as_list(self):
-        assert element_to_value(value_to_element("v", (1, 2))) == [1, 2]
+        assert _decode(encode_value("v", (1, 2))) == [1, 2]
+
+    def test_empty_values_take_the_short_form(self):
+        for value, kind in [(None, "null"), ("", "string"), ([], "list"), ({}, "struct")]:
+            assert encode_value("v", value) == f'<v type="{kind}" />'
+
+    def test_name_attribute_follows_type_and_is_escaped(self):
+        assert (
+            encode_value("member", "a<b", name='k"&\n')
+            == '<member type="string" name="k&quot;&amp;&#10;">a&lt;b</member>'
+        )
 
 
 class TestErrors:
     def test_unencodable_type_rejected(self):
         with pytest.raises(EncodingError):
-            value_to_element("v", object())
+            encode_value("v", object())
 
     def test_non_string_struct_keys_rejected(self):
         with pytest.raises(EncodingError):
-            value_to_element("v", {1: "x"})
+            encode_value("v", {1: "x"})
 
     def test_unknown_encoded_type_rejected(self):
         element = ET.Element("v", {"type": "quaternion"})
