@@ -82,12 +82,15 @@ saga:
 
 # The CI tier: single-seed bench with the full assertion set, a random
 # saga schedule-exploration pass, the compensation-off self-test (the
-# atomicity audit must catch, shrink, and replay the violation), and the
+# atomicity audit must catch, shrink, and replay the violation), a
+# standalone --replay of the file it wrote (the one replay path picks
+# the saga scenario from the file's format field), and the
 # dead-letter-queue park + requeue demo.
 saga-smoke:
 	python -m repro saga --smoke --out bench-saga-smoke.json
 	python -m repro check --saga --seeds 1 --schedules 5 --timeout 300
-	python -m repro check --saga-self-test --timeout 300 --out saga-self-test-repro.json
+	python -m repro check --saga --self-test --timeout 300 --out saga-self-test-repro.json
+	python -m repro check --replay saga-self-test-repro.json
 	python -m repro dlq --requeue
 
 # Adaptive capacity benchmark: the diurnal trace priced against the

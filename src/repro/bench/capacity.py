@@ -45,6 +45,7 @@ from ..check.invariants import (
     retirement_violations,
 )
 from ..wsdl.samples import student_management_wsdl
+from .harness import fig4_counts
 from .stats import percentile
 from .workload import PoissonWorkload
 
@@ -337,30 +338,16 @@ def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
     deployment must count exactly the seed's messages — the capacity
     layer may not perturb a deployment that never asked for it.
     """
-
-    def counts(config: ScenarioConfig):
-        system = WhisperSystem(config)
-        service = system.deploy_student_service()
-        system.settle(settle)
-        node, _soap = system.add_client()
-        system.run_process(
-            service.invoke("StudentInformation", {"ID": "S00001"}), node
-        )
-        return (
-            system.trace.sent_total,
-            system.trace.delivered_total,
-            dict(system.trace.sent_by_category),
-        )
-
-    seed_path = counts(ScenarioConfig(seed=seed, replicas=3))
-    explicit = counts(
+    seed_path = fig4_counts(ScenarioConfig(seed=seed, replicas=3), settle)
+    explicit = fig4_counts(
         ScenarioConfig(
             seed=seed,
             replicas=3,
             autoscale=None,
             circuit_breaker=None,
             result_cache=None,
-        )
+        ),
+        settle,
     )
     return {
         "seed_sent": seed_path[0],

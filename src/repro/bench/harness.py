@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["SweepPoint", "Sweep", "run_sweep"]
+from ..core.config import ScenarioConfig
+from ..core.system import WhisperSystem
+
+__all__ = ["SweepPoint", "Sweep", "run_sweep", "fig4_counts"]
 
 
 @dataclass
@@ -122,3 +125,26 @@ def _mean_reduce(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
         else:
             combined[key] = values[0]
     return combined
+
+
+def fig4_counts(
+    config: ScenarioConfig, settle: float = 10.0
+) -> Tuple[int, int, Dict[str, int]]:
+    """Message counts of the Figure-4 probe: deploy, settle, one invocation.
+
+    What the byte-identity guards compare: two configs that must describe
+    the same deployment have to return equal ``(sent, delivered,
+    sent-by-category)`` triples.
+    """
+    system = WhisperSystem(config)
+    service = system.deploy_student_service()
+    system.settle(settle)
+    node, _soap = system.add_client()
+    system.run_process(
+        service.invoke("StudentInformation", {"ID": "S00001"}), node
+    )
+    return (
+        system.trace.sent_total,
+        system.trace.delivered_total,
+        dict(system.trace.sent_by_category),
+    )

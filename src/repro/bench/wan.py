@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 from ..core.topology import GossipSpec, Topology
+from .harness import fig4_counts
 
 __all__ = [
     "ConvergencePoint",
@@ -324,25 +325,9 @@ def run_latency(
 
 def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
     """Byte-identity: explicit single-region topology vs the seed path."""
-
-    def counts(topology: Optional[Topology]):
-        system = WhisperSystem(
-            ScenarioConfig(seed=seed, replicas=3, topology=topology)
-        )
-        service = system.deploy_student_service()
-        system.settle(settle)
-        node, _soap = system.add_client()
-        system.run_process(
-            service.invoke("StudentInformation", {"ID": "S00001"}), node
-        )
-        return (
-            system.trace.sent_total,
-            system.trace.delivered_total,
-            dict(system.trace.sent_by_category),
-        )
-
-    seed_path = counts(None)
-    single = counts(Topology.single_region())
+    config = ScenarioConfig(seed=seed, replicas=3)
+    seed_path = fig4_counts(config, settle)
+    single = fig4_counts(config.replace(topology=Topology.single_region()), settle)
     return {
         "seed_sent": seed_path[0],
         "single_region_sent": single[0],

@@ -18,11 +18,15 @@ This package explores that space without giving up determinism:
 * :mod:`~repro.check.invariants` — the safety checkers (election safety,
   epoch monotonicity, exactly-once, queue bounds, no stale result,
   convergence) evaluated after every slice of the run;
-* :mod:`~repro.check.explorer` — the loop that samples schedules, shrinks
-  a violating one to a minimal counterexample (ddmin over fault ops),
-  dumps a replayable repro file, and re-executes it byte-identically.
+* :mod:`~repro.check.explorer` — the one engine: the loop that samples
+  schedules, shrinks a violating one to a minimal counterexample (ddmin
+  over fault ops), dumps a replayable repro file, and re-executes it
+  byte-identically — for whichever scenario it is handed;
+* :mod:`~repro.check.saga` — the engine's second scenario: loan sagas
+  behind a crashable orchestrator, audited for atomicity.
 
-``python -m repro check`` is the command-line entry point.
+``python -m repro check`` is the command-line entry point (``--saga``
+picks the scenario; ``--replay FILE`` reads it off the file).
 """
 
 from .explorer import (
@@ -33,6 +37,8 @@ from .explorer import (
     load_repro,
     replay_repro,
     run_schedule,
+    saga_self_test,
+    save_repro,
     self_test,
     shrink_schedule,
 )
@@ -48,16 +54,10 @@ from .invariants import (
     stale_result_violations,
 )
 from .saga import (
-    SAGA_REPRO_FORMAT,
     SagaCheckScenario,
     SagaRunResult,
-    explore_saga_schedules,
-    replay_saga_repro,
     run_dlq_demo,
     run_saga_schedule,
-    saga_self_test,
-    save_saga_repro,
-    shrink_saga_schedule,
 )
 from .schedule import FaultOp, Schedule, random_schedule
 from .tiebreak import (
@@ -76,7 +76,6 @@ __all__ = [
     "FifoTiebreak",
     "InvariantRegistry",
     "RunResult",
-    "SAGA_REPRO_FORMAT",
     "SagaCheckScenario",
     "SagaRunResult",
     "Schedule",
@@ -86,21 +85,18 @@ __all__ = [
     "build_tiebreak",
     "convergence_violations",
     "exactly_once_violations",
-    "explore_saga_schedules",
     "load_repro",
     "queue_bound_violations",
     "random_schedule",
     "replay_repro",
-    "replay_saga_repro",
     "run_dlq_demo",
     "run_saga_schedule",
     "run_schedule",
     "saga_atomicity_violations",
     "saga_effects",
     "saga_self_test",
-    "save_saga_repro",
+    "save_repro",
     "self_test",
-    "shrink_saga_schedule",
     "shrink_schedule",
     "stale_result_violations",
 ]

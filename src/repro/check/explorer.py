@@ -1,36 +1,42 @@
-"""The exploration loop: sample schedules, shrink violations, replay them.
+"""The one checker engine: sample schedules, shrink violations, replay them.
 
-One **run** = one :class:`CheckScenario` (a small enroll deployment with
-a mutating workload and an open-loop probe driver) executed under one
+One **run** = one scenario executed under one
 :class:`~repro.check.schedule.Schedule` (tiebreak perturbation + fault
-ops).  The run advances in short slices; after every slice the
-:class:`~repro.check.invariants.InvariantRegistry` re-audits the system,
-so a transient violation (a stale delivery that later self-corrects) is
-caught at the slice it happens, not lost to an end-of-run audit.
+ops), re-audited after every short slice so a transient violation (a
+stale delivery that later self-corrects) is caught when it happens.
+Two scenarios plug in: :class:`CheckScenario` (a small enroll deployment
+with a mutating workload and an open-loop probe driver) and
+:class:`~repro.check.saga.SagaCheckScenario` (loan sagas behind a
+crashable orchestrator).  A scenario is a frozen dataclass with
+``replace`` / ``to_dict`` / ``from_dict``, a repro ``FORMAT`` string,
+``run(schedule)``, and its schedule sampling (``baseline_schedule()``,
+``schedules(baseline, max_ops)``); everything else here is written once
+against that.
 
 On a violation the explorer shrinks the schedule — ddmin over the fault
 ops, then an attempt to drop the tiebreak perturbation — to a minimal
-counterexample, dumps a **repro file** (scenario + schedule + expected
-violations + a run digest), and re-executes it to prove the file
-replays byte-identically.  ``python -m repro check --replay FILE`` does
-the same re-execution standalone.
+counterexample, dumps a **repro file** (format + scenario + schedule +
+expected violations + a run digest), and re-executes it to prove the
+file replays byte-identically.  ``python -m repro check --replay FILE``
+does the same standalone, picking the scenario from the ``format`` field.
 
-:func:`self_test` is the checker's own regression test: it disables
-epoch fencing (``ScenarioConfig.epoch_fencing=False``), drives directed
-depose-then-kill schedules until an invariant trips, and requires the
-find/shrink/replay pipeline to succeed end to end — proof the invariants
-have teeth, not just that quiet runs stay quiet.
+:func:`self_test` and :func:`saga_self_test` are the checker's own
+regression tests: each disables one protection (epoch fencing, saga
+compensation), drives directed schedules until an invariant trips, and
+requires the find/shrink/replay pipeline to succeed end to end — proof
+the invariants have teeth, not just that quiet runs stay quiet.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..backend.datasets import student_database
 from ..backend.services import student_enrollment
@@ -46,6 +52,7 @@ from ..soap.fault import SoapFault
 from ..wsdl.samples import student_admin_wsdl
 from .faults import DecisionFaultInjector
 from .invariants import InvariantRegistry
+from .saga import ORCHESTRATOR_HOST, SagaCheckScenario, SagaRunResult
 from .schedule import FaultOp, Schedule, random_schedule
 from .tiebreak import build_tiebreak
 
@@ -60,10 +67,8 @@ __all__ = [
     "load_repro",
     "replay_repro",
     "self_test",
-    "REPRO_FORMAT",
+    "saga_self_test",
 ]
-
-REPRO_FORMAT = "whisper-check/1"
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,34 @@ class CheckScenario:
     #: every existing repro file's digest) unchanged.
     capacity: bool = False
 
+    #: The ``format`` field of this scenario's repro files.
+    FORMAT: ClassVar[str] = "whisper-check/1"
+
     def region_names(self) -> List[str]:
         return [f"r{index}" for index in range(self.regions)]
+
+    def run(self, schedule: Schedule) -> "RunResult":
+        return run_schedule(self, schedule)
+
+    def baseline_schedule(self) -> Schedule:
+        """The unperturbed schedule an exploration of this seed starts from."""
+        return Schedule(label="baseline")
+
+    def schedules(self, baseline: "RunResult", max_ops: int) -> Iterator[Schedule]:
+        """Endless random schedules for this seed, aimed at ``baseline``'s
+        hosts and decision horizon (plus region-isolation / forced-scale
+        ops on the axes that have them)."""
+        rng = random.Random(f"check-schedules:{self.seed}")
+        for index in itertools.count():
+            yield random_schedule(
+                rng,
+                baseline.hosts,
+                decision_horizon=baseline.decisions,
+                max_ops=max_ops,
+                label=f"seed{self.seed}/{index}",
+                regions=self.region_names() if self.regions > 1 else (),
+                scale_events=self.capacity,
+            )
 
     def replace(self, **changes: Any) -> "CheckScenario":
         return dataclasses.replace(self, **changes)
@@ -148,10 +179,6 @@ class RunResult:
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     hosts: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def digest(self) -> str:
         """Fingerprint of the observable outcome; replays must match it."""
         payload = {
@@ -166,6 +193,11 @@ class RunResult:
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: What the engine below is generic over: either scenario, either result.
+Scenario = Union[CheckScenario, SagaCheckScenario]
+Result = Union[RunResult, SagaRunResult]
 
 
 # -- one run -----------------------------------------------------------------------
@@ -392,10 +424,10 @@ def _eventual_rebind_violations(system, service, node, scenario) -> List[str]:
 
 
 def shrink_schedule(
-    scenario: CheckScenario,
+    scenario: Scenario,
     schedule: Schedule,
     max_runs: int = 48,
-) -> Tuple[Schedule, RunResult, int]:
+) -> Tuple[Schedule, Result, int]:
     """ddmin the fault ops, then try dropping the tiebreak perturbation.
 
     The oracle is "the reduced schedule still violates *some* invariant"
@@ -404,14 +436,14 @@ def shrink_schedule(
     result, and how many shrink runs were spent.
     """
     runs = 0
-    best: Optional[RunResult] = None
+    best: Optional[Result] = None
 
-    def violates(candidate: Schedule) -> Optional[RunResult]:
+    def violates(candidate: Schedule) -> Optional[Result]:
         nonlocal runs
         if runs >= max_runs:
             return None
         runs += 1
-        outcome = run_schedule(scenario, candidate)
+        outcome = scenario.run(candidate)
         return outcome if outcome.violations else None
 
     # Maybe the tiebreak alone already breaks it (no faults needed).
@@ -462,7 +494,7 @@ def shrink_schedule(
     if best is None:
         # Nothing smaller violated (or the budget ran out on the first
         # probes): re-run the original to pin down its result.
-        best = run_schedule(scenario, minimal)
+        best = scenario.run(minimal)
         runs += 1
     return minimal, best, runs
 
@@ -470,15 +502,19 @@ def shrink_schedule(
 # -- repro files --------------------------------------------------------------------
 
 
+#: Repro ``format`` field -> the scenario class that replays the file.
+_SCENARIOS = {cls.FORMAT: cls for cls in (CheckScenario, SagaCheckScenario)}
+
+
 def save_repro(
     path: str,
-    scenario: CheckScenario,
+    scenario: Scenario,
     schedule: Schedule,
-    result: RunResult,
+    result: Result,
 ) -> Dict[str, Any]:
     """Write a replayable counterexample file; returns its payload."""
     payload = {
-        "format": REPRO_FORMAT,
+        "format": scenario.FORMAT,
         "scenario": scenario.to_dict(),
         "schedule": schedule.to_dict(),
         "violations": result.violations,
@@ -494,26 +530,52 @@ def save_repro(
     return payload
 
 
-def load_repro(path: str) -> Tuple[CheckScenario, Schedule, Dict[str, Any]]:
+def load_repro(path: str) -> Tuple[Scenario, Schedule, Dict[str, Any]]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != REPRO_FORMAT:
+    declared = payload.get("format")
+    scenario_cls = _SCENARIOS.get(declared) if isinstance(declared, str) else None
+    if scenario_cls is None:
         raise ValueError(
-            f"{path}: not a {REPRO_FORMAT} repro file "
-            f"(format={payload.get('format')!r})"
+            f"{path}: not a repro file (format={declared!r}; "
+            f"accepted: {', '.join(sorted(_SCENARIOS))})"
         )
     return (
-        CheckScenario.from_dict(payload["scenario"]),
+        scenario_cls.from_dict(payload["scenario"]),
         Schedule.from_dict(payload["schedule"]),
         payload,
     )
 
 
-def replay_repro(path: str) -> Tuple[bool, RunResult, Dict[str, Any]]:
+def replay_repro(path: str) -> Tuple[bool, Result, Dict[str, Any]]:
     """Re-execute a repro file; True iff the outcome digest matches."""
     scenario, schedule, expected = load_repro(path)
-    result = run_schedule(scenario, schedule)
+    result = scenario.run(schedule)
     return result.digest() == expected["digest"], result, expected
+
+
+def _shrink_and_seal(
+    scenario: Scenario,
+    schedule: Schedule,
+    result: Result,
+    repro_path: Optional[str],
+) -> Tuple[Schedule, Result, int, Optional[bool]]:
+    """What every found violation goes through: shrink, save, replay.
+
+    Returns the minimal schedule, its result, the shrink runs spent, and
+    whether the saved file replayed to the same digest (``None`` when no
+    ``repro_path`` was given, so nothing was saved).
+    """
+    shrunk, shrunk_result, shrink_runs = (
+        shrink_schedule(scenario, schedule)
+        if schedule.ops
+        else (schedule, result, 0)
+    )
+    replay_ok = None
+    if repro_path:
+        save_repro(repro_path, scenario, shrunk, shrunk_result)
+        replay_ok, _replayed, _expected = replay_repro(repro_path)
+    return shrunk, shrunk_result, shrink_runs, replay_ok
 
 
 # -- the explorer -------------------------------------------------------------------
@@ -573,30 +635,20 @@ class ExploreReport:
         return "\n".join(lines)
 
 
+@dataclass
 class ScheduleExplorer:
     """Run many perturbed schedules per root seed; shrink what breaks."""
 
-    def __init__(
-        self,
-        scenario: CheckScenario,
-        seeds: Sequence[int],
-        schedules_per_seed: int,
-        max_ops: int = 4,
-        time_budget: Optional[float] = None,
-        repro_path: Optional[str] = None,
-        shrink: bool = True,
-    ):
-        self.scenario = scenario
-        self.seeds = list(seeds)
-        self.schedules_per_seed = schedules_per_seed
-        self.max_ops = max_ops
-        self.time_budget = time_budget
-        self.repro_path = repro_path
-        self.shrink = shrink
+    scenario: Scenario
+    seeds: Sequence[int]
+    schedules_per_seed: int
+    max_ops: int = 4
+    time_budget: Optional[float] = None
+    repro_path: Optional[str] = None
 
     def explore(self) -> ExploreReport:
         report = ExploreReport(
-            seeds=self.seeds, schedules_per_seed=self.schedules_per_seed
+            seeds=list(self.seeds), schedules_per_seed=self.schedules_per_seed
         )
         deadline = (
             time.monotonic() + self.time_budget
@@ -605,74 +657,40 @@ class ScheduleExplorer:
         )
         for seed in self.seeds:
             scenario = self.scenario.replace(seed=seed)
-            baseline = run_schedule(scenario, Schedule(label="baseline"))
+            unperturbed = scenario.baseline_schedule()
+            baseline = scenario.run(unperturbed)
             report.runs += 1
             if baseline.violations:
                 # The unperturbed run already violates: report it as a
                 # counterexample with an empty schedule (nothing to shrink).
-                self._record_found(
-                    report, scenario, Schedule(label="baseline"), baseline,
-                    schedule_index=-1,
-                )
+                self._record_found(report, scenario, unperturbed, baseline, -1)
                 return report
-            rng = random.Random(f"check-schedules:{seed}")
+            sampler = scenario.schedules(baseline, self.max_ops)
             for index in range(self.schedules_per_seed):
                 if deadline is not None and time.monotonic() > deadline:
                     report.truncated = True
                     return report
-                schedule = random_schedule(
-                    rng,
-                    baseline.hosts,
-                    decision_horizon=baseline.decisions,
-                    max_ops=self.max_ops,
-                    label=f"seed{seed}/{index}",
-                    regions=(
-                        scenario.region_names()
-                        if scenario.regions > 1
-                        else ()
-                    ),
-                    scale_events=scenario.capacity,
-                )
-                result = run_schedule(scenario, schedule)
+                schedule = next(sampler)
+                result = scenario.run(schedule)
                 report.runs += 1
                 if result.violations:
-                    self._finish_found(report, scenario, schedule, result, index)
+                    self._record_found(report, scenario, schedule, result, index)
                     return report
         return report
-
-    def _finish_found(
-        self,
-        report: ExploreReport,
-        scenario: CheckScenario,
-        schedule: Schedule,
-        result: RunResult,
-        schedule_index: int,
-    ) -> None:
-        shrunk, shrunk_result = schedule, result
-        if self.shrink and schedule.ops:
-            shrunk, shrunk_result, shrink_runs = shrink_schedule(
-                scenario, schedule
-            )
-            report.shrink_runs = shrink_runs
-            report.runs += shrink_runs
-        self._record_found(
-            report, scenario, schedule, result,
-            schedule_index=schedule_index,
-            shrunk=shrunk, shrunk_result=shrunk_result,
-        )
 
     def _record_found(
         self,
         report: ExploreReport,
-        scenario: CheckScenario,
+        scenario: Scenario,
         schedule: Schedule,
-        result: RunResult,
+        result: Result,
         schedule_index: int,
-        shrunk: Optional[Schedule] = None,
-        shrunk_result: Optional[RunResult] = None,
     ) -> None:
-        shrunk = shrunk if shrunk is not None else schedule
-        shrunk_result = shrunk_result if shrunk_result is not None else result
+        shrunk, shrunk_result, shrink_runs, replay_ok = _shrink_and_seal(
+            scenario, schedule, result, self.repro_path
+        )
+        report.shrink_runs = shrink_runs
+        report.runs += shrink_runs
         found: Dict[str, Any] = {
             "seed": scenario.seed,
             "schedule_index": schedule_index,
@@ -682,16 +700,14 @@ class ScheduleExplorer:
             "violated_at": shrunk_result.violated_at,
             "original_violations": result.violations,
         }
-        if self.repro_path:
-            save_repro(self.repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _replayed, _expected = replay_repro(self.repro_path)
+        if replay_ok is not None:
             found["repro_path"] = self.repro_path
             found["replay_ok"] = replay_ok
             report.runs += 1
         report.found = found
 
 
-# -- the fencing-off self-test ------------------------------------------------------
+# -- the self-tests: seeded defects the checker must catch --------------------------
 
 
 def _decision_near(timeline: Sequence[Tuple[float, int]], at_time: float) -> int:
@@ -745,10 +761,65 @@ def _depose_then_kill(
     )
 
 
+def _prove_teeth(
+    scenario: Scenario,
+    variants: Callable[[Result], Iterator[Schedule]],
+    repro_path: Optional[str],
+    time_budget: Optional[float],
+) -> Dict[str, Any]:
+    """The pipeline both self-tests run against their seeded defect.
+
+    Baseline, then the directed ``variants`` (built from the baseline,
+    so they can aim at its timeline) until an invariant trips; the
+    violating schedule must then shrink and replay — through
+    ``repro_path`` when given, in place otherwise.  ``ok`` is True only
+    if a violation was found *and* replayed to the same digest.
+    """
+    deadline = (
+        time.monotonic() + time_budget if time_budget is not None else None
+    )
+    schedule = Schedule(label="baseline")
+    result = scenario.run(schedule)
+    outcome: Dict[str, Any] = {
+        "ok": False,
+        "seed": scenario.seed,
+        "tries": 0,
+        "baseline_violations": result.violations,
+    }
+    if not result.violations:
+        # The defect needs provoking: walk the directed schedules.
+        for schedule in variants(result):
+            if deadline is not None and time.monotonic() > deadline:
+                outcome["truncated"] = True
+                return outcome
+            result = scenario.run(schedule)
+            outcome["tries"] += 1
+            if result.violations:
+                break
+        else:
+            # Every variant ran clean: the checker has no teeth (ok=False).
+            return outcome
+    shrunk, shrunk_result, shrink_runs, replay_ok = _shrink_and_seal(
+        scenario, schedule, result, repro_path
+    )
+    outcome["violations"] = result.violations
+    outcome["schedule"] = schedule.describe()
+    outcome["shrunk_schedule"] = shrunk.describe()
+    outcome["shrunk_violations"] = shrunk_result.violations
+    outcome["shrink_runs"] = shrink_runs
+    if replay_ok is not None:
+        outcome["repro_path"] = repro_path
+        outcome["replay_ok"] = replay_ok
+        outcome["ok"] = replay_ok
+    else:
+        # Replay in place of a file round-trip: same schedule, same digest.
+        outcome["ok"] = scenario.run(shrunk).digest() == shrunk_result.digest()
+    return outcome
+
+
 def self_test(
     seed: int = 42,
     repro_path: Optional[str] = None,
-    max_tries: int = 36,
     time_budget: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Prove the checker catches what fencing prevents.
@@ -760,60 +831,55 @@ def self_test(
     if a violation was found, shrunk, and replayed byte-identically.
     """
     scenario = CheckScenario(seed=seed, epoch_fencing=False)
-    deadline = (
-        time.monotonic() + time_budget if time_budget is not None else None
-    )
-    baseline = run_schedule(scenario, Schedule(label="baseline"))
-    outcome: Dict[str, Any] = {
-        "ok": False,
-        "seed": seed,
-        "tries": 0,
-        "baseline_violations": baseline.violations,
-    }
-    if baseline.violations:
-        # Even the unperturbed unfenced run violates — that still proves
-        # the invariants bite, but there is no schedule to shrink.
-        outcome["ok"] = True
-        outcome["violations"] = baseline.violations
-        outcome["schedule"] = "baseline (no faults needed)"
-        return outcome
-
-    probe_start = scenario.settle
     partition_offsets = (1.0, 1.6, 2.2, 0.6)
     kill_gaps = (0.8, 1.6)
     tiebreak_seeds: Tuple[Optional[int], ...] = (None, 1, 2, 3, 5, 8, 13, 21, 34)
-    variants = [
-        (offset, gap, tb_seed)
-        for tb_seed in tiebreak_seeds
-        for offset in partition_offsets
-        for gap in kill_gaps
-    ]
-    for index, (offset, gap, tb_seed) in enumerate(variants[:max_tries]):
-        if deadline is not None and time.monotonic() > deadline:
-            outcome["truncated"] = True
-            break
-        schedule = _depose_then_kill(baseline, probe_start, offset, gap, tb_seed)
-        result = run_schedule(scenario, schedule)
-        outcome["tries"] = index + 1
-        if not result.violations:
-            continue
-        shrunk, shrunk_result, shrink_runs = shrink_schedule(scenario, schedule)
-        outcome["violations"] = result.violations
-        outcome["schedule"] = schedule.describe()
-        outcome["shrunk_schedule"] = shrunk.describe()
-        outcome["shrunk_violations"] = shrunk_result.violations
-        outcome["shrink_runs"] = shrink_runs
-        if repro_path:
-            save_repro(repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _result, _expected = replay_repro(repro_path)
-            outcome["repro_path"] = repro_path
-            outcome["replay_ok"] = replay_ok
-            outcome["ok"] = replay_ok
-        else:
-            # Replay in place of a file round-trip: same schedule, same
-            # digest.
-            outcome["ok"] = (
-                run_schedule(scenario, shrunk).digest() == shrunk_result.digest()
+
+    def variants(baseline: RunResult) -> Iterator[Schedule]:
+        for tb_seed in tiebreak_seeds:
+            for offset in partition_offsets:
+                for gap in kill_gaps:
+                    yield _depose_then_kill(
+                        baseline, scenario.settle, offset, gap, tb_seed
+                    )
+
+    return _prove_teeth(scenario, variants, repro_path, time_budget)
+
+
+def saga_self_test(
+    seed: int = 42,
+    repro_path: Optional[str] = None,
+    time_budget: Optional[float] = None,
+) -> Dict[str, Any]:
+    """Prove the atomicity audit catches what compensation prevents.
+
+    Runs the loan scenario **with compensation disabled**: a failed saga
+    abandons its partial effects (the registered-but-never-reserved loan
+    stranded in the CRUD store), which the invariant must flag.  The
+    insolvent submissions trip it on the unperturbed baseline already —
+    no faults needed, the defect is in the (disabled) recovery logic
+    itself.  If a quiet baseline ever slips through, directed
+    orchestrator-crash schedules at commit-boundary decisions are tried
+    as a fallback.
+    """
+    scenario = SagaCheckScenario(seed=seed, compensation_enabled=False)
+    offsets = (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 3.5, 4.5)
+
+    def variants(baseline: SagaRunResult) -> Iterator[Schedule]:
+        for index, offset in enumerate(offsets):
+            yield Schedule(
+                ops=(
+                    FaultOp(
+                        at_decision=_decision_near(
+                            baseline.timeline, scenario.settle + offset
+                        ),
+                        action="crash",
+                        target=ORCHESTRATOR_HOST,
+                        duration=3.0,
+                        point="pre-commit",
+                    ),
+                ),
+                label=f"crash-orchestrator/{index}",
             )
-        return outcome
-    return outcome
+
+    return _prove_teeth(scenario, variants, repro_path, time_budget)

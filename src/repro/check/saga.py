@@ -3,8 +3,9 @@
 The workflow layer's saga guarantee (:mod:`repro.workflow.saga`) is
 end-to-end: for every saga id, the backend effect ledgers must show all
 steps committed or every applied step compensated — never a mix, never a
-double rollback.  This module stresses that guarantee the same way
-:mod:`repro.check.explorer` stresses the election/dedup invariants:
+double rollback.  This module is the saga *scenario* of the checker
+engine in :mod:`repro.check.explorer` (which shrinks, saves, replays and
+explores it exactly as it does the election/dedup scenario):
 one deterministic run = a :class:`SagaCheckScenario` (the loan-solvency
 pipeline plus a crashable orchestrator host) under one
 :class:`~repro.check.schedule.Schedule` whose fault ops fire at protocol
@@ -19,22 +20,17 @@ sharing only the durable :class:`~repro.workflow.saga.SagaLog` and DLQ
 objects — recovers the orphaned sagas.  The atomicity invariant is
 re-audited after every slice, and a ``final=True`` pass after cooldown
 additionally requires every saga to have reached a terminal state.
-
-:func:`saga_self_test` is the teeth-check: it re-runs the scenario with
-compensation **disabled** (the seeded defect), requires the atomicity
-invariant to trip on stranded partial effects, shrinks the schedule, and
-replays the repro file byte-identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..backend.loans import (
     book_loan,
@@ -52,28 +48,24 @@ from ..core.system import WhisperSystem
 from ..simnet.events import Interrupt
 from ..wsdl.samples import loan_booking_wsdl, loan_desk_wsdl, solvency_wsdl
 from .faults import DecisionFaultInjector
-from .invariants import exactly_once_violations, saga_atomicity_violations
-from .schedule import FaultOp, Schedule, random_schedule
+from .invariants import (
+    effect_totals,
+    exactly_once_violations,
+    saga_atomicity_violations,
+)
+from .schedule import Schedule, random_schedule
 from .tiebreak import build_tiebreak
 
 __all__ = [
-    "SAGA_REPRO_FORMAT",
+    "ORCHESTRATOR_HOST",
     "SagaCheckScenario",
     "SagaRunResult",
     "build_loan_fleet",
-    "explore_saga_schedules",
     "loan_saga",
     "loan_saga_context",
     "run_dlq_demo",
     "run_saga_schedule",
-    "shrink_saga_schedule",
-    "save_saga_repro",
-    "load_saga_repro",
-    "replay_saga_repro",
-    "saga_self_test",
 ]
-
-SAGA_REPRO_FORMAT = "whisper-saga-check/1"
 
 #: The orchestrator's host name inside every saga check run; directed
 #: schedules name it as a ``crash`` target to kill sagas mid-flight.
@@ -112,6 +104,32 @@ class SagaCheckScenario:
     #: settle window stays clean so deployment is identical across runs).
     loss_rate: float = 0.0
 
+    #: The ``format`` field of this scenario's repro files.
+    FORMAT: ClassVar[str] = "whisper-saga-check/1"
+
+    def run(self, schedule: Schedule) -> "SagaRunResult":
+        return run_saga_schedule(self, schedule)
+
+    def baseline_schedule(self) -> Schedule:
+        """The unperturbed schedule an exploration of this seed starts from."""
+        return Schedule(label=f"seed{self.seed}/baseline")
+
+    def schedules(
+        self, baseline: "SagaRunResult", max_ops: int
+    ) -> Iterator[Schedule]:
+        """Endless random schedules for this seed, sampled against the
+        fleet's b-peer hosts *plus* the orchestrator host — so the sampler
+        crashes the orchestrator mid-saga as readily as a coordinator."""
+        rng = random.Random(self.seed * 7919 + 13)
+        for index in itertools.count():
+            yield random_schedule(
+                rng,
+                baseline.hosts,
+                baseline.decisions,
+                max_ops=max_ops,
+                label=f"seed{self.seed}/{index}",
+            )
+
     def replace(self, **changes: Any) -> "SagaCheckScenario":
         return dataclasses.replace(self, **changes)
 
@@ -147,10 +165,6 @@ class SagaRunResult:
     #: Wall-to-wall simulated duration per *terminal* saga (the bench's
     #: latency sample; deterministic, so deliberately outside the digest).
     saga_elapsed: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def digest(self) -> str:
         """Fingerprint of the observable outcome; replays must match it."""
@@ -323,6 +337,31 @@ def loan_saga_context(scenario: SagaCheckScenario, index: int) -> Dict[str, Any]
 # -- one run -----------------------------------------------------------------------
 
 
+def _deploy_loans(scenario: SagaCheckScenario) -> Tuple[WhisperSystem, Dict[str, Any], _Fleet]:
+    """A fresh system carrying the loan fleet, sized by ``scenario``."""
+    system = WhisperSystem(
+        ScenarioConfig(
+            seed=scenario.seed,
+            settle=scenario.settle,
+            heartbeat_interval=scenario.heartbeat_interval,
+            miss_threshold=scenario.miss_threshold,
+            replicas=scenario.replicas,
+            request_timeout=scenario.step_timeout,
+            deadline_budget=scenario.step_budget,
+        )
+    )
+    services, fleet = build_loan_fleet(system, scenario.replicas)
+    return system, services, fleet
+
+
+def _audit(saga_log, fleet: _Fleet, final: bool = False) -> List[str]:
+    """Saga atomicity + exactly-once over every backend of the fleet."""
+    peers = fleet.all_peers()
+    violations = saga_atomicity_violations(saga_log, peers, final=final)
+    violations.extend(exactly_once_violations(peers))
+    return violations
+
+
 def run_saga_schedule(
     scenario: SagaCheckScenario,
     schedule: Schedule,
@@ -338,17 +377,7 @@ def run_saga_schedule(
     from ..workflow.dlq import DeadLetterQueue
     from ..workflow.saga import SagaLog, SagaOrchestrator
 
-    config = ScenarioConfig(
-        seed=scenario.seed,
-        settle=scenario.settle,
-        heartbeat_interval=scenario.heartbeat_interval,
-        miss_threshold=scenario.miss_threshold,
-        replicas=scenario.replicas,
-        request_timeout=scenario.step_timeout,
-        deadline_budget=scenario.step_budget,
-    )
-    system = WhisperSystem(config)
-    services, fleet = build_loan_fleet(system, scenario.replicas)
+    system, services, fleet = _deploy_loans(scenario)
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
     system.settle(scenario.settle)
     if scenario.loss_rate:
@@ -365,7 +394,9 @@ def run_saga_schedule(
     client = system.network.add_host("saga-client")
     saga_log = SagaLog()
     dlq = DeadLetterQueue()
-    definition_box: Dict[str, Any] = {}
+    definition = loan_saga(
+        services, timeout=scenario.step_timeout, budget=scenario.step_budget
+    )
 
     def make_orchestrator() -> SagaOrchestrator:
         orchestrator = SagaOrchestrator(
@@ -375,12 +406,9 @@ def run_saga_schedule(
             compensation_enabled=scenario.compensation_enabled,
             max_compensation_attempts=scenario.compensation_attempts,
         )
-        orchestrator.register(definition_box["saga"])
+        orchestrator.register(definition)
         return orchestrator
 
-    definition_box["saga"] = loan_saga(
-        services, timeout=scenario.step_timeout, budget=scenario.step_budget
-    )
     orchestrator_box = {"current": make_orchestrator()}
     #: saga_id -> the process currently driving it (dead = orphaned).
     active: Dict[str, Any] = {}
@@ -389,7 +417,7 @@ def run_saga_schedule(
     def drive_one(saga_id: str, context: Dict[str, Any]):
         try:
             yield from orchestrator_box["current"].execute(
-                definition_box["saga"], context, saga_id=saga_id
+                definition, context, saga_id=saga_id
             )
         except Interrupt:
             return
@@ -444,9 +472,7 @@ def run_saga_schedule(
                 for saga_id in orphans:
                     active[saga_id] = process
                 result.recoveries += 1
-        peers = fleet.all_peers()
-        violations = saga_atomicity_violations(saga_log, peers)
-        violations.extend(exactly_once_violations(peers))
+        violations = _audit(saga_log, fleet)
         if violations:
             if result.violated_at is None:
                 result.violated_at = env.now
@@ -465,9 +491,7 @@ def run_saga_schedule(
             horizon = min(max(horizon, env.now + scenario.cooldown), hard_stop)
 
     if not violations:
-        peers = fleet.all_peers()
-        violations = saga_atomicity_violations(saga_log, peers, final=True)
-        violations.extend(exactly_once_violations(peers))
+        violations = _audit(saga_log, fleet, final=True)
         if violations and result.violated_at is None:
             result.violated_at = env.now
 
@@ -488,306 +512,10 @@ def run_saga_schedule(
             result.abandoned += 1
         elif record.state == "dead-lettered":
             result.dead_lettered += 1
-    seen_backends = set()
-    for peer in fleet.all_peers():
-        backend = peer.implementation.backend
-        if id(backend) in seen_backends:
-            continue
-        seen_backends.add(id(backend))
-        result.effects_applied += len(backend.effect_log)
+    result.effects_applied = sum(effect_totals(fleet.all_peers()).values())
     result.fired = injector.fired
     result.skipped = injector.skipped
     return result
-
-
-# -- shrinking ----------------------------------------------------------------------
-
-
-def shrink_saga_schedule(
-    scenario: SagaCheckScenario,
-    schedule: Schedule,
-    max_runs: int = 32,
-) -> Tuple[Schedule, SagaRunResult, int]:
-    """ddmin the fault ops; the oracle is "still violates something"."""
-    runs = 0
-    best: Optional[SagaRunResult] = None
-
-    def violates(candidate: Schedule) -> Optional[SagaRunResult]:
-        nonlocal runs
-        if runs >= max_runs:
-            return None
-        runs += 1
-        outcome = run_saga_schedule(scenario, candidate)
-        return outcome if outcome.violations else None
-
-    if schedule.ops:
-        bare = Schedule(tiebreak=schedule.tiebreak, ops=(), label=schedule.label)
-        outcome = violates(bare)
-        if outcome is not None:
-            schedule, best = bare, outcome
-
-    kept = list(range(len(schedule.ops)))
-    granularity = 2
-    while len(kept) >= 2 and runs < max_runs:
-        chunk = max(1, len(kept) // granularity)
-        reduced = False
-        for start in range(0, len(kept), chunk):
-            candidate_idx = kept[:start] + kept[start + chunk:]
-            if not candidate_idx:
-                continue
-            candidate = Schedule(
-                tiebreak=schedule.tiebreak,
-                ops=tuple(schedule.ops[i] for i in candidate_idx),
-                label=schedule.label,
-            )
-            outcome = violates(candidate)
-            if outcome is not None:
-                kept, best = candidate_idx, outcome
-                granularity = max(2, granularity - 1)
-                reduced = True
-                break
-        if not reduced:
-            if chunk == 1:
-                break
-            granularity = min(len(kept), granularity * 2)
-    minimal = Schedule(
-        tiebreak=schedule.tiebreak,
-        ops=tuple(schedule.ops[i] for i in kept),
-        label=schedule.label,
-    )
-    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < max_runs:
-        fifo = Schedule(tiebreak=None, ops=minimal.ops, label=minimal.label)
-        outcome = violates(fifo)
-        if outcome is not None:
-            minimal, best = fifo, outcome
-    if best is None:
-        best = run_saga_schedule(scenario, minimal)
-        runs += 1
-    return minimal, best, runs
-
-
-# -- repro files --------------------------------------------------------------------
-
-
-def save_saga_repro(
-    path: str,
-    scenario: SagaCheckScenario,
-    schedule: Schedule,
-    result: SagaRunResult,
-) -> Dict[str, Any]:
-    """Write a replayable saga counterexample file; returns its payload."""
-    payload = {
-        "format": SAGA_REPRO_FORMAT,
-        "scenario": scenario.to_dict(),
-        "schedule": schedule.to_dict(),
-        "violations": result.violations,
-        "violated_at": result.violated_at,
-        "decisions": result.decisions,
-        "sim_time": result.sim_time,
-        "saga_states": result.saga_states,
-        "fired": result.fired,
-        "digest": result.digest(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
-
-
-def load_saga_repro(path: str) -> Tuple[SagaCheckScenario, Schedule, Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != SAGA_REPRO_FORMAT:
-        raise ValueError(
-            f"{path}: not a {SAGA_REPRO_FORMAT} repro file "
-            f"(format={payload.get('format')!r})"
-        )
-    return (
-        SagaCheckScenario.from_dict(payload["scenario"]),
-        Schedule.from_dict(payload["schedule"]),
-        payload,
-    )
-
-
-def replay_saga_repro(path: str) -> Tuple[bool, SagaRunResult, Dict[str, Any]]:
-    """Re-execute a saga repro file; True iff the digest matches."""
-    scenario, schedule, expected = load_saga_repro(path)
-    result = run_saga_schedule(scenario, schedule)
-    return result.digest() == expected["digest"], result, expected
-
-
-# -- the compensation-off self-test -------------------------------------------------
-
-
-def _decision_near(timeline: Sequence[Tuple[float, int]], at_time: float) -> int:
-    last = 0
-    for when, count in timeline:
-        if when > at_time:
-            break
-        last = count
-    return max(1, last)
-
-
-def saga_self_test(
-    seed: int = 42,
-    repro_path: Optional[str] = None,
-    max_tries: int = 8,
-    time_budget: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Prove the atomicity audit catches what compensation prevents.
-
-    Runs the loan scenario **with compensation disabled**: a failed saga
-    abandons its partial effects (the registered-but-never-reserved loan
-    stranded in the CRUD store), which the invariant must flag.  The
-    insolvent submissions trip it on the unperturbed baseline already —
-    no faults needed, the defect is in the (disabled) recovery logic
-    itself — and the found violation must shrink and replay
-    byte-identically through a repro file.  If a quiet baseline ever
-    slips through, directed orchestrator-crash schedules are tried as a
-    fallback.  ``ok`` is True only when a violation was found *and*
-    replayed to the same digest.
-    """
-    scenario = SagaCheckScenario(seed=seed, compensation_enabled=False)
-    deadline = (
-        time.monotonic() + time_budget if time_budget is not None else None
-    )
-    baseline = run_saga_schedule(scenario, Schedule(label="baseline"))
-    outcome: Dict[str, Any] = {
-        "ok": False,
-        "seed": seed,
-        "tries": 0,
-        "baseline_violations": baseline.violations,
-    }
-
-    def seal(schedule: Schedule, result: SagaRunResult) -> Dict[str, Any]:
-        shrunk, shrunk_result, shrink_runs = (
-            shrink_saga_schedule(scenario, schedule)
-            if schedule.ops
-            else (schedule, result, 0)
-        )
-        outcome["violations"] = result.violations
-        outcome["schedule"] = schedule.describe()
-        outcome["shrunk_schedule"] = shrunk.describe()
-        outcome["shrunk_violations"] = shrunk_result.violations
-        outcome["shrink_runs"] = shrink_runs
-        if repro_path:
-            save_saga_repro(repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _result, _expected = replay_saga_repro(repro_path)
-            outcome["repro_path"] = repro_path
-            outcome["replay_ok"] = replay_ok
-            outcome["ok"] = replay_ok
-        else:
-            outcome["ok"] = (
-                run_saga_schedule(scenario, shrunk).digest()
-                == shrunk_result.digest()
-            )
-        return outcome
-
-    if baseline.violations:
-        return seal(Schedule(label="baseline"), baseline)
-
-    # Fallback: crash the orchestrator at commit-boundary decisions.
-    probe_start = scenario.settle
-    offsets = (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 3.5, 4.5)
-    for index, offset in enumerate(offsets[:max_tries]):
-        if deadline is not None and time.monotonic() > deadline:
-            outcome["truncated"] = True
-            break
-        schedule = Schedule(
-            ops=(
-                FaultOp(
-                    at_decision=_decision_near(
-                        baseline.timeline, probe_start + offset
-                    ),
-                    action="crash",
-                    target=ORCHESTRATOR_HOST,
-                    duration=3.0,
-                    point="pre-commit",
-                ),
-            ),
-            label=f"crash-orchestrator/{index}",
-        )
-        result = run_saga_schedule(scenario, schedule)
-        outcome["tries"] = index + 1
-        if result.violations:
-            return seal(schedule, result)
-    return outcome
-
-
-# -- random saga schedule exploration ------------------------------------------------
-
-
-def explore_saga_schedules(
-    scenario: Optional[SagaCheckScenario] = None,
-    seeds: Sequence[int] = (0, 1, 2),
-    schedules_per_seed: int = 10,
-    max_ops: int = 4,
-    time_budget: Optional[float] = None,
-    repro_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Random fault schedules against the saga scenario, atomicity on.
-
-    The saga-flavoured sibling of the main explorer loop: per seed, run
-    the unperturbed baseline, then ``schedules_per_seed`` random
-    schedules sampled against the fleet's b-peer hosts *plus* the
-    orchestrator host — so the sampler crashes the orchestrator
-    mid-saga as readily as it crashes coordinators.  The first violating
-    run is shrunk and dumped as a replayable repro file.
-    """
-    if scenario is None:
-        scenario = SagaCheckScenario()
-    deadline = (
-        time.monotonic() + time_budget if time_budget is not None else None
-    )
-    report: Dict[str, Any] = {
-        "clean": True,
-        "runs": 0,
-        "seeds": list(seeds),
-        "schedules_per_seed": schedules_per_seed,
-        "truncated": False,
-    }
-    for seed in seeds:
-        per_seed = scenario.replace(seed=seed)
-        baseline = run_saga_schedule(per_seed, Schedule(label=f"seed{seed}/baseline"))
-        report["runs"] += 1
-
-        def found(schedule: Schedule, result: SagaRunResult) -> Dict[str, Any]:
-            shrunk, shrunk_result, shrink_runs = (
-                shrink_saga_schedule(per_seed, schedule)
-                if schedule.ops
-                else (schedule, result, 0)
-            )
-            report["clean"] = False
-            report["runs"] += shrink_runs
-            report["seed"] = seed
-            report["violations"] = result.violations
-            report["schedule"] = schedule.describe()
-            report["shrunk_schedule"] = shrunk.describe()
-            report["shrunk_violations"] = shrunk_result.violations
-            if repro_path:
-                save_saga_repro(repro_path, per_seed, shrunk, shrunk_result)
-                report["repro_path"] = repro_path
-            return report
-
-        if baseline.violations:
-            return found(Schedule(label=f"seed{seed}/baseline"), baseline)
-        rng = random.Random(seed * 7919 + 13)
-        for index in range(schedules_per_seed):
-            if deadline is not None and time.monotonic() > deadline:
-                report["truncated"] = True
-                return report
-            schedule = random_schedule(
-                rng,
-                baseline.hosts,
-                baseline.decisions,
-                max_ops=max_ops,
-                label=f"seed{seed}/{index}",
-            )
-            result = run_saga_schedule(per_seed, schedule)
-            report["runs"] += 1
-            if result.violations:
-                return found(schedule, result)
-    return report
 
 
 # -- the dead-letter queue demo ------------------------------------------------------
@@ -823,17 +551,7 @@ def run_dlq_demo(
         step_budget=2.5,
         compensation_attempts=2,
     )
-    config = ScenarioConfig(
-        seed=scenario.seed,
-        settle=scenario.settle,
-        heartbeat_interval=scenario.heartbeat_interval,
-        miss_threshold=scenario.miss_threshold,
-        replicas=scenario.replicas,
-        request_timeout=scenario.step_timeout,
-        deadline_budget=scenario.step_budget,
-    )
-    system = WhisperSystem(config)
-    services, fleet = build_loan_fleet(system, scenario.replicas)
+    system, services, fleet = _deploy_loans(scenario)
     system.settle(scenario.settle)
     env = system.env
 
@@ -903,12 +621,9 @@ def run_dlq_demo(
         result["entries_after"] = [entry.describe() for entry in dlq.entries()]
         result["export"] = dlq.export()
         result["sim_time"] = env.now
-    peers = fleet.all_peers()
-    violations = saga_atomicity_violations(saga_log, peers, final=True)
-    violations.extend(exactly_once_violations(peers))
     result["pending_after"] = len(dlq.pending())
     result["states"] = {
         record.saga_id: record.state for record in saga_log.records()
     }
-    result["violations"] = violations
+    result["violations"] = _audit(saga_log, fleet, final=True)
     return result

@@ -12,10 +12,8 @@
     python -m repro shard [--shards 1,2,4] [--replicas 2] [--rate-multiple 3.0]
                           [--skip-rebalance] [--json]
     python -m repro check [--seeds 5] [--schedules 50] [--timeout 300]
-                          [--regions 2] [--capacity] [--self-test]
-                          [--replay FILE]
-                          [--saga] [--saga-self-test] [--saga-replay FILE]
-                          [--out FILE] [--json]
+                          [--regions 2] [--capacity] [--saga] [--self-test]
+                          [--replay FILE] [--out FILE] [--json]
     python -m repro trace [--samples 20] [--crash] [--last 5] [--json]
     python -m repro metrics [--samples 50] [--crash] [--json | --csv]
     python -m repro perf [--scale smoke|full|both] [--out BENCH_simnet.json]
@@ -364,76 +362,14 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Schedule exploration: 0 = clean, 1 = counterexample, 2 = checker broken."""
-    from .check import CheckScenario, ScheduleExplorer, replay_repro, self_test
-
-    if args.saga_replay:
-        from .check import replay_saga_repro
-
-        ok, result, expected = replay_saga_repro(args.saga_replay)
-        payload = {
-            "replay": args.saga_replay,
-            "match": ok,
-            "digest": result.digest(),
-            "expected_digest": expected["digest"],
-            "violations": result.violations,
-        }
-        if args.json:
-            print(json_module.dumps(payload, indent=2))
-        elif ok:
-            print(f"saga replay {args.saga_replay}: byte-identical "
-                  f"({len(result.violations)} violation(s) reproduced)")
-            for violation in result.violations:
-                print(f"  - {violation}")
-        else:
-            print(f"saga replay {args.saga_replay}: DIVERGED "
-                  f"(got {result.digest()[:16]}…, "
-                  f"expected {expected['digest'][:16]}…)")
-        return 0 if ok else 2
-
-    if args.saga_self_test:
-        from .check import saga_self_test
-
-        outcome = saga_self_test(
-            seed=args.seed,
-            repro_path=args.out,
-            time_budget=args.timeout,
-        )
-        if args.json:
-            print(json_module.dumps(outcome, indent=2))
-        else:
-            status = "OK" if outcome["ok"] else "FAILED"
-            print(f"saga checker self-test (compensation disabled): {status}")
-            for key in ("violations", "shrunk_schedule", "shrink_runs",
-                        "repro_path", "replay_ok", "tries"):
-                if key in outcome:
-                    print(f"  {key:16}: {outcome[key]}")
-        # Like --self-test: a clean pass means the atomicity audit has no
-        # teeth, which outranks a mere counterexample.
-        return 0 if outcome["ok"] else 2
-
-    if args.saga:
-        from .check import explore_saga_schedules
-
-        report = explore_saga_schedules(
-            seeds=range(args.seed, args.seed + args.seeds),
-            schedules_per_seed=args.schedules,
-            max_ops=args.max_ops,
-            time_budget=args.timeout,
-            repro_path=args.out,
-        )
-        if args.json:
-            print(json_module.dumps(report, indent=2))
-        else:
-            status = "clean" if report["clean"] else "COUNTEREXAMPLE"
-            print(f"saga schedule exploration: {status} "
-                  f"({report['runs']} runs"
-                  + (", truncated" if report.get("truncated") else "")
-                  + ")")
-            for key in ("seed", "violations", "schedule",
-                        "shrunk_schedule", "repro_path"):
-                if key in report:
-                    print(f"  {key:16}: {report[key]}")
-        return 0 if report["clean"] else 1
+    from .check import (
+        CheckScenario,
+        SagaCheckScenario,
+        ScheduleExplorer,
+        replay_repro,
+        saga_self_test,
+        self_test,
+    )
 
     if args.replay:
         ok, result, expected = replay_repro(args.replay)
@@ -458,7 +394,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if ok else 2
 
     if args.self_test:
-        outcome = self_test(
+        outcome = (saga_self_test if args.saga else self_test)(
             seed=args.seed,
             repro_path=args.out,
             time_budget=args.timeout,
@@ -467,7 +403,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(json_module.dumps(outcome, indent=2))
         else:
             status = "OK" if outcome["ok"] else "FAILED"
-            print(f"checker self-test (epoch fencing disabled): {status}")
+            title = (
+                "saga checker self-test (compensation disabled)"
+                if args.saga
+                else "checker self-test (epoch fencing disabled)"
+            )
+            print(f"{title}: {status}")
             for key in ("violations", "shrunk_schedule", "shrink_runs",
                         "repro_path", "replay_ok", "tries"):
                 if key in outcome:
@@ -478,10 +419,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if outcome["ok"] else 2
 
     explorer = ScheduleExplorer(
-        CheckScenario(
-            shards=args.shards,
-            regions=args.regions,
-            capacity=args.capacity,
+        (
+            SagaCheckScenario()
+            if args.saga
+            else CheckScenario(
+                shards=args.shards,
+                regions=args.regions,
+                capacity=args.capacity,
+            )
         ),
         seeds=range(args.seed, args.seed + args.seeds),
         schedules_per_seed=args.schedules,
@@ -608,66 +553,42 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wan(args: argparse.Namespace) -> int:
-    from .bench import wan as wan_module
-
-    record = wan_module.run_wan(
+def _gated_bench(args: argparse.Namespace, module, run, **run_kwargs) -> int:
+    """wan / saga / capacity: run, write the record, print it, gate it."""
+    record = run(
         scale="smoke" if args.smoke else args.scale,
-        seed=args.seed,
         progress=None if args.json else print,
+        **run_kwargs,
     )
     with open(args.out, "w") as handle:
         handle.write(json_module.dumps(record, indent=2) + "\n")
     if args.json:
         print(json_module.dumps(record, indent=2))
     else:
-        print(wan_module.format_record(record))
+        print(module.format_record(record))
         print(f"wrote {args.out}")
-    failures = wan_module.check_record(record)
+    failures = module.check_record(record)
     for failure in failures:
         print(failure)
     return 0 if not failures else 1
+
+
+def _cmd_wan(args: argparse.Namespace) -> int:
+    from .bench import wan
+
+    return _gated_bench(args, wan, wan.run_wan, seed=args.seed)
 
 
 def _cmd_saga(args: argparse.Namespace) -> int:
-    from .bench import saga as saga_module
+    from .bench import saga
 
-    record = saga_module.run_saga_bench(
-        scale="smoke" if args.smoke else args.scale,
-        progress=None if args.json else print,
-    )
-    with open(args.out, "w") as handle:
-        handle.write(json_module.dumps(record, indent=2) + "\n")
-    if args.json:
-        print(json_module.dumps(record, indent=2))
-    else:
-        print(saga_module.format_record(record))
-        print(f"wrote {args.out}")
-    failures = saga_module.check_record(record)
-    for failure in failures:
-        print(failure)
-    return 0 if not failures else 1
+    return _gated_bench(args, saga, saga.run_saga_bench)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    from .bench import capacity as capacity_module
+    from .bench import capacity
 
-    record = capacity_module.run_capacity(
-        scale="smoke" if args.smoke else args.scale,
-        seed=args.seed,
-        progress=None if args.json else print,
-    )
-    with open(args.out, "w") as handle:
-        handle.write(json_module.dumps(record, indent=2) + "\n")
-    if args.json:
-        print(json_module.dumps(record, indent=2))
-    else:
-        print(capacity_module.format_record(record))
-        print(f"wrote {args.out}")
-    failures = capacity_module.check_record(record)
-    for failure in failures:
-        print(failure)
-    return 0 if not failures else 1
+    return _gated_bench(args, capacity, capacity.run_capacity, seed=args.seed)
 
 
 def _cmd_dlq(args: argparse.Namespace) -> int:
@@ -862,12 +783,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--replay", metavar="FILE", default=None,
-        help="re-execute a saved repro file and verify its digest",
+        help="re-execute a saved repro file (either scenario's: the file "
+             "names its format) and verify its digest",
     )
     check.add_argument(
         "--self-test", action="store_true",
-        help="disable epoch fencing and require the checker to catch, "
-             "shrink, and replay the resulting violation",
+        help="disable epoch fencing (with --saga: compensation) and "
+             "require the checker to catch, shrink, and replay the "
+             "resulting violation",
     )
     check.add_argument(
         "--shards", type=int, default=1,
@@ -888,15 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--saga", action="store_true",
         help="explore the saga scenario instead: random fault schedules "
              "(orchestrator crashes included) under the atomicity audit",
-    )
-    check.add_argument(
-        "--saga-self-test", action="store_true",
-        help="disable compensation and require the atomicity audit to "
-             "catch, shrink, and replay the stranded-effects violation",
-    )
-    check.add_argument(
-        "--saga-replay", metavar="FILE", default=None,
-        help="re-execute a saved saga repro file and verify its digest",
     )
     check.set_defaults(func=_cmd_check)
 

@@ -96,17 +96,16 @@ class ExecRequest:
     arguments: Dict[str, Any]
     reply_to: PeerId
     reply_addr: Address
+    #: Idempotency key: one id per *logical* call, reused across every
+    #: retry/rebind (``request_id`` stays per-attempt).
+    invocation_id: str
     #: Fencing token: the coordinator epoch the proxy's binding was made
-    #: under.  ``None`` (legacy callers) disables the staleness check.
+    #: under.  ``None`` disables the staleness check.
     epoch: Optional[Epoch] = None
     #: The highest epoch the proxy has ever witnessed (bindings + delivered
     #: results).  Gossiped into the group so epoch knowledge survives even
     #: when every peer that minted/accepted it has crashed.
     observed_epoch: Optional[Epoch] = None
-    #: Idempotency key: one id per *logical* call, reused across every
-    #: retry/rebind (``request_id`` stays per-attempt).  ``None`` (legacy
-    #: callers) disables dedup for this request.
-    invocation_id: Optional[str] = None
     #: Which attempt of the logical call this is (1 = first send).  A
     #: takeover coordinator uses it to tell retries — which may have been
     #: applied elsewhere under an earlier term — from fresh invocations.
@@ -441,7 +440,7 @@ class BPeer(Peer):
 
     def _journal_done(self, request: ExecRequest) -> Optional[ExecReply]:
         """The replayed canonical reply for a completed invocation, or None."""
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return None
         entry = self.journal.lookup(request.invocation_id)
         if entry is None or not entry.done:
@@ -476,7 +475,7 @@ class BPeer(Peer):
         completion report) into a ``busy`` reply — the proxy backs off
         and retries, still never executing the duplicate concurrently.
         """
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return False
         if not self.implementation.mutating:
             # Re-executing a read-only operation is harmless, and parking
@@ -542,7 +541,7 @@ class BPeer(Peer):
         duplicate and replays the stored value instead).  Non-results
         abandon the in-flight marker so a retry may execute afresh.
         """
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return reply
         if reply.deduped:
             # Already a journal replay — the canonical entry exists.
@@ -744,7 +743,7 @@ class BPeer(Peer):
         failure detector, and the park backstop converts anything stuck
         into a ``busy`` bounce.
         """
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return False
         if not self.implementation.mutating or request.attempt <= 1:
             return False
@@ -865,7 +864,7 @@ class BPeer(Peer):
         :class:`ExecReply` to answer instead (a journal replay when a
         member already holds the result, else a ``busy`` bounce).
         """
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return None
         if not self.implementation.mutating:
             return None
@@ -1002,7 +1001,7 @@ class BPeer(Peer):
         if self.queue_bound is not None and state.outstanding >= self.queue_bound:
             self._shed(request)
             return
-        if self.journal_enabled and request.invocation_id is not None:
+        if self.journal_enabled:
             # In-flight marker: a retry arriving while this runs is parked
             # (never concurrently executed); the delegation-timeout
             # fallback reconciles late results against it (first wins).
@@ -1232,7 +1231,7 @@ class BPeer(Peer):
         baseline must expose its duplicate applications to the campaign's
         duplicate-execution audit, not hide them.
         """
-        if request.invocation_id is not None and backend.writes > writes_before:
+        if backend.writes > writes_before:
             backend.record_effect(request.invocation_id, self.name)
 
     # -- delegation (coordinator -> member) -----------------------------------------------
@@ -1534,7 +1533,7 @@ class BPeer(Peer):
         self, request: ExecRequest, reply: ExecReply
     ) -> Optional[JournalEntry]:
         """The DONE entry a completion report should carry, if any."""
-        if not self.journal_enabled or request.invocation_id is None:
+        if not self.journal_enabled:
             return None
         if reply.kind != "result":
             return None

@@ -5,16 +5,14 @@ The seed scattered deployment knobs across ``WhisperSystem.__init__``
 dataset sizes) and ad-hoc call sites (settle time), and the overload work
 adds more (dispatch policy, queue bounds).  :class:`ScenarioConfig`
 collapses them into one dataclass consumed by
-:class:`~repro.core.system.WhisperSystem`; the old keyword arguments
-survive as a thin deprecated shim that builds a config for you.
+:class:`~repro.core.system.WhisperSystem`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Optional, Union
 
 from ..ontology.match import DegreeOfMatch
 from .autoscale import AutoscaleSpec
@@ -135,31 +133,3 @@ class ScenarioConfig:
     def replace(self, **changes: Any) -> "ScenarioConfig":
         """A copy with ``changes`` applied (convenience for sweeps)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        base: Optional["ScenarioConfig"],
-        kwargs: Dict[str, Any],
-        where: str,
-    ) -> "ScenarioConfig":
-        """Build/extend a config from pre-redesign keyword arguments.
-
-        The shim for callers of the old scattered-kwargs API: unknown
-        keys raise (as they always did), known keys override ``base`` and
-        emit a :class:`DeprecationWarning` pointing at ``ScenarioConfig``.
-        """
-        config = base if base is not None else cls()
-        supplied = {k: v for k, v in kwargs.items() if v is not None}
-        if not supplied:
-            return config
-        unknown = set(supplied) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise TypeError(f"{where} got unexpected arguments: {sorted(unknown)}")
-        warnings.warn(
-            f"passing {sorted(supplied)} to {where} is deprecated; "
-            "build a ScenarioConfig instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return config.replace(**supplied)

@@ -451,21 +451,14 @@ class SwsProxy(Peer):
             raise NoCoordinatorError(f"no coordinator response for {group_id}")
         if self.epoch_fencing:
             coordinator, address, epoch = max(
-                (self._normalize_pointer(answer) for answer in answers),
+                answers,
                 key=lambda item: item[2] if item[2] is not None else GENESIS,
             )
         else:
             # Unfenced: first answer wins, even if it is a deposed
             # coordinator's stale claim.
-            coordinator, address, epoch = self._normalize_pointer(answers[0])
+            coordinator, address, epoch = answers[0]
         return self._rebind(group_id, coordinator, address, epoch)
-
-    @staticmethod
-    def _normalize_pointer(pointer: Tuple) -> Tuple[PeerId, Optional[Address], Optional[Epoch]]:
-        """Accept legacy ``(peer, addr)`` and epoch-stamped 3-tuples."""
-        if len(pointer) >= 3:
-            return pointer[0], pointer[1], pointer[2]
-        return pointer[0], pointer[1], None
 
     def _rebind(
         self,
@@ -1003,9 +996,7 @@ class SwsProxy(Peer):
                 failures += 1
                 enter_recovery("stale-epoch" if stale_epoch else "redirect")
                 if reply.coordinator is not None:
-                    coordinator, address, epoch = self._normalize_pointer(
-                        reply.coordinator
-                    )
+                    coordinator, address, epoch = reply.coordinator
                     self._rebind(group_id, coordinator, address, epoch)
                     # Fresh forward pointer: retry immediately, no backoff.
                 else:
@@ -1201,7 +1192,7 @@ class SwsProxy(Peer):
         operation: str,
         arguments: Dict[str, Any],
         timeout: float,
-        invocation_id: Optional[str] = None,
+        invocation_id: str,
         attempt: int = 1,
     ) -> Generator:
         request = ExecRequest(

@@ -182,17 +182,9 @@ class WhisperSystem:
         config: Optional[ScenarioConfig] = None,
         *,
         ontology: Optional[Ontology] = None,
-        **legacy: Any,
     ):
-        """Build a deployment from one :class:`ScenarioConfig`.
-
-        The pre-redesign scattered keyword arguments (``seed=...``,
-        ``heartbeat_interval=...``, ...) still work as a deprecated shim:
-        they override the matching config fields and warn.
-        """
-        self.config = ScenarioConfig.from_legacy_kwargs(
-            config, legacy, "WhisperSystem"
-        )
+        """Build a deployment from one :class:`ScenarioConfig`."""
+        self.config = config if config is not None else ScenarioConfig()
         #: The declarative network shape.  ``config.topology=None`` means
         #: the paper's flat single LAN (the seed, byte-identical).
         self.topology = self.config.topology or Topology.single_region()
@@ -320,7 +312,6 @@ class WhisperSystem:
         group_name: Optional[str] = None,
         config: Optional[ScenarioConfig] = None,
         replica_factory: Optional[Callable[[int], ServiceImplementation]] = None,
-        **legacy: Any,
     ) -> DeployedService:
         """Deploy one semantic Web service backed by b-peer group(s).
 
@@ -338,20 +329,14 @@ class WhisperSystem:
         lists — because shard groups may not share backend instances.
 
         ``config`` overrides the system-wide scenario for this service
-        (dispatch policy, queue bound, proxy budgets, ...); legacy
-        ``request_timeout=`` / ``max_attempts=`` keywords still work as a
-        deprecated shim.
+        (dispatch policy, queue bound, proxy budgets, ...).
 
         With ``config.autoscale`` set, ``replica_factory`` (replica index
         → fresh :class:`ServiceImplementation`) is required: the
         autoscaling controller mints scale-up replicas from it exactly
         the way the initial deployment built its members.
         """
-        scenario = ScenarioConfig.from_legacy_kwargs(
-            config if config is not None else self.config,
-            legacy,
-            "deploy_service",
-        )
+        scenario = config if config is not None else self.config
         if scenario.shards < 1:
             raise ValueError(f"shards must be >= 1, got {scenario.shards}")
         topology = self.topology
@@ -572,7 +557,6 @@ class WhisperSystem:
     def deploy_student_service(
         self,
         config: Optional[ScenarioConfig] = None,
-        **legacy: Any,
     ) -> DeployedService:
         """The paper's running example, with alternating backend flavours.
 
@@ -584,14 +568,9 @@ class WhisperSystem:
 
         Sizing and budgets come from the :class:`ScenarioConfig`
         (``replicas`` / ``students`` / ``warehouse_every`` plus the proxy
-        budgets); legacy keyword arguments still work as a deprecated
-        shim.
+        budgets).
         """
-        scenario = ScenarioConfig.from_legacy_kwargs(
-            config if config is not None else self.config,
-            legacy,
-            "deploy_student_service",
-        )
+        scenario = config if config is not None else self.config
         if scenario.replicas < 1:
             raise ValueError("need at least one replica")
 

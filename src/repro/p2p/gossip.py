@@ -45,6 +45,7 @@ from typing import Dict, List
 
 from ..simnet.events import Interrupt
 from .advertisement import Advertisement, PeerAdvertisement, advertisement_from_xml
+from .endpoint import UnresolvablePeerError
 from .ids import PeerId
 
 __all__ = ["GossipService", "GossipEntry", "GOSSIP_PROTOCOL"]
@@ -298,7 +299,7 @@ class GossipService:
                 category=category,
                 size_bytes=size_bytes,
             )
-        except Exception:
+        except UnresolvablePeerError:
             # A federated peer with no route yet (or mid-crash) is a normal
             # epidemic condition: some other round will repair it.
             pass

@@ -4,22 +4,32 @@ These tests drive real (small) simulated deployments, so they are the
 slowest in the package — each ``run_schedule`` is a full
 settle/probe/cooldown scenario.  The scenarios stay at the
 :class:`CheckScenario` defaults (3 replicas, 12s probe window) to keep
-them cheap.
+them cheap.  :class:`TestEngine` runs the shrink / repro-file pipeline
+once per scenario the engine knows — it is the same code for both.
 """
+
+import json
+import pathlib
 
 import pytest
 
 from repro.check import (
     CheckScenario,
     FaultOp,
+    SagaCheckScenario,
     Schedule,
     ScheduleExplorer,
     load_repro,
     replay_repro,
     run_schedule,
+    save_repro,
     self_test,
+    shrink_schedule,
 )
-from repro.check.explorer import save_repro
+from repro.check.saga import ORCHESTRATOR_HOST
+from repro.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +115,87 @@ class TestReproFiles:
             json.dump(data, handle)
         ok, _replayed, _expected = replay_repro(path)
         assert not ok
+
+
+#: One violating (scenario, schedule) per scenario class, each with one
+#: op more than the violation needs so the shrinker has work to do.
+ENGINE_CASES = {
+    "check": (
+        CheckScenario(seed=42, epoch_fencing=False),
+        Schedule(
+            ops=(
+                FaultOp(at_decision=95, action="partition-coordinator",
+                        duration=4.0),
+                FaultOp(at_decision=200, action="drop", point="pre-deliver"),
+                FaultOp(at_decision=386, action="crash-coordinator",
+                        duration=6.0),
+            ),
+            label="engine",
+        ),
+    ),
+    "saga": (
+        SagaCheckScenario(
+            seed=3, sagas=6, cooldown=8.0, compensation_enabled=False
+        ),
+        Schedule(
+            ops=(
+                FaultOp(at_decision=40, action="crash",
+                        target=ORCHESTRATOR_HOST, duration=3.0,
+                        point="pre-commit"),
+            ),
+            label="engine",
+        ),
+    ),
+}
+
+
+class TestEngine:
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_violation_shrinks_saves_loads_replays(self, case, tmp_path):
+        scenario, schedule = ENGINE_CASES[case]
+        assert scenario.run(schedule).violations
+        shrunk, shrunk_result, runs = shrink_schedule(scenario, schedule)
+        assert runs >= 1
+        assert len(shrunk.ops) < len(schedule.ops)
+        assert shrunk_result.violations
+
+        path = str(tmp_path / "repro.json")
+        payload = save_repro(path, scenario, shrunk, shrunk_result)
+        assert payload["format"] == scenario.FORMAT
+        loaded_scenario, loaded_schedule, expected = load_repro(path)
+        assert loaded_scenario == scenario  # dataclass eq: same class too
+        assert loaded_schedule == shrunk
+        assert expected["digest"] == shrunk_result.digest()
+        ok, replayed, _expected = replay_repro(path)
+        assert ok
+        assert replayed.digest() == shrunk_result.digest()
+        assert replayed.violations == shrunk_result.violations
+
+    @pytest.mark.parametrize(
+        "declared", ["whisper-check/2", None, ["whisper-check/1"]]
+    )
+    def test_unknown_format_is_rejected_naming_both(self, declared, tmp_path):
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps({"format": declared, "scenario": {}}))
+        with pytest.raises(ValueError) as excinfo:
+            load_repro(str(path))
+        message = str(excinfo.value)
+        assert CheckScenario.FORMAT in message
+        assert SagaCheckScenario.FORMAT in message
+
+    @pytest.mark.parametrize(
+        "fixture", ["whisper-check-1.json", "whisper-saga-check-1.json"]
+    )
+    def test_parent_written_fixture_replays_byte_identical(
+        self, fixture, capsys
+    ):
+        """Files ``check --self-test --out`` / ``check --saga-self-test
+        --out`` wrote before the two checkers were merged still replay
+        through the one ``--replay``, which reads the format off the file."""
+        assert main(["check", "--replay", str(FIXTURES / fixture)]) == 0
+        assert "byte-identical (1 violation(s) reproduced)" in (
+            capsys.readouterr().out
+        )
 
 
 class TestExplorer:

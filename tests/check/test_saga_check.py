@@ -4,8 +4,8 @@ from repro.check import (
     FaultOp,
     SagaCheckScenario,
     Schedule,
-    explore_saga_schedules,
-    replay_saga_repro,
+    ScheduleExplorer,
+    replay_repro,
     run_saga_schedule,
     saga_self_test,
 )
@@ -59,14 +59,13 @@ def test_self_test_catches_shrinks_and_replays(tmp_path):
     assert outcome["ok"], outcome
     assert outcome["replay_ok"]
     assert any("stranded" in v for v in outcome["violations"])
-    ok, result, expected = replay_saga_repro(repro_path)
+    ok, result, expected = replay_repro(repro_path)
     assert ok
     assert result.digest() == expected["digest"]
+    assert expected["format"] == SagaCheckScenario.FORMAT
 
 
 def test_explore_saga_schedules_clean_on_small_budget():
-    report = explore_saga_schedules(
-        scenario=SMALL, seeds=(3,), schedules_per_seed=2
-    )
-    assert report["clean"], report
-    assert report["runs"] == 3
+    report = ScheduleExplorer(SMALL, seeds=(3,), schedules_per_seed=2).explore()
+    assert report.clean, report.to_dict()
+    assert report.runs == 3

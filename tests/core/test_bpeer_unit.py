@@ -38,6 +38,7 @@ def _send_exec(system, deployed, target_peer, operation="StudentInformation",
         arguments=arguments if arguments is not None else {"ID": "S00001"},
         reply_to=requester.peer_id,
         reply_addr=requester.endpoint.address,
+        invocation_id=f"raw#{request_id}",
     )
     requester.endpoint.send(target_peer.peer_id, PROTO_EXEC, request)
     system.settle(1.0)
@@ -84,6 +85,7 @@ class TestRequestHandling:
             arguments={"ID": "S00001"},
             reply_to=requester.peer_id,
             reply_addr=requester.endpoint.address,
+            invocation_id="raw#9",
         )
         requester.endpoint.send(coordinator.peer_id, PROTO_EXEC, request)
         system.settle(1.0)
@@ -128,6 +130,7 @@ class TestRequestHandling:
                 arguments={"ID": "S00001"},
                 reply_to=requester.peer_id,
                 reply_addr=requester.endpoint.address,
+                invocation_id=f"raw#{request_id}",
             )
             requester.endpoint.send(coordinator.peer_id, PROTO_EXEC, request)
         system.settle(1.0)

@@ -31,6 +31,12 @@ class TestParser:
         assert args.timeout is None
         assert args.replay is None
         assert not args.self_test
+        assert not args.saga
+
+    @pytest.mark.parametrize("flag", ["--saga-self-test", "--saga-replay=f"])
+    def test_check_has_no_saga_twin_flags(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", flag])
 
 
 class TestCommands:
@@ -72,3 +78,14 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "self-test" in output
         assert "OK" in output
+
+    def test_check_saga_self_test_then_replay_dispatches_on_file(
+        self, capsys, tmp_path
+    ):
+        """What ``make saga-smoke`` chains: --saga composes with
+        --self-test, and the one --replay reads the format off the file."""
+        out = str(tmp_path / "saga-self-test.json")
+        assert main(["check", "--saga", "--self-test", "--out", out]) == 0
+        assert "compensation disabled" in capsys.readouterr().out
+        assert main(["check", "--replay", out]) == 0
+        assert "byte-identical" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for the ScenarioConfig redesign and its legacy-kwargs shims."""
+"""Tests for ScenarioConfig: the one place deploy/workload knobs live."""
 
 import dataclasses
 
@@ -26,46 +26,20 @@ class TestScenarioConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.seed = 9
 
-    def test_from_legacy_kwargs_overrides_base(self):
-        base = ScenarioConfig(seed=3, replicas=2)
-        with pytest.warns(DeprecationWarning, match="ScenarioConfig"):
-            merged = ScenarioConfig.from_legacy_kwargs(
-                base, {"replicas": 6, "load_sharing": True}, "test"
-            )
-        assert merged.replicas == 6
-        assert merged.load_sharing is True
-        assert merged.seed == 3
-
-    def test_from_legacy_kwargs_filters_none(self):
-        """None means "not supplied" for the old default-None kwargs."""
-        base = ScenarioConfig(replicas=5)
-        merged = ScenarioConfig.from_legacy_kwargs(
-            base, {"replicas": None, "students": None}, "test"
-        )
-        assert merged is base  # nothing supplied, no warning, no copy
-
-    def test_from_legacy_kwargs_rejects_unknown(self):
-        with pytest.raises(TypeError, match="bogus_knob"):
-            ScenarioConfig.from_legacy_kwargs(None, {"bogus_knob": 1}, "test")
-
 
 class TestLegacyShims:
-    def test_system_legacy_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="WhisperSystem"):
-            system = WhisperSystem(seed=11, heartbeat_interval=0.25)
-        assert system.config.seed == 11
-        assert system.config.heartbeat_interval == 0.25
-        assert system.heartbeat_interval == 0.25  # compat property
-
-    def test_deploy_student_service_legacy_kwargs(self):
-        system = WhisperSystem(ScenarioConfig(seed=61))
-        with pytest.warns(DeprecationWarning, match="deploy_student_service"):
-            service = system.deploy_student_service(replicas=2)
-        assert len(service.group.peers) == 2
+    """Deployment takes a config object and nothing else (the class keeps
+    its name because the suite's test ids are pinned)."""
 
     def test_deploy_student_service_unknown_kwarg_raises(self):
+        """The scattered-kwargs shim is gone: a knob passed as a keyword
+        (known to ScenarioConfig or not) is an ordinary TypeError."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            WhisperSystem(seed=11)
         system = WhisperSystem(ScenarioConfig(seed=61))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            system.deploy_student_service(replicas=2)
+        with pytest.raises(TypeError, match="unexpected keyword"):
             system.deploy_student_service(replica_count=2)
 
     def test_config_object_is_the_new_path(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.wan import FLOOD_CATEGORIES, GOSSIP_CATEGORIES, build_wan_system
+from repro.p2p.ids import PeerId
 
 
 def _settle(system, seconds=12.0):
@@ -77,3 +78,24 @@ class TestFloodBaseline:
             system.run_until(system.env.now + window)
             counts[mode] = _cross_region_sent(system, categories) - before
         assert counts["gossip"] < counts["flood"]
+
+
+class TestSendErrors:
+    """``_send`` forgives routing failures only — the one thing
+    ``Endpoint.send`` raises for "no route yet / mid-crash"."""
+
+    def test_unroutable_peer_is_skipped(self):
+        system, _service = build_wan_system(regions=2, replicas=1)
+        _settle(system, 5.0)
+        gossip = next(iter(system.gossip.values()))
+        gossip._send(PeerId.from_name("nobody"), ("rumor", []), "gossip-rumor", 64)
+
+    def test_payload_bug_propagates(self):
+        system, _service = build_wan_system(regions=2, replicas=1)
+        _settle(system, 5.0)
+        gossip = next(iter(system.gossip.values()))
+        peer_id = next(iter(gossip.peers))
+        with pytest.raises(TypeError):
+            # A size that is not a number: a bug in the caller, not a
+            # routing condition some later round repairs.
+            gossip._send(peer_id, ("rumor", []), "gossip-rumor", None)
