@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke loc all clean
 
 install:
 	python setup.py develop
@@ -125,6 +125,16 @@ bench-e2e:
 bench-e2e-smoke:
 	python3 bench_e2e/run.py --smoke
 	PYTHONPATH=src python -m pytest bench_e2e -q
+
+# The line-count table every CHANGES.md entry quotes (`wc -l`, so
+# comments and blank lines count): src/ total, each package, each file
+# of core/.  Run it on the parent and on the change.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l | awk '{printf "%7d  src/\n", $$1}'
+	@for pkg in src/repro/*/; do \
+		find $$pkg -name '*.py' | xargs cat | wc -l | awk -v p=$$pkg '{printf "%7d  %s\n", $$1, p}'; \
+	done
+	@wc -l src/repro/*.py src/repro/core/*.py | grep -v ' total$$' | awk '{printf "%7d  %s\n", $$1, $$2}'
 
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt

@@ -143,7 +143,7 @@ class AutoscalingGroup:
         group,
         replica_factory: Callable[[int], object],
         spec: AutoscaleSpec,
-        bpeer_kwargs: Optional[dict] = None,
+        config,
         host_prefix: Optional[str] = None,
         advertise_remote: bool = True,
     ):
@@ -152,7 +152,8 @@ class AutoscalingGroup:
         self.group = group
         self.replica_factory = replica_factory
         self.spec = spec
-        self.bpeer_kwargs = dict(bpeer_kwargs or {})
+        #: The group's ScenarioConfig: scale-up replicas get the same knobs.
+        self.config = config
         self.host_prefix = host_prefix or f"bpeer-{group.name}-"
         self.advertise_remote = advertise_remote
         self.node = network.add_host(f"autoscale-{group.name}")
@@ -265,7 +266,7 @@ class AutoscalingGroup:
             group_id=self.group.group_id,
             group_name=self.group.name,
             implementation=self.replica_factory(index),
-            **self.bpeer_kwargs,
+            config=self.config,
         )
         bpeer.start(self.rendezvous)
         bpeer.keep_published(self.group.advertisement, remote=self.advertise_remote)

@@ -22,6 +22,13 @@ least-outstanding, or QoS-weighted); with a ``queue_bound`` set, the
 coordinator additionally runs admission control — when every eligible
 member is at its bound the request is *shed* with a ``busy`` reply
 carrying a retry-after hint, instead of queueing without limit.
+
+One implementation per concern: ``_tell`` sends every group-protocol
+message and ``_on_delegate`` receives them through one ``{mode: handler}``
+lookup (the protocol table is DESIGN.md §6.7); ``_reply`` answers the
+proxy, ``_busy_reply`` / ``_redirect`` build the ``busy`` and
+``not-coordinator`` bounces, ``_commit_result`` is the first-result-wins
+journal commit, ``_interrupt`` stops one of our processes.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from ..simnet.node import Node
 from ..simnet.queues import Store
 from ..election.coordinator import GroupCoordinator
 from ..election.epoch import Epoch
-from .dispatch import DispatchSpec, MemberLoad, dispatch_policy
+from .config import ScenarioConfig
+from .dispatch import MemberLoad, dispatch_policy
 from .journal import DedupJournal, JournalEntry
 
 __all__ = ["BPeer", "ExecRequest", "ExecReply"]
@@ -172,6 +180,12 @@ class _IntentWait:
         )
 
 
+def _majority_acks(cohort: int) -> int:
+    """Remote acks that, with our own vote, make a strict majority of the
+    group's ``cohort + 1`` replicas: ``(cohort + 1) // 2 + 1`` minus us."""
+    return (cohort + 1) // 2
+
+
 class BPeer(Peer):
     """One replica in a semantic b-peer group."""
 
@@ -181,49 +195,42 @@ class BPeer(Peer):
         group_id: PeerGroupId,
         group_name: str,
         implementation: ServiceImplementation,
-        heartbeat_interval: float = 1.0,
-        miss_threshold: int = 3,
-        load_sharing: bool = False,
-        dispatch: DispatchSpec = None,
-        queue_bound: Optional[int] = None,
-        dedup_journal: bool = True,
-        journal_capacity: int = 4096,
-        epoch_fencing: bool = True,
+        config: ScenarioConfig = ScenarioConfig(),
         name: Optional[str] = None,
     ):
         super().__init__(node, name=name)
         self.group_id = group_id
         self.group_name = group_name
         self.implementation = implementation
-        self.load_sharing = load_sharing
+        self.load_sharing = config.load_sharing
         #: Split-brain fencing (PR 2).  ``False`` restores the pre-epoch
         #: behaviour — stale-term requests are served and stale
         #: announcements accepted — which the schedule-exploration
         #: checker's self-test uses to prove its invariants have teeth.
-        self.epoch_fencing = epoch_fencing
+        self.epoch_fencing = config.epoch_fencing
         #: Decision-point hook fired right before an admitted request's
         #: side effect is applied (``hook(bpeer, request)``).  A fault
         #: injector may crash the node here; execution is then abandoned,
         #: modelling a crash between admission and commit.
         self.pre_commit_hook = None
         #: How a coordinating replica spreads load-shared work.
-        self.dispatch = dispatch_policy(dispatch)
+        self.dispatch = dispatch_policy(config.dispatch)
         #: Admission control: max dispatched-but-unfinished requests per
         #: member.  ``None`` = the seed's unbounded behaviour.
-        if queue_bound is not None and queue_bound < 1:
+        if config.queue_bound is not None and config.queue_bound < 1:
             raise ValueError("queue_bound must be >= 1 (or None for unbounded)")
-        self.queue_bound = queue_bound
+        self.queue_bound = config.queue_bound
         self.coordinator_mgr = GroupCoordinator(
             self.groups,
             group_id,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-            epoch_fencing=epoch_fencing,
+            heartbeat_interval=config.heartbeat_interval,
+            miss_threshold=config.miss_threshold,
+            epoch_fencing=config.epoch_fencing,
         )
         #: Exactly-once machinery: the dedup/result journal plus requests
         #: parked behind an in-flight duplicate (per invocation id).
-        self.journal_enabled = dedup_journal
-        self.journal = DedupJournal(capacity=journal_capacity)
+        self.journal_enabled = config.dedup_journal
+        self.journal = DedupJournal(capacity=config.journal_capacity)
         self._parked: Dict[str, List[ExecRequest]] = {}
         #: Retries parked behind an in-flight execution (total).
         self.requests_parked = 0
@@ -283,6 +290,22 @@ class BPeer(Peer):
         #: Advertisements this peer keeps alive on the network.
         self.published_advertisements = []
 
+        #: The group protocol (DESIGN.md §6.7): payload mode -> handler.
+        self._group_handlers = {
+            "direct": self._on_direct,
+            "relay": self._on_relay,
+            "relay-reply": self._on_relay_reply,
+            "report": self._on_report,
+            "journal": self._on_journal,
+            "journal-push": self._on_journal_push,
+            "journal-pull": self._on_journal_pull,
+            "journal-sync-reply": self._on_journal_sync_reply,
+            "intent": self._on_intent,
+            "intent-reply": self._on_intent_reply,
+            "intent-clear": self._on_intent_clear,
+            "intent-status": self._on_intent_status,
+            "intent-status-reply": self._on_intent_status_reply,
+        }
         self.endpoint.register_listener(PROTO_EXEC, self._on_exec)
         self.groups.register_group_listener(PROTO_DELEGATE, self._on_delegate)
         self.resolver.register_handler(COORD_HANDLER, self._on_coordinator_query)
@@ -316,8 +339,6 @@ class BPeer(Peer):
         self.discovery.publish(advertisement, remote=remote)
 
     def _republish_loop(self):
-        from ..simnet.events import Interrupt
-
         try:
             while True:
                 yield self.env.timeout(REPUBLISH_PERIOD)
@@ -345,24 +366,26 @@ class BPeer(Peer):
         self.coordinator_mgr.monitor.stop()
         self.coordinator_mgr.elector.coordinator = None
         self.groups.leave(self.group_id)
-        if self._worker is not None and self._worker.is_alive:
-            worker, self._worker = self._worker, None
-            if worker is not self.env.active_process:
-                worker.interrupt("shutdown")
-        if self._republisher is not None and self._republisher.is_alive:
-            republisher, self._republisher = self._republisher, None
-            if republisher is not self.env.active_process:
-                republisher.interrupt("shutdown")
+        for process in (self._worker, self._republisher, self._sync_proc):
+            self._interrupt(process, "shutdown")
+        self._forget_serving_state()
+        self._bounce_sync_parked()
+
+    def _forget_serving_state(self) -> None:
+        """What a peer that stops serving (leave or crash) no longer has:
+        its processes, queued work, parked retries, push/sync progress."""
+        self._worker = self._republisher = self._sync_proc = None
         self._queue.items.clear()
         self._parked.clear()
         self._journal_pushed = None
-        if self._sync_proc is not None and self._sync_proc.is_alive:
-            sync_proc, self._sync_proc = self._sync_proc, None
-            if sync_proc is not self.env.active_process:
-                sync_proc.interrupt("shutdown")
         self._sync_epoch = None
         self._sync_answered = set()
-        self._bounce_sync_parked()
+
+    def _interrupt(self, process, reason: str) -> None:
+        """Interrupt a running ``process`` of ours — unless it is the caller."""
+        if process is not None and process.is_alive:
+            if process is not self.env.active_process:
+                process.interrupt(reason)
 
     def bootstrap_election(self) -> None:
         """Trigger the group's first election (call on one member)."""
@@ -400,15 +423,7 @@ class BPeer(Peer):
             # §4.2: "the b-peer found may not be the coordinator. Therefore,
             # additional processing may need to be done to find the current
             # coordinator" — we hand the proxy a forward pointer.
-            self.requests_redirected += 1
-            self._reply(
-                request,
-                ExecReply(
-                    request_id=request.request_id,
-                    kind="not-coordinator",
-                    coordinator=self._coordinator_pointer(),
-                ),
-            )
+            self._redirect(request)
             return
         current = self.coordinator_mgr.epoch
         if self.epoch_fencing and request.epoch is not None and request.epoch < current:
@@ -418,17 +433,8 @@ class BPeer(Peer):
             # stale-term request could mask an interleaved takeover — bounce
             # it so the proxy re-binds under the current epoch.
             self.stale_epoch_rejections += 1
-            self.requests_redirected += 1
             self.node.network.obs.metrics.inc("bpeer.stale_epoch_rejections")
-            self._reply(
-                request,
-                ExecReply(
-                    request_id=request.request_id,
-                    kind="not-coordinator",
-                    value="stale-epoch",
-                    coordinator=self._coordinator_pointer(),
-                ),
-            )
+            self._redirect(request, value="stale-epoch")
             return
         if self._park_if_in_flight(request):
             return
@@ -507,16 +513,7 @@ class BPeer(Peer):
         waiting.remove(request)
         if not waiting:
             del self._parked[invocation_id]
-        self._reply(
-            request,
-            ExecReply(
-                request_id=request.request_id,
-                kind="busy",
-                retry_after=self._retry_after_hint(),
-                epoch=self.coordinator_mgr.epoch,
-                invocation_id=invocation_id,
-            ),
-        )
+        self._reply(request, self._busy_reply(request))
 
     def _serve_parked(self, invocation_id: str) -> None:
         """Answer every retry parked behind a now-completed invocation."""
@@ -558,18 +555,24 @@ class BPeer(Peer):
             return reply
         epoch = reply.epoch if reply.epoch is not None else self.coordinator_mgr.epoch
         canonical = replace(reply, invocation_id=invocation_id, epoch=epoch)
+        entry, first = self._commit_result(invocation_id, canonical, epoch)
+        return canonical if first else self._replay_reply(entry, request)
+
+    def _commit_result(self, invocation_id: str, reply: ExecReply, epoch):
+        """First result wins: make ``reply`` the invocation's DONE entry —
+        replicated, parked retries answered — unless one exists already
+        (a duplicate execution raced the canonical one through the
+        delegation fallback; its value is suppressed in favour of the
+        stored result).  Returns ``(entry, first)``."""
         entry, first = self.journal.complete(
-            invocation_id, canonical, epoch=epoch, now=self.env.now
+            invocation_id, reply, epoch=epoch, now=self.env.now
         )
-        if not first:
-            # A duplicate execution raced the canonical one (delegation
-            # fallback); its value is suppressed in favour of the stored
-            # result.
+        if first:
+            self._replicate_entry(entry)
+            self._serve_parked(invocation_id)
+        else:
             self.node.network.obs.metrics.inc("bpeer.duplicate_suppressed")
-            return self._replay_reply(entry, request)
-        self._replicate_entry(entry)
-        self._serve_parked(invocation_id)
-        return canonical
+        return entry, first
 
     def _replicate_entry(self, entry: JournalEntry) -> None:
         """Eagerly replicate a mutating invocation's DONE entry group-wide.
@@ -588,18 +591,8 @@ class BPeer(Peer):
         for member in members:
             if member == self.peer_id:
                 continue
-            try:
-                self.groups.send_to_member(
-                    self.group_id,
-                    member,
-                    PROTO_DELEGATE,
-                    ("journal", shipped),
-                    category="bpeer-journal",
-                    size_bytes=288,
-                )
+            if self._tell(member, ("journal", shipped), "bpeer-journal", 288):
                 self.node.network.obs.metrics.inc("bpeer.journal_replicated")
-            except UnresolvablePeerError:
-                continue
 
     def _on_coordinator_announced(self, coordinator: PeerId) -> None:
         """Journal-transfer handshake: ship DONE entries to a new winner."""
@@ -625,19 +618,10 @@ class BPeer(Peer):
         entries = self.journal.export()
         if not entries:
             return
-        try:
-            self.groups.send_to_member(
-                self.group_id,
-                coordinator,
-                PROTO_DELEGATE,
-                ("journal-push", entries),
-                category="bpeer-journal",
-                size_bytes=96 + 288 * len(entries),
-            )
-        except UnresolvablePeerError:
-            return
-        self._journal_pushed = term
-        self.node.network.obs.metrics.inc("bpeer.journal_pushes")
+        push = ("journal-push", entries)
+        if self._tell(coordinator, push, "bpeer-journal", 96 + 288 * len(entries)):
+            self._journal_pushed = term
+            self.node.network.obs.metrics.inc("bpeer.journal_pushes")
 
     # -- exactly-once: takeover journal sync (pull side) --------------------------------
     #
@@ -659,9 +643,7 @@ class BPeer(Peer):
             return
         self._sync_epoch = epoch
         self._sync_answered = set()
-        if self._sync_proc is not None and self._sync_proc.is_alive:
-            if self._sync_proc is not self.env.active_process:
-                self._sync_proc.interrupt("superseded")
+        self._interrupt(self._sync_proc, "superseded")
         self._sync_proc = self.node.spawn(
             self._journal_sync_loop(epoch), name=f"bpeer-journal-sync:{self.name}"
         )
@@ -682,17 +664,7 @@ class BPeer(Peer):
                     self._drain_sync_parked()
                 else:
                     for member in pending:
-                        try:
-                            self.groups.send_to_member(
-                                self.group_id,
-                                member,
-                                PROTO_DELEGATE,
-                                ("journal-pull", epoch),
-                                category="bpeer-journal",
-                                size_bytes=64,
-                            )
-                        except UnresolvablePeerError:
-                            continue
+                        self._tell(member, ("journal-pull", epoch), "bpeer-journal", 64)
                     self.node.network.obs.metrics.inc("bpeer.journal_pulls")
                 yield self.env.timeout(JOURNAL_SYNC_PERIOD)
         except Interrupt:
@@ -720,17 +692,7 @@ class BPeer(Peer):
         effect applied just before it vanished, so the sync is complete
         only when that member answers too (after its restart or heal).
         """
-        view = self.groups.groups.get(self.group_id)
-        if view is not None:
-            self._sync_roster.update(view.members)
-        return sorted(
-            (
-                member
-                for member in self._sync_roster
-                if member != self.peer_id and member not in self._sync_answered
-            ),
-            key=lambda member: member.uuid_hex,
-        )
+        return self._commit_cohort(exclude=self._sync_answered)
 
     def _park_for_sync(self, request: ExecRequest) -> bool:
         """Gate a retried mutation behind the takeover sync; True if parked.
@@ -762,16 +724,7 @@ class BPeer(Peer):
         if request not in self._sync_parked or not self.node.up:
             return
         self._sync_parked.remove(request)
-        self._reply(
-            request,
-            ExecReply(
-                request_id=request.request_id,
-                kind="busy",
-                retry_after=self._retry_after_hint(),
-                epoch=self.coordinator_mgr.epoch,
-                invocation_id=request.invocation_id,
-            ),
-        )
+        self._reply(request, self._busy_reply(request))
 
     def _drain_sync_parked(self) -> None:
         """Answer the gated retries now that the roster's journals merged.
@@ -791,30 +744,12 @@ class BPeer(Peer):
         for request in parked:
             if self._journal_answer(request):
                 continue
-            self._reply(
-                request,
-                ExecReply(
-                    request_id=request.request_id,
-                    kind="busy",
-                    retry_after=0.0,
-                    epoch=self.coordinator_mgr.epoch,
-                    invocation_id=request.invocation_id,
-                ),
-            )
+            self._reply(request, self._busy_reply(request, retry_after=0.0))
 
     def _bounce_sync_parked(self) -> None:
         parked, self._sync_parked = self._sync_parked, []
         for request in parked:
-            self._reply(
-                request,
-                ExecReply(
-                    request_id=request.request_id,
-                    kind="busy",
-                    retry_after=self._retry_after_hint(),
-                    epoch=self.coordinator_mgr.epoch,
-                    invocation_id=request.invocation_id,
-                ),
-            )
+            self._reply(request, self._busy_reply(request))
 
     def _merge_journal_entries(self, entries: List[JournalEntry]) -> None:
         for entry in entries:
@@ -823,6 +758,37 @@ class BPeer(Peer):
             # Retries parked behind this invocation (it raced the
             # replication) are answerable now.
             self._serve_parked(entry.invocation_id)
+
+    def _on_journal(self, payload, src_peer: PeerId) -> None:
+        # Eager replication of a mutating invocation's result.
+        if self.journal_enabled:
+            self._merge_journal_entries([payload[1]])
+
+    def _on_journal_push(self, payload, src_peer: PeerId) -> None:
+        # Bulk journal transfer to a freshly elected coordinator.
+        if self.journal_enabled:
+            self._merge_journal_entries(payload[1])
+
+    def _on_journal_pull(self, payload, src_peer: PeerId) -> None:
+        # A takeover coordinator asks for our DONE entries.  Always
+        # answer — an empty reply is still the "view member covered"
+        # signal the puller's gate is waiting on.
+        if self.journal_enabled:
+            entries = self.journal.export()
+            reply = ("journal-sync-reply", payload[1], entries)
+            self._tell(src_peer, reply, "bpeer-journal", 96 + 288 * len(entries))
+
+    def _on_journal_sync_reply(self, payload, src_peer: PeerId) -> None:
+        # A member answered our takeover pull: merge its entries and,
+        # once the whole view has answered for this term, open the
+        # gate for the retries parked behind the sync.
+        if self.journal_enabled:
+            _mode, epoch, entries = payload
+            self._merge_journal_entries(entries)
+            if self._sync_epoch == epoch and epoch == self.coordinator_mgr.epoch:
+                self._sync_answered.add(src_peer)
+                if not self._sync_pending():
+                    self._drain_sync_parked()
 
     # -- exactly-once: commit barrier (quorum write intent) ------------------------------
     #
@@ -841,8 +807,9 @@ class BPeer(Peer):
     # apply + journal ``complete`` are atomic in simulation time), never
     # by a timeout.
 
-    def _commit_cohort(self) -> List[PeerId]:
-        """Peers whose acks count toward the commit quorum (not us).
+    def _commit_cohort(self, exclude=frozenset()) -> List[PeerId]:
+        """Peers whose acks count toward the commit quorum (not us, nor
+        ``exclude``), refreshed from the live view, in canonical order.
 
         The all-time roster, not the live view: sizing the quorum to the
         failure detector's view lets an isolated minority shrink its
@@ -852,10 +819,8 @@ class BPeer(Peer):
         view = self.groups.groups.get(self.group_id)
         if view is not None:
             self._sync_roster.update(view.members)
-        return sorted(
-            (member for member in self._sync_roster if member != self.peer_id),
-            key=lambda member: member.uuid_hex,
-        )
+        peers = self._sync_roster - {self.peer_id} - exclude
+        return sorted(peers, key=lambda member: member.uuid_hex)
 
     def _commit_barrier(self, request: ExecRequest):
         """Quorum write intent before a mutating effect.
@@ -869,7 +834,7 @@ class BPeer(Peer):
         if not self.implementation.mutating:
             return None
         cohort = self._commit_cohort()
-        needed = (len(cohort) + 1) // 2 + 1 - 1
+        needed = _majority_acks(len(cohort))
         if needed <= 0:
             # Single-replica group: we are our own majority — no
             # messages, identical timing to the pre-barrier path.
@@ -879,19 +844,10 @@ class BPeer(Peer):
         token = next(self._intent_tokens)
         wait = _IntentWait(needed=needed, done=self.env.event(), held=set())
         self._intent_waits[token] = wait
+        intent = ("intent", token, invocation_id, epoch, self.peer_id)
         for member in cohort:
-            try:
-                self.groups.send_to_member(
-                    self.group_id,
-                    member,
-                    PROTO_DELEGATE,
-                    ("intent", token, invocation_id, epoch, self.peer_id),
-                    category="bpeer-journal",
-                    size_bytes=96,
-                )
+            if self._tell(member, intent, "bpeer-journal", 96):
                 wait.sent += 1
-            except UnresolvablePeerError:
-                continue
         self.node.network.obs.metrics.inc("bpeer.commit_intents")
         if wait.sent >= needed:
             timer = self.env.timeout(INTENT_TIMEOUT)
@@ -924,13 +880,7 @@ class BPeer(Peer):
             # a later attempt (here or at a rival) may execute afresh.
             self.journal.abandon(invocation_id)
             self._clear_intent(invocation_id, self.peer_id)
-        busy = ExecReply(
-            request_id=request.request_id,
-            kind="busy",
-            retry_after=self._retry_after_hint(),
-            epoch=self.coordinator_mgr.epoch,
-            invocation_id=invocation_id,
-        )
+        busy = self._busy_reply(request)
         self._flush_parked(invocation_id, busy)
         return busy
 
@@ -948,16 +898,8 @@ class BPeer(Peer):
         if invocation_id in self._intent_resolving:
             return
         self._intent_resolving.add(invocation_id)
-        try:
-            self.groups.send_to_member(
-                self.group_id,
-                origin,
-                PROTO_DELEGATE,
-                ("intent-status", invocation_id, self.peer_id),
-                category="bpeer-journal",
-                size_bytes=64,
-            )
-        except UnresolvablePeerError:
+        probe = ("intent-status", invocation_id, self.peer_id)
+        if not self._tell(origin, probe, "bpeer-journal", 64):
             self._intent_resolving.discard(invocation_id)
             return
         timer = self.env.timeout(INTENT_RESOLVE_TIMEOUT)
@@ -967,18 +909,102 @@ class BPeer(Peer):
 
     def _clear_intent(self, invocation_id: str, origin: PeerId) -> None:
         """Best-effort broadcast: drop the origin's abandoned intent."""
+        clear = ("intent-clear", invocation_id, origin)
         for member in self._commit_cohort():
-            try:
-                self.groups.send_to_member(
-                    self.group_id,
-                    member,
-                    PROTO_DELEGATE,
-                    ("intent-clear", invocation_id, origin),
-                    category="bpeer-journal",
-                    size_bytes=64,
-                )
-            except UnresolvablePeerError:
-                continue
+            self._tell(member, clear, "bpeer-journal", 64)
+
+    def _on_intent(self, payload, src_peer: PeerId) -> None:
+        # A coordinator asks us to record its write intent before it
+        # applies a mutating effect (commit barrier).
+        _mode, token, invocation_id, epoch, origin = payload
+        status: str = "ok"
+        extra: Any = None
+        seen: Optional[Epoch] = None
+        if self.journal_enabled:
+            max_seen = self.coordinator_mgr.elector.max_epoch_seen
+            if self.epoch_fencing and epoch is not None and max_seen > epoch:
+                # Fencing: the asker's term is already superseded —
+                # deny it quorum and tell it what we know.
+                status, seen = "stale", max_seen
+            else:
+                entry = self.journal.lookup(invocation_id)
+                if entry is not None and entry.done:
+                    status, extra = "done", entry.replicable()
+                elif entry is not None:
+                    # A rival's intent (or the asker's own earlier
+                    # one) is already on file: report who holds it.
+                    status, extra = "held", entry.origin
+                else:
+                    self.journal.begin(
+                        invocation_id, epoch=epoch, now=self.env.now, origin=origin
+                    )
+                    self.node.network.obs.metrics.inc("bpeer.intents_recorded")
+        reply = ("intent-reply", token, status, extra, seen)
+        size_bytes = 96 if status != "done" else 96 + 288
+        self._tell(src_peer, reply, "bpeer-journal", size_bytes)
+
+    def _on_intent_reply(self, payload, src_peer: PeerId) -> None:
+        _mode, token, status, extra, seen = payload
+        wait = self._intent_waits.get(token)
+        if wait is not None:
+            wait.responses += 1
+            if status == "ok":
+                wait.acks += 1
+            elif status == "done":
+                wait.done_entry = extra
+            elif status == "held":
+                if extra == self.peer_id:
+                    # The member still holds OUR earlier intent — we
+                    # are its origin and know it was withdrawn, so it
+                    # counts as an ack.
+                    wait.acks += 1
+                else:
+                    wait.held.add(extra)
+            elif status == "stale":
+                if seen is not None and (wait.max_seen is None or seen > wait.max_seen):
+                    wait.max_seen = seen
+            if wait.decided() and not wait.done.triggered:
+                wait.done.succeed()
+
+    def _on_intent_clear(self, payload, src_peer: PeerId) -> None:
+        # An intent's origin (or a resolver acting on its authority)
+        # withdrew it: the invocation was never applied there.
+        _mode, invocation_id, origin = payload
+        if self.journal_enabled:
+            entry = self.journal.lookup(invocation_id)
+            if entry is not None and not entry.done and entry.origin == origin:
+                self.journal.abandon(invocation_id)
+
+    def _on_intent_status(self, payload, src_peer: PeerId) -> None:
+        # In-doubt resolution: only we can say whether our intent's
+        # effect was applied (apply + complete are atomic here).
+        _mode, invocation_id, asker = payload
+        if self.journal_enabled:
+            entry = self.journal.lookup(invocation_id)
+            if entry is not None and entry.done:
+                outcome: Any = entry.replicable()
+            elif entry is not None and entry.origin == self.peer_id:
+                outcome = "pending"  # still executing — keep waiting
+            else:
+                outcome = None  # abandoned (or never ours): not applied
+            reply = ("intent-status-reply", invocation_id, outcome)
+            self._tell(src_peer, reply, "bpeer-journal", 96)
+
+    def _on_intent_status_reply(self, payload, src_peer: PeerId) -> None:
+        _mode, invocation_id, outcome = payload
+        self._intent_resolving.discard(invocation_id)
+        if self.journal_enabled and outcome != "pending":
+            if outcome is None:
+                # The origin abandoned the intent: clear it here and
+                # group-wide so a retry may execute afresh.
+                entry = self.journal.lookup(invocation_id)
+                if entry is not None and not entry.done and entry.origin == src_peer:
+                    self.journal.abandon(invocation_id)
+                self._clear_intent(invocation_id, src_peer)
+            else:
+                if self.journal.merge(outcome, now=self.env.now):
+                    self.node.network.obs.metrics.inc("bpeer.journal_merges")
+                self._serve_parked(invocation_id)
 
     # -- admission control & dispatch (coordinator-side) -------------------------------
 
@@ -997,7 +1023,6 @@ class BPeer(Peer):
             self._ledger_epoch = self.coordinator_mgr.epoch
         target = self._dispatch_target()
         state = self._load_for(target)
-        obs = self.node.network.obs
         if self.queue_bound is not None and state.outstanding >= self.queue_bound:
             self._shed(request)
             return
@@ -1013,10 +1038,10 @@ class BPeer(Peer):
                 origin=self.peer_id,
             )
         state.outstanding += 1
-        obs.metrics.observe(
+        self.node.network.obs.metrics.observe(
             "bpeer.queue_depth", self._total_outstanding(), bounds=QUEUE_DEPTH_BUCKETS
         )
-        self._queue.put(("exec", (request, target)))
+        self._queue.put((self._serve, (request, target)))
 
     def _dispatch_members(self) -> List[PeerId]:
         """Members eligible for dispatch (ourselves when not load-sharing).
@@ -1064,14 +1089,21 @@ class BPeer(Peer):
         """Refuse the request with a ``busy`` reply + retry-after hint."""
         self.requests_shed += 1
         self.node.network.obs.metrics.inc("bpeer.shed")
-        self._reply(
-            request,
-            ExecReply(
-                request_id=request.request_id,
-                kind="busy",
-                retry_after=self._retry_after_hint(),
-                epoch=self.coordinator_mgr.epoch,
-            ),
+        self._reply(request, self._busy_reply(request))
+
+    def _busy_reply(
+        self, request: ExecRequest, retry_after: Optional[float] = None
+    ) -> ExecReply:
+        """The one ``busy`` bounce (shed, park expiry, sync drain/bounce,
+        barrier blocked): hint defaults to the least-loaded member's ETA."""
+        if retry_after is None:
+            retry_after = self._retry_after_hint()
+        return ExecReply(
+            request_id=request.request_id,
+            kind="busy",
+            retry_after=retry_after,
+            epoch=self.coordinator_mgr.epoch,
+            invocation_id=request.invocation_id,
         )
 
     def _retry_after_hint(self) -> float:
@@ -1090,6 +1122,20 @@ class BPeer(Peer):
                 best = eta
         return best if best is not None else self.implementation.service_time
 
+    def _redirect(self, request: ExecRequest, value: Any = None) -> None:
+        """Answer ``not-coordinator`` with a forward pointer (``value``
+        names the reason when it is not plain mis-binding)."""
+        self.requests_redirected += 1
+        self._reply(
+            request,
+            ExecReply(
+                request_id=request.request_id,
+                kind="not-coordinator",
+                value=value,
+                coordinator=self._coordinator_pointer(),
+            ),
+        )
+
     def _coordinator_pointer(self) -> Optional[Tuple]:
         """Forward pointer ``(peer, address, epoch)`` for redirects."""
         coordinator = self.coordinator
@@ -1106,23 +1152,18 @@ class BPeer(Peer):
     def _work_loop(self):
         try:
             while True:
-                kind, item = yield self._queue.get()
+                serve, item = yield self._queue.get()
                 # Mid-execution marker: the autoscaler's drain must not
                 # retire this peer between dequeue and completion.
                 self._busy = True
                 try:
-                    if kind == "exec":
-                        yield from self._serve(*item)
-                    elif kind == "delegated":
-                        yield from self._serve_delegated(*item)
+                    yield from serve(*item)
                 finally:
                     self._busy = False
         except Interrupt:
             return
 
-    def _serve(self, request: ExecRequest, target: Optional[PeerId] = None):
-        if target is None:
-            target = self.peer_id
+    def _serve(self, request: ExecRequest, target: PeerId):
         blocked = yield from self._commit_barrier(request)
         if blocked is not None:
             self._reply(request, blocked)
@@ -1132,20 +1173,11 @@ class BPeer(Peer):
             # Spread load: the member executes and answers the proxy; its
             # completion report releases the ledger slot.
             self.requests_delegated += 1
-            try:
-                self.groups.send_to_member(
-                    self.group_id,
-                    target,
-                    PROTO_DELEGATE,
-                    ("direct", request),
-                    category="bpeer-delegate",
-                    size_bytes=512,
-                )
+            if self._tell(target, ("direct", request), "bpeer-delegate", 512):
                 return
-            except UnresolvablePeerError:
-                # Fall through to local execution; move the accounting.
-                self._release_load(target)
-                self._load_for(self.peer_id).outstanding += 1
+            # Fall through to local execution; move the accounting.
+            self._release_load(target)
+            self._load_for(self.peer_id).outstanding += 1
         if not self._fire_pre_commit(request):
             return
         reply = yield from self._execute_or_delegate(request)
@@ -1194,23 +1226,15 @@ class BPeer(Peer):
             self.qos_profile.record_failure()
             obs.metrics.inc("bpeer.backend_unavailable")
             return ExecReply(request_id=request.request_id, kind="cannot-serve")
-        except (RecordNotFound, ValueError) as error:
+        except Exception as error:  # the client's mistake, else an implementation bug
             self._ledger_effect(request, backend, writes_before)
             obs.metrics.inc("bpeer.faults")
+            client = isinstance(error, (RecordNotFound, ValueError))
             return ExecReply(
                 request_id=request.request_id,
                 kind="fault",
-                fault_code="Client",
-                value=str(error),
-            )
-        except Exception as error:  # implementation bug
-            self._ledger_effect(request, backend, writes_before)
-            obs.metrics.inc("bpeer.faults")
-            return ExecReply(
-                request_id=request.request_id,
-                kind="fault",
-                fault_code="Server",
-                value=f"{type(error).__name__}: {error}",
+                fault_code="Client" if client else "Server",
+                value=str(error) if client else f"{type(error).__name__}: {error}",
             )
         self._ledger_effect(request, backend, writes_before)
         self.requests_executed += 1
@@ -1240,16 +1264,8 @@ class BPeer(Peer):
         delegation_id = next(self._delegation_ids)
         delegation = _Delegation(request=request, done=self.env.event())
         self._delegations[delegation_id] = delegation
-        try:
-            self.groups.send_to_member(
-                self.group_id,
-                member,
-                PROTO_DELEGATE,
-                ("relay", delegation_id, self.peer_id, request),
-                category="bpeer-delegate",
-                size_bytes=512,
-            )
-        except UnresolvablePeerError:
+        relay = ("relay", delegation_id, self.peer_id, request)
+        if not self._tell(member, relay, "bpeer-delegate", 512):
             del self._delegations[delegation_id]
             return None
         self.requests_delegated += 1
@@ -1259,201 +1275,46 @@ class BPeer(Peer):
         return delegation.reply
 
     def _on_delegate(self, payload, src_peer: PeerId, group_id: PeerGroupId) -> None:
+        """Every group-protocol message lands here: one lookup by mode."""
         if group_id != self.group_id or not self.node.up:
             return
-        mode = payload[0]
-        if mode == "direct":
-            # Load-sharing: execute and answer the proxy ourselves; the
-            # sending coordinator gets a completion report afterwards so
-            # its load ledger stays truthful.
-            _mode, request = payload
-            self.endpoint.add_route(request.reply_to, request.reply_addr)
-            self._queue.put(("delegated", ("direct", None, src_peer, request)))
-        elif mode == "report":
-            # A member finished a direct-dispatched request: release its
-            # ledger slot and refresh its QoS snapshot (feeds the
-            # least-outstanding and QoS-weighted policies).  Since PR 4 the
-            # report piggybacks the member's DONE journal entry — free
-            # replication back to the dispatching coordinator.
-            member, qos = payload[1], payload[2]
-            self._release_load(member)
-            self._load_for(member).qos = qos
-            entry = payload[3] if len(payload) > 3 else None
-            if entry is not None and self.journal_enabled:
-                self._merge_journal_entries([entry])
-        elif mode == "journal":
-            # Eager replication of a mutating invocation's result.
-            if self.journal_enabled:
-                self._merge_journal_entries([payload[1]])
-        elif mode == "journal-push":
-            # Bulk journal transfer to a freshly elected coordinator.
-            if self.journal_enabled:
-                self._merge_journal_entries(payload[1])
-        elif mode == "journal-pull":
-            # A takeover coordinator asks for our DONE entries.  Always
-            # answer — an empty reply is still the "view member covered"
-            # signal the puller's gate is waiting on.
-            if self.journal_enabled:
-                entries = self.journal.export()
-                try:
-                    self.groups.send_to_member(
-                        self.group_id,
-                        src_peer,
-                        PROTO_DELEGATE,
-                        ("journal-sync-reply", payload[1], entries),
-                        category="bpeer-journal",
-                        size_bytes=96 + 288 * len(entries),
-                    )
-                except UnresolvablePeerError:
-                    pass
-        elif mode == "journal-sync-reply":
-            # A member answered our takeover pull: merge its entries and,
-            # once the whole view has answered for this term, open the
-            # gate for the retries parked behind the sync.
-            if self.journal_enabled:
-                _mode, epoch, entries = payload
-                self._merge_journal_entries(entries)
-                if (
-                    self._sync_epoch == epoch
-                    and epoch == self.coordinator_mgr.epoch
-                ):
-                    self._sync_answered.add(src_peer)
-                    if not self._sync_pending():
-                        self._drain_sync_parked()
-        elif mode == "intent":
-            # A coordinator asks us to record its write intent before it
-            # applies a mutating effect (commit barrier).
-            _mode, token, invocation_id, epoch, origin = payload
-            status: str = "ok"
-            extra: Any = None
-            seen: Optional[Epoch] = None
-            if self.journal_enabled:
-                max_seen = self.coordinator_mgr.elector.max_epoch_seen
-                if (
-                    self.epoch_fencing
-                    and epoch is not None
-                    and max_seen > epoch
-                ):
-                    # Fencing: the asker's term is already superseded —
-                    # deny it quorum and tell it what we know.
-                    status, seen = "stale", max_seen
-                else:
-                    entry = self.journal.lookup(invocation_id)
-                    if entry is not None and entry.done:
-                        status, extra = "done", entry.replicable()
-                    elif entry is not None:
-                        # A rival's intent (or the asker's own earlier
-                        # one) is already on file: report who holds it.
-                        status, extra = "held", entry.origin
-                    else:
-                        self.journal.begin(
-                            invocation_id,
-                            epoch=epoch,
-                            now=self.env.now,
-                            origin=origin,
-                        )
-                        self.node.network.obs.metrics.inc(
-                            "bpeer.intents_recorded"
-                        )
-            try:
-                self.groups.send_to_member(
-                    self.group_id,
-                    src_peer,
-                    PROTO_DELEGATE,
-                    ("intent-reply", token, status, extra, seen),
-                    category="bpeer-journal",
-                    size_bytes=96 if status != "done" else 96 + 288,
-                )
-            except UnresolvablePeerError:
-                pass
-        elif mode == "intent-reply":
-            _mode, token, status, extra, seen = payload
-            wait = self._intent_waits.get(token)
-            if wait is not None:
-                wait.responses += 1
-                if status == "ok":
-                    wait.acks += 1
-                elif status == "done":
-                    wait.done_entry = extra
-                elif status == "held":
-                    if extra == self.peer_id:
-                        # The member still holds OUR earlier intent — we
-                        # are its origin and know it was withdrawn, so it
-                        # counts as an ack.
-                        wait.acks += 1
-                    else:
-                        wait.held.add(extra)
-                elif status == "stale":
-                    if seen is not None and (
-                        wait.max_seen is None or seen > wait.max_seen
-                    ):
-                        wait.max_seen = seen
-                if wait.decided() and not wait.done.triggered:
-                    wait.done.succeed()
-        elif mode == "intent-clear":
-            # An intent's origin (or a resolver acting on its authority)
-            # withdrew it: the invocation was never applied there.
-            _mode, invocation_id, origin = payload
-            if self.journal_enabled:
-                entry = self.journal.lookup(invocation_id)
-                if entry is not None and not entry.done and entry.origin == origin:
-                    self.journal.abandon(invocation_id)
-        elif mode == "intent-status":
-            # In-doubt resolution: only we can say whether our intent's
-            # effect was applied (apply + complete are atomic here).
-            _mode, invocation_id, asker = payload
-            if self.journal_enabled:
-                entry = self.journal.lookup(invocation_id)
-                if entry is not None and entry.done:
-                    outcome: Any = entry.replicable()
-                elif entry is not None and entry.origin == self.peer_id:
-                    outcome = "pending"  # still executing — keep waiting
-                else:
-                    outcome = None  # abandoned (or never ours): not applied
-                try:
-                    self.groups.send_to_member(
-                        self.group_id,
-                        src_peer,
-                        PROTO_DELEGATE,
-                        ("intent-status-reply", invocation_id, outcome),
-                        category="bpeer-journal",
-                        size_bytes=96,
-                    )
-                except UnresolvablePeerError:
-                    pass
-        elif mode == "intent-status-reply":
-            _mode, invocation_id, outcome = payload
-            self._intent_resolving.discard(invocation_id)
-            if self.journal_enabled and outcome != "pending":
-                if outcome is None:
-                    # The origin abandoned the intent: clear it here and
-                    # group-wide so a retry may execute afresh.
-                    entry = self.journal.lookup(invocation_id)
-                    if (
-                        entry is not None
-                        and not entry.done
-                        and entry.origin == src_peer
-                    ):
-                        self.journal.abandon(invocation_id)
-                    self._clear_intent(invocation_id, src_peer)
-                else:
-                    if self.journal.merge(outcome, now=self.env.now):
-                        self.node.network.obs.metrics.inc("bpeer.journal_merges")
-                    self._serve_parked(invocation_id)
-        elif mode == "relay":
-            _mode, delegation_id, coordinator, request = payload
-            self._queue.put(
-                ("delegated", ("relay", delegation_id, coordinator, request))
-            )
-        elif mode == "relay-reply":
-            _mode, delegation_id, reply = payload
-            delegation = self._delegations.get(delegation_id)
-            if delegation is not None:
-                delegation.reply = reply
-                if not delegation.done.triggered:
-                    delegation.done.succeed()
-            else:
-                self._reconcile_late_reply(reply)
+        handler = self._group_handlers.get(payload[0])
+        if handler is not None:
+            handler(payload, src_peer)
+
+    def _on_direct(self, payload, src_peer: PeerId) -> None:
+        # Load-sharing: execute and answer the proxy ourselves; the
+        # sending coordinator gets a completion report afterwards so
+        # its load ledger stays truthful.
+        _mode, request = payload
+        self.endpoint.add_route(request.reply_to, request.reply_addr)
+        self._queue.put((self._serve_delegated, (None, src_peer, request)))
+
+    def _on_relay(self, payload, src_peer: PeerId) -> None:
+        _mode, delegation_id, coordinator, request = payload
+        self._queue.put((self._serve_delegated, (delegation_id, coordinator, request)))
+
+    def _on_relay_reply(self, payload, src_peer: PeerId) -> None:
+        _mode, delegation_id, reply = payload
+        delegation = self._delegations.get(delegation_id)
+        if delegation is not None:
+            delegation.reply = reply
+            if not delegation.done.triggered:
+                delegation.done.succeed()
+        else:
+            self._reconcile_late_reply(reply)
+
+    def _on_report(self, payload, src_peer: PeerId) -> None:
+        # A member finished a direct-dispatched request: release its
+        # ledger slot and refresh its QoS snapshot (feeds the
+        # least-outstanding and QoS-weighted policies).  Since PR 4 the
+        # report piggybacks the member's DONE journal entry — free
+        # replication back to the dispatching coordinator.
+        _mode, member, qos, entry = payload
+        self._release_load(member)
+        self._load_for(member).qos = qos
+        if entry is not None and self.journal_enabled:
+            self._merge_journal_entries([entry])
 
     def _reconcile_late_reply(self, reply: ExecReply) -> None:
         """Reconcile a member's answer that arrived after its delegation
@@ -1466,50 +1327,36 @@ class BPeer(Peer):
             return
         if reply.kind != "result" or reply.deduped:
             return
-        invocation_id = reply.invocation_id
-        entry, first = self.journal.complete(
-            invocation_id, reply, epoch=reply.epoch, now=self.env.now
-        )
-        if not first:
-            self.node.network.obs.metrics.inc("bpeer.duplicate_suppressed")
-            return
-        self.node.network.obs.metrics.inc("bpeer.late_replies_reconciled")
-        self._replicate_entry(entry)
-        self._serve_parked(invocation_id)
+        _entry, first = self._commit_result(reply.invocation_id, reply, reply.epoch)
+        if first:
+            self.node.network.obs.metrics.inc("bpeer.late_replies_reconciled")
 
-    def _serve_delegated(self, mode, delegation_id, coordinator, request: ExecRequest):
-        if mode == "direct":
-            # Load-sharing: we answer the proxy ourselves — but if our own
-            # backend is down, chain through the group like a coordinator
-            # would (§4.1's transparent takeover applies here too).
-            reply = self._journal_done(request)
-            if reply is None:
-                if not self._fire_pre_commit(request):
-                    return
-                reply = yield from self._execute_or_delegate(request)
-                reply = self._journal_complete(request, reply)
-            self._reply(request, reply)
-            self._report_to(coordinator, entry=self._piggyback_entry(request, reply))
-            return
-        # Relay mode: execute locally only (the *coordinator* owns the
-        # delegation chain; a delegate that also delegated could loop).
+    def _serve_delegated(self, delegation_id, coordinator, request: ExecRequest):
+        """Serve work a coordinator handed us (``delegation_id`` is None
+        for a load-sharing ``direct`` dispatch, set for a ``relay``)."""
+        direct = delegation_id is None
         reply = self._journal_done(request)
         if reply is None:
             if not self._fire_pre_commit(request):
                 return
-            reply = yield from self._execute_local(request)
+            if direct:
+                # Load-sharing: we answer the proxy ourselves — but if our
+                # own backend is down, chain through the group like a
+                # coordinator would (§4.1's transparent takeover applies
+                # here too).
+                reply = yield from self._execute_or_delegate(request)
+            else:
+                # Relay mode: execute locally only (the *coordinator* owns
+                # the delegation chain; a delegate that also delegated
+                # could loop).
+                reply = yield from self._execute_local(request)
             reply = self._journal_complete(request, reply)
-        try:
-            self.groups.send_to_member(
-                self.group_id,
-                coordinator,
-                PROTO_DELEGATE,
-                ("relay-reply", delegation_id, reply),
-                category="bpeer-delegate",
-                size_bytes=512,
-            )
-        except UnresolvablePeerError:
-            pass
+        if direct:
+            self._reply(request, reply)
+            self._report_to(coordinator, entry=self._piggyback_entry(request, reply))
+        else:
+            relay_reply = ("relay-reply", delegation_id, reply)
+            self._tell(coordinator, relay_reply, "bpeer-delegate", 512)
 
     def _report_to(
         self, coordinator: Optional[PeerId], entry: Optional[JournalEntry] = None
@@ -1517,17 +1364,9 @@ class BPeer(Peer):
         """Completion report to the dispatching coordinator (+ journal entry)."""
         if coordinator is None or coordinator == self.peer_id:
             return
-        try:
-            self.groups.send_to_member(
-                self.group_id,
-                coordinator,
-                PROTO_DELEGATE,
-                ("report", self.peer_id, self.qos_profile.snapshot(), entry),
-                category="bpeer-load-report",
-                size_bytes=96 if entry is None else 96 + 288,
-            )
-        except UnresolvablePeerError:
-            pass
+        report = ("report", self.peer_id, self.qos_profile.snapshot(), entry)
+        size_bytes = 96 if entry is None else 96 + 288
+        self._tell(coordinator, report, "bpeer-load-report", size_bytes)
 
     def _piggyback_entry(
         self, request: ExecRequest, reply: ExecReply
@@ -1548,13 +1387,29 @@ class BPeer(Peer):
         group_id = query.payload
         if group_id != self.group_id or not self.node.up:
             return None
-        if self.coordinator is None:
-            return None
-        # ``(peer, address, epoch)`` — the epoch lets a proxy facing
-        # conflicting answers (split-brain) prefer the freshest claim.
+        # ``(peer, address, epoch)``, or None while there is no coordinator
+        # — the epoch lets a proxy facing conflicting answers (split-brain)
+        # prefer the freshest claim.
         return self._coordinator_pointer()
 
     # -- plumbing ----------------------------------------------------------------------------
+
+    def _tell(self, member: PeerId, payload: Tuple, category: str, size_bytes: int) -> bool:
+        """Send one group-protocol message (DESIGN.md §6.7); False when
+        ``member`` is unresolvable (no route) — nothing was sent, and every
+        caller treats that like a lost message."""
+        try:
+            self.groups.send_to_member(
+                self.group_id,
+                member,
+                PROTO_DELEGATE,
+                payload,
+                category=category,
+                size_bytes=size_bytes,
+            )
+        except UnresolvablePeerError:
+            return False
+        return True
 
     def _reply(self, request: ExecRequest, reply: ExecReply) -> None:
         if reply.epoch is None and reply.kind in ("result", "fault"):
@@ -1573,22 +1428,15 @@ class BPeer(Peer):
             pass
 
     def _on_crash(self) -> None:
-        self._queue.items.clear()
         self._delegations.clear()
         self._member_load.clear()
         self._ledger_epoch = None
-        self._worker = None
-        self._republisher = None
         # Exactly-once state: DONE entries model durable storage (like the
         # persisted election epoch) and survive the crash; in-flight
         # markers and parked retries are memory and do not — a restarted
         # peer may execute those invocations afresh.
-        self._parked.clear()
-        self._journal_pushed = None
-        self._sync_epoch = None
-        self._sync_answered = set()
+        self._forget_serving_state()
         self._sync_parked.clear()
-        self._sync_proc = None
         self._intent_waits.clear()
         self._intent_resolving.clear()
         self.journal.drop_executing()

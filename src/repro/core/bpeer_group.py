@@ -20,6 +20,7 @@ from ..qos.metrics import QosMetrics
 from ..simnet.network import Network
 from ..wsdl.annotations import SemanticAnnotation
 from .bpeer import BPeer
+from .config import ScenarioConfig
 
 __all__ = ["BPeerGroup", "deploy_bpeer_group", "semantic_advertisement_for"]
 
@@ -107,14 +108,7 @@ def deploy_bpeer_group(
     implementations: Sequence[ServiceImplementation],
     ontology_uri: str = "",
     host_prefix: Optional[str] = None,
-    heartbeat_interval: float = 1.0,
-    miss_threshold: int = 3,
-    load_sharing: bool = False,
-    dispatch=None,
-    queue_bound: Optional[int] = None,
-    dedup_journal: bool = True,
-    journal_capacity: int = 4096,
-    epoch_fencing: bool = True,
+    config: ScenarioConfig = ScenarioConfig(),
     advertise_remote: bool = True,
     advertise_qos: Optional[QosMetrics] = None,
     shard_index: Optional[int] = None,
@@ -128,7 +122,9 @@ def deploy_bpeer_group(
     Each implementation gets its own host (``<prefix><i>``), mirroring the
     paper's one-peer-per-machine testbed.  Every b-peer publishes the
     group's semantic advertisement into the rendezvous' SRDI index so that
-    SWS-proxies anywhere can discover the group.
+    SWS-proxies anywhere can discover the group.  ``config`` carries the
+    b-peer knobs (heartbeats, load sharing, dispatch, queue bound, journal,
+    fencing); :class:`BPeer` reads them off it.
 
     Multi-region placement: ``region`` puts every host (and the
     advertisement's home) in one region; ``host_regions`` instead spreads
@@ -168,14 +164,7 @@ def deploy_bpeer_group(
             group_id=group.group_id,
             group_name=group_name,
             implementation=implementation,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-            load_sharing=load_sharing,
-            dispatch=dispatch,
-            queue_bound=queue_bound,
-            dedup_journal=dedup_journal,
-            journal_capacity=journal_capacity,
-            epoch_fencing=epoch_fencing,
+            config=config,
         )
         bpeer.start(home_rendezvous)
         # Every replica keeps the group advertisement alive (idempotent in

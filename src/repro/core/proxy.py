@@ -20,6 +20,13 @@ The proxy's lifecycle per request:
 The proxy also "translates the data received to a suitable format" (§4.2):
 results are validated against the service's WSDL schema before being
 handed back to the Web service.
+
+One implementation per concern: ``_count`` bumps a ``ProxyStats`` field
+and its ``proxy.*`` metric together; inside ``_invoke_attempts`` there is
+one give-up exit (attempt cap or deadline), one sticky rule (``pinned``)
+and one ``switch_group`` behind both the shard ring and the region
+ladder, ``enter_recovery``/``close_recovery`` around the recover span;
+``_invoke``'s ``unattempted`` builds the results that never hit the wire.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..election.epoch import GENESIS, Epoch
-from ..ontology.match import ConceptMatcher, DegreeOfMatch
+from ..ontology.match import ConceptMatcher
 from ..p2p.advertisement import SemanticAdvertisement
 from ..p2p.endpoint import EndpointMessage, UnresolvablePeerError
 from ..p2p.ids import PeerGroupId, PeerId
@@ -42,7 +49,8 @@ from ..simnet.message import Address
 from ..soap.fault import SoapFault
 from ..wsdl.schema import SchemaError
 from .bpeer import COORD_HANDLER, PROTO_EXEC, PROTO_EXEC_REPLY, ExecReply, ExecRequest
-from .breaker import BreakerSpec, CircuitBreaker
+from .breaker import CircuitBreaker
+from .config import ScenarioConfig
 from .errors import (
     CircuitOpenError,
     InvocationFailedError,
@@ -50,7 +58,7 @@ from .errors import (
     NoMatchingGroupError,
 )
 from .matching import GroupMatch, SemanticGroupMatcher
-from .rescache import ResultCacheSpec, SemanticResultCache
+from .rescache import SemanticResultCache
 from .result import InvokeOutcome, InvokeResult
 from .retry import Deadline, RetryPolicy
 from .sharding import ScatterResult, ShardRouter, shard_key
@@ -167,23 +175,15 @@ class SwsProxy(Peer):
         node,
         sws: SemanticWebService,
         matcher: ConceptMatcher,
-        min_degree: DegreeOfMatch = DegreeOfMatch.EXACT,
-        request_timeout: float = 2.0,
-        max_attempts: int = 8,
+        config: ScenarioConfig = ScenarioConfig(),
         discovery_timeout: float = 1.0,
         coordinator_timeout: float = 1.0,
         qos_selector: Optional[QosSelector] = None,
         retry: Optional[RetryPolicy] = None,
-        deadline_budget: float = 60.0,
         resolve_grace: float = 0.02,
-        epoch_fencing: bool = True,
-        scatter_policy: str = "partial",
-        virtual_nodes: int = 64,
         shard_suspect_interval: float = 10.0,
         home_region: Optional[str] = None,
         region_count: int = 1,
-        circuit_breaker: Optional[BreakerSpec] = None,
-        result_cache: Optional[ResultCacheSpec] = None,
         name: Optional[str] = None,
     ):
         super().__init__(node, name=name or f"proxy:{sws.name}")
@@ -192,25 +192,25 @@ class SwsProxy(Peer):
         #: the highest witnessed term.  ``False`` restores the naive
         #: first-answer-wins proxy — the behaviour the schedule checker's
         #: self-test shows to be unsafe.
-        self.epoch_fencing = epoch_fencing
+        self.epoch_fencing = config.epoch_fencing
         self.sws = sws
-        self.group_matcher = SemanticGroupMatcher(matcher, min_degree=min_degree)
-        self.request_timeout = request_timeout
-        self.max_attempts = max_attempts
+        self.group_matcher = SemanticGroupMatcher(matcher, min_degree=config.min_degree)
+        self.request_timeout = config.request_timeout
+        self.max_attempts = config.max_attempts
         self.discovery_timeout = discovery_timeout
         self.coordinator_timeout = coordinator_timeout
         self.qos_selector = qos_selector or QosSelector()
         self.retry = retry or RetryPolicy()
         #: Default per-request wall budget (simulated seconds); ``invoke``'s
         #: ``budget`` argument overrides it per call.
-        self.deadline_budget = deadline_budget
+        self.deadline_budget = config.deadline_budget
         #: After the first resolver answer, wait this long for racing
         #: answers so a split-brain minority cannot win the bind simply by
         #: replying first — the highest epoch wins instead.
         self.resolve_grace = resolve_grace
         #: Cross-shard read policy (``all`` / ``quorum`` / ``partial``).
-        self.scatter_policy = scatter_policy
-        self.virtual_nodes = virtual_nodes
+        self.scatter_policy = config.scatter_policy
+        self.virtual_nodes = config.virtual_nodes
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
         self.shard_suspect_interval = shard_suspect_interval
@@ -232,7 +232,7 @@ class SwsProxy(Peer):
         self.read_only_operations: set = set()
         #: Circuit breakers, lazily built per chosen advertisement —
         #: i.e. per (service, shard) scope (``None`` spec disables).
-        self._breaker_spec = circuit_breaker
+        self._breaker_spec = config.circuit_breaker
         self._breakers: Dict[str, CircuitBreaker] = {}
         #: Graceful-degradation handlers per operation: with the circuit
         #: open, ``fallback(operation, arguments)`` supplies a degraded
@@ -241,8 +241,8 @@ class SwsProxy(Peer):
         #: Read-through semantic result cache (``None`` spec disables):
         #: read-only hits return before discovery even starts.
         self.result_cache: Optional[SemanticResultCache] = (
-            SemanticResultCache(result_cache, metrics=node.network.obs.metrics)
-            if result_cache is not None
+            SemanticResultCache(config.result_cache, metrics=node.network.obs.metrics)
+            if config.result_cache is not None
             else None
         )
         #: Per-operation shard routers, built lazily from discovered
@@ -294,67 +294,59 @@ class SwsProxy(Peer):
             return self.group_matcher.find_all(annotation, local)
 
         matches = scan_local()
-        if (
-            matches
-            and _shard_set_complete(matches)
-            and self._region_set_complete(matches)
-        ):
+        if matches and self._sets_complete(matches):
             return matches
-        self.stats.remote_discoveries += 1
-        self.obs.metrics.inc("proxy.remote_discoveries")
-        timeout = self.discovery_timeout
-        if deadline is not None:
-            timeout = deadline.clamp(self.env.now, timeout)
-        # Fast path: query by the exact action concept (the rendezvous
-        # answers with up to ``threshold`` matching SRDI documents in one
-        # message — 1 suffices unless a known shard set or region
-        # replica set needs more).
-        remote = yield from self.discovery.get_remote_advertisements(
-            SemanticAdvertisement,
-            attribute="Action",
-            value=annotation.action,
-            timeout=timeout,
-            threshold=self._discovery_threshold(matches),
-        )
+
+        def query(**narrowing) -> Generator:
+            """One remote query, capped at the request's remaining budget."""
+            timeout = self.discovery_timeout
+            if deadline is not None:
+                timeout = deadline.clamp(self.env.now, timeout)
+            return self.discovery.get_remote_advertisements(
+                SemanticAdvertisement, timeout=timeout, **narrowing
+            )
+
+        def query_action(known: List[GroupMatch]) -> Generator:
+            # Fast path: query by the exact action concept (the rendezvous
+            # answers with up to ``threshold`` matching SRDI documents in one
+            # message — 1 suffices unless a known shard set or region
+            # replica set needs more).
+            return query(
+                attribute="Action",
+                value=annotation.action,
+                threshold=self._discovery_threshold(known),
+            )
+
+        self._count("remote_discoveries")
+        remote = yield from query_action(matches)
         # Remote results were published into the local cache; re-scan so
         # previously known and freshly discovered advertisements merge.
         matches = scan_local() if matches else self.group_matcher.find_all(
             annotation, remote
         )
         if matches:
-            if _shard_set_complete(matches) and self._region_set_complete(
-                matches
-            ):
+            if self._sets_complete(matches):
                 return matches
             # The first answer revealed a shard or region set we only
             # partially know: one directed re-query for the full set.
-            if deadline is not None:
-                timeout = deadline.clamp(self.env.now, self.discovery_timeout)
-            yield from self.discovery.get_remote_advertisements(
-                SemanticAdvertisement,
-                attribute="Action",
-                value=annotation.action,
-                timeout=timeout,
-                threshold=self._discovery_threshold(matches),
-            )
+            yield from query_action(matches)
             return scan_local()
         # Slow path: groups advertising an *equivalent or related* action
         # concept carry a different Action attribute; fetch everything and
         # let the semantic matcher decide.
-        if deadline is not None:
-            timeout = deadline.clamp(self.env.now, self.discovery_timeout)
-        remote = yield from self.discovery.get_remote_advertisements(
-            SemanticAdvertisement, timeout=timeout
-        )
+        remote = yield from query()
         return self.group_matcher.find_all(annotation, remote)
 
-    def _region_set_complete(self, matches: List[GroupMatch]) -> bool:
-        """True once matches cover every region's replica of the group.
+    def _sets_complete(self, matches: List[GroupMatch]) -> bool:
+        """True once matches miss no shard sibling and cover every region's
+        replica of the group.
 
         Single-region proxies (``region_count == 1``) are trivially
-        complete, so discovery behaves exactly as before the multi-region
-        extension.
+        complete on the region side, so discovery behaves exactly as
+        before the multi-region extension.
         """
+        if not _shard_set_complete(matches):
+            return False
         if self.region_count <= 1:
             return True
         regions = {
@@ -380,8 +372,7 @@ class SwsProxy(Peer):
                 m for m in tied if m.advertisement.region == self.home_region
             ]
             if home and len(home) < len(tied):
-                self.stats.region_preferred += 1
-                self.obs.metrics.inc("proxy.region_preferred")
+                self._count("region_preferred")
                 tied = home
         if len(tied) == 1:
             return tied[0]
@@ -477,8 +468,7 @@ class SwsProxy(Peer):
         if previous is not None and (
             previous.coordinator != coordinator or previous.epoch != epoch
         ):
-            self.stats.rebinds += 1
-            self.obs.metrics.inc("proxy.rebinds")
+            self._count("rebinds")
         binding = _Binding(
             group_id=group_id, coordinator=coordinator, address=address, epoch=epoch
         )
@@ -490,8 +480,7 @@ class SwsProxy(Peer):
     def drop_binding(self, group_id: PeerGroupId) -> None:
         """Forget a (presumed stale) binding; next invoke re-binds."""
         if self._bindings.pop(group_id, None) is not None:
-            self.stats.rebinds += 1
-            self.obs.metrics.inc("proxy.rebinds")
+            self._count("rebinds")
 
     # -- invocation ----------------------------------------------------------------------------
 
@@ -566,6 +555,19 @@ class SwsProxy(Peer):
         if invocation_id is None:
             invocation_id = f"{self.name}#{next(self._invocation_ids)}"
 
+        def unattempted(value, outcome, epoch, served_by) -> InvokeResult:
+            """A result that never touched the network (cache hit, fallback)."""
+            return InvokeResult(
+                value=value,
+                outcome=outcome,
+                epoch=epoch,
+                attempts=0,
+                duration=self.env.now - started_at,
+                trace_id=rtrace.request_id,
+                served_by=served_by,
+                invocation_id=invocation_id,
+            )
+
         # Read-through semantic result cache: a hit on a read-only
         # operation returns here — no discovery, no bind, no traffic.
         # The key is the semantic action concept + the canonicalized
@@ -581,15 +583,8 @@ class SwsProxy(Peer):
             )
             if entry is not None:
                 self.stats.cache_hits += 1
-                return InvokeResult(
-                    value=entry.value,
-                    outcome=InvokeOutcome.CACHED,
-                    epoch=entry.epoch,
-                    attempts=0,
-                    duration=self.env.now - started_at,
-                    trace_id=rtrace.request_id,
-                    served_by="rescache",
-                    invocation_id=invocation_id,
+                return unattempted(
+                    entry.value, InvokeOutcome.CACHED, entry.epoch, "rescache"
                 )
             self.stats.cache_misses += 1
 
@@ -609,15 +604,12 @@ class SwsProxy(Peer):
                 for m in matches
                 if m.advertisement.sharded
             }
-            routing_key = shard_key(
-                self.sws.annotation(operation).action, arguments
-            )
+            routing_key = shard_key(action, arguments)
             owner = router.route(routing_key, self.env.now)
             match = match_by_name.get(owner) if owner is not None else None
             if match is None:
                 match = self._choose_group(matches)
-            self.stats.shard_routed += 1
-            self.obs.metrics.inc("proxy.shard_routed")
+            self._count("shard_routed")
         else:
             match = self._choose_group(matches)
         region_alternates: List[GroupMatch] = []
@@ -640,18 +632,9 @@ class SwsProxy(Peer):
             self.stats.breaker_rejected += 1
             fallback = self.fallbacks.get(operation)
             if fallback is not None:
-                self.stats.breaker_fallbacks += 1
-                self.obs.metrics.inc("proxy.breaker_fallbacks")
-                return InvokeResult(
-                    value=fallback(operation, arguments),
-                    outcome=InvokeOutcome.DEGRADED,
-                    epoch=None,
-                    attempts=0,
-                    duration=self.env.now - started_at,
-                    trace_id=rtrace.request_id,
-                    served_by="fallback",
-                    invocation_id=invocation_id,
-                )
+                self._count("breaker_fallbacks")
+                degraded = fallback(operation, arguments)
+                return unattempted(degraded, InvokeOutcome.DEGRADED, None, "fallback")
             raise CircuitOpenError(
                 f"circuit open for {match.advertisement.name!r} "
                 f"({self.sws.name}.{operation} rejected locally)"
@@ -740,12 +723,13 @@ class SwsProxy(Peer):
         advertisement = match.advertisement
         group_id = advertisement.group_id
         profile = self._profile_for(advertisement.key(), advertisement)
-        recovered = False
+        mutating = operation not in self.read_only_operations
         #: Whether any attempt has actually been handed to the network —
         #: the point past which a mutating request may have executed.
         sent = False
-        # Opened on the first failure signal, closed when the request
-        # completes: the span's duration is the observed failover time.
+        # Opened on the first failure signal that needs recovery, closed
+        # when the request completes: the span's duration is the observed
+        # failover time (``None`` = the request never needed recovery).
         recover_span = None
         recover_reason: Optional[str] = None
         attempt = 0
@@ -758,8 +742,9 @@ class SwsProxy(Peer):
         last_busy_hint: Optional[float] = None
 
         def enter_recovery(reason: str) -> None:
-            nonlocal recovered, recover_span, recover_reason
-            recovered = True
+            """Count the failed try; the first one opens the recover span."""
+            nonlocal failures, recover_span, recover_reason
+            failures += 1
             if recover_span is None:
                 recover_span = rtrace.begin("recover", self.env.now)
                 recover_reason = reason
@@ -771,6 +756,19 @@ class SwsProxy(Peer):
             if delay > 0.0:
                 yield self.env.timeout(delay)
 
+        def pinned() -> bool:
+            """The sticky at-most-once rule, for ring and ladder alike: a
+            mutating request that has been sent stays with its group (its
+            invocation id may live in that journal); reads and never-sent
+            requests may move."""
+            return sent and mutating
+
+        def switch_group(successor: GroupMatch) -> None:
+            nonlocal advertisement, group_id, profile
+            advertisement = successor.advertisement
+            group_id = advertisement.group_id
+            profile = self._profile_for(advertisement.key(), advertisement)
+
         def try_reroute() -> bool:
             """Fail the key over to its ring successor, if safe.
 
@@ -779,11 +777,10 @@ class SwsProxy(Peer):
             invocation id cannot already live in the home group's
             journal — i.e. read-only operations, or nothing sent yet.
             """
-            nonlocal advertisement, group_id, profile
             if router is None or routing_key is None:
                 return False
             router.suspect(advertisement.name, self.env.now)
-            if sent and operation not in self.read_only_operations:
+            if pinned():
                 return False
             owner = router.route(routing_key, self.env.now)
             if owner is None or owner == advertisement.name:
@@ -791,70 +788,51 @@ class SwsProxy(Peer):
             successor = (match_by_name or {}).get(owner)
             if successor is None:
                 return False
-            advertisement = successor.advertisement
-            group_id = advertisement.group_id
-            profile = self._profile_for(advertisement.key(), advertisement)
-            self.stats.shard_failovers += 1
-            self.obs.metrics.inc("proxy.shard_failovers")
+            switch_group(successor)
+            self._count("shard_failovers")
             return True
 
         def try_region_failover() -> bool:
-            """Rebind to the next region's group, if safe.
-
-            The sticky rule is the shard handoff's: a mutating request
-            that has been sent stays pinned to its group (its invocation
-            id may live in that journal); reads and never-sent requests
-            climb the ladder.  Epoch fencing continues per group — each
-            region's group has its own election domain and binding.
-            """
-            nonlocal advertisement, group_id, profile
-            if not region_alternates:
+            """Rebind to the next region's group, if safe (same sticky
+            rule).  Epoch fencing continues per group — each region's
+            group has its own election domain and binding."""
+            if not region_alternates or pinned():
                 return False
-            if sent and operation not in self.read_only_operations:
-                return False
-            successor = region_alternates.pop(0)
-            advertisement = successor.advertisement
-            group_id = advertisement.group_id
-            profile = self._profile_for(advertisement.key(), advertisement)
-            self.stats.region_failovers += 1
-            self.obs.metrics.inc("proxy.region_failovers")
+            switch_group(region_alternates.pop(0))
+            self._count("region_failovers")
             return True
 
-        while True:
-            if attempt >= self.max_attempts:
-                profile.record_failure()
-                if recover_span is not None:
-                    recover_span.finish(
-                        self.env.now, reason=recover_reason, attempts=attempt
-                    )
-                if busy_was_last:
-                    raise SoapFault.server_busy(
-                        f"{self.sws.name}.{operation} shed by overload control "
-                        f"({shed_retries} busy replies in {attempt} attempts)",
-                        retry_after=last_busy_hint,
-                    )
-                raise InvocationFailedError(
-                    f"{self.sws.name}.{operation} failed after "
-                    f"{self.max_attempts} attempts"
+        def close_recovery() -> None:
+            if recover_span is not None:
+                recover_span.finish(
+                    self.env.now, reason=recover_reason, attempts=attempt
                 )
-            if deadline.expired(self.env.now):
-                self.stats.deadline_exhausted += 1
-                self.obs.metrics.inc("proxy.deadline_exhausted")
+
+        while True:
+            capped = attempt >= self.max_attempts
+            if capped or deadline.expired(self.env.now):
+                # The one give-up exit: out of attempts, or out of time.
+                if not capped:
+                    self._count("deadline_exhausted")
                 profile.record_failure()
-                if recover_span is not None:
-                    recover_span.finish(
-                        self.env.now, reason=recover_reason, attempts=attempt
-                    )
+                close_recovery()
                 if busy_was_last:
+                    why = (
+                        f"{shed_retries} busy replies in {attempt} attempts"
+                        if capped
+                        else f"deadline exhausted after {shed_retries} busy replies"
+                    )
                     raise SoapFault.server_busy(
-                        f"{self.sws.name}.{operation} shed by overload control "
-                        f"(deadline exhausted after {shed_retries} busy replies)",
+                        f"{self.sws.name}.{operation} shed by overload control ({why})",
                         retry_after=last_busy_hint,
                     )
-                raise InvocationFailedError(
-                    f"{self.sws.name}.{operation} deadline exhausted after "
+                why = (
+                    f"failed after {self.max_attempts} attempts"
+                    if capped
+                    else f"deadline exhausted after "
                     f"{self.env.now - started_at:.3f}s ({attempt} attempts)"
                 )
+                raise InvocationFailedError(f"{self.sws.name}.{operation} {why}")
             attempt += 1
             busy_was_last = False
             binding = self._bindings.get(group_id)
@@ -866,15 +844,13 @@ class SwsProxy(Peer):
                     )
                 except NoCoordinatorError:
                     bind_span.finish(self.env.now, outcome="no-coordinator")
-                    failures += 1
                     self._breaker_feedback(advertisement.name, ok=False)
                     enter_recovery("no-coordinator")
-                    if try_reroute():
-                        continue  # ring successor takes the segment now
-                    if try_region_failover():
-                        continue  # another region's group takes the call
-                    # Group may be mid-election: back off and retry.
-                    yield from backoff()
+                    # The ring successor or another region's group takes
+                    # the call now; else the group may be mid-election:
+                    # back off and retry.
+                    if not (try_reroute() or try_region_failover()):
+                        yield from backoff()
                     continue
                 bind_span.finish(self.env.now, outcome="ok")
             invoke_span = rtrace.begin("invoke", self.env.now)
@@ -889,12 +865,10 @@ class SwsProxy(Peer):
             )
             if reply is None:  # timeout — coordinator is likely dead
                 invoke_span.finish(self.env.now, outcome="timeout")
-                self.stats.timeouts += 1
-                self.obs.metrics.inc("proxy.timeouts")
+                self._count("timeouts")
                 self._breaker_feedback(advertisement.name, ok=False)
                 profile.record_failure()
                 self.drop_binding(group_id)
-                failures += 1
                 enter_recovery("timeout")
                 if not try_reroute():
                     try_region_failover()
@@ -905,37 +879,28 @@ class SwsProxy(Peer):
                     # already delivered under a newer term: never hand the
                     # stale value to the client.
                     invoke_span.finish(self.env.now, outcome="stale-result")
-                    self.stats.stale_results_discarded += 1
-                    self.obs.metrics.inc("proxy.stale_results_discarded")
+                    self._count("stale_results_discarded")
                     self.drop_binding(group_id)
-                    failures += 1
                     enter_recovery("stale-result")
                     yield from backoff()
                     continue
                 invoke_span.finish(self.env.now, outcome="ok")
-                self.stats.successes += 1
-                self.obs.metrics.inc("proxy.successes")
+                self._count("successes")
                 self._breaker_feedback(advertisement.name, ok=True)
-                self.obs.metrics.observe("proxy.rtt", self.env.now - started_at)
-                profile.record_success(self.env.now - started_at)
+                elapsed = self.env.now - started_at
+                self.obs.metrics.observe("proxy.rtt", elapsed)
+                profile.record_success(elapsed)
                 if reply.deduped:
                     # A journal replay settles under the *original*
                     # execution's term; it neither advances nor violates
                     # the monotone result-epoch audit.
-                    self.stats.deduped += 1
-                    self.obs.metrics.inc("proxy.deduped")
+                    self._count("deduped")
                 else:
                     self._record_result_epoch(group_id, reply.epoch)
-                if recovered:
-                    self.stats.failover_durations.append(self.env.now - started_at)
-                    self.obs.metrics.observe(
-                        "proxy.failover", self.env.now - started_at
-                    )
                 if recover_span is not None:
-                    recover_span.finish(
-                        self.env.now, reason=recover_reason, attempts=attempt
-                    )
-                if recovered:
+                    close_recovery()
+                    self.stats.failover_durations.append(elapsed)
+                    self.obs.metrics.observe("proxy.failover", elapsed)
                     outcome = InvokeOutcome.RECOVERED
                 elif shed_retries:
                     outcome = InvokeOutcome.RETRIED_AFTER_SHED
@@ -946,7 +911,7 @@ class SwsProxy(Peer):
                     outcome=outcome,
                     epoch=reply.epoch,
                     attempts=attempt,
-                    duration=self.env.now - started_at,
+                    duration=elapsed,
                     trace_id=rtrace.request_id,
                     served_by=reply.served_by,
                     shed_retries=shed_retries,
@@ -960,8 +925,7 @@ class SwsProxy(Peer):
                 # retry-after hint (when it fits the deadline) replaces
                 # the generic backoff.
                 invoke_span.finish(self.env.now, outcome="busy")
-                self.stats.shed += 1
-                self.obs.metrics.inc("proxy.shed")
+                self._count("shed")
                 shed_retries += 1
                 failures += 1
                 busy_was_last = True
@@ -969,8 +933,7 @@ class SwsProxy(Peer):
                 profile.record_failure()
                 remaining = deadline.remaining(self.env.now)
                 if reply.retry_after is not None and remaining > 0.0:
-                    self.stats.retry_after_honored += 1
-                    self.obs.metrics.inc("proxy.retry_after_honored")
+                    self._count("retry_after_honored")
                     delay = min(reply.retry_after, remaining)
                     if delay > 0.0:
                         yield self.env.timeout(delay)
@@ -979,22 +942,15 @@ class SwsProxy(Peer):
                 continue
             if reply.kind == "fault":
                 invoke_span.finish(self.env.now, outcome="fault")
-                self.stats.faults += 1
-                self.obs.metrics.inc("proxy.faults")
+                self._count("faults")
                 raise SoapFault(reply.fault_code or "Server", str(reply.value))
             if reply.kind == "not-coordinator":
-                stale_epoch = reply.value == "stale-epoch"
-                invoke_span.finish(
-                    self.env.now,
-                    outcome="stale-epoch" if stale_epoch else "redirect",
-                )
-                self.stats.redirects += 1
-                self.obs.metrics.inc("proxy.redirects")
-                if stale_epoch:
-                    self.stats.stale_epoch_redirects += 1
-                    self.obs.metrics.inc("proxy.stale_epoch_redirects")
-                failures += 1
-                enter_recovery("stale-epoch" if stale_epoch else "redirect")
+                reason = "stale-epoch" if reply.value == "stale-epoch" else "redirect"
+                invoke_span.finish(self.env.now, outcome=reason)
+                self._count("redirects")
+                if reason == "stale-epoch":
+                    self._count("stale_epoch_redirects")
+                enter_recovery(reason)
                 if reply.coordinator is not None:
                     coordinator, address, epoch = reply.coordinator
                     self._rebind(group_id, coordinator, address, epoch)
@@ -1010,11 +966,9 @@ class SwsProxy(Peer):
                 # a genuine application outage redundancy cannot mask.
                 invoke_span.finish(self.env.now, outcome="cannot-serve")
                 if try_region_failover():
-                    failures += 1
                     enter_recovery("cannot-serve")
                     continue
-                self.stats.faults += 1
-                self.obs.metrics.inc("proxy.faults")
+                self._count("faults")
                 self._breaker_feedback(advertisement.name, ok=False)
                 profile.record_failure()
                 raise SoapFault.server(
@@ -1044,8 +998,7 @@ class SwsProxy(Peer):
         Against an unsharded deployment this degenerates to a
         single-leg gather over the one matched group.
         """
-        self.stats.scatter_calls += 1
-        self.obs.metrics.inc("proxy.scatter_calls")
+        self._count("scatter_calls")
         rtrace = self.obs.request_trace(
             f"{self.sws.name}.{operation}#scatter",
             self.stats.scatter_calls,
@@ -1120,10 +1073,15 @@ class SwsProxy(Peer):
         yield AllOf(self.env, processes)
         outcome.duration = self.env.now - started_at
         if outcome.partial:
-            self.stats.scatter_partial += 1
-            self.obs.metrics.inc("proxy.scatter_partial")
+            self._count("scatter_partial")
         outcome.evaluate()
         return outcome
+
+    def _count(self, event: str) -> None:
+        """Count ``event`` in both places it is read from: ``stats.<event>``
+        (benchmarks, tests) and the ``proxy.<event>`` metric (obs export)."""
+        setattr(self.stats, event, getattr(self.stats, event) + 1)
+        self.obs.metrics.inc(f"proxy.{event}")
 
     def _highest_witnessed(self, binding: _Binding) -> Optional[Epoch]:
         """The freshest term this proxy can vouch for, gossiped to b-peers."""

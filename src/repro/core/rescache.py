@@ -27,9 +27,9 @@ instant, so the checker can audit "zero stale-epoch serves" offline.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Deque, Optional
 
 __all__ = ["ResultCacheSpec", "CacheEntry", "CacheServe", "SemanticResultCache"]
 
@@ -79,7 +79,9 @@ class SemanticResultCache:
         self.misses = 0
         self.invalidated = 0
         self.stale_epoch_serves = 0  # audited invariant: must stay 0
-        self.serves: List[CacheServe] = []
+        #: Serve audit log (newest last), bounded like the proxy's
+        #: ``result_epoch_log``: the checker re-audits it every slice.
+        self.serves: Deque[CacheServe] = deque(maxlen=8192)
 
     def __len__(self) -> int:
         return len(self._entries)

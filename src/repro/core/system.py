@@ -20,7 +20,7 @@ from ..backend.services import (
 from ..backend.warehouse import build_warehouse
 from ..obs import Observability
 from ..ontology.domains import b2b_ontology
-from ..ontology.match import ConceptMatcher, DegreeOfMatch
+from ..ontology.match import ConceptMatcher
 from ..ontology.ontology import Ontology
 from ..ontology.reasoner import Reasoner
 from ..p2p.gossip import GossipService
@@ -284,24 +284,6 @@ class WhisperSystem:
             self.gossip[link.a].add_peer(peer_b.endpoint.peer_id, link.b)
             self.gossip[link.b].add_peer(peer_a.endpoint.peer_id, link.a)
 
-    # -- config passthroughs (read-only compat accessors) ------------------------------
-
-    @property
-    def heartbeat_interval(self) -> float:
-        return self.config.heartbeat_interval
-
-    @property
-    def miss_threshold(self) -> int:
-        return self.config.miss_threshold
-
-    @property
-    def min_degree(self) -> DegreeOfMatch:
-        return self.config.min_degree
-
-    @property
-    def load_sharing(self) -> bool:
-        return self.config.load_sharing
-
     # -- deployment ------------------------------------------------------------------
 
     def deploy_service(
@@ -380,18 +362,6 @@ class WhisperSystem:
             annotation = sws.annotation(operation)
             base_name = group_name or f"grp-{sws.name}"
             name = base_name if len(per_operation) == 1 else f"{base_name}-{operation}"
-            common = dict(
-                annotation=annotation,
-                ontology_uri=self.ontology.uri,
-                heartbeat_interval=scenario.heartbeat_interval,
-                miss_threshold=scenario.miss_threshold,
-                load_sharing=scenario.load_sharing,
-                dispatch=scenario.dispatch,
-                queue_bound=scenario.queue_bound,
-                dedup_journal=scenario.dedup_journal,
-                journal_capacity=scenario.journal_capacity,
-                epoch_fencing=scenario.epoch_fencing,
-            )
             if replicate_regions:
                 # One independent group per region: its own replicas,
                 # election, and journal, advertised with a home region so
@@ -407,7 +377,9 @@ class WhisperSystem:
                         group_name=f"{name}@{region}",
                         implementations=region_impls,
                         region=region,
-                        **common,
+                        annotation=annotation,
+                        ontology_uri=self.ontology.uri,
+                        config=scenario,
                     )
                 region_groups[operation] = by_region
                 groups[operation] = by_region[topology.home]
@@ -425,7 +397,9 @@ class WhisperSystem:
                     implementations=per_shard[0],
                     host_regions=region_names,
                     rendezvous_by_region=self.rendezvous_peers,
-                    **common,
+                    annotation=annotation,
+                    ontology_uri=self.ontology.uri,
+                    config=scenario,
                 )
                 groups[operation] = group
                 shard_groups[operation] = [group]
@@ -452,7 +426,9 @@ class WhisperSystem:
                             shard_count=(
                                 scenario.shards if scenario.shards > 1 else None
                             ),
-                            **common,
+                            annotation=annotation,
+                            ontology_uri=self.ontology.uri,
+                            config=scenario,
                         )
                     )
                 groups[operation] = deployed_shards[0]
@@ -470,17 +446,9 @@ class WhisperSystem:
             web_node,
             sws,
             self.matcher,
-            min_degree=scenario.min_degree,
-            request_timeout=scenario.request_timeout,
-            max_attempts=scenario.max_attempts,
-            deadline_budget=scenario.deadline_budget,
-            epoch_fencing=scenario.epoch_fencing,
-            scatter_policy=scenario.scatter_policy,
-            virtual_nodes=scenario.virtual_nodes,
+            config=scenario,
             home_region=topology.home if replicate_regions else None,
             region_count=len(region_names) if replicate_regions else 1,
-            circuit_breaker=scenario.circuit_breaker,
-            result_cache=scenario.result_cache,
         )
         proxy.read_only_operations.update(read_only)
         proxy.attach_to(self.rendezvous)
@@ -497,16 +465,6 @@ class WhisperSystem:
             region_groups=region_groups,
         )
         if scenario.autoscale is not None:
-            bpeer_kwargs = dict(
-                heartbeat_interval=scenario.heartbeat_interval,
-                miss_threshold=scenario.miss_threshold,
-                load_sharing=scenario.load_sharing,
-                dispatch=scenario.dispatch,
-                queue_bound=scenario.queue_bound,
-                dedup_journal=scenario.dedup_journal,
-                journal_capacity=scenario.journal_capacity,
-                epoch_fencing=scenario.epoch_fencing,
-            )
             seen_groups: set = set()
             for operation_group in groups.values():
                 if id(operation_group) in seen_groups:
@@ -518,7 +476,7 @@ class WhisperSystem:
                     operation_group,
                     replica_factory,
                     scenario.autoscale,
-                    bpeer_kwargs=bpeer_kwargs,
+                    scenario,
                 )
                 controller.start()
                 deployed.autoscalers.append(controller)

@@ -67,6 +67,18 @@ def test_staleness_bound_expires_entries():
     assert len(cache) == 1, "expired entry must be dropped, not kept"
 
 
+def test_serve_audit_log_is_bounded():
+    """One CacheServe per hit forever was a leak on long soaks: the log
+    keeps the newest ``maxlen`` serves, the counters stay exact."""
+    cache = SemanticResultCache(SPEC)
+    store(cache, "k", now=0.0)
+    limit = cache.serves.maxlen
+    for _ in range(3 * limit):
+        assert cache.lookup("k", now=1.0) is not None
+    assert len(cache.serves) == limit
+    assert cache.hits == 3 * limit
+
+
 def test_serve_audit_records_age_and_epochs():
     cache = SemanticResultCache(SPEC)
     store(cache, "k", epoch=3, now=1.0)
