@@ -8,6 +8,7 @@ running scenario), insurance claims, bank loans, and patients (§1).
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .store import Database
@@ -33,7 +34,17 @@ _COURSES = ["M101", "E204", "I310", "B120", "EC210", "M202", "I405"]
 
 
 def student_database(count: int = 200, seed: int = 7) -> Database:
-    """Student records keyed by student ID (the §3 scenario's data)."""
+    """Student records keyed by student ID (the §3 scenario's data).
+
+    Deployments ask for the same ``(count, seed)`` once per replica and
+    shard: the rows are generated once, each caller gets its own copy.
+    """
+    return _generate_students(count, seed).copy()
+
+
+@functools.lru_cache(maxsize=4)
+def _generate_students(count: int, seed: int) -> Database:
+    """The master copy: never handed out, so never mutated."""
     rng = random.Random(seed)
     database = Database("students-operational")
     table = database.create_table("students", primary_key="student_id")

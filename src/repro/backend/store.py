@@ -92,6 +92,18 @@ class Database:
         self._tables[name] = table
         return table
 
+    def copy(self) -> "Database":
+        """A pristine store (available, zero counts, empty effect ledger)
+        with its own rows *and list values* — ``insert`` alone would share
+        the lists."""
+        clone = Database(self.name)
+        for name, table in self._tables.items():
+            clone.create_table(name, table.primary_key)._rows = {
+                key: {c: list(v) if isinstance(v, list) else v for c, v in row.items()}
+                for key, row in table._rows.items()
+            }
+        return clone
+
     def table(self, name: str) -> Table:
         self._check_available()
         try:

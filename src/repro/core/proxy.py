@@ -47,6 +47,7 @@ from ..qos.selection import QosSelector
 from ..simnet.events import AllOf, AnyOf
 from ..simnet.message import Address
 from ..soap.fault import SoapFault
+from ..wsdl.annotations import SemanticAnnotation
 from ..wsdl.schema import SchemaError
 from .bpeer import COORD_HANDLER, PROTO_EXEC, PROTO_EXEC_REPLY, ExecReply, ExecRequest
 from .breaker import CircuitBreaker
@@ -272,9 +273,9 @@ class SwsProxy(Peer):
     # -- discovery (the paper's findPeerGroupAdv) ------------------------------------------
 
     def find_peer_group_adv(
-        self, operation: str, deadline: Optional[Deadline] = None
+        self, annotation: SemanticAnnotation, deadline: Optional[Deadline] = None
     ) -> Generator:
-        """Locate semantic advertisements matching ``operation``'s semantics.
+        """Locate semantic advertisements matching an operation's ``annotation``.
 
         Mirrors §3.2: local advertisements are scanned first; only if none
         match is a remote discovery query issued.  Returns the list of
@@ -287,8 +288,6 @@ class SwsProxy(Peer):
         the full count as the threshold — the ring must see every shard
         group or keys would silently concentrate on the ones discovered.
         """
-        annotation = self.sws.annotation(operation)
-
         def scan_local() -> List[GroupMatch]:
             local = self.discovery.get_local_advertisements(SemanticAdvertisement)
             return self.group_matcher.find_all(annotation, local)
@@ -573,7 +572,8 @@ class SwsProxy(Peer):
         # The key is the semantic action concept + the canonicalized
         # argument map (shard_key's canonicalization), so syntactically
         # different but semantically identical calls share an entry.
-        action = self.sws.annotation(operation).action
+        annotation = self.sws.annotation(operation)
+        action = annotation.action
         mutating = operation not in self.read_only_operations
         cache_key: Optional[str] = None
         if self.result_cache is not None and not mutating:
@@ -589,7 +589,7 @@ class SwsProxy(Peer):
             self.stats.cache_misses += 1
 
         discover_span = rtrace.begin("discover", self.env.now)
-        matches = yield from self.find_peer_group_adv(operation, deadline=deadline)
+        matches = yield from self.find_peer_group_adv(annotation, deadline=deadline)
         discover_span.finish(self.env.now, matches=len(matches))
         if not matches:
             raise NoMatchingGroupError(
@@ -1029,7 +1029,9 @@ class SwsProxy(Peer):
             at=started_at + (budget if budget is not None else self.deadline_budget)
         )
         discover_span = rtrace.begin("discover", self.env.now)
-        matches = yield from self.find_peer_group_adv(operation, deadline=deadline)
+        matches = yield from self.find_peer_group_adv(
+            self.sws.annotation(operation), deadline=deadline
+        )
         discover_span.finish(self.env.now, matches=len(matches))
         if not matches:
             raise NoMatchingGroupError(

@@ -602,6 +602,9 @@ class WhisperSystem:
         self.trace.reset()
         if include_observability:
             self.obs.reset()
+            if self.trace.metrics is not None:
+                # The registry dropped the counters the trace had bound.
+                self.trace.metrics = self.obs.metrics
 
     # -- health reporting --------------------------------------------------------------
 

@@ -236,7 +236,10 @@ class MetricsRegistry:
         """Increment counter ``name`` (no-op when disabled)."""
         if not self.enabled:
             return
-        self.counter(name).inc(amount)
+        try:
+            self.counters[name].inc(amount)
+        except KeyError:
+            self.counter(name).inc(amount)
 
     def observe(
         self,

@@ -17,12 +17,17 @@ match from the METEOR-S / OWL-S matchmaking literature the paper builds on:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from .reasoner import Reasoner
 
 __all__ = ["DegreeOfMatch", "ConceptMatch", "SignatureMatch", "ConceptMatcher"]
+
+#: Most signature pairs :meth:`ConceptMatcher.match_signature` remembers
+#: (oldest dropped first): advertisements arrive from remote peers, so the
+#: memo is bounded whatever they carry.  A deployment needs a handful.
+SIGNATURE_MEMO_LIMIT = 1024
 
 
 class DegreeOfMatch(enum.IntEnum):
@@ -55,26 +60,21 @@ class SignatureMatch:
     action: ConceptMatch
     inputs: Tuple[ConceptMatch, ...]
     outputs: Tuple[ConceptMatch, ...]
+    #: The weakest component bounds the whole signature.
+    degree: DegreeOfMatch = field(init=False)
+    #: Mean similarity across every component, for ranking candidates.
+    score: float = field(init=False)
 
-    @property
-    def degree(self) -> DegreeOfMatch:
-        """The weakest component bounds the whole signature."""
-        parts = [self.action.degree]
-        parts.extend(match.degree for match in self.inputs)
-        parts.extend(match.degree for match in self.outputs)
-        return min(parts)
+    def __post_init__(self) -> None:
+        parts = (self.action, *self.inputs, *self.outputs)
+        object.__setattr__(self, "degree", min(match.degree for match in parts))
+        object.__setattr__(
+            self, "score", sum([match.similarity for match in parts]) / len(parts)
+        )
 
     @property
     def succeeded(self) -> bool:
         return self.degree is not DegreeOfMatch.FAIL
-
-    @property
-    def score(self) -> float:
-        """Mean similarity across every component, for ranking candidates."""
-        parts = [self.action.similarity]
-        parts.extend(match.similarity for match in self.inputs)
-        parts.extend(match.similarity for match in self.outputs)
-        return sum(parts) / len(parts)
 
 
 class ConceptMatcher:
@@ -82,6 +82,10 @@ class ConceptMatcher:
 
     def __init__(self, reasoner: Reasoner):
         self.reasoner = reasoner
+        #: ``match_signature`` answers for one ``Ontology.version``, keyed
+        #: on the six signature tuples, oldest first.
+        self._signature_memo: Dict[tuple, SignatureMatch] = {}
+        self._memo_version = reasoner.ontology.version
 
     # -- single concepts ------------------------------------------------------------
 
@@ -149,14 +153,29 @@ class ConceptMatcher:
         what the requester supplies, so the advertised input should be the
         *same or more general* — we therefore match inputs with the roles
         swapped and mirror the degree.
+
+        A pure function of the six arguments and the ontology, so computed
+        once per signature pair and ``Ontology.version``: the proxy's
+        per-request ``findPeerGroupAdv`` scan is one lookup per advertisement.
         """
+        version = self.reasoner.ontology.version
+        if version != self._memo_version:
+            self._memo_version = version
+            self._signature_memo.clear()
+        key = (
+            requested_action,
+            tuple(requested_inputs),
+            tuple(requested_outputs),
+            advertised_action,
+            tuple(advertised_inputs),
+            tuple(advertised_outputs),
+        )
+        signature = self._signature_memo.get(key)
+        if signature is not None:
+            return signature
         action = self.match_concepts(requested_action, advertised_action)
-        outputs = tuple(
-            self.match_concept_lists(list(requested_outputs), list(advertised_outputs))
-        )
-        raw_inputs = self.match_concept_lists(
-            list(advertised_inputs), list(requested_inputs)
-        )
+        outputs = tuple(self.match_concept_lists(requested_outputs, advertised_outputs))
+        raw_inputs = self.match_concept_lists(advertised_inputs, requested_inputs)
         inputs = tuple(
             ConceptMatch(
                 requested=match.advertised,
@@ -166,4 +185,8 @@ class ConceptMatcher:
             )
             for match in raw_inputs
         )
-        return SignatureMatch(action=action, inputs=inputs, outputs=outputs)
+        signature = SignatureMatch(action=action, inputs=inputs, outputs=outputs)
+        if len(self._signature_memo) >= SIGNATURE_MEMO_LIMIT:
+            del self._signature_memo[next(iter(self._signature_memo))]
+        self._signature_memo[key] = signature
+        return signature

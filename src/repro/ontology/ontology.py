@@ -30,6 +30,11 @@ class Ontology:
         self.concepts: Dict[str, Concept] = {}
         self.properties: Dict[str, Property] = {}
         self.individuals: Dict[str, Individual] = {}
+        #: Bumped by every mutator (the concept ones all go through
+        #: ``add_concept``).  The reasoner's caches and the matcher's
+        #: signature memo remember the version they were filled at and
+        #: start over when it differs.
+        self.version = 0
 
     # -- mutation -----------------------------------------------------------------
 
@@ -41,6 +46,7 @@ class Ontology:
         comment: Optional[str] = None,
     ) -> Concept:
         """Add (or extend) a concept; parent URIs may be declared later."""
+        self.version += 1
         concept = self.concepts.get(uri)
         if concept is None:
             concept = Concept(uri=uri, label=label, comment=comment)
@@ -71,6 +77,7 @@ class Ontology:
         range: Optional[str] = None,
         label: Optional[str] = None,
     ) -> Property:
+        self.version += 1
         prop = self.properties.get(uri)
         if prop is None:
             prop = Property(uri=uri, kind=kind, domain=domain, range=range, label=label)
@@ -83,6 +90,7 @@ class Ontology:
         return prop
 
     def add_individual(self, uri: str, types: Iterable[str] = ()) -> Individual:
+        self.version += 1
         individual = self.individuals.get(uri)
         if individual is None:
             individual = Individual(uri=uri)

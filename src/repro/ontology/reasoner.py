@@ -7,7 +7,9 @@ The reasoner computes exactly what Whisper's matcher needs from OWL:
 * equivalence classes (union-find over ``owl:equivalentClass``),
 * concept depth and least common ancestors, used for similarity scoring.
 
-Results are memoised; call :meth:`invalidate` after mutating the ontology.
+Results are memoised for one :attr:`Ontology.version`: every ``add_*`` /
+``merge`` bumps it and the next query starts from empty caches.  Call
+:meth:`invalidate` only after editing a ``Concept`` object directly.
 """
 
 from __future__ import annotations
@@ -27,17 +29,25 @@ class Reasoner:
         self._ancestor_cache: Dict[str, Set[str]] = {}
         self._equivalence_root: Dict[str, str] = {}
         self._depth_cache: Dict[str, int] = {}
+        self._version = ontology.version
 
     def invalidate(self) -> None:
-        """Drop memoised results after the ontology changed."""
-        self._ancestor_cache.clear()
-        self._equivalence_root.clear()
-        self._depth_cache.clear()
+        """The version bump by hand: every cache keyed on it starts over."""
+        self.ontology.version += 1
+
+    def _sync(self) -> None:
+        """Drop memoised results computed at another ontology version."""
+        if self._version != self.ontology.version:
+            self._version = self.ontology.version
+            self._ancestor_cache.clear()
+            self._equivalence_root.clear()
+            self._depth_cache.clear()
 
     # -- equivalence (union-find) ------------------------------------------------
 
     def _find(self, uri: str) -> str:
         """Representative of ``uri``'s equivalence class."""
+        self._sync()
         if uri not in self._equivalence_root:
             self._build_equivalence_classes()
         return self._equivalence_root.get(uri, uri)
@@ -80,6 +90,7 @@ class Reasoner:
         Equivalent concepts share ancestors: the closure walks parent edges
         of every member of each equivalence class it reaches.
         """
+        self._sync()
         if uri in self._ancestor_cache:
             return self._ancestor_cache[uri]
         if uri not in self.ontology.concepts:
@@ -121,6 +132,7 @@ class Reasoner:
 
     def depth(self, uri: str) -> int:
         """Longest parent-chain length from ``uri`` up to a root."""
+        self._sync()
         if uri in self._depth_cache:
             return self._depth_cache[uri]
         if uri not in self.ontology.concepts:

@@ -64,11 +64,29 @@ class MessageTrace:
     records: List[TraceRecord] = field(default_factory=list)
     _pending_rtt: Dict[int, float] = field(default_factory=dict)
     rtt_samples: List[RttSample] = field(default_factory=list)
-    #: Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror: when
-    #: set (WhisperSystem wires it with observability enabled), headline
-    #: message counters also land in the registry so one JSON export
-    #: covers network traffic alongside phase latencies.
-    metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
+    _metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
+    #: The registry's ``net.*`` counters, bound when :attr:`metrics` is set
+    #: so the per-message hooks skip the name lookups (all four or none).
+    _net_sent = _net_bytes = _net_delivered = _net_dropped = None
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror: when
+        set (WhisperSystem wires it with observability enabled), headline
+        message counters also land in the registry so one JSON export
+        covers network traffic alongside phase latencies.  The registry's
+        ``reset()`` orphans the bound counters: assign it again afterwards.
+        """
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional[MetricsRegistry]) -> None:
+        self._metrics = registry
+        mirrored = registry is not None and registry.enabled
+        self._net_sent = registry.counter("net.sent") if mirrored else None
+        self._net_bytes = registry.counter("net.bytes") if mirrored else None
+        self._net_delivered = registry.counter("net.delivered") if mirrored else None
+        self._net_dropped = registry.counter("net.dropped") if mirrored else None
 
     # -- network hooks ---------------------------------------------------------
 
@@ -77,9 +95,9 @@ class MessageTrace:
         self.bytes_total += message.size_bytes
         self.sent_by_category[message.category] += 1
         self.sent_by_host[message.src[0]] += 1
-        if self.metrics is not None:
-            self.metrics.inc("net.sent")
-            self.metrics.inc("net.bytes", message.size_bytes)
+        if self._net_sent is not None:
+            self._net_sent.inc()
+            self._net_bytes.inc(message.size_bytes)
         if self.record_details:
             self.records.append(
                 TraceRecord(
@@ -95,8 +113,8 @@ class MessageTrace:
 
     def on_deliver(self, time: float, message) -> None:
         self.delivered_total += 1
-        if self.metrics is not None:
-            self.metrics.inc("net.delivered")
+        if self._net_delivered is not None:
+            self._net_delivered.inc()
         if self.record_details:
             self.records.append(
                 TraceRecord(
@@ -112,8 +130,8 @@ class MessageTrace:
 
     def on_drop(self, time: float, message, reason: str = "") -> None:
         self.dropped_total += 1
-        if self.metrics is not None:
-            self.metrics.inc("net.dropped")
+        if self._net_dropped is not None:
+            self._net_dropped.inc()
         if self.record_details:
             self.records.append(
                 TraceRecord(

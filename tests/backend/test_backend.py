@@ -110,6 +110,38 @@ class TestDatasets:
         rows_b = [b.read("students", f"S{i:05d}")["name"] for i in range(1, 21)]
         assert rows_a != rows_b
 
+    def test_student_database_copies_are_independent(self):
+        """The seeded rows are generated once and handed out as copies
+        (PR 15): nothing done to one copy may show in another, including
+        through the ``enrolled_courses`` list a row carries."""
+        first, second = student_database(count=30), student_database(count=30)
+        pristine = list(second.table("students"))
+        row = first.table("students")._rows["S00001"]
+        assert row["enrolled_courses"] is not (
+            second.table("students")._rows["S00001"]["enrolled_courses"]
+        )
+        row["enrolled_courses"].append("X999")
+        first.update("students", "S00002", {"degree": "Alchemy"})
+        first.table("students").delete("S00003")
+        first.record_effect("inv-1", "peer-a")
+        first.fail()
+        assert second.available and second.writes == 0 and second.effect_log == []
+        assert list(second.table("students")) == pristine
+        assert list(student_database(count=30).table("students")) == pristine
+
+    def test_database_copy_is_pristine_and_deep_enough(self):
+        original = student_database(count=10)
+        original.read("students", "S00001")
+        original.record_effect("inv-1", "peer-a")
+        original.fail()
+        clone = original.copy()
+        assert clone.name == original.name
+        assert clone.available and clone.reads == 0 and clone.effect_log == []
+        original.restore()
+        assert list(clone.table("students")) == list(original.table("students"))
+        clone.table("students")._rows["S00001"]["enrolled_courses"].append("X999")
+        assert "X999" not in original.read("students", "S00001")["enrolled_courses"]
+
     @pytest.mark.parametrize(
         "factory,table,prefix",
         [

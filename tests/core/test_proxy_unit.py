@@ -6,6 +6,8 @@ from repro.core import NoMatchingGroupError, ScenarioConfig, WhisperSystem
 from repro.core.bpeer import PROTO_EXEC, ExecReply
 from repro.soap import SoapFault
 
+from ..ontology.match_oracle import ReferenceMatcher
+
 
 @pytest.fixture
 def system():
@@ -41,7 +43,7 @@ class TestDiscoveryPath:
 
         def runner():
             matches["found"] = yield from proxy.find_peer_group_adv(
-                "StudentInformation"
+                proxy.sws.annotation("StudentInformation")
             )
 
         system.env.run(until=proxy.node.spawn(runner()))
@@ -54,6 +56,39 @@ class TestDiscoveryPath:
         discoveries = proxy.stats.remote_discoveries
         _invoke(system, proxy, "StudentInformation", {"ID": "S00002"})
         assert proxy.stats.remote_discoveries == discoveries
+
+    def test_steady_state_invokes_never_reach_the_reasoner(
+        self, system, deployed, monkeypatch
+    ):
+        """Counted, not timed: the semantic match is computed on the first
+        invocation and looked up afterwards (PR 15)."""
+        proxy, reasoner = deployed.proxy, system.reasoner
+        calls = {"ancestors": 0, "similarity": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(reasoner, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(reasoner, name, counted)
+
+        def invoke_many(count):
+            for index in range(count):
+                outcome = _invoke(
+                    system, proxy, "StudentInformation", {"ID": f"S{index + 1:05d}"}
+                )
+                assert "error" not in outcome
+
+        invoke_many(1)
+        assert calls["similarity"] > 0  # the cold match does ask the reasoner
+        calls.update(ancestors=0, similarity=0)
+        invoke_many(25)
+        assert calls == {"ancestors": 0, "similarity": 0}
+        # The counter is live: with the uncached oracle swapped in, the
+        # same 25 requests go back to the reasoner every time (an EXACT
+        # match on identical URIs asks for similarity only).
+        proxy.group_matcher.matcher = ReferenceMatcher(reasoner)
+        invoke_many(25)
+        assert calls["similarity"] >= 25
 
     def test_no_group_raises_no_matching(self, system):
         # A service deployed with NO backing group.

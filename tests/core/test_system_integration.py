@@ -8,6 +8,7 @@ motivates (coordinator crash; backend outage).
 
 import pytest
 
+from repro.backend import student_database
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.soap import RequestTimeout, SoapClient, SoapFault
 
@@ -218,6 +219,37 @@ class TestBackendFailover:
             peer.implementation.backend.restore()
         outcome = call_once(system, service, {"ID": "S00001"})
         assert "value" in outcome
+
+
+class TestReplicaStoresAreIndependent:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_replica_owns_its_rows(self, shards):
+        """One seeded generation, one independent copy per replica and
+        shard: an outage, an update or an effect record on one store is
+        invisible to its siblings, and every store starts from
+        ``student_database(n)``'s rows."""
+        system = WhisperSystem(ScenarioConfig(seed=3, students=40, shards=shards))
+        service = system.deploy_student_service(
+            system.config.replace(replicas=4, warehouse_every=0)
+        )
+        stores = [
+            peer.implementation.backend
+            for group in service.all_groups()
+            for peer in group.peers
+        ]
+        assert len(stores) == 4 * shards
+        assert len({id(store) for store in stores}) == len(stores)
+        expected = list(student_database(40).table("students"))
+        for store in stores:
+            assert list(store.table("students")) == expected
+        victim, siblings = stores[0], stores[1:]
+        victim.update("students", "S00001", {"enrolled_courses": ["X999"]})
+        victim.table("students")._rows["S00002"]["enrolled_courses"].append("X999")
+        victim.record_effect("inv-1", "peer-a")
+        victim.fail()
+        for store in siblings:
+            assert store.available and store.effect_log == []
+            assert list(store.table("students")) == expected
 
 
 class TestCrashRestart:

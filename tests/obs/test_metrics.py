@@ -90,6 +90,10 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
             registry.inc("x", -1)
+        registry.inc("x")  # ...and on the existing-counter path too
+        with pytest.raises(ValueError):
+            registry.inc("x", -1)
+        assert registry.counters["x"].value == 1
 
     def test_snapshot_and_json_roundtrip(self):
         registry = MetricsRegistry()

@@ -189,6 +189,50 @@ class TestSystemIntegration:
         assert counters["net.sent"].value == system.trace.sent_total
         assert counters["net.delivered"].value == system.trace.delivered_total
 
+    def test_all_four_net_counters_track_the_trace(self):
+        """The trace increments counter handles bound at wiring time
+        (PR 15), not names: all four still equal the trace's own totals,
+        drops included (a crashed coordinator makes some)."""
+        system = WhisperSystem(ScenarioConfig(seed=17))
+        service = system.deploy_student_service(system.config.replace(replicas=3))
+        system.settle(6.0)
+        _run_requests(system, service, 3)
+        service.group.crash_coordinator()
+        _run_requests(system, service, 3, host="obs-client-2")
+        trace, counters = system.trace, system.obs.metrics.counters
+        assert trace.dropped_total > 0
+        assert counters["net.sent"].value == trace.sent_total
+        assert counters["net.bytes"].value == trace.bytes_total
+        assert counters["net.delivered"].value == trace.delivered_total
+        assert counters["net.dropped"].value == trace.dropped_total
+
+    def test_trace_reset_leaves_the_registry_mirror_running(self):
+        """MessageTrace.reset() zeroes the trace only; the registry keeps
+        its lifetime totals, as before the handles were bound."""
+        system = WhisperSystem(ScenarioConfig(seed=17))
+        service = system.deploy_student_service(system.config.replace(replicas=2))
+        system.settle(6.0)
+        before = system.trace.sent_total
+        system.reset_counters()
+        _run_requests(system, service, 2)
+        counters = system.obs.metrics.counters
+        assert system.trace.sent_total > 0
+        assert counters["net.sent"].value == before + system.trace.sent_total
+
+    def test_registry_reset_rebinds_the_mirror(self):
+        """obs.reset() drops the registry's counters, orphaning the bound
+        handles; reset_counters() re-wires them so the mirror survives."""
+        system = WhisperSystem(ScenarioConfig(seed=17))
+        service = system.deploy_student_service(system.config.replace(replicas=2))
+        system.settle(6.0)
+        system.reset_counters(include_observability=True)
+        _run_requests(system, service, 2)
+        counters = system.obs.metrics.counters
+        assert system.trace.sent_total > 0
+        assert counters["net.sent"].value == system.trace.sent_total
+        assert counters["net.bytes"].value == system.trace.bytes_total
+        assert counters["net.delivered"].value == system.trace.delivered_total
+
     def test_disabled_observability_is_inert_and_equivalent(self):
         reports = {}
         for enabled in (True, False):

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.ontology import ConceptMatcher, DegreeOfMatch, Ontology, Reasoner
+from repro.ontology.match import SIGNATURE_MEMO_LIMIT
+
+from .match_oracle import ReferenceMatcher, assert_same_signature
 
 T = "http://t.org/o#"
 
@@ -120,3 +123,63 @@ class TestSignature:
             advertised_outputs=[T + "StudentInfo"],
         )
         assert signature.inputs[0].degree is DegreeOfMatch.SUBSUME
+
+
+class TestSignatureMemo:
+    """match_signature is computed once per signature pair and ontology
+    version (PR 15); the uncached body lives on in match_oracle.py."""
+
+    SIGNATURE = (
+        T + "Record", (T + "StudentID",), (T + "StudentInfo",),
+        T + "Record", (T + "StudentID",), (T + "Transcript",),
+    )
+
+    def test_repeat_returns_the_stored_answer(self, matcher):
+        first = matcher.match_signature(*self.SIGNATURE)
+        assert matcher.match_signature(*self.SIGNATURE) is first
+        # Lists and tuples spell the same signature.
+        as_lists = [list(p) if isinstance(p, tuple) else p for p in self.SIGNATURE]
+        assert matcher.match_signature(*as_lists) is first
+        assert_same_signature(
+            first, ReferenceMatcher(matcher.reasoner).match_signature(*self.SIGNATURE)
+        )
+
+    def test_ontology_mutation_invalidates(self, matcher):
+        """The stale-answer bug through the matcher: PLUGIN before the
+        edit, EXACT after, with no invalidate() call anywhere."""
+        before = matcher.match_signature(*self.SIGNATURE)
+        assert before.degree is DegreeOfMatch.PLUGIN
+        matcher.reasoner.ontology.add_equivalence(T + "Transcript", T + "StudentInfo")
+        after = matcher.match_signature(*self.SIGNATURE)
+        assert after.degree is DegreeOfMatch.EXACT
+        assert after.score == 1.0
+
+    def test_explicit_invalidate_reaches_the_memo(self, matcher):
+        assert matcher.match_signature(*self.SIGNATURE).degree is DegreeOfMatch.PLUGIN
+        concepts = matcher.reasoner.ontology.concepts
+        concepts[T + "Transcript"].equivalents.add(T + "StudentInfo")
+        concepts[T + "StudentInfo"].equivalents.add(T + "Transcript")
+        matcher.reasoner.invalidate()
+        assert matcher.match_signature(*self.SIGNATURE).degree is DegreeOfMatch.EXACT
+
+    def test_memo_is_bounded_and_drops_oldest(self, matcher):
+        """Advertisements come from remote peers: 10x the limit in distinct
+        synthetic signatures must not grow the memo past the constant."""
+        def signature(index):
+            return (
+                T + "Record", (T + "StudentID",), (T + "StudentInfo",),
+                f"{T}Action{index}", (f"{T}In{index}",), (f"{T}Out{index}",),
+            )
+
+        for index in range(10 * SIGNATURE_MEMO_LIMIT):
+            matcher.match_signature(*signature(index))
+            assert len(matcher._signature_memo) <= SIGNATURE_MEMO_LIMIT
+        assert len(matcher._signature_memo) == SIGNATURE_MEMO_LIMIT
+        newest = 10 * SIGNATURE_MEMO_LIMIT - 1
+        assert signature(newest) in matcher._signature_memo
+        assert signature(newest - SIGNATURE_MEMO_LIMIT) not in matcher._signature_memo
+        # An evicted pair is simply recomputed, to the same answer.
+        assert_same_signature(
+            matcher.match_signature(*signature(0)),
+            ReferenceMatcher(matcher.reasoner).match_signature(*signature(0)),
+        )

@@ -110,7 +110,29 @@ class TestDepthAndSimilarity:
         assert parent_child >= siblings
 
     def test_invalidate_after_mutation(self, reasoner):
+        # Every mutator bumps Ontology.version; no invalidate() call needed.
         assert not reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")
         reasoner.ontology.add_subclass(T + "Unrelated", T + "Thing")
+        assert reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")
+
+    def test_every_mutator_drops_every_cache(self, reasoner):
+        onto = reasoner.ontology
+        assert reasoner.depth(T + "Unrelated") == 0
+        assert not reasoner.equivalent(T + "Unrelated", T + "Record")
+        onto.add_equivalence(T + "Unrelated", T + "Record")
+        assert reasoner.equivalent(T + "Unrelated", T + "Record")
+        assert reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")
+        onto.add_concept(T + "Unrelated", parents=[T + "Transcript"])
+        assert reasoner.depth(T + "Unrelated") == 4
+        other = Ontology("http://t.org/other")
+        other.add_subclass(T + "Thing", T + "Top")
+        onto.merge(other)
+        assert reasoner.is_subsumed_by(T + "Transcript", T + "Top")
+        assert reasoner.depth(T + "Unrelated") == 5
+
+    def test_explicit_invalidate_covers_direct_concept_edits(self, reasoner):
+        assert not reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")
+        reasoner.ontology.concepts[T + "Unrelated"].parents.add(T + "Thing")
+        assert not reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")  # unseen
         reasoner.invalidate()
         assert reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.ontology import ConceptMatcher, DegreeOfMatch, Ontology, Reasoner
 
+from ..ontology.match_oracle import ReferenceMatcher, assert_same_signature
+
 NS = "http://prop.test/o#"
 
 
@@ -154,3 +156,58 @@ def test_xml_and_turtle_agree(onto):
     assert set(via_xml.concepts) == set(via_turtle.concepts)
     for uri in via_xml.concepts:
         assert via_xml.concepts[uri].parents == via_turtle.concepts[uri].parents
+
+
+# -- memoised match_signature vs. the uncached oracle ------------------------------
+
+_concept = st.integers(min_value=0, max_value=15).map(lambda i: f"{NS}C{i}")
+_concept_list = st.lists(_concept, min_size=0, max_size=3).map(tuple)
+_signature_pair = st.tuples(
+    _concept, _concept_list, _concept_list, _concept, _concept_list, _concept_list
+)
+#: Edits that keep the subclass graph acyclic (child index > parent index)
+#: or cannot create a cycle at all; C14/C15 may be new to the ontology.
+_mutation = st.one_of(
+    st.tuples(st.just("subclass"), st.integers(1, 15), st.integers(0, 14)).filter(
+        lambda m: m[1] > m[2]
+    ),
+    st.tuples(st.just("equivalence"), st.integers(0, 15), st.integers(0, 15)),
+    st.tuples(st.just("concept"), st.integers(0, 15), st.just(0)),
+)
+
+
+def _apply(onto, mutation):
+    kind, a, b = mutation
+    if kind == "subclass":
+        onto.add_subclass(f"{NS}C{a}", f"{NS}C{b}")
+    elif kind == "equivalence":
+        onto.add_equivalence(f"{NS}C{a}", f"{NS}C{b}")
+    else:
+        onto.add_concept(f"{NS}C{a}")
+
+
+@given(
+    onto=ontologies(),
+    pairs=st.lists(_signature_pair, min_size=1, max_size=6),
+    mutations=st.lists(_mutation, min_size=1, max_size=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoised_signature_match_equals_oracle(onto, pairs, mutations):
+    """First call, repeat, and after every interleaved ontology edit: the
+    memo answers what a fresh uncached matcher over a fresh reasoner does
+    (signatures may name concepts the ontology lacks, as a remote
+    advertisement can)."""
+    matcher = ConceptMatcher(Reasoner(onto))
+
+    def check():
+        oracle = ReferenceMatcher(Reasoner(onto))
+        for pair in pairs:
+            expected = oracle.match_signature(*pair)
+            first = matcher.match_signature(*pair)
+            assert_same_signature(first, expected)
+            assert matcher.match_signature(*pair) is first
+
+    check()
+    for mutation in mutations:
+        _apply(onto, mutation)
+        check()

@@ -1,5 +1,6 @@
 """Unit tests for the message trace / RTT monitor."""
 
+from repro.obs import MetricsRegistry
 from repro.simnet import MessageTrace, Message
 
 
@@ -30,6 +31,33 @@ class TestCounters:
         trace = MessageTrace()
         trace.on_send(0.0, _msg())
         assert trace.sent_by_host["a"] == 1
+
+    def test_metrics_mirror_binds_on_assignment(self):
+        trace, registry = MessageTrace(), MetricsRegistry()
+        message = _msg(size=40)
+        trace.on_send(0.0, message)  # before wiring: trace only
+        trace.metrics = registry
+        assert trace.metrics is registry
+        trace.on_send(0.0, message)
+        trace.on_deliver(0.1, message)
+        trace.on_drop(0.2, message)
+        values = {name: counter.value for name, counter in registry.counters.items()}
+        assert values == {
+            "net.sent": 1, "net.bytes": 40, "net.delivered": 1, "net.dropped": 1,
+        }
+        trace.metrics = None
+        trace.on_send(0.3, message)
+        assert registry.counters["net.sent"].value == 1
+
+    def test_disabled_registry_is_not_mirrored(self):
+        trace, registry = MessageTrace(), MetricsRegistry(enabled=False)
+        trace.metrics = registry
+        message = _msg()
+        trace.on_send(0.0, message)
+        trace.on_deliver(0.1, message)
+        trace.on_drop(0.2, message)
+        assert registry.counters == {}
+        assert trace.snapshot()["sent"] == 1
 
     def test_reset_zeroes_counters_and_completed_samples(self):
         trace = MessageTrace()
