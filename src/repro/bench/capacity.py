@@ -322,7 +322,7 @@ def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
     return {
         "outcomes": outcomes,
         "tripped": tripped,
-        "rejections": len(breaker.rejections),
+        "rejections": system.obs.metrics.counter("breaker.rejected").value,
         "healed": outcomes[-1] == "ok" and breaker.state == "closed",
         "transitions": [
             (transition.source, transition.target) for transition in breaker.transitions

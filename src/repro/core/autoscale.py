@@ -33,8 +33,9 @@ take the control loop down with them).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 __all__ = [
     "AutoscaleSpec",
@@ -160,8 +161,10 @@ class AutoscalingGroup:
         self.env = self.node.env
         self.obs = network.obs
         self.policy = AutoscalePolicy(spec)
-        self.events: List[ScaleEvent] = []
-        self.retirements: List[RetirementRecord] = []
+        #: Audit logs (newest last), bounded like ``SemanticResultCache.serves``;
+        #: the ``autoscale.*`` counters are the running totals.
+        self.events: Deque[ScaleEvent] = deque(maxlen=8192)
+        self.retirements: Deque[RetirementRecord] = deque(maxlen=8192)
         #: Retired peers stay in ``group.peers`` so effect-ledger audits
         #: still cover them; this set tells the two populations apart.
         self._retired_ids: set = set()

@@ -43,7 +43,7 @@ from ..qos.metrics import QosProfile
 from ..p2p.endpoint import EndpointMessage, UnresolvablePeerError
 from ..p2p.ids import PeerGroupId, PeerId
 from ..p2p.peer import Peer
-from ..simnet.events import AnyOf, Interrupt
+from ..simnet.events import Interrupt, Wait
 from ..simnet.message import Address
 from ..simnet.node import Node
 from ..simnet.queues import Store
@@ -850,8 +850,7 @@ class BPeer(Peer):
                 wait.sent += 1
         self.node.network.obs.metrics.inc("bpeer.commit_intents")
         if wait.sent >= needed:
-            timer = self.env.timeout(INTENT_TIMEOUT)
-            yield AnyOf(self.env, [wait.done, timer])
+            yield Wait(self.env, wait.done, INTENT_TIMEOUT)
         self._intent_waits.pop(token, None)
         if wait.done_entry is not None:
             # Someone already holds the canonical result: replay, never
@@ -1041,7 +1040,7 @@ class BPeer(Peer):
         self.node.network.obs.metrics.observe(
             "bpeer.queue_depth", self._total_outstanding(), bounds=QUEUE_DEPTH_BUCKETS
         )
-        self._queue.put((self._serve, (request, target)))
+        self._queue.push((self._serve, (request, target)))
 
     def _dispatch_members(self) -> List[PeerId]:
         """Members eligible for dispatch (ourselves when not load-sharing).
@@ -1269,8 +1268,7 @@ class BPeer(Peer):
             del self._delegations[delegation_id]
             return None
         self.requests_delegated += 1
-        timer = self.env.timeout(DELEGATION_TIMEOUT)
-        yield AnyOf(self.env, [delegation.done, timer])
+        yield Wait(self.env, delegation.done, DELEGATION_TIMEOUT)
         self._delegations.pop(delegation_id, None)
         return delegation.reply
 
@@ -1288,11 +1286,11 @@ class BPeer(Peer):
         # its load ledger stays truthful.
         _mode, request = payload
         self.endpoint.add_route(request.reply_to, request.reply_addr)
-        self._queue.put((self._serve_delegated, (None, src_peer, request)))
+        self._queue.push((self._serve_delegated, (None, src_peer, request)))
 
     def _on_relay(self, payload, src_peer: PeerId) -> None:
         _mode, delegation_id, coordinator, request = payload
-        self._queue.put((self._serve_delegated, (delegation_id, coordinator, request)))
+        self._queue.push((self._serve_delegated, (delegation_id, coordinator, request)))
 
     def _on_relay_reply(self, payload, src_peer: PeerId) -> None:
         _mode, delegation_id, reply = payload

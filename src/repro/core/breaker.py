@@ -81,8 +81,10 @@ class CircuitBreaker:
         self._window: Deque[bool] = deque(maxlen=spec.window)
         self._opened_at: Optional[float] = None
         self._probes_in_flight = 0
-        self.transitions: List[BreakerTransition] = []
-        self.rejections: List[float] = []
+        #: Audit logs (newest last), bounded like ``SemanticResultCache.serves``;
+        #: the ``breaker.*`` counters are the running totals.
+        self.transitions: Deque[BreakerTransition] = deque(maxlen=8192)
+        self.rejections: Deque[float] = deque(maxlen=8192)
 
     # -- call admission ----------------------------------------------------------------
 
@@ -150,11 +152,14 @@ class CircuitBreaker:
         spans = []
         started: Optional[float] = None
         for tr in self.transitions:
-            if tr.source == CLOSED and started is None:
-                started = tr.at
-            elif tr.target == CLOSED and started is not None:
-                spans.append((started, tr.at))
-                started = None
+            if tr.target == CLOSED:
+                if started is not None:
+                    spans.append((started, tr.at))
+                    started = None
+            elif started is None:
+                # A bounded log may begin mid-span: not closed since
+                # before its first retained record.
+                started = tr.at if tr.source == CLOSED else float("-inf")
         if started is not None:
             spans.append((started, horizon))
         return spans

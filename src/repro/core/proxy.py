@@ -44,7 +44,7 @@ from ..p2p.ids import PeerGroupId, PeerId
 from ..p2p.peer import Peer
 from ..qos.metrics import QosProfile
 from ..qos.selection import QosSelector
-from ..simnet.events import AllOf, AnyOf
+from ..simnet.events import EXPIRED, AllOf, Wait
 from ..simnet.message import Address
 from ..soap.fault import SoapFault
 from ..wsdl.annotations import SemanticAnnotation
@@ -428,9 +428,8 @@ class SwsProxy(Peer):
         query_id = self.resolver.send_query(
             COORD_HANDLER, group_id, on_response=on_response, size_bytes=128
         )
-        timer = self.env.timeout(timeout)
-        outcome = yield AnyOf(self.env, [done, timer])
-        if done in outcome and self.epoch_fencing and self.resolve_grace > 0.0:
+        outcome = yield Wait(self.env, done, timeout)
+        if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
             grace = self.resolve_grace
             if deadline is not None:
                 grace = deadline.clamp(self.env.now, grace)
@@ -1180,11 +1179,8 @@ class SwsProxy(Peer):
                 )
             except UnresolvablePeerError:
                 return None
-            timer = self.env.timeout(timeout)
-            outcome = yield AnyOf(self.env, [done, timer])
-            if done in outcome:
-                return outcome[done]
-            return None
+            outcome = yield Wait(self.env, done, timeout)
+            return None if outcome is EXPIRED else outcome
         finally:
             self._pending.pop(request.request_id, None)
 

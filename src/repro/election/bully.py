@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
-from ..simnet.events import AnyOf, Interrupt
+from ..simnet.events import EXPIRED, AnyOf, Interrupt, Wait
 from ..p2p.endpoint import UnresolvablePeerError
 from ..p2p.ids import PeerGroupId, PeerId
 from ..p2p.peergroup import GroupService
@@ -158,9 +158,10 @@ class BullyElector:
                     self._become_coordinator()
                     return
                 # Someone higher is alive; wait for its COORDINATOR.
-                coord_timer = self.env.timeout(self.coordinator_timeout)
-                outcome = yield AnyOf(self.env, [self._coordinator_event, coord_timer])
-                if self._coordinator_event in outcome:
+                outcome = yield Wait(
+                    self.env, self._coordinator_event, self.coordinator_timeout
+                )
+                if outcome is not EXPIRED:
                     return  # coordinator accepted via _on_message
                 if self.coordinator is not None and (
                     self.coordinator.uuid_hex > self.my_id.uuid_hex

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Type
 
-from ..simnet.events import AnyOf
+from ..simnet.events import Wait
 from .advertisement import Advertisement, advertisement_from_xml
 from .cache import AdvertisementCache
 from .rendezvous import RendezvousService
@@ -123,8 +123,7 @@ class DiscoveryService:
         query_id = self.resolver.send_query(
             HANDLER_NAME, query, on_response=on_response, size_bytes=256
         )
-        timer = self.env.timeout(timeout)
-        yield AnyOf(self.env, [done, timer])
+        yield Wait(self.env, done, timeout)
         self.resolver.cancel_query(query_id)
         return list(collected)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
-from ..simnet.events import AnyOf
+from ..simnet.events import Wait
 from ..simnet.queues import Store
 from .advertisement import PipeAdvertisement
 from .endpoint import EndpointMessage, EndpointService, UnresolvablePeerError
@@ -217,8 +217,7 @@ class PipeService:
             on_response=on_response,
             size_bytes=128,
         )
-        timer = self.env.timeout(timeout)
-        yield AnyOf(self.env, [done, timer])
+        yield Wait(self.env, done, timeout)
         self.resolver.cancel_query(query_id)
         if not answers:
             raise PipeBindError(
@@ -232,13 +231,13 @@ class PipeService:
         datagram: _PipeDatagram = message.payload
         pipe = self._input_pipes.get(datagram.pipe_id)
         if pipe is not None and not pipe.closed:
-            pipe.inbox.put(datagram)
+            pipe.inbox.push(datagram)
 
     def _on_propagated(self, payload: Any, _origin: PeerId) -> None:
         datagram: _PipeDatagram = payload
         for pipe in self._propagate_pipes.get(datagram.pipe_id, []):
             if not pipe.closed:
-                pipe.inbox.put(datagram)
+                pipe.inbox.push(datagram)
 
     def _handle_binding_query(self, query: ResolverQuery) -> Optional[PeerId]:
         pipe_id: PipeId = query.payload

@@ -13,7 +13,7 @@ This package replaces the paper's physical testbed (nine P4 machines on a
 """
 
 from .environment import EmptySchedule, Environment, StopSimulation, TiebreakPolicy
-from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+from .events import EXPIRED, AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout, Wait
 from .failure import FailureEvent, FailureInjector
 from .latency import (
     ConstantLatency,
@@ -36,6 +36,7 @@ __all__ = [
     "AnyOf",
     "Address",
     "ConstantLatency",
+    "EXPIRED",
     "EmptySchedule",
     "Environment",
     "Event",
@@ -64,6 +65,7 @@ __all__ = [
     "Transport",
     "UniformLatency",
     "UnknownHostError",
+    "Wait",
     "lan",
     "lan_latency",
     "parse_latency_spec",

@@ -27,7 +27,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from .events import Event, SimulationError, Timeout
+from .events import PENDING, Event, SimulationError, Timeout, Wait
 from .process import Process
 
 __all__ = [
@@ -52,6 +52,11 @@ class EmptySchedule(Exception):
 #: events at the same timestamp.
 _URGENT = 0
 _NORMAL = 1
+
+#: Stands in the event position of a :class:`Wait` deadline's heap entry
+#: (``(time, _NORMAL, 0, seq, _DEADLINE, wait)``); see
+#: :meth:`Environment.schedule_deadline`.
+_DEADLINE = object()
 
 #: Recognised scheduler implementations.
 SCHEDULERS = ("batched", "heap")
@@ -107,8 +112,9 @@ class Environment:
             scheduler = DEFAULT_SCHEDULER
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r} (use one of {SCHEDULERS})")
-        self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, int, Event]] = []
+        #: Current simulated time.
+        self.now = float(initial_time)
+        self._queue: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         #: Pluggable same-timestamp ordering (``None`` = FIFO).
@@ -129,11 +135,6 @@ class Environment:
         self.on_event: Optional[Callable[[float, Event], None]] = None
 
     # -- clock ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -162,8 +163,8 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        when = self._now + delay
-        if self._batched and self.tiebreak is None and when == self._now:
+        when = self.now + delay
+        if self._batched and self.tiebreak is None and when == self.now:
             # Current-instant fast path: a new event always outranks
             # nothing and underranks everything already queued for this
             # instant (its seq would be the largest), so FIFO append is
@@ -187,13 +188,75 @@ class Environment:
             ),
         )
 
+    def schedule_deadline(self, wait: Wait, delay: float) -> None:
+        """Arm ``wait``'s deadline ``delay`` time units from now.
+
+        With no :class:`TiebreakPolicy` installed the deadline is a bare
+        heap entry, not an event: it takes the heap position (and ``seq``)
+        the guard ``Timeout`` would have taken, and :meth:`_pop_heap` drops
+        it unseen if the wait was answered first — removing an event with
+        no effect reorders nothing.  Under a policy (or when the deadline
+        falls in the current instant, which the batched scheduler keeps
+        off the heap) it is that ``Timeout``: one event and one tiebreak
+        key draw for one, so a checker explores the same interleavings.
+        """
+        when = self.now + delay
+        if self.tiebreak is None and when > self.now:
+            heapq.heappush(
+                self._queue, (when, _NORMAL, 0, next(self._seq), _DEADLINE, wait)
+            )
+        else:
+            Timeout(self, delay).callbacks.append(wait._expire)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._now_urgent or self._now_normal:
-            return self._now
+            return self.now
         if not self._queue:
             return float("inf")
         return self._queue[0][0]
+
+    def _deadline_event(self, wait: Wait) -> Optional[Event]:
+        """The event a popped deadline entry stands for (``None``: dropped)."""
+        if wait._value is not PENDING:
+            return None
+        deadline = Event(self)
+        deadline._value = None
+        deadline.callbacks.append(wait._expire)
+        return deadline
+
+    def _pop_heap(self) -> Optional[Event]:
+        """Advance the clock to the next heap entry and return its event.
+
+        ``None`` when that entry was the deadline of an answered
+        :class:`Wait`; the caller just looks again.
+        """
+        queue = self._queue
+        if not queue:
+            raise EmptySchedule()
+        entry = heapq.heappop(queue)
+        self.now = when = entry[0]
+        event = entry[4]
+        if event is _DEADLINE:
+            event = self._deadline_event(entry[5])
+        if self._batched and self.tiebreak is None:
+            # Drain this timestamp's entire run: the pops come out in
+            # (priority, tiebreak, seq) order, so appending preserves
+            # it, and no later insert can outrank them (any event
+            # scheduled from now on carries a larger seq, and with no
+            # tiebreak policy seq is the only same-class ordering).
+            urgent, normal = self._now_urgent, self._now_normal
+            while queue and queue[0][0] == when:
+                entry = heapq.heappop(queue)
+                if entry[1] == _URGENT:
+                    urgent.append(entry[4])
+                elif entry[4] is _DEADLINE:
+                    # Still an entry, not an event: whether its wait has
+                    # been answered is decided at its turn, as on the heap.
+                    normal.append(entry)
+                else:
+                    normal.append(entry[4])
+        return event
 
     def step(self) -> None:
         """Process the single next event.
@@ -206,37 +269,24 @@ class Environment:
         # precedes every normal one — so checking the urgent deque first
         # is the heap's order, even for urgents scheduled a moment ago by
         # a normal event at this same instant.
-        if self._now_urgent:
-            event = self._now_urgent.popleft()
-        elif self._now_normal:
-            event = self._now_normal.popleft()
-        else:
-            queue = self._queue
-            if not queue:
-                raise EmptySchedule()
-            when, _prio, _tiebreak, _seq, event = heapq.heappop(queue)
-            self._now = when
-            if self._batched and self.tiebreak is None:
-                # Drain this timestamp's entire run: the pops come out in
-                # (priority, tiebreak, seq) order, so appending preserves
-                # it, and no later insert can outrank them (any event
-                # scheduled from now on carries a larger seq, and with no
-                # tiebreak policy seq is the only same-class ordering).
-                urgent, normal = self._now_urgent, self._now_normal
-                while queue and queue[0][0] == when:
-                    entry = heapq.heappop(queue)
-                    if entry[1] == _URGENT:
-                        urgent.append(entry[4])
-                    else:
-                        normal.append(entry[4])
+        event = None
+        while event is None:
+            if self._now_urgent:
+                event = self._now_urgent.popleft()
+            elif self._now_normal:
+                event = self._now_normal.popleft()
+                if event.__class__ is tuple:
+                    event = self._deadline_event(event[5])
+            else:
+                event = self._pop_heap()
         self.events_processed += 1
         if self.on_event is not None:
-            self.on_event(self._now, event)
+            self.on_event(self.now, event)
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-        if not callbacks and not event._ok and not getattr(event, "defused", False):
+        if not callbacks and not event._ok and not event.defused:
             if isinstance(event, Process):
                 raise event._value
 
@@ -265,20 +315,43 @@ class Environment:
             stop_event.add_callback(self._stop_callback)
         else:
             at = float(until)
-            if at < self._now:
+            if at < self.now:
                 raise ValueError(
-                    f"until={at} lies in the past (now={self._now})"
+                    f"until={at} lies in the past (now={self.now})"
                 )
             stop_event = Event(self)
             stop_event._ok = True
             stop_event._value = None
             stop_event.callbacks.append(self._stop_callback)
-            self.schedule(stop_event, delay=at - self._now, priority=True)
+            self.schedule(stop_event, delay=at - self.now, priority=True)
 
-        step = self.step
+        # :meth:`step`, unrolled: one loop iteration per event instead of
+        # one method call.
+        urgent, normal = self._now_urgent, self._now_normal
         try:
             while True:
-                step()
+                if urgent:
+                    event = urgent.popleft()
+                elif normal:
+                    event = normal.popleft()
+                    if event.__class__ is tuple:
+                        event = self._deadline_event(event[5])
+                        if event is None:
+                            continue
+                else:
+                    event = self._pop_heap()
+                    if event is None:
+                        continue
+                self.events_processed += 1
+                if self.on_event is not None:
+                    self.on_event(self.now, event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not callbacks and not event._ok and not event.defused:
+                    if isinstance(event, Process):
+                        raise event._value
         except StopSimulation as stop:
             stop_value = stop.args[0] if stop.args else None
         except EmptySchedule:

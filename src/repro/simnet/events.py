@@ -14,8 +14,10 @@ from typing import Any, Callable, List, Optional
 
 __all__ = [
     "PENDING",
+    "EXPIRED",
     "Event",
     "Timeout",
+    "Wait",
     "AnyOf",
     "AllOf",
     "Interrupt",
@@ -33,6 +35,18 @@ class _PendingType:
 
 
 PENDING = _PendingType()
+
+
+class _ExpiredType:
+    """Sentinel a :class:`Wait` fires with when its deadline came first."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "<EXPIRED>"
+
+
+EXPIRED = _ExpiredType()
 
 
 class SimulationError(Exception):
@@ -130,7 +144,7 @@ class Event:
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another (for chaining)."""
-        if self.triggered:
+        if self._value is not PENDING:
             return
         self._ok = event._ok
         self._value = event._value
@@ -167,14 +181,54 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        env.schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
+
+
+class Wait(Event):
+    """``source``, or a deadline ``delay`` from now, whichever is first.
+
+    Fires with the source's value (a failed source re-raises in the
+    waiter), or with :data:`EXPIRED` when the deadline is processed while
+    the source is still pending.  Either way the waiter resumes two hops
+    after the deciding event, as with ``AnyOf(env, [source, timeout])``;
+    unlike it, an answered wait leaves no timer to dispatch (see
+    :meth:`Environment.schedule_deadline`).  Like ``AnyOf`` it cannot be
+    cancelled: an abandoned wait still fires, with nobody listening.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", source: Event, delay: float):  # noqa: F821
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        if source.env is not env:
+            raise SimulationError("cannot mix events from different environments")
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.defused = False
+        # Deadline first, then the source: the scheduling order of
+        # ``timer = env.timeout(delay); AnyOf(env, [source, timer])``.
+        env.schedule_deadline(self, delay)
+        if source.callbacks is None:
+            self.trigger(source)
+        else:
+            source.callbacks.append(self.trigger)
+
+    def _expire(self, _deadline: Event) -> None:
+        if self._value is PENDING:
+            self._value = EXPIRED
+            self.env.schedule(self)
 
 
 class _Condition(Event):

@@ -23,6 +23,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tup
 
 from ..obs import Observability
 from .environment import Environment
+from .events import Event, Timeout
 from .latency import LatencyModel, lan_latency
 from .message import Message
 from .node import Node
@@ -80,6 +81,10 @@ class Network:
         self.default_latency = default_latency or lan_latency()
         self.default_bandwidth_bps = default_bandwidth_bps
         self.loss_rate = 0.0
+        #: The flat-LAN route every send without an override or region
+        #: takes.  Latency and bandwidth only: ``loss_rate`` is assigned
+        #: mid-run, so :meth:`send` and :meth:`link_between` read it live.
+        self._default_link = Link(self.default_latency, default_bandwidth_bps)
         self.hosts: Dict[str, Node] = {}
         self._links: Dict[FrozenSet[str], Link] = {}
         self.regions: Dict[str, Region] = {}
@@ -260,26 +265,24 @@ class Network:
         the regions were never connected), and everything else the default
         flat LAN — exactly the seed's behaviour when no regions exist.
         """
-        override = self._links.get(frozenset((src, dst)))
-        if override is not None:
-            return override
-        region_a = self._host_region.get(src)
-        region_b = self._host_region.get(dst)
-        if region_a is not None and region_b is not None:
-            if region_a == region_b:
-                return self.regions[region_a].link
-            return self._wan_links.get((region_a, region_b))
-        return Link(
-            latency=self.default_latency,
-            bandwidth_bps=self.default_bandwidth_bps,
-            loss_rate=self.loss_rate,
-        )
+        if self._links:
+            override = self._links.get(frozenset((src, dst)))
+            if override is not None:
+                return override
+        if self._host_region:
+            region_a = self._host_region.get(src)
+            region_b = self._host_region.get(dst)
+            if region_a is not None and region_b is not None:
+                if region_a == region_b:
+                    return self.regions[region_a].link
+                return self._wan_links.get((region_a, region_b))
+        return self._default_link
 
     def link_between(self, a: str, b: str) -> Link:
         """The effective ``a -> b`` link (override, region, WAN, or default)."""
         a, b = self.resolve_host_name(a), self.resolve_host_name(b)
         link = self._route(a, b)
-        if link is not None:
+        if link is not None and link is not self._default_link:
             return link
         return Link(
             latency=self.default_latency,
@@ -344,9 +347,6 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Inject ``message``; it arrives (or is dropped) after the link delay."""
-        message.sent_at = self.env.now
-        self.trace.on_send(self.env.now, message)
-
         src_name, dst_name = message.src[0], message.dst[0]
         if dst_name not in self.hosts:
             raise UnknownHostError(dst_name)
@@ -354,26 +354,28 @@ class Network:
             # Symmetric with the destination check: a spoofed/typo'd source
             # is a caller bug, not a droppable network condition.
             raise UnknownHostError(src_name)
-        src_node = self.hosts[src_name]
+        now = self.env.now
+        message.sent_at = now
+        self.trace.on_send(now, message)
 
         if self.hooks and self._fire_hooks("pre-send", message) == "drop":
-            self.trace.on_drop(self.env.now, message, reason="fault-injected")
+            self.trace.on_drop(now, message, reason="fault-injected")
             return
-        if not src_node.up:
-            self.trace.on_drop(self.env.now, message, reason="src-down")
+        if not self.hosts[src_name].up:
+            self.trace.on_drop(now, message, reason="src-down")
             return
-        if self.partitioned(src_name, dst_name):
-            self.trace.on_drop(self.env.now, message, reason="partition")
+        if self._partitions and self.partitioned(src_name, dst_name):
+            self.trace.on_drop(now, message, reason="partition")
             return
 
         link = self._route(src_name, dst_name)
         if link is None:
             # Distinct regions with no WAN link between them.
-            self.trace.on_drop(self.env.now, message, reason="no-wan-route")
+            self.trace.on_drop(now, message, reason="no-wan-route")
             return
         loss = max(link.loss_rate, self.loss_rate)
         if loss > 0 and self._rng_stream.random() < loss:
-            self.trace.on_drop(self.env.now, message, reason="loss")
+            self.trace.on_drop(now, message, reason="loss")
             return
 
         if src_name == dst_name:
@@ -384,22 +386,24 @@ class Network:
             transmission = (message.size_bytes * 8) / link.bandwidth_bps
             # NIC egress serialisation: the sender's interface puts one
             # frame on the wire at a time, so a burst of sends queues.
-            now = self.env.now
             egress_start = max(now, self._egress_busy_until.get(src_name, now))
             egress_done = egress_start + transmission
             self._egress_busy_until[src_name] = egress_done
             delay = (egress_done - now) + propagation
 
-        timeout = self.env.timeout(delay)
-        timeout.add_callback(lambda _event: self._deliver(message))
+        # The arrival event carries the message as its value.
+        Timeout(self.env, delay, message).callbacks.append(self._deliver)
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, arrival: Event) -> None:
+        message: Message = arrival._value
         dst_node = self.hosts[message.dst[0]]
         message.hops += 1
         if self.hooks and self._fire_hooks("pre-deliver", message) == "drop":
             self.trace.on_drop(self.env.now, message, reason="fault-injected")
             return
-        if not dst_node.up or self.partitioned(message.src[0], message.dst[0]):
+        if not dst_node.up or (
+            self._partitions and self.partitioned(message.src[0], message.dst[0])
+        ):
             self.trace.on_drop(self.env.now, message, reason="dst-down")
             return
         if dst_node.transport.deliver(message):

@@ -79,64 +79,60 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if not self.is_alive:
+        if self._value is not PENDING:
             # The process terminated while an interrupt was in flight.
             return
+        env = self.env
 
-        exc_to_throw: Optional[BaseException] = None
-        if event._ok:
-            to_send = event._value
-        else:
-            exc_to_throw = event._value
-
-        if exc_to_throw is not None and not self._started:
+        if not event._ok and not self._started:
             # Interrupted before the generator ever ran (e.g. the host
             # crashed in the same instant the process was spawned).  A
             # throw would surface at the function's first line, outside any
             # try block — just terminate the never-started process.
             self._generator.close()
             self._ok = False
-            self._value = exc_to_throw
+            self._value = event._value
             self.defused = True
-            self.env.schedule(self)
+            env.schedule(self)
             return
         self._started = True
 
-        self.env._active_process = self
+        env._active_process = self
 
         # Detach from the old target: if this resume is an interrupt, the
         # previous target may still fire later and must not resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            if not self._target.callbacks:
+            if not target.callbacks:
                 # Nobody else is waiting: withdraw cancellable targets
                 # (store gets/puts) so they cannot later consume an item
                 # on behalf of this no-longer-waiting process.
-                cancel = getattr(self._target, "cancel", None)
+                cancel = getattr(target, "cancel", None)
                 if cancel is not None:
                     cancel()
         self._target = None
 
         try:
-            if exc_to_throw is not None:
-                next_event = self._generator.throw(exc_to_throw)
+            if event._ok:
+                next_event = self._generator.send(event._value)
             else:
-                next_event = self._generator.send(to_send)
+                next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.env.schedule(self)
+            env.schedule(self)
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-            self.env.schedule(self)
+            env.schedule(self)
             return
         finally:
-            self.env._active_process = None
+            env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -144,14 +140,14 @@ class Process(Event):
             )
         if next_event.callbacks is None:
             # Already processed: resume immediately on the next step.
-            immediate = Event(self.env)
+            immediate = Event(env)
             immediate._ok = next_event._ok
             immediate._value = next_event._value
             immediate.callbacks.append(self._resume)
-            self.env.schedule(immediate)
+            env.schedule(immediate)
             self._target = immediate
         else:
-            next_event.add_callback(self._resume)
+            next_event.callbacks.append(self._resume)
             self._target = next_event
 
     def __repr__(self) -> str:

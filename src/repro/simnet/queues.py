@@ -13,9 +13,11 @@ import itertools
 from collections import deque
 from typing import Any, Deque, List, Tuple
 
-from .events import Event
+from .events import PENDING, Event
 
 __all__ = ["Store", "PriorityStore", "StorePut", "StoreGet"]
+
+_UNBOUNDED = float("inf")
 
 
 class StorePut(Event):
@@ -49,8 +51,21 @@ class StoreGet(Event):
     __slots__ = ("cancelled",)
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        self.env = env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.defused = False
         self.cancelled = False
+        if type(store) is Store and not store._get_waiters and not store._put_waiters:
+            # Nobody queued ahead on a plain store: what ``_trigger``
+            # would do for this one getter — take the head item or park.
+            if store.items:
+                self._value = store.items.popleft()
+                env.schedule(self)
+            else:
+                store._get_waiters.append(self)
+            return
         store._get_waiters.append(self)
         store._trigger()
 
@@ -79,7 +94,7 @@ class Store:
         item = yield inbox.get()    # inside a process
     """
 
-    def __init__(self, env, capacity: float = float("inf")):
+    def __init__(self, env, capacity: float = _UNBOUNDED):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
@@ -98,6 +113,34 @@ class Store:
     def get(self) -> StoreGet:
         """Request an item; the returned event fires with it."""
         return StoreGet(self)
+
+    def push(self, item: Any) -> None:
+        """Fire-and-forget :meth:`put` for callers that ignore its event.
+
+        On a plain unbounded store a put always lands at once, so the
+        item goes straight to the first parked getter (or the item queue)
+        and no ``StorePut`` event — which nobody would listen to — is
+        scheduled.  Under a :class:`~repro.simnet.environment.TiebreakPolicy`
+        every scheduled event draws an ordering key, so there, and on
+        bounded stores and subclasses, this is exactly ``put``.
+        """
+        if (
+            self.env.tiebreak is not None
+            or type(self) is not Store
+            or self.capacity != _UNBOUNDED
+        ):
+            self.put(item)
+            return
+        getters = self._get_waiters
+        while getters and not self.items:
+            getter = getters.popleft()
+            if getter._value is PENDING and not getter.cancelled:
+                getter._value = item
+                self.env.schedule(getter)
+                return
+        self.items.append(item)
+        if getters:
+            self._trigger()
 
     # -- internals -------------------------------------------------------------
 
@@ -154,7 +197,7 @@ class PriorityStore(Store):
     FIFO and items never need to be comparable with each other.
     """
 
-    def __init__(self, env, capacity: float = float("inf"), key=None):
+    def __init__(self, env, capacity: float = _UNBOUNDED, key=None):
         super().__init__(env, capacity)
         self._heap: List[Tuple[Any, int, Any]] = []
         self._seq = itertools.count()

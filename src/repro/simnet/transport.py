@@ -107,7 +107,7 @@ class Transport:
         socket = self._sockets.get(message.dst[1])
         if socket is None or socket.closed:
             return False
-        socket.inbox.put(message)
+        socket.inbox.push(message)
         return True
 
     def flush(self) -> None:

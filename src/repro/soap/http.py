@@ -16,7 +16,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator
 
-from ..simnet.events import AnyOf, Interrupt
+from ..simnet.events import EXPIRED, Interrupt, Wait
 from ..simnet.message import Address
 from ..simnet.node import Node
 
@@ -34,6 +34,14 @@ class RequestTimeout(Exception):
         self.timeout = timeout
 
 
+def _wire_size(headers: Dict[str, Any], body: str) -> int:
+    """Bytes on the wire: fixed overhead + header text + UTF-8 body."""
+    overhead = 128 + sum(len(k) + len(str(v)) for k, v in headers.items())
+    # An ASCII body is as long encoded as it is in characters; only other
+    # bodies need the encoded copy to be built and measured.
+    return overhead + (len(body) if body.isascii() else len(body.encode()))
+
+
 @dataclass
 class HttpRequest:
     method: str
@@ -42,8 +50,7 @@ class HttpRequest:
     headers: Dict[str, str] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
-        overhead = 128 + sum(len(k) + len(str(v)) for k, v in self.headers.items())
-        return overhead + len(self.body.encode())
+        return _wire_size(self.headers, self.body)
 
 
 @dataclass
@@ -57,8 +64,7 @@ class HttpResponse:
         return 200 <= self.status < 300
 
     def size_bytes(self) -> int:
-        overhead = 128 + sum(len(k) + len(str(v)) for k, v in self.headers.items())
-        return overhead + len(self.body.encode())
+        return _wire_size(self.headers, self.body)
 
 
 #: A handler takes the request and returns a response — directly or as a
@@ -165,15 +171,9 @@ def http_request(
             category=category,
             size_bytes=request.size_bytes(),
         )
-        receive = socket.recv()
-        timer = env.timeout(timeout)
-        outcome = yield AnyOf(env, [receive, timer])
-        if receive in outcome:
-            message = outcome[receive]
-            response = message.payload
-            if not isinstance(response, HttpResponse):
-                raise RequestTimeout(address, request.path, timeout)
-            return response
-        raise RequestTimeout(address, request.path, timeout)
+        message = yield Wait(env, socket.recv(), timeout)
+        if message is EXPIRED or not isinstance(message.payload, HttpResponse):
+            raise RequestTimeout(address, request.path, timeout)
+        return message.payload
     finally:
         socket.close()

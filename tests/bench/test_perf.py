@@ -53,6 +53,23 @@ class TestRunMode:
         assert environment_module.DEFAULT_SCHEDULER == "batched"
         assert advertisement_module.CACHE_XML is True
 
+    def test_legacy_store_baseline_stays_on_the_general_path(self, monkeypatch):
+        """The kernel's ``StoreGet`` fast form is for plain ``Store`` only;
+        the baseline must keep pricing the seed's ``_trigger`` scan."""
+        from repro.simnet import Environment
+        from repro.simnet.queues import Store
+
+        triggered = []
+        real = Store._trigger
+        monkeypatch.setattr(
+            Store, "_trigger", lambda self: (triggered.append(type(self)), real(self))
+        )
+        env = Environment()
+        Store(env).get()
+        assert triggered == []
+        perf._LegacyStore(env).get()
+        assert triggered == [perf._LegacyStore]
+
     def test_unknown_mode_rejected(self, micro):
         with pytest.raises(ValueError):
             perf.run_mode("turbo", micro)

@@ -56,8 +56,8 @@ def test_closed_allows_and_stays_closed_on_success():
         assert breaker.allow(float(t))
         breaker.record_success(float(t))
     assert breaker.state == CLOSED
-    assert breaker.transitions == []
-    assert breaker.rejections == []
+    assert list(breaker.transitions) == []
+    assert list(breaker.rejections) == []
 
 
 def test_no_trip_below_min_calls():
@@ -117,7 +117,36 @@ def test_open_rejects_until_duration_elapses():
     opened = breaker.transitions[-1].at
     assert not breaker.allow(opened + SPEC.open_duration / 2)
     breaker.reject(opened + SPEC.open_duration / 2)
-    assert breaker.rejections == [opened + SPEC.open_duration / 2]
+    assert list(breaker.rejections) == [opened + SPEC.open_duration / 2]
+
+
+def test_audit_logs_are_bounded_and_counters_stay_exact():
+    """One entry per rejection / transition forever was a leak on long
+    soaks: each log keeps its newest ``maxlen``, the counters the totals."""
+    from repro.obs.metrics import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    breaker = CircuitBreaker(SPEC, metrics=metrics)
+    limit = breaker.rejections.maxlen
+    assert limit == breaker.transitions.maxlen
+    trip(breaker, at=0.0)
+    for i in range(3 * limit):
+        breaker.reject(float(i))
+    assert len(breaker.rejections) == limit
+    assert breaker.rejections[-1] == float(3 * limit - 1)
+    assert metrics.counter("breaker.rejected").value == 3 * limit
+    now = breaker.transitions[-1].at
+    for _ in range(limit):  # open -> half-open -> open: two transitions a lap
+        now += SPEC.open_duration + EPS
+        assert breaker.allow(now)
+        breaker.record_failure(now)
+    assert len(breaker.transitions) == limit
+    assert breaker.transitions[-1].at == now
+    opened = metrics.counter("breaker.open").value
+    assert opened + metrics.counter("breaker.half_open").value == 2 * limit + 1
+    # The trip itself was evicted: the log begins mid-span, and the
+    # interval audit still covers every retained rejection.
+    assert breaker.open_intervals(horizon=now + 1.0) == [(float("-inf"), now + 1.0)]
 
 
 def test_open_moves_to_half_open_when_ripe():

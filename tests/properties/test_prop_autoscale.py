@@ -172,6 +172,10 @@ def test_forced_retirements_never_strand_work(seed):
     system.settle(2.0)
 
     assert len(controller.retirements) >= 1, "no retirement completed"
+    # Bounded audit logs; the ``autoscale.*`` counters are the totals.
+    assert controller.events.maxlen == controller.retirements.maxlen == 8192
+    downs = sum(event.direction == "down" for event in controller.events)
+    assert system.obs.metrics.counter("autoscale.scale_down").value == downs
     assert retirement_violations([controller]) == []
     assert autoscale_violations([controller]) == []
     assert exactly_once_violations(service.all_peers()) == []

@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.check.tiebreak import FifoTiebreak, SeededShuffleTiebreak
 from repro.simnet import Environment
-from repro.simnet.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.simnet.events import (
+    EXPIRED,
+    AllOf,
+    AnyOf,
+    Event,
+    SimulationError,
+    Timeout,
+    Wait,
+)
 
 
 @pytest.fixture
@@ -150,3 +159,124 @@ class TestConditions:
         other = Environment()
         with pytest.raises(SimulationError):
             AnyOf(env, [env.timeout(1), other.timeout(1)])
+
+
+def _waiter(env, log, source, delay):
+    """A process that records what its ``Wait`` resumed it with, and when."""
+
+    def body():
+        try:
+            outcome = yield Wait(env, source, delay)
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            outcome = exc
+        log.append((env.now, outcome))
+
+    return env.process(body())
+
+
+@pytest.fixture(
+    params=[None, "fifo", "shuffle", "heap"],
+    ids=["fast", "fifo-policy", "shuffle-policy", "heap-scheduler"],
+)
+def any_env(request):
+    """Every kernel form a ``Wait`` runs under: bare deadline entries
+    (batched and heap schedulers) and real ``Timeout``s under a policy."""
+    if request.param == "heap":
+        return Environment(scheduler="heap")
+    policy = {None: None, "fifo": FifoTiebreak(), "shuffle": SeededShuffleTiebreak(3)}
+    return Environment(tiebreak=policy[request.param])
+
+
+class TestWait:
+    def test_source_first(self, any_env):
+        env, log = any_env, []
+        _waiter(env, log, env.timeout(1.0, value="answer"), 5.0)
+        env.run()
+        assert log == [(1.0, "answer")]
+        # The dead deadline still moves the clock, as the dead timer did.
+        assert env.now == 5.0
+
+    def test_deadline_first(self, any_env):
+        env, log = any_env, []
+        source = env.timeout(5.0, value="late")
+        _waiter(env, log, source, 1.0)
+        env.run()
+        assert log == [(1.0, EXPIRED)]
+        assert source.processed  # nobody cancels the source
+
+    def test_failed_source_reraises_in_the_waiter(self, any_env):
+        env, log = any_env, []
+        source = env.event()
+        _waiter(env, log, source, 5.0)
+        error = RuntimeError("inner")
+        source.fail(error)
+        env.run()
+        assert log == [(0.0, error)]
+
+    def test_source_already_processed(self, any_env):
+        env, log = any_env, []
+        done = env.timeout(1.0, value="x")
+        env.run(until=done)
+        _waiter(env, log, done, 10.0)
+        env.run()
+        assert log == [(1.0, "x")]
+
+    def test_zero_delay_expires_in_the_current_instant(self, any_env):
+        env, log = any_env, []
+        _waiter(env, log, env.event(), 0.0)
+        env.run()
+        assert log == [(0.0, EXPIRED)]
+
+    def test_zero_delay_loses_to_an_already_triggered_source(self, env):
+        # FIFO: the source was scheduled before the deadline, so it wins,
+        # as it did against ``env.timeout(0)`` under ``AnyOf``.
+        log = []
+        source = env.event()
+        source.succeed("first")
+        _waiter(env, log, source, 0.0)
+        env.run()
+        assert log == [(0.0, "first")]
+
+    def test_an_answered_wait_dispatches_no_timer(self, env):
+        wait = Wait(env, env.timeout(1.0), 5.0)
+        env.run()
+        assert wait.processed and wait.value is None
+        assert env.events_processed == 2  # the source and the wait
+        expanded = Environment(tiebreak=FifoTiebreak())
+        Wait(expanded, expanded.timeout(1.0), 5.0)
+        expanded.run()
+        assert expanded.events_processed == 3 and expanded.now == env.now == 5.0
+
+    def test_step_and_peek_see_deadline_entries(self, env):
+        # ``step`` shares ``run``'s rule: a dead entry is skipped, not
+        # counted; a live one is the expiry event.
+        answered = Wait(env, env.timeout(1.0), 2.0)
+        expiring = Wait(env, env.event(), 2.0)
+        env.step()  # the source
+        env.step()  # ``answered``
+        assert answered.processed and env.peek() == 2.0
+        env.step()  # skips the dead entry, dispatches the live one
+        assert env.now == 2.0 and expiring.triggered
+        env.step()
+        assert expiring.value is EXPIRED and env.events_processed == 4
+
+    def test_negative_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            Wait(env, env.event(), -1.0)
+
+    def test_mixing_environments_rejected(self, env):
+        with pytest.raises(SimulationError):
+            Wait(env, Environment().event(), 1.0)
+
+    @pytest.mark.parametrize("scheduler", ["batched", "heap"])
+    def test_policy_installed_after_the_deadline_was_armed(self, scheduler):
+        # The checker deploys first and installs its policy afterwards:
+        # entries pushed bare are popped under the policy.
+        env, log = Environment(scheduler=scheduler), []
+        _waiter(env, log, env.timeout(3.0, value="answer"), 4.0)
+        _waiter(env, log, env.event(), 4.0)
+        env.run(until=2.0)
+        env.tiebreak = SeededShuffleTiebreak(5)
+        _waiter(env, log, env.event(), 0.5)  # armed under the policy
+        env.run()
+        assert log == [(2.5, EXPIRED), (3.0, "answer"), (4.0, EXPIRED)]

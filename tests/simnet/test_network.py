@@ -143,6 +143,42 @@ class TestDelivery:
             network.send(Message(src=("ghost", 1), dst=("b", 700), payload="x"))
         assert "ghost" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "src, dst", [(("a", 1), ("ghost", 700)), (("ghost", 1), ("a", 700))]
+    )
+    def test_rejected_send_is_not_counted(self, env, src, dst):
+        """A message that raises ``UnknownHostError`` never entered the wire."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.simnet import MessageTrace
+
+        registry = MetricsRegistry()
+        trace = MessageTrace(record_details=True)
+        trace.metrics = registry
+        network = Network(env, trace=trace)
+        a, b = network.add_host("a"), network.add_host("b")
+        b.transport.bind(700)
+        a.transport.bind().send(("b", 700), payload="counted", size_bytes=100)
+        env.run()
+
+        def totals():
+            return (
+                trace.snapshot(),
+                dict(trace.sent_by_category),
+                dict(trace.sent_by_host),
+                len(trace.records),
+                {
+                    name: registry.counter(name).value
+                    for name in ("net.sent", "net.bytes", "net.delivered", "net.dropped")
+                },
+            )
+
+        before = totals()
+        assert before[0]["sent"] == before[0]["delivered"] == 1
+        with pytest.raises(UnknownHostError):
+            network.send(Message(src=src, dst=dst, payload="x", size_bytes=64))
+        env.run()
+        assert totals() == before
+
     def test_duplicate_host_rejected(self, network):
         network.add_host("dup")
         with pytest.raises(ValueError):
@@ -234,6 +270,20 @@ class TestFailureModes:
             sa.send(("b", 700), payload="x")
         env.run()
         assert network.trace.dropped_total == 10
+
+
+    def test_loss_rate_set_after_traffic_drops_the_next_message(self, env, network):
+        """``loss_rate`` is assigned mid-run; no route may hold an old value."""
+        arrivals = _exchange(env, network, count=3)
+        assert len(arrivals) == 3 and network.trace.dropped_total == 0
+        network.loss_rate = 1.0
+        assert network.link_between("a", "b").loss_rate == 1.0
+        network.host("a").transport.bind().send(("b", 700), payload="lost")
+        env.run()
+        assert network.trace.dropped_total == 1
+        assert network.trace.delivered_total == 3
+        network.loss_rate = 0.0
+        assert network.link_between("a", "b").loss_rate == 0.0
 
 
 class TestLinks:

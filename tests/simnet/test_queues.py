@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.tiebreak import FifoTiebreak
 from repro.simnet import Environment, PriorityStore, Store
 
 
@@ -189,6 +190,102 @@ class TestTombstoneCancellation:
         env.process(driver())
         env.run()
         assert got == ["payload"]
+
+
+class TestPush:
+    """``push`` is ``put`` minus the event nobody listens to."""
+
+    @staticmethod
+    def _consume(env, store, count, got):
+        def consumer():
+            for _ in range(count):
+                got.append(((yield store.get()), env.now))
+
+        return env.process(consumer())
+
+    def test_hands_the_item_to_a_parked_getter(self, env):
+        store, got = Store(env), []
+        self._consume(env, store, 1, got)
+        env.run()  # the consumer parks
+        before = env.events_processed
+        store.push("item")
+        assert len(store) == 0 and not store._get_waiters
+        env.run()
+        assert got == [("item", 0.0)]
+        # The getter, the consumer's process event: no ``StorePut``.
+        assert env.events_processed - before == 2
+
+    def test_skips_a_cancelled_getter_at_the_head(self, env):
+        store = Store(env)
+        dead, live = store.get(), store.get()
+        dead.cancel()
+        store.push("item")
+        env.run()
+        assert live.value == "item" and not dead.triggered
+        assert not store._get_waiters
+
+    def test_only_cancelled_getters_queues_the_item(self, env):
+        store = Store(env)
+        store.get().cancel()
+        store.push("kept")
+        assert list(store.items) == ["kept"] and not store._get_waiters
+
+    def test_queues_behind_items_already_there(self, env):
+        store, got = Store(env), []
+        store.put("a")
+        store.push("b")
+        store.push("c")
+        self._consume(env, store, 3, got)
+        env.run()
+        assert [item for item, _ in got] == ["a", "b", "c"]
+
+    def test_same_order_and_instants_as_put(self):
+        def run(use_push):
+            env, got = Environment(), []
+            store = Store(env)
+
+            def producer():
+                for step in range(6):
+                    (store.push if use_push else store.put)(step)
+                    if step % 2:
+                        yield env.timeout(1.0)
+
+            self._consume(env, store, 6, got)
+            env.process(producer())
+            env.run()
+            return got, env.events_processed
+
+        pushed, pushed_events = run(True)
+        put, put_events = run(False)
+        assert pushed == put
+        assert put_events - pushed_events == 6  # one ``StorePut`` each
+
+    def test_under_a_policy_it_is_put(self):
+        env = Environment(tiebreak=FifoTiebreak())
+        store = Store(env)
+        store.push("item")
+        env.run()
+        assert env.events_processed == 1  # the ``StorePut``
+        assert list(store.items) == ["item"]
+
+    def test_bounded_store_keeps_put_semantics(self, env):
+        store = Store(env, capacity=1)
+        store.push("fills")
+        store.push("waits")
+        assert list(store.items) == ["fills"] and len(store._put_waiters) == 1
+        got = []
+        self._consume(env, store, 2, got)
+        env.run()
+        assert [item for item, _ in got] == ["fills", "waits"]
+
+    def test_priority_store_keeps_put_semantics(self, env):
+        store, got = PriorityStore(env), []
+        for item in (5, 1, 3):
+            store.push(item)
+        assert len(store) == 3 and not store.items
+        self._consume(env, store, 3, got)
+        env.run()
+        assert [item for item, _ in got] == [1, 3, 5]
 
 
 class TestPriorityStore:

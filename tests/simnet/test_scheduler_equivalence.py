@@ -13,6 +13,13 @@ seeds 7/11/42 at three levels:
   verify;
 * a full deployment's observability — byte-identical request-trace JSON
   and message counters.
+
+The kernel's fast forms (``Store.push`` without a ``StorePut`` event,
+``Wait`` deadlines as bare heap entries) get the same treatment with no
+legacy class to compare against: they are only taken while no
+``TiebreakPolicy`` is installed, so the same deployment under
+``FifoTiebreak`` — the expanded forms, in the same FIFO order — is the
+oracle (``TestFastFormsMatchExpandedForms``).
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from repro.backend import student_database, student_enrollment
 from repro.bench import ClosedLoopWorkload
 from repro.check import CheckScenario, Schedule, run_schedule
 from repro.check.tiebreak import (
@@ -31,10 +40,12 @@ from repro.check.tiebreak import (
     SeededShuffleTiebreak,
 )
 from repro.core import ScenarioConfig, WhisperSystem
+from repro.core import system as system_module
 from repro.simnet import Environment
 from repro.simnet import environment as environment_module
-from repro.simnet.events import Interrupt
+from repro.simnet.events import EXPIRED, Interrupt, Wait
 from repro.simnet.queues import Store
+from repro.wsdl import student_admin_wsdl
 
 SEEDS = (7, 11, 42)
 
@@ -64,6 +75,7 @@ def _run_mixed_kernel(seed: int, scheduler: str, tiebreak=None):
     log = []
     store_a, store_b = Store(env), Store(env)
     parking = Store(env)  # never filled: sleepers park here until the storm
+    inbox = Store(env)
 
     def ticker(index: int):
         for step, delay in enumerate(delays[index]):
@@ -90,6 +102,38 @@ def _run_mixed_kernel(seed: int, scheduler: str, tiebreak=None):
         except Interrupt as interrupt:
             log.append((env.now, f"sleeper{index}:{interrupt.cause}"))
 
+    def dispatcher():
+        # Fire-and-forget hand-offs: to a parked getter, onto a queue the
+        # worker has not come back to yet, and two in one instant.
+        for step in range(12):
+            inbox.push(("work", step))
+            if step % 4 == 0:
+                inbox.push(("work", step + 100))
+            yield env.timeout(0.001 if step % 2 else 0.0)
+
+    def worker():
+        for step in range(15):
+            item = yield inbox.get()
+            log.append((env.now, f"work{step}:{item[1]}"))
+            if step % 5 == 4:
+                yield env.timeout(0.002)
+
+    def waiter(index: int):
+        # Waits answered before, at and after their deadline, a zero-delay
+        # one, and one abandoned to an interrupt while it is still armed.
+        try:
+            for step, (answer_in, deadline) in enumerate(
+                ((0.001, 0.005), (0.002, 0.002), (0.005, 0.001), (0.001, 0.0), (60.0, 90.0))
+            ):
+                answer = env.timeout(answer_in, value=f"answer{step}")
+                outcome = yield Wait(env, answer, deadline)
+                log.append(
+                    (env.now, f"wait{index}.{step}:"
+                     f"{'expired' if outcome is EXPIRED else outcome}")
+                )
+        except Interrupt as interrupt:
+            log.append((env.now, f"waiter{index}:{interrupt.cause}"))
+
     def interrupter(victims):
         yield env.timeout(0.0131)
         # Reverse order on purpose: the adversarial order for waiter
@@ -101,7 +145,9 @@ def _run_mixed_kernel(seed: int, scheduler: str, tiebreak=None):
 
     processes = [env.process(ticker(i)) for i in range(6)]
     processes += [env.process(producer()), env.process(consumer())]
+    processes += [env.process(dispatcher()), env.process(worker())]
     sleepers = [env.process(sleeper(i)) for i in range(8)]
+    sleepers += [env.process(waiter(i)) for i in range(2)]
     processes.append(env.process(interrupter(sleepers)))
     for process in processes + sleepers:
         env.run(until=process)
@@ -207,3 +253,120 @@ class TestFullStackEquivalence:
             )
 
         assert run("heap") == run("batched")
+
+
+_CLIENT_HOST = re.compile(r"^(client-\d+)-\d+$")
+
+
+def _records(trace):
+    """Detailed message records, minus what is global to the process:
+    message ids and the workload counter in client host names."""
+
+    def address(addr):
+        return [_CLIENT_HOST.sub(r"\1", addr[0]), addr[1]]
+
+    return [
+        (r.time, r.event, r.category, address(r.src), address(r.dst), r.size_bytes)
+        for r in trace.records
+    ]
+
+
+def _deploy_read(system):
+    return system.deploy_student_service(), "StudentInformation", None, False
+
+
+def _enroll_arguments(index):
+    return {"ID": f"S{index % 20 + 1:05d}", "course": "CS101"}
+
+
+def _deploy_write(system):
+    config = system.config
+    service = system.deploy_service(
+        student_admin_wsdl(),
+        {
+            "EnrollStudent": [
+                student_enrollment(student_database(config.students))
+                for _ in range(config.replicas)
+            ]
+        },
+        web_host="web0",
+    )
+    return service, "EnrollStudent", _enroll_arguments, False
+
+
+def _deploy_crash(system):
+    return system.deploy_student_service(), "StudentInformation", None, True
+
+
+class TestFastFormsMatchExpandedForms:
+    """No policy (fast forms) == ``FifoTiebreak`` (expanded forms)."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "config, deploy",
+        [
+            (dict(replicas=2), _deploy_read),
+            (dict(replicas=2, shards=2), _deploy_read),
+            (dict(replicas=3), _deploy_write),
+            (dict(replicas=3), _deploy_crash),
+        ],
+        ids=["read", "shards2", "write", "coordinator-crash"],
+    )
+    def test_deployment_identical(self, monkeypatch, seed, config, deploy):
+        def run(tiebreak):
+            monkeypatch.setattr(
+                system_module, "Environment", lambda: Environment(tiebreak=tiebreak)
+            )
+            system = WhisperSystem(
+                ScenarioConfig(seed=seed, students=20, record_trace_details=True, **config)
+            )
+            service, operation, arguments, crash = deploy(system)
+            system.settle()
+            workload = ClosedLoopWorkload(
+                system, service.address, service.path, operation,
+                clients=2, think_time=0.05, requests_per_client=4, arguments=arguments,
+            )
+            if crash:
+                victim = service.group.coordinator_peer().node.name
+                system.failures.crash_at(system.env.now + 0.08, victim)
+            result = workload.run()
+            system.settle(2.0)
+            assert result.successes == 8
+            return (
+                system.obs.traces_to_json(),
+                system.trace.snapshot(),
+                system.env.now,
+                {
+                    name: stream.getstate()
+                    for name, stream in system.network.rng._streams.items()
+                },
+                _records(system.trace),
+            ), system.env.events_processed
+
+        fast, fast_events = run(None)
+        expanded, expanded_events = run(FifoTiebreak())
+        for got, want in zip(fast, expanded):
+            assert got == want
+        # The only difference: the events nobody listens to are gone.
+        assert fast_events < expanded_events
+
+
+def test_steady_state_read_costs_at_most_17_kernel_events():
+    """Counted, not timed: 4 arrivals, 5 gets, 2 waits, ``done``, think
+    time, backend and 2 process events per read — no ``StorePut``, no
+    dead guard timer (23 before them), plus the heartbeat share."""
+    system = WhisperSystem(ScenarioConfig(seed=42))
+    service = system.deploy_student_service()
+    system.settle()
+
+    def reads(count):
+        workload = ClosedLoopWorkload(
+            system, service.address, service.path, "StudentInformation",
+            clients=1, think_time=0.01, requests_per_client=count,
+        )
+        assert workload.run().successes == count
+
+    reads(20)
+    before = system.env.events_processed
+    reads(200)
+    assert (system.env.events_processed - before) / 200 <= 17

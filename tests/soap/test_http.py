@@ -142,3 +142,24 @@ class TestSizes:
         with_headers = HttpRequest("GET", "/x", headers={"k": "v" * 50})
         assert with_body.size_bytes() > bare.size_bytes()
         assert with_headers.size_bytes() > bare.size_bytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "<soap:Envelope>plain ascii</soap:Envelope>" * 20,
+            "café naïve über",  # Latin-1
+            "学生情報 StudentInformation",  # CJK
+            "ok \U0001f680\U0001f9ea done",  # astral-plane emoji
+        ],
+    )
+    @pytest.mark.parametrize("headers", [{}, {"Content-Length": 412, "SOAPAction": "x", "n": None}])
+    def test_size_is_overhead_plus_header_text_plus_utf8_body(self, body, headers):
+        """The formula every committed ``bytes_per_req`` was measured with."""
+        expected = (
+            128
+            + sum(len(k) + len(str(v)) for k, v in headers.items())
+            + len(body.encode())
+        )
+        assert HttpRequest("POST", "/p", body=body, headers=headers).size_bytes() == expected
+        assert HttpResponse(200, body=body, headers=headers).size_bytes() == expected
