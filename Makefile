@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke loc all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
 
 install:
 	python setup.py develop
@@ -125,6 +125,17 @@ bench-e2e:
 bench-e2e-smoke:
 	python3 bench_e2e/run.py --smoke
 	PYTHONPATH=src python -m pytest bench_e2e -q
+
+# A claimed gain, measured: one parent/change pair per fresh seed, the side
+# that runs first alternating, PARENT exported with `git archive` into
+# /root/scratch (or $TMPDIR), the change side this tree (commit first: edits
+# not in HEAD are measured too, and the claim says so).  Prints each side's
+# median / quartiles / wins per end-to-end metric and the verdict on
+# cpu_ms_per_req; writes the `claim` object BENCH_e2e.json records hold.
+# e.g. make e2e-pairs WORKLOAD=read_seed SEEDS=1001-1010 PARENT=HEAD~1
+WORKLOAD ?= read_seed
+e2e-pairs:
+	python3 benchmarks/e2e_pairs.py --workload $(WORKLOAD) --seeds $(SEEDS) --parent $(PARENT)
 
 # The line-count table every CHANGES.md entry quotes (`wc -l`, so
 # comments and blank lines count): src/ total, each package, each file

@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""The ten-pair protocol as one command: alternating parent/change runs of
+one ``bench_e2e`` workload, one fresh seed per pair.
+
+``python3 benchmarks/e2e_pairs.py --workload read_seed --seeds 1001-1010 --parent REV``
+(``make e2e-pairs WORKLOAD=... SEEDS=... PARENT=...``)
+
+The parent side is ``REV`` exported with ``git archive`` into a scratch
+directory (``/root/scratch`` if it exists, else ``$TMPDIR``) — committed
+source, and nothing is added to this repository's ``.git``.  The change side
+is the tree this file sits in: commit first, because tracked files that differ
+from ``HEAD`` are measured as they are, with a warning and a note in the claim.
+Each seed runs ``python3 bench_e2e/run.py --workload W --seed S --seconds N
+--trace 0`` (``N``: ``BENCHMARK.json``'s ``run_seconds``) once in each tree, one
+after the other, the side that goes first alternating.
+
+Printed: per-side median and quartiles and the change's wins for every
+end-to-end metric of ``BENCHMARK.json``, whether the six simulated metrics
+were bit-identical per seed, and the verdict on ``cpu_ms_per_req`` by the rule
+of the choosing-metrics guide (the change wins at least nine tenths of the
+pairs, ties counting for neither, and the medians differ by more than the
+distance between the parent's own quartiles).  Written to ``--out``: the
+``claim`` object in the shape ``BENCH_e2e.json`` records use.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMAND = "python3 bench_e2e/run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 0"
+#: The metric a gain is claimed on: host CPU per request.
+CLAIMED = "cpu_ms_per_req"
+#: Decided by the seed alone: equal on both sides unless the message flow moved.
+SIM_METRICS = (
+    "sim_p50_ms", "sim_p99_ms", "sim_goodput_rps", "msgs_per_req", "bytes_per_req", "ok_share",
+)  # fmt: skip
+
+
+def parse_seeds(text):
+    """``"1001-1010"`` or ``"7,11,42"`` (or a mix) -> a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def _git(*arguments):
+    command = ["git", "-C", ROOT, *arguments]
+    return subprocess.run(command, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def change_revision():
+    """``HEAD``'s short name, marked when tracked files differ from it."""
+    sha = _git("rev-parse", "--short", "HEAD")
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        print("e2e_pairs: WARNING: tracked files differ from HEAD; the change side "
+              "is the working tree, not a commit", file=sys.stderr)  # fmt: skip
+        sha += " + uncommitted edits"
+    return sha
+
+
+def export_parent(revision, scratch):
+    """``git archive REV`` unpacked under ``scratch``; returns the commit's
+    short name and the directory."""
+    sha = _git("rev-parse", "--short", revision + "^{commit}")
+    tree = os.path.join(scratch, f"e2e-pairs-parent-{sha}")
+    shutil.rmtree(tree, ignore_errors=True)
+    os.makedirs(tree)
+    archive = subprocess.Popen(
+        ["git", "-C", ROOT, "archive", "--format=tar", sha], stdout=subprocess.PIPE
+    )
+    subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        raise SystemExit(f"e2e_pairs: git archive {sha} failed")
+    return sha, tree
+
+
+def run_once(tree, workload, seed, seconds):
+    """One run in ``tree``; its end-to-end metric values plus ``failed``."""
+    command = COMMAND.format(workload=workload, seed=seed, seconds=seconds).split()
+    command[0] = sys.executable
+    done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"e2e_pairs: {' '.join(command)} failed in {tree}")
+    result = json.loads(lines[-1])
+    values = {name: cell["value"] for name, cell in result["metrics"].items()}
+    values["failed"] = result["failed"]
+    return values
+
+
+def run_pairs(trees, workload, seeds, seconds, run):
+    """One pair per seed through ``run`` (:func:`run_once`); even pairs run
+    the parent first, odd ones the change."""
+    pairs = []
+    for index, seed in enumerate(seeds):
+        order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
+        pair = {"seed": seed, "order": order}
+        for side in order:
+            pair[side] = run(trees[side], workload, seed, seconds)
+        pairs.append(pair)
+        print(f"pair {index + 1}/{len(seeds)} seed {seed} ({' then '.join(order)}) done",
+              file=sys.stderr)  # fmt: skip
+    return pairs
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, median, high
+
+
+def summarise(pairs, manifest):
+    """One row per end-to-end metric: each side's quartiles, the change's wins
+    and losses (ties are neither), and whether the verdict rule is met."""
+    rows = []
+    for metric in manifest["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [pair["parent"][name] for pair in pairs]
+        change = [pair["change"][name] for pair in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+        p_low, p_mid, p_high = _quartiles(parent)
+        c_low, c_mid, c_high = _quartiles(change)
+        better = c_mid < p_mid if lower else c_mid > p_mid
+        rows.append({
+            "metric": name, "unit": metric["unit"],
+            "parent": (p_low, p_mid, p_high), "change": (c_low, c_mid, c_high),
+            "wins": wins, "losses": losses, "pairs": len(pairs),
+            "relative": (c_mid - p_mid) / p_mid if p_mid else 0.0,
+            "gain": better and wins >= 0.9 * len(pairs)
+            and abs(c_mid - p_mid) > (p_high - p_low),
+        })  # fmt: skip
+    return rows
+
+
+def sim_mismatches(pairs):
+    """Seeds on which some simulated metric differs between the sides."""
+    return [
+        pair["seed"] for pair in pairs
+        if any(pair["parent"][name] != pair["change"][name] for name in SIM_METRICS)
+    ]  # fmt: skip
+
+
+def format_rows(rows):
+    lines = [f"{'metric':<16} {'parent q1 / median / q3':>34}   {'change q1 / median / q3':>34}"
+             f"   {'median':>7}  wins"]  # fmt: skip
+    for row in rows:
+        parent = " / ".join(f"{value:.5g}" for value in row["parent"])
+        change = " / ".join(f"{value:.5g}" for value in row["change"])
+        lines.append(
+            f"{row['metric']:<16} {parent:>34}   {change:>34}   {row['relative']:+7.1%}"
+            f"  {row['wins']}/{row['pairs']}" + (f" ({row['losses']} lost)" if row["losses"] else "")
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="fresh seeds, one per pair: 1001-1010 or 7,11,42")
+    parser.add_argument("--parent", required=True, help="the parent revision")
+    parser.add_argument("--out", default=None, help="where the claim JSON goes")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        manifest = json.load(handle)
+    seconds = manifest["run_seconds"]
+    change = change_revision()
+    scratch = "/root/scratch" if os.path.isdir("/root/scratch") else tempfile.gettempdir()
+    parent, exported = export_parent(args.parent, scratch)
+    trees = {"parent": exported, "change": ROOT}
+    try:
+        pairs = run_pairs(trees, args.workload, args.seeds, seconds, run_once)
+    finally:
+        shutil.rmtree(exported, ignore_errors=True)
+
+    rows = summarise(pairs, manifest)
+    print(f"{args.workload}: {len(pairs)} alternating pairs, parent {parent}, change {change}")
+    print(format_rows(rows))
+    moved = sim_mismatches(pairs)
+    print("simulated metrics: "
+          + (f"DIFFER on seeds {moved}" if moved else "bit-identical on every seed"))
+    failed = {side: sum(pair[side]["failed"] for pair in pairs) for side in trees}
+    print(f"failed requests: parent {failed['parent']}, change {failed['change']}")
+    claimed = next(row for row in rows if row["metric"] == CLAIMED)
+    met = claimed["gain"] and failed["change"] <= failed["parent"]
+    print(f"claim on {CLAIMED}: {'met' if met else 'NOT met'} "
+          f"({claimed['wins']} of {claimed['pairs']} pairs, median {claimed['relative']:+.1%}, "
+          f"parent inter-quartile distance "
+          f"{claimed['parent'][2] - claimed['parent'][0]:.4g} {claimed['unit']})")
+
+    claim = {
+        "metric": CLAIMED,
+        "workload": args.workload,
+        "command": COMMAND.format(workload=args.workload, seed="<seed>", seconds=seconds),
+        "about": f"{len(pairs)} alternating parent/change pairs, one seed per pair; parent "
+        f"{parent} exported with git archive, change the working tree at {change}",
+        "pairs": pairs,
+    }
+    out = args.out or os.path.join(scratch, f"e2e-pairs-{args.workload}.json")
+    with open(out, "w") as handle:
+        json.dump(claim, handle, indent=1)
+        handle.write("\n")
+    print(f"claim written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

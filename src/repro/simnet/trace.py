@@ -159,6 +159,11 @@ class MessageTrace:
             if self.metrics is not None:
                 self.metrics.observe("net.rtt", time - start)
 
+    def cancel_request(self, correlation_id: int) -> None:
+        """Forget a request stamp whose reply will never come (timeout,
+        crash); a no-op when the reply has been stamped."""
+        self._pending_rtt.pop(correlation_id, None)
+
     def rtts(self) -> List[float]:
         """All observed round-trip times, in seconds."""
         return [sample.rtt for sample in self.rtt_samples]

@@ -9,7 +9,7 @@ in the Web-service stack that motivates Whisper.
 """
 
 from .client import SoapClient
-from .encoding import EncodingError, element_to_value, encode_value
+from .encoding import EncodingError, encode_value
 from .envelope import SOAP_ENV_NS, Envelope, EnvelopeError
 from .fault import FaultCode, SoapFault
 from .http import HttpRequest, HttpResponse, HttpServer, RequestTimeout, http_request
@@ -28,7 +28,6 @@ __all__ = [
     "SoapClient",
     "SoapFault",
     "SoapServer",
-    "element_to_value",
     "encode_value",
     "http_request",
 ]

@@ -63,21 +63,25 @@ class SoapClient:
             headers={"SOAPAction": operation},
         )
 
-        call_id = next(_CALL_IDS)
-        correlation = hash((self.node.name, "soap-call", call_id)) & 0x7FFFFFFF
+        # The process-wide counter itself: unique, and free of the str-hash seed.
+        correlation = next(_CALL_IDS)
         trace.stamp_request(correlation, env.now)
         self.calls_sent += 1
         response = None
-        for attempt in range(retries + 1):
-            try:
-                response = yield from http_request(
-                    self.node, address, request, timeout=effective_timeout
-                )
-                break
-            except RequestTimeout:
-                self.timeouts += 1
-                if attempt == retries:
-                    raise
+        try:
+            for attempt in range(retries + 1):
+                try:
+                    response = yield from http_request(
+                        self.node, address, request, timeout=effective_timeout
+                    )
+                    break
+                except RequestTimeout:
+                    self.timeouts += 1
+                    if attempt == retries:
+                        raise
+        except BaseException:  # timed out, or the caller's host crashed
+            trace.cancel_request(correlation)
+            raise
         trace.stamp_reply(correlation, env.now)
 
         try:

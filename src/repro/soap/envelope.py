@@ -4,41 +4,65 @@ An envelope carries either an operation *call*, an operation *result*, or a
 *fault*.  Envelopes serialise to XML; their byte length is used as the
 simulated message size, so bigger payloads genuinely cost more simulated
 transmission time.
+
+:meth:`Envelope.to_xml` writes the document the standard library's tree
+serialiser would, and :meth:`Envelope.from_xml` reads that language, and only
+that language, back in one pass over the string: no XML parser, no tree
+(DESIGN.md §6.10; ``tests/soap/et_oracle.py`` keeps the tree forms of both).
+Every envelope in the system comes from ``to_xml``, so anything else — another
+prefix, single quotes, a comment, CDATA, a DOCTYPE, whitespace between
+elements — is an :class:`EnvelopeError`.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from .encoding import (
-    element_to_value,
-    encode_value,
-    escape_attr,
-    escape_text,
-    xml_element,
-)
+from .encoding import encode_value, escape_attr, escape_text, xml_element  # to_xml's half
+from .encoding import ATTR, TEXT, EncodingError, decode_values, unescape_attr, unescape_text
 from .fault import SoapFault
 
 __all__ = ["Envelope", "EnvelopeError", "SOAP_ENV_NS"]
 
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 
-_ENVELOPE = f"{{{SOAP_ENV_NS}}}Envelope"
-_HEADER = f"{{{SOAP_ENV_NS}}}Header"
-_BODY = f"{{{SOAP_ENV_NS}}}Body"
-_FAULT = f"{{{SOAP_ENV_NS}}}Fault"
-
-#: Prolog and root start tag, as ElementTree's serialiser writes them.
+#: Prolog and root start tag, as the stdlib tree serialiser writes them.
 _OPEN = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
     f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
+)
+_CLOSE = "</soapenv:Body></soapenv:Envelope>"
+_CALL_CLOSE = "</call>" + _CLOSE
+_RESULT_CLOSE = "</result>" + _CLOSE
+_FAULT_CLOSE = "</soapenv:Fault>" + _CLOSE
+_DETAIL_CLOSE = "</detail>" + _FAULT_CLOSE
+
+_HEADER = re.compile(f'<header name="({ATTR})"(?: />|>(?!<)({TEXT})</header>)')
+#: Everything before the first encoded value: prolog, root tag, the optional
+#: Header block (group 1; 2-3 are its last entry), then the start tag of a call
+#: or result (4-6) or a Fault's own children (7-10).
+_OPENING = re.compile(
+    re.escape(_OPEN)
+    + f"(?:<soapenv:Header>((?:{_HEADER.pattern})+)</soapenv:Header>)?"
+    + f'<soapenv:Body><(?:(call|result) operation="({ATTR})"( />|>)'
+    + f"|soapenv:Fault><faultcode(?: />|>(?!<)({TEXT})</faultcode>)"
+    + f"<faultstring(?: />|>(?!<)({TEXT})</faultstring>)"
+    + f"(?:<faultactor>(?!<)({TEXT})</faultactor>)?(<detail>)?)"
 )
 
 
 class EnvelopeError(Exception):
     """Raised when an envelope cannot be parsed."""
+
+
+def _one_value(document: str, pos: int, tag: str, closing: str) -> Any:
+    """The one ``tag`` element at ``pos``; ``closing`` must end the document."""
+    values = []
+    if decode_values(document, pos, values, tag) != closing or len(values) != 1:
+        raise EnvelopeError(f"expected one <{tag}> element and the closing tags")
+    return values[0]
 
 
 @dataclass
@@ -127,72 +151,49 @@ class Envelope:
             add("</soapenv:Fault>")
         else:
             raise EnvelopeError(f"unknown envelope kind {self.kind!r}")
-        add("</soapenv:Body></soapenv:Envelope>")
+        add(_CLOSE)
         return "".join(parts)
 
     @classmethod
     def from_xml(cls, document: str) -> "Envelope":
+        """Read what :meth:`to_xml` wrote.  Anything else raises
+        :class:`EnvelopeError`, and nothing raises another type."""
+        head = _OPENING.match(document) if isinstance(document, str) else None
+        if head is None:
+            raise EnvelopeError("not the start of an envelope as to_xml writes it")
+        block, _, _, kind, operation, form, code, string, actor, has_detail = head.groups()
+        pos = head.end()
         try:
-            root = ET.fromstring(document)
-        except ET.ParseError as error:
-            raise EnvelopeError(f"malformed SOAP XML: {error}") from error
-        if root.tag != _ENVELOPE:
-            raise EnvelopeError(f"expected soap Envelope, found {root.tag}")
-
-        headers: Dict[str, str] = {}
-        header_el = root.find(_HEADER)
-        if header_el is not None:
-            for entry in header_el.findall("header"):
-                name = entry.get("name")
-                if name:
-                    headers[name] = entry.text or ""
-
-        body = root.find(_BODY)
-        if body is None:
-            raise EnvelopeError("envelope has no Body")
-
-        fault_el = body.find(_FAULT)
-        if fault_el is not None:
-            detail_value = None
-            detail_el = fault_el.find("detail")
-            if detail_el is not None and len(detail_el):
-                detail_value = element_to_value(detail_el[0])
-            actor_el = fault_el.find("faultactor")
-            fault = SoapFault(
-                faultcode=fault_el.findtext("faultcode", "Server"),
-                faultstring=fault_el.findtext("faultstring", ""),
-                detail=detail_value,
-                faultactor=actor_el.text if actor_el is not None else None,
-            )
-            return cls(kind="fault", fault=fault, headers=headers)
-
-        call_el = body.find("call")
-        if call_el is not None:
-            arguments = {}
-            for argument in call_el.findall("argument"):
-                name = argument.get("name")
-                if name is None:
-                    raise EnvelopeError("call argument lacks a name")
-                arguments[name] = element_to_value(argument)
-            return cls(
-                kind="call",
-                operation=call_el.get("operation", ""),
-                arguments=arguments,
-                headers=headers,
-            )
-
-        result_el = body.find("result")
-        if result_el is not None:
-            return_el = result_el.find("return")
-            value = element_to_value(return_el) if return_el is not None else None
-            return cls(
-                kind="result",
-                operation=result_el.get("operation", ""),
-                value=value,
-                headers=headers,
-            )
-
-        raise EnvelopeError("envelope body holds neither call, result, nor fault")
+            envelope = cls(kind or "fault", operation and unescape_attr(operation))
+            for name, text in _HEADER.findall(block) if block else ():
+                envelope.headers[unescape_attr(name)] = unescape_text(text)
+            envelope.headers.pop("", None)  # a header without a name is not kept
+            if kind == "call":
+                if form == ">":  # the long form: at least one argument
+                    rest = decode_values(document, pos, envelope.arguments, "argument")
+                    if rest != _CALL_CLOSE or not envelope.arguments:
+                        raise EnvelopeError("malformed call element")
+                elif document[pos:] != _CLOSE:
+                    raise EnvelopeError("malformed call element")
+            elif kind == "result":
+                if form != ">":
+                    raise EnvelopeError("result element without a return element")
+                envelope.value = _one_value(document, pos, "return", _RESULT_CLOSE)
+            else:
+                detail = None
+                if has_detail:
+                    detail = _one_value(document, pos, "value", _DETAIL_CLOSE)
+                elif document[pos:] != _FAULT_CLOSE:
+                    raise EnvelopeError("malformed Fault element")
+                envelope.fault = SoapFault(
+                    faultcode=unescape_text(code or ""),
+                    faultstring=unescape_text(string or ""),
+                    detail=detail,
+                    faultactor=None if actor is None else unescape_text(actor),
+                )
+        except EncodingError as error:
+            raise EnvelopeError(f"malformed SOAP payload: {error}") from error
+        return envelope
 
     def size_bytes(self) -> int:
         """Encoded size, used as the simulated wire size."""

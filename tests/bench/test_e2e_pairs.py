@@ -1,0 +1,109 @@
+"""benchmarks/e2e_pairs.py: the alternating-pairs protocol and its claim file.
+
+The runs themselves are faked (a real pair is twenty seconds of benchmark);
+what is checked is the protocol — one pair per seed, order alternating — the
+verdict rule, and that the claim it writes is one ``BENCH_e2e.json`` accepts.
+"""
+
+import json
+import subprocess
+
+import pytest
+
+from benchmarks import e2e_pairs
+
+from .test_e2e_trajectory import (
+    MANIFEST,
+    test_a_claim_names_a_real_metric_and_workload as accept_claim,
+)
+
+
+def _fake_run(gain):
+    """``run_once`` for a change ``gain`` times the parent's CPU per request."""
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        values = {metric["name"]: 1.0 + seed / 1e4 for metric in MANIFEST["end_to_end"]}
+        if not tree.endswith("PARENT"):
+            values["cpu_ms_per_req"] *= gain
+            values["wall_rps"] /= gain
+        values["failed"] = 0
+        return values
+
+    return run, calls
+
+
+def test_seed_lists():
+    assert e2e_pairs.parse_seeds("1001-1010") == list(range(1001, 1011))
+    assert e2e_pairs.parse_seeds("7,11,40-42") == [7, 11, 40, 41, 42]
+
+
+def test_one_pair_per_seed_with_the_order_alternating():
+    run, calls = _fake_run(0.9)
+    trees = {"parent": "PARENT", "change": "CHANGE"}
+    pairs = e2e_pairs.run_pairs(trees, "read_seed", [5, 6, 7], 10, run=run)
+    assert [pair["order"] for pair in pairs] == [
+        ["parent", "change"], ["change", "parent"], ["parent", "change"]
+    ]  # fmt: skip
+    assert calls == [
+        ("PARENT", 5), ("CHANGE", 5), ("CHANGE", 6), ("PARENT", 6), ("PARENT", 7), ("CHANGE", 7)
+    ]  # fmt: skip
+    assert e2e_pairs.sim_mismatches(pairs) == []
+    pairs[1]["change"]["msgs_per_req"] += 1e-9
+    assert e2e_pairs.sim_mismatches(pairs) == [6]
+
+
+@pytest.mark.parametrize("gain, met", [(0.9, True), (1.0, False), (1.1, False), (0.99995, False)])
+def test_the_verdict_rule(gain, met):
+    """Nine tenths of the pairs, and medians further apart than the parent's
+    own quartiles (seeds spread the fake parent by 1e-4 a step)."""
+    run, _calls = _fake_run(gain)
+    trees = {"parent": "PARENT", "change": "CHANGE"}
+    pairs = e2e_pairs.run_pairs(trees, "read_seed", list(range(1, 11)), 10, run=run)
+    rows = {row["metric"]: row for row in e2e_pairs.summarise(pairs, MANIFEST)}
+    assert rows["cpu_ms_per_req"]["gain"] is met
+    assert rows["wall_rps"]["gain"] is met  # higher is better there
+    assert rows["sim_p50_ms"]["wins"] == rows["sim_p50_ms"]["losses"] == 0  # ties
+    assert rows["sim_p50_ms"]["gain"] is False
+    assert "cpu_ms_per_req" in e2e_pairs.format_rows(rows.values())
+
+
+def test_the_claim_it_writes_is_one_the_trajectory_accepts(tmp_path, monkeypatch, capsys):
+    run, _calls = _fake_run(0.9)
+    monkeypatch.setattr(e2e_pairs, "run_once", run)
+    parent = str(tmp_path / "PARENT")  # main() removes the export when done
+    monkeypatch.setattr(e2e_pairs, "export_parent", lambda revision, scratch: ("abc0000", parent))
+    monkeypatch.setattr(e2e_pairs, "change_revision", lambda: "abc1234")
+    out = tmp_path / "claim.json"
+    argv = ["--workload", "read_seed", "--seeds", "1-10", "--parent", "HEAD", "--out", str(out)]
+    assert e2e_pairs.main(argv) == 0
+    claim = json.loads(out.read_text())
+    accept_claim({"title": "a record", "claim": claim})
+    assert [pair["seed"] for pair in claim["pairs"]] == list(range(1, 11))
+    assert "--seed <seed> --seconds 10 --trace 0" in claim["command"]  # BENCHMARK.json's
+    assert claim["about"].endswith("parent abc0000 exported with git archive, "
+                                   "change the working tree at abc1234")  # fmt: skip
+    printed = capsys.readouterr().out
+    assert "claim on cpu_ms_per_req: met (10 of 10 pairs" in printed
+    assert "bit-identical on every seed" in printed
+
+
+def test_uncommitted_edits_are_named_in_the_change_revision(tmp_path, monkeypatch, capsys):
+    """The change side is the working tree: when that is not ``HEAD``, say so."""
+    def git(*arguments):
+        identity = ["-c", "user.name=t", "-c", "user.email=t@example.org"]
+        subprocess.run(["git", "-C", str(tmp_path), *identity, *arguments], check=True,
+                       stdout=subprocess.DEVNULL)  # fmt: skip
+
+    git("init", "-q")
+    (tmp_path / "tracked.py").write_text("x = 1\n")
+    git("add", "tracked.py")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(e2e_pairs, "ROOT", str(tmp_path))
+    (tmp_path / "untracked.txt").write_text("left behind\n")
+    clean = e2e_pairs.change_revision()
+    assert "uncommitted" not in clean and capsys.readouterr().err == ""
+    (tmp_path / "tracked.py").write_text("x = 2\n")
+    assert e2e_pairs.change_revision() == clean + " + uncommitted edits"
+    assert "WARNING" in capsys.readouterr().err

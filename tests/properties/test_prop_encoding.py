@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.soap import (
-    EncodingError,
-    Envelope,
-    EnvelopeError,
-    SoapFault,
-    element_to_value,
-    encode_value,
-)
+from repro.soap import EncodingError, Envelope, EnvelopeError, SoapFault, encode_value
 
-from ..soap.et_oracle import envelope_to_xml, value_to_xml
+from ..soap.et_oracle import (
+    element_to_value,
+    envelope_from_xml,
+    envelope_shape as _shape,
+    envelope_to_xml,
+    value_to_xml,
+)
 
 # XML 1.0 cannot transport control characters, surrogates, or U+FFFE/FFFF;
 # the encoder rejects them (see test_control_characters_rejected), so the
@@ -117,6 +116,32 @@ def test_fault_envelope_matches_elementtree(
     fault = SoapFault(faultcode, faultstring, detail=detail, faultactor=faultactor)
     envelope = Envelope(kind="fault", fault=fault, headers=headers)
     assert envelope.to_xml() == envelope_to_xml(envelope)
+
+
+@given(
+    operation=st.one_of(st.none(), spiky_text),
+    arguments=st.dictionaries(spiky_text, spiky_values, max_size=4),
+    value=st.one_of(spiky_values, st.floats()),
+    faultcode=spiky_text,
+    faultactor=st.one_of(st.none(), spiky_text),
+    detail=st.one_of(st.none(), spiky_values),
+    headers=header_maps,
+)
+@settings(max_examples=100, deadline=None)
+def test_reader_matches_elementtree(
+    operation, arguments, value, faultcode, faultactor, detail, headers
+):
+    """The direct reader returns what ``ET.fromstring`` + the tree walk did,
+    on every kind of envelope the writer can produce — including text that
+    does not round-trip (``\\r``, empty header names) and ``nan`` / ``inf``."""
+    fault = SoapFault(faultcode, faultcode[::-1], detail=detail, faultactor=faultactor)
+    for envelope in (
+        Envelope.call(operation, arguments, headers),
+        Envelope(kind="result", operation=operation, value=value, headers=headers),
+        Envelope(kind="fault", fault=fault, headers=headers),
+    ):
+        document = envelope.to_xml()
+        assert _shape(Envelope.from_xml(document)) == _shape(envelope_from_xml(document))
 
 
 @given(

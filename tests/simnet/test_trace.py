@@ -115,6 +115,20 @@ class TestRttMonitor:
         assert samples[1] == 0.5
         assert abs(samples[2] - 0.2) < 1e-12
 
+    def test_cancelled_request_leaves_nothing_pending(self):
+        """A caller that gives up (timeout, crash) releases its stamp: no
+        sample, no entry left behind, and a late reply is ignored."""
+        trace = MessageTrace()
+        trace.stamp_request(1, 0.0)
+        trace.stamp_request(2, 0.1)
+        trace.cancel_request(1)
+        trace.cancel_request(99)  # never stamped: a no-op
+        trace.stamp_reply(1, 0.5)
+        trace.stamp_reply(2, 0.4)
+        trace.cancel_request(2)  # already answered: a no-op
+        assert [sample.correlation_id for sample in trace.rtt_samples] == [2]
+        assert trace._pending_rtt == {}
+
     def test_duplicate_reply_not_double_counted(self):
         trace = MessageTrace()
         trace.stamp_request(1, 0.0)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.soap import RequestTimeout, SoapClient, SoapFault, SoapServer
+from repro.soap import (
+    Envelope,
+    HttpRequest,
+    HttpResponse,
+    RequestTimeout,
+    SoapClient,
+    SoapFault,
+    SoapServer,
+    http_request,
+)
 
 
 @pytest.fixture
@@ -115,3 +124,58 @@ class TestSystemFailures:
             timeout=0.5,
         )
         assert isinstance(outcome["error"], RequestTimeout)
+
+
+#: Payloads the reader must refuse: each decoded into an ``EncodingError``
+#: that escaped ``Envelope.from_xml`` (and ``SoapServer.handle``) before PR 17,
+#: and the last into a ``RecursionError``.
+MALFORMED_VALUES = {
+    "bad int payload": '<{tag} type="int"{name}>x</{tag}>',
+    "unknown type": '<{tag} type="quaternion"{name} />',
+    "nameless struct member": '<{tag} type="struct"{name}><member type="int">1</member></{tag}>',
+    "3000-deep list": '<{tag} type="list"{name}>' + '<item type="list">' * 3000
+    + "</item>" * 3000 + "</{tag}>",
+}  # fmt: skip
+
+
+class TestMalformedPayloads:
+    """A payload that does not decode is a SOAP ``Client`` fault on the way in
+    and a ``Server`` fault ("unparseable response") on the way out — never an
+    HTTP 500 text body, never an exception in the caller."""
+
+    @pytest.mark.parametrize("value", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
+    def test_request_is_answered_with_a_client_fault(self, env, deployment, value):
+        server, _client, _s, client_node = deployment
+        argument = value.format(tag="argument", name=' name="a"')
+        body = Envelope.call("add", {"a": "@"}).to_xml().replace(
+            '<argument type="string" name="a">@</argument>', argument
+        )
+        assert argument in body
+        outcome = {}
+
+        def caller():
+            request = HttpRequest("POST", "/svc", body=body)
+            outcome["response"] = yield from http_request(client_node, ("a", 80), request)
+
+        env.run(until=client_node.spawn(caller()))
+        response = outcome["response"]
+        assert response.status == 500
+        fault = Envelope.from_xml(response.body).fault  # an envelope, not a text body
+        assert fault.faultcode == "Client"
+        assert "unparseable envelope" in fault.faultstring
+        assert server.faults_returned == 1
+        assert server.calls_handled == 0
+
+    @pytest.mark.parametrize("value", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
+    def test_response_becomes_a_server_fault_at_the_client(self, env, deployment, value):
+        server, client, _s, client_node = deployment
+        body = Envelope.result("add", "@").to_xml().replace(
+            '<return type="string">@</return>', value.format(tag="return", name="")
+        )
+        assert "@" not in body
+        server.http.route("/raw", lambda request: HttpResponse(200, body=body))
+        outcome = _call(env, client_node, client, ("a", 80), "/raw", "add", {"a": 1})
+        fault = outcome["error"]
+        assert isinstance(fault, SoapFault)
+        assert fault.faultcode == "Server"
+        assert "unparseable response" in fault.faultstring

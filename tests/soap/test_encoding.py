@@ -1,16 +1,32 @@
-"""Unit tests for the SOAP value encoding."""
+"""Unit tests for the SOAP value encoding.
+
+Decoding is checked twice: through the ElementTree oracle the direct reader
+replaced (``et_oracle.element_to_value``) and through ``Envelope.from_xml``,
+the only decoder ``repro.soap`` has.
+"""
 
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.soap import EncodingError, element_to_value, encode_value
+from repro.soap import EncodingError, Envelope, EnvelopeError, encode_value
 
-from .et_oracle import value_to_xml
+from .et_oracle import element_to_value, value_to_xml
 
 
 def _decode(xml):
     return element_to_value(ET.fromstring(xml))
+
+
+def _envelope(return_xml):
+    """A result envelope around one already-encoded ``return`` element."""
+    document = Envelope.result("op", None).to_xml()
+    return document.replace('<return type="null" />', return_xml)
+
+
+def _read(value):
+    """``value`` through the writer and the direct reader."""
+    return Envelope.from_xml(_envelope(encode_value("return", value))).value
 
 
 class TestRoundTrip:
@@ -35,19 +51,24 @@ class TestRoundTrip:
         xml = encode_value("v", value)
         assert xml == value_to_xml("v", value)
         assert _decode(xml) == value
+        assert _read(value) == value
 
     def test_roundtrip_through_serialised_xml(self):
         value = {"id": "S1", "courses": ["M101", "E204"], "year": 3}
         assert _decode(encode_value("v", value)) == value
+        assert _read(value) == value
 
     def test_types_distinguished(self):
         assert _decode(encode_value("v", 1)) == 1
         assert _decode(encode_value("v", "1")) == "1"
         assert _decode(encode_value("v", 1.0)) == 1.0
         assert _decode(encode_value("v", True)) is True
+        for value in (1, "1", 1.0, True):
+            assert type(_read(value)) is type(value) and _read(value) == value
 
     def test_tuple_decodes_as_list(self):
         assert _decode(encode_value("v", (1, 2))) == [1, 2]
+        assert _read((1, 2)) == [1, 2]
 
     def test_empty_values_take_the_short_form(self):
         for value, kind in [(None, "null"), ("", "string"), ([], "list"), ({}, "struct")]:
@@ -73,15 +94,21 @@ class TestErrors:
         element = ET.Element("v", {"type": "quaternion"})
         with pytest.raises(EncodingError):
             element_to_value(element)
+        with pytest.raises(EnvelopeError):
+            Envelope.from_xml(_envelope('<return type="quaternion" />'))
 
     def test_struct_member_without_name_rejected(self):
-        element = ET.Element("v", {"type": "struct"})
+        element = ET.Element("return", {"type": "struct"})
         ET.SubElement(element, "member", {"type": "int"}).text = "1"
         with pytest.raises(EncodingError):
             element_to_value(element)
+        with pytest.raises(EnvelopeError):
+            Envelope.from_xml(_envelope(ET.tostring(element, encoding="unicode")))
 
     def test_bad_int_payload_rejected(self):
         element = ET.Element("v", {"type": "int"})
         element.text = "notanint"
         with pytest.raises(EncodingError):
             element_to_value(element)
+        with pytest.raises(EnvelopeError):
+            Envelope.from_xml(_envelope('<return type="int">notanint</return>'))
