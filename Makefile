@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
 
 install:
 	python setup.py develop
@@ -49,16 +49,6 @@ shard:
 shard-smoke:
 	python -m repro shard --shards 1,4 --duration 4 --window 5
 	python -m repro check --shards 2 --seeds 1 --schedules 5 --timeout 300
-
-# Regenerate the committed simulator throughput record (full + smoke
-# tiers, baseline vs current modes; see EXPERIMENTS.md "Perf methodology").
-perf:
-	python -m repro perf --out BENCH_simnet.json
-
-# The CI tier: quick smoke run, gated against the committed record.
-perf-smoke:
-	python -m repro perf --smoke --out bench-smoke.json \
-		--check BENCH_simnet.json --tolerance 0.25
 
 # Multi-region WAN benchmark: gossip convergence vs the O(log N) bound,
 # staleness vs fanout, gossip-vs-flood message economy, nearest-region

@@ -7,7 +7,6 @@ listed in DESIGN.md.
 """
 
 from .harness import Sweep, SweepPoint, run_sweep
-from .perf import HEADLINE_SCENARIO, check_record, run_mode, run_perf
 from .overload import (
     OverloadPoint,
     aggregate_capacity,
@@ -20,7 +19,6 @@ from .stats import LinearFit, Summary, linear_fit, percentile, summarize
 from .workload import ClosedLoopWorkload, PoissonWorkload, WorkloadResult
 
 __all__ = [
-    "HEADLINE_SCENARIO",
     "ClosedLoopWorkload",
     "LinearFit",
     "OverloadPoint",
@@ -32,16 +30,13 @@ __all__ = [
     "aggregate_capacity",
     "ascii_plot",
     "build_overload_system",
-    "check_record",
     "format_phase_breakdown",
     "format_sweep",
     "format_table",
     "heterogeneous_implementations",
     "linear_fit",
     "percentile",
-    "run_mode",
     "run_overload_point",
-    "run_perf",
     "run_sweep",
     "summarize",
 ]

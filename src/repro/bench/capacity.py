@@ -56,7 +56,6 @@ def _pct(values: Sequence[float], q: float) -> float:
 __all__ = [
     "Phase",
     "build_capacity_system",
-    "check_record",
     "diurnal_phases",
     "format_record",
     "run_breaker_drill",
@@ -415,15 +414,6 @@ def run_capacity(
         "assertions": assertions,
         "ok": all(assertions.values()),
     }
-
-
-def check_record(record: Dict[str, Any]) -> List[str]:
-    """Human-readable failures for a record's assertions (empty = pass)."""
-    return [
-        f"capacity assertion failed: {name}"
-        for name, held in record.get("assertions", {}).items()
-        if not held
-    ]
 
 
 def format_record(record: Dict[str, Any]) -> str:

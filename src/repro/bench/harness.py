@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 
-__all__ = ["SweepPoint", "Sweep", "run_sweep", "fig4_counts"]
+__all__ = ["SweepPoint", "Sweep", "run_sweep", "fig4_counts", "check_record"]
 
 
 @dataclass
@@ -148,3 +148,12 @@ def fig4_counts(
         system.trace.delivered_total,
         dict(system.trace.sent_by_category),
     )
+
+
+def check_record(record: Dict[str, Any], label: str) -> List[str]:
+    """Human-readable failures for a record's assertions (empty = pass)."""
+    return [
+        f"{label} assertion failed: {name}"
+        for name, held in record.get("assertions", {}).items()
+        if not held
+    ]

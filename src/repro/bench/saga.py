@@ -36,7 +36,7 @@ from ..check.saga import (
 )
 from ..check.schedule import FaultOp, Schedule
 
-__all__ = ["run_saga_bench", "check_record", "format_record"]
+__all__ = ["run_saga_bench", "format_record"]
 
 SEEDS = (7, 11, 42)
 LOSS_RATE = 0.01
@@ -210,15 +210,6 @@ def run_saga_bench(
         "assertions": assertions,
         "ok": all(assertions.values()),
     }
-
-
-def check_record(record: Dict[str, Any]) -> List[str]:
-    """Human-readable failures for a record's assertions (empty = pass)."""
-    return [
-        f"saga assertion failed: {name}"
-        for name, held in record.get("assertions", {}).items()
-        if not held
-    ]
 
 
 def format_record(record: Dict[str, Any]) -> str:

@@ -41,7 +41,6 @@ from .harness import fig4_counts
 __all__ = [
     "ConvergencePoint",
     "build_wan_system",
-    "check_record",
     "format_record",
     "run_convergence",
     "run_latency",
@@ -390,15 +389,6 @@ def run_wan(
         "assertions": assertions,
         "ok": all(assertions.values()),
     }
-
-
-def check_record(record: Dict[str, Any]) -> List[str]:
-    """Human-readable failures for a record's assertions (empty = pass)."""
-    return [
-        f"WAN assertion failed: {name}"
-        for name, held in record.get("assertions", {}).items()
-        if not held
-    ]
 
 
 def format_record(record: Dict[str, Any]) -> str:

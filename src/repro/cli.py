@@ -16,8 +16,6 @@
                           [--replay FILE] [--out FILE] [--json]
     python -m repro trace [--samples 20] [--crash] [--last 5] [--json]
     python -m repro metrics [--samples 50] [--crash] [--json | --csv]
-    python -m repro perf [--scale smoke|full|both] [--out BENCH_simnet.json]
-                         [--check RECORD] [--tolerance 0.25] [--json]
     python -m repro wan [--scale smoke|full] [--out BENCH_wan.json] [--json]
     python -m repro saga [--scale smoke|full] [--out BENCH_saga.json] [--json]
     python -m repro capacity [--scale smoke|full] [--out BENCH_capacity.json]
@@ -49,6 +47,7 @@ from .bench import (
     run_sweep,
     summarize,
 )
+from .bench.harness import check_record
 from .bench.overload import run_overload_point
 from .core import ScenarioConfig, WhisperSystem
 from .core.dispatch import DISPATCH_POLICIES
@@ -511,49 +510,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench import perf as perf_module
-
-    if args.worker is not None:
-        # Internal entry: one mode in this process, record JSON on stdout.
-        record = perf_module.run_mode(args.worker, args.worker_scale, seed=args.seed)
-        print(json_module.dumps(record))
-        return 0
-
-    if args.smoke:
-        scales = ["smoke"]
-    elif args.scale == "both":
-        scales = ["full", "smoke"]
-    else:
-        scales = [args.scale]
-
-    record = perf_module.run_perf(
-        scales,
-        seed=args.seed,
-        isolate=not args.in_process,
-        progress=None if args.json else print,
-    )
-    with open(args.out, "w") as handle:
-        handle.write(json_module.dumps(record, indent=2) + "\n")
-    if args.json:
-        print(json_module.dumps(record, indent=2))
-    else:
-        print(perf_module.format_record(record))
-        print(f"wrote {args.out}")
-
-    if args.check is not None:
-        with open(args.check) as handle:
-            committed = json_module.load(handle)
-        failures = perf_module.check_record(record, committed, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}")
-            return 1
-        print(f"perf check vs {args.check}: ok (tolerance {args.tolerance:.0%})")
-    return 0
-
-
-def _gated_bench(args: argparse.Namespace, module, run, **run_kwargs) -> int:
+def _gated_bench(args: argparse.Namespace, module, run, label: str, **run_kwargs) -> int:
     """wan / saga / capacity: run, write the record, print it, gate it."""
     record = run(
         scale="smoke" if args.smoke else args.scale,
@@ -567,7 +524,7 @@ def _gated_bench(args: argparse.Namespace, module, run, **run_kwargs) -> int:
     else:
         print(module.format_record(record))
         print(f"wrote {args.out}")
-    failures = module.check_record(record)
+    failures = check_record(record, label)
     for failure in failures:
         print(failure)
     return 0 if not failures else 1
@@ -576,19 +533,19 @@ def _gated_bench(args: argparse.Namespace, module, run, **run_kwargs) -> int:
 def _cmd_wan(args: argparse.Namespace) -> int:
     from .bench import wan
 
-    return _gated_bench(args, wan, wan.run_wan, seed=args.seed)
+    return _gated_bench(args, wan, wan.run_wan, "WAN", seed=args.seed)
 
 
 def _cmd_saga(args: argparse.Namespace) -> int:
     from .bench import saga
 
-    return _gated_bench(args, saga, saga.run_saga_bench)
+    return _gated_bench(args, saga, saga.run_saga_bench, "saga")
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     from .bench import capacity
 
-    return _gated_bench(args, capacity, capacity.run_capacity, seed=args.seed)
+    return _gated_bench(args, capacity, capacity.run_capacity, "capacity", seed=args.seed)
 
 
 def _cmd_dlq(args: argparse.Namespace) -> int:
@@ -837,41 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--csv", action="store_true",
                          help="emit the phase breakdown as CSV")
     metrics.set_defaults(func=_cmd_metrics)
-
-    perf = subparsers.add_parser(
-        "perf",
-        parents=[seed_parent, json_parent],
-        help="simulator throughput record (baseline vs current modes)",
-    )
-    perf.add_argument(
-        "--scale", choices=("smoke", "full", "both"), default="both",
-        help="workload size; 'both' records the full and smoke tiers",
-    )
-    perf.add_argument(
-        "--smoke", action="store_true",
-        help="shorthand for --scale smoke (the CI tier)",
-    )
-    perf.add_argument(
-        "--out", default="BENCH_simnet.json",
-        help="where to write the perf record",
-    )
-    perf.add_argument(
-        "--check", metavar="RECORD", default=None,
-        help="fail if speedups regress vs this committed record",
-    )
-    perf.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional speedup regression for --check",
-    )
-    perf.add_argument(
-        "--in-process", action="store_true",
-        help="skip subprocess isolation (debugging; shared peak RSS)",
-    )
-    perf.add_argument("--worker", choices=("baseline", "current"),
-                      default=None, help=argparse.SUPPRESS)
-    perf.add_argument("--worker-scale", choices=("smoke", "full"),
-                      default="smoke", help=argparse.SUPPRESS)
-    perf.set_defaults(func=_cmd_perf)
 
     wan = subparsers.add_parser(
         "wan",

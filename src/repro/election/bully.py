@@ -303,12 +303,8 @@ class BullyElector:
             return
         if not self.groups.is_member(self.group_id):
             return  # stale traffic after leaving the group
-        # Legacy 2-tuple payloads (no epoch) keep working: epoch-less
-        # announcements skip the staleness check and follow pre-epoch rules.
-        kind, sender = payload[0], payload[1]
-        epoch: Optional[Epoch] = payload[2] if len(payload) > 2 else None
-        if epoch is not None:
-            self._observe_epoch(epoch)
+        kind, sender, epoch = payload
+        self._observe_epoch(epoch)
         if kind == ELECTION:
             # A lower peer is electing: suppress it and take over.
             if sender.uuid_hex < self.my_id.uuid_hex:
@@ -336,7 +332,7 @@ class BullyElector:
             if self._answer_event is not None and not self._answer_event.triggered:
                 self._answer_event.succeed(sender)
         elif kind == COORDINATOR:
-            if self.epoch_fencing and epoch is not None and epoch < self.epoch:
+            if self.epoch_fencing and epoch < self.epoch:
                 # Stale term: an ex-coordinator (typically a healed
                 # partition minority) is re-announcing an epoch this peer
                 # has already moved past.
@@ -364,11 +360,7 @@ class BullyElector:
                 # will win.
                 self.start_election()
                 return
-            if (
-                sender == self.coordinator
-                and epoch is not None
-                and epoch == self.epoch
-            ):
+            if sender == self.coordinator and epoch == self.epoch:
                 # Periodic re-affirmation of the incumbent we already
                 # accepted: nothing changed, so skip the re-notify churn
                 # (but settle any election round waiting for this).
@@ -379,8 +371,7 @@ class BullyElector:
                     self._coordinator_event.succeed(sender)
                 return
             self.coordinator = sender
-            if epoch is not None:
-                self.epoch = epoch
+            self.epoch = epoch
             if (
                 self._coordinator_event is not None
                 and not self._coordinator_event.triggered

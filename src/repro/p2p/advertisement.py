@@ -8,7 +8,9 @@ ontology concepts) of a b-peer group, so that discovery can match on
 semantics instead of names.
 
 Every advertisement serialises to an XML document and back; the XML length
-is the advertisement's simulated wire size.
+is the advertisement's simulated wire size.  An advertisement renders its
+document once and serves that rendering (and its size) from then on;
+``invalidate_xml_cache()`` is the contract for code that mutates one.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class AdvParseError(Exception):
 
 
 _REGISTRY: Dict[str, Type["Advertisement"]] = {}
-
-#: When True (the default) each advertisement renders its XML at most
-#: once and serves the cached document/size afterwards.  Discovery and
-#: rendezvous answer paths re-serialise the same advertisements for every
-#: query, so rendering lazily-once removes an O(matches) XML build from
-#: each response.  The perf harness flips this off to measure the eager
-#: seed behaviour.
-CACHE_XML = True
 
 
 @dataclass
@@ -92,17 +86,15 @@ class Advertisement:
         """Serialise (lazily: the rendered document is cached).
 
         Advertisements are value objects — built once, then matched and
-        re-sent many times — so the first render is remembered.  Code
-        that mutates an advertisement after rendering must call
-        :meth:`invalidate_xml_cache`.
+        re-sent many times (discovery and rendezvous answer paths
+        serialise the same advertisements for every query) — so the first
+        render is remembered.  Code that mutates an advertisement after
+        rendering must call :meth:`invalidate_xml_cache`.
         """
         cached = self._xml_cache
-        if cached is not None:
-            return cached
-        document = self._render_xml()
-        if CACHE_XML:
-            self._xml_cache = document
-        return document
+        if cached is None:
+            cached = self._xml_cache = self._render_xml()
+        return cached
 
     def _render_xml(self) -> str:
         root = ET.Element(self.ADV_TYPE.replace(":", "_"))
@@ -123,12 +115,9 @@ class Advertisement:
 
     def size_bytes(self) -> int:
         cached = self._size_cache
-        if cached is not None:
-            return cached
-        size = len(self.to_xml().encode())
-        if CACHE_XML:
-            self._size_cache = size
-        return size
+        if cached is None:
+            cached = self._size_cache = len(self.to_xml().encode())
+        return cached
 
 
 def advertisement_from_xml(document: str) -> Advertisement:

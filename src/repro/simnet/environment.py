@@ -1,23 +1,24 @@
 """The simulation environment: clock + event queue + run loop.
 
-Two schedulers share one contract (process events in ``(time, urgency,
-tiebreak, seq)`` order):
+One scheduler, one contract: events are processed in ``(time, urgency,
+tiebreak, seq)`` order.  Every future event sits in one ``heapq`` of
+``(time, priority, tiebreak, seq, event)`` tuples.  One rule selects how
+the *current* instant is handled:
 
-* ``"batched"`` (the default) — same-timestamp events are drained out of
-  the heap once per instant into plain FIFO deques, and events scheduled
-  *at the current instant* (the overwhelming majority: every
-  ``Event.succeed``, process resume, and store handshake) bypass the heap
-  entirely.  No per-event 5-tuple is allocated and nothing re-heapifies
-  while a timestamp's run is processed.
-* ``"heap"`` — the seed implementation: every event goes through one
-  ``heapq`` of ``(time, priority, tiebreak, seq, event)`` tuples.
+* while no :class:`TiebreakPolicy` is installed, same-timestamp events
+  are drained out of the heap once per instant into plain FIFO deques,
+  and events scheduled *at the current instant* (the overwhelming
+  majority: every ``Event.succeed``, process resume, and store handshake)
+  bypass the heap entirely — no per-event 5-tuple, no re-heapify while a
+  timestamp's run is processed;
+* under a policy every event goes through the heap, because a policy may
+  rank a newly scheduled event *before* already-drained peers.
 
-Both produce the *identical* event order (the scheduler-equivalence suite
-in ``tests/simnet/test_scheduler_equivalence.py`` proves it on full
-deployments), so replay files and seeded benchmarks are scheduler
-agnostic.  Installing a :class:`TiebreakPolicy` routes everything through
-the heap path, because a policy may rank a newly scheduled event *before*
-already-drained peers.
+Both forms produce the *identical* event order when the policy is FIFO:
+``tests/simnet/test_scheduler_equivalence.py`` runs full deployments with
+no policy and under ``FifoTiebreak()`` and requires the same traces,
+message records, RNG states and final clock, so replay files and seeded
+benchmarks do not depend on which form ran.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from .events import PENDING, Event, SimulationError, Timeout, Wait
 from .process import Process
@@ -35,8 +36,6 @@ __all__ = [
     "StopSimulation",
     "EmptySchedule",
     "TiebreakPolicy",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
 ]
 
 
@@ -57,14 +56,6 @@ _NORMAL = 1
 #: (``(time, _NORMAL, 0, seq, _DEADLINE, wait)``); see
 #: :meth:`Environment.schedule_deadline`.
 _DEADLINE = object()
-
-#: Recognised scheduler implementations.
-SCHEDULERS = ("batched", "heap")
-
-#: Process-wide default used when :class:`Environment` is built without an
-#: explicit ``scheduler=``.  The equivalence suite and the perf harness
-#: flip this to run whole deployments on the seed heap scheduler.
-DEFAULT_SCHEDULER = "batched"
 
 
 class TiebreakPolicy:
@@ -95,7 +86,7 @@ class Environment:
     :class:`TiebreakPolicy` is installed) lets a checker perturb the order
     of same-timestamp events without ever reordering across timestamps.
 
-    Under the batched scheduler, events landing at the *current* instant
+    While no policy is installed, events landing at the *current* instant
     skip the heap: they append straight onto one of two FIFO deques
     (urgent / normal).  That is order-equivalent to the heap because any
     event scheduled now carries a larger ``seq`` than everything already
@@ -106,12 +97,7 @@ class Environment:
         self,
         initial_time: float = 0.0,
         tiebreak: Optional[TiebreakPolicy] = None,
-        scheduler: Optional[str] = None,
     ):
-        if scheduler is None:
-            scheduler = DEFAULT_SCHEDULER
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r} (use one of {SCHEDULERS})")
         #: Current simulated time.
         self.now = float(initial_time)
         self._queue: List[Tuple[Any, ...]] = []
@@ -119,8 +105,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Pluggable same-timestamp ordering (``None`` = FIFO).
         self.tiebreak = tiebreak
-        self.scheduler = scheduler
-        self._batched = scheduler == "batched"
         #: Current-instant runs, drained from the heap (or scheduled at
         #: ``now``) and processed without re-heapifying.  Urgent before
         #: normal, FIFO within each — exactly the heap's total order.
@@ -128,11 +112,6 @@ class Environment:
         self._now_normal: Deque[Event] = deque()
         #: Events processed since construction (perf accounting).
         self.events_processed = 0
-        #: Optional per-event hook ``(now, event) -> None``, fired just
-        #: before an event's callbacks run.  The scheduler-equivalence
-        #: suite records event orderings through it; ``None`` costs one
-        #: pointer check per event.
-        self.on_event: Optional[Callable[[float, Event], None]] = None
 
     # -- clock ----------------------------------------------------------------
 
@@ -164,7 +143,7 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         when = self.now + delay
-        if self._batched and self.tiebreak is None and when == self.now:
+        if self.tiebreak is None and when == self.now:
             # Current-instant fast path: a new event always outranks
             # nothing and underranks everything already queued for this
             # instant (its seq would be the largest), so FIFO append is
@@ -196,9 +175,9 @@ class Environment:
         the guard ``Timeout`` would have taken, and :meth:`_pop_heap` drops
         it unseen if the wait was answered first — removing an event with
         no effect reorders nothing.  Under a policy (or when the deadline
-        falls in the current instant, which the batched scheduler keeps
-        off the heap) it is that ``Timeout``: one event and one tiebreak
-        key draw for one, so a checker explores the same interleavings.
+        falls in the current instant, which stays off the heap) it is that
+        ``Timeout``: one event and one tiebreak key draw for one, so a
+        checker explores the same interleavings.
         """
         when = self.now + delay
         if self.tiebreak is None and when > self.now:
@@ -239,7 +218,7 @@ class Environment:
         event = entry[4]
         if event is _DEADLINE:
             event = self._deadline_event(entry[5])
-        if self._batched and self.tiebreak is None:
+        if self.tiebreak is None:
             # Drain this timestamp's entire run: the pops come out in
             # (priority, tiebreak, seq) order, so appending preserves
             # it, and no later insert can outrank them (any event
@@ -280,8 +259,6 @@ class Environment:
             else:
                 event = self._pop_heap()
         self.events_processed += 1
-        if self.on_event is not None:
-            self.on_event(self.now, event)
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -343,8 +320,6 @@ class Environment:
                     if event is None:
                         continue
                 self.events_processed += 1
-                if self.on_event is not None:
-                    self.on_event(self.now, event)
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.bench.capacity import (
-    check_record,
     diurnal_phases,
     format_record,
     run_breaker_drill,
     run_capacity,
     run_fig4_guard,
 )
+from repro.bench.harness import check_record
 from repro.bench.workload import PoissonWorkload
 from repro.check.invariants import (
     autoscale_violations,
@@ -60,10 +60,10 @@ class TestCapacityRecord:
         assert record["autoscaled"]["phases"][-1]["replicas_after"] == 2
 
     def test_check_record_passes_and_catches_tampering(self, record):
-        assert check_record(record) == []
+        assert check_record(record, "capacity") == []
         tampered = dict(record, assertions=dict(record["assertions"]))
         tampered["assertions"]["replica_hours_economical"] = False
-        assert check_record(tampered) == [
+        assert check_record(tampered, "capacity") == [
             "capacity assertion failed: replica_hours_economical"
         ]
 

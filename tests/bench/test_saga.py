@@ -2,14 +2,15 @@
 
 import json
 
-from repro.bench.saga import check_record, format_record, run_saga_bench
+from repro.bench.harness import check_record
+from repro.bench.saga import format_record, run_saga_bench
 
 
 def test_smoke_record_passes_all_assertions():
     record = run_saga_bench(scale="smoke")
     assert record["schema"] == "repro-saga/1"
     assert record["ok"], record["assertions"]
-    assert check_record(record) == []
+    assert check_record(record, "saga") == []
     assert record["seeds"] == [7]
     (result,) = record["results"]
     # Compensation on: the atomicity audit is silent under faults...
@@ -22,7 +23,7 @@ def test_smoke_record_passes_all_assertions():
 
 def test_check_record_reports_failed_assertions():
     record = {"assertions": {"good": True, "bad": False}}
-    assert check_record(record) == ["saga assertion failed: bad"]
+    assert check_record(record, "saga") == ["saga assertion failed: bad"]
 
 
 def test_format_record_renders_tables():

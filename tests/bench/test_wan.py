@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.wan import check_record, format_record, run_wan
+from repro.bench.harness import check_record
+from repro.bench.wan import format_record, run_wan
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,13 @@ class TestWanRecord:
         assert economy["gossip"]["messages"] < economy["flood"]["messages"]
 
     def test_check_record_passes_and_catches_tampering(self, record):
-        assert check_record(record) == []
+        assert check_record(record, "WAN") == []
         tampered = dict(record, assertions=dict(record["assertions"]))
         tampered["assertions"]["gossip_beats_flood"] = False
         tampered["ok"] = False
-        assert check_record(tampered)
+        assert check_record(tampered, "WAN") == [
+            "WAN assertion failed: gossip_beats_flood"
+        ]
 
     def test_format_record_renders(self, record):
         text = format_record(record)

@@ -24,7 +24,7 @@ class TestAfterLeave:
             GROUP_ID,
             peers[leaver_index].peer_id,
             "whisper:election",
-            ("election", peers[lower_index].peer_id),
+            ("election", peers[lower_index].peer_id, electors[lower_index].max_epoch_seen),
         )
         env.run(until=env.now + 5.0)
         assert not electors[leaver_index].is_coordinator

@@ -95,7 +95,7 @@ class TestElection:
             GROUP_ID,
             peers[highest].peer_id,
             "whisper:election",
-            ("coordinator", peers[lowest].peer_id),
+            ("coordinator", peers[lowest].peer_id, electors[lowest].epoch),
         )
         env.run(until=env.now + 5.0)
         assert electors[highest].is_coordinator

@@ -108,21 +108,6 @@ class TestStaleAnnouncements:
         assert electors[0].epoch == accepted
         assert electors[0].coordinator == coordinator
 
-    def test_legacy_payload_without_epoch_still_accepted(self, env, group):
-        """2-tuple payloads (pre-epoch wire format) keep working."""
-        _rendezvous, peers = group
-        electors = _electors(peers)
-        sender = _highest(peers)
-        receiver = next(
-            (e, p) for e, p in zip(electors, peers) if p is not sender
-        )
-        elector, peer = receiver
-        sender.groups.send_to_member(
-            GROUP_ID, peer.peer_id, PROTOCOL, ("coordinator", sender.peer_id),
-        )
-        env.run(until=env.now + 1.0)
-        assert elector.coordinator == sender.peer_id
-
     def test_coordinator_with_stale_term_re_mints(self, env, group):
         """A sitting coordinator that learns of a higher term must not
         keep serving under its own — it re-elects and mints above."""

@@ -1,8 +1,11 @@
 """Unit tests for the discovery service."""
 
+from collections import Counter
+
 import pytest
 
 from repro.p2p import (
+    Advertisement,
     PeerAdvertisement,
     PeerGroupAdvertisement,
     PeerGroupId,
@@ -78,6 +81,42 @@ class TestRemote:
         edges[2].node.crash()  # publisher gone; only SRDI has it
         found = _remote(env, edges[0], adv_type=SemanticAdvertisement, timeout=0.5)
         assert "srdi-group" in [a.name for a in found]
+
+    def test_queries_re_send_advertisements_without_re_rendering(
+        self, env, p2p, monkeypatch
+    ):
+        """Counted, not timed: M advertisements answered over Q queries
+        cost M renders on each serving peer, not M x Q."""
+        rendezvous, edges = p2p
+        rendered = []
+        render = Advertisement._render_xml
+
+        def counted(self):
+            rendered.append(self)
+            return render(self)
+
+        monkeypatch.setattr(Advertisement, "_render_xml", counted)
+        published = [_semantic_adv(f"flood-{i}", "http://o#A") for i in range(12)]
+        for advertisement in published:
+            edges[3].discovery.publish(advertisement, remote=True)
+        env.run(until=env.now + 0.1)  # let the SRDI pushes land
+        # The publisher's own renders: one per advertisement, for its push.
+        assert [id(a) for a in rendered] == [id(a) for a in published]
+        for _ in range(5):
+            found = _remote(
+                env, edges[0], adv_type=SemanticAdvertisement, timeout=0.5, threshold=12
+            )
+            assert len(found) == 12
+            env.run(until=env.now + 0.1)  # every peer asked has answered
+        # Five answers from the publisher re-sent those 12 documents; five
+        # from the rendezvous rendered each of its 12 SRDI copies once.
+        # (The querying peer also answers itself from cache entries it
+        # replaces with fresh parses each round; not the serving side.)
+        indexed = rendezvous.rendezvous.srdi_lookup(
+            lambda adv: isinstance(adv, SemanticAdvertisement)
+        )
+        renders = Counter(id(advertisement) for advertisement in rendered)
+        assert [renders[id(a)] for a in published + indexed] == [1] * 24
 
     def test_threshold_returns_early(self, env, p2p):
         _rendezvous, edges = p2p

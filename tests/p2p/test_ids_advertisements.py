@@ -3,6 +3,7 @@
 import pytest
 
 from repro.p2p import (
+    Advertisement,
     AdvParseError,
     PeerAdvertisement,
     PeerGroupAdvertisement,
@@ -145,14 +146,19 @@ class TestLazyXmlCache:
         assert after != before
         assert 'lifetime="12.5"' in after
 
-    def test_cache_flag_off_renders_eagerly(self, monkeypatch):
-        from repro.p2p import advertisement as advertisement_module
-
-        monkeypatch.setattr(advertisement_module, "CACHE_XML", False)
+    def test_size_bytes_encodes_once_per_advertisement(self, monkeypatch):
         advertisement = self._adv()
-        first = advertisement.to_xml()
-        assert advertisement.to_xml() is not first  # fresh render each call
-        assert advertisement.to_xml() == first      # but equal content
+        documents = []
+        to_xml = Advertisement.to_xml
+
+        def counted(self):
+            documents.append(to_xml(self))
+            return documents[-1]
+
+        monkeypatch.setattr(Advertisement, "to_xml", counted)
+        sizes = {advertisement.size_bytes() for _ in range(50)}
+        # One document asked for, so one ``encode``; 49 answers from the cache.
+        assert len(documents) == 1 and sizes == {len(documents[0].encode())}
 
     def test_parse_after_cached_render_roundtrips(self):
         advertisement = self._adv()

@@ -175,14 +175,12 @@ def _waiter(env, log, source, delay):
 
 
 @pytest.fixture(
-    params=[None, "fifo", "shuffle", "heap"],
-    ids=["fast", "fifo-policy", "shuffle-policy", "heap-scheduler"],
+    params=[None, "fifo", "shuffle"],
+    ids=["fast", "fifo-policy", "shuffle-policy"],
 )
 def any_env(request):
     """Every kernel form a ``Wait`` runs under: bare deadline entries
-    (batched and heap schedulers) and real ``Timeout``s under a policy."""
-    if request.param == "heap":
-        return Environment(scheduler="heap")
+    with no policy installed and real ``Timeout``s under one."""
     policy = {None: None, "fifo": FifoTiebreak(), "shuffle": SeededShuffleTiebreak(3)}
     return Environment(tiebreak=policy[request.param])
 
@@ -268,11 +266,10 @@ class TestWait:
         with pytest.raises(SimulationError):
             Wait(env, Environment().event(), 1.0)
 
-    @pytest.mark.parametrize("scheduler", ["batched", "heap"])
-    def test_policy_installed_after_the_deadline_was_armed(self, scheduler):
+    def test_policy_installed_after_the_deadline_was_armed(self, env):
         # The checker deploys first and installs its policy afterwards:
         # entries pushed bare are popped under the policy.
-        env, log = Environment(scheduler=scheduler), []
+        log = []
         _waiter(env, log, env.timeout(3.0, value="answer"), 4.0)
         _waiter(env, log, env.event(), 4.0)
         env.run(until=2.0)

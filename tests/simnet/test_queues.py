@@ -1,5 +1,7 @@
 """Unit tests for Store and PriorityStore."""
 
+from collections import deque
+
 import pytest
 
 from repro.check.tiebreak import FifoTiebreak
@@ -190,6 +192,42 @@ class TestTombstoneCancellation:
         env.process(driver())
         env.run()
         assert got == ["payload"]
+
+    def test_reverse_order_storm_searches_no_queue(self, env):
+        # Counted, not timed: a crashing host interrupts W parked waiters
+        # newest-first, the order in which a ``deque.remove`` per cancel is
+        # O(W) each and the storm quadratic.  Tombstones never search.
+        from repro.simnet.events import Interrupt
+
+        class CountingDeque(deque):
+            removes = 0
+
+            def remove(self, value):
+                CountingDeque.removes += 1
+                super().remove(value)
+
+        store = Store(env)
+        store._get_waiters = CountingDeque()
+        got = []
+
+        def waiter(index):
+            try:
+                got.append((index, (yield store.get())))
+            except Interrupt:
+                pass
+
+        doomed = [env.process(waiter(index)) for index in range(4000)]
+        env.process(waiter("survivor"))
+        env.run(until=1.0)
+        assert len(store._get_waiters) == 4001
+        for process in reversed(doomed):
+            process.interrupt("storm")
+        env.run(until=2.0)
+        store.put("payload")
+        env.run()
+        assert CountingDeque.removes == 0
+        assert got == [("survivor", "payload")]
+        assert len(store._get_waiters) == 0
 
 
 class TestPush:

@@ -1,31 +1,31 @@
-"""Determinism guard: the batched scheduler == the seed heap scheduler.
+"""Determinism guard: the kernel's fast forms == the plain heap.
 
-The PR-5 checker's replay files, every seeded benchmark, and the perf
-record's baseline mode all assume one thing: swapping the scheduler
-implementation never changes the event order.  This suite pins that on
-seeds 7/11/42 at three levels:
+One rule selects how ``Environment`` runs (``simnet/environment.py``):
+while no ``TiebreakPolicy`` is installed, current-instant events bypass
+the heap through FIFO deques, ``Store.push`` schedules no ``StorePut``
+and a ``Wait`` deadline is a bare heap entry; under a policy every event
+goes through the heap in ``(time, urgency, key, seq)`` order, ``push`` is
+``put`` and the deadline is a real ``Timeout``.  ``FifoTiebreak()`` keys
+every event alike, so under it the heap orders by scheduling sequence
+alone — the seed kernel — and that is the oracle: checker replay files
+and every seeded benchmark assume the fast forms never change what a
+process observes.  Pinned on seeds 7/11/42 at three levels:
 
 * a mixed kernel workload (colliding timers, zero-delay chains, store
-  handshakes, reverse-order interrupts) — byte-identical event orderings
-  and process-visible logs, with and without each ``TiebreakPolicy``;
-* full-stack checker runs (``run_schedule``) — identical
-  ``RunResult.digest()`` fingerprints, the exact digests replay files
-  verify;
-* a full deployment's observability — byte-identical request-trace JSON
-  and message counters.
-
-The kernel's fast forms (``Store.push`` without a ``StorePut`` event,
-``Wait`` deadlines as bare heap entries) get the same treatment with no
-legacy class to compare against: they are only taken while no
-``TiebreakPolicy`` is installed, so the same deployment under
-``FifoTiebreak`` — the expanded forms, in the same FIFO order — is the
-oracle (``TestFastFormsMatchExpandedForms``).
+  handshakes, fire-and-forget pushes, waits on both sides of their
+  deadline, reverse-order interrupts) — identical process-visible logs
+  and final clock;
+* full-stack checker runs (``run_schedule``) — the baseline schedule with
+  no policy and with ``FifoTiebreak()`` installed gives one
+  ``RunResult.digest()``, the fingerprint replay files verify;
+* full deployments — byte-identical request-trace JSON, metrics, message
+  counters and records, RNG stream states and final clock for read,
+  ``shards=2``, write and coordinator-crash runs
+  (``TestFastFormsMatchExpandedForms``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import re
 
@@ -34,15 +34,11 @@ import pytest
 from repro.backend import student_database, student_enrollment
 from repro.bench import ClosedLoopWorkload
 from repro.check import CheckScenario, Schedule, run_schedule
-from repro.check.tiebreak import (
-    AdversarialDelayTiebreak,
-    FifoTiebreak,
-    SeededShuffleTiebreak,
-)
+from repro.check import explorer as explorer_module
+from repro.check.tiebreak import FifoTiebreak
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.core import system as system_module
 from repro.simnet import Environment
-from repro.simnet import environment as environment_module
 from repro.simnet.events import EXPIRED, Interrupt, Wait
 from repro.simnet.queues import Store
 from repro.wsdl import student_admin_wsdl
@@ -50,28 +46,25 @@ from repro.wsdl import student_admin_wsdl
 SEEDS = (7, 11, 42)
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _deploy_under(monkeypatch, tiebreak):
+    """Make the next ``WhisperSystem`` build its kernel with ``tiebreak``."""
+    monkeypatch.setattr(
+        system_module, "Environment", lambda: Environment(tiebreak=tiebreak)
+    )
 
 
-def _run_mixed_kernel(seed: int, scheduler: str, tiebreak=None):
-    """A workload hitting every scheduling shape; returns (order, log).
+def _run_mixed_kernel(seed: int, tiebreak=None):
+    """A workload hitting every scheduling shape; returns (log, final clock).
 
-    ``order`` is the scheduler's own event sequence (via ``on_event``);
-    ``log`` is what the processes observed.  All randomness is drawn
-    up-front from ``seed`` so the two runs compare apples to apples.
+    ``log`` is what the processes observed, and when.  All randomness is
+    drawn up-front from ``seed`` so the two runs compare apples to apples.
     """
     rng = random.Random(seed)
     delays = [
         [rng.choice((0.0, 0.001, 0.001, 0.002, 0.005)) for _ in range(30)]
         for _ in range(6)
     ]
-    env = Environment(scheduler=scheduler, tiebreak=tiebreak)
-    order = []
-    env.on_event = lambda now, event: order.append(
-        (round(now, 9), type(event).__name__)
-    )
+    env = Environment(tiebreak=tiebreak)
     log = []
     store_a, store_b = Store(env), Store(env)
     parking = Store(env)  # never filled: sleepers park here until the storm
@@ -152,48 +145,22 @@ def _run_mixed_kernel(seed: int, scheduler: str, tiebreak=None):
     for process in processes + sleepers:
         env.run(until=process)
     env.run()  # drain orphaned timeouts deterministically
-    return order, log
+    return log, env.now
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_event_order_and_log_identical(self, seed):
-        heap_order, heap_log = _run_mixed_kernel(seed, "heap")
-        batched_order, batched_log = _run_mixed_kernel(seed, "batched")
-        assert _digest(heap_order) == _digest(batched_order)
-        assert _digest(heap_log) == _digest(batched_log)
-        assert heap_order == batched_order
-        assert heap_log == batched_log
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            lambda seed: FifoTiebreak(),
-            lambda seed: SeededShuffleTiebreak(seed),
-            lambda seed: AdversarialDelayTiebreak("sleeper"),
-        ],
-        ids=["fifo", "shuffle", "adversarial"],
-    )
-    def test_equivalent_under_every_tiebreak_policy(self, seed, policy_factory):
-        # A policy may rank new events before drained peers, so the
-        # batched environment must route everything through the heap —
-        # and still produce the heap scheduler's exact order.
-        heap_order, heap_log = _run_mixed_kernel(
-            seed, "heap", tiebreak=policy_factory(seed)
-        )
-        batched_order, batched_log = _run_mixed_kernel(
-            seed, "batched", tiebreak=policy_factory(seed)
-        )
-        assert heap_order == batched_order
-        assert heap_log == batched_log
+        # The log is timestamped and appended in dispatch order, so equal
+        # logs mean every process-visible event ran in the same order.
+        assert _run_mixed_kernel(seed) == _run_mixed_kernel(seed, tiebreak=FifoTiebreak())
 
     def test_zero_underflow_delay_keeps_seed_order(self):
         # A positive delay tiny enough that now + delay == now must still
         # be processed in seq order with genuinely-zero delays (the seed
         # semantics), not fast-pathed ahead of or behind them.
-        def run(scheduler):
-            env = Environment(scheduler=scheduler)
+        def run(tiebreak):
+            env = Environment(tiebreak=tiebreak)
             log = []
 
             def driver():
@@ -209,7 +176,7 @@ class TestKernelEquivalence:
             env.run(until=env.process(driver()))
             return log
 
-        assert run("heap") == run("batched")
+        assert run(None) == run(FifoTiebreak()) == [(1.0, i) for i in range(6)]
 
 
 class TestFullStackEquivalence:
@@ -218,27 +185,17 @@ class TestFullStackEquivalence:
         scenario = CheckScenario(
             seed=seed, settle=4.0, probe_duration=4.0, cooldown=4.0
         )
-        schedules = [
-            Schedule(label="baseline"),
-            Schedule(
-                tiebreak={"kind": "shuffle", "seed": seed}, label="shuffled"
-            ),
-        ]
-        for schedule in schedules:
-            digests = {}
-            for scheduler in ("heap", "batched"):
-                monkeypatch.setattr(
-                    environment_module, "DEFAULT_SCHEDULER", scheduler
-                )
-                digests[scheduler] = run_schedule(scenario, schedule).digest()
-            assert digests["heap"] == digests["batched"], schedule.label
+        baseline = Schedule(label="baseline")
+        fast = run_schedule(scenario, baseline).digest()
+        # ``build_tiebreak`` maps a FIFO spec to "no policy"; install the
+        # real one so the same schedule runs through the heap.
+        monkeypatch.setattr(explorer_module, "build_tiebreak", lambda spec: FifoTiebreak())
+        assert run_schedule(scenario, baseline).digest() == fast
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_obs_traces_byte_identical(self, monkeypatch, seed):
-        def run(scheduler):
-            monkeypatch.setattr(
-                environment_module, "DEFAULT_SCHEDULER", scheduler
-            )
+        def run(tiebreak):
+            _deploy_under(monkeypatch, tiebreak)
             system = WhisperSystem(ScenarioConfig(seed=seed, replicas=2, students=20))
             service = system.deploy_student_service()
             system.settle()
@@ -252,7 +209,7 @@ class TestFullStackEquivalence:
                 system.trace.snapshot(),
             )
 
-        assert run("heap") == run("batched")
+        assert run(None) == run(FifoTiebreak())
 
 
 _CLIENT_HOST = re.compile(r"^(client-\d+)-\d+$")
@@ -314,9 +271,7 @@ class TestFastFormsMatchExpandedForms:
     )
     def test_deployment_identical(self, monkeypatch, seed, config, deploy):
         def run(tiebreak):
-            monkeypatch.setattr(
-                system_module, "Environment", lambda: Environment(tiebreak=tiebreak)
-            )
+            _deploy_under(monkeypatch, tiebreak)
             system = WhisperSystem(
                 ScenarioConfig(seed=seed, students=20, record_trace_details=True, **config)
             )
