@@ -120,12 +120,14 @@ bench-e2e-smoke:
 # that runs first alternating, PARENT exported with `git archive` into
 # /root/scratch (or $TMPDIR), the change side this tree (commit first: edits
 # not in HEAD are measured too, and the claim says so).  Prints each side's
-# median / quartiles / wins per end-to-end metric and the verdict on
-# cpu_ms_per_req; writes the `claim` object BENCH_e2e.json records hold.
-# e.g. make e2e-pairs WORKLOAD=read_seed SEEDS=1001-1010 PARENT=HEAD~1
+# median / quartiles / wins per end-to-end metric and the verdict on METRIC
+# (any end-to-end metric of BENCHMARK.json, which also gives its direction);
+# writes the `claim` object BENCH_e2e.json records hold.
+# e.g. make e2e-pairs WORKLOAD=read_seed SEEDS=1001-1010 PARENT=HEAD~1 METRIC=peak_rss_mb
 WORKLOAD ?= read_seed
+METRIC ?= cpu_ms_per_req
 e2e-pairs:
-	python3 benchmarks/e2e_pairs.py --workload $(WORKLOAD) --seeds $(SEEDS) --parent $(PARENT)
+	python3 benchmarks/e2e_pairs.py --workload $(WORKLOAD) --seeds $(SEEDS) --parent $(PARENT) --metric $(METRIC)
 
 # The line-count table every CHANGES.md entry quotes (`wc -l`, so
 # comments and blank lines count): src/ total, each package, each file

@@ -2,8 +2,8 @@
 """The ten-pair protocol as one command: alternating parent/change runs of
 one ``bench_e2e`` workload, one fresh seed per pair.
 
-``python3 benchmarks/e2e_pairs.py --workload read_seed --seeds 1001-1010 --parent REV``
-(``make e2e-pairs WORKLOAD=... SEEDS=... PARENT=...``)
+``python3 benchmarks/e2e_pairs.py --workload read_seed --seeds 1001-1010 --parent REV [--metric M]``
+(``make e2e-pairs WORKLOAD=... SEEDS=... PARENT=... [METRIC=...]``)
 
 The parent side is ``REV`` exported with ``git archive`` into a scratch
 directory (``/root/scratch`` if it exists, else ``$TMPDIR``) — committed
@@ -16,11 +16,13 @@ after the other, the side that goes first alternating.
 
 Printed: per-side median and quartiles and the change's wins for every
 end-to-end metric of ``BENCHMARK.json``, whether the six simulated metrics
-were bit-identical per seed, and the verdict on ``cpu_ms_per_req`` by the rule
-of the choosing-metrics guide (the change wins at least nine tenths of the
-pairs, ties counting for neither, and the medians differ by more than the
-distance between the parent's own quartiles).  Written to ``--out``: the
-``claim`` object in the shape ``BENCH_e2e.json`` records use.
+were bit-identical per seed, and the verdict on the claimed metric (``--metric``:
+any end-to-end metric of ``BENCHMARK.json``, which also says which direction is
+better; ``cpu_ms_per_req`` unless named) by the rule of the choosing-metrics
+guide (the change wins at least nine tenths of the pairs, ties counting for
+neither, and the medians differ by more than the distance between the parent's
+own quartiles).  Written to ``--out``: the ``claim`` object in the shape
+``BENCH_e2e.json`` records use.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMAND = "python3 bench_e2e/run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 0"
-#: The metric a gain is claimed on: host CPU per request.
-CLAIMED = "cpu_ms_per_req"
 #: Decided by the seed alone: equal on both sides unless the message flow moved.
 SIM_METRICS = (
     "sim_p50_ms", "sim_p99_ms", "sim_goodput_rps", "msgs_per_req", "bytes_per_req", "ok_share",
@@ -166,16 +166,19 @@ def format_rows(rows):
 
 
 def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        manifest = json.load(handle)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--metric", default="cpu_ms_per_req",
+                        choices=[metric["name"] for metric in manifest["end_to_end"]],
+                        help="the end-to-end metric the gain is claimed on")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="fresh seeds, one per pair: 1001-1010 or 7,11,42")
     parser.add_argument("--parent", required=True, help="the parent revision")
     parser.add_argument("--out", default=None, help="where the claim JSON goes")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        manifest = json.load(handle)
     seconds = manifest["run_seconds"]
     change = change_revision()
     scratch = "/root/scratch" if os.path.isdir("/root/scratch") else tempfile.gettempdir()
@@ -194,15 +197,15 @@ def main(argv=None):
           + (f"DIFFER on seeds {moved}" if moved else "bit-identical on every seed"))
     failed = {side: sum(pair[side]["failed"] for pair in pairs) for side in trees}
     print(f"failed requests: parent {failed['parent']}, change {failed['change']}")
-    claimed = next(row for row in rows if row["metric"] == CLAIMED)
+    claimed = next(row for row in rows if row["metric"] == args.metric)
     met = claimed["gain"] and failed["change"] <= failed["parent"]
-    print(f"claim on {CLAIMED}: {'met' if met else 'NOT met'} "
+    print(f"claim on {args.metric}: {'met' if met else 'NOT met'} "
           f"({claimed['wins']} of {claimed['pairs']} pairs, median {claimed['relative']:+.1%}, "
           f"parent inter-quartile distance "
           f"{claimed['parent'][2] - claimed['parent'][0]:.4g} {claimed['unit']})")
 
     claim = {
-        "metric": CLAIMED,
+        "metric": args.metric,
         "workload": args.workload,
         "command": COMMAND.format(workload=args.workload, seed="<seed>", seconds=seconds),
         "about": f"{len(pairs)} alternating parent/change pairs, one seed per pair; parent "

@@ -38,22 +38,21 @@ class Span:
     A span starts when created and ends when :meth:`finish` is called;
     both instants are simulated time.  Spans nest: :meth:`child` opens a
     sub-span, so e.g. a ``recover`` span can contain the ``bind`` and
-    ``invoke`` retries it covers.
+    ``invoke`` retries it covers.  References run downwards only (children,
+    no parent), so a trace evicted from the ring dies by reference count.
     """
 
-    __slots__ = ("name", "start", "end", "parent", "tags", "children")
+    __slots__ = ("name", "start", "end", "tags", "children")
 
     def __init__(
         self,
         name: str,
         start: float,
-        parent: Optional["Span"] = None,
         tags: Optional[Dict[str, Any]] = None,
     ):
         self.name = name
         self.start = start
         self.end: Optional[float] = None
-        self.parent = parent
         self.tags: Dict[str, Any] = dict(tags) if tags else {}
         self.children: List["Span"] = []
 
@@ -61,7 +60,7 @@ class Span:
 
     def child(self, name: str, now: float, **tags: Any) -> "Span":
         """Open a nested span starting at ``now``."""
-        span = Span(name, now, parent=self, tags=tags or None)
+        span = Span(name, now, tags=tags or None)
         self.children.append(span)
         return span
 
@@ -215,7 +214,6 @@ class NullSpan:
     name = "null"
     start = 0.0
     end: Optional[float] = 0.0
-    parent = None
     tags: Mapping[str, Any] = MappingProxyType({})
     children: Tuple[Span, ...] = ()
     finished = True

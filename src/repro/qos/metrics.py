@@ -11,7 +11,7 @@ an online profile updated from observed invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 __all__ = ["QosMetrics", "QosProfile"]
 
@@ -58,13 +58,11 @@ class QosProfile:
     _reliability: Optional[float] = field(default=None, repr=False)
     observations: int = 0
     successes: int = 0
-    samples: List[float] = field(default_factory=list, repr=False)
 
     def record_success(self, elapsed: float) -> None:
         """Record a successful invocation that took ``elapsed`` seconds."""
         self.observations += 1
         self.successes += 1
-        self.samples.append(elapsed)
         self._time = (
             elapsed
             if self._time is None

@@ -57,6 +57,14 @@ _NORMAL = 1
 #: :meth:`Environment.schedule_deadline`.
 _DEADLINE = object()
 
+#: Dead deadline entries the heap may carry however few live ones it holds.
+_DEAD_SLACK = 64
+
+
+def _is_dead(entry: Tuple[Any, ...]) -> bool:
+    """Whether a heap entry is the deadline of an answered :class:`Wait`."""
+    return entry[4] is _DEADLINE and entry[5]._value is not PENDING
+
 
 class TiebreakPolicy:
     """How same-timestamp events are ordered relative to one another.
@@ -112,6 +120,8 @@ class Environment:
         self._now_normal: Deque[Event] = deque()
         #: Events processed since construction (perf accounting).
         self.events_processed = 0
+        #: Queued deadline entries whose :class:`Wait` has been answered.
+        self._dead_deadlines = 0
 
     # -- clock ----------------------------------------------------------------
 
@@ -167,7 +177,7 @@ class Environment:
             ),
         )
 
-    def schedule_deadline(self, wait: Wait, delay: float) -> None:
+    def schedule_deadline(self, wait: Wait, delay: float) -> bool:
         """Arm ``wait``'s deadline ``delay`` time units from now.
 
         With no :class:`TiebreakPolicy` installed the deadline is a bare
@@ -177,15 +187,38 @@ class Environment:
         no effect reorders nothing.  Under a policy (or when the deadline
         falls in the current instant, which stays off the heap) it is that
         ``Timeout``: one event and one tiebreak key draw for one, so a
-        checker explores the same interleavings.
+        checker explores the same interleavings.  Returns whether the entry
+        is bare (the wait then reports to :meth:`deadline_answered`).
         """
         when = self.now + delay
         if self.tiebreak is None and when > self.now:
             heapq.heappush(
                 self._queue, (when, _NORMAL, 0, next(self._seq), _DEADLINE, wait)
             )
-        else:
-            Timeout(self, delay).callbacks.append(wait._expire)
+            return True
+        Timeout(self, delay).callbacks.append(wait._expire)
+        return False
+
+    def deadline_answered(self) -> None:
+        """A wait whose bare deadline entry is still queued was answered.
+
+        The entry is dead weight that pins the wait and its reply.  Once
+        such entries are the majority of the heap (and over ``_DEAD_SLACK``)
+        it is rebuilt from the live ones: ≤ 2 × live + slack, amortised
+        O(1).  Entries pop in the order of their unique keys and a dead
+        one's pop dispatches nothing, so no event moves; the latest dead
+        entry stays, so a schedule run dry leaves the clock where the last
+        deadline fell (DESIGN.md §6.11).
+        """
+        self._dead_deadlines = count = self._dead_deadlines + 1
+        queue = self._queue
+        if count <= _DEAD_SLACK or count * 2 <= len(queue):
+            return
+        last = max(filter(_is_dead, queue), default=None)
+        live = [entry for entry in queue if entry is last or not _is_dead(entry)]
+        self._dead_deadlines -= len(queue) - len(live)
+        heapq.heapify(live)
+        queue[:] = live
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -198,6 +231,7 @@ class Environment:
     def _deadline_event(self, wait: Wait) -> Optional[Event]:
         """The event a popped deadline entry stands for (``None``: dropped)."""
         if wait._value is not PENDING:
+            self._dead_deadlines -= 1
             return None
         deadline = Event(self)
         deadline._value = None

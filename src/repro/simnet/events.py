@@ -200,12 +200,14 @@ class Wait(Event):
     waiter), or with :data:`EXPIRED` when the deadline is processed while
     the source is still pending.  Either way the waiter resumes two hops
     after the deciding event, as with ``AnyOf(env, [source, timeout])``;
-    unlike it, an answered wait leaves no timer to dispatch (see
-    :meth:`Environment.schedule_deadline`).  Like ``AnyOf`` it cannot be
-    cancelled: an abandoned wait still fires, with nobody listening.
+    unlike it, an answered wait leaves no timer to dispatch
+    (:meth:`Environment.schedule_deadline`) nor, for long, a heap entry
+    that pins its reply (:meth:`Environment.deadline_answered`).  Like
+    ``AnyOf`` it cannot be cancelled: an abandoned wait still fires, with
+    nobody listening.
     """
 
-    __slots__ = ()
+    __slots__ = ("_bare",)
 
     def __init__(self, env: "Environment", source: Event, delay: float):  # noqa: F821
         if delay < 0:
@@ -219,11 +221,19 @@ class Wait(Event):
         self.defused = False
         # Deadline first, then the source: the scheduling order of
         # ``timer = env.timeout(delay); AnyOf(env, [source, timer])``.
-        env.schedule_deadline(self, delay)
+        self._bare = env.schedule_deadline(self, delay)
         if source.callbacks is None:
             self.trigger(source)
         else:
             source.callbacks.append(self.trigger)
+
+    def trigger(self, event: Event) -> None:
+        if self._value is PENDING:
+            self._ok = event._ok
+            self._value = event._value
+            self.env.schedule(self)
+            if self._bare:
+                self.env.deadline_answered()
 
     def _expire(self, _deadline: Event) -> None:
         if self._value is PENDING:

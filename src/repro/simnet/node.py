@@ -14,6 +14,9 @@ from .process import Process
 
 __all__ = ["Node"]
 
+#: Finished processes a host may list beyond twice its live ones.
+_PRUNE_SLACK = 16
+
 
 class Node:
     """One simulated machine."""
@@ -25,6 +28,7 @@ class Node:
         self.up = True
         self.crash_count = 0
         self._processes: List[Process] = []
+        self._prune_at = _PRUNE_SLACK
         self._crash_hooks: List[Callable[["Node"], None]] = []
         self._restart_hooks: List[Callable[["Node"], None]] = []
         # Set by the network when the host is added.
@@ -33,9 +37,20 @@ class Node:
     # -- process management ---------------------------------------------------
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
-        """Start a process that dies when this host crashes."""
+        """Start a process that dies when this host crashes.
+
+        The host lists it for :meth:`crash` to interrupt and forgets it
+        once finished: whenever the list has doubled since the last prune
+        the finished ones are dropped (spawn order kept) — amortised O(1),
+        at most twice the live processes plus ``_PRUNE_SLACK`` listed.  Not
+        a completion callback, which would make a failed process look
+        waited-on and silence the re-raise in :meth:`Environment.step`.
+        """
         process = self.env.process(generator, name=name or f"{self.name}/proc")
         self._processes.append(process)
+        if len(self._processes) >= self._prune_at:
+            self._processes = [p for p in self._processes if p.is_alive]
+            self._prune_at = 2 * len(self._processes) + _PRUNE_SLACK
         return process
 
     def on_crash(self, hook: Callable[["Node"], None]) -> None:

@@ -15,9 +15,9 @@ the paper's monitor does.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 
@@ -63,7 +63,8 @@ class MessageTrace:
     sent_by_host: Counter = field(default_factory=Counter)
     records: List[TraceRecord] = field(default_factory=list)
     _pending_rtt: Dict[int, float] = field(default_factory=dict)
-    rtt_samples: List[RttSample] = field(default_factory=list)
+    #: The most recent round trips (a ring, like the other audit records).
+    rtt_samples: Deque[RttSample] = field(default_factory=lambda: deque(maxlen=8192))
     _metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
     #: The registry's ``net.*`` counters, bound when :attr:`metrics` is set
     #: so the per-message hooks skip the name lookups (all four or none).

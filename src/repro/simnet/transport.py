@@ -15,6 +15,10 @@ from .queues import Store, StoreGet
 __all__ = ["Transport", "Socket", "PortInUseError"]
 
 
+#: The IANA dynamic range: ephemeral ports are handed out round-robin.
+_EPHEMERAL = range(49152, 65536)
+
+
 class PortInUseError(Exception):
     """Raised when binding a port that already has a socket."""
 
@@ -78,15 +82,17 @@ class Transport:
     def __init__(self, node):
         self.node = node
         self._sockets: Dict[int, Socket] = {}
-        self._next_ephemeral = 49152
+        self._next_ephemeral = _EPHEMERAL.start
 
     def bind(self, port: Optional[int] = None) -> Socket:
         """Bind a port (or allocate an ephemeral one) and return a socket."""
         if port is None:
-            while self._next_ephemeral in self._sockets:
-                self._next_ephemeral += 1
-            port = self._next_ephemeral
-            self._next_ephemeral += 1
+            # One lap at most: a range with no free port fails the check below.
+            for _ in _EPHEMERAL:
+                port = self._next_ephemeral
+                self._next_ephemeral = port + 1 if port + 1 in _EPHEMERAL else _EPHEMERAL.start
+                if port not in self._sockets:
+                    break
         if port in self._sockets:
             raise PortInUseError(f"{self.node.name}:{port} is already bound")
         socket = Socket(self, port)

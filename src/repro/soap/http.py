@@ -82,6 +82,7 @@ class HttpServer:
         self._handlers: Dict[str, Handler] = {}
         self._socket = None
         self.requests_served = 0
+        self._serve_name = f"http-req:{node.name}"
         self.start()
         node.on_crash(lambda _node: self._teardown())
         node.on_restart(lambda _node: self.start())
@@ -113,10 +114,7 @@ class HttpServer:
                 request = message.payload
                 if not isinstance(request, HttpRequest):
                     continue
-                self.node.spawn(
-                    self._serve(message, request),
-                    name=f"http-req:{self.node.name}",
-                )
+                self.node.spawn(self._serve(message, request), name=self._serve_name)
         except Interrupt:
             socket.close()
             if self._socket is socket:

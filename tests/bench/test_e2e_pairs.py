@@ -19,7 +19,8 @@ from .test_e2e_trajectory import (
 
 
 def _fake_run(gain):
-    """``run_once`` for a change ``gain`` times the parent's CPU per request."""
+    """``run_once`` for a change ``gain`` times the parent's CPU per request
+    and peak memory (and one ``gain``-th of its wall time per request)."""
     calls = []
 
     def run(tree, workload, seed, seconds):
@@ -27,6 +28,7 @@ def _fake_run(gain):
         values = {metric["name"]: 1.0 + seed / 1e4 for metric in MANIFEST["end_to_end"]}
         if not tree.endswith("PARENT"):
             values["cpu_ms_per_req"] *= gain
+            values["peak_rss_mb"] *= gain
             values["wall_rps"] /= gain
         values["failed"] = 0
         return values
@@ -69,17 +71,23 @@ def test_the_verdict_rule(gain, met):
     assert "cpu_ms_per_req" in e2e_pairs.format_rows(rows.values())
 
 
-def test_the_claim_it_writes_is_one_the_trajectory_accepts(tmp_path, monkeypatch, capsys):
-    run, _calls = _fake_run(0.9)
+def _claim_from_main(tmp_path, monkeypatch, gain, *extra):
+    """``main()`` over ten faked pairs; the claim object it wrote."""
+    run, _calls = _fake_run(gain)
     monkeypatch.setattr(e2e_pairs, "run_once", run)
     parent = str(tmp_path / "PARENT")  # main() removes the export when done
     monkeypatch.setattr(e2e_pairs, "export_parent", lambda revision, scratch: ("abc0000", parent))
     monkeypatch.setattr(e2e_pairs, "change_revision", lambda: "abc1234")
     out = tmp_path / "claim.json"
     argv = ["--workload", "read_seed", "--seeds", "1-10", "--parent", "HEAD", "--out", str(out)]
-    assert e2e_pairs.main(argv) == 0
+    assert e2e_pairs.main([*argv, *extra]) == 0
     claim = json.loads(out.read_text())
     accept_claim({"title": "a record", "claim": claim})
+    return claim
+
+
+def test_the_claim_it_writes_is_one_the_trajectory_accepts(tmp_path, monkeypatch, capsys):
+    claim = _claim_from_main(tmp_path, monkeypatch, 0.9)
     assert [pair["seed"] for pair in claim["pairs"]] == list(range(1, 11))
     assert "--seed <seed> --seconds 10 --trace 0" in claim["command"]  # BENCHMARK.json's
     assert claim["about"].endswith("parent abc0000 exported with git archive, "
@@ -87,6 +95,29 @@ def test_the_claim_it_writes_is_one_the_trajectory_accepts(tmp_path, monkeypatch
     printed = capsys.readouterr().out
     assert "claim on cpu_ms_per_req: met (10 of 10 pairs" in printed
     assert "bit-identical on every seed" in printed
+
+
+@pytest.mark.parametrize(
+    "metric, gain, verdict",
+    [
+        ("peak_rss_mb", 0.7, "met"),  # lower is better
+        ("peak_rss_mb", 1.1, "NOT met"),
+        ("wall_rps", 0.9, "met"),  # higher is better
+        ("wall_rps", 1.1, "NOT met"),
+        ("sim_p50_ms", 0.9, "NOT met"),  # equal on both sides: no gain to claim
+    ],
+)
+def test_the_verdict_is_on_the_metric_named(tmp_path, monkeypatch, capsys, metric, gain, verdict):
+    claim = _claim_from_main(tmp_path, monkeypatch, gain, "--metric", metric)
+    assert claim["metric"] == metric
+    assert f"claim on {metric}: {verdict} (" in capsys.readouterr().out
+
+
+def test_a_metric_the_benchmark_does_not_declare_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        e2e_pairs.main(["--workload", "read_seed", "--seeds", "1", "--parent", "HEAD",
+                        "--metric", "soap.decode_us"])  # fmt: skip
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_uncommitted_edits_are_named_in_the_change_revision(tmp_path, monkeypatch, capsys):

@@ -27,8 +27,8 @@ class TestSpan:
         root = Span("request", start=0.0)
         recover = root.child("recover", 1.0)
         retry_bind = recover.child("bind", 1.1)
-        assert retry_bind.parent is recover
-        assert recover.parent is root
+        assert recover.children == [retry_bind]
+        assert root.children == [recover]
         assert recover in root.children
         assert retry_bind in recover.children
 

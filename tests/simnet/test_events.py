@@ -4,6 +4,7 @@ import pytest
 
 from repro.check.tiebreak import FifoTiebreak, SeededShuffleTiebreak
 from repro.simnet import Environment
+from repro.simnet.environment import _DEAD_SLACK, _is_dead
 from repro.simnet.events import (
     EXPIRED,
     AllOf,
@@ -277,3 +278,64 @@ class TestWait:
         _waiter(env, log, env.event(), 0.5)  # armed under the policy
         env.run()
         assert log == [(2.5, EXPIRED), (3.0, "answer"), (4.0, EXPIRED)]
+
+
+def _dead_entries(env):
+    return sum(map(_is_dead, env._queue))
+
+
+class TestDeadlineCompaction:
+    """Answered waits' deadline entries never outnumber the live heap."""
+
+    CALLS = 10_000
+
+    def _storm(self, env, heap_sizes):
+        def caller():
+            for _ in range(self.CALLS):
+                yield Wait(env, env.timeout(0.001), 30.0)
+                heap_sizes.append(len(env._queue))
+
+        return env.process(caller())
+
+    def test_answered_waits_do_not_pile_up_on_the_heap(self, env):
+        heap_sizes = []
+        env.run(until=self._storm(env, heap_sizes))
+        # Live at any time: at most the one pending answer.
+        assert max(heap_sizes) <= 2 * 1 + _DEAD_SLACK
+        assert env._dead_deadlines == _dead_entries(env) == len(env._queue)
+        assert env.events_processed == 2 * self.CALLS + 2  # no timer dispatched
+        env.run()
+        # Dry: the clock stands where the last dropped deadline fell.
+        assert env.now == pytest.approx(self.CALLS * 0.001 + 30.0 - 0.001)
+        assert env._dead_deadlines == 0 and not env._queue
+        assert env.events_processed == 2 * self.CALLS + 2
+
+    def test_clock_runs_dry_where_the_expanded_form_leaves_it(self):
+        clocks = []
+        for tiebreak in (None, FifoTiebreak()):
+            env = Environment(tiebreak=tiebreak)
+            self._storm(env, [])
+            env.run()
+            clocks.append(env.now)
+        assert clocks[0] == clocks[1]
+
+    def test_a_wait_answered_after_compaction_is_counted_once(self, env):
+        log, late = [], env.event()
+        _waiter(env, log, late, 60.0)  # armed first, pending throughout
+        env.run(until=self._storm(env, []))
+        assert env._dead_deadlines == _dead_entries(env) == len(env._queue) - 1
+        late.succeed("late")
+        env.step()  # ``late`` is processed: the wait is answered
+        assert env._dead_deadlines == _dead_entries(env) == len(env._queue)
+        env.run()
+        # Answered once, never expired: its entry was dropped at 60 s.
+        assert log == [(pytest.approx(self.CALLS * 0.001), "late")]
+        assert env.now == 60.0 and env._dead_deadlines == 0 and not env._queue
+
+    def test_an_expiring_wait_survives_compaction(self, env):
+        log = []
+        _waiter(env, log, env.event(), 20.0)
+        env.run(until=self._storm(env, []))
+        env.run()
+        assert log == [(20.0, EXPIRED)]
+        assert env._dead_deadlines == 0

@@ -28,6 +28,35 @@ class TestNode:
         env.run(until=10.0)
         assert log == [1.0, 2.0, ("killed", "crash")]
 
+    def test_long_lived_host_forgets_finished_processes(self, env, network):
+        host = network.add_host("h")
+        killed = []
+
+        def server(index):
+            try:
+                yield env.event()  # parked until the crash
+            except Interrupt:
+                killed.append(index)
+
+        def request():
+            yield env.timeout(0.001)
+
+        def traffic():
+            for index in range(10_000):
+                if index % 2_500 == 0:
+                    host.spawn(server(index))
+                host.spawn(request())
+                yield env.timeout(0.002)
+                # At most five alive at once: twice that plus the slack.
+                assert len(host._processes) <= 2 * 5 + 16
+
+        env.run(until=env.process(traffic()))
+        host.crash()  # 10 000 requests served and gone, four servers alive
+        assert len(host._processes) == 4
+        assert all(process.is_alive for process in host._processes)
+        env.run()
+        assert killed == [0, 2_500, 5_000, 7_500]  # spawn order
+
     def test_crash_is_idempotent(self, network):
         host = network.add_host("h")
         host.crash()
@@ -69,6 +98,26 @@ class TestTransport:
         second = host.transport.bind()
         assert first.port != second.port
         assert first.port >= 49152
+
+    def test_ephemeral_ports_wrap_inside_the_dynamic_range(self, network):
+        transport = network.add_host("h").transport
+        held = transport.bind()  # stays bound while the range wraps past it
+        ports = set()
+        for _ in range(20_000):
+            socket = transport.bind()
+            assert 49152 <= socket.port <= 65535 and socket.port != held.port
+            ports.add(socket.port)
+            socket.close()
+        assert len(ports) == 65535 - 49152  # every port but the held one
+        first, second = transport.bind(), transport.bind()
+        assert len({held.port, first.port, second.port}) == 3
+
+    def test_ephemeral_range_exhausted_is_a_typed_error(self, network):
+        transport = network.add_host("h").transport
+        for _ in range(49152, 65536):
+            transport.bind()
+        with pytest.raises(PortInUseError):
+            transport.bind()
 
     def test_rebind_after_close(self, network):
         host = network.add_host("h")

@@ -179,6 +179,67 @@ class TestKernelEquivalence:
         assert run(None) == run(FifoTiebreak()) == [(1.0, i) for i in range(6)]
 
 
+def _run_wait_storm(tiebreak=None, until=None):
+    """Request/reply traffic as the SOAP hop produces it: waits with a 30 s
+    deadline answered within milliseconds (so the heap is compacted again
+    and again), every seventh call a short wait that expires, one caller
+    interrupted while parked.  Returns what the processes saw, the final
+    clock, the event count, the instants the answered waits were armed at
+    and the largest heap seen.
+    """
+    env = Environment(tiebreak=tiebreak)
+    log, armed, heap_sizes = [], [], []
+
+    def caller(index: int):
+        for step in range(150):
+            try:
+                armed.append(env.now)
+                reply = env.timeout(0.001 * (1 + (index + step) % 3), value=step)
+                outcome = yield Wait(env, reply, 30.0)
+                log.append((env.now, f"call{index}.{step}:{outcome}"))
+                if step % 7 == index:
+                    outcome = yield Wait(env, env.event(), 0.0025)
+                    log.append((env.now, f"call{index}.{step}:{outcome!r}"))
+            except Interrupt as interrupt:
+                # The abandoned wait still fires, with nobody listening.
+                log.append((env.now, f"call{index}.{step}:{interrupt.cause}"))
+            heap_sizes.append(len(env._queue))
+
+    def interrupter(victim):
+        yield env.timeout(0.1502)
+        victim.interrupt("storm")
+
+    callers = [env.process(caller(index)) for index in range(4)]
+    env.process(interrupter(callers[2]))
+    env.run(until=until)
+    return log, env.now, env.events_processed, armed, max(heap_sizes)
+
+
+class TestCompactionEquivalence:
+    """The heap rebuilt without its dead deadline entries pops the rest in
+    the order the full heap would have (``Environment.deadline_answered``)."""
+
+    def test_run_to_exhaustion(self):
+        log, now, events, armed, heap = _run_wait_storm()
+        want_log, want_now, want_events, want_armed, _ = _run_wait_storm(FifoTiebreak())
+        assert len(armed) >= 500 and armed == want_armed
+        assert heap <= 2 * 8 + 64  # compaction fired: ≤ 8 live, 600 answered
+        assert (log, now) == (want_log, want_now)
+        assert sum(line.endswith(":storm") for _, line in log) == 1
+        assert sum(line.endswith(":<EXPIRED>") for _, line in log) >= 80
+        # The only difference: one dead timer dispatched per answered wait.
+        assert want_events - events == len(armed)
+
+    def test_run_until_a_deadline_in_the_middle(self):
+        until = 30.2
+        log, now, events, armed, _ = _run_wait_storm(until=until)
+        want_log, want_now, want_events, _, _ = _run_wait_storm(FifoTiebreak(), until)
+        assert (log, now) == (want_log, want_now) and now == until
+        dispatched = sum(1 for at in armed if at + 30.0 < until)
+        assert 0 < dispatched < len(armed)
+        assert want_events - events == dispatched
+
+
 class TestFullStackEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_checker_digest_identical(self, monkeypatch, seed):
