@@ -122,12 +122,14 @@ bench-e2e-smoke:
 # not in HEAD are measured too, and the claim says so).  Prints each side's
 # median / quartiles / wins per end-to-end metric and the verdict on METRIC
 # (any end-to-end metric of BENCHMARK.json, which also gives its direction);
-# writes the `claim` object BENCH_e2e.json records hold.
-# e.g. make e2e-pairs WORKLOAD=read_seed SEEDS=1001-1010 PARENT=HEAD~1 METRIC=peak_rss_mb
+# writes the `claim` object BENCH_e2e.json records hold.  ALSO=w1,w2 pairs
+# those workloads too on the same seeds and export, and prints ok / regressed /
+# unresolved per metric by its bound: did anything else get worse?
+# e.g. make e2e-pairs WORKLOAD=read_seed SEEDS=1001-1010 PARENT=HEAD~1 METRIC=peak_rss_mb ALSO=ladder_full
 WORKLOAD ?= read_seed
 METRIC ?= cpu_ms_per_req
 e2e-pairs:
-	python3 benchmarks/e2e_pairs.py --workload $(WORKLOAD) --seeds $(SEEDS) --parent $(PARENT) --metric $(METRIC)
+	python3 benchmarks/e2e_pairs.py --workload $(WORKLOAD) --seeds $(SEEDS) --parent $(PARENT) --metric $(METRIC) $(if $(ALSO),--also $(ALSO))
 
 # The line-count table every CHANGES.md entry quotes (`wc -l`, so
 # comments and blank lines count): src/ total, each package, each file

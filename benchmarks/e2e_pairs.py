@@ -2,8 +2,8 @@
 """The ten-pair protocol as one command: alternating parent/change runs of
 one ``bench_e2e`` workload, one fresh seed per pair.
 
-``python3 benchmarks/e2e_pairs.py --workload read_seed --seeds 1001-1010 --parent REV [--metric M]``
-(``make e2e-pairs WORKLOAD=... SEEDS=... PARENT=... [METRIC=...]``)
+``python3 benchmarks/e2e_pairs.py --workload read_seed --seeds 1001-1010 --parent REV [--metric M] [--also W,...]``
+(``make e2e-pairs WORKLOAD=... SEEDS=... PARENT=... [METRIC=...] [ALSO=...]``)
 
 The parent side is ``REV`` exported with ``git archive`` into a scratch
 directory (``/root/scratch`` if it exists, else ``$TMPDIR``) — committed
@@ -21,8 +21,15 @@ any end-to-end metric of ``BENCHMARK.json``, which also says which direction is
 better; ``cpu_ms_per_req`` unless named) by the rule of the choosing-metrics
 guide (the change wins at least nine tenths of the pairs, ties counting for
 neither, and the medians differ by more than the distance between the parent's
-own quartiles).  Written to ``--out``: the ``claim`` object in the shape
-``BENCH_e2e.json`` records use.
+own quartiles), and per metric ``ok`` / ``regressed`` / ``unresolved`` by its
+``bound`` in ``BENCHMARK.json`` — the rule of ``bench_e2e/compare.py``: unresolved
+when the parent's inter-quartile distance exceeds the bound, unless the two
+sides' runs do not interleave.  ``--also`` runs the same seeds, after the same
+parent export, on the other workloads named and prints that table for each:
+the gate's second question (did anything else get worse?) in the same session.
+Written to ``--out``: the ``claim`` object in the shape ``BENCH_e2e.json`` records
+use — the per-metric rows, the seeds and, per pair, only the claimed metric and
+``failed`` (every pair's full metric block made PR 17's claim 69 KB).
 """
 
 from __future__ import annotations
@@ -133,11 +140,17 @@ def summarise(pairs, manifest):
         p_low, p_mid, p_high = _quartiles(parent)
         c_low, c_mid, c_high = _quartiles(change)
         better = c_mid < p_mid if lower else c_mid > p_mid
+        relative = (c_mid - p_mid) / p_mid if p_mid else 0.0
+        interleaved = min(change) <= max(parent) and min(parent) <= max(change)
+        if interleaved and p_mid and (p_high - p_low) / abs(p_mid) > metric["bound"]:
+            status = "unresolved"
+        else:
+            status = "regressed" if (relative if lower else -relative) > metric["bound"] else "ok"
         rows.append({
             "metric": name, "unit": metric["unit"],
             "parent": (p_low, p_mid, p_high), "change": (c_low, c_mid, c_high),
             "wins": wins, "losses": losses, "pairs": len(pairs),
-            "relative": (c_mid - p_mid) / p_mid if p_mid else 0.0,
+            "relative": relative, "status": status,
             "gain": better and wins >= 0.9 * len(pairs)
             and abs(c_mid - p_mid) > (p_high - p_low),
         })  # fmt: skip
@@ -154,13 +167,14 @@ def sim_mismatches(pairs):
 
 def format_rows(rows):
     lines = [f"{'metric':<16} {'parent q1 / median / q3':>34}   {'change q1 / median / q3':>34}"
-             f"   {'median':>7}  wins"]  # fmt: skip
+             f"   {'median':>7}  {'by bound':<10}  wins"]  # fmt: skip
     for row in rows:
         parent = " / ".join(f"{value:.5g}" for value in row["parent"])
         change = " / ".join(f"{value:.5g}" for value in row["change"])
         lines.append(
             f"{row['metric']:<16} {parent:>34}   {change:>34}   {row['relative']:+7.1%}"
-            f"  {row['wins']}/{row['pairs']}" + (f" ({row['losses']} lost)" if row["losses"] else "")
+            f"  {row['status']:<10}  {row['wins']}/{row['pairs']}"
+            + (f" ({row['losses']} lost)" if row["losses"] else "")
         )
     return "\n".join(lines)
 
@@ -176,42 +190,61 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="fresh seeds, one per pair: 1001-1010 or 7,11,42")
     parser.add_argument("--parent", required=True, help="the parent revision")
+    parser.add_argument("--also", default=[], type=lambda text: text.split(","),
+                        help="other workloads to pair on the same seeds: w1,w2,...")
     parser.add_argument("--out", default=None, help="where the claim JSON goes")
     args = parser.parse_args(argv)
+    unknown = set(args.also) - {workload["name"] for workload in manifest["workloads"]}
+    if unknown:
+        parser.error(f"--also names no workload of BENCHMARK.json: {sorted(unknown)}")
 
     seconds = manifest["run_seconds"]
     change = change_revision()
     scratch = "/root/scratch" if os.path.isdir("/root/scratch") else tempfile.gettempdir()
     parent, exported = export_parent(args.parent, scratch)
     trees = {"parent": exported, "change": ROOT}
+    measured = {}
     try:
-        pairs = run_pairs(trees, args.workload, args.seeds, seconds, run_once)
+        for workload in [args.workload, *args.also]:
+            measured[workload] = run_pairs(trees, workload, args.seeds, seconds, run_once)
     finally:
         shutil.rmtree(exported, ignore_errors=True)
 
-    rows = summarise(pairs, manifest)
-    print(f"{args.workload}: {len(pairs)} alternating pairs, parent {parent}, change {change}")
-    print(format_rows(rows))
-    moved = sim_mismatches(pairs)
-    print("simulated metrics: "
-          + (f"DIFFER on seeds {moved}" if moved else "bit-identical on every seed"))
-    failed = {side: sum(pair[side]["failed"] for pair in pairs) for side in trees}
-    print(f"failed requests: parent {failed['parent']}, change {failed['change']}")
-    claimed = next(row for row in rows if row["metric"] == args.metric)
-    met = claimed["gain"] and failed["change"] <= failed["parent"]
-    print(f"claim on {args.metric}: {'met' if met else 'NOT met'} "
-          f"({claimed['wins']} of {claimed['pairs']} pairs, median {claimed['relative']:+.1%}, "
-          f"parent inter-quartile distance "
-          f"{claimed['parent'][2] - claimed['parent'][0]:.4g} {claimed['unit']})")
+    tables = {}
+    for workload, pairs in measured.items():
+        rows = tables[workload] = summarise(pairs, manifest)
+        print(f"{workload}: {len(pairs)} alternating pairs, parent {parent}, change {change}")
+        print(format_rows(rows))
+        moved = sim_mismatches(pairs)
+        print("simulated metrics: "
+              + (f"DIFFER on seeds {moved}" if moved else "bit-identical on every seed"))
+        failed = {side: sum(pair[side]["failed"] for pair in pairs) for side in trees}
+        print(f"failed requests: parent {failed['parent']}, change {failed['change']}")
+        if workload != args.workload:
+            continue
+        claimed = next(row for row in rows if row["metric"] == args.metric)
+        met = claimed["gain"] and failed["change"] <= failed["parent"]
+        print(f"claim on {args.metric}: {'met' if met else 'NOT met'} "
+              f"({claimed['wins']} of {claimed['pairs']} pairs, median {claimed['relative']:+.1%}, "
+              f"parent inter-quartile distance "
+              f"{claimed['parent'][2] - claimed['parent'][0]:.4g} {claimed['unit']})")
 
+    keep = (args.metric, "failed")
     claim = {
         "metric": args.metric,
         "workload": args.workload,
         "command": COMMAND.format(workload=args.workload, seed="<seed>", seconds=seconds),
-        "about": f"{len(pairs)} alternating parent/change pairs, one seed per pair; parent "
+        "about": f"{len(args.seeds)} alternating parent/change pairs, one seed per pair; parent "
         f"{parent} exported with git archive, change the working tree at {change}",
-        "pairs": pairs,
-    }
+        "seeds": args.seeds,
+        "rows": tables.pop(args.workload),
+        "also": tables,
+        "pairs": [
+            {"seed": pair["seed"], "order": pair["order"],
+             **{side: {name: pair[side][name] for name in keep} for side in trees}}
+            for pair in measured[args.workload]
+        ],
+    }  # fmt: skip
     out = args.out or os.path.join(scratch, f"e2e-pairs-{args.workload}.json")
     with open(out, "w") as handle:
         json.dump(claim, handle, indent=1)

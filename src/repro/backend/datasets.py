@@ -37,7 +37,9 @@ def student_database(count: int = 200, seed: int = 7) -> Database:
     """Student records keyed by student ID (the §3 scenario's data).
 
     Deployments ask for the same ``(count, seed)`` once per replica and
-    shard: the rows are generated once, each caller gets its own copy.
+    shard: the rows are generated once, each caller gets its own copy —
+    lazily (:meth:`Table.copy`): a replica holds privately only the rows
+    it has read or written, not the dataset.
     """
     return _generate_students(count, seed).copy()
 

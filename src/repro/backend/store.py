@@ -11,7 +11,8 @@ then serves from a data warehouse.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Set, Tuple
 
 __all__ = ["Table", "Database", "BackendUnavailable", "RecordNotFound"]
 
@@ -24,19 +25,65 @@ class RecordNotFound(Exception):
     """No record with the requested key."""
 
 
+def _own_copy(row: Mapping[str, Any]) -> Dict[str, Any]:
+    """``row`` in a dict of its own, with list values of its own."""
+    return {c: list(v) if isinstance(v, list) else v for c, v in row.items()}
+
+
 class Table:
-    """One keyed table."""
+    """One keyed table.
+
+    A table keeps two kinds of row.  One it has *handed out* — reached by
+    ``get`` / ``update`` / ``select`` / iteration, so a caller may hold its
+    list values — is this table's alone (``_own`` has its key).  Every
+    other row has never left the table: it is never written in place, so
+    :meth:`copy` may share it, and the table makes it its own the first
+    time a caller can reach it.  What leaves a table is a dict the caller
+    keeps; only the list values in it are the stored row's.
+    """
 
     def __init__(self, name: str, primary_key: str):
         self.name = name
         self.primary_key = primary_key
         self._rows: Dict[Any, Dict[str, Any]] = {}
+        self._own: Set[Any] = set()
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return iter(list(self._rows.values()))
+        return iter([dict(self._mine(key)) for key in self._rows])
+
+    @property
+    def private_rows(self) -> int:
+        """How many rows this table has made its own by handing them out."""
+        return len(self._own)
+
+    def _mine(self, key: Any) -> Dict[str, Any]:
+        """The stored row, made this table's own first (in place: owning
+        a row does not move it in the iteration order)."""
+        row = self._rows.get(key)
+        if row is None:
+            raise RecordNotFound(f"{self.name}[{key!r}]")
+        if key not in self._own:
+            row = self._rows[key] = _own_copy(row)
+            self._own.add(key)
+        return row
+
+    def copy(self) -> "Table":
+        """A table nothing done to which shows here, nor the reverse:
+        it shares the rows that never left this one, and gets copies of
+        the handed-out ones — O(rows touched) plus the key -> row map."""
+        clone = Table(self.name, self.primary_key)
+        rows = clone._rows = dict(self._rows)
+        for key in self._own:
+            rows[key] = _own_copy(rows[key])
+        return clone
+
+    def scan(self) -> Iterator[Mapping[str, Any]]:
+        """Read-only views of the stored rows, nothing copied or made
+        private (the warehouse ETL): read and drop, never keep."""
+        return map(MappingProxyType, self._rows.values())
 
     def insert(self, row: Dict[str, Any]) -> None:
         """Insert or replace a row (keyed by its primary-key field)."""
@@ -44,27 +91,24 @@ class Table:
             raise ValueError(
                 f"row lacks primary key {self.primary_key!r}: {sorted(row)}"
             )
-        self._rows[row[self.primary_key]] = dict(row)
+        self._rows[row[self.primary_key]] = _own_copy(row)
 
     def get(self, key: Any) -> Dict[str, Any]:
-        try:
-            return dict(self._rows[key])
-        except KeyError:
-            raise RecordNotFound(f"{self.name}[{key!r}]") from None
+        # The request path: a row already owned skips the call.
+        return dict(self._rows[key] if key in self._own else self._mine(key))
 
     def contains(self, key: Any) -> bool:
         return key in self._rows
 
     def delete(self, key: Any) -> bool:
+        self._own.discard(key)
         return self._rows.pop(key, None) is not None
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> List[Dict[str, Any]]:
-        return [dict(row) for row in self._rows.values() if predicate(row)]
+        return [row for row in self if predicate(row)]
 
     def update(self, key: Any, changes: Dict[str, Any]) -> Dict[str, Any]:
-        row = self._rows.get(key)
-        if row is None:
-            raise RecordNotFound(f"{self.name}[{key!r}]")
+        row = self._mine(key)
         row.update(changes)
         return dict(row)
 
@@ -94,15 +138,14 @@ class Database:
 
     def copy(self) -> "Database":
         """A pristine store (available, zero counts, empty effect ledger)
-        with its own rows *and list values* — ``insert`` alone would share
-        the lists."""
+        independent of this one — lazily: see :meth:`Table.copy`."""
         clone = Database(self.name)
-        for name, table in self._tables.items():
-            clone.create_table(name, table.primary_key)._rows = {
-                key: {c: list(v) if isinstance(v, list) else v for c, v in row.items()}
-                for key, row in table._rows.items()
-            }
+        clone._tables = {name: table.copy() for name, table in self._tables.items()}
         return clone
+
+    def tables(self) -> List[Table]:
+        """Every table in creation order, available or not (set-up, ETL)."""
+        return list(self._tables.values())
 
     def table(self, name: str) -> Table:
         self._check_available()

@@ -14,7 +14,7 @@ way" (§4.1) while remaining semantically equivalent.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from .store import Database, RecordNotFound
 
@@ -32,18 +32,17 @@ def build_warehouse(operational: Database) -> Database:
     free for the fields service implementations need.
     """
     warehouse = Database(operational.name.replace("operational", "warehouse"))
-    for table_name in list(operational._tables):  # snapshot, read-only use
-        source = operational._tables[table_name]
+    for source in operational.tables():
         target = warehouse.create_table(
-            WAREHOUSE_TABLE_PREFIX + table_name,
+            WAREHOUSE_TABLE_PREFIX + source.name,
             primary_key="dim_" + source.primary_key,
         )
-        for row in source:
+        for row in source.scan():  # read-only: leaves the source's rows shared
             target.insert(_to_warehouse_row(row, operational.name))
     return warehouse
 
 
-def _to_warehouse_row(row: Dict[str, Any], source_name: str) -> Dict[str, Any]:
+def _to_warehouse_row(row: Mapping[str, Any], source_name: str) -> Dict[str, Any]:
     transformed: Dict[str, Any] = {"fact_source": source_name}
     for key, value in row.items():
         if isinstance(value, list):

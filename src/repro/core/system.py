@@ -522,7 +522,8 @@ class WhisperSystem:
         ``warehouse_every``-th replica reads the data warehouse instead, so
         the §4.1 DB→warehouse failover is exercised out of the box.
         Replicas get independent copies of the operational store so a
-        backend failure can be injected per-replica.
+        backend failure can be injected per-replica (lazily independent:
+        a member costs the rows it touches, whatever ``students`` is).
 
         Sizing and budgets come from the :class:`ScenarioConfig`
         (``replicas`` / ``students`` / ``warehouse_every`` plus the proxy

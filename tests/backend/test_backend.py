@@ -35,6 +35,23 @@ class TestTableAndDatabase:
         row["name"] = "mutated"
         assert db.read("t", 1)["name"] == "x"
 
+    def test_iteration_and_select_return_copies(self):
+        """What leaves a table is the caller's to keep: rewriting a row that
+        iteration or ``select`` handed out is not a write to the store (it
+        was until PR 21 — past ``writes`` and the availability check)."""
+        db = Database("d")
+        table = db.create_table("t", primary_key="id")
+        table.insert({"id": 1, "name": "x"})
+        table.insert({"id": 2, "name": "y"})
+        for row in [*table, *table.select(lambda row: True)]:
+            row["name"] = "mutated"
+            del row["id"]
+        assert [db.read("t", key) for key in (1, 2)] == [
+            {"id": 1, "name": "x"}, {"id": 2, "name": "y"}
+        ]  # fmt: skip
+        assert list(table) == [{"id": 1, "name": "x"}, {"id": 2, "name": "y"}]
+        assert db.writes == 0
+
     def test_insert_requires_primary_key(self):
         table = Database("d").create_table("t", primary_key="id")
         with pytest.raises(ValueError):
@@ -112,15 +129,18 @@ class TestDatasets:
 
     def test_student_database_copies_are_independent(self):
         """The seeded rows are generated once and handed out as copies
-        (PR 15): nothing done to one copy may show in another, including
-        through the ``enrolled_courses`` list a row carries."""
+        (PR 15) that share every row neither has touched (PR 21): nothing
+        done to one copy may show in another, including through the
+        ``enrolled_courses`` list a row carries — which is what a read
+        hands out of the stored row itself."""
         first, second = student_database(count=30), student_database(count=30)
-        pristine = list(second.table("students"))
-        row = first.table("students")._rows["S00001"]
-        assert row["enrolled_courses"] is not (
-            second.table("students")._rows["S00001"]["enrolled_courses"]
-        )
-        row["enrolled_courses"].append("X999")
+        pristine = list(student_database(count=30).table("students"))
+        courses = first.read("students", "S00001")["enrolled_courses"]
+        courses.append("X999")
+        assert "X999" in first.read("students", "S00001")["enrolled_courses"]
+        assert courses is not second.read("students", "S00001")["enrolled_courses"]
+        for row in first.table("students"):
+            row["enrolled_courses"].append("Y999")
         first.update("students", "S00002", {"degree": "Alchemy"})
         first.table("students").delete("S00003")
         first.record_effect("inv-1", "peer-a")
@@ -139,7 +159,8 @@ class TestDatasets:
         assert clone.available and clone.reads == 0 and clone.effect_log == []
         original.restore()
         assert list(clone.table("students")) == list(original.table("students"))
-        clone.table("students")._rows["S00001"]["enrolled_courses"].append("X999")
+        clone.read("students", "S00001")["enrolled_courses"].append("X999")
+        assert "X999" in clone.read("students", "S00001")["enrolled_courses"]
         assert "X999" not in original.read("students", "S00001")["enrolled_courses"]
 
     @pytest.mark.parametrize(

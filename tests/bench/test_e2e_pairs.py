@@ -138,3 +138,67 @@ def test_uncommitted_edits_are_named_in_the_change_revision(tmp_path, monkeypatc
     (tmp_path / "tracked.py").write_text("x = 2\n")
     assert e2e_pairs.change_revision() == clean + " + uncommitted edits"
     assert "WARNING" in capsys.readouterr().err
+
+
+def _pairs_of(metric, parent_values, change_values):
+    flat = {entry["name"]: 1.0 for entry in MANIFEST["end_to_end"]}
+    return [
+        {"seed": seed, "order": ["parent", "change"],
+         "parent": {**flat, metric: parent, "failed": 0},
+         "change": {**flat, metric: change, "failed": 0}}
+        for seed, (parent, change) in enumerate(zip(parent_values, change_values))
+    ]  # fmt: skip
+
+
+STEADY = [1.0 + step / 100 for step in range(10)]  # quartiles 2 % of the median apart
+NOISY = [1.0 + step / 5 for step in range(10)]  # 47 %: wider than the 25 % bound
+
+
+@pytest.mark.parametrize(
+    "metric, parent, factor, status",
+    [
+        ("cpu_ms_per_req", STEADY, 1.1, "ok"),  # worse, by less than the bound
+        ("cpu_ms_per_req", STEADY, 1.5, "regressed"),
+        ("wall_rps", STEADY, 0.5, "regressed"),  # higher is better there
+        ("wall_rps", STEADY, 1.5, "ok"),
+        ("cpu_ms_per_req", NOISY, 1.05, "unresolved"),  # the runs interleave
+        ("cpu_ms_per_req", NOISY, 0.95, "unresolved"),  # ... either way round
+        ("cpu_ms_per_req", NOISY, 0.1, "ok"),  # every change run beats every parent run
+        ("cpu_ms_per_req", NOISY, 10.0, "regressed"),  # ... or loses to every one
+        ("peak_rss_mb", STEADY, 1.08, "ok"),  # bound 10 %
+        ("peak_rss_mb", STEADY, 1.12, "regressed"),
+    ],
+)
+def test_each_metric_is_judged_by_its_bound(metric, parent, factor, status):
+    """``bench_e2e/compare.py``'s rule on paired runs: a spread wider than the
+    bound is *unresolved*, not unchanged, unless the sides do not interleave."""
+    pairs = _pairs_of(metric, parent, [value * factor for value in parent])
+    rows = {row["metric"]: row for row in e2e_pairs.summarise(pairs, MANIFEST)}
+    assert rows[metric]["status"] == status
+    assert rows["sim_p50_ms"]["status"] == "ok"  # equal on both sides
+    assert f" {status} " in e2e_pairs.format_rows([rows[metric]])
+
+
+def test_also_pairs_the_other_workloads_and_the_claim_stays_slim(tmp_path, monkeypatch, capsys):
+    claim = _claim_from_main(tmp_path, monkeypatch, 0.7, "--metric", "peak_rss_mb",
+                             "--also", "ladder_full,saga_loan")  # fmt: skip
+    printed = capsys.readouterr().out
+    for workload in ("read_seed", "ladder_full", "saga_loan"):
+        assert f"{workload}: 10 alternating pairs, parent abc0000" in printed
+    assert printed.count("claim on peak_rss_mb: met") == 1  # the claimed workload only
+    assert claim["seeds"] == list(range(1, 11))
+    assert sorted(claim["also"]) == ["ladder_full", "saga_loan"]
+    for rows in (claim["rows"], *claim["also"].values()):
+        assert [row["metric"] for row in rows] == [m["name"] for m in MANIFEST["end_to_end"]]
+        assert {row["status"] for row in rows} == {"ok"}
+        assert all(len(row["parent"]) == len(row["change"]) == 3 for row in rows)
+    assert all(set(pair) == {"seed", "order", "parent", "change"} for pair in claim["pairs"])
+    assert all(set(pair["change"]) == {"peak_rss_mb", "failed"} for pair in claim["pairs"])
+    assert len(json.dumps(claim)) < 16_000  # PR 17's, with every pair's metric block: 69 KB
+
+
+def test_also_refuses_a_workload_the_benchmark_does_not_declare(capsys):
+    with pytest.raises(SystemExit):
+        e2e_pairs.main(["--workload", "read_seed", "--seeds", "1", "--parent", "HEAD",
+                        "--also", "ladder_full,nonesuch"])  # fmt: skip
+    assert "nonesuch" in capsys.readouterr().err
