@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
 
 install:
 	python setup.py develop
@@ -37,6 +37,12 @@ check:
 
 check-self-test:
 	python -m repro check --self-test
+
+# The flow pins of tests/check/test_digest_pins.py as this tree produces
+# them (both tables, ready to paste) and one line saying which moved.  The
+# 15 baseline pins are frozen: if one moved, this exits 1.
+digest-pins:
+	PYTHONPATH=src python -m tests.check.test_digest_pins
 
 # Semantic sharding: read-throughput scaling across federated shard
 # groups, Figure-4-style message growth, and the shard-group-crash

@@ -142,3 +142,72 @@ def test_failover_decomposition(benchmark, show):
     ))
     assert decomposition["detect+elect (s)"] > 1.0
     assert decomposition["re-bind+retry (s)"] < decomposition["detect+elect (s)"]
+
+
+def _failover_at_load(parked: int, seed: int = 3) -> dict:
+    """Crash the coordinator under ``parked`` simultaneous requests and run
+    them all to completion: what did the re-binding cost?"""
+    system = WhisperSystem(
+        ScenarioConfig(seed=seed, heartbeat_interval=1.0, replicas=4)
+    )
+    service = system.deploy_student_service()
+    system.settle(8.0)
+    node, soap = system.add_client("load-client")
+    latencies = []
+
+    def one_call(index):
+        started = system.env.now
+        yield from soap.call(
+            service.address, service.path, "StudentInformation",
+            {"ID": f"S{index % 200 + 1:05d}"}, timeout=120.0,
+        )
+        latencies.append(system.env.now - started)
+
+    system.env.run(until=node.spawn(one_call(0)))  # bind
+    del latencies[:]
+    assert service.group.crash_coordinator() is not None
+    resolver, sent = service.proxy.resolver, system.trace.sent_by_category
+    lookups, total = resolver.queries_sent, system.trace.sent_total
+    group_wide = sent["rdv-propagate"] + sent["resolver-response"]
+
+    def burst():
+        calls = [node.spawn(one_call(index)) for index in range(parked)]
+        for call in calls:
+            yield call
+
+    system.env.run(until=node.spawn(burst()))
+    assert len(latencies) == parked, "every parked request must be answered"
+    return {
+        "lookups": resolver.queries_sent - lookups,
+        "group-wide msgs": sent["rdv-propagate"] + sent["resolver-response"] - group_wide,
+        "all msgs": system.trace.sent_total - total,
+        "worst_rtt_s": max(latencies),
+    }
+
+
+@pytest.mark.paper
+def test_rebinding_cost_does_not_grow_with_the_load(benchmark, show):
+    """§5's second factor, at load: "the time to make a new binding between
+    the SWS-proxy and the elected b-peer" is paid once per failover, not
+    once per request parked on the crashed coordinator (DESIGN.md §6.13 —
+    before PR 22 the lookups column read ≈ 2 × parked)."""
+    sweep = benchmark.pedantic(
+        lambda: run_sweep(
+            "re-binding at load", "requests parked on the crashed coordinator",
+            [1, 8, 64], _failover_at_load,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    show(format_sweep(sweep, title="§5 re-binding cost per failover vs. load"))
+    lookups = [int(v) for v in sweep.series("lookups")]
+    group_wide = [int(v) for v in sweep.series("group-wide msgs")]
+    worst = [float(v) for v in sweep.series("worst_rtt_s")]
+    assert max(lookups) <= min(lookups) + 2, lookups
+    assert max(lookups) <= 4, lookups
+    # Five propagates out and at most five answers back per lookup, plus the
+    # roster refreshes and election announcements any failover has.
+    assert max(group_wide) <= min(group_wide) + 10, group_wide
+    # Seconds, as the paper says — and the same seconds at every load.
+    assert all(1.0 < w < 60.0 for w in worst), worst
+    assert max(worst) < min(worst) * 1.25, worst

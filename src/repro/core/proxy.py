@@ -14,8 +14,10 @@ The proxy's lifecycle per request:
    answered by group members) and cache the binding;
 3. **invoke** — send the request to the bound coordinator and wait;
 4. **recover** — on timeout or a ``not-coordinator`` redirect, drop the
-   binding and go back to step 2.  Re-binding after a coordinator crash is
-   the second component of the paper's multi-second worst-case RTT (§5).
+   binding (unless another request has re-bound since) and go back to step
+   2, where one lookup per group serves every request waiting for it.
+   Re-binding after a coordinator crash is the second component of the
+   paper's multi-second worst-case RTT (§5).
 
 The proxy also "translates the data received to a suitable format" (§4.2):
 results are validated against the service's WSDL schema before being
@@ -77,7 +79,13 @@ class ProxyStats:
     faults: int = 0
     timeouts: int = 0
     redirects: int = 0
+    #: Bindings dropped or replaced by a different ``(coordinator, epoch)``.
+    #: A *kept* binding — one a failed attempt found already replaced by
+    #: another request's lookup or redirect — is not a rebind.
     rebinds: int = 0
+    #: Binds that waited on another request's in-flight coordinator lookup
+    #: instead of sending their own.
+    shared_lookups: int = 0
     remote_discoveries: int = 0
     translation_failures: int = 0
     #: Redirects caused by the binding's epoch being stale (split-brain
@@ -261,6 +269,9 @@ class SwsProxy(Peer):
         self._retry_rng = node.network.rng.stream(f"proxy-retry:{self.name}")
         self._pending: Dict[int, Any] = {}
         self._bindings: Dict[PeerGroupId, _Binding] = {}
+        #: Coordinator lookups in flight, one per group at most: the event
+        #: fires with the binding the lookup installed, or ``None``.
+        self._lookups: Dict[PeerGroupId, Any] = {}
         self._group_profiles: Dict[str, QosProfile] = {}
         #: Highest epoch whose result was delivered to the client, per
         #: group — results below it are discarded (no-stale-result).
@@ -410,10 +421,26 @@ class SwsProxy(Peer):
     ) -> Generator:
         """Ask the group who currently coordinates it (``yield from``).
 
+        Single-flight: at most one query per group is in flight.  The
+        first caller asks; whoever needs the same answer meanwhile waits
+        for that query's outcome — the binding it installs, or its
+        ``NoCoordinatorError`` — under its own ``deadline`` and for no
+        longer than its own lookup could have taken.
+
         After the first answer lands, a short grace window collects any
         racing answers; if they conflict (split-brain after a partition
         heal), the highest-epoch claim wins the binding.
         """
+        flight = self._lookups.get(group_id)
+        if flight is not None:
+            self._count("shared_lookups")
+            patience = self.coordinator_timeout + self.resolve_grace
+            if deadline is not None:
+                patience = deadline.clamp(self.env.now, patience)
+            binding = yield Wait(self.env, flight, patience)
+            if binding is None or binding is EXPIRED:
+                raise NoCoordinatorError(f"no coordinator response for {group_id}")
+            return binding
         answers: List[Tuple] = []
         done = self.env.event()
 
@@ -428,26 +455,37 @@ class SwsProxy(Peer):
         query_id = self.resolver.send_query(
             COORD_HANDLER, group_id, on_response=on_response, size_bytes=128
         )
-        outcome = yield Wait(self.env, done, timeout)
-        if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
-            grace = self.resolve_grace
-            if deadline is not None:
-                grace = deadline.clamp(self.env.now, grace)
-            if grace > 0.0:
-                yield self.env.timeout(grace)
-        self.resolver.cancel_query(query_id)
-        if not answers:
-            raise NoCoordinatorError(f"no coordinator response for {group_id}")
-        if self.epoch_fencing:
-            coordinator, address, epoch = max(
-                answers,
-                key=lambda item: item[2] if item[2] is not None else GENESIS,
-            )
-        else:
-            # Unfenced: first answer wins, even if it is a deposed
-            # coordinator's stale claim.
-            coordinator, address, epoch = answers[0]
-        return self._rebind(group_id, coordinator, address, epoch)
+        flight = self._lookups[group_id] = self.env.event()
+        binding = None
+        try:
+            outcome = yield Wait(self.env, done, timeout)
+            if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
+                grace = self.resolve_grace
+                if deadline is not None:
+                    grace = deadline.clamp(self.env.now, grace)
+                if grace > 0.0:
+                    yield self.env.timeout(grace)
+            if not answers:
+                raise NoCoordinatorError(f"no coordinator response for {group_id}")
+            if self.epoch_fencing:
+                coordinator, address, epoch = max(
+                    answers,
+                    key=lambda item: item[2] if item[2] is not None else GENESIS,
+                )
+            else:
+                # Unfenced: first answer wins, even if it is a deposed
+                # coordinator's stale claim.
+                coordinator, address, epoch = answers[0]
+            binding = self._rebind(group_id, coordinator, address, epoch)
+            return binding
+        finally:
+            # On every exit, an interrupt included (the caller's host
+            # crashed mid-lookup): listener and slot are released, and
+            # whoever joined learns the outcome.
+            self.resolver.cancel_query(query_id)
+            del self._lookups[group_id]
+            if flight.callbacks:
+                flight.succeed(binding)
 
     def _rebind(
         self,
@@ -475,10 +513,24 @@ class SwsProxy(Peer):
             self.endpoint.add_route(coordinator, address)
         return binding
 
-    def drop_binding(self, group_id: PeerGroupId) -> None:
-        """Forget a (presumed stale) binding; next invoke re-binds."""
-        if self._bindings.pop(group_id, None) is not None:
-            self._count("rebinds")
+    def drop_binding(
+        self, group_id: PeerGroupId, used: Optional[_Binding] = None
+    ) -> None:
+        """Forget a (presumed stale) binding; next invoke re-binds.
+
+        With ``used`` — the binding a failed attempt went out under — this
+        is a compare-and-drop: a ``(coordinator, epoch)`` some other request
+        installed since is newer evidence than the caller's failure, and
+        stays (the caller retries on it at once, with no lookup).
+        """
+        current = self._bindings.get(group_id)
+        if current is None or (
+            used is not None
+            and (current.coordinator, current.epoch) != (used.coordinator, used.epoch)
+        ):
+            return
+        del self._bindings[group_id]
+        self._count("rebinds")
 
     # -- invocation ----------------------------------------------------------------------------
 
@@ -867,7 +919,7 @@ class SwsProxy(Peer):
                 self._count("timeouts")
                 self._breaker_feedback(advertisement.name, ok=False)
                 profile.record_failure()
-                self.drop_binding(group_id)
+                self.drop_binding(group_id, binding)
                 enter_recovery("timeout")
                 if not try_reroute():
                     try_region_failover()
@@ -879,7 +931,7 @@ class SwsProxy(Peer):
                     # stale value to the client.
                     invoke_span.finish(self.env.now, outcome="stale-result")
                     self._count("stale_results_discarded")
-                    self.drop_binding(group_id)
+                    self.drop_binding(group_id, binding)
                     enter_recovery("stale-result")
                     yield from backoff()
                     continue
@@ -955,7 +1007,7 @@ class SwsProxy(Peer):
                     self._rebind(group_id, coordinator, address, epoch)
                     # Fresh forward pointer: retry immediately, no backoff.
                 else:
-                    self.drop_binding(group_id)
+                    self.drop_binding(group_id, binding)
                     yield from backoff()
                 continue
             if reply.kind == "cannot-serve":

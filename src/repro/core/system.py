@@ -656,6 +656,7 @@ class WhisperSystem:
                     "faults": stats.faults,
                     "timeouts": stats.timeouts,
                     "rebinds": stats.rebinds,
+                    "shared_lookups": stats.shared_lookups,
                     "shed": stats.shed,
                     "retry_after_honored": stats.retry_after_honored,
                     "shard_routed": stats.shard_routed,

@@ -123,8 +123,10 @@ class DiscoveryService:
         query_id = self.resolver.send_query(
             HANDLER_NAME, query, on_response=on_response, size_bytes=256
         )
-        yield Wait(self.env, done, timeout)
-        self.resolver.cancel_query(query_id)
+        try:
+            yield Wait(self.env, done, timeout)
+        finally:
+            self.resolver.cancel_query(query_id)
         return list(collected)
 
     # -- answering remote queries --------------------------------------------------------------

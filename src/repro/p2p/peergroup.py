@@ -110,6 +110,8 @@ class GroupService:
         self._listeners: Dict[str, GroupListener] = {}
         self._membership_listeners: List[Callable[[PeerGroupId, PeerId, str], None]] = []
         self._maintainer = None
+        #: Group -> id of its latest roster query: one listener per group.
+        self._roster_queries: Dict[PeerGroupId, int] = {}
         endpoint.register_listener(PROTOCOL, self._on_direct)
         rendezvous.register_propagate_listener(PROTOCOL, self._on_propagated)
         resolver.register_handler(ROSTER_HANDLER, self._on_roster_query)
@@ -230,7 +232,13 @@ class GroupService:
         )
         if target is None and not self.rendezvous.is_rendezvous:
             return
-        self.resolver.send_query(
+        # The next refresh replaces the last one's listener.  (Not a
+        # one-shot: the rendezvous' own query is answered by loopback
+        # inside ``send_query``, before its id is known here.)
+        previous = self._roster_queries.get(group_id)
+        if previous is not None:
+            self.resolver.cancel_query(previous)
+        self._roster_queries[group_id] = self.resolver.send_query(
             ROSTER_HANDLER,
             group_id,
             on_response=on_response,

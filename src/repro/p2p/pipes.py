@@ -217,8 +217,10 @@ class PipeService:
             on_response=on_response,
             size_bytes=128,
         )
-        yield Wait(self.env, done, timeout)
-        self.resolver.cancel_query(query_id)
+        try:
+            yield Wait(self.env, done, timeout)
+        finally:
+            self.resolver.cancel_query(query_id)
         if not answers:
             raise PipeBindError(
                 f"no peer binds pipe {advertisement.name!r} ({advertisement.pipe_id})"

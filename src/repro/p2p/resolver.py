@@ -127,6 +127,11 @@ class ResolverService:
         """Stop listening for responses to ``query_id``."""
         self._pending.pop(query_id, None)
 
+    @property
+    def listeners(self) -> int:
+        """Response listeners registered and not yet cancelled."""
+        return len(self._pending)
+
     # -- answering -----------------------------------------------------------------------
 
     def _answer(self, query: ResolverQuery) -> None:

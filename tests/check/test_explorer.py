@@ -189,9 +189,12 @@ class TestEngine:
     def test_parent_written_fixture_replays_byte_identical(
         self, fixture, capsys
     ):
-        """Files ``check --self-test --out`` / ``check --saga-self-test
-        --out`` wrote before the two checkers were merged still replay
-        through the one ``--replay``, which reads the format off the file."""
+        """Committed ``check --self-test --out`` / ``check --saga --self-test
+        --out`` files replay through the one ``--replay``, which reads the
+        format off the file.  The saga file is the one written before the
+        two checkers were merged; ``whisper-check-1.json`` was regenerated
+        in PR 22, which changed what a proxy sends during a failover (same
+        violation, same shrunk schedule)."""
         assert main(["check", "--replay", str(FIXTURES / fixture)]) == 0
         assert "byte-identical (1 violation(s) reproduced)" in (
             capsys.readouterr().out

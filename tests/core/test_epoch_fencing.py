@@ -182,3 +182,41 @@ class TestResolverEpochPreference:
         system.env.run(until=proxy.node.spawn(runner()))
         assert result["binding"].coordinator == coordinator_id
         assert result["binding"].epoch == real_epoch
+
+    def test_joined_lookup_inherits_the_highest_epoch_answer(self, system, deployed):
+        """Split-brain with two concurrent callers: the second joins the
+        first one's query (single-flight) and must get what the grace
+        window decided — the highest-epoch claim — not the first answer
+        that happened to be in when it joined."""
+        proxy = deployed.proxy
+        group_id = deployed.group.group_id
+        coordinator_id = deployed.group.coordinator_id()
+        real_epoch = deployed.group.coordinator_peer().coordinator_mgr.epoch
+        follower = next(
+            peer for peer in deployed.group.peers
+            if peer.peer_id != coordinator_id
+        )
+        _quiesce_watchdogs(deployed.group)
+        forged = Epoch(real_epoch.counter + 7, follower.peer_id.uuid_hex)
+        follower.coordinator_mgr.elector.coordinator = follower.peer_id
+        follower.coordinator_mgr.elector.epoch = forged
+        proxy.resolve_grace = 0.1
+        proxy.drop_binding(group_id)
+        queries = proxy.resolver.queries_sent
+
+        bindings = []
+
+        def caller(delay):
+            # The late caller arrives inside the leader's grace window,
+            # after the first answers have landed.
+            yield system.env.timeout(delay)
+            bindings.append((yield from proxy.resolve_coordinator(group_id)))
+
+        callers = [proxy.node.spawn(caller(delay)) for delay in (0.0, 0.05)]
+        for process in callers:
+            system.env.run(until=process)
+        assert proxy.resolver.queries_sent == queries + 1
+        assert proxy.stats.shared_lookups == 1
+        assert bindings[0] is bindings[1]
+        assert bindings[0].coordinator == follower.peer_id
+        assert bindings[0].epoch == forged

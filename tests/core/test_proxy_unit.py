@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import NoMatchingGroupError, ScenarioConfig, WhisperSystem
+from repro.core import (
+    NoCoordinatorError,
+    NoMatchingGroupError,
+    ScenarioConfig,
+    WhisperSystem,
+)
 from repro.core.bpeer import PROTO_EXEC, ExecReply
+from repro.core.retry import Deadline
+from repro.simnet import Interrupt
 from repro.soap import SoapFault
 
 from ..ontology.match_oracle import ReferenceMatcher
@@ -231,3 +238,141 @@ class TestStatsBookkeeping:
             _invoke(system, proxy, "StudentInformation", {"ID": f"S{index + 1:05d}"})
         assert proxy.stats.invocations == 3
         assert proxy.stats.successes == 3
+
+
+class TestSingleFlightLookup:
+    """One coordinator query per group in flight; everyone who needs the
+    answer meanwhile shares its outcome (DESIGN.md §6.13)."""
+
+    @staticmethod
+    def _resolve(system, proxy, group_id, outcomes, deadline=None, node=None):
+        def caller():
+            try:
+                binding = yield from proxy.resolve_coordinator(group_id, deadline)
+                outcomes.append((system.env.now, binding))
+            except (NoCoordinatorError, Interrupt) as error:
+                outcomes.append((system.env.now, error))
+
+        return (node or proxy.node).spawn(caller())
+
+    @staticmethod
+    def _silence(deployed):
+        for peer in deployed.group.peers:
+            peer.node.crash()
+
+    def test_joiners_receive_the_leaders_binding(self, system, deployed):
+        proxy, group_id = deployed.proxy, deployed.group.group_id
+        queries = proxy.resolver.queries_sent
+        outcomes = []
+        callers = [
+            self._resolve(system, proxy, group_id, outcomes) for _ in range(3)
+        ]
+        for caller in callers:
+            system.env.run(until=caller)
+        bindings = [binding for _at, binding in outcomes]
+        assert bindings[0].coordinator == deployed.group.coordinator_id()
+        assert bindings[1] is bindings[0] and bindings[2] is bindings[0]
+        assert proxy._bindings[group_id] is bindings[0]
+        assert proxy.resolver.queries_sent == queries + 1
+        assert proxy.stats.shared_lookups == 2
+        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+
+    def test_joiners_receive_the_leaders_failure_and_back_off_on_their_own(
+        self, system, deployed
+    ):
+        """No member answers: the one query's ``NoCoordinatorError`` reaches
+        every caller, and each then sleeps its *own* jittered backoff — a
+        shared lookup must not turn into retries in lockstep."""
+        proxy = deployed.proxy
+        self._silence(deployed)
+        draws = []
+        real_random = proxy._retry_rng.random
+
+        def recorded():
+            draws.append(real_random())
+            return draws[-1]
+
+        proxy._retry_rng.random = recorded
+        queries = proxy.resolver.queries_sent
+        outcomes = []
+
+        def call(student):
+            try:
+                yield from proxy.invoke("StudentInformation", {"ID": student}, budget=1.5)
+            except Exception as error:  # noqa: BLE001 - captured for assertions
+                outcomes.append(error)
+
+        callers = [proxy.node.spawn(call(f"S0000{n}")) for n in (1, 2, 3)]
+        for caller in callers:
+            system.env.run(until=caller)
+        assert [type(error).__name__ for error in outcomes] == [
+            "InvocationFailedError"
+        ] * 3
+        # Round one: one query, three NoCoordinatorErrors, three draws.
+        assert proxy.stats.shared_lookups >= 2
+        assert len(draws) >= 3 and len(set(draws[:3])) == 3
+        # Far fewer queries than binds attempted (parent: one each).
+        binds = proxy.stats.shared_lookups + proxy.resolver.queries_sent - queries
+        assert proxy.resolver.queries_sent - queries < binds
+        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+
+    def test_joiner_with_a_shorter_deadline_leaves_on_its_own(self, system, deployed):
+        proxy, group_id = deployed.proxy, deployed.group.group_id
+        self._silence(deployed)
+        started = system.env.now
+        outcomes = []
+        leader = self._resolve(system, proxy, group_id, outcomes)
+        joiner = self._resolve(
+            system, proxy, group_id, outcomes, Deadline(at=started + 0.2)
+        )
+        system.env.run(until=joiner)
+        (left_at, error), = outcomes
+        assert isinstance(error, NoCoordinatorError)
+        assert left_at == pytest.approx(started + 0.2)
+        assert group_id in proxy._lookups  # the leader is still asking
+        system.env.run(until=leader)
+        assert outcomes[1][0] == pytest.approx(started + proxy.coordinator_timeout)
+        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+
+    def test_joiner_waits_no_longer_than_its_own_lookup_would(self, system, deployed):
+        """A leader wedged past its timeout (its process's host is frozen
+        here by simply never finishing) cannot hold a joiner for ever."""
+        proxy, group_id = deployed.proxy, deployed.group.group_id
+        proxy._lookups[group_id] = system.env.event()  # a lookup that never ends
+        started = system.env.now
+        outcomes = []
+        system.env.run(until=self._resolve(system, proxy, group_id, outcomes))
+        (left_at, error), = outcomes
+        assert isinstance(error, NoCoordinatorError)
+        assert left_at == pytest.approx(
+            started + proxy.coordinator_timeout + proxy.resolve_grace
+        )
+
+    @pytest.mark.parametrize("callers_on", ["the proxy's host", "another host"])
+    def test_host_crash_mid_lookup_wedges_nothing(self, system, deployed, callers_on):
+        """The callers' host dies between query and answer.  On the proxy's
+        own host the crash hooks would clear the listener anyway; a caller
+        living elsewhere (a saga orchestrator drives ``invoke`` from its
+        own host) leaves the proxy up, so only the ``finally`` cleans up."""
+        proxy, group_id = deployed.proxy, deployed.group.group_id
+        host = (
+            proxy.node
+            if callers_on == "the proxy's host"
+            else system.network.add_host("orchestrator-host")
+        )
+        outcomes = []
+        self._resolve(system, proxy, group_id, outcomes, node=host)
+        self._resolve(system, proxy, group_id, outcomes, node=host)
+        system.run_until(system.env.now + 0.001)  # query out, no answer yet
+        assert group_id in proxy._lookups and proxy.resolver.listeners == 1
+        host.crash()
+        system.run_until(system.env.now + 0.5)
+        assert [type(error) for _at, error in outcomes] == [Interrupt, Interrupt]
+        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        host.restart()
+        if host is proxy.node:
+            proxy.attach_to(system.rendezvous)
+            system.settle(1.0)
+        outcome = _invoke(system, proxy, "StudentInformation", {"ID": "S00003"})
+        assert outcome["value"]["studentId"] == "S00003"
+        assert proxy._lookups == {} and proxy.resolver.listeners == 0

@@ -130,3 +130,24 @@ class TestSagasLeaveNoCycles:
         assert _longest_process_list(system) <= 4 * _PRUNE_SLACK
         # What did grow is the audit record, one per saga.
         assert len(log.records()) == self.WARMUP + self.SAGAS
+
+
+class TestIdleUptimeLeavesNoListeners:
+    def test_resolver_listener_tables_do_not_grow_with_uptime(self):
+        """Every roster refresh (one per group per 5 s, for ever) used to
+        leave its response listener in the resolver's table: 2 → 22 → 42 on
+        each b-peer after 0 / 100 / 200 idle seconds.  Now a refresh
+        replaces the last one's listener, and every query-and-wait cancels
+        its own on the way out."""
+        system = WhisperSystem(ScenarioConfig(seed=42, replicas=4, students=200))
+        service = system.deploy_student_service()
+        system.settle()
+        peers = [*service.group.peers, service.proxy, system.rendezvous]
+
+        def tables():
+            return [peer.resolver.listeners for peer in peers]
+
+        settled = tables()
+        system.run_until(system.env.now + 200.0)
+        assert max(tables()) <= 2  # parent: 42 on every b-peer
+        assert tables() == settled  # one per joined group, from the start

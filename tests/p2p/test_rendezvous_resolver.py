@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.p2p import Peer, PeerAdvertisement
+from repro.p2p import Peer, PeerAdvertisement, PipeAdvertisement, PipeId
+from repro.simnet import Interrupt
 
 
 class TestLeases:
@@ -145,3 +146,54 @@ class TestResolver:
         )
         env.run(until=env.now + 0.2)
         assert "me" in answers
+
+
+class TestListenerTable:
+    """``ResolverService.listeners``: what is registered is released —
+    by every query-and-wait on every exit, an interrupt included."""
+
+    @staticmethod
+    def _interrupted_mid_wait(env, network, waiter):
+        """Run ``waiter`` on a host of its own and crash that host while
+        the wait is pending (the querying peer's host stays up)."""
+        host = network.add_host("caller-host")
+
+        def process():
+            try:
+                yield from waiter
+            except Interrupt:
+                return
+
+        host.spawn(process())
+        env.run(until=env.now + 0.05)
+        host.crash()
+        env.run(until=env.now + 0.05)
+
+    def test_count_follows_register_and_cancel(self, env, p2p):
+        _rendezvous, edges = p2p
+        resolver = edges[0].resolver
+        assert resolver.listeners == 0
+        query_id = resolver.send_query(
+            "nobody", None, on_response=lambda r: None, dst_peer=edges[1].peer_id
+        )
+        resolver.send_query("nobody", None, dst_peer=edges[1].peer_id)  # no listener
+        assert resolver.listeners == 1
+        resolver.cancel_query(query_id)
+        assert resolver.listeners == 0
+
+    def test_interrupted_discovery_releases_its_listener(self, env, network, p2p):
+        _rendezvous, edges = p2p
+        waiter = edges[0].discovery.get_remote_advertisements(
+            PeerAdvertisement, attribute="Name", value="no-such-peer", timeout=5.0
+        )
+        self._interrupted_mid_wait(env, network, waiter)
+        assert edges[0].node.up and edges[0].resolver.listeners == 0
+
+    def test_interrupted_pipe_bind_releases_its_listener(self, env, network, p2p):
+        _rendezvous, edges = p2p
+        advertisement = PipeAdvertisement(
+            pipe_id=PipeId.from_name("unbound"), name="unbound"
+        )
+        waiter = edges[0].pipes.bind_output_pipe(advertisement, timeout=5.0)
+        self._interrupted_mid_wait(env, network, waiter)
+        assert edges[0].node.up and edges[0].resolver.listeners == 0
