@@ -1,6 +1,10 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
+.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
+
+# pytest-timeout is a test extra (CI installs it); the smoke tiers use it
+# where it is present.
+PYTEST_TIMEOUT := $(shell python -c "import pytest_timeout" 2>/dev/null && echo --timeout=300)
 
 install:
 	python setup.py develop
@@ -14,6 +18,12 @@ bench:
 bench-verbose:
 	pytest benchmarks/ --benchmark-only -s
 
+# The CI tier of the paper's experiments: the benchmark files whose gates
+# are the reproduction's claims (Figure 4, availability, overload,
+# exactly-once, failover RTT).
+benchmark-smoke:
+	pytest benchmarks -q -k "fig4 or availability or overload or exactly_once or rtt_failover" $(PYTEST_TIMEOUT)
+
 examples:
 	python examples/quickstart.py
 	python examples/semantic_discovery.py
@@ -23,7 +33,7 @@ examples:
 	python examples/multi_region.py
 
 figures:
-	python examples/figure4.py
+	python -m repro fig4
 
 overload:
 	python -m repro overload
@@ -38,6 +48,12 @@ check:
 check-self-test:
 	python -m repro check --self-test
 
+# The CI tier: a shorter exploration (the invariants must hold), then the
+# self-test (fencing off must violate, shrink, and replay).
+check-smoke:
+	python -m repro check --seeds 3 --schedules 25 --timeout 300
+	python -m repro check --self-test --timeout 300
+
 # The flow pins of tests/check/test_digest_pins.py as this tree produces
 # them (both tables, ready to paste) and one line saying which moved.  The
 # 15 baseline pins are frozen: if one moved, this exits 1.
@@ -50,11 +66,13 @@ digest-pins:
 shard:
 	python -m repro shard
 
-# The CI tier: a short 1-vs-4 sweep plus the rebalance audit, and a
-# cross-shard schedule-exploration pass.
+# The CI tier: a short 1-vs-4 sweep plus the rebalance audit (exit 1 if
+# any effect is double-applied), a cross-shard schedule-exploration pass,
+# and the sharding benchmark's assertions.
 shard-smoke:
 	python -m repro shard --shards 1,4 --duration 4 --window 5
 	python -m repro check --shards 2 --seeds 1 --schedules 5 --timeout 300
+	pytest benchmarks/test_sharding.py -q $(PYTEST_TIMEOUT)
 
 # Multi-region WAN benchmark: gossip convergence vs the O(log N) bound,
 # staleness vs fanout, gossip-vs-flood message economy, nearest-region

@@ -1,9 +1,10 @@
 """Ablation B — availability vs. replication degree (§4.1).
 
 "Redundancy has long been used as a means of increasing the availability
-of distributed systems" — this bench quantifies it for Whisper.  Hosts
-churn (exponential crash/restart); clients issue a steady stream of
-requests; availability = fraction answered successfully.
+of distributed systems" — ``repro.bench.paper.run_availability`` (what
+``python -m repro availability`` prints) quantifies it for Whisper.
+Hosts churn (exponential crash/restart); a fixed-period prober issues a
+steady stream of requests; availability = fraction answered successfully.
 
 Baselines:
 
@@ -19,133 +20,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import student_database, student_lookup_operational
-from repro.bench import format_table
-from repro.core import ScenarioConfig, WhisperSystem
-from repro.simnet.events import Interrupt
-from repro.soap import RequestTimeout, SoapClient, SoapFault
-
-RUN_SECONDS = 180.0
-REQUEST_PERIOD = 0.4
-MTBF = 25.0
-MTTR = 20.0
-CALL_TIMEOUT = 2.0
-
-
-def _steady_client(system, address, path, operation, results):
-    """Open-loop probes at a fixed period: availability is sampled in
-    *time*, so slow failures cannot mask downtime."""
-    node, soap = system.add_client("avail-client", timeout=CALL_TIMEOUT)
-    outstanding = {"count": 0}
-    drained = {"event": None}
-
-    def one_probe(sequence):
-        try:
-            yield from soap.call(
-                address, path, operation,
-                {"ID": f"S{sequence % 200 + 1:05d}"}, timeout=CALL_TIMEOUT,
-            )
-        except (SoapFault, RequestTimeout):
-            results["failed"] += 1
-        except Interrupt:
-            return
-        else:
-            results["ok"] += 1
-        finally:
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0 and drained["event"] is not None:
-                if not drained["event"].triggered:
-                    drained["event"].succeed()
-
-    def injector():
-        clock = 0.0
-        sequence = 0
-        while clock < RUN_SECONDS:
-            outstanding["count"] += 1
-            node.spawn(one_probe(sequence), name=f"probe-{sequence}")
-            sequence += 1
-            yield system.env.timeout(REQUEST_PERIOD)
-            clock += REQUEST_PERIOD
-
-    system.env.run(until=node.spawn(injector()))
-    while outstanding["count"] > 0:
-        drained["event"] = system.env.event()
-        system.env.run(until=drained["event"])
-
-
-def measure_whisper(replicas: int, seed: int) -> float:
-    system = WhisperSystem(
-        ScenarioConfig(
-            seed=seed, heartbeat_interval=0.5, miss_threshold=2, replicas=replicas
-        )
-    )
-    service = system.deploy_student_service()
-    system.settle(6.0)
-    hosts = [peer.node.name for peer in service.group.peers]
-    system.failures.churn(
-        hosts, mtbf=MTBF, mttr=MTTR, until=system.env.now + RUN_SECONDS
-    )
-    results = {"ok": 0, "failed": 0}
-    _steady_client(
-        system, service.address, service.path, "StudentInformation", results
-    )
-    total = results["ok"] + results["failed"]
-    return results["ok"] / total if total else 0.0
-
-
-def measure_plain(seed: int) -> float:
-    """The no-Whisper baseline: one host, no redundancy (§1)."""
-    system = WhisperSystem(ScenarioConfig(seed=seed))
-    implementation = student_lookup_operational(student_database())
-    plain = system.deploy_plain_service("StudentManagement", implementation)
-    system.settle(2.0)
-    system.failures.churn(
-        [plain.node.name], mtbf=MTBF, mttr=MTTR, until=system.env.now + RUN_SECONDS
-    )
-    results = {"ok": 0, "failed": 0}
-    _steady_client(system, plain.address, plain.path, "StudentInformation", results)
-    total = results["ok"] + results["failed"]
-    return results["ok"] / total if total else 0.0
-
-
-SEEDS = (101, 202, 303)
-
-
-def run_experiment():
-    rows = []
-    plain = sum(measure_plain(seed) for seed in SEEDS) / len(SEEDS)
-    rows.append(("plain web service", plain))
-    for replicas in (1, 2, 4, 6):
-        availability = sum(
-            measure_whisper(replicas, seed) for seed in SEEDS
-        ) / len(SEEDS)
-        rows.append((f"whisper x{replicas}", availability))
-    return rows
+from repro.bench.harness import check_record
+from repro.bench.paper import format_availability, run_availability
 
 
 @pytest.mark.paper
 def test_availability_grows_with_replication(benchmark, show):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    show(format_table(
-        ["configuration", "availability"],
-        [[name, value] for name, value in rows],
-        title=(
-            f"Ablation B — availability under churn "
-            f"(MTBF={MTBF:.0f}s, MTTR={MTTR:.0f}s, {RUN_SECONDS:.0f}s run)"
-        ),
-    ))
-    availability = dict(rows)
-    # Redundancy pays: monotone (within noise) and saturating.
-    assert availability["whisper x2"] > availability["whisper x1"]
-    assert availability["whisper x4"] >= availability["whisper x2"] - 0.02
-    assert availability["whisper x6"] >= availability["whisper x4"] - 0.02
-    # Four replicas mask most churn (residual = failover windows).
-    assert availability["whisper x4"] > 0.85
-    # A single Whisper replica cannot beat physics: comparable to plain.
-    assert abs(availability["whisper x1"] - availability["plain web service"]) < 0.25
-    # The headline: replication cuts unavailability by well over 2x vs the
-    # §1 baseline.
-    unavailable_plain = 1.0 - availability["plain web service"]
-    unavailable_x4 = 1.0 - availability["whisper x4"]
-    assert unavailable_plain > 2.0 * unavailable_x4
-    assert availability["whisper x4"] > availability["whisper x1"] + 0.15
+    record = benchmark.pedantic(run_availability, rounds=1, iterations=1)
+    show(format_availability(record))
+    assert [row["replicas"] for row in record["rows"]] == [0, 1, 2, 4, 6]
+    assert check_record(record, "availability") == []

@@ -19,15 +19,14 @@ from __future__ import annotations
 import pytest
 
 from repro.backend import student_database, student_lookup_operational
-from repro.bench import format_table
+from repro.bench import ProbeWorkload, format_table, student_arguments
 from repro.core import (
     FailoverSoapClient,
     ReplicatedPlainService,
     ScenarioConfig,
     WhisperSystem,
 )
-from repro.simnet.events import Interrupt
-from repro.soap import RequestTimeout, SoapFault
+from repro.soap import SoapClient
 
 RUN_SECONDS = 120.0
 PROBE_PERIOD = 0.4
@@ -38,44 +37,13 @@ REPLICAS = 3
 SEEDS = (7, 17, 27)
 
 
-def _probe_run(system, call_generator_factory):
-    """Open-loop probes against an arbitrary call generator factory."""
-    results = {"ok": 0, "failed": 0}
+def _probe_availability(system, make_call) -> float:
+    """Fixed-period probes from a fresh host; ``make_call(node)`` returns
+    the per-sequence call that host's stub makes."""
     node = system.network.add_host(f"probe-host-{system.env.now}")
-    outstanding = {"count": 0}
-    drained = {"event": None}
-
-    def one_probe(sequence):
-        try:
-            yield from call_generator_factory(node, sequence)
-        except (SoapFault, RequestTimeout):
-            results["failed"] += 1
-        except Interrupt:
-            return
-        else:
-            results["ok"] += 1
-        finally:
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0 and drained["event"] is not None:
-                if not drained["event"].triggered:
-                    drained["event"].succeed()
-
-    def injector():
-        clock = 0.0
-        sequence = 0
-        while clock < RUN_SECONDS:
-            outstanding["count"] += 1
-            node.spawn(one_probe(sequence))
-            sequence += 1
-            yield system.env.timeout(PROBE_PERIOD)
-            clock += PROBE_PERIOD
-
-    system.env.run(until=node.spawn(injector()))
-    while outstanding["count"] > 0:
-        drained["event"] = system.env.event()
-        system.env.run(until=drained["event"])
-    total = results["ok"] + results["failed"]
-    return results["ok"] / total if total else 0.0
+    return ProbeWorkload(
+        system, node, make_call(node), period=PROBE_PERIOD, duration=RUN_SECONDS
+    ).run().availability
 
 
 def measure_whisper(seed: int) -> float:
@@ -90,19 +58,15 @@ def measure_whisper(seed: int) -> float:
         [peer.node.name for peer in service.group.peers],
         mtbf=MTBF, mttr=MTTR, until=system.env.now + RUN_SECONDS,
     )
-    from repro.soap import SoapClient
 
-    clients = {}
-
-    def factory(node, sequence):
-        if node.name not in clients:
-            clients[node.name] = SoapClient(node, default_timeout=CALL_TIMEOUT)
-        return clients[node.name].call(
+    def make_call(node):
+        soap = SoapClient(node, default_timeout=CALL_TIMEOUT)
+        return lambda sequence: soap.call(
             service.address, service.path, "StudentInformation",
-            {"ID": f"S{sequence % 200 + 1:05d}"}, timeout=CALL_TIMEOUT,
+            student_arguments(sequence), timeout=CALL_TIMEOUT,
         )
 
-    return _probe_run(system, factory)
+    return _probe_availability(system, make_call)
 
 
 def measure_client_side(seed: int) -> float:
@@ -116,19 +80,17 @@ def measure_client_side(seed: int) -> float:
         [host.name for host in replicated.hosts()],
         mtbf=MTBF, mttr=MTTR, until=system.env.now + RUN_SECONDS,
     )
-    stubs = {}
 
-    def factory(node, sequence):
-        if node.name not in stubs:
-            stubs[node.name] = FailoverSoapClient(
-                node, replicated.endpoints, replicated.path,
-                per_endpoint_timeout=CALL_TIMEOUT / REPLICAS,
-            )
-        return stubs[node.name].call(
-            "StudentInformation", {"ID": f"S{sequence % 200 + 1:05d}"},
+    def make_call(node):
+        stub = FailoverSoapClient(
+            node, replicated.endpoints, replicated.path,
+            per_endpoint_timeout=CALL_TIMEOUT / REPLICAS,
+        )
+        return lambda sequence: stub.call(
+            "StudentInformation", student_arguments(sequence)
         )
 
-    return _probe_run(system, factory)
+    return _probe_availability(system, make_call)
 
 
 @pytest.mark.paper

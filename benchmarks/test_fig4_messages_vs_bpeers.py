@@ -3,10 +3,9 @@ number of B-peers increases".
 
 The paper's headline benchmark: on the 9-machine testbed, adding b-peers
 to the configuration "results in a predictable linear increase in the
-number of messages exchanged" (§5).  We deploy the student-management
-service with 2..16 b-peers, run a fixed client workload plus a fixed
-steady-state window, and count every message on the network (heartbeats,
-membership renewals, lease renewals, elections, requests).
+number of messages exchanged" (§5).  The measurement and its gates are
+``repro.bench.paper.run_fig4`` — the same function ``python -m repro
+fig4`` prints and EXPERIMENTS.md tabulates.
 
 Reproduced shape: message count grows linearly in the number of b-peers
 (least-squares r² ≳ 0.99).
@@ -16,98 +15,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
-    ClosedLoopWorkload,
-    ascii_plot,
-    format_sweep,
-    linear_fit,
-    run_sweep,
-)
-from repro.core import ScenarioConfig, WhisperSystem
-
-#: The paper's testbed had 9 machines; we sweep past it to show the trend.
-BPEER_COUNTS = [2, 4, 6, 8, 10, 12, 16]
-MEASUREMENT_WINDOW = 20.0
-SEED = 42
-
-
-def measure_messages(replicas: int) -> dict:
-    system = WhisperSystem(ScenarioConfig(seed=SEED, replicas=replicas))
-    service = system.deploy_student_service()
-    system.settle(6.0)
-
-    workload = ClosedLoopWorkload(
-        system, service.address, service.path, "StudentInformation",
-        clients=2, think_time=0.1, requests_per_client=10,
-    )
-    result = workload.run()
-    assert result.availability == 1.0
-
-    # Let any startup-election tail quiesce, then count every message for
-    # a fixed steady-state window.
-    system.run_until(system.env.now + 5.0)
-    system.reset_counters()
-    system.run_until(system.env.now + MEASUREMENT_WINDOW)
-    breakdown = system.trace.category_breakdown()
-    return {
-        "messages": system.trace.sent_total,
-        "heartbeat": breakdown.get("heartbeat", 0),
-        "membership": breakdown.get("group-renew", 0)
-        + breakdown.get("resolver-query", 0)
-        + breakdown.get("resolver-response", 0),
-        "lease": breakdown.get("rdv-lease", 0),
-    }
+from repro.bench.harness import check_record
+from repro.bench.paper import format_fig4, run_fig4
 
 
 @pytest.mark.paper
 def test_figure4_messages_grow_linearly(benchmark, show):
-    sweep = benchmark.pedantic(
-        lambda: run_sweep("Figure 4", "b-peers", BPEER_COUNTS, measure_messages),
-        rounds=1,
-        iterations=1,
-    )
-    show(format_sweep(
-        sweep,
-        title=(
-            f"Figure 4 — messages exchanged in a {MEASUREMENT_WINDOW:.0f}s "
-            "steady-state window vs. number of b-peers"
-        ),
-    ))
-    xs = [float(n) for n in sweep.parameters()]
-    ys = [float(v) for v in sweep.series("messages")]
-    show(ascii_plot(xs, ys, x_label="b-peers", y_label="messages"))
-
-    fit = linear_fit(xs, ys)
-    show(
-        f"linear fit: messages = {fit.slope:.1f} * peers + {fit.intercept:.1f}"
-        f"  (r² = {fit.r_squared:.5f})"
-    )
-    # The paper's claim: good linear horizontal scalability.
-    assert fit.r_squared > 0.98, "message growth should be linear in b-peers"
-    assert fit.slope > 0, "more b-peers must mean more messages"
-    # Monotone non-decreasing series.
-    assert all(a <= b for a, b in zip(ys, ys[1:]))
-    # No quadratic blow-up: doubling peers should not quadruple messages.
-    ratio = ys[-1] / ys[len(ys) // 2]
-    peers_ratio = xs[-1] / xs[len(xs) // 2]
-    assert ratio < peers_ratio * 1.5
+    record = benchmark.pedantic(run_fig4, rounds=1, iterations=1)
+    show(format_fig4(record))
+    assert [row["bpeers"] for row in record["rows"]] == [2, 4, 6, 8, 10, 12, 16]
+    assert check_record(record, "fig4") == []
 
 
 @pytest.mark.paper
 def test_figure4_per_category_components_linear(benchmark, show):
     """The linearity decomposes: heartbeats and membership maintenance both
     scale linearly with group size (the mechanism behind Figure 4)."""
-    sweep = benchmark.pedantic(
-        lambda: run_sweep(
-            "Figure 4 components", "b-peers", [2, 6, 10, 16], measure_messages
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    show(format_sweep(sweep, title="Figure 4 — per-protocol components"))
-    xs = [float(n) for n in sweep.parameters()]
-    for column in ("heartbeat", "membership"):
-        ys = [float(v) for v in sweep.series(column)]
-        fit = linear_fit(xs, ys)
-        assert fit.r_squared > 0.95, f"{column} traffic should be linear"
-        assert fit.slope > 0
+    record = benchmark.pedantic(run_fig4, rounds=1, iterations=1)
+    assert record["assertions"]["components_linear"]

@@ -6,10 +6,11 @@ coordinator failure, the time needed to elect a new coordinator is
 considerably high.  On the other hand, the time to make a new binding
 between the SWS-proxy and the elected b-peer is also high."
 
-We crash the coordinator mid-workload and measure the affected request's
-RTT, then sweep the failure-detection period to show exactly how those two
-factors (detection+election vs. re-binding) compose into the multi-second
-tail.
+``repro.bench.paper.run_failover`` (what ``python -m repro failover``
+prints) crashes the coordinator mid-workload, measures the affected
+request's RTT, and sweeps the failure-detection period; the two tests
+after it decompose the tail into those two factors and price the second
+one at load.
 """
 
 from __future__ import annotations
@@ -17,59 +18,18 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_sweep, format_table, run_sweep
+from repro.bench.harness import check_record
+from repro.bench.paper import format_failover, run_failover
 from repro.core import ScenarioConfig, WhisperSystem
-from repro.soap import SoapClient
-
-
-def _run_failover(heartbeat_interval: float, miss_threshold: int = 3, seed: int = 3):
-    system = WhisperSystem(
-        ScenarioConfig(
-            seed=seed,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-            replicas=4,
-        )
-    )
-    service = system.deploy_student_service()
-    system.settle(8.0)
-    node, soap = system.add_client("failover-client")
-    latencies = []
-
-    def client_loop():
-        for index in range(8):
-            started = system.env.now
-            yield from soap.call(
-                service.address, service.path, "StudentInformation",
-                {"ID": f"S{index + 1:05d}"}, timeout=120.0,
-            )
-            latencies.append(system.env.now - started)
-            yield system.env.timeout(0.5)
-
-    # Crash the coordinator shortly after the workload starts.
-    victim = service.group.coordinator_peer()
-    system.failures.crash_at(system.env.now + 1.2, victim.node.name)
-    system.env.run(until=node.spawn(client_loop()))
-    return latencies, service.proxy.stats
 
 
 @pytest.mark.paper
 def test_worst_case_rtt_is_seconds(benchmark, show):
-    latencies, stats = benchmark.pedantic(
-        lambda: _run_failover(heartbeat_interval=1.0), rounds=1, iterations=1
-    )
-    rows = [[index, latency * 1000] for index, latency in enumerate(latencies)]
-    show(format_table(
-        ["request", "rtt (ms)"], rows,
-        title="§5 worst case — coordinator crashed after request 2",
-    ))
-    worst = max(latencies)
-    common = sorted(latencies)[len(latencies) // 2]
-    # The paper's claim: common case sub-10ms-ish, worst case *seconds*.
-    assert common < 0.05
-    assert 1.0 < worst < 60.0, "failover RTT should be seconds, not ms"
-    assert worst / common > 50, "bimodal: failover dwarfs the common case"
-    assert stats.rebinds >= 1, "the proxy must have re-bound (§5's 2nd factor)"
-    assert stats.failover_durations, "failover must be recorded"
+    record = benchmark.pedantic(run_failover, rounds=1, iterations=1)
+    show(format_failover(record))
+    # The paper's claim: common case sub-10ms-ish, worst case *seconds*,
+    # and the proxy re-bound (§5's 2nd factor).
+    assert check_record(record, "failover") == []
 
 
 @pytest.mark.paper
@@ -77,24 +37,8 @@ def test_failover_rtt_tracks_detection_period(benchmark, show):
     """Ablation (DESIGN.md #4): the dominant term of the worst-case RTT is
     the failure-detection period (interval × misses); halving the heartbeat
     interval roughly halves the failover RTT."""
-
-    def measure(interval: float) -> dict:
-        latencies, _stats = _run_failover(heartbeat_interval=interval)
-        return {"worst_rtt_s": max(latencies)}
-
-    sweep = benchmark.pedantic(
-        lambda: run_sweep(
-            "failover vs detection period", "heartbeat interval (s)",
-            [0.25, 0.5, 1.0, 2.0], measure,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    show(format_sweep(sweep, title="Worst-case RTT vs. failure-detection period"))
-    worst = [float(v) for v in sweep.series("worst_rtt_s")]
-    # Monotone: slower detection -> slower failover.
-    assert all(a <= b * 1.25 for a, b in zip(worst, worst[1:])), worst
-    assert worst[-1] > worst[0] * 2, "4x detection period should clearly slow failover"
+    record = benchmark.pedantic(run_failover, rounds=1, iterations=1)
+    assert record["assertions"]["tracks_detection_period"]
 
 
 @pytest.mark.paper

@@ -5,7 +5,8 @@ packet is time-stamped by the monitor to the moment at which a reply
 packet is time-stamped.  Our results showed that the average latency is
 approximately 0.5 milliseconds."
 
-We reproduce both levels:
+``repro.bench.paper.run_rtt`` (what ``python -m repro rtt`` prints)
+reproduces both levels:
 
 * the *packet-level* RTT the paper's monitor measured — one request/reply
   exchange on the simulated 100 Mbit LAN — whose mean should sit near
@@ -19,129 +20,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import format_phase_breakdown, format_table, summarize
-from repro.core import ScenarioConfig, WhisperSystem
-from repro.simnet import Environment, Network, RngRegistry
-
-SAMPLES = 400
-
-
-def measure_packet_rtt() -> list:
-    """The paper's monitor: time-stamped request/reply packet pairs."""
-    env = Environment()
-    network = Network(env, rng=RngRegistry(7))
-    server = network.add_host("server")
-    client = network.add_host("client")
-    server_socket = server.transport.bind(7000)
-    client_socket = client.transport.bind(7001)
-
-    def echo():
-        while True:
-            message = yield server_socket.recv()
-            server_socket.send(
-                message.src, payload=message.payload, category="echo-reply",
-                size_bytes=512, correlation_id=message.correlation_id,
-            )
-
-    server.spawn(echo())
-
-    def monitor():
-        for sequence in range(SAMPLES):
-            network.trace.stamp_request(sequence, env.now)
-            client_socket.send(
-                ("server", 7000), payload=sequence, category="echo-request",
-                size_bytes=512, correlation_id=sequence,
-            )
-            yield client_socket.recv()
-            network.trace.stamp_reply(sequence, env.now)
-            yield env.timeout(0.005)
-
-    env.run(until=client.spawn(monitor()))
-    return network.trace.rtts()
-
-
-def measure_service_rtt() -> tuple:
-    """Full-stack SOAP invocations against a healthy deployment.
-
-    Returns the end-to-end latencies *and* the observability layer's
-    per-phase breakdown, so the report can attribute the latency to
-    discover/bind/invoke rather than quoting one opaque number.
-    """
-    system = WhisperSystem(ScenarioConfig(seed=7, replicas=4))
-    service = system.deploy_student_service()
-    system.settle(6.0)
-    node, soap = system.add_client("rtt-client")
-    latencies = []
-
-    def client_loop():
-        for index in range(100):
-            started = system.env.now
-            yield from soap.call(
-                service.address, service.path, "StudentInformation",
-                {"ID": f"S{(index % 200) + 1:05d}"}, timeout=30.0,
-            )
-            latencies.append(system.env.now - started)
-            yield system.env.timeout(0.01)
-
-    system.env.run(until=node.spawn(client_loop()))
-    return latencies, system.obs.phase_summary()
+from repro.bench.harness import check_record
+from repro.bench.paper import format_rtt, run_rtt
 
 
 @pytest.mark.paper
 def test_packet_rtt_averages_half_a_millisecond(benchmark, show):
-    rtts = benchmark.pedantic(measure_packet_rtt, rounds=1, iterations=1)
-    summary = summarize([r * 1000 for r in rtts])
-    show(format_table(
-        ["metric", "ms"],
-        [
-            ["samples", summary.count],
-            ["mean", summary.mean],
-            ["p50", summary.p50],
-            ["p95", summary.p95],
-            ["max", summary.maximum],
-        ],
-        title="§5 packet-level RTT (paper: average ≈ 0.5 ms)",
-    ))
-    assert summary.count == SAMPLES
-    # The paper reports ~0.5 ms average; accept the right order of magnitude.
-    assert 0.2 < summary.mean < 1.0
-    assert summary.maximum < 5.0  # failure-free: no multi-second outliers
+    record = benchmark.pedantic(run_rtt, rounds=1, iterations=1)
+    show(format_rtt(record))
+    assert record["assertions"]["packet_rtt_about_half_a_millisecond"]
+    assert check_record(record, "rtt") == []
 
 
 @pytest.mark.paper
 def test_service_rtt_low_milliseconds(benchmark, show):
-    latencies, phases = benchmark.pedantic(
-        measure_service_rtt, rounds=1, iterations=1
-    )
-    summary = summarize([l * 1000 for l in latencies])
-    show(format_table(
-        ["metric", "ms"],
-        [
-            ["samples", summary.count],
-            ["mean", summary.mean],
-            ["p50", summary.p50],
-            ["p99", summary.p99],
-            ["max", summary.maximum],
-        ],
-        title="End-to-end SOAP invocation latency (failure-free)",
-    ))
-    show(format_phase_breakdown(
-        phases, title="Attribution: which phase the time went to"
-    ))
-    # Warm steady state: a handful of LAN round trips plus service time.
-    assert summary.p50 < 20.0
-    assert summary.maximum < 1500.0  # first call may include discovery
+    record = benchmark.pedantic(run_rtt, rounds=1, iterations=1)
+    assert record["assertions"]["service_rtt_low_milliseconds"]
     # Failure-free: every request spent time invoking, none recovering,
-    # and the execute phase (backend service time) dominates the mean.
-    assert phases["invoke"]["count"] == summary.count
-    assert phases["recover"]["count"] == 0
-    assert phases["execute"]["mean"] < phases["invoke"]["mean"]
+    # and the execute phase (backend service time) sits inside invoke.
+    assert record["assertions"]["all_invoked_none_recovered"]
+    assert record["assertions"]["execute_within_invoke"]
 
 
 @pytest.mark.paper
 def test_rtt_distribution_tightness(benchmark, show):
     """Failure-free RTTs are tightly clustered — the paper's multi-second
     'worst case' appears only under coordinator failure (next bench)."""
-    rtts = benchmark.pedantic(measure_packet_rtt, rounds=1, iterations=1)
-    summary = summarize([r * 1000 for r in rtts])
-    assert summary.p99 < summary.p50 * 4
+    record = benchmark.pedantic(run_rtt, rounds=1, iterations=1)
+    assert record["assertions"]["packet_rtt_tight"]

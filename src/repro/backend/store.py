@@ -182,14 +182,6 @@ class Database:
         """Applications per invocation id (audit: every count must be 1)."""
         return Counter(invocation_id for invocation_id, _ in self.effect_log)
 
-    def duplicate_effects(self) -> Dict[str, int]:
-        """Invocation ids applied more than once on *this* backend."""
-        return {
-            invocation_id: count
-            for invocation_id, count in self.effect_counts().items()
-            if count > 1
-        }
-
     # -- failure injection ---------------------------------------------------------
 
     def fail(self) -> None:

@@ -16,13 +16,20 @@ from .overload import (
 )
 from .report import ascii_plot, format_phase_breakdown, format_sweep, format_table
 from .stats import LinearFit, Summary, linear_fit, percentile, summarize
-from .workload import ClosedLoopWorkload, PoissonWorkload, WorkloadResult
+from .workload import (
+    ClosedLoopWorkload,
+    PoissonWorkload,
+    ProbeWorkload,
+    WorkloadResult,
+    student_arguments,
+)
 
 __all__ = [
     "ClosedLoopWorkload",
     "LinearFit",
     "OverloadPoint",
     "PoissonWorkload",
+    "ProbeWorkload",
     "Summary",
     "Sweep",
     "SweepPoint",
@@ -38,5 +45,6 @@ __all__ = [
     "percentile",
     "run_overload_point",
     "run_sweep",
+    "student_arguments",
     "summarize",
 ]

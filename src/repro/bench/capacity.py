@@ -26,7 +26,6 @@ path, proving the capacity layer costs nothing until it is asked for.
 
 from __future__ import annotations
 
-import platform
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,13 +44,9 @@ from ..check.invariants import (
     retirement_violations,
 )
 from ..wsdl.samples import student_management_wsdl
-from .harness import fig4_counts
+from .harness import Progress, bench_record, fig4_counts, format_assertions, quiet
 from .stats import percentile
 from .workload import PoissonWorkload
-
-
-def _pct(values: Sequence[float], q: float) -> float:
-    return percentile(values, q) if values else 0.0
 
 __all__ = [
     "Phase",
@@ -220,6 +215,7 @@ def run_diurnal(
         hits = (cache.hits - hits0) if cache is not None else 0
         misses = (cache.misses - misses0) if cache is not None else 0
         lookups = hits + misses
+        answered = bool(result.latencies)
         per_phase.append(
             {
                 "phase": phase.name,
@@ -228,8 +224,8 @@ def run_diurnal(
                 "requests": result.requests,
                 "availability": result.availability,
                 "shed": result.shed,
-                "p50_ms": _pct(result.latencies, 50.0) * 1000,
-                "p99_ms": _pct(result.latencies, 99.0) * 1000,
+                "p50_ms": percentile(result.latencies, 50) * 1000 if answered else 0.0,
+                "p99_ms": percentile(result.latencies, 99) * 1000 if answered else 0.0,
                 "cache_hits": hits,
                 "cache_misses": misses,
                 "cache_hit_ratio": (hits / lookups) if lookups else 0.0,
@@ -267,8 +263,8 @@ def run_diurnal(
         "shed": totals["shed"],
         "faults": totals["faults"],
         "timeouts": totals["timeouts"],
-        "p50_ms": _pct(latencies, 50.0) * 1000,
-        "p99_ms": _pct(latencies, 99.0) * 1000,
+        "p50_ms": percentile(latencies, 50) * 1000 if latencies else 0.0,
+        "p99_ms": percentile(latencies, 99) * 1000 if latencies else 0.0,
         "replica_seconds": replica_seconds,
         "scale_events": scale_events,
         "stale_epoch_serves": cache.stale_epoch_serves if cache is not None else 0,
@@ -358,22 +354,17 @@ def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
 def run_capacity(
     scale: str = "full",
     seed: int = 42,
-    progress=None,
+    progress: Progress = quiet,
 ) -> Dict[str, Any]:
     """The full adaptive-capacity measurement; the BENCH_capacity record."""
-
-    def say(text: str) -> None:
-        if progress is not None:
-            progress(text)
-
     phases = diurnal_phases(scale)
-    say("diurnal trace, autoscaled (2..6 replicas + breaker + cache) ...")
+    progress("diurnal trace, autoscaled (2..6 replicas + breaker + cache) ...")
     autoscaled = run_diurnal("autoscaled", phases, seed=seed)
-    say(f"diurnal trace, static-max ({MAX_REPLICAS} replicas) ...")
+    progress(f"diurnal trace, static-max ({MAX_REPLICAS} replicas) ...")
     static = run_diurnal("static-max", phases, seed=seed)
-    say("breaker drill (trip on dead group, heal through probe) ...")
+    progress("breaker drill (trip on dead group, heal through probe) ...")
     drill = run_breaker_drill(seed=seed)
-    say("figure-4 byte-identity guard ...")
+    progress("figure-4 byte-identity guard ...")
     fig4 = run_fig4_guard(seed=seed)
 
     ratio = (
@@ -400,20 +391,16 @@ def run_capacity(
         ),
         "fig4_byte_identical": fig4["identical"],
     }
-    return {
-        "schema": "repro-capacity/1",
-        "generated_by": "python -m repro capacity",
+    body = {
         "scale": scale,
         "seed": seed,
-        "python": platform.python_version(),
         "autoscaled": autoscaled,
         "static_max": static,
         "replica_seconds_ratio": ratio,
         "breaker_drill": drill,
         "fig4_guard": fig4,
-        "assertions": assertions,
-        "ok": all(assertions.values()),
     }
+    return bench_record("capacity", body, assertions)
 
 
 def format_record(record: Dict[str, Any]) -> str:
@@ -461,11 +448,5 @@ def format_record(record: Dict[str, Any]) -> str:
         + ("IDENTICAL" if fig4["identical"] else "DIVERGED")
     )
     lines.append("")
-    lines.append(
-        "assertions: "
-        + ", ".join(
-            f"{name}={'ok' if held else 'FAIL'}"
-            for name, held in record["assertions"].items()
-        )
-    )
+    lines.append(format_assertions(record))
     return "\n".join(lines)

@@ -9,13 +9,24 @@ measurement callable against it, and collects one row.  Rows print through
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 
-__all__ = ["SweepPoint", "Sweep", "run_sweep", "fig4_counts", "check_record"]
+__all__ = [
+    "SweepPoint",
+    "Sweep",
+    "run_sweep",
+    "fig4_counts",
+    "Progress",
+    "quiet",
+    "bench_record",
+    "format_assertions",
+    "check_record",
+]
 
 
 @dataclass
@@ -147,6 +158,42 @@ def fig4_counts(
         system.trace.sent_total,
         system.trace.delivered_total,
         dict(system.trace.sent_by_category),
+    )
+
+
+#: How a gated bench reports the phase it is starting: the CLI passes
+#: ``print``, everything else the silent default.
+Progress = Callable[[str], None]
+
+
+def quiet(_text: str) -> None:
+    """The default :data:`Progress`: say nothing."""
+
+
+def bench_record(
+    name: str, body: Dict[str, Any], assertions: Dict[str, bool]
+) -> Dict[str, Any]:
+    """The record every gated bench returns: header, rows, gates, verdict.
+
+    ``body`` carries the bench's own keys (seed, sizes, row sets); the
+    gates the bench asserts go in as named booleans and come back as
+    ``assertions`` plus their conjunction ``ok``.
+    """
+    return {
+        "schema": f"repro-{name}/1",
+        "generated_by": f"python -m repro {name}",
+        "python": platform.python_version(),
+        **body,
+        "assertions": assertions,
+        "ok": all(assertions.values()),
+    }
+
+
+def format_assertions(record: Dict[str, Any]) -> str:
+    """The ``assertions:`` footer line of a formatted record."""
+    return "assertions: " + ", ".join(
+        f"{name}={'ok' if held else 'FAIL'}"
+        for name, held in record["assertions"].items()
     )
 
 

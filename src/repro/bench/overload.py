@@ -17,8 +17,8 @@ latency of the work it accepts flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..backend.datasets import student_database
 from ..backend.services import ServiceImplementation, student_lookup_operational
@@ -118,6 +118,18 @@ class OverloadPoint:
         if self.requests == 0:
             return 0.0
         return self.shed / self.requests
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The point as ``python -m repro overload --json`` exports it:
+        every field, the latency summary as its two headline percentiles."""
+        payload = asdict(self)
+        del payload["latency"]
+        payload.update(
+            shed_rate=self.shed_rate,
+            p50_ms=self.latency.p50 * 1000,
+            p99_ms=self.latency.p99 * 1000,
+        )
+        return payload
 
     def row(self) -> List[object]:
         """A table row for the CLI sweep."""

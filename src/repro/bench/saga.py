@@ -24,7 +24,6 @@ crash for good measure.  Per seed the bench reports:
 
 from __future__ import annotations
 
-import platform
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..check.saga import (
@@ -35,6 +34,8 @@ from ..check.saga import (
     run_saga_schedule,
 )
 from ..check.schedule import FaultOp, Schedule
+from .harness import Progress, bench_record, format_assertions, quiet
+from .stats import percentile
 
 __all__ = ["run_saga_bench", "format_record"]
 
@@ -72,14 +73,6 @@ def _fault_schedule(decisions: int, label: str) -> Schedule:
         ),
         label=label,
     )
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1) + 0.5))
-    return ordered[index]
 
 
 def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
@@ -130,8 +123,8 @@ def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
                 if solvent_submitted
                 else 0.0
             ),
-            "p99_s": _percentile(latencies, 0.99),
-            "p50_s": _percentile(latencies, 0.50),
+            "p99_s": percentile(latencies, 99) if latencies else 0.0,
+            "p50_s": percentile(latencies, 50) if latencies else 0.0,
             "insolvent_committed": len(insolvent_committed),
             "violations": list(run.violations),
             "effects_applied": run.effects_applied,
@@ -154,20 +147,16 @@ def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
 def run_saga_bench(
     scale: str = "full",
     seeds: Optional[Sequence[int]] = None,
-    progress=None,
+    progress: Progress = quiet,
 ) -> Dict[str, Any]:
     """The full saga measurement; returns the BENCH_saga record dict."""
     if seeds is None:
         seeds = SEEDS[:1] if scale == "smoke" else SEEDS
     sagas = 10 if scale == "smoke" else 24
 
-    def say(text: str) -> None:
-        if progress is not None:
-            progress(text)
-
     results: List[Dict[str, Any]] = []
     for seed in seeds:
-        say(f"seed {seed}: clean + faulted + no-compensation baseline ...")
+        progress(f"seed {seed}: clean + faulted + no-compensation baseline ...")
         results.append(_seed_result(seed, sagas))
 
     assertions = {
@@ -198,18 +187,14 @@ def run_saga_bench(
             r["faulted"]["availability"] >= 0.5 for r in results
         ),
     }
-    return {
-        "schema": "repro-saga/1",
-        "generated_by": "python -m repro saga",
+    body = {
         "scale": scale,
         "seeds": list(seeds),
         "sagas_per_seed": sagas,
         "loss_rate": LOSS_RATE,
-        "python": platform.python_version(),
         "results": results,
-        "assertions": assertions,
-        "ok": all(assertions.values()),
     }
+    return bench_record("saga", body, assertions)
 
 
 def format_record(record: Dict[str, Any]) -> str:
@@ -242,8 +227,5 @@ def format_record(record: Dict[str, Any]) -> str:
             f"{len(stranded)} partial effect(s)"
         )
     lines.append("")
-    lines.append("assertions: " + ", ".join(
-        f"{name}={'ok' if held else 'FAIL'}"
-        for name, held in record["assertions"].items()
-    ))
+    lines.append(format_assertions(record))
     return "\n".join(lines)

@@ -22,8 +22,8 @@ simulated testbed as the paper's §5 experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..backend.datasets import student_database
 from ..backend.services import student_enrollment, student_lookup_operational
@@ -107,6 +107,16 @@ class ShardPoint:
     #: after the workload drained (the Figure-4 accounting).
     steady_messages: int
     per_group_executed: Dict[str, int] = field(default_factory=dict)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The point as ``python -m repro shard --json`` exports it:
+        every field, the latency summary as its two headline percentiles."""
+        payload = asdict(self)
+        del payload["latency"]
+        payload.update(
+            p50_ms=self.latency.p50 * 1000, p99_ms=self.latency.p99 * 1000
+        )
+        return payload
 
     def row(self) -> List[object]:
         return [
@@ -230,6 +240,10 @@ class RebalanceReport:
     @property
     def exactly_once(self) -> bool:
         return not self.double_applied
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The report as ``python -m repro shard --json`` exports it."""
+        return {**asdict(self), "exactly_once": self.exactly_once}
 
     def rows(self) -> List[List[object]]:
         return [

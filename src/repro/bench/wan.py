@@ -29,14 +29,14 @@ costs nothing until a second region exists.
 from __future__ import annotations
 
 import math
-import platform
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 from ..core.topology import GossipSpec, Topology
-from .harness import fig4_counts
+from .harness import Progress, bench_record, fig4_counts, format_assertions, quiet
+from .stats import percentile
 
 __all__ = [
     "ConvergencePoint",
@@ -165,6 +165,25 @@ def _round_bound(regions: int) -> float:
     return 2.0 * math.log2(max(2, regions)) + 3.0
 
 
+def _spread_point(
+    regions: int, fanout: int, seed: int, interval: float, settle: float
+) -> ConvergencePoint:
+    """Deploy, let the rumors run for ``settle``, measure the spread."""
+    system, _service = build_wan_system(
+        regions, seed=seed, fanout=fanout, interval=interval
+    )
+    system.settle(settle)
+    spread = _spread_delays(system)
+    return ConvergencePoint(
+        regions=regions,
+        fanout=fanout,
+        interval=interval,
+        rounds=spread["max_delay"] / interval,
+        round_bound=_round_bound(regions),
+        **spread,
+    )
+
+
 def run_convergence(
     region_counts: Sequence[int] = (2, 3, 4, 6, 8),
     fanout: int = 2,
@@ -173,24 +192,10 @@ def run_convergence(
     settle: float = 20.0,
 ) -> List[ConvergencePoint]:
     """Spread delay vs region count at a fixed fanout."""
-    points: List[ConvergencePoint] = []
-    for regions in region_counts:
-        system, _service = build_wan_system(
-            regions, seed=seed, fanout=fanout, interval=interval
-        )
-        system.settle(settle)
-        spread = _spread_delays(system)
-        points.append(
-            ConvergencePoint(
-                regions=regions,
-                fanout=fanout,
-                interval=interval,
-                rounds=spread["max_delay"] / interval,
-                round_bound=_round_bound(regions),
-                **spread,
-            )
-        )
-    return points
+    return [
+        _spread_point(regions, fanout, seed, interval, settle)
+        for regions in region_counts
+    ]
 
 
 def run_staleness(
@@ -206,24 +211,10 @@ def run_staleness(
     point (which leans on digest repair) still fully converges — its
     *delay* is the staleness being measured.
     """
-    points: List[ConvergencePoint] = []
-    for fanout in fanouts:
-        system, _service = build_wan_system(
-            regions, seed=seed, fanout=fanout, interval=interval
-        )
-        system.settle(settle)
-        spread = _spread_delays(system)
-        points.append(
-            ConvergencePoint(
-                regions=regions,
-                fanout=fanout,
-                interval=interval,
-                rounds=spread["max_delay"] / interval,
-                round_bound=_round_bound(regions),
-                **spread,
-            )
-        )
-    return points
+    return [
+        _spread_point(regions, fanout, seed, interval, settle)
+        for fanout in fanouts
+    ]
 
 
 def run_message_economy(
@@ -306,8 +297,7 @@ def run_latency(
     system.run_process(drive(remote, samples), node=node)
 
     def p50(values: List[float]) -> float:
-        ordered = sorted(values)
-        return ordered[len(ordered) // 2] if ordered else 0.0
+        return percentile(values, 50) if values else 0.0
 
     return {
         "regions": regions,
@@ -337,7 +327,7 @@ def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
 def run_wan(
     scale: str = "full",
     seed: int = 42,
-    progress=None,
+    progress: Progress = quiet,
 ) -> Dict[str, Any]:
     """The full WAN measurement; returns the BENCH_wan record dict."""
     if scale == "smoke":
@@ -349,19 +339,15 @@ def run_wan(
         fanouts = (1, 2, 3, 4)
         economy_window, latency_samples = 30.0, 30
 
-    def say(text: str) -> None:
-        if progress is not None:
-            progress(text)
-
-    say("convergence sweep ...")
+    progress("convergence sweep ...")
     convergence = run_convergence(region_counts, seed=seed)
-    say("staleness-vs-fanout sweep ...")
+    progress("staleness-vs-fanout sweep ...")
     staleness = run_staleness(fanouts, seed=seed)
-    say("message economy (gossip vs flood) ...")
+    progress("message economy (gossip vs flood) ...")
     economy = run_message_economy(seed=seed, window=economy_window)
-    say("nearest-region latency ...")
+    progress("nearest-region latency ...")
     latency = run_latency(seed=seed, samples=latency_samples)
-    say("figure-4 byte-identity guard ...")
+    progress("figure-4 byte-identity guard ...")
     fig4 = run_fig4_guard(seed=seed)
 
     log_rounds = all(
@@ -375,20 +361,16 @@ def run_wan(
         "nearest_region_faster": latency["nearest_region_faster"],
         "fig4_byte_identical": fig4["identical"],
     }
-    return {
-        "schema": "repro-wan/1",
-        "generated_by": "python -m repro wan",
+    body = {
         "scale": scale,
         "seed": seed,
-        "python": platform.python_version(),
         "convergence": [point.to_dict() for point in convergence],
         "staleness": [point.to_dict() for point in staleness],
         "economy": economy,
         "latency": latency,
         "fig4_guard": fig4,
-        "assertions": assertions,
-        "ok": all(assertions.values()),
     }
+    return bench_record("wan", body, assertions)
 
 
 def format_record(record: Dict[str, Any]) -> str:
@@ -450,8 +432,5 @@ def format_record(record: Dict[str, Any]) -> str:
         + ("IDENTICAL" if fig4["identical"] else "DIVERGED")
     )
     lines.append("")
-    lines.append("assertions: " + ", ".join(
-        f"{name}={'ok' if held else 'FAIL'}"
-        for name, held in record["assertions"].items()
-    ))
+    lines.append(format_assertions(record))
     return "\n".join(lines)

@@ -1,14 +1,16 @@
 """Workload generators for the benchmark harness.
 
-Two client models drive the Whisper front-end:
+Three client models drive the Whisper front-end:
 
 * **closed loop** — a fixed population of clients, each issuing the next
   request after the previous completes plus a think time (the usual B2B
   integration pattern: one in-flight request per partner);
 * **open loop (Poisson)** — requests arrive at a target rate regardless of
-  completions, which exposes saturation in the throughput/latency sweep.
+  completions, which exposes saturation in the throughput/latency sweep;
+* **open loop (fixed period)** — one probe per period regardless of
+  completions, which samples availability in *time*.
 
-Both record per-request latency and outcome into a :class:`WorkloadResult`.
+All record per-request latency and outcome into a :class:`WorkloadResult`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,22 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.errors import WhisperError
 from ..core.system import WhisperSystem
 from ..simnet.events import Interrupt
+from ..simnet.node import Node
 from ..soap.client import SoapClient
 from ..soap.fault import SoapFault
 from ..soap.http import RequestTimeout
 from .stats import Summary, summarize
 
-__all__ = ["WorkloadResult", "ClosedLoopWorkload", "PoissonWorkload"]
+__all__ = [
+    "WorkloadResult",
+    "ClosedLoopWorkload",
+    "PoissonWorkload",
+    "ProbeWorkload",
+    "student_arguments",
+]
 
 #: Process-wide counter for workload host names: ``id(self)``-derived
 #: names collide when a freed workload's address is reused, which breaks
@@ -94,7 +104,8 @@ class WorkloadResult:
 ArgumentFactory = Callable[[int], Dict[str, Any]]
 
 
-def _student_arguments(index: int) -> Dict[str, Any]:
+def student_arguments(index: int) -> Dict[str, Any]:
+    """The default request: look up one of the 200 seeded students."""
     return {"ID": f"S{(index % 200) + 1:05d}"}
 
 
@@ -121,7 +132,7 @@ class ClosedLoopWorkload:
         self.think_time = think_time
         self.requests_per_client = requests_per_client
         self.call_timeout = call_timeout
-        self.arguments = arguments or _student_arguments
+        self.arguments = arguments or student_arguments
         self.result = WorkloadResult()
         self._workload_id = next(_workload_ids)
 
@@ -150,29 +161,45 @@ class ClosedLoopWorkload:
         env = self.system.env
         for request_index in range(self.requests_per_client):
             sequence = client_index * self.requests_per_client + request_index
-            started = env.now
-            try:
-                yield from soap.call(
-                    self.address,
-                    self.path,
-                    self.operation,
-                    self.arguments(sequence),
-                    timeout=self.call_timeout,
-                )
-            except SoapFault as fault:
-                if fault.is_busy:
-                    self.result.shed += 1
-                else:
-                    self.result.faults += 1
-            except RequestTimeout:
-                self.result.timeouts += 1
-            except Interrupt:
+            call = soap.call(
+                self.address,
+                self.path,
+                self.operation,
+                self.arguments(sequence),
+                timeout=self.call_timeout,
+            )
+            if not (yield from _file_outcome(env, self.result, call)):
                 return
-            else:
-                self.result.successes += 1
-                self.result.latencies.append(env.now - started)
             if self.think_time > 0:
                 yield env.timeout(self.think_time)
+
+
+def _file_outcome(env, result: WorkloadResult, call):
+    """Run one call to its end and file the outcome in ``result``.
+
+    What a call can raise is an outcome — a SOAP fault, a timeout, a typed
+    Whisper error from a direct proxy invocation; anything else is a bug
+    in the stack and propagates.  Returns False when the client's host
+    crashed under the call (nothing is filed).
+    """
+    started = env.now
+    try:
+        yield from call
+    except SoapFault as fault:
+        if fault.is_busy:
+            result.shed += 1
+        else:
+            result.faults += 1
+    except RequestTimeout:
+        result.timeouts += 1
+    except WhisperError:
+        result.faults += 1
+    except Interrupt:
+        return False
+    else:
+        result.successes += 1
+        result.latencies.append(env.now - started)
+    return True
 
 
 class PoissonWorkload:
@@ -199,28 +226,35 @@ class PoissonWorkload:
         self.rate = rate
         self.duration = duration
         self.call_timeout = call_timeout
-        self.arguments = arguments or _student_arguments
+        self.arguments = arguments or student_arguments
         self.rng = system.network.rng.stream(rng_stream)
         self.result = WorkloadResult()
         self._workload_id = next(_workload_ids)
-        self._outstanding = 0
-        self._drained = None
 
     def run(self) -> WorkloadResult:
         env = self.system.env
         node = self.system.network.add_host(f"injector-{self._workload_id}")
+        calls = _InFlight(node, self.result)
         self.result.started_at = env.now
-        arrival_process = node.spawn(self._arrival_loop(node), name="poisson-arrivals")
-        env.run(until=arrival_process)
-        # Drain in-flight calls; re-arm the event in case it fired early.
-        while self._outstanding > 0:
-            self._drained = env.event()
-            env.run(until=self._drained)
+        arrivals = node.spawn(self._arrival_loop(node, calls), name="poisson-arrivals")
+        env.run(until=arrivals)
+        calls.drain()
         self.result.finished_at = env.now
         return self.result
 
-    def _arrival_loop(self, node):
+    def _arrival_loop(self, node: Node, calls: "_InFlight"):
         env = self.system.env
+        soap = SoapClient(node, default_timeout=self.call_timeout)
+
+        def call(sequence: int):
+            return soap.call(
+                self.address,
+                self.path,
+                self.operation,
+                self.arguments(sequence),
+                timeout=self.call_timeout,
+            )
+
         deadline = env.now + self.duration
         sequence = 0
         while env.now < deadline:
@@ -228,34 +262,84 @@ class PoissonWorkload:
             yield env.timeout(gap)
             if env.now >= deadline:
                 break
-            soap = SoapClient(node, default_timeout=self.call_timeout)
-            self._outstanding += 1
-            node.spawn(self._one_call(soap, sequence), name=f"poisson-call-{sequence}")
+            calls.spawn(call, sequence)
             sequence += 1
 
-    def _one_call(self, soap: SoapClient, sequence: int):
+
+#: One open-loop call, by sequence number: returns the generator to run.
+Call = Callable[[int], Any]
+
+
+class ProbeWorkload:
+    """Open-loop probes at a fixed period from one client host.
+
+    Availability is sampled in *time*: a probe leaves every ``period``
+    whether or not the previous ones were answered, so slow failures
+    cannot mask downtime.  ``call`` makes the probe — a SOAP call, a
+    client-side failover stub, a direct proxy invocation.
+    """
+
+    def __init__(
+        self,
+        system: WhisperSystem,
+        node: Node,
+        call: Call,
+        period: float = 0.5,
+        duration: float = 60.0,
+    ):
+        if period <= 0:
+            raise ValueError("probe period must be positive")
+        self.system = system
+        self.node = node
+        self.call = call
+        self.period = period
+        self.duration = duration
+        self.result = WorkloadResult()
+
+    def run(self) -> WorkloadResult:
         env = self.system.env
-        started = env.now
+        calls = _InFlight(self.node, self.result)
+        self.result.started_at = env.now
+        env.run(until=self.node.spawn(self._injector(calls), name="probe-injector"))
+        calls.drain()
+        self.result.finished_at = env.now
+        return self.result
+
+    def _injector(self, calls: "_InFlight"):
+        clock = 0.0
+        sequence = 0
+        while clock < self.duration:
+            calls.spawn(self.call, sequence)
+            sequence += 1
+            yield self.system.env.timeout(self.period)
+            clock += self.period
+
+
+class _InFlight:
+    """The calls an open-loop generator has spawned and not yet seen answered."""
+
+    def __init__(self, node: Node, result: WorkloadResult):
+        self.node = node
+        self.result = result
+        self._outstanding = 0
+        self._drained = None
+
+    def spawn(self, call: Call, sequence: int) -> None:
+        """Start ``call(sequence)`` as its own process on the client host."""
+        self._outstanding += 1
+        self.node.spawn(self._run(call, sequence), name=f"open-loop-call-{sequence}")
+
+    def drain(self) -> None:
+        """Run the simulation until every spawned call has finished."""
+        env = self.node.env
+        # Re-arm the event in case it fired early.
+        while self._outstanding > 0:
+            self._drained = env.event()
+            env.run(until=self._drained)
+
+    def _run(self, call: Call, sequence: int):
         try:
-            yield from soap.call(
-                self.address,
-                self.path,
-                self.operation,
-                self.arguments(sequence),
-                timeout=self.call_timeout,
-            )
-        except SoapFault as fault:
-            if fault.is_busy:
-                self.result.shed += 1
-            else:
-                self.result.faults += 1
-        except RequestTimeout:
-            self.result.timeouts += 1
-        except Interrupt:
-            return
-        else:
-            self.result.successes += 1
-            self.result.latencies.append(env.now - started)
+            yield from _file_outcome(self.node.env, self.result, call(sequence))
         finally:
             self._outstanding -= 1
             if self._outstanding == 0 and self._drained is not None:

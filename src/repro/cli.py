@@ -2,10 +2,10 @@
 
 ::
 
-    python -m repro fig4 [--max-peers 16] [--seed 42]
-    python -m repro rtt [--samples 400]
-    python -m repro failover [--heartbeat 1.0]
-    python -m repro availability [--replicas 4] [--duration 120]
+    python -m repro fig4 [--max-peers 16] [--seed 42] [--json]
+    python -m repro rtt [--samples 200] [--json]
+    python -m repro failover [--heartbeat 1.0] [--json]
+    python -m repro availability [--replicas 6] [--duration 180] [--json]
     python -m repro campaign [--duration 90] [--workload enroll] [--loss 0.01]
                              [--no-journal] [--json]
     python -m repro overload [--rates 125,250,375,500] [--queue-bound 8]
@@ -16,14 +16,16 @@
                           [--replay FILE] [--out FILE] [--json]
     python -m repro trace [--samples 20] [--crash] [--last 5] [--json]
     python -m repro metrics [--samples 50] [--crash] [--json | --csv]
-    python -m repro wan [--scale smoke|full] [--out BENCH_wan.json] [--json]
-    python -m repro saga [--scale smoke|full] [--out BENCH_saga.json] [--json]
-    python -m repro capacity [--scale smoke|full] [--out BENCH_capacity.json]
-                             [--json]
+    python -m repro wan [--smoke] [--out BENCH_wan.json] [--json]
+    python -m repro saga [--smoke] [--out BENCH_saga.json] [--json]
+    python -m repro capacity [--smoke] [--out BENCH_capacity.json] [--json]
     python -m repro dlq [--sagas 3] [--requeue] [--json]
 
 Each subcommand prints the same tables the corresponding benchmark
-asserts on (see EXPERIMENTS.md).  Common flags — ``--seed``,
+asserts on (see EXPERIMENTS.md).  The first four (the paper's §5) and
+``wan`` / ``saga`` / ``capacity`` are *gated*: one runner under
+``repro.bench`` returns a record whose ``assertions`` are the paper-shape
+gates, and the command exits 1 if one fails.  Common flags — ``--seed``,
 ``--duration``, ``--json`` — are shared parent parsers, so they work
 uniformly before or after the subcommand name.  ``overload`` sweeps an
 open-loop arrival rate across the deployment's saturation knee and shows
@@ -37,162 +39,14 @@ import argparse
 import json as json_module
 from typing import List, Optional, Tuple
 
-from .bench import (
-    ClosedLoopWorkload,
-    ascii_plot,
-    format_phase_breakdown,
-    format_sweep,
-    format_table,
-    linear_fit,
-    run_sweep,
-    summarize,
-)
-from .bench.harness import check_record
+from .bench import capacity, format_phase_breakdown, format_table, paper, saga, wan
+from .bench.harness import check_record, quiet
 from .bench.overload import run_overload_point
 from .core import ScenarioConfig, WhisperSystem
 from .core.dispatch import DISPATCH_POLICIES
+from .soap import RequestTimeout, SoapFault
 
 __all__ = ["main"]
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    counts = [n for n in (2, 4, 6, 8, 10, 12, 16, 20, 24) if n <= args.max_peers]
-
-    def measure(replicas: int) -> dict:
-        system = WhisperSystem(ScenarioConfig(seed=args.seed, replicas=replicas))
-        service = system.deploy_student_service()
-        system.settle(6.0)
-        ClosedLoopWorkload(
-            system, service.address, service.path, "StudentInformation",
-            clients=2, think_time=0.1, requests_per_client=10,
-        ).run()
-        system.reset_counters()
-        system.run_until(system.env.now + 20.0)
-        return {"messages": system.trace.sent_total}
-
-    sweep = run_sweep("Figure 4", "b-peers", counts, measure)
-    print(format_sweep(sweep, title="Figure 4 — messages vs. b-peers (20s window)"))
-    xs = [float(n) for n in sweep.parameters()]
-    ys = [float(v) for v in sweep.series("messages")]
-    print()
-    print(ascii_plot(xs, ys, x_label="b-peers", y_label="messages"))
-    fit = linear_fit(xs, ys)
-    print(f"\nfit: messages = {fit.slope:.1f} x peers {fit.intercept:+.1f} "
-          f"(r² = {fit.r_squared:.5f})")
-    return 0
-
-
-def _cmd_rtt(args: argparse.Namespace) -> int:
-    system = WhisperSystem(ScenarioConfig(seed=args.seed, replicas=4))
-    service = system.deploy_student_service()
-    system.settle(6.0)
-    node, soap = system.add_client("rtt-client")
-    latencies: List[float] = []
-
-    def loop():
-        for index in range(args.samples):
-            started = system.env.now
-            yield from soap.call(
-                service.address, service.path, "StudentInformation",
-                {"ID": f"S{(index % 200) + 1:05d}"}, timeout=30.0,
-            )
-            latencies.append(system.env.now - started)
-            yield system.env.timeout(0.01)
-
-    system.env.run(until=node.spawn(loop()))
-    summary = summarize([l * 1000 for l in latencies])
-    print(format_table(
-        ["metric", "ms"],
-        [["samples", summary.count], ["mean", summary.mean],
-         ["p50", summary.p50], ["p95", summary.p95], ["max", summary.maximum]],
-        title="End-to-end invocation RTT (failure-free)",
-    ))
-    return 0
-
-
-def _cmd_failover(args: argparse.Namespace) -> int:
-    system = WhisperSystem(
-        ScenarioConfig(seed=args.seed, heartbeat_interval=args.heartbeat, replicas=4)
-    )
-    service = system.deploy_student_service()
-    system.settle(8.0)
-    node, soap = system.add_client("failover-client")
-    rows = []
-
-    def loop():
-        for index in range(8):
-            started = system.env.now
-            yield from soap.call(
-                service.address, service.path, "StudentInformation",
-                {"ID": f"S{index + 1:05d}"}, timeout=120.0,
-            )
-            rows.append([index, (system.env.now - started) * 1000])
-            yield system.env.timeout(0.5)
-
-    victim = service.group.coordinator_peer()
-    system.failures.crash_at(system.env.now + 1.2, victim.node.name)
-    system.env.run(until=node.spawn(loop()))
-    print(format_table(
-        ["request", "rtt (ms)"], rows,
-        title=f"Coordinator crash after request 2 (heartbeat {args.heartbeat}s)",
-    ))
-    print(f"\nproxy re-binds: {service.proxy.stats.rebinds}, "
-          f"timeouts masked: {service.proxy.stats.timeouts}")
-    return 0
-
-
-def _cmd_availability(args: argparse.Namespace) -> int:
-    system = WhisperSystem(
-        ScenarioConfig(
-            seed=args.seed,
-            heartbeat_interval=0.5,
-            miss_threshold=2,
-            replicas=args.replicas,
-        )
-    )
-    service = system.deploy_student_service()
-    system.settle(6.0)
-    hosts = [peer.node.name for peer in service.group.peers]
-    run_seconds = args.duration
-    system.failures.churn(hosts, mtbf=25.0, mttr=20.0, until=system.env.now + run_seconds)
-    node, soap = system.add_client("avail-client", timeout=2.0)
-    results = {"ok": 0, "failed": 0}
-
-    def loop():
-        clock = 0.0
-        while clock < run_seconds:
-            def probe(sequence=int(clock * 10)):
-                try:
-                    yield from soap.call(
-                        service.address, service.path, "StudentInformation",
-                        {"ID": f"S{sequence % 200 + 1:05d}"}, timeout=2.0,
-                    )
-                except Exception:  # noqa: BLE001 - availability probe
-                    results["failed"] += 1
-                else:
-                    results["ok"] += 1
-
-            node.spawn(probe())
-            yield system.env.timeout(0.5)
-            clock += 0.5
-
-    system.env.run(until=node.spawn(loop()))
-    system.run_until(system.env.now + 5.0)
-    total = results["ok"] + results["failed"]
-    availability = results["ok"] / total if total else 0.0
-    if args.json:
-        print(json_module.dumps({
-            "replicas": args.replicas, "probes": total,
-            "succeeded": results["ok"], "availability": availability,
-        }, indent=2))
-        return 0
-    print(format_table(
-        ["metric", "value"],
-        [["replicas", args.replicas], ["probes", total],
-         ["succeeded", results["ok"]], ["availability", availability]],
-        title=f"Availability under churn ({run_seconds:.0f}s, MTBF 25s, MTTR 20s)",
-    ))
-    return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -234,29 +88,15 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         for rate in rates
     ]
     if args.json:
-        print(json_module.dumps([
-            {
-                "rate": p.rate, "capacity": p.capacity, "dispatch": p.dispatch,
-                "queue_bound": p.queue_bound, "requests": p.requests,
-                "successes": p.successes, "shed": p.shed, "faults": p.faults,
-                "timeouts": p.timeouts, "shed_rate": p.shed_rate,
-                "availability": p.availability,
-                "accepted_availability": p.accepted_availability,
-                "throughput": p.throughput,
-                "p50_ms": p.latency.p50 * 1000, "p99_ms": p.latency.p99 * 1000,
-                "coordinator_sheds": p.coordinator_sheds,
-                "retry_after_honored": p.retry_after_honored,
-            }
-            for p in points
-        ], indent=2))
+        print(json_module.dumps([p.to_dict() for p in points], indent=2))
         return 0
-    capacity = points[0].capacity if points else 0.0
+    knee = points[0].capacity if points else 0.0
     bound = "unbounded" if args.queue_bound is None else str(args.queue_bound)
     print(format_table(
         ["rate", "load", "offered", "ok", "shed", "shed rate",
          "accepted avail", "tput", "p50 ms", "p99 ms"],
         [p.row() for p in points],
-        title=(f"Overload sweep — {args.replicas} replicas, knee ~{capacity:.0f}/s, "
+        title=(f"Overload sweep — {args.replicas} replicas, knee ~{knee:.0f}/s, "
                f"dispatch {args.dispatch}, queue bound {bound}"),
     ))
     return 0
@@ -285,45 +125,13 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "sweep": [
-                {
-                    "shards": p.shards,
-                    "replicas_per_shard": p.replicas_per_shard,
-                    "rate": p.rate,
-                    "shard_knee": p.shard_knee,
-                    "requests": p.requests,
-                    "successes": p.successes,
-                    "shed": p.shed,
-                    "timeouts": p.timeouts,
-                    "faults": p.faults,
-                    "throughput": p.throughput,
-                    "p50_ms": p.latency.p50 * 1000,
-                    "p99_ms": p.latency.p99 * 1000,
-                    "shard_routed": p.shard_routed,
-                    "steady_messages": p.steady_messages,
-                    "per_group_executed": p.per_group_executed,
-                }
-                for p in points
-            ],
+            "sweep": [p.to_dict() for p in points],
             "speedup": (
                 points[-1].throughput / points[0].throughput
                 if points and points[0].throughput > 0
                 else None
             ),
-            "rebalance": None
-            if rebalance is None
-            else {
-                "shards": rebalance.shards,
-                "victim": rebalance.victim,
-                "remapped_fraction": rebalance.remapped_fraction,
-                "enrollments": rebalance.enrollments,
-                "succeeded": rebalance.succeeded,
-                "failed": rebalance.failed,
-                "shard_failovers": rebalance.shard_failovers,
-                "distinct_effects": rebalance.distinct_effects,
-                "double_applied": rebalance.double_applied,
-                "exactly_once": rebalance.exactly_once,
-            },
+            "rebalance": None if rebalance is None else rebalance.to_dict(),
         }
         print(json_module.dumps(payload, indent=2))
         return 0
@@ -465,8 +273,8 @@ def _observed_run(
                     service.address, service.path, "StudentInformation",
                     {"ID": f"S{(index % 200) + 1:05d}"}, timeout=60.0,
                 )
-            except Exception:  # noqa: BLE001 - keep driving under failures
-                pass
+            except (SoapFault, RequestTimeout):
+                pass  # keep driving under failures
             yield system.env.timeout(0.1)
 
     system.env.run(until=node.spawn(loop()))
@@ -510,42 +318,68 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gated_bench(args: argparse.Namespace, module, run, label: str, **run_kwargs) -> int:
-    """wan / saga / capacity: run, write the record, print it, gate it."""
+#: The gated benches: command -> (runner, formatter, runner keyword
+#: arguments, help).  Every runner returns a record (``schema``, ``seed``,
+#: rows, ``assertions``, ``ok``); a row here is the whole registration.
+_GATED = {
+    "fig4": (paper.run_fig4, paper.format_fig4, ("seed", "max_peers"),
+             "Figure 4: messages vs b-peers"),
+    "rtt": (paper.run_rtt, paper.format_rtt, ("seed", "samples"),
+            "failure-free RTT: packet level and end to end"),
+    "failover": (paper.run_failover, paper.format_failover, ("seed", "heartbeat"),
+                 "worst-case RTT (coordinator crash) vs detection period"),
+    "availability": (paper.run_availability, paper.format_availability,
+                     ("seed", "replicas", "duration"),
+                     "availability under churn vs replication degree"),
+    "wan": (wan.run_wan, wan.format_record, ("seed", "scale"),
+            "multi-region gossip: convergence, staleness, message economy"),
+    "saga": (saga.run_saga_bench, saga.format_record, ("scale",),
+             "saga bench: availability + atomicity under faults, vs the "
+             "no-compensation baseline"),
+    "capacity": (capacity.run_capacity, capacity.format_record, ("seed", "scale"),
+                 "adaptive capacity: diurnal trace, autoscaled vs static-max, "
+                 "plus breaker drill and cache gates"),
+}
+
+#: The option each of those keyword arguments is read from (``seed`` is the
+#: shared parent).  A bench with a ``scale`` also takes ``--out``: its
+#: record is a committed ``BENCH_<name>.json``.
+_GATED_OPTIONS = {
+    "max_peers": ("--max-peers", dict(type=int, default=16)),
+    "samples": ("--samples", dict(type=int, default=200)),
+    "heartbeat": ("--heartbeat", dict(type=float, default=1.0)),
+    "replicas": ("--replicas", dict(
+        type=int, default=6,
+        help="largest replication degree swept (1, 2, 4, 6 up to this)")),
+    "duration": ("--duration", dict(
+        type=float, default=180.0, help="run length in simulated seconds")),
+    "scale": ("--smoke", dict(
+        dest="scale", action="store_const", const="smoke", default="full",
+        help="the CI tier: reduced sweeps, same assertions")),
+}
+
+
+def _gated_bench(args: argparse.Namespace) -> int:
+    """Run the bench, write its record if it keeps one, print it, gate it."""
+    run, format_record, keywords, _help = _GATED[args.command]
     record = run(
-        scale="smoke" if args.smoke else args.scale,
-        progress=None if args.json else print,
-        **run_kwargs,
+        progress=quiet if args.json else print,
+        **{keyword: getattr(args, keyword) for keyword in keywords},
     )
-    with open(args.out, "w") as handle:
-        handle.write(json_module.dumps(record, indent=2) + "\n")
+    out = getattr(args, "out", None)
+    if out:
+        with open(out, "w") as handle:
+            handle.write(json_module.dumps(record, indent=2) + "\n")
     if args.json:
         print(json_module.dumps(record, indent=2))
     else:
-        print(module.format_record(record))
-        print(f"wrote {args.out}")
-    failures = check_record(record, label)
+        print(format_record(record))
+        if out:
+            print(f"wrote {out}")
+    failures = check_record(record, args.command)
     for failure in failures:
         print(failure)
     return 0 if not failures else 1
-
-
-def _cmd_wan(args: argparse.Namespace) -> int:
-    from .bench import wan
-
-    return _gated_bench(args, wan, wan.run_wan, "WAN", seed=args.seed)
-
-
-def _cmd_saga(args: argparse.Namespace) -> int:
-    from .bench import saga
-
-    return _gated_bench(args, saga, saga.run_saga_bench, "saga")
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    from .bench import capacity
-
-    return _gated_bench(args, capacity, capacity.run_capacity, "capacity", seed=args.seed)
 
 
 def _cmd_dlq(args: argparse.Namespace) -> int:
@@ -609,31 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    fig4 = subparsers.add_parser(
-        "fig4", parents=[seed_parent], help="Figure 4: messages vs b-peers"
-    )
-    fig4.add_argument("--max-peers", type=int, default=16)
-    fig4.set_defaults(func=_cmd_fig4)
-
-    rtt = subparsers.add_parser(
-        "rtt", parents=[seed_parent], help="failure-free RTT distribution"
-    )
-    rtt.add_argument("--samples", type=int, default=200)
-    rtt.set_defaults(func=_cmd_rtt)
-
-    failover = subparsers.add_parser(
-        "failover", parents=[seed_parent], help="worst-case RTT (crash)"
-    )
-    failover.add_argument("--heartbeat", type=float, default=1.0)
-    failover.set_defaults(func=_cmd_failover)
-
-    availability = subparsers.add_parser(
-        "availability",
-        parents=[seed_parent, duration_parent, json_parent],
-        help="availability under churn",
-    )
-    availability.add_argument("--replicas", type=int, default=4)
-    availability.set_defaults(func=_cmd_availability, duration=120.0)
+    for name, (_run, _format, keywords, help_text) in _GATED.items():
+        parents = [seed_parent, json_parent] if "seed" in keywords else [json_parent]
+        bench = subparsers.add_parser(name, parents=parents, help=help_text)
+        for keyword in keywords:
+            if keyword in _GATED_OPTIONS:
+                flag, spec = _GATED_OPTIONS[keyword]
+                bench.add_argument(flag, **spec)
+        if "scale" in keywords:
+            bench.add_argument(
+                "--out", default=f"BENCH_{name}.json",
+                help=f"where to write the {name} record",
+            )
+        bench.set_defaults(func=_gated_bench)
 
     campaign = subparsers.add_parser(
         "campaign",
@@ -794,65 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--csv", action="store_true",
                          help="emit the phase breakdown as CSV")
     metrics.set_defaults(func=_cmd_metrics)
-
-    wan = subparsers.add_parser(
-        "wan",
-        parents=[seed_parent, json_parent],
-        help="multi-region gossip: convergence, staleness, message economy",
-    )
-    wan.add_argument(
-        "--scale", choices=("smoke", "full"), default="full",
-        help="sweep size; smoke is the CI tier",
-    )
-    wan.add_argument(
-        "--smoke", action="store_true",
-        help="shorthand for --scale smoke (the CI tier)",
-    )
-    wan.add_argument(
-        "--out", default="BENCH_wan.json",
-        help="where to write the WAN record",
-    )
-    wan.set_defaults(func=_cmd_wan)
-
-    saga = subparsers.add_parser(
-        "saga",
-        parents=[json_parent],
-        help="saga bench: availability + atomicity under faults, vs the "
-             "no-compensation baseline",
-    )
-    saga.add_argument(
-        "--scale", choices=("smoke", "full"), default="full",
-        help="seed count and sagas per seed; smoke is the CI tier",
-    )
-    saga.add_argument(
-        "--smoke", action="store_true",
-        help="shorthand for --scale smoke (the CI tier)",
-    )
-    saga.add_argument(
-        "--out", default="BENCH_saga.json",
-        help="where to write the saga record",
-    )
-    saga.set_defaults(func=_cmd_saga)
-
-    capacity = subparsers.add_parser(
-        "capacity",
-        parents=[seed_parent, json_parent],
-        help="adaptive capacity: diurnal trace, autoscaled vs static-max, "
-             "plus breaker drill and cache gates",
-    )
-    capacity.add_argument(
-        "--scale", choices=("smoke", "full"), default="full",
-        help="phase lengths; smoke is the CI tier",
-    )
-    capacity.add_argument(
-        "--smoke", action="store_true",
-        help="shorthand for --scale smoke (the CI tier)",
-    )
-    capacity.add_argument(
-        "--out", default="BENCH_capacity.json",
-        help="where to write the capacity record",
-    )
-    capacity.set_defaults(func=_cmd_capacity)
 
     dlq = subparsers.add_parser(
         "dlq",

@@ -145,8 +145,6 @@ class AutoscalingGroup:
         replica_factory: Callable[[int], object],
         spec: AutoscaleSpec,
         config,
-        host_prefix: Optional[str] = None,
-        advertise_remote: bool = True,
     ):
         self.network = network
         self.rendezvous = rendezvous
@@ -155,8 +153,6 @@ class AutoscalingGroup:
         self.spec = spec
         #: The group's ScenarioConfig: scale-up replicas get the same knobs.
         self.config = config
-        self.host_prefix = host_prefix or f"bpeer-{group.name}-"
-        self.advertise_remote = advertise_remote
         self.node = network.add_host(f"autoscale-{group.name}")
         self.env = self.node.env
         self.obs = network.obs
@@ -263,7 +259,7 @@ class AutoscalingGroup:
         self._sample_replica_time()
         pressure = self.pressure()
         index = next(self._spawn_ids)
-        node = self.network.add_host(f"{self.host_prefix}{index}")
+        node = self.network.add_host(f"bpeer-{self.group.name}-{index}")
         bpeer = BPeer(
             node,
             group_id=self.group.group_id,
@@ -272,7 +268,7 @@ class AutoscalingGroup:
             config=self.config,
         )
         bpeer.start(self.rendezvous)
-        bpeer.keep_published(self.group.advertisement, remote=self.advertise_remote)
+        bpeer.keep_published(self.group.advertisement)
         self.group.peers.append(bpeer)
         self.events.append(
             ScaleEvent(

@@ -107,9 +107,7 @@ def deploy_bpeer_group(
     annotation: SemanticAnnotation,
     implementations: Sequence[ServiceImplementation],
     ontology_uri: str = "",
-    host_prefix: Optional[str] = None,
     config: ScenarioConfig = ScenarioConfig(),
-    advertise_remote: bool = True,
     advertise_qos: Optional[QosMetrics] = None,
     shard_index: Optional[int] = None,
     shard_count: Optional[int] = None,
@@ -119,8 +117,8 @@ def deploy_bpeer_group(
 ) -> BPeerGroup:
     """Place one b-peer per implementation and wire the group together.
 
-    Each implementation gets its own host (``<prefix><i>``), mirroring the
-    paper's one-peer-per-machine testbed.  Every b-peer publishes the
+    Each implementation gets its own host (``bpeer-<group>-<i>``), mirroring
+    the paper's one-peer-per-machine testbed.  Every b-peer publishes the
     group's semantic advertisement into the rendezvous' SRDI index so that
     SWS-proxies anywhere can discover the group.  ``config`` carries the
     b-peer knobs (heartbeats, load sharing, dispatch, queue bound, journal,
@@ -135,7 +133,6 @@ def deploy_bpeer_group(
     """
     if not implementations:
         raise ValueError("a b-peer group needs at least one implementation")
-    prefix = host_prefix or f"bpeer-{group_name}-"
     advertisement = semantic_advertisement_for(
         group_name,
         annotation,
@@ -155,7 +152,7 @@ def deploy_bpeer_group(
         host_region = region
         if host_regions:
             host_region = host_regions[index % len(host_regions)]
-        node = network.add_host(f"{prefix}{index}", region=host_region)
+        node = network.add_host(f"bpeer-{group_name}-{index}", region=host_region)
         home_rendezvous = rendezvous
         if rendezvous_by_region and host_region in rendezvous_by_region:
             home_rendezvous = rendezvous_by_region[host_region]
@@ -169,7 +166,7 @@ def deploy_bpeer_group(
         bpeer.start(home_rendezvous)
         # Every replica keeps the group advertisement alive (idempotent in
         # the SRDI index), so it survives any single publisher's death.
-        bpeer.keep_published(advertisement, remote=advertise_remote)
+        bpeer.keep_published(advertisement)
         group.peers.append(bpeer)
     group.peers[0].bootstrap_election()
     return group

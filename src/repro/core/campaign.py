@@ -42,13 +42,9 @@ from ..check.invariants import (
     exactly_once_violations,
     stale_result_violations,
 )
-from ..simnet.events import Interrupt
 from ..soap.client import SoapClient
-from ..soap.fault import SoapFault
-from ..soap.http import RequestTimeout
 from ..wsdl.samples import student_admin_wsdl
 from .config import ScenarioConfig
-from .errors import WhisperError
 from .system import WhisperSystem
 
 __all__ = ["FaultCampaign", "CampaignReport"]
@@ -92,8 +88,9 @@ class CampaignReport:
     #: invocation id -> application count, for every id applied > once
     #: across *all* backends (exactly-once demands this stays empty).
     double_applied: Dict[str, int] = field(default_factory=dict)
-    #: Client-observed latencies of successful probes (seconds).
-    probe_latencies: List[float] = field(default_factory=list)
+    #: p99 of the successful probes' client-observed latencies (seconds),
+    #: None when no probe succeeded.
+    probe_p99: Optional[float] = None
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -108,16 +105,6 @@ class CampaignReport:
     def duplicate_rate(self) -> float:
         """Share of effectful invocations that were applied more than once."""
         return len(self.double_applied) / self.distinct_effects if self.distinct_effects else 0.0
-
-    @property
-    def probe_p99(self) -> Optional[float]:
-        """p99 of successful probe latencies (seconds), None without data."""
-        if not self.probe_latencies:
-            return None
-        ordered = sorted(self.probe_latencies)
-        # Nearest-rank p99.
-        rank = max(0, -(-99 * len(ordered) // 100) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
 
     @property
     def ok(self) -> bool:
@@ -289,10 +276,10 @@ class FaultCampaign:
         )
         report.partitions = self._schedule_partitions(hosts, start)
         self._drive_probes(report)
-        # Cooldown: let pending restarts land, partitions heal, and the
-        # final election converge before auditing.
-        system.run_until(start + self.duration)
-        system.settle(10.0)
+        # Cooldown: ten seconds past the probe schedule (every probe has
+        # been answered by now), so pending restarts land, partitions
+        # heal, and the final election converges before auditing.
+        system.run_until(max(system.env.now, start + self.duration + 10.0))
 
         self._collect(report)
         self._audit(report)
@@ -327,63 +314,50 @@ class FaultCampaign:
         return scheduled
 
     def _drive_probes(self, report: CampaignReport) -> None:
+        # The bench package builds on core; importing it here, not at
+        # module level, keeps core importable on its own.
+        from ..bench.workload import ProbeWorkload
+
         system = self.system
         service = self.service
         node = system.network.add_host("campaign-client")
         soap = SoapClient(node, default_timeout=self.probe_timeout)
 
         def lookup_probe(sequence: int):
-            try:
-                yield from soap.call(
-                    service.address,
-                    service.path,
-                    "StudentInformation",
-                    {"ID": f"S{sequence % self.students + 1:05d}"},
-                    timeout=self.probe_timeout,
-                )
-            except (SoapFault, RequestTimeout):
-                report.probes_failed += 1
-            except Interrupt:
-                return
-            else:
-                report.probes_ok += 1
+            return soap.call(
+                service.address,
+                service.path,
+                "StudentInformation",
+                {"ID": f"S{sequence % self.students + 1:05d}"},
+                timeout=self.probe_timeout,
+            )
 
         def enroll_probe(sequence: int):
             # Straight through the proxy (no SOAP hop), so the probe
             # observes the typed result — ``deduped`` retries included.
-            started = system.env.now
-            try:
-                result = yield from service.invoke(
-                    "EnrollStudent",
-                    {
-                        "ID": f"S{sequence % self.students + 1:05d}",
-                        "course": f"C{sequence:05d}",
-                    },
-                    timeout=self.probe_timeout,
-                    budget=self.probe_budget,
-                )
-            except (SoapFault, WhisperError):
-                report.probes_failed += 1
-            except Interrupt:
-                return
-            else:
-                report.probes_ok += 1
-                report.probe_latencies.append(system.env.now - started)
-                if result.deduped:
-                    report.probes_deduped += 1
+            result = yield from service.invoke(
+                "EnrollStudent",
+                {
+                    "ID": f"S{sequence % self.students + 1:05d}",
+                    "course": f"C{sequence:05d}",
+                },
+                timeout=self.probe_timeout,
+                budget=self.probe_budget,
+            )
+            if result.deduped:
+                report.probes_deduped += 1
 
-        one_probe = enroll_probe if self.workload == "enroll" else lookup_probe
-
-        def injector():
-            clock = 0.0
-            sequence = 0
-            while clock < self.duration:
-                node.spawn(one_probe(sequence), name=f"campaign-probe-{sequence}")
-                sequence += 1
-                yield system.env.timeout(self.probe_period)
-                clock += self.probe_period
-
-        system.env.run(until=node.spawn(injector()))
+        result = ProbeWorkload(
+            system,
+            node,
+            enroll_probe if self.workload == "enroll" else lookup_probe,
+            period=self.probe_period,
+            duration=self.duration,
+        ).run()
+        report.probes_ok = result.successes
+        report.probes_failed = result.requests - result.successes
+        if result.latencies:
+            report.probe_p99 = result.latency_summary().p99
 
     # -- reporting + auditing -----------------------------------------------------------
 

@@ -187,10 +187,7 @@ class SwsProxy(Peer):
         config: ScenarioConfig = ScenarioConfig(),
         discovery_timeout: float = 1.0,
         coordinator_timeout: float = 1.0,
-        qos_selector: Optional[QosSelector] = None,
-        retry: Optional[RetryPolicy] = None,
         resolve_grace: float = 0.02,
-        shard_suspect_interval: float = 10.0,
         home_region: Optional[str] = None,
         region_count: int = 1,
         name: Optional[str] = None,
@@ -208,8 +205,8 @@ class SwsProxy(Peer):
         self.max_attempts = config.max_attempts
         self.discovery_timeout = discovery_timeout
         self.coordinator_timeout = coordinator_timeout
-        self.qos_selector = qos_selector or QosSelector()
-        self.retry = retry or RetryPolicy()
+        self.qos_selector = QosSelector()
+        self.retry = RetryPolicy()
         #: Default per-request wall budget (simulated seconds); ``invoke``'s
         #: ``budget`` argument overrides it per call.
         self.deadline_budget = config.deadline_budget
@@ -222,7 +219,7 @@ class SwsProxy(Peer):
         self.virtual_nodes = config.virtual_nodes
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
-        self.shard_suspect_interval = shard_suspect_interval
+        self.shard_suspect_interval = 10.0
         #: Region this proxy lives in (multi-region topologies): among
         #: equally good semantic matches it binds to a group advertised
         #: from its own region, and fails over to other regions' groups

@@ -170,9 +170,6 @@ class ShardRouter:
     def suspect(self, group_name: str, now: float) -> None:
         self._suspicions[group_name] = _Suspicion(until=now + self.suspect_interval)
 
-    def clear_suspicion(self, group_name: str) -> None:
-        self._suspicions.pop(group_name, None)
-
     def suspected(self, now: float) -> FrozenSet[str]:
         expired = [
             name for name, entry in self._suspicions.items() if entry.until <= now

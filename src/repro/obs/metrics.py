@@ -292,22 +292,6 @@ class MetricsRegistry:
             }
         return json.dumps(payload, indent=indent)
 
-    def counters_to_csv(self) -> str:
-        lines = ["name,value"]
-        lines.extend(f"{name},{c.value}" for name, c in sorted(self.counters.items()))
-        return "\n".join(lines) + "\n"
-
-    def histograms_to_csv(self) -> str:
-        lines = ["name,count,mean,p50,p95,p99,min,max"]
-        for name, histogram in sorted(self.histograms.items()):
-            stats = histogram.snapshot()
-            cells = [name] + [
-                "" if stats[key] is None else repr(stats[key])
-                for key in ("count", "mean", "p50", "p95", "p99", "min", "max")
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
     def reset(self) -> None:
         """Drop every counter, histogram, and ring (e.g. after warm-up)."""
         self.counters.clear()

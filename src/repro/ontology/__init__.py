@@ -22,7 +22,6 @@ from .namespaces import Namespace, NamespaceRegistry, QName, split_uri
 from .ontology import Ontology, OntologyError
 from .owlxml import OwlParseError, ontology_from_xml, ontology_to_xml
 from .reasoner import Reasoner
-from .turtle import TurtleParseError, ontology_from_turtle, ontology_to_turtle
 
 __all__ = [
     "B2B",
@@ -44,12 +43,9 @@ __all__ = [
     "Reasoner",
     "SM",
     "SignatureMatch",
-    "TurtleParseError",
     "b2b_ontology",
     "enterprise_ontology",
-    "ontology_from_turtle",
     "ontology_from_xml",
-    "ontology_to_turtle",
     "ontology_to_xml",
     "split_uri",
     "university_ontology",

@@ -303,9 +303,3 @@ class GossipService:
             # A federated peer with no route yet (or mid-crash) is a normal
             # epidemic condition: some other round will repair it.
             pass
-
-    # -- reporting -----------------------------------------------------------------------
-
-    def convergence_times(self) -> Dict[str, float]:
-        """key -> simulated time this rendezvous first learned it."""
-        return dict(self.seen_at)

@@ -55,10 +55,6 @@ class Peer:
 
     # -- convenience -----------------------------------------------------------------
 
-    @property
-    def is_up(self) -> bool:
-        return self.node.up
-
     def advertisement(self) -> PeerAdvertisement:
         """This peer's own peer advertisement."""
         return PeerAdvertisement(

@@ -69,9 +69,6 @@ class ResolverService:
         """Answer queries addressed to ``name`` with ``handler``."""
         self._handlers[name] = handler
 
-    def unregister_handler(self, name: str) -> None:
-        self._handlers.pop(name, None)
-
     # -- querying -----------------------------------------------------------------------
 
     def send_query(

@@ -187,20 +187,7 @@ class FailureInjector:
         if self.network.heal_partition(handle):
             self.log.append(FailureEvent(self.network.env.now, "heal", sides))
 
-    def _heal(self) -> None:
-        """Heal *everything* (manual escape hatch, not used by timers)."""
-        self.network.heal_partitions()
-        self.log.append(FailureEvent(self.network.env.now, "heal", "*"))
-
     # -- reporting -------------------------------------------------------------------
-
-    def crash_times(self, host: Optional[str] = None) -> List[Tuple[float, str]]:
-        """(time, host) pairs of every injected crash (optionally filtered)."""
-        return [
-            (event.time, event.target)
-            for event in self.log
-            if event.kind == "crash" and (host is None or event.target == host)
-        ]
 
     def alternation_violations(self) -> List[str]:
         """Audit the log: per host, crash/restart events must strictly

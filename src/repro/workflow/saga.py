@@ -268,9 +268,6 @@ class SagaRecord:
                 return record
         raise KeyError(name)
 
-    def committed_steps(self) -> List[str]:
-        return [s.name for s in self.steps if s.state == StepState.COMMITTED]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "saga_id": self.saga_id,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.bench import ClosedLoopWorkload, PoissonWorkload
+from repro.bench import (
+    ClosedLoopWorkload,
+    PoissonWorkload,
+    ProbeWorkload,
+    student_arguments,
+)
 from repro.core import ScenarioConfig, WhisperSystem
 
 
@@ -92,3 +97,53 @@ class TestPoisson:
             return result.requests, round(sum(result.latencies), 9)
 
         assert run_once() == run_once()
+
+
+class TestProbes:
+    """The fixed-period open-loop prober (availability, baselines, campaign)."""
+
+    def _prober(self, deployment, call=None, **kwargs):
+        system, service = deployment
+        node, soap = system.add_client("probe-client", timeout=2.0)
+
+        def lookup(sequence):
+            return soap.call(
+                service.address, service.path, "StudentInformation",
+                student_arguments(sequence), timeout=2.0,
+            )
+
+        return ProbeWorkload(system, node, call or lookup, **kwargs)
+
+    def test_one_probe_per_period_all_answered(self, deployment):
+        result = self._prober(deployment, period=0.5, duration=5.0).run()
+        assert result.requests == 10
+        assert result.availability == 1.0
+        assert len(result.latencies) == 10
+
+    def test_probes_leave_on_time_while_the_service_is_down(self, deployment):
+        """Open loop: a dead group slows no probe's departure, and every
+        probe is drained (counted) before ``run`` returns."""
+        system, service = deployment
+        for peer in service.group.peers:
+            peer.node.crash()
+        result = self._prober(deployment, period=0.5, duration=5.0).run()
+        assert result.requests == 10
+        assert result.successes == 0
+        assert result.faults + result.timeouts == 10
+
+    def test_a_bug_in_the_stack_fails_the_run_instead_of_counting(self, deployment):
+        """Only what a call can raise is an outcome; at the parent the
+        CLI's prober swallowed ``Exception`` and read this as downtime."""
+
+        def buggy(sequence):
+            yield deployment[0].env.timeout(0.01)
+            raise RuntimeError("bug in the stack")
+
+        prober = self._prober(deployment, call=buggy, period=0.5, duration=2.0)
+        with pytest.raises(RuntimeError, match="bug in the stack"):
+            prober.run()
+        assert prober.result.requests == 0
+
+    def test_period_must_be_positive(self, deployment):
+        with pytest.raises(ValueError):
+            self._prober(deployment, period=0.0)

@@ -64,6 +64,19 @@ class TestCommands:
         assert "Availability under churn" in output
         assert "availability" in output
 
+    def test_trace_driver_does_not_swallow_a_bug_in_the_stack(self, monkeypatch):
+        """The observed run keeps driving under SOAP faults and timeouts
+        only; at the parent it caught ``Exception`` and ``trace`` exited 0."""
+        from repro.soap import SoapClient
+
+        def buggy_call(self, *args, **kwargs):
+            raise RuntimeError("bug in the stack")
+            yield
+
+        monkeypatch.setattr(SoapClient, "call", buggy_call)
+        with pytest.raises(RuntimeError, match="bug in the stack"):
+            main(["trace", "--samples", "1"])
+
     def test_check_runs_small_and_clean(self, capsys, tmp_path):
         out = str(tmp_path / "repro.json")
         assert main(["check", "--seeds", "1", "--schedules", "2",

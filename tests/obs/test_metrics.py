@@ -106,15 +106,6 @@ class TestMetricsRegistry:
         assert parsed["counters"]["a"] == 5
         assert parsed["histograms"]["lat"]["buckets"][-1]["le"] is None
 
-    def test_csv_exports(self):
-        registry = MetricsRegistry()
-        registry.inc("a", 2)
-        registry.observe("lat", 0.003)
-        assert "a,2" in registry.counters_to_csv()
-        lines = registry.histograms_to_csv().splitlines()
-        assert lines[0].startswith("name,count,mean")
-        assert lines[1].startswith("lat,1,")
-
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
         registry.inc("a")

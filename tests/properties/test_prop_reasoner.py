@@ -128,36 +128,6 @@ def test_owl_xml_roundtrip_preserves_reasoning(onto):
         assert original.ancestors(uri) == recovered.ancestors(uri)
 
 
-@given(onto=ontologies())
-@settings(max_examples=40, deadline=None)
-def test_turtle_roundtrip_preserves_reasoning(onto):
-    from repro.ontology import ontology_from_turtle, ontology_to_turtle
-
-    parsed = ontology_from_turtle(ontology_to_turtle(onto))
-    original = Reasoner(onto)
-    recovered = Reasoner(parsed)
-    for uri in sorted(onto.concepts):
-        assert original.ancestors(uri) == recovered.ancestors(uri)
-
-
-@given(onto=ontologies())
-@settings(max_examples=40, deadline=None)
-def test_xml_and_turtle_agree(onto):
-    """The two serialisations describe the same ontology."""
-    from repro.ontology import (
-        ontology_from_turtle,
-        ontology_from_xml,
-        ontology_to_turtle,
-        ontology_to_xml,
-    )
-
-    via_xml = ontology_from_xml(ontology_to_xml(onto))
-    via_turtle = ontology_from_turtle(ontology_to_turtle(onto))
-    assert set(via_xml.concepts) == set(via_turtle.concepts)
-    for uri in via_xml.concepts:
-        assert via_xml.concepts[uri].parents == via_turtle.concepts[uri].parents
-
-
 # -- memoised match_signature vs. the uncached oracle ------------------------------
 
 _concept = st.integers(min_value=0, max_value=15).map(lambda i: f"{NS}C{i}")
