@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc all clean
+.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc census all clean
 
 # pytest-timeout is a test extra (CI installs it); the smoke tiers use it
 # where it is present.
@@ -164,6 +164,25 @@ loc:
 		find $$pkg -name '*.py' | xargs cat | wc -l | awk -v p=$$pkg '{printf "%7d  %s\n", $$1, p}'; \
 	done
 	@wc -l src/repro/*.py src/repro/core/*.py | grep -v ' total$$' | awk '{printf "%7d  %s\n", $$1, $$2}'
+
+# What the traffic reaches (DESIGN.md §6.15; not a gate): every
+# `python -m repro` line of the smoke tiers, the other CLI commands once,
+# the bench_e2e smoke suite and the examples run under the profile hook of
+# tools/census/sitecustomize.py, which then lists, per file, the src/repro
+# functions none of them entered.  ~2 min.  The next "delete or keep"
+# decision starts from this list, not from grep.
+CENSUS_DIR ?= .census
+SMOKE_TIERS := check-smoke shard-smoke wan-smoke saga-smoke capacity-smoke benchmark-smoke
+census:
+	rm -rf $(CENSUS_DIR) && mkdir -p $(CENSUS_DIR)
+	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
+	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
+	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
+	for command in fig4 rtt failover availability campaign overload trace metrics; do \
+		python -m repro $$command >/dev/null; \
+	done; \
+	$(MAKE) -s examples >/dev/null
+	python tools/census/sitecustomize.py $(CENSUS_DIR)
 
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Multi-region deployment: nearest-region binding and WAN failover.
 
-Declares a three-region WAN topology with the fluent ``Topology``
-builder, deploys the §3 StudentInformation service *replicated per
-region* (one b-peer group in each, discovered across regions by the
-gossip layer), then:
+Declares a three-region WAN topology as one ``Topology`` value, deploys
+the §3 StudentInformation service *replicated per region* (one b-peer
+group in each, discovered across regions by the gossip layer), then:
 
 1. shows the SWS-proxy binding to its home region's group (single-digit
    millisecond RTTs, no WAN hop on the request path);
@@ -17,7 +16,7 @@ Run:  python examples/multi_region.py
 from __future__ import annotations
 
 from repro.core import ScenarioConfig, WhisperSystem
-from repro.core.topology import Topology
+from repro.core.topology import GossipSpec, RegionSpec, Topology, WanLinkSpec
 
 
 def main() -> None:
@@ -26,18 +25,16 @@ def main() -> None:
     # The whole network shape is one declarative value: per-region LANs,
     # asymmetric WAN links with jitter, and the gossip tuning that
     # spreads advertisements between the regions' rendezvous peers.
-    topology = (
-        Topology.builder()
-        .region("eu", latency="lan")
-        .region("us", latency="lan")
-        .region("ap", latency="lan")
-        .link("eu", "us", latency="lognormal:40ms±15ms")
-        .link("eu", "ap", latency="lognormal:120ms±30ms",
-              latency_back="lognormal:140ms±30ms")
-        .link("us", "ap", latency="lognormal:90ms±20ms")
-        .gossip(fanout=2, interval=0.5)
-        .home("eu")
-        .build()
+    topology = Topology(
+        regions=(RegionSpec("eu"), RegionSpec("us"), RegionSpec("ap")),
+        wan_links=(
+            WanLinkSpec("eu", "us", latency="lognormal:40ms±15ms"),
+            WanLinkSpec("eu", "ap", latency="lognormal:120ms±30ms",
+                        latency_back="lognormal:140ms±30ms"),
+            WanLinkSpec("us", "ap", latency="lognormal:90ms±20ms"),
+        ),
+        gossip=GossipSpec(fanout=2, interval=0.5),
+        home_region="eu",
     )
     system = WhisperSystem(ScenarioConfig(seed=7, replicas=2, topology=topology))
     service = system.deploy_student_service()

@@ -34,7 +34,7 @@ from ..backend.services import ServiceImplementation, student_lookup_operational
 from ..core.autoscale import AutoscaleSpec
 from ..core.breaker import BreakerSpec
 from ..core.config import ScenarioConfig
-from ..core.errors import CircuitOpenError
+from ..core.errors import CircuitOpenError, WhisperError
 from ..core.rescache import ResultCacheSpec
 from ..core.system import DeployedService, WhisperSystem
 from ..check.invariants import (
@@ -43,6 +43,7 @@ from ..check.invariants import (
     rescache_violations,
     retirement_violations,
 )
+from ..soap.fault import SoapFault
 from ..wsdl.samples import student_management_wsdl
 from .harness import Progress, bench_record, fig4_counts, format_assertions, quiet
 from .stats import percentile
@@ -298,7 +299,7 @@ def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
                 yield from service.invoke("StudentInformation", {"ID": "S00001"})
             except CircuitOpenError:
                 outcomes.append("rejected")
-            except Exception:
+            except (SoapFault, WhisperError):
                 outcomes.append("failed")
             else:
                 outcomes.append("ok")

@@ -26,11 +26,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..backend.datasets import student_database
-from ..backend.services import student_enrollment, student_lookup_operational
+from ..backend.services import student_lookup_operational
 from ..core.config import ScenarioConfig
+from ..core.errors import WhisperError
 from ..core.sharding import ShardRing
 from ..core.system import WhisperSystem
-from ..wsdl.samples import student_admin_wsdl, student_management_wsdl
+from ..soap.fault import SoapFault
+from ..wsdl.samples import student_management_wsdl
 from .stats import Summary
 from .workload import PoissonWorkload
 
@@ -284,15 +286,7 @@ def run_rebalance(
         request_timeout=0.5,
     )
     system = WhisperSystem(config)
-    service = system.deploy_service(
-        student_admin_wsdl(),
-        {
-            "EnrollStudent": lambda shard: [
-                student_enrollment(student_database(config.students))
-                for _ in range(replicas)
-            ]
-        },
-    )
+    service = system.deploy_enrollment_service(web_host=None)
     system.settle(settle)
     victim = service.shard_groups_for("EnrollStudent")[0]
     outcomes = {"ok": 0, "failed": 0}
@@ -308,7 +302,7 @@ def run_rebalance(
                     {"ID": f"S{index + 1:05d}", "course": "b2b-integration"},
                     budget=6.0,
                 )
-            except Exception:  # noqa: BLE001 - the audit counts outcomes
+            except (SoapFault, WhisperError):
                 outcomes["failed"] += 1
             else:
                 outcomes["ok"] += 1

@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..backend.datasets import student_database
-from ..backend.services import student_enrollment
 from ..core.autoscale import AutoscaleSpec
 from ..core.breaker import BreakerSpec
 from ..core.config import ScenarioConfig
@@ -49,7 +47,6 @@ from ..core.system import WhisperSystem
 from ..core.topology import Topology
 from ..simnet.events import Interrupt
 from ..soap.fault import SoapFault
-from ..wsdl.samples import student_admin_wsdl
 from .faults import DecisionFaultInjector
 from .invariants import InvariantRegistry
 from .saga import ORCHESTRATOR_HOST, SagaCheckScenario, SagaRunResult
@@ -214,10 +211,6 @@ def _build_system(scenario: CheckScenario):
     instead *span*-placed over a WAN mesh (one election domain, replicas
     round-robin across regions), so region-isolation schedules audit the
     same invariants across WAN splits and heals."""
-    if scenario.shards > 1 and scenario.regions > 1:
-        raise ValueError("shards and regions cannot both exceed 1")
-    if scenario.capacity and (scenario.shards > 1 or scenario.regions > 1):
-        raise ValueError("capacity scenarios require shards == regions == 1")
     topology = (
         Topology.mesh(scenario.region_names(), placement="span")
         if scenario.regions > 1
@@ -262,30 +255,7 @@ def _build_system(scenario: CheckScenario):
         **capacity_specs,
     )
     system = WhisperSystem(config)
-    if scenario.shards > 1:
-        implementations = lambda shard: [  # noqa: E731 — per-shard stores
-            student_enrollment(student_database(scenario.students))
-            for _ in range(scenario.replicas)
-        ]
-    else:
-        implementations = [
-            student_enrollment(student_database(scenario.students))
-            for _ in range(scenario.replicas)
-        ]
-    service = system.deploy_service(
-        student_admin_wsdl(),
-        {"EnrollStudent": implementations},
-        web_host="web0",
-        replica_factory=(
-            (
-                lambda index: student_enrollment(
-                    student_database(scenario.students)
-                )
-            )
-            if scenario.capacity
-            else None
-        ),
-    )
+    service = system.deploy_enrollment_service()
     return system, service
 
 

@@ -28,6 +28,7 @@ from .errors import (
     InvocationFailedError,
     NoCoordinatorError,
     NoMatchingGroupError,
+    UnsupportedScenarioError,
     WhisperError,
 )
 from .matching import GroupMatch, SemanticGroupMatcher, SyntacticGroupMatcher
@@ -81,6 +82,7 @@ __all__ = [
     "SemanticWebService",
     "SwsProxy",
     "SyntacticGroupMatcher",
+    "UnsupportedScenarioError",
     "WhisperError",
     "WhisperSystem",
     "WhisperWebService",

@@ -9,8 +9,8 @@ al., this controller resizes a deployed group at run time:
   same per-member outstanding counts the dispatch policies and the
   `bpeer.queue_depth` gauge already observe — averaged over the live
   membership;
-* **scale up** mints a fresh replica exactly the way
-  :func:`~repro.core.bpeer_group.deploy_bpeer_group` does (new host, new
+* **scale up** adds a member the way the initial deployment did
+  (:meth:`~repro.core.bpeer_group.BPeerGroup.add_member`: new host, new
   :class:`BPeer`, join + publish the group advertisement) once pressure
   crosses ``high_watermark``;
 * **scale down** retires the newest non-coordinating replica with an
@@ -20,8 +20,9 @@ al., this controller resizes a deployed group at run time:
   (stop republishing + flush the local cache), and only then shut it
   down.  The drain outcome is journalled so the checker can audit "no
   in-flight work stranded by retirement" offline;
-* **cooldown hysteresis** — at most one scale event per ``cooldown``
-  window — keeps the controller from flapping on noise.
+* **cooldown hysteresis** — at most one scale decision per ``cooldown``
+  window, and a :class:`ScaleEvent` carries its decision instant — keeps
+  the controller from flapping on noise.
 
 The decision core lives in :class:`AutoscalePolicy`, a pure state
 machine the property suite drives directly with Hypothesis-generated
@@ -32,7 +33,6 @@ take the control loop down with them).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
@@ -85,6 +85,10 @@ class AutoscaleSpec:
 
 @dataclass(frozen=True)
 class ScaleEvent:
+    #: When the scale action was *decided* — the clock the cooldown runs
+    #: on (``AutoscalePolicy.last_scale_at``).  A scale-up completes in the
+    #: same instant; a scale-down announces the leave then and drains for
+    #: as long as it takes — :attr:`RetirementRecord.at` is its completion.
     at: float
     direction: str  # "up" | "down"
     replicas: int  # active replica count *after* the event
@@ -143,20 +147,19 @@ class AutoscalingGroup:
         rendezvous,
         group,
         replica_factory: Callable[[int], object],
-        spec: AutoscaleSpec,
         config,
     ):
         self.network = network
         self.rendezvous = rendezvous
         self.group = group
         self.replica_factory = replica_factory
-        self.spec = spec
         #: The group's ScenarioConfig: scale-up replicas get the same knobs.
         self.config = config
+        self.spec: AutoscaleSpec = config.autoscale
         self.node = network.add_host(f"autoscale-{group.name}")
         self.env = self.node.env
         self.obs = network.obs
-        self.policy = AutoscalePolicy(spec)
+        self.policy = AutoscalePolicy(self.spec)
         #: Audit logs (newest last), bounded like ``SemanticResultCache.serves``;
         #: the ``autoscale.*`` counters are the running totals.
         self.events: Deque[ScaleEvent] = deque(maxlen=8192)
@@ -166,7 +169,6 @@ class AutoscalingGroup:
         self._retired_ids: set = set()
         self.retired: List[object] = []
         self._retiring = None
-        self._spawn_ids = itertools.count(len(group.peers))
         #: Replica-seconds integral (the bench's replica-hours numerator).
         self.replica_seconds = 0.0
         self._last_sample = self.env.now
@@ -254,22 +256,16 @@ class AutoscalingGroup:
         self._last_sample = now
 
     def _spawn_replica(self, forced: bool = False):
-        from .bpeer import BPeer
-
         self._sample_replica_time()
         pressure = self.pressure()
-        index = next(self._spawn_ids)
-        node = self.network.add_host(f"bpeer-{self.group.name}-{index}")
-        bpeer = BPeer(
-            node,
-            group_id=self.group.group_id,
-            group_name=self.group.name,
-            implementation=self.replica_factory(index),
-            config=self.config,
+        # Retired peers stay in ``group.peers``, so its length is the next
+        # replica index.
+        bpeer = self.group.add_member(
+            self.network,
+            self.rendezvous,
+            self.replica_factory(len(self.group.peers)),
+            self.config,
         )
-        bpeer.start(self.rendezvous)
-        bpeer.keep_published(self.group.advertisement)
-        self.group.peers.append(bpeer)
         self.events.append(
             ScaleEvent(
                 at=self.env.now,
@@ -307,6 +303,7 @@ class AutoscalingGroup:
             if victim.coordinator_mgr.is_coordinator:
                 return  # won an election since we picked it; abort
             pressure = self.pressure()
+            decided_at = self.env.now
             # 1. Announce the leave: the coordinator's dispatch view
             #    prunes leavers, so no *new* work is routed to the victim
             #    (in-flight delegations still complete — it keeps serving).
@@ -356,7 +353,7 @@ class AutoscalingGroup:
             )
             self.events.append(
                 ScaleEvent(
-                    at=self.env.now,
+                    at=decided_at,
                     direction="down",
                     replicas=len(self.active_peers()),
                     pressure=pressure,

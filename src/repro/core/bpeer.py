@@ -217,8 +217,6 @@ class BPeer(Peer):
         self.dispatch = dispatch_policy(config.dispatch)
         #: Admission control: max dispatched-but-unfinished requests per
         #: member.  ``None`` = the seed's unbounded behaviour.
-        if config.queue_bound is not None and config.queue_bound < 1:
-            raise ValueError("queue_bound must be >= 1 (or None for unbounded)")
         self.queue_bound = config.queue_bound
         self.coordinator_mgr = GroupCoordinator(
             self.groups,

@@ -71,6 +71,34 @@ class BPeerGroup:
     advertisement: SemanticAdvertisement
     peers: List[BPeer] = field(default_factory=list)
 
+    def add_member(
+        self,
+        network: Network,
+        rendezvous: Peer,
+        implementation: ServiceImplementation,
+        config: ScenarioConfig,
+        region: Optional[str] = None,
+    ) -> BPeer:
+        """Place one more b-peer on its own host (``bpeer-<group>-<i>``,
+        mirroring the paper's one-peer-per-machine testbed) and join it:
+        how the initial deployment and the autoscaler both grow a group.
+        ``config`` carries the b-peer knobs (heartbeats, load sharing,
+        dispatch, queue bound, journal, fencing)."""
+        node = network.add_host(f"bpeer-{self.name}-{len(self.peers)}", region=region)
+        bpeer = BPeer(
+            node,
+            group_id=self.group_id,
+            group_name=self.name,
+            implementation=implementation,
+            config=config,
+        )
+        bpeer.start(rendezvous)
+        # Every replica keeps the group advertisement alive (idempotent in
+        # the SRDI index), so it survives any single publisher's death.
+        bpeer.keep_published(self.advertisement)
+        self.peers.append(bpeer)
+        return bpeer
+
     def coordinator_peer(self) -> Optional[BPeer]:
         """The replica that currently believes it coordinates (if any)."""
         for peer in self.peers:
@@ -117,12 +145,9 @@ def deploy_bpeer_group(
 ) -> BPeerGroup:
     """Place one b-peer per implementation and wire the group together.
 
-    Each implementation gets its own host (``bpeer-<group>-<i>``), mirroring
-    the paper's one-peer-per-machine testbed.  Every b-peer publishes the
-    group's semantic advertisement into the rendezvous' SRDI index so that
-    SWS-proxies anywhere can discover the group.  ``config`` carries the
-    b-peer knobs (heartbeats, load sharing, dispatch, queue bound, journal,
-    fencing); :class:`BPeer` reads them off it.
+    Every b-peer publishes the group's semantic advertisement into the
+    rendezvous' SRDI index so that SWS-proxies anywhere can discover the
+    group (:meth:`BPeerGroup.add_member`).
 
     Multi-region placement: ``region`` puts every host (and the
     advertisement's home) in one region; ``host_regions`` instead spreads
@@ -152,21 +177,11 @@ def deploy_bpeer_group(
         host_region = region
         if host_regions:
             host_region = host_regions[index % len(host_regions)]
-        node = network.add_host(f"bpeer-{group_name}-{index}", region=host_region)
         home_rendezvous = rendezvous
         if rendezvous_by_region and host_region in rendezvous_by_region:
             home_rendezvous = rendezvous_by_region[host_region]
-        bpeer = BPeer(
-            node,
-            group_id=group.group_id,
-            group_name=group_name,
-            implementation=implementation,
-            config=config,
+        group.add_member(
+            network, home_rendezvous, implementation, config, region=host_region
         )
-        bpeer.start(home_rendezvous)
-        # Every replica keeps the group advertisement alive (idempotent in
-        # the SRDI index), so it survives any single publisher's death.
-        bpeer.keep_published(advertisement)
-        group.peers.append(bpeer)
     group.peers[0].bootstrap_election()
     return group

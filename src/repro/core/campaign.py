@@ -33,8 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..backend.datasets import student_database
-from ..backend.services import student_enrollment
 from ..check.invariants import (
     announced_epoch_violations,
     convergence_violations,
@@ -43,7 +41,6 @@ from ..check.invariants import (
     stale_result_violations,
 )
 from ..soap.client import SoapClient
-from ..wsdl.samples import student_admin_wsdl
 from .config import ScenarioConfig
 from .system import WhisperSystem
 
@@ -237,23 +234,9 @@ class FaultCampaign:
         if loss_rate:
             self.system.network.loss_rate = loss_rate
         if workload == "enroll":
-            self.service = self._deploy_enroll_service()
+            self.service = self.system.deploy_enrollment_service()
         else:
             self.service = self.system.deploy_student_service()
-
-    def _deploy_enroll_service(self):
-        """The mutating workload: §3's ``sm:EnrollStudent``, one
-        operational-database replica per b-peer (independent stores, so
-        the audit can attribute every application)."""
-        implementations = [
-            student_enrollment(student_database(self.students))
-            for _ in range(self.replicas)
-        ]
-        return self.system.deploy_service(
-            student_admin_wsdl(),
-            {"EnrollStudent": implementations},
-            web_host="web0",
-        )
 
     # -- the run ---------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from typing import Any, Optional, Union
 from ..ontology.match import DegreeOfMatch
 from .autoscale import AutoscaleSpec
 from .breaker import BreakerSpec
+from .errors import UnsupportedScenarioError
 from .rescache import ResultCacheSpec
 from .topology import Topology
 
@@ -96,10 +97,6 @@ class ScenarioConfig:
     #: points smooth the per-shard key distribution and shrink the
     #: segment remapped by one group's failover.
     virtual_nodes: int = 64
-    #: Cross-shard read policy for scatter-gather: ``all`` (raise on any
-    #: shard failure), ``quorum`` (strict majority), or ``partial``
-    #: (>=1 success, degraded answers flagged, the default).
-    scatter_policy: str = "partial"
 
     # -- canonical student scenario (§3) --
     replicas: int = 4
@@ -129,6 +126,28 @@ class ScenarioConfig:
     #: discover→bind→invoke path, epoch-fenced + staleness-bounded.
     #: ``None`` disables (seed behaviour).
     result_cache: Optional[ResultCacheSpec] = None
+
+    def check_supported(self, topology: Topology) -> None:
+        """Raise for the combinations no deployment supports.
+
+        ``topology`` is the *system's*: a per-service ``config=`` override
+        need not carry one.
+        """
+        if self.shards < 1:
+            raise UnsupportedScenarioError(f"shards must be >= 1, got {self.shards}")
+        if self.queue_bound is not None and self.queue_bound < 1:
+            raise UnsupportedScenarioError(
+                "queue_bound must be >= 1 (or None for unbounded)"
+            )
+        if self.shards > 1 and topology.multi_region:
+            raise UnsupportedScenarioError(
+                "shards and regions cannot both exceed 1: sharded multi-region "
+                "deployments are not supported"
+            )
+        if self.autoscale is not None and (self.shards > 1 or topology.multi_region):
+            raise UnsupportedScenarioError(
+                "autoscaling needs a single-region, unsharded deployment"
+            )
 
     def replace(self, **changes: Any) -> "ScenarioConfig":
         """A copy with ``changes`` applied (convenience for sweeps)."""

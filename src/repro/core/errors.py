@@ -9,6 +9,7 @@ __all__ = [
     "InvocationFailedError",
     "AnnotationError",
     "CircuitOpenError",
+    "UnsupportedScenarioError",
 ]
 
 
@@ -34,3 +35,7 @@ class InvocationFailedError(WhisperError):
 
 class CircuitOpenError(WhisperError):
     """The proxy's circuit breaker rejected the call locally (no fallback)."""
+
+
+class UnsupportedScenarioError(WhisperError, ValueError):
+    """A :class:`ScenarioConfig` / topology combination no deployment supports."""

@@ -23,12 +23,13 @@ The proxy also "translates the data received to a suitable format" (§4.2):
 results are validated against the service's WSDL schema before being
 handed back to the Web service.
 
-One implementation per concern: ``_count`` bumps a ``ProxyStats`` field
-and its ``proxy.*`` metric together; inside ``_invoke_attempts`` there is
-one give-up exit (attempt cap or deadline), one sticky rule (``pinned``)
-and one ``switch_group`` behind both the shard ring and the region
-ladder, ``enter_recovery``/``close_recovery`` around the recover span;
-``_invoke``'s ``unattempted`` builds the results that never hit the wire.
+One call path: ``invoke`` opens the request trace and ``_invoke`` is the
+whole call — a single generator whose locals are the per-call state.  In
+it: ``unattempted`` builds the results that never hit the wire, one
+give-up exit (attempt cap or deadline), one sticky rule (``pinned``) and
+one ``switch_group`` behind both the shard ring and the region ladder,
+``enter_recovery``/``close_recovery`` around the recover span.  ``_count``
+bumps a ``ProxyStats`` field and its ``proxy.*`` metric together.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..p2p.ids import PeerGroupId, PeerId
 from ..p2p.peer import Peer
 from ..qos.metrics import QosProfile
 from ..qos.selection import QosSelector
-from ..simnet.events import EXPIRED, AllOf, Wait
+from ..simnet.events import EXPIRED, Wait
 from ..simnet.message import Address
 from ..soap.fault import SoapFault
 from ..wsdl.annotations import SemanticAnnotation
@@ -64,7 +65,7 @@ from .matching import GroupMatch, SemanticGroupMatcher
 from .rescache import SemanticResultCache
 from .result import InvokeOutcome, InvokeResult
 from .retry import Deadline, RetryPolicy
-from .sharding import ScatterResult, ShardRouter, shard_key
+from .sharding import ShardRouter, shard_key
 from .sws import SemanticWebService
 
 __all__ = ["SwsProxy", "ProxyStats"]
@@ -107,7 +108,7 @@ class ProxyStats:
     #: sharded deployments increment this).
     shard_routed: int = 0
     #: Invocations rerouted to a ring successor after their home shard
-    #: group stopped answering (read legs and never-sent requests only —
+    #: group stopped answering (reads and never-sent requests only —
     #: a sent mutating request stays pinned to its home group so dedup
     #: journals never need to span groups).
     shard_failovers: int = 0
@@ -116,13 +117,8 @@ class ProxyStats:
     region_preferred: int = 0
     #: Invocations failed over to another region's group after the home
     #: region stopped answering (same sticky at-most-once rule as shard
-    #: failovers: read legs and never-sent requests only).
+    #: failovers: reads and never-sent requests only).
     region_failovers: int = 0
-    #: Cross-shard scatter-gather reads issued.
-    scatter_calls: int = 0
-    #: Scatters that completed degraded (some shard legs failed but the
-    #: partial-result policy accepted the gather).
-    scatter_partial: int = 0
     #: Calls rejected locally by an open circuit breaker (no traffic).
     breaker_rejected: int = 0
     #: Breaker rejections answered by a graceful-degradation fallback.
@@ -185,14 +181,10 @@ class SwsProxy(Peer):
         sws: SemanticWebService,
         matcher: ConceptMatcher,
         config: ScenarioConfig = ScenarioConfig(),
-        discovery_timeout: float = 1.0,
-        coordinator_timeout: float = 1.0,
-        resolve_grace: float = 0.02,
         home_region: Optional[str] = None,
         region_count: int = 1,
-        name: Optional[str] = None,
     ):
-        super().__init__(node, name=name or f"proxy:{sws.name}")
+        super().__init__(node, name=f"proxy:{sws.name}")
         #: Split-brain fencing on the proxy side (PR 2): prefer the
         #: highest-epoch resolver answer, discard stale results, gossip
         #: the highest witnessed term.  ``False`` restores the naive
@@ -203,8 +195,9 @@ class SwsProxy(Peer):
         self.group_matcher = SemanticGroupMatcher(matcher, min_degree=config.min_degree)
         self.request_timeout = config.request_timeout
         self.max_attempts = config.max_attempts
-        self.discovery_timeout = discovery_timeout
-        self.coordinator_timeout = coordinator_timeout
+        #: Seconds one remote discovery query / one coordinator lookup waits.
+        self.discovery_timeout = 1.0
+        self.coordinator_timeout = 1.0
         self.qos_selector = QosSelector()
         self.retry = RetryPolicy()
         #: Default per-request wall budget (simulated seconds); ``invoke``'s
@@ -213,9 +206,7 @@ class SwsProxy(Peer):
         #: After the first resolver answer, wait this long for racing
         #: answers so a split-brain minority cannot win the bind simply by
         #: replying first — the highest epoch wins instead.
-        self.resolve_grace = resolve_grace
-        #: Cross-shard read policy (``all`` / ``quorum`` / ``partial``).
-        self.scatter_policy = config.scatter_policy
+        self.resolve_grace = 0.02
         self.virtual_nodes = config.virtual_nodes
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
@@ -232,7 +223,7 @@ class SwsProxy(Peer):
         #: have the full candidate set to work with.
         self.region_count = max(1, region_count)
         #: Operations whose every implementation is side-effect free
-        #: (wired at deploy time).  Read legs may fail over to a ring
+        #: (wired at deploy time).  Reads may fail over to a ring
         #: successor even after a send; anything not listed here is
         #: treated as mutating and stays pinned once sent.
         self.read_only_operations: set = set()
@@ -587,8 +578,17 @@ class SwsProxy(Peer):
         timeout: Optional[float],
         budget: Optional[float],
         rtrace,
-        invocation_id: Optional[str] = None,
+        invocation_id: Optional[str],
     ) -> Generator:
+        """One logical call from cache lookup to translated result.
+
+        The prelude can answer without traffic (result cache, open
+        breaker); otherwise it discovers, picks the group — shard ring,
+        then region preference and QoS — and runs the bind/send/retry loop
+        against it.  The loop's state is this generator's locals: the
+        closures below count failures, back off, and move the call to the
+        key's ring successor or the next region's group when that is safe.
+        """
         started_at = self.env.now
         per_request_timeout = timeout if timeout is not None else self.request_timeout
         deadline = Deadline(
@@ -644,13 +644,9 @@ class SwsProxy(Peer):
                 f"no b-peer group matches {self.sws.name}.{operation}"
             )
         router = self._shard_router_for(operation, matches)
-        routing_key: Optional[str] = None
-        match_by_name: Dict[str, GroupMatch] = {}
         if router is not None:
             match_by_name = {
-                m.advertisement.name: m
-                for m in matches
-                if m.advertisement.sharded
+                m.advertisement.name: m for m in matches if m.advertisement.sharded
             }
             routing_key = shard_key(action, arguments)
             owner = router.route(routing_key, self.env.now)
@@ -687,21 +683,261 @@ class SwsProxy(Peer):
                 f"circuit open for {match.advertisement.name!r} "
                 f"({self.sws.name}.{operation} rejected locally)"
             )
+        advertisement = match.advertisement
+        group_id = advertisement.group_id
+        profile = self._profile_for(advertisement.key(), advertisement)
+        #: Whether any attempt has actually been handed to the network —
+        #: the point past which a mutating request may have executed.
+        sent = False
+        # Opened on the first failure signal that needs recovery, closed
+        # when the request completes: the span's duration is the observed
+        # failover time (``None`` = the request never needed recovery).
+        recover_span = None
+        recover_reason: Optional[str] = None
+        attempt = 0
+        #: Retries (failed tries) so far — drives the backoff exponent.
+        failures = 0
+        #: ``busy`` replies absorbed so far, and whether the most recent
+        #: failure signal was a shed (drives the terminal fault's shape).
+        shed_retries = 0
+        busy_was_last = False
+        last_busy_hint: Optional[float] = None
+
+        def enter_recovery(reason: str) -> None:
+            """Count the failed try; the first one opens the recover span."""
+            nonlocal failures, recover_span, recover_reason
+            failures += 1
+            if recover_span is None:
+                recover_span = rtrace.begin("recover", self.env.now)
+                recover_reason = reason
+
+        def backoff() -> Generator:
+            """Sleep the policy's (jittered, deadline-clamped) delay."""
+            delay = self.retry.delay(failures - 1, self._retry_rng)
+            delay = min(delay, deadline.remaining(self.env.now))
+            if delay > 0.0:
+                yield self.env.timeout(delay)
+
+        def pinned() -> bool:
+            """The sticky at-most-once rule, for ring and ladder alike: a
+            mutating request that has been sent stays with its group (its
+            invocation id may live in that journal), so a retried id never
+            spans two groups and each group's dedup journal alone suffices
+            for exactly-once; reads and never-sent requests may move."""
+            return sent and mutating
+
+        def switch_group(successor: GroupMatch) -> None:
+            nonlocal advertisement, group_id, profile
+            advertisement = successor.advertisement
+            group_id = advertisement.group_id
+            profile = self._profile_for(advertisement.key(), advertisement)
+
+        def try_reroute() -> bool:
+            """Fail the key over to its ring successor, if safe: suspects
+            the current group either way (so *fresh* requests stop landing
+            on it), moves this request only while it is not pinned."""
+            if router is None:
+                return False
+            router.suspect(advertisement.name, self.env.now)
+            if pinned():
+                return False
+            owner = router.route(routing_key, self.env.now)
+            if owner is None or owner == advertisement.name:
+                return False
+            successor = match_by_name.get(owner)
+            if successor is None:
+                return False
+            switch_group(successor)
+            self._count("shard_failovers")
+            return True
+
+        def try_region_failover() -> bool:
+            """Rebind to the next region's group, if safe (same sticky
+            rule).  Epoch fencing continues per group — each region's
+            group has its own election domain and binding."""
+            if not region_alternates or pinned():
+                return False
+            switch_group(region_alternates.pop(0))
+            self._count("region_failovers")
+            return True
+
+        def close_recovery() -> None:
+            if recover_span is not None:
+                recover_span.finish(
+                    self.env.now, reason=recover_reason, attempts=attempt
+                )
+
         try:
-            result = yield from self._invoke_attempts(
-                operation,
-                arguments,
-                match,
-                per_request_timeout=per_request_timeout,
-                deadline=deadline,
-                rtrace=rtrace,
-                invocation_id=invocation_id,
-                started_at=started_at,
-                router=router,
-                routing_key=routing_key,
-                match_by_name=match_by_name,
-                region_alternates=region_alternates,
-            )
+            while True:
+                capped = attempt >= self.max_attempts
+                if capped or deadline.expired(self.env.now):
+                    # The one give-up exit: out of attempts, or out of time.
+                    if not capped:
+                        self._count("deadline_exhausted")
+                    profile.record_failure()
+                    close_recovery()
+                    if busy_was_last:
+                        why = (
+                            f"{shed_retries} busy replies in {attempt} attempts"
+                            if capped
+                            else "deadline exhausted after "
+                            f"{shed_retries} busy replies"
+                        )
+                        raise SoapFault.server_busy(
+                            f"{self.sws.name}.{operation} shed by overload "
+                            f"control ({why})",
+                            retry_after=last_busy_hint,
+                        )
+                    why = (
+                        f"failed after {self.max_attempts} attempts"
+                        if capped
+                        else f"deadline exhausted after "
+                        f"{self.env.now - started_at:.3f}s ({attempt} attempts)"
+                    )
+                    raise InvocationFailedError(f"{self.sws.name}.{operation} {why}")
+                attempt += 1
+                busy_was_last = False
+                binding = self._bindings.get(group_id)
+                if binding is None:
+                    bind_span = rtrace.begin("bind", self.env.now)
+                    try:
+                        binding = yield from self.resolve_coordinator(
+                            group_id, deadline=deadline
+                        )
+                    except NoCoordinatorError:
+                        bind_span.finish(self.env.now, outcome="no-coordinator")
+                        self._breaker_feedback(advertisement.name, ok=False)
+                        enter_recovery("no-coordinator")
+                        # The ring successor or another region's group takes
+                        # the call now; else the group may be mid-election:
+                        # back off and retry.
+                        if not (try_reroute() or try_region_failover()):
+                            yield from backoff()
+                        continue
+                    bind_span.finish(self.env.now, outcome="ok")
+                invoke_span = rtrace.begin("invoke", self.env.now)
+                sent = True
+                reply = yield from self._send_and_wait(
+                    binding,
+                    operation,
+                    arguments,
+                    deadline.clamp(self.env.now, per_request_timeout),
+                    invocation_id,
+                    attempt,
+                )
+                if reply is None:  # timeout — coordinator is likely dead
+                    invoke_span.finish(self.env.now, outcome="timeout")
+                    self._count("timeouts")
+                    self._breaker_feedback(advertisement.name, ok=False)
+                    profile.record_failure()
+                    self.drop_binding(group_id, binding)
+                    enter_recovery("timeout")
+                    if not try_reroute():
+                        try_region_failover()
+                    continue
+                if reply.kind == "result":
+                    if not reply.deduped and self._result_is_stale(group_id, reply):
+                        # A deposed coordinator answered after a takeover
+                        # already delivered under a newer term: never hand the
+                        # stale value to the client.
+                        invoke_span.finish(self.env.now, outcome="stale-result")
+                        self._count("stale_results_discarded")
+                        self.drop_binding(group_id, binding)
+                        enter_recovery("stale-result")
+                        yield from backoff()
+                        continue
+                    invoke_span.finish(self.env.now, outcome="ok")
+                    self._count("successes")
+                    self._breaker_feedback(advertisement.name, ok=True)
+                    elapsed = self.env.now - started_at
+                    self.obs.metrics.observe("proxy.rtt", elapsed)
+                    profile.record_success(elapsed)
+                    if reply.deduped:
+                        # A journal replay settles under the *original*
+                        # execution's term; it neither advances nor violates
+                        # the monotone result-epoch audit.
+                        self._count("deduped")
+                    else:
+                        self._record_result_epoch(group_id, reply.epoch)
+                    if recover_span is not None:
+                        close_recovery()
+                        self.stats.failover_durations.append(elapsed)
+                        self.obs.metrics.observe("proxy.failover", elapsed)
+                        outcome = InvokeOutcome.RECOVERED
+                    elif shed_retries:
+                        outcome = InvokeOutcome.RETRIED_AFTER_SHED
+                    else:
+                        outcome = InvokeOutcome.OK
+                    result = InvokeResult(
+                        value=self._translate(operation, reply.value),
+                        outcome=outcome,
+                        epoch=reply.epoch,
+                        attempts=attempt,
+                        duration=elapsed,
+                        trace_id=rtrace.request_id,
+                        served_by=reply.served_by,
+                        shed_retries=shed_retries,
+                        deduped=reply.deduped,
+                        invocation_id=invocation_id,
+                        group_id=group_id,
+                    )
+                    break
+                if reply.kind == "busy":
+                    # Overload shed: the coordinator is alive but refusing
+                    # load, so keep the binding and retry *later* — the
+                    # retry-after hint (when it fits the deadline) replaces
+                    # the generic backoff.
+                    invoke_span.finish(self.env.now, outcome="busy")
+                    self._count("shed")
+                    shed_retries += 1
+                    failures += 1
+                    busy_was_last = True
+                    last_busy_hint = reply.retry_after
+                    profile.record_failure()
+                    remaining = deadline.remaining(self.env.now)
+                    if reply.retry_after is not None and remaining > 0.0:
+                        self._count("retry_after_honored")
+                        delay = min(reply.retry_after, remaining)
+                        if delay > 0.0:
+                            yield self.env.timeout(delay)
+                    else:
+                        yield from backoff()
+                    continue
+                if reply.kind == "fault":
+                    invoke_span.finish(self.env.now, outcome="fault")
+                    self._count("faults")
+                    raise SoapFault(reply.fault_code or "Server", str(reply.value))
+                if reply.kind == "not-coordinator":
+                    stale = reply.value == "stale-epoch"
+                    reason = "stale-epoch" if stale else "redirect"
+                    invoke_span.finish(self.env.now, outcome=reason)
+                    self._count("redirects")
+                    if stale:
+                        self._count("stale_epoch_redirects")
+                    enter_recovery(reason)
+                    if reply.coordinator is not None:
+                        coordinator, address, epoch = reply.coordinator
+                        self._rebind(group_id, coordinator, address, epoch)
+                        # Fresh forward pointer: retry immediately, no backoff.
+                    else:
+                        self.drop_binding(group_id, binding)
+                        yield from backoff()
+                    continue
+                if reply.kind == "cannot-serve":
+                    # Every replica's backend is down.  Another region's group
+                    # has independent backends, so the failover ladder applies
+                    # (reads only: the request was sent); otherwise it is
+                    # a genuine application outage redundancy cannot mask.
+                    invoke_span.finish(self.env.now, outcome="cannot-serve")
+                    if try_region_failover():
+                        enter_recovery("cannot-serve")
+                        continue
+                    self._count("faults")
+                    self._breaker_feedback(advertisement.name, ok=False)
+                    profile.record_failure()
+                    raise SoapFault.server(
+                        f"all b-peers of {advertisement.name!r} cannot serve"
+                    )
         finally:
             # A mutating call may have executed even when it raised (a
             # sent request can land after our timeout), so any cached
@@ -742,390 +978,6 @@ class SwsProxy(Peer):
             self._routers[operation] = router
         router.update(sharded)
         return router
-
-    def _invoke_attempts(
-        self,
-        operation: str,
-        arguments: Dict[str, Any],
-        match: GroupMatch,
-        *,
-        per_request_timeout: float,
-        deadline: Deadline,
-        rtrace,
-        invocation_id: str,
-        started_at: float,
-        router: Optional[ShardRouter] = None,
-        routing_key: Optional[str] = None,
-        match_by_name: Optional[Dict[str, GroupMatch]] = None,
-        region_alternates: Optional[List[GroupMatch]] = None,
-    ) -> Generator:
-        """The bind/send/retry loop against one (possibly rerouting) group.
-
-        With a ``router``, a group that stops answering is suspected and
-        the request fails over to the key's ring successor — but only if
-        it is still safe: a mutating request that has been *sent* is
-        pinned to its home group (sticky at-most-once handoff), so a
-        retried invocation id never spans two groups and each group's
-        dedup journal alone suffices for exactly-once.
-        """
-        advertisement = match.advertisement
-        group_id = advertisement.group_id
-        profile = self._profile_for(advertisement.key(), advertisement)
-        mutating = operation not in self.read_only_operations
-        #: Whether any attempt has actually been handed to the network —
-        #: the point past which a mutating request may have executed.
-        sent = False
-        # Opened on the first failure signal that needs recovery, closed
-        # when the request completes: the span's duration is the observed
-        # failover time (``None`` = the request never needed recovery).
-        recover_span = None
-        recover_reason: Optional[str] = None
-        attempt = 0
-        #: Retries (failed tries) so far — drives the backoff exponent.
-        failures = 0
-        #: ``busy`` replies absorbed so far, and whether the most recent
-        #: failure signal was a shed (drives the terminal fault's shape).
-        shed_retries = 0
-        busy_was_last = False
-        last_busy_hint: Optional[float] = None
-
-        def enter_recovery(reason: str) -> None:
-            """Count the failed try; the first one opens the recover span."""
-            nonlocal failures, recover_span, recover_reason
-            failures += 1
-            if recover_span is None:
-                recover_span = rtrace.begin("recover", self.env.now)
-                recover_reason = reason
-
-        def backoff() -> Generator:
-            """Sleep the policy's (jittered, deadline-clamped) delay."""
-            delay = self.retry.delay(failures - 1, self._retry_rng)
-            delay = min(delay, deadline.remaining(self.env.now))
-            if delay > 0.0:
-                yield self.env.timeout(delay)
-
-        def pinned() -> bool:
-            """The sticky at-most-once rule, for ring and ladder alike: a
-            mutating request that has been sent stays with its group (its
-            invocation id may live in that journal); reads and never-sent
-            requests may move."""
-            return sent and mutating
-
-        def switch_group(successor: GroupMatch) -> None:
-            nonlocal advertisement, group_id, profile
-            advertisement = successor.advertisement
-            group_id = advertisement.group_id
-            profile = self._profile_for(advertisement.key(), advertisement)
-
-        def try_reroute() -> bool:
-            """Fail the key over to its ring successor, if safe.
-
-            Suspects the current group either way (so *fresh* requests
-            stop landing on it); reroutes this request only when its
-            invocation id cannot already live in the home group's
-            journal — i.e. read-only operations, or nothing sent yet.
-            """
-            if router is None or routing_key is None:
-                return False
-            router.suspect(advertisement.name, self.env.now)
-            if pinned():
-                return False
-            owner = router.route(routing_key, self.env.now)
-            if owner is None or owner == advertisement.name:
-                return False
-            successor = (match_by_name or {}).get(owner)
-            if successor is None:
-                return False
-            switch_group(successor)
-            self._count("shard_failovers")
-            return True
-
-        def try_region_failover() -> bool:
-            """Rebind to the next region's group, if safe (same sticky
-            rule).  Epoch fencing continues per group — each region's
-            group has its own election domain and binding."""
-            if not region_alternates or pinned():
-                return False
-            switch_group(region_alternates.pop(0))
-            self._count("region_failovers")
-            return True
-
-        def close_recovery() -> None:
-            if recover_span is not None:
-                recover_span.finish(
-                    self.env.now, reason=recover_reason, attempts=attempt
-                )
-
-        while True:
-            capped = attempt >= self.max_attempts
-            if capped or deadline.expired(self.env.now):
-                # The one give-up exit: out of attempts, or out of time.
-                if not capped:
-                    self._count("deadline_exhausted")
-                profile.record_failure()
-                close_recovery()
-                if busy_was_last:
-                    why = (
-                        f"{shed_retries} busy replies in {attempt} attempts"
-                        if capped
-                        else f"deadline exhausted after {shed_retries} busy replies"
-                    )
-                    raise SoapFault.server_busy(
-                        f"{self.sws.name}.{operation} shed by overload control ({why})",
-                        retry_after=last_busy_hint,
-                    )
-                why = (
-                    f"failed after {self.max_attempts} attempts"
-                    if capped
-                    else f"deadline exhausted after "
-                    f"{self.env.now - started_at:.3f}s ({attempt} attempts)"
-                )
-                raise InvocationFailedError(f"{self.sws.name}.{operation} {why}")
-            attempt += 1
-            busy_was_last = False
-            binding = self._bindings.get(group_id)
-            if binding is None:
-                bind_span = rtrace.begin("bind", self.env.now)
-                try:
-                    binding = yield from self.resolve_coordinator(
-                        group_id, deadline=deadline
-                    )
-                except NoCoordinatorError:
-                    bind_span.finish(self.env.now, outcome="no-coordinator")
-                    self._breaker_feedback(advertisement.name, ok=False)
-                    enter_recovery("no-coordinator")
-                    # The ring successor or another region's group takes
-                    # the call now; else the group may be mid-election:
-                    # back off and retry.
-                    if not (try_reroute() or try_region_failover()):
-                        yield from backoff()
-                    continue
-                bind_span.finish(self.env.now, outcome="ok")
-            invoke_span = rtrace.begin("invoke", self.env.now)
-            sent = True
-            reply = yield from self._send_and_wait(
-                binding,
-                operation,
-                arguments,
-                deadline.clamp(self.env.now, per_request_timeout),
-                invocation_id,
-                attempt,
-            )
-            if reply is None:  # timeout — coordinator is likely dead
-                invoke_span.finish(self.env.now, outcome="timeout")
-                self._count("timeouts")
-                self._breaker_feedback(advertisement.name, ok=False)
-                profile.record_failure()
-                self.drop_binding(group_id, binding)
-                enter_recovery("timeout")
-                if not try_reroute():
-                    try_region_failover()
-                continue
-            if reply.kind == "result":
-                if not reply.deduped and self._result_is_stale(group_id, reply):
-                    # A deposed coordinator answered after a takeover
-                    # already delivered under a newer term: never hand the
-                    # stale value to the client.
-                    invoke_span.finish(self.env.now, outcome="stale-result")
-                    self._count("stale_results_discarded")
-                    self.drop_binding(group_id, binding)
-                    enter_recovery("stale-result")
-                    yield from backoff()
-                    continue
-                invoke_span.finish(self.env.now, outcome="ok")
-                self._count("successes")
-                self._breaker_feedback(advertisement.name, ok=True)
-                elapsed = self.env.now - started_at
-                self.obs.metrics.observe("proxy.rtt", elapsed)
-                profile.record_success(elapsed)
-                if reply.deduped:
-                    # A journal replay settles under the *original*
-                    # execution's term; it neither advances nor violates
-                    # the monotone result-epoch audit.
-                    self._count("deduped")
-                else:
-                    self._record_result_epoch(group_id, reply.epoch)
-                if recover_span is not None:
-                    close_recovery()
-                    self.stats.failover_durations.append(elapsed)
-                    self.obs.metrics.observe("proxy.failover", elapsed)
-                    outcome = InvokeOutcome.RECOVERED
-                elif shed_retries:
-                    outcome = InvokeOutcome.RETRIED_AFTER_SHED
-                else:
-                    outcome = InvokeOutcome.OK
-                return InvokeResult(
-                    value=self._translate(operation, reply.value),
-                    outcome=outcome,
-                    epoch=reply.epoch,
-                    attempts=attempt,
-                    duration=elapsed,
-                    trace_id=rtrace.request_id,
-                    served_by=reply.served_by,
-                    shed_retries=shed_retries,
-                    deduped=reply.deduped,
-                    invocation_id=invocation_id,
-                    group_id=group_id,
-                )
-            if reply.kind == "busy":
-                # Overload shed: the coordinator is alive but refusing
-                # load, so keep the binding and retry *later* — the
-                # retry-after hint (when it fits the deadline) replaces
-                # the generic backoff.
-                invoke_span.finish(self.env.now, outcome="busy")
-                self._count("shed")
-                shed_retries += 1
-                failures += 1
-                busy_was_last = True
-                last_busy_hint = reply.retry_after
-                profile.record_failure()
-                remaining = deadline.remaining(self.env.now)
-                if reply.retry_after is not None and remaining > 0.0:
-                    self._count("retry_after_honored")
-                    delay = min(reply.retry_after, remaining)
-                    if delay > 0.0:
-                        yield self.env.timeout(delay)
-                else:
-                    yield from backoff()
-                continue
-            if reply.kind == "fault":
-                invoke_span.finish(self.env.now, outcome="fault")
-                self._count("faults")
-                raise SoapFault(reply.fault_code or "Server", str(reply.value))
-            if reply.kind == "not-coordinator":
-                reason = "stale-epoch" if reply.value == "stale-epoch" else "redirect"
-                invoke_span.finish(self.env.now, outcome=reason)
-                self._count("redirects")
-                if reason == "stale-epoch":
-                    self._count("stale_epoch_redirects")
-                enter_recovery(reason)
-                if reply.coordinator is not None:
-                    coordinator, address, epoch = reply.coordinator
-                    self._rebind(group_id, coordinator, address, epoch)
-                    # Fresh forward pointer: retry immediately, no backoff.
-                else:
-                    self.drop_binding(group_id, binding)
-                    yield from backoff()
-                continue
-            if reply.kind == "cannot-serve":
-                # Every replica's backend is down.  Another region's group
-                # has independent backends, so the failover ladder applies
-                # (read legs only: the request was sent); otherwise it is
-                # a genuine application outage redundancy cannot mask.
-                invoke_span.finish(self.env.now, outcome="cannot-serve")
-                if try_region_failover():
-                    enter_recovery("cannot-serve")
-                    continue
-                self._count("faults")
-                self._breaker_feedback(advertisement.name, ok=False)
-                profile.record_failure()
-                raise SoapFault.server(
-                    f"all b-peers of {advertisement.name!r} cannot serve"
-                )
-
-    # -- cross-shard scatter-gather ---------------------------------------------------------
-
-    def scatter(
-        self,
-        operation: str,
-        arguments: Dict[str, Any],
-        timeout: Optional[float] = None,
-        budget: Optional[float] = None,
-        policy: Optional[str] = None,
-    ) -> Generator:
-        """Fan a read out to *every* shard group and gather (``yield from``).
-
-        Each shard leg runs the full bind/retry loop pinned to its own
-        group (its own invocation id, so per-group dedup still applies);
-        legs proceed concurrently and the gather completes when all have
-        settled.  The partial-result ``policy`` (defaulting to the
-        proxy's configured one) decides whether a gather with failed
-        legs returns degraded (:attr:`ScatterResult.partial`) or raises
-        :class:`~repro.core.sharding.ScatterError`.
-
-        Against an unsharded deployment this degenerates to a
-        single-leg gather over the one matched group.
-        """
-        self._count("scatter_calls")
-        rtrace = self.obs.request_trace(
-            f"{self.sws.name}.{operation}#scatter",
-            self.stats.scatter_calls,
-            self.env.now,
-        )
-        try:
-            result = yield from self._scatter(
-                operation, arguments, timeout, budget, policy, rtrace
-            )
-        except BaseException as error:
-            self.obs.finish_request(rtrace, self.env.now, status=type(error).__name__)
-            raise
-        self.obs.finish_request(rtrace, self.env.now, status="ok")
-        return result
-
-    def _scatter(
-        self,
-        operation: str,
-        arguments: Dict[str, Any],
-        timeout: Optional[float],
-        budget: Optional[float],
-        policy: Optional[str],
-        rtrace,
-    ) -> Generator:
-        started_at = self.env.now
-        per_request_timeout = timeout if timeout is not None else self.request_timeout
-        deadline = Deadline(
-            at=started_at + (budget if budget is not None else self.deadline_budget)
-        )
-        discover_span = rtrace.begin("discover", self.env.now)
-        matches = yield from self.find_peer_group_adv(
-            self.sws.annotation(operation), deadline=deadline
-        )
-        discover_span.finish(self.env.now, matches=len(matches))
-        if not matches:
-            raise NoMatchingGroupError(
-                f"no b-peer group matches {self.sws.name}.{operation}"
-            )
-        sharded = [m for m in matches if m.advertisement.sharded]
-        if sharded:
-            targets = {m.advertisement.name: m for m in sharded}
-        else:
-            chosen = self._choose_group(matches)
-            targets = {chosen.advertisement.name: chosen}
-        outcome = ScatterResult(
-            operation=operation,
-            policy=policy if policy is not None else self.scatter_policy,
-            shards=len(targets),
-        )
-
-        def leg(name: str, match: GroupMatch) -> Generator:
-            invocation_id = f"{self.name}#{next(self._invocation_ids)}"
-            try:
-                result = yield from self._invoke_attempts(
-                    operation,
-                    arguments,
-                    match,
-                    per_request_timeout=per_request_timeout,
-                    deadline=deadline,
-                    rtrace=rtrace,
-                    invocation_id=invocation_id,
-                    started_at=self.env.now,
-                )
-                outcome.results[name] = result
-            except Exception as error:
-                # Captured per shard, never propagated out of the leg's
-                # process: the policy decides after the gather.
-                outcome.failures[name] = f"{type(error).__name__}: {error}"
-
-        processes = [
-            self.node.spawn(leg(name, match))
-            for name, match in sorted(targets.items())
-        ]
-        yield AllOf(self.env, processes)
-        outcome.duration = self.env.now - started_at
-        if outcome.partial:
-            self._count("scatter_partial")
-        outcome.evaluate()
-        return outcome
 
     def _count(self, event: str) -> None:
         """Count ``event`` in both places it is read from: ``stats.<event>``

@@ -21,10 +21,6 @@ This module provides the pieces:
   discovered per-shard advertisements (no central shard map — discovery
   *is* the map) plus a suspicion list so a timed-out group's segment is
   temporarily served by its ring successors.
-* :class:`ScatterResult` — the outcome of a cross-shard scatter-gather
-  read, carrying per-shard results/failures and whether the configured
-  partial-result policy had to degrade.
-
 Hashing uses BLAKE2b, not Python's ``hash()`` — the latter is salted per
 process and would make routing non-deterministic across runs.
 """
@@ -33,20 +29,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-__all__ = [
-    "shard_key",
-    "ShardRing",
-    "ShardRouter",
-    "ScatterResult",
-    "SCATTER_POLICIES",
-]
-
-#: Recognised cross-shard read policies (see :meth:`ScatterResult.evaluate`).
-SCATTER_POLICIES = ("all", "quorum", "partial")
+__all__ = ["shard_key", "ShardRing", "ShardRouter"]
 
 
 def _hash64(value: str) -> int:
@@ -185,69 +172,3 @@ class ShardRouter:
     def route_home(self, key: str) -> Optional[str]:
         """The key's un-failed-over owner (ignores suspicions)."""
         return self.ring.lookup(key)
-
-
-@dataclass
-class ScatterResult:
-    """Outcome of a cross-shard scatter-gather read.
-
-    ``results`` maps shard-group name -> per-shard
-    :class:`~repro.core.result.InvokeResult`; ``failures`` maps the
-    groups whose leg failed -> a short reason string.  ``partial`` is
-    True when the configured policy accepted a degraded answer.
-    """
-
-    operation: str
-    policy: str
-    shards: int
-    results: Dict[str, object] = field(default_factory=dict)
-    failures: Dict[str, str] = field(default_factory=dict)
-    duration: float = 0.0
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.failures) and bool(self.results)
-
-    @property
-    def values(self) -> Dict[str, object]:
-        """Per-shard unwrapped result values, keyed by group name."""
-        return {
-            name: getattr(result, "value", result)
-            for name, result in sorted(self.results.items())
-        }
-
-    def evaluate(self) -> None:
-        """Enforce the partial-result policy; raises on an unacceptable gather.
-
-        * ``all``: every shard leg must succeed;
-        * ``quorum``: a strict majority of legs must succeed;
-        * ``partial``: at least one leg must succeed (degraded answers
-          are flagged via :attr:`partial`, never raised).
-        """
-        if self.policy not in SCATTER_POLICIES:
-            raise ValueError(
-                f"unknown scatter policy {self.policy!r}; "
-                f"expected one of {SCATTER_POLICIES}"
-            )
-        ok = len(self.results)
-        if self.policy == "all" and self.failures:
-            raise ScatterError(self, f"{len(self.failures)}/{self.shards} shard legs failed")
-        if self.policy == "quorum" and ok * 2 <= self.shards:
-            raise ScatterError(self, f"no quorum: {ok}/{self.shards} shard legs succeeded")
-        if ok == 0:
-            raise ScatterError(self, "every shard leg failed")
-
-
-class ScatterError(RuntimeError):
-    """A scatter-gather read that the partial-result policy rejected."""
-
-    def __init__(self, result: ScatterResult, reason: str):
-        super().__init__(
-            f"scatter({result.operation}, policy={result.policy}): {reason}; "
-            f"failures={sorted(result.failures)}"
-        )
-        self.result = result
-        self.reason = reason
-
-
-__all__.append("ScatterError")

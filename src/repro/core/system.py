@@ -4,6 +4,8 @@
 rendezvous, web servers with semantic Web services and SWS-proxies,
 semantic b-peer groups with backends — exactly the architecture of the
 paper's Figures 1–3.  Examples and benchmarks build on this facade.
+``deploy_service`` decides per operation *what* to place (flat, sharded,
+per-region or WAN-spanning) and one loop places it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..backend.datasets import student_database
 from ..backend.services import (
     ServiceImplementation,
+    student_enrollment,
     student_lookup_operational,
     student_lookup_warehouse,
 )
@@ -34,7 +37,7 @@ from ..simnet.rng import RngRegistry
 from ..simnet.trace import MessageTrace
 from ..soap.client import SoapClient
 from ..wsdl.definitions import Definitions
-from ..wsdl.samples import student_management_wsdl
+from ..wsdl.samples import student_admin_wsdl, student_management_wsdl
 from .autoscale import AutoscalingGroup
 from .bpeer_group import BPeerGroup, deploy_bpeer_group
 from .config import ScenarioConfig
@@ -51,37 +54,50 @@ __all__ = ["WhisperSystem", "DeployedService"]
 class DeployedService:
     """One fully wired service: front-end, proxy, and back-end group(s).
 
-    ``group`` is the group backing the service's first operation (the
-    common single-operation case); ``groups`` maps every operation to its
-    own b-peer group for multi-operation services.  Sharded deployments
-    additionally fill ``shard_groups``: per operation, the full list of
-    federated shard groups (``groups`` then holds shard 0 for
-    compatibility with single-group callers).
+    ``placed`` is the one stored map: per deployed operation, every b-peer
+    group backing it, in placement order — one group on the flat LAN and
+    for a WAN-spanning placement, the shard groups by shard index, or one
+    group per region.  What callers read is derived from it and from the
+    region each advertisement carries: ``shard_groups`` is an operation's
+    groups in the proxy's home region (all of them unless the deployment
+    is region-replicated), ``groups`` the first of those (shard 0 / the
+    home region's group), ``group`` that of the first operation.
     """
 
     sws: SemanticWebService
     web_service: WhisperWebService
     proxy: SwsProxy
-    group: BPeerGroup
-    groups: Optional[Dict[str, BPeerGroup]] = None
-    shard_groups: Optional[Dict[str, List[BPeerGroup]]] = None
-    #: Replicated multi-region deployments: per operation, the group
-    #: serving each region (``groups``/``group`` then hold the home
-    #: region's).  ``None`` for single-region and span placements.
-    region_groups: Optional[Dict[str, Dict[str, BPeerGroup]]] = None
+    placed: Dict[str, List[BPeerGroup]]
     #: Autoscaling controllers, one per operation group — empty unless
     #: the deployment was configured with ``ScenarioConfig(autoscale=...)``.
     autoscalers: List[AutoscalingGroup] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.groups is None:
-            self.groups = {
-                operation: self.group for operation in self.sws.operations()
-            }
-        if self.shard_groups is None:
-            self.shard_groups = {
-                operation: [group] for operation, group in self.groups.items()
-            }
+    @property
+    def shard_groups(self) -> Dict[str, List[BPeerGroup]]:
+        home = self.proxy.home_region
+        return {
+            operation: [g for g in groups if g.advertisement.region == home]
+            for operation, groups in self.placed.items()
+        }
+
+    @property
+    def groups(self) -> Dict[str, BPeerGroup]:
+        return {op: groups[0] for op, groups in self.shard_groups.items()}
+
+    @property
+    def group(self) -> BPeerGroup:
+        return next(iter(self.groups.values()))
+
+    @property
+    def region_groups(self) -> Optional[Dict[str, Dict[str, BPeerGroup]]]:
+        """Per operation, the group serving each region; ``None`` unless
+        the deployment is region-replicated."""
+        if self.proxy.home_region is None:
+            return None
+        return {
+            operation: {g.advertisement.region: g for g in groups}
+            for operation, groups in self.placed.items()
+        }
 
     @property
     def address(self):
@@ -98,18 +114,16 @@ class DeployedService:
         return self.shard_groups[operation]
 
     def region_group_for(self, operation: str, region: str) -> BPeerGroup:
-        if not self.region_groups or operation not in self.region_groups:
+        by_region = (self.region_groups or {}).get(operation)
+        if by_region is None:
             raise KeyError(f"{operation} has no per-region groups")
-        return self.region_groups[operation][region]
+        return by_region[region]
 
     def all_groups(self) -> List[BPeerGroup]:
-        """Every distinct b-peer group backing this service."""
+        """Every distinct b-peer group backing this service, home region's first."""
         seen: Dict[int, BPeerGroup] = {}
-        for shards in self.shard_groups.values():
-            for group in shards:
-                seen.setdefault(id(group), group)
-        for per_region in (self.region_groups or {}).values():
-            for group in per_region.values():
+        for groups in (*self.shard_groups.values(), *self.placed.values()):
+            for group in groups:
                 seen.setdefault(id(group), group)
         return list(seen.values())
 
@@ -319,127 +333,74 @@ class WhisperSystem:
         the way the initial deployment built its members.
         """
         scenario = config if config is not None else self.config
-        if scenario.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {scenario.shards}")
         topology = self.topology
-        replicate_regions = topology.multi_region and topology.placement == "replicate"
-        if topology.multi_region and scenario.shards > 1:
-            raise NotImplementedError(
-                "sharded multi-region deployments are not supported yet — "
-                "use shards=1 with a multi-region topology"
+        scenario.check_supported(topology)
+        if scenario.autoscale is not None and replica_factory is None:
+            raise ValueError(
+                "ScenarioConfig(autoscale=...) needs a replica_factory "
+                "(replica index -> ServiceImplementation) so the "
+                "controller can mint scale-up replicas"
             )
-        if scenario.autoscale is not None:
-            if scenario.shards > 1 or topology.multi_region:
-                raise NotImplementedError(
-                    "autoscaling is only supported for single-region, "
-                    "unsharded deployments"
-                )
-            if replica_factory is None:
-                raise ValueError(
-                    "ScenarioConfig(autoscale=...) needs a replica_factory "
-                    "(replica index -> ServiceImplementation) so the "
-                    "controller can mint scale-up replicas"
-                )
+        replicate_regions = topology.multi_region and topology.placement == "replicate"
         sws = SemanticWebService(definitions, self.ontology)
         if isinstance(implementations, dict):
             per_operation = dict(implementations)
             unknown = set(per_operation) - set(sws.operations())
             if unknown:
                 raise ValueError(f"implementations for unknown operations: {unknown}")
-        elif callable(implementations):
-            per_operation = {sws.operations()[0]: implementations}
         else:
-            per_operation = {sws.operations()[0]: list(implementations)}
+            per_operation = {sws.operations()[0]: implementations}
 
-        groups: Dict[str, BPeerGroup] = {}
-        shard_groups: Dict[str, List[BPeerGroup]] = {}
-        region_groups: Optional[Dict[str, Dict[str, BPeerGroup]]] = (
-            {} if replicate_regions else None
-        )
+        placed: Dict[str, List[BPeerGroup]] = {}
         read_only: List[str] = []
         region_names = topology.region_names()
+        what = "region" if replicate_regions else "shard"
         for operation, operation_impls in per_operation.items():
-            annotation = sws.annotation(operation)
             base_name = group_name or f"grp-{sws.name}"
             name = base_name if len(per_operation) == 1 else f"{base_name}-{operation}"
+            # What to place: (group name, placement keywords) per group.
             if replicate_regions:
                 # One independent group per region: its own replicas,
                 # election, and journal, advertised with a home region so
                 # proxies can prefer (and fail over across) regions.
-                per_region = _shard_implementations(
-                    operation_impls, len(region_names), operation, what="region"
-                )
-                by_region: Dict[str, BPeerGroup] = {}
-                for region, region_impls in zip(region_names, per_region):
-                    by_region[region] = deploy_bpeer_group(
-                        self.network,
-                        self.rendezvous_peers[region],
-                        group_name=f"{name}@{region}",
-                        implementations=region_impls,
-                        region=region,
-                        annotation=annotation,
-                        ontology_uri=self.ontology.uri,
-                        config=scenario,
-                    )
-                region_groups[operation] = by_region
-                groups[operation] = by_region[topology.home]
-                shard_groups[operation] = [by_region[topology.home]]
-                flat_impls = [impl for impls in per_region for impl in impls]
+                placements = [
+                    (f"{name}@{region}", {"region": region}) for region in region_names
+                ]
             elif topology.multi_region:
                 # "span": one group (one election domain) whose replicas
                 # straddle the WAN, each attached to its region's
                 # rendezvous.  The advertisement carries no home region.
-                per_shard = _shard_implementations(operation_impls, 1, operation)
-                group = deploy_bpeer_group(
+                placements = [(name, {"host_regions": region_names})]
+            elif scenario.shards == 1:
+                placements = [(name, {})]
+            else:
+                count = scenario.shards
+                placements = [
+                    (f"{name}-s{index}", {"shard_index": index, "shard_count": count})
+                    for index in range(count)
+                ]
+            per_group = _shard_implementations(
+                operation_impls, len(placements), operation, what
+            )
+            placed[operation] = [
+                deploy_bpeer_group(
                     self.network,
                     self.rendezvous,
-                    group_name=name,
-                    implementations=per_shard[0],
-                    host_regions=region_names,
+                    group_name=placed_name,
+                    implementations=group_impls,
                     rendezvous_by_region=self.rendezvous_peers,
-                    annotation=annotation,
+                    annotation=sws.annotation(operation),
                     ontology_uri=self.ontology.uri,
                     config=scenario,
+                    **keywords,
                 )
-                groups[operation] = group
-                shard_groups[operation] = [group]
-                flat_impls = list(per_shard[0])
-            else:
-                per_shard = _shard_implementations(
-                    operation_impls, scenario.shards, operation
-                )
-                deployed_shards: List[BPeerGroup] = []
-                for shard_index, shard_impls in enumerate(per_shard):
-                    deployed_shards.append(
-                        deploy_bpeer_group(
-                            self.network,
-                            self.rendezvous,
-                            group_name=(
-                                name
-                                if scenario.shards == 1
-                                else f"{name}-s{shard_index}"
-                            ),
-                            implementations=shard_impls,
-                            shard_index=(
-                                shard_index if scenario.shards > 1 else None
-                            ),
-                            shard_count=(
-                                scenario.shards if scenario.shards > 1 else None
-                            ),
-                            annotation=annotation,
-                            ontology_uri=self.ontology.uri,
-                            config=scenario,
-                        )
-                    )
-                groups[operation] = deployed_shards[0]
-                shard_groups[operation] = deployed_shards
-                flat_impls = [impl for impls in per_shard for impl in impls]
-            if all(not impl.mutating for impl in flat_impls):
+                for (placed_name, keywords), group_impls in zip(placements, per_group)
+            ]
+            if all(not impl.mutating for impls in per_group for impl in impls):
                 read_only.append(operation)
 
-        host_name = web_host or f"web-{sws.name}"
         web_node = self.network.add_host(
-            host_name,
+            web_host or f"web-{sws.name}",
             region=topology.home if topology.multi_region else None,
         )
         proxy = SwsProxy(
@@ -454,29 +415,12 @@ class WhisperSystem:
         proxy.attach_to(self.rendezvous)
         proxy.publish_self(remote=False)
         web_service = WhisperWebService(web_node, sws, proxy)
-        first_group = groups[next(iter(per_operation))]
-        deployed = DeployedService(
-            sws=sws,
-            web_service=web_service,
-            proxy=proxy,
-            group=first_group,
-            groups=groups,
-            shard_groups=shard_groups,
-            region_groups=region_groups,
-        )
+        deployed = DeployedService(sws, web_service, proxy, placed)
         if scenario.autoscale is not None:
-            seen_groups: set = set()
-            for operation_group in groups.values():
-                if id(operation_group) in seen_groups:
-                    continue
-                seen_groups.add(id(operation_group))
+            # Unsharded, single-region: one group per operation.
+            for (group,) in placed.values():
                 controller = AutoscalingGroup(
-                    self.network,
-                    self.rendezvous,
-                    operation_group,
-                    replica_factory,
-                    scenario.autoscale,
-                    scenario,
+                    self.network, self.rendezvous, group, replica_factory, scenario
                 )
                 controller.start()
                 deployed.autoscalers.append(controller)
@@ -533,7 +477,8 @@ class WhisperSystem:
         if scenario.replicas < 1:
             raise ValueError("need at least one replica")
 
-        def shard_implementations(shard_index: int) -> List[ServiceImplementation]:
+        def group_implementations(_index: int) -> List[ServiceImplementation]:
+            """One shard's (or region's) members over their own stores."""
             implementations: List[ServiceImplementation] = []
             master = student_database(scenario.students)
             warehouse = build_warehouse(master)
@@ -545,29 +490,41 @@ class WhisperSystem:
                     implementations.append(student_lookup_operational(replica_db))
             return implementations
 
-        replicated = (
-            self.topology.multi_region and self.topology.placement == "replicate"
-        )
-        implementations = (
-            shard_implementations(0)
-            if scenario.shards == 1 and not replicated
-            else shard_implementations
-        )
-        replica_factory = None
-        if scenario.autoscale is not None:
-            # Scale-up replicas read a fresh copy of the operational
-            # store, like the even-indexed members of the initial deploy.
-            def replica_factory(index: int) -> ServiceImplementation:
-                return student_lookup_operational(
-                    student_database(scenario.students)
-                )
-
         return self.deploy_service(
             student_management_wsdl(),
-            implementations,
+            group_implementations,
             web_host="web0",
             config=scenario,
-            replica_factory=replica_factory,
+            # Scale-up replicas read a fresh copy of the operational
+            # store, like the even-indexed members of the initial deploy.
+            replica_factory=lambda _index: student_lookup_operational(
+                student_database(scenario.students)
+            ),
+        )
+
+    def deploy_enrollment_service(
+        self,
+        config: Optional[ScenarioConfig] = None,
+        web_host: Optional[str] = "web0",
+    ) -> DeployedService:
+        """The write twin of :meth:`deploy_student_service`: §3's mutating
+        ``sm:EnrollStudent``, every replica (of every shard) over its own
+        operational store, so an audit can attribute each application of
+        an effect to the member that made it."""
+        scenario = config if config is not None else self.config
+
+        def replica(_index: int) -> ServiceImplementation:
+            return student_enrollment(student_database(scenario.students))
+
+        def group_implementations(_index: int) -> List[ServiceImplementation]:
+            return [replica(index) for index in range(scenario.replicas)]
+
+        return self.deploy_service(
+            student_admin_wsdl(),
+            {"EnrollStudent": group_implementations},
+            web_host=web_host,
+            config=scenario,
+            replica_factory=replica,
         )
 
     # -- simulation control ---------------------------------------------------------------
@@ -663,8 +620,6 @@ class WhisperSystem:
                     "shard_failovers": stats.shard_failovers,
                     "region_preferred": stats.region_preferred,
                     "region_failovers": stats.region_failovers,
-                    "scatter_calls": stats.scatter_calls,
-                    "scatter_partial": stats.scatter_partial,
                 },
             }
             if deployed.region_groups:

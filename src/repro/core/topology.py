@@ -7,26 +7,24 @@ a :class:`Topology` of :class:`RegionSpec` segments joined by
 :class:`WanLinkSpec` links — carried on
 :class:`~repro.core.config.ScenarioConfig` as the single ``topology``
 field.  Latency everywhere is a *spec string* (see
-:func:`repro.simnet.latency.parse_latency_spec`) so the builder, the CLI
+:func:`repro.simnet.latency.parse_latency_spec`) so the CLI, the benches
 and tests all construct models through one grammar.
 
 ``Topology.single_region()`` (or leaving ``ScenarioConfig.topology`` as
 ``None``) reproduces the paper's flat LAN byte-for-byte: no region
 qualification, no gossip services, identical message counts.
+``Topology.mesh(names)`` is the symmetric full mesh; anything else is
+spelled with the dataclasses themselves::
 
-Example::
-
-    topology = (
-        Topology.builder()
-        .region("eu", latency="lan")
-        .region("us", latency="lan")
-        .region("ap", latency="lan")
-        .link("eu", "us", latency="lognormal:40ms±15ms")
-        .link("eu", "ap", latency="lognormal:120ms±30ms",
-              latency_back="lognormal:140ms±30ms")
-        .link("us", "ap", latency="lognormal:90ms±20ms")
-        .gossip(fanout=2, interval=0.5)
-        .build()
+    topology = Topology(
+        regions=(RegionSpec("eu"), RegionSpec("us"), RegionSpec("ap")),
+        wan_links=(
+            WanLinkSpec("eu", "us", latency="lognormal:40ms±15ms"),
+            WanLinkSpec("eu", "ap", latency="lognormal:120ms±30ms",
+                        latency_back="lognormal:140ms±30ms"),
+            WanLinkSpec("us", "ap", latency="lognormal:90ms±20ms"),
+        ),
+        gossip=GossipSpec(fanout=2, interval=0.5),
     )
     system = WhisperSystem(ScenarioConfig(topology=topology))
 """
@@ -43,7 +41,6 @@ __all__ = [
     "WanLinkSpec",
     "GossipSpec",
     "Topology",
-    "TopologyBuilder",
     "DEFAULT_WAN_LATENCY",
     "DEFAULT_WAN_BANDWIDTH_BPS",
 ]
@@ -212,88 +209,4 @@ class Topology:
             ),
             gossip=gossip if gossip is not None else GossipSpec(),
             placement=placement,
-        )
-
-    @staticmethod
-    def builder() -> "TopologyBuilder":
-        return TopologyBuilder()
-
-
-class TopologyBuilder:
-    """Fluent construction of a :class:`Topology`."""
-
-    def __init__(self):
-        self._regions: List[RegionSpec] = []
-        self._links: List[WanLinkSpec] = []
-        self._gossip = GossipSpec()
-        self._placement = "replicate"
-        self._home: Optional[str] = None
-
-    def region(
-        self,
-        name: str,
-        latency: str = "lan",
-        bandwidth_bps: float = 100e6,
-        loss_rate: float = 0.0,
-    ) -> "TopologyBuilder":
-        self._regions.append(
-            RegionSpec(name, latency=latency, bandwidth_bps=bandwidth_bps, loss_rate=loss_rate)
-        )
-        return self
-
-    def link(
-        self,
-        a: str,
-        b: str,
-        latency: str = DEFAULT_WAN_LATENCY,
-        latency_back: Optional[str] = None,
-        bandwidth_bps: float = DEFAULT_WAN_BANDWIDTH_BPS,
-        loss_rate: float = 0.0,
-    ) -> "TopologyBuilder":
-        self._links.append(
-            WanLinkSpec(
-                a,
-                b,
-                latency=latency,
-                latency_back=latency_back,
-                bandwidth_bps=bandwidth_bps,
-                loss_rate=loss_rate,
-            )
-        )
-        return self
-
-    def gossip(
-        self,
-        fanout: int = 2,
-        interval: float = 0.5,
-        anti_entropy_interval: float = 5.0,
-        rumor_rounds: int = 2,
-        mode: str = "gossip",
-    ) -> "TopologyBuilder":
-        self._gossip = GossipSpec(
-            fanout=fanout,
-            interval=interval,
-            anti_entropy_interval=anti_entropy_interval,
-            rumor_rounds=rumor_rounds,
-            mode=mode,
-        )
-        return self
-
-    def place(self, placement: str) -> "TopologyBuilder":
-        self._placement = placement
-        return self
-
-    def home(self, region: str) -> "TopologyBuilder":
-        self._home = region
-        return self
-
-    def build(self) -> Topology:
-        if not self._regions:
-            raise ValueError("topology builder: add at least one region")
-        return Topology(
-            regions=tuple(self._regions),
-            wan_links=tuple(self._links),
-            gossip=self._gossip,
-            placement=self._placement,
-            home_region=self._home,
         )

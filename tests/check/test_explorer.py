@@ -200,6 +200,17 @@ class TestEngine:
             capsys.readouterr().out
         )
 
+    def test_fixed_counterexample_replays_clean(self, capsys):
+        """``check --capacity`` seed47/0, shrunk (ROADMAP item 3 (ii)): two
+        scale events 0.8 s apart inside the 2 s cooldown until PR 24 put the
+        event on the cooldown's clock.  The schedule still replays to the
+        digest it has with the fix in — no violation."""
+        fixture = FIXTURES / "whisper-check-capacity-cooldown.json"
+        assert main(["check", "--replay", str(fixture)]) == 0
+        assert "byte-identical (0 violation(s) reproduced)" in (
+            capsys.readouterr().out
+        )
+
 
 class TestExplorer:
     def test_small_exploration_is_clean(self):

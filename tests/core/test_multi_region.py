@@ -10,7 +10,7 @@ nothing against the seed.
 import pytest
 
 from repro.bench.wan import build_wan_system, run_fig4_guard
-from repro.core import ScenarioConfig, WhisperSystem
+from repro.core import ScenarioConfig, UnsupportedScenarioError, WhisperSystem
 from repro.core.topology import Topology
 
 
@@ -108,7 +108,7 @@ class TestGuards:
         system = WhisperSystem(
             ScenarioConfig(seed=1, shards=2, replicas=2, topology=topology)
         )
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(UnsupportedScenarioError):
             system.deploy_student_service()
 
     def test_client_defaults_to_home_region(self):

@@ -104,7 +104,8 @@ class TestDiscoveryPath:
 
         node = system.network.add_host("lonely-web")
         sws = SemanticWebService(bank_loans_wsdl(), system.ontology)
-        proxy = SwsProxy(node, sws, system.matcher, discovery_timeout=0.3)
+        proxy = SwsProxy(node, sws, system.matcher)
+        proxy.discovery_timeout = 0.3
         proxy.attach_to(system.rendezvous)
         system.settle(1.0)
         outcome = _invoke(system, proxy, "ApproveLoan", {"request": "L00001"})

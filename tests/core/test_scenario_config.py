@@ -4,12 +4,17 @@ import dataclasses
 
 import pytest
 
+from repro.check import CheckScenario, Schedule
 from repro.core import (
     InvokeOutcome,
     InvokeResult,
     ScenarioConfig,
+    UnsupportedScenarioError,
+    WhisperError,
     WhisperSystem,
 )
+from repro.core.autoscale import AutoscaleSpec
+from repro.core.topology import Topology
 
 
 class TestScenarioConfig:
@@ -125,3 +130,41 @@ class TestInvokeResult:
         system.env.run(until=service.proxy.node.spawn(runner()))
         assert outcome["result"].value["studentId"] == "S00002"
         assert outcome["result"].outcome is InvokeOutcome.OK
+
+
+class TestUnsupportedCombinations:
+    """One function says which combinations no deployment supports
+    (``ScenarioConfig.check_supported``), with one typed error, whichever
+    door the scenario comes in by."""
+
+    MESH = Topology.mesh(["r0", "r1"])
+    CASES = {
+        "shards<1": (dict(shards=0), dict(shards=0)),
+        "queue_bound<1": (dict(queue_bound=0), dict(queue_bound=0)),
+        "sharded x multi-region": (
+            dict(shards=2, topology=MESH),
+            dict(shards=2, regions=2),
+        ),
+        "autoscale x sharded": (
+            dict(shards=2, autoscale=AutoscaleSpec()),
+            dict(capacity=True, shards=2),
+        ),
+        "autoscale x multi-region": (
+            dict(autoscale=AutoscaleSpec(), topology=MESH),
+            dict(capacity=True, regions=2),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_raises_the_typed_error_from_both_entry_points(self, case):
+        config_fields, check_fields = self.CASES[case]
+        config = ScenarioConfig(seed=1, replicas=2, **config_fields)
+        for deploy in ("deploy_student_service", "deploy_enrollment_service"):
+            with pytest.raises(UnsupportedScenarioError):
+                getattr(WhisperSystem(config), deploy)()
+        with pytest.raises(UnsupportedScenarioError):
+            CheckScenario(**check_fields).run(Schedule(label="unsupported"))
+
+    def test_the_typed_error_is_a_whisper_error_and_a_value_error(self):
+        assert issubclass(UnsupportedScenarioError, WhisperError)
+        assert issubclass(UnsupportedScenarioError, ValueError)

@@ -5,7 +5,6 @@ import pytest
 from repro.backend.datasets import student_database
 from repro.backend.services import student_enrollment, student_lookup_operational
 from repro.core import ScenarioConfig, WhisperSystem
-from repro.core.sharding import ScatterResult
 from repro.wsdl.samples import student_admin_wsdl, student_management_wsdl
 
 
@@ -122,62 +121,6 @@ class TestShardRouting:
         _run(system, service, run())
         assert service.proxy.stats.shard_routed == 0
         assert service.proxy._routers == {}
-
-
-class TestScatterGather:
-    def test_scatter_reaches_every_shard(self):
-        system, service = _sharded_system(shards=4)
-
-        def run():
-            result = yield from service.proxy.scatter(
-                "StudentInformation", {"ID": "S00001"}
-            )
-            return result
-
-        result = _run(system, service, run())
-        assert isinstance(result, ScatterResult)
-        assert result.shards == 4
-        assert sorted(result.results) == [
-            f"grp-StudentManagement-s{i}" for i in range(4)
-        ]
-        assert not result.partial
-        assert all(
-            value["studentId"] == "S00001" for value in result.values.values()
-        )
-        assert service.proxy.stats.scatter_calls == 1
-        assert service.proxy.stats.scatter_partial == 0
-
-    def test_scatter_partial_policy_tolerates_one_dead_shard(self):
-        system, service = _sharded_system(shards=4, scatter_policy="partial")
-        victim = service.shard_groups_for("StudentInformation")[2]
-        for peer in victim.peers:
-            peer.node.crash()
-        system.settle(2.0)
-
-        def run():
-            result = yield from service.proxy.scatter(
-                "StudentInformation", {"ID": "S00002"}, budget=12.0
-            )
-            return result
-
-        result = _run(system, service, run())
-        assert result.partial
-        assert victim.name in result.failures
-        assert len(result.results) == 3
-        assert service.proxy.stats.scatter_partial == 1
-
-    def test_scatter_on_unsharded_service_degenerates_to_one_leg(self):
-        system, service = _sharded_system(shards=1)
-
-        def run():
-            result = yield from service.proxy.scatter(
-                "StudentInformation", {"ID": "S00001"}
-            )
-            return result
-
-        result = _run(system, service, run())
-        assert result.shards == 1
-        assert not result.partial
 
 
 class TestShardFailover:

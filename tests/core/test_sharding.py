@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.sharding import (
-    SCATTER_POLICIES,
-    ScatterError,
-    ScatterResult,
-    ShardRing,
-    ShardRouter,
-    shard_key,
-)
+from repro.core.sharding import ShardRing, ShardRouter, shard_key
 
 
 def _ring(members, virtual_nodes=64):
@@ -125,37 +118,3 @@ class TestShardRouter:
         home = router.route_home(key)
         router.suspect(home, now=0.0)
         assert router.route_home(key) == home
-
-
-class TestScatterResult:
-    def _result(self, policy, ok, failed):
-        result = ScatterResult(operation="op", policy=policy, shards=ok + failed)
-        for index in range(ok):
-            result.results[f"g{index}"] = object()
-        for index in range(failed):
-            result.failures[f"g{ok + index}"] = "timeout"
-        return result
-
-    def test_policy_all_rejects_any_failure(self):
-        self._result("all", ok=4, failed=0).evaluate()
-        with pytest.raises(ScatterError):
-            self._result("all", ok=3, failed=1).evaluate()
-
-    def test_policy_quorum_needs_strict_majority(self):
-        self._result("quorum", ok=3, failed=1).evaluate()
-        with pytest.raises(ScatterError):
-            self._result("quorum", ok=2, failed=2).evaluate()
-
-    def test_policy_partial_needs_one_success(self):
-        degraded = self._result("partial", ok=1, failed=3)
-        degraded.evaluate()
-        assert degraded.partial
-        with pytest.raises(ScatterError):
-            self._result("partial", ok=0, failed=4).evaluate()
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError):
-            self._result("best-effort", ok=1, failed=0).evaluate()
-
-    def test_policy_names_are_stable(self):
-        assert SCATTER_POLICIES == ("all", "quorum", "partial")

@@ -1,4 +1,4 @@
-"""The declarative Topology API: specs, validation, builder, defaults."""
+"""The declarative Topology API: specs, validation, defaults."""
 
 import pytest
 
@@ -102,31 +102,3 @@ class TestTopology:
         moved = topology.replace(home_region="r1")
         assert moved.home == "r1"
         assert topology.home == "r0"
-
-
-class TestBuilder:
-    def test_fluent_build(self):
-        topology = (
-            Topology.builder()
-            .region("eu", latency="lan")
-            .region("us", latency="lan")
-            .link("eu", "us", latency="lognormal:40ms±15ms",
-                  latency_back="lognormal:60ms±15ms")
-            .gossip(fanout=3, interval=0.25)
-            .place("span")
-            .home("us")
-            .build()
-        )
-        assert topology.region_names() == ["eu", "us"]
-        assert topology.wan_links[0].latency_back == "lognormal:60ms±15ms"
-        assert topology.gossip.fanout == 3
-        assert topology.placement == "span"
-        assert topology.home == "us"
-
-    def test_empty_builder_rejected(self):
-        with pytest.raises(ValueError):
-            Topology.builder().build()
-
-    def test_builder_validation_is_eager(self):
-        with pytest.raises(ValueError):
-            Topology.builder().region("eu").link("eu", "eu").build()
