@@ -40,7 +40,6 @@ overload:
 
 exactly-once:
 	python -m repro campaign --seed 42 --duration 60 --workload enroll --loss 0.01
-	python -m repro campaign --seed 42 --duration 60 --workload enroll --loss 0.01 --no-journal
 
 check:
 	python -m repro check --seeds 5 --schedules 50

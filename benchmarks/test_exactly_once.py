@@ -1,18 +1,16 @@
 """Exactly-once under failover — duplicate rate and journal overhead.
 
-Two claims for the dedup-journal layer, both against the same seeded
-fault campaigns the recovery benchmarks use:
+Two claims for the dedup-journal layer:
 
-* **Safety**: with the journal on, a mutating workload driven through
-  churn + partitions + message loss applies every invocation at most
-  once; the identical schedule with the journal off double-applies at
-  least one retried call — the at-least-once baseline that proves the
-  audit has teeth (and that the hazard is real, not hypothetical).
-* **Cost**: the journal's message overhead on the paper's Figure-4
-  configuration (read-only student lookups, n=8 b-peers) stays within
-  15% of the journal-less baseline — result replication is piggybacked
-  or gated on mutating operations, so the read-path message budget of
-  §5 is preserved.
+* **Safety**: a mutating workload driven through churn + partitions +
+  message loss (the seeded fault campaigns the recovery benchmarks use)
+  applies every invocation at most once, and the journal demonstrably
+  engaged.  The audit's negative control — an evicted journal entry that
+  double-applies — is ``tests/core/test_exactly_once.py``.
+* **Cost**: on the paper's Figure-4 configuration (read-only student
+  lookups, n=8 b-peers) the journal sends nothing — result replication,
+  the takeover sync and the commit barrier are all gated on mutating
+  operations, so the read-path message budget of §5 is untouched.
 """
 
 from __future__ import annotations
@@ -28,40 +26,32 @@ LOSS_RATE = 0.01
 
 FIG4_REPLICAS = 8
 MEASUREMENT_WINDOW = 20.0
-OVERHEAD_BUDGET = 0.15
-
-
-def _campaign(seed: int, dedup_journal: bool) -> "FaultCampaign":
-    return FaultCampaign(
-        seed=seed,
-        duration=DURATION,
-        replicas=4,
-        workload="enroll",
-        loss_rate=LOSS_RATE,
-        dedup_journal=dedup_journal,
-    )
 
 
 def run_duplicate_rate_experiment():
-    rows = []
-    for dedup_journal in (True, False):
-        for seed in SEEDS:
-            report = _campaign(seed, dedup_journal).run()
-            rows.append(report)
-    return rows
+    return [
+        FaultCampaign(
+            seed=seed,
+            duration=DURATION,
+            replicas=4,
+            workload="enroll",
+            loss_rate=LOSS_RATE,
+        ).run()
+        for seed in SEEDS
+    ]
 
 
 @pytest.mark.paper
-def test_exactly_once_vs_at_least_once_duplicates(benchmark, show):
+def test_exactly_once_under_failover(benchmark, show):
     reports = benchmark.pedantic(
         run_duplicate_rate_experiment, rounds=1, iterations=1
     )
     show(format_table(
-        ["seed", "journal", "avail", "effects", "invocations", "dup'd",
+        ["seed", "avail", "effects", "invocations", "dup'd",
          "deduped", "suppressed", "p99 (ms)"],
-        [[r.seed, "on" if r.dedup_journal else "off",
-          round(r.availability, 4), r.effects_applied, r.distinct_effects,
-          len(r.double_applied), r.probes_deduped, r.duplicates_suppressed,
+        [[r.seed, round(r.availability, 4), r.effects_applied,
+          r.distinct_effects, len(r.double_applied), r.probes_deduped,
+          r.duplicates_suppressed,
           round(r.probe_p99 * 1000, 1) if r.probe_p99 else None]
          for r in reports],
         title=(
@@ -69,13 +59,10 @@ def test_exactly_once_vs_at_least_once_duplicates(benchmark, show):
             f"partitions + {LOSS_RATE:.0%} loss, {DURATION:.0f}s, seeds {SEEDS}"
         ),
     ))
-    journal_on = [r for r in reports if r.dedup_journal]
-    baseline = [r for r in reports if not r.dedup_journal]
-
-    # Safety: the journal keeps every seed free of double-application,
-    # and every campaign invariant (fencing, alternation, convergence)
-    # still holds with the journal in the loop.
-    for report in journal_on:
+    # Safety: every seed is free of double-application, and every
+    # campaign invariant (fencing, alternation, convergence) holds with
+    # the journal in the loop.
+    for report in reports:
         assert not report.double_applied, (
             f"seed {report.seed}: {report.double_applied}"
         )
@@ -83,22 +70,12 @@ def test_exactly_once_vs_at_least_once_duplicates(benchmark, show):
     # The machinery demonstrably engaged: retries were answered from the
     # journal somewhere across the sweep.
     engaged = sum(r.probes_deduped + r.duplicates_suppressed + r.journal_hits
-                  for r in journal_on)
+                  for r in reports)
     assert engaged >= 1, "no retry ever hit the journal — schedule too tame"
 
-    # Teeth: the identical schedules without the journal double-apply.
-    double_applied = sum(len(r.double_applied) for r in baseline)
-    assert double_applied >= 1, (
-        "at-least-once baseline produced no duplicates — the safety claim "
-        "above would be vacuous"
-    )
-    assert all(r.duplicate_rate == 0.0 for r in journal_on)
 
-
-def measure_fig4_messages(dedup_journal: bool) -> dict:
-    system = WhisperSystem(ScenarioConfig(
-        seed=42, replicas=FIG4_REPLICAS, dedup_journal=dedup_journal,
-    ))
+def measure_fig4_categories() -> dict:
+    system = WhisperSystem(ScenarioConfig(seed=42, replicas=FIG4_REPLICAS))
     service = system.deploy_student_service()
     system.settle(6.0)
 
@@ -112,30 +89,21 @@ def measure_fig4_messages(dedup_journal: bool) -> dict:
     # Same accounting as Figure 4: the client workload plus a fixed
     # steady-state window, every message on the network counted.
     system.run_until(system.env.now + MEASUREMENT_WINDOW)
-    return {"messages": system.trace.sent_total}
+    return system.trace.category_breakdown()
 
 
 @pytest.mark.paper
-def test_journal_message_overhead_within_budget(benchmark, show):
-    counts = benchmark.pedantic(
-        lambda: {on: measure_fig4_messages(on)["messages"]
-                 for on in (False, True)},
-        rounds=1,
-        iterations=1,
-    )
-    overhead = counts[True] / counts[False] - 1.0
+def test_exactly_once_read_path_sends_no_journal_messages(benchmark, show):
+    categories = benchmark.pedantic(measure_fig4_categories, rounds=1, iterations=1)
     show(format_table(
-        ["dedup journal", "messages"],
-        [["off", counts[False]], ["on", counts[True]]],
+        ["category", "messages"],
+        sorted(categories.items()),
         title=(
-            f"Journal message overhead — Figure-4 configuration "
+            f"Messages by category — Figure-4 configuration "
             f"(n={FIG4_REPLICAS} b-peers, read-only lookups, "
-            f"{MEASUREMENT_WINDOW:.0f}s window): {overhead:+.2%}"
+            f"{MEASUREMENT_WINDOW:.0f}s window): {sum(categories.values())} total"
         ),
     ))
-    # Replication is piggybacked on existing report traffic and eagerly
-    # broadcast only for *mutating* operations, so the read-only
-    # Figure-4 message budget must be essentially untouched.
-    assert abs(overhead) <= OVERHEAD_BUDGET, (
-        f"journal overhead {overhead:+.2%} exceeds {OVERHEAD_BUDGET:.0%}"
-    )
+    assert sum(categories.values()) > 0
+    # Counted, not a ratio: nothing on the read path talks to the journal.
+    assert categories.get("bpeer-journal", 0) == 0

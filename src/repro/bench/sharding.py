@@ -309,7 +309,7 @@ def run_rebalance(
 
     system.run_process(workload(), node=service.proxy.node)
 
-    ring = ShardRing(virtual_nodes=config.virtual_nodes)
+    ring = ShardRing()
     for group in service.shard_groups_for("EnrollStudent"):
         ring.add(group.name)
     applied: Dict[str, int] = {}

@@ -96,7 +96,6 @@ class CheckScenario:
     cooldown: float = 12.0
     #: Invariants are re-audited every this many simulated seconds.
     slice_seconds: float = 0.5
-    dedup_journal: bool = True
     epoch_fencing: bool = True
     #: Federated shard groups for the enroll service; 1 keeps the
     #: deployment (and every existing repro file's digest) unchanged.
@@ -240,12 +239,10 @@ def _build_system(scenario: CheckScenario):
         )
     config = ScenarioConfig(
         seed=scenario.seed,
-        settle=scenario.settle,
         heartbeat_interval=scenario.heartbeat_interval,
         miss_threshold=scenario.miss_threshold,
         epoch_fencing=scenario.epoch_fencing,
         queue_bound=scenario.queue_bound,
-        dedup_journal=scenario.dedup_journal,
         replicas=scenario.replicas,
         students=scenario.students,
         request_timeout=scenario.probe_timeout,
@@ -270,9 +267,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
 
     injector = DecisionFaultInjector(system, service, schedule.ops)
     injector.install()
-    registry = InvariantRegistry(
-        queue_bound=scenario.queue_bound, dedup_journal=scenario.dedup_journal
-    )
+    registry = InvariantRegistry(queue_bound=scenario.queue_bound)
     result = RunResult(hosts=sorted(injector.watched))
 
     env = system.env

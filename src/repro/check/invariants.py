@@ -374,9 +374,8 @@ class InvariantRegistry:
     would be invisible to an end-of-run audit).
     """
 
-    def __init__(self, queue_bound: Optional[int] = None, dedup_journal: bool = True):
+    def __init__(self, queue_bound: Optional[int] = None):
         self.queue_bound = queue_bound
-        self.dedup_journal = dedup_journal
         self._accepted: Dict[str, Epoch] = {}
 
     def check_step(self, service) -> List[str]:
@@ -390,8 +389,7 @@ class InvariantRegistry:
         violations = announced_epoch_violations(peers)
         violations.extend(self._accepted_epoch_step(peers))
         violations.extend(stale_result_violations(service.proxy))
-        if self.dedup_journal:
-            violations.extend(exactly_once_violations(peers))
+        violations.extend(exactly_once_violations(peers))
         violations.extend(queue_bound_violations(peers, self.queue_bound))
         # Adaptive-capacity invariants: all vacuous (empty inputs) unless
         # the scenario enabled autoscale / breaker / result cache.

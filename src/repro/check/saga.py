@@ -342,7 +342,6 @@ def _deploy_loans(scenario: SagaCheckScenario) -> Tuple[WhisperSystem, Dict[str,
     system = WhisperSystem(
         ScenarioConfig(
             seed=scenario.seed,
-            settle=scenario.settle,
             heartbeat_interval=scenario.heartbeat_interval,
             miss_threshold=scenario.miss_threshold,
             replicas=scenario.replicas,

@@ -6,8 +6,7 @@
     python -m repro rtt [--samples 200] [--json]
     python -m repro failover [--heartbeat 1.0] [--json]
     python -m repro availability [--replicas 6] [--duration 180] [--json]
-    python -m repro campaign [--duration 90] [--workload enroll] [--loss 0.01]
-                             [--no-journal] [--json]
+    python -m repro campaign [--duration 90] [--workload enroll] [--loss 0.01] [--json]
     python -m repro overload [--rates 125,250,375,500] [--queue-bound 8]
     python -m repro shard [--shards 1,2,4] [--replicas 2] [--rate-multiple 3.0]
                           [--skip-rebalance] [--json]
@@ -62,7 +61,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         partition_duration=args.partition_duration,
         workload=args.workload,
         loss_rate=args.loss,
-        dedup_journal=not args.no_journal,
     )
     report = campaign.run()
     if args.json:
@@ -474,10 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--loss", type=float, default=0.0,
         help="network-wide message loss rate (e.g. 0.01 for 1%%)",
-    )
-    campaign.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the dedup journal (at-least-once baseline)",
     )
     campaign.set_defaults(func=_cmd_campaign, duration=90.0)
 

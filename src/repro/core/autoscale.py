@@ -323,15 +323,14 @@ class AutoscalingGroup:
             #    first reads empty.
             idle_since: Optional[float] = None
             while self.env.now < deadline:
-                if victim._queue.items or victim._busy or victim._parked:
+                if any(victim.pending_work()):
                     idle_since = None
                 elif idle_since is None:
                     idle_since = self.env.now
                 elif self.env.now - idle_since >= self.spec.drain_settle:
                     break
                 yield self.env.timeout(self.spec.drain_grace)
-            queued = len(victim._queue.items) + (1 if victim._busy else 0)
-            parked = sum(len(waiting) for waiting in victim._parked.values())
+            queued, parked = victim.pending_work()
             self._sample_replica_time()
             # 4. Deregister the advertisement: stop republishing and flush
             #    the local cache (the surviving replicas keep the group

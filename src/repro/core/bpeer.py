@@ -28,7 +28,10 @@ message and ``_on_delegate`` receives them through one ``{mode: handler}``
 lookup (the protocol table is DESIGN.md §6.7); ``_reply`` answers the
 proxy, ``_busy_reply`` / ``_redirect`` build the ``busy`` and
 ``not-coordinator`` bounces, ``_commit_result`` is the first-result-wins
-journal commit, ``_interrupt`` stops one of our processes.
+journal commit, ``_interrupt`` stops one of our processes.  Exactly-once
+has no off switch: ``_journal_answer`` is the one replay,
+``_merge_journal_entries`` the one merge, and ``_parked`` the one park
+table (DESIGN.md §6.16).
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ DELEGATION_TIMEOUT = 1.0
 #: report was lost), the parked retry is answered ``busy`` so the proxy
 #: backs off and retries — never re-executed concurrently.
 PARK_TIMEOUT = 2 * DELEGATION_TIMEOUT
+
+#: The park-table key of retried mutations gated behind the takeover
+#: journal sync (every other key is an invocation id, never ``None``).
+SYNC_GATE = None
 
 #: How often a takeover coordinator re-pulls journal state from group
 #: members that have not answered for its term yet (lost pulls and
@@ -225,26 +232,25 @@ class BPeer(Peer):
             miss_threshold=config.miss_threshold,
             epoch_fencing=config.epoch_fencing,
         )
-        #: Exactly-once machinery: the dedup/result journal plus requests
-        #: parked behind an in-flight duplicate (per invocation id).
-        self.journal_enabled = config.dedup_journal
+        #: Exactly-once machinery: the dedup/result journal plus the park
+        #: table — retries parked behind an in-flight duplicate (keyed by
+        #: invocation id) and retries gated behind the takeover sync
+        #: (keyed by ``SYNC_GATE``).
         self.journal = DedupJournal(capacity=config.journal_capacity)
-        self._parked: Dict[str, List[ExecRequest]] = {}
-        #: Retries parked behind an in-flight execution (total).
+        self._parked: Dict[Optional[str], List[ExecRequest]] = {}
+        #: Retries parked, either way (total).
         self.requests_parked = 0
         #: ``(coordinator, epoch)`` the journal was last pushed to, so a
         #: re-announced term does not re-send the transfer.
         self._journal_pushed: Optional[Tuple[PeerId, Epoch]] = None
         #: Takeover journal sync (coordinator side): the term being
-        #: synced, the members that answered our pull for it, the retried
-        #: mutations gated until the sync covers the current view, and
-        #: the pull loop driving it.  A member-push alone cannot cover a
+        #: synced, the members that answered our pull for it, and the
+        #: pull loop driving it.  A member-push alone cannot cover a
         #: coordinator whose election announcement was lost (a healed
         #: minority partition winning on epoch height), so the takeover
         #: *pulls* until every view member has answered.
         self._sync_epoch: Optional[Epoch] = None
         self._sync_answered: set = set()
-        self._sync_parked: List[ExecRequest] = []
         self._sync_proc = None
         #: Every member ever observed in the group (graceful leavers are
         #: pruned, failure-detector evictions are NOT): the sync must hear
@@ -295,7 +301,7 @@ class BPeer(Peer):
             "relay-reply": self._on_relay_reply,
             "report": self._on_report,
             "journal": self._on_journal,
-            "journal-push": self._on_journal_push,
+            "journal-push": self._on_journal,
             "journal-pull": self._on_journal_pull,
             "journal-sync-reply": self._on_journal_sync_reply,
             "intent": self._on_intent,
@@ -366,8 +372,10 @@ class BPeer(Peer):
         self.groups.leave(self.group_id)
         for process in (self._worker, self._republisher, self._sync_proc):
             self._interrupt(process, "shutdown")
+        # Every parked retry is answered, so its proxy retries at the
+        # successor now rather than after its per-attempt timeout.
+        self._bounce_parked(list(self._parked))
         self._forget_serving_state()
-        self._bounce_sync_parked()
 
     def _forget_serving_state(self) -> None:
         """What a peer that stops serving (leave or crash) no longer has:
@@ -434,18 +442,13 @@ class BPeer(Peer):
             self.node.network.obs.metrics.inc("bpeer.stale_epoch_rejections")
             self._redirect(request, value="stale-epoch")
             return
-        if self._park_if_in_flight(request):
-            return
-        if self._park_for_sync(request):
-            return
-        self._admit(request)
+        if not (self._park_if_in_flight(request) or self._park_for_sync(request)):
+            self._admit(request)
 
     # -- exactly-once: journal replay, parking, replication -----------------------------
 
     def _journal_done(self, request: ExecRequest) -> Optional[ExecReply]:
         """The replayed canonical reply for a completed invocation, or None."""
-        if not self.journal_enabled:
-            return None
         entry = self.journal.lookup(request.invocation_id)
         if entry is None or not entry.done:
             return None
@@ -456,10 +459,9 @@ class BPeer(Peer):
     def _journal_answer(self, request: ExecRequest) -> bool:
         """Reply a completed invocation's canonical result; True if done."""
         replayed = self._journal_done(request)
-        if replayed is None:
-            return False
-        self._reply(request, replayed)
-        return True
+        if replayed is not None:
+            self._reply(request, replayed)
+        return replayed is not None
 
     @staticmethod
     def _replay_reply(entry: JournalEntry, request: ExecRequest) -> ExecReply:
@@ -479,8 +481,6 @@ class BPeer(Peer):
         completion report) into a ``busy`` reply — the proxy backs off
         and retries, still never executing the duplicate concurrently.
         """
-        if not self.journal_enabled:
-            return False
         if not self.implementation.mutating:
             # Re-executing a read-only operation is harmless, and parking
             # it would trade availability for a guarantee it does not
@@ -490,43 +490,57 @@ class BPeer(Peer):
         entry = self.journal.lookup(request.invocation_id)
         if entry is None or entry.done:
             return False
-        invocation_id = request.invocation_id
-        self._parked.setdefault(invocation_id, []).append(request)
-        self.requests_parked += 1
-        self.node.network.obs.metrics.inc("bpeer.parked")
         if entry.origin is not None and entry.origin != self.peer_id:
             # The in-flight marker is another peer's write intent
             # (commit barrier).  Ask the origin what became of it — a
             # DONE answer replays to this parked retry, an "abandoned"
             # answer clears the intent so the next retry may execute.
-            self._resolve_intent(invocation_id, entry.origin)
-        timer = self.env.timeout(PARK_TIMEOUT)
-        timer.add_callback(lambda _event: self._expire_parked(invocation_id, request))
+            self._resolve_intent(request.invocation_id, entry.origin)
+        self._park(request.invocation_id, request, "bpeer.parked")
         return True
 
-    def _expire_parked(self, invocation_id: str, request: ExecRequest) -> None:
-        waiting = self._parked.get(invocation_id)
+    def _park(self, key: Optional[str], request: ExecRequest, counter: str) -> None:
+        """Hold ``request`` under ``key`` (its invocation id, or
+        ``SYNC_GATE``) until answered; a backstop timer bounces it
+        ``busy`` if nothing has by ``PARK_TIMEOUT``."""
+        self._parked.setdefault(key, []).append(request)
+        self.requests_parked += 1
+        self.node.network.obs.metrics.inc(counter)
+        timer = self.env.timeout(PARK_TIMEOUT)
+        timer.add_callback(lambda _event: self._expire_parked(key, request))
+
+    def _expire_parked(self, key: Optional[str], request: ExecRequest) -> None:
+        waiting = self._parked.get(key)
         if not waiting or request not in waiting or not self.node.up:
             return
         waiting.remove(request)
         if not waiting:
-            del self._parked[invocation_id]
+            del self._parked[key]
         self._reply(request, self._busy_reply(request))
 
     def _serve_parked(self, invocation_id: str) -> None:
-        """Answer every retry parked behind a now-completed invocation."""
+        """Replay a now-completed invocation to every retry parked behind it."""
         entry = self.journal.lookup(invocation_id)
-        if entry is None or not entry.done:
-            return
-        for parked in self._parked.pop(invocation_id, []):
-            self.journal.record_hit()
-            self.node.network.obs.metrics.inc("bpeer.journal_hits")
-            self._reply(parked, self._replay_reply(entry, parked))
+        if entry is not None and entry.done:
+            for parked in self._parked.pop(invocation_id, []):
+                self._journal_answer(parked)
 
     def _flush_parked(self, invocation_id: str, reply: ExecReply) -> None:
         """Answer parked retries with a non-result (the attempt failed)."""
         for parked in self._parked.pop(invocation_id, []):
             self._reply(parked, replace(reply, request_id=parked.request_id))
+
+    def _bounce_parked(self, keys) -> None:
+        """Answer ``busy`` to every retry parked under ``keys``."""
+        for key in keys:
+            for parked in self._parked.pop(key, []):
+                self._reply(parked, self._busy_reply(parked))
+
+    def pending_work(self) -> Tuple[int, int]:
+        """``(queued or executing, parked)`` requests — what a retirement
+        drain waits on before this peer may leave."""
+        parked = sum(len(waiting) for waiting in self._parked.values())
+        return len(self._queue.items) + (1 if self._busy else 0), parked
 
     def _journal_complete(self, request: ExecRequest, reply: ExecReply) -> ExecReply:
         """Record an execution's outcome in the journal.
@@ -536,8 +550,6 @@ class BPeer(Peer):
         duplicate and replays the stored value instead).  Non-results
         abandon the in-flight marker so a retry may execute afresh.
         """
-        if not self.journal_enabled:
-            return reply
         if reply.deduped:
             # Already a journal replay — the canonical entry exists.
             return reply
@@ -589,13 +601,11 @@ class BPeer(Peer):
         for member in members:
             if member == self.peer_id:
                 continue
-            if self._tell(member, ("journal", shipped), "bpeer-journal", 288):
+            if self._tell(member, ("journal", [shipped]), "bpeer-journal", 288):
                 self.node.network.obs.metrics.inc("bpeer.journal_replicated")
 
     def _on_coordinator_announced(self, coordinator: PeerId) -> None:
         """Journal-transfer handshake: ship DONE entries to a new winner."""
-        if not self.journal_enabled:
-            return
         if coordinator == self.peer_id:
             # We are the winner: pull the group's journal state into our
             # fresh term (the push below cannot help us — members that
@@ -606,9 +616,7 @@ class BPeer(Peer):
         # Only mutating results are replicated knowledge worth shipping —
         # a read-only entry replays locally at best, and pushing it would
         # tax every election on the Figure-4 read path.
-        if not self.implementation.mutating:
-            return
-        if not self.node.up:
+        if not self.implementation.mutating or not self.node.up:
             return
         term = (coordinator, self.coordinator_mgr.epoch)
         if self._journal_pushed == term:
@@ -659,7 +667,7 @@ class BPeer(Peer):
                     # View covered *now*; parked retries are answerable.
                     # Keep watching: a member re-joining the view (heal,
                     # restart) re-opens the pull until it answers too.
-                    self._drain_sync_parked()
+                    self._drain_sync_gate()
                 else:
                     for member in pending:
                         self._tell(member, ("journal-pull", epoch), "bpeer-journal", 64)
@@ -669,7 +677,7 @@ class BPeer(Peer):
             return
         # Term over (deposed or higher epoch seen): bounce what we gated
         # so the proxy re-binds and retries under the current coordinator.
-        self._bounce_sync_parked()
+        self._bounce_parked([SYNC_GATE])
 
     def _on_roster_change(self, group_id: PeerGroupId, peer_id: PeerId, change: str) -> None:
         if group_id != self.group_id:
@@ -703,28 +711,16 @@ class BPeer(Peer):
         failure detector, and the park backstop converts anything stuck
         into a ``busy`` bounce.
         """
-        if not self.journal_enabled:
-            return False
         if not self.implementation.mutating or request.attempt <= 1:
             return False
         if self._sync_epoch != self.coordinator_mgr.epoch or not self._sync_pending():
             return False
         if self.journal.lookup(request.invocation_id) is not None:
             return False
-        self._sync_parked.append(request)
-        self.requests_parked += 1
-        self.node.network.obs.metrics.inc("bpeer.sync_parked")
-        timer = self.env.timeout(PARK_TIMEOUT)
-        timer.add_callback(lambda _event: self._expire_sync_parked(request))
+        self._park(SYNC_GATE, request, "bpeer.sync_parked")
         return True
 
-    def _expire_sync_parked(self, request: ExecRequest) -> None:
-        if request not in self._sync_parked or not self.node.up:
-            return
-        self._sync_parked.remove(request)
-        self._reply(request, self._busy_reply(request))
-
-    def _drain_sync_parked(self) -> None:
+    def _drain_sync_gate(self) -> None:
         """Answer the gated retries now that the roster's journals merged.
 
         Replay or bounce — NEVER execute.  A parked copy may have been
@@ -736,18 +732,9 @@ class BPeer(Peer):
         path, for the proxy's single *live* attempt — giving per-invocation
         mutual exclusion for free from the proxy's sequential retries.
         """
-        if not self._sync_parked:
-            return
-        parked, self._sync_parked = self._sync_parked, []
-        for request in parked:
-            if self._journal_answer(request):
-                continue
-            self._reply(request, self._busy_reply(request, retry_after=0.0))
-
-    def _bounce_sync_parked(self) -> None:
-        parked, self._sync_parked = self._sync_parked, []
-        for request in parked:
-            self._reply(request, self._busy_reply(request))
+        for request in self._parked.pop(SYNC_GATE, []):
+            if not self._journal_answer(request):
+                self._reply(request, self._busy_reply(request, retry_after=0.0))
 
     def _merge_journal_entries(self, entries: List[JournalEntry]) -> None:
         for entry in entries:
@@ -758,35 +745,28 @@ class BPeer(Peer):
             self._serve_parked(entry.invocation_id)
 
     def _on_journal(self, payload, src_peer: PeerId) -> None:
-        # Eager replication of a mutating invocation's result.
-        if self.journal_enabled:
-            self._merge_journal_entries([payload[1]])
-
-    def _on_journal_push(self, payload, src_peer: PeerId) -> None:
-        # Bulk journal transfer to a freshly elected coordinator.
-        if self.journal_enabled:
-            self._merge_journal_entries(payload[1])
+        # A mutating result's eager replication ("journal") or the bulk
+        # transfer to a freshly elected coordinator ("journal-push").
+        self._merge_journal_entries(payload[1])
 
     def _on_journal_pull(self, payload, src_peer: PeerId) -> None:
         # A takeover coordinator asks for our DONE entries.  Always
         # answer — an empty reply is still the "view member covered"
         # signal the puller's gate is waiting on.
-        if self.journal_enabled:
-            entries = self.journal.export()
-            reply = ("journal-sync-reply", payload[1], entries)
-            self._tell(src_peer, reply, "bpeer-journal", 96 + 288 * len(entries))
+        entries = self.journal.export()
+        reply = ("journal-sync-reply", payload[1], entries)
+        self._tell(src_peer, reply, "bpeer-journal", 96 + 288 * len(entries))
 
     def _on_journal_sync_reply(self, payload, src_peer: PeerId) -> None:
         # A member answered our takeover pull: merge its entries and,
         # once the whole view has answered for this term, open the
         # gate for the retries parked behind the sync.
-        if self.journal_enabled:
-            _mode, epoch, entries = payload
-            self._merge_journal_entries(entries)
-            if self._sync_epoch == epoch and epoch == self.coordinator_mgr.epoch:
-                self._sync_answered.add(src_peer)
-                if not self._sync_pending():
-                    self._drain_sync_parked()
+        _mode, epoch, entries = payload
+        self._merge_journal_entries(entries)
+        if self._sync_epoch == epoch and epoch == self.coordinator_mgr.epoch:
+            self._sync_answered.add(src_peer)
+            if not self._sync_pending():
+                self._drain_sync_gate()
 
     # -- exactly-once: commit barrier (quorum write intent) ------------------------------
     #
@@ -827,8 +807,6 @@ class BPeer(Peer):
         :class:`ExecReply` to answer instead (a journal replay when a
         member already holds the result, else a ``busy`` bounce).
         """
-        if not self.journal_enabled:
-            return None
         if not self.implementation.mutating:
             return None
         cohort = self._commit_cohort()
@@ -917,25 +895,21 @@ class BPeer(Peer):
         status: str = "ok"
         extra: Any = None
         seen: Optional[Epoch] = None
-        if self.journal_enabled:
-            max_seen = self.coordinator_mgr.elector.max_epoch_seen
-            if self.epoch_fencing and epoch is not None and max_seen > epoch:
-                # Fencing: the asker's term is already superseded —
-                # deny it quorum and tell it what we know.
-                status, seen = "stale", max_seen
-            else:
-                entry = self.journal.lookup(invocation_id)
-                if entry is not None and entry.done:
-                    status, extra = "done", entry.replicable()
-                elif entry is not None:
-                    # A rival's intent (or the asker's own earlier
-                    # one) is already on file: report who holds it.
-                    status, extra = "held", entry.origin
-                else:
-                    self.journal.begin(
-                        invocation_id, epoch=epoch, now=self.env.now, origin=origin
-                    )
-                    self.node.network.obs.metrics.inc("bpeer.intents_recorded")
+        max_seen = self.coordinator_mgr.elector.max_epoch_seen
+        entry = self.journal.lookup(invocation_id)
+        if self.epoch_fencing and epoch is not None and max_seen > epoch:
+            # Fencing: the asker's term is already superseded — deny it
+            # quorum and tell it what we know.
+            status, seen = "stale", max_seen
+        elif entry is not None and entry.done:
+            status, extra = "done", entry.replicable()
+        elif entry is not None:
+            # A rival's intent (or the asker's own earlier one) is
+            # already on file: report who holds it.
+            status, extra = "held", entry.origin
+        else:
+            self.journal.begin(invocation_id, epoch=epoch, now=self.env.now, origin=origin)
+            self.node.network.obs.metrics.inc("bpeer.intents_recorded")
         reply = ("intent-reply", token, status, extra, seen)
         size_bytes = 96 if status != "done" else 96 + 288
         self._tell(src_peer, reply, "bpeer-journal", size_bytes)
@@ -967,41 +941,38 @@ class BPeer(Peer):
         # An intent's origin (or a resolver acting on its authority)
         # withdrew it: the invocation was never applied there.
         _mode, invocation_id, origin = payload
-        if self.journal_enabled:
-            entry = self.journal.lookup(invocation_id)
-            if entry is not None and not entry.done and entry.origin == origin:
-                self.journal.abandon(invocation_id)
+        self._abandon_intent(invocation_id, origin)
+
+    def _abandon_intent(self, invocation_id: str, origin: PeerId) -> None:
+        """Drop ``origin``'s in-flight intent for the invocation, if on file."""
+        entry = self.journal.lookup(invocation_id)
+        if entry is not None and not entry.done and entry.origin == origin:
+            self.journal.abandon(invocation_id)
 
     def _on_intent_status(self, payload, src_peer: PeerId) -> None:
         # In-doubt resolution: only we can say whether our intent's
         # effect was applied (apply + complete are atomic here).
         _mode, invocation_id, asker = payload
-        if self.journal_enabled:
-            entry = self.journal.lookup(invocation_id)
-            if entry is not None and entry.done:
-                outcome: Any = entry.replicable()
-            elif entry is not None and entry.origin == self.peer_id:
-                outcome = "pending"  # still executing — keep waiting
-            else:
-                outcome = None  # abandoned (or never ours): not applied
-            reply = ("intent-status-reply", invocation_id, outcome)
-            self._tell(src_peer, reply, "bpeer-journal", 96)
+        entry = self.journal.lookup(invocation_id)
+        if entry is not None and entry.done:
+            outcome: Any = entry.replicable()
+        elif entry is not None and entry.origin == self.peer_id:
+            outcome = "pending"  # still executing — keep waiting
+        else:
+            outcome = None  # abandoned (or never ours): not applied
+        reply = ("intent-status-reply", invocation_id, outcome)
+        self._tell(src_peer, reply, "bpeer-journal", 96)
 
     def _on_intent_status_reply(self, payload, src_peer: PeerId) -> None:
         _mode, invocation_id, outcome = payload
         self._intent_resolving.discard(invocation_id)
-        if self.journal_enabled and outcome != "pending":
-            if outcome is None:
-                # The origin abandoned the intent: clear it here and
-                # group-wide so a retry may execute afresh.
-                entry = self.journal.lookup(invocation_id)
-                if entry is not None and not entry.done and entry.origin == src_peer:
-                    self.journal.abandon(invocation_id)
-                self._clear_intent(invocation_id, src_peer)
-            else:
-                if self.journal.merge(outcome, now=self.env.now):
-                    self.node.network.obs.metrics.inc("bpeer.journal_merges")
-                self._serve_parked(invocation_id)
+        if outcome is None:
+            # The origin abandoned the intent: clear it here and
+            # group-wide so a retry may execute afresh.
+            self._abandon_intent(invocation_id, src_peer)
+            self._clear_intent(invocation_id, src_peer)
+        elif outcome != "pending":
+            self._merge_journal_entries([outcome])
 
     # -- admission control & dispatch (coordinator-side) -------------------------------
 
@@ -1023,17 +994,16 @@ class BPeer(Peer):
         if self.queue_bound is not None and state.outstanding >= self.queue_bound:
             self._shed(request)
             return
-        if self.journal_enabled:
-            # In-flight marker: a retry arriving while this runs is parked
-            # (never concurrently executed); the delegation-timeout
-            # fallback reconciles late results against it (first wins).
-            self.journal.begin(
-                request.invocation_id,
-                request=request,
-                epoch=self.coordinator_mgr.epoch,
-                now=self.env.now,
-                origin=self.peer_id,
-            )
+        # In-flight marker: a retry arriving while this runs is parked
+        # (never concurrently executed); the delegation-timeout fallback
+        # reconciles late results against it (first wins).
+        self.journal.begin(
+            request.invocation_id,
+            request=request,
+            epoch=self.coordinator_mgr.epoch,
+            now=self.env.now,
+            origin=self.peer_id,
+        )
         state.outstanding += 1
         self.node.network.obs.metrics.observe(
             "bpeer.queue_depth", self._total_outstanding(), bounds=QUEUE_DEPTH_BUCKETS
@@ -1091,8 +1061,9 @@ class BPeer(Peer):
     def _busy_reply(
         self, request: ExecRequest, retry_after: Optional[float] = None
     ) -> ExecReply:
-        """The one ``busy`` bounce (shed, park expiry, sync drain/bounce,
-        barrier blocked): hint defaults to the least-loaded member's ETA."""
+        """The one ``busy`` bounce (shed, park expiry, sync drain, parked
+        bounce, barrier blocked): hint defaults to the least-loaded
+        member's ETA."""
         if retry_after is None:
             retry_after = self._retry_after_hint()
         return ExecReply(
@@ -1248,9 +1219,9 @@ class BPeer(Peer):
     def _ledger_effect(self, request: ExecRequest, backend, writes_before: int) -> None:
         """Audit trail: ledger the write batch this execution applied.
 
-        Recorded even with the journal disabled — the at-least-once
-        baseline must expose its duplicate applications to the campaign's
-        duplicate-execution audit, not hide them.
+        Recorded per execution, not per journal entry — so an invocation
+        the journal failed to dedup (e.g. its DONE entry was evicted) shows
+        up twice in the exactly-once audit rather than hiding.
         """
         if backend.writes > writes_before:
             backend.record_effect(request.invocation_id, self.name)
@@ -1309,7 +1280,7 @@ class BPeer(Peer):
         _mode, member, qos, entry = payload
         self._release_load(member)
         self._load_for(member).qos = qos
-        if entry is not None and self.journal_enabled:
+        if entry is not None:
             self._merge_journal_entries([entry])
 
     def _reconcile_late_reply(self, reply: ExecReply) -> None:
@@ -1319,9 +1290,7 @@ class BPeer(Peer):
         concurrent retry, and committing the first result here means any
         slower duplicate is suppressed at completion time (first result
         wins) instead of double-delivered."""
-        if not self.journal_enabled or reply.invocation_id is None:
-            return
-        if reply.kind != "result" or reply.deduped:
+        if reply.invocation_id is None or reply.kind != "result" or reply.deduped:
             return
         _entry, first = self._commit_result(reply.invocation_id, reply, reply.epoch)
         if first:
@@ -1368,8 +1337,6 @@ class BPeer(Peer):
         self, request: ExecRequest, reply: ExecReply
     ) -> Optional[JournalEntry]:
         """The DONE entry a completion report should carry, if any."""
-        if not self.journal_enabled:
-            return None
         if reply.kind != "result":
             return None
         entry = self.journal.lookup(request.invocation_id)
@@ -1432,7 +1399,6 @@ class BPeer(Peer):
         # markers and parked retries are memory and do not — a restarted
         # peer may execute those invocations afresh.
         self._forget_serving_state()
-        self._sync_parked.clear()
         self._intent_waits.clear()
         self._intent_resolving.clear()
         self.journal.drop_executing()

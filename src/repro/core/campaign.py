@@ -15,12 +15,10 @@ run against the recovery layer's safety invariants:
   lower than one it had already delivered (per group);
 * **convergence** — after the schedule drains and a cooldown settles, at
   most one live peer believes it coordinates the group;
-* **exactly-once** (mutating workloads, journal enabled) — no invocation
-  id appears more than once in the backends' side-effect ledgers: a
-  retried/redelegated call never applied its mutation twice.  The same
-  audit run against the at-least-once baseline (``dedup_journal=False``)
-  *documents* the duplicates instead of failing, proving the test has
-  teeth.
+* **exactly-once** — no invocation id appears more than once in the
+  backends' side-effect ledgers: a retried/redelegated call never
+  applied its mutation twice.  (The audit's negative control is an
+  evicted journal entry, ``tests/core/test_exactly_once.py``.)
 
 Campaigns are deterministic per seed (all randomness flows from the
 network's :class:`~repro.simnet.rng.RngRegistry`), so a violating run is
@@ -55,7 +53,6 @@ class CampaignReport:
     duration: float
     workload: str = "lookup"
     loss_rate: float = 0.0
-    dedup_journal: bool = True
     probes_ok: int = 0
     probes_failed: int = 0
     crashes: int = 0
@@ -114,7 +111,6 @@ class CampaignReport:
             "duration": self.duration,
             "workload": self.workload,
             "loss_rate": self.loss_rate,
-            "dedup_journal": self.dedup_journal,
             "probes": self.probes,
             "probes_ok": self.probes_ok,
             "probes_failed": self.probes_failed,
@@ -146,10 +142,9 @@ class CampaignReport:
         }
 
     def format(self) -> str:
-        journal = "journal on" if self.dedup_journal else "at-least-once baseline"
         lines = [
             f"fault campaign (seed={self.seed}, {self.duration:.0f}s, "
-            f"workload={self.workload}, loss={self.loss_rate:.2%}, {journal})",
+            f"workload={self.workload}, loss={self.loss_rate:.2%})",
             f"  probes        : {self.probes} ({self.probes_ok} ok, "
             f"{self.probes_failed} failed, {self.probes_deduped} deduped)",
             f"  availability  : {self.availability:.4f}",
@@ -198,7 +193,6 @@ class FaultCampaign:
         miss_threshold: int = 2,
         workload: str = "lookup",
         loss_rate: float = 0.0,
-        dedup_journal: bool = True,
         probe_budget: float = 10.0,
         students: int = 200,
     ):
@@ -219,7 +213,6 @@ class FaultCampaign:
         self.probe_budget = probe_budget
         self.workload = workload
         self.loss_rate = loss_rate
-        self.dedup_journal = dedup_journal
         self.students = students
         self.system = WhisperSystem(
             ScenarioConfig(
@@ -228,7 +221,6 @@ class FaultCampaign:
                 miss_threshold=miss_threshold,
                 replicas=replicas,
                 students=students,
-                dedup_journal=dedup_journal,
             )
         )
         if loss_rate:
@@ -248,7 +240,6 @@ class FaultCampaign:
             duration=self.duration,
             workload=self.workload,
             loss_rate=self.loss_rate,
-            dedup_journal=self.dedup_journal,
         )
         system.settle(6.0)
         start = system.env.now
@@ -409,12 +400,9 @@ class FaultCampaign:
         violations.extend(self.system.failures.alternation_violations())
         violations.extend(announced_epoch_violations(peers))
         violations.extend(stale_result_violations(self.service.proxy))
-        # Exactly-once: with the journal on, no invocation id may appear
-        # more than once across every backend's effect ledger.  The
-        # baseline (journal off) run *reports* its duplicates instead of
-        # failing — it is the control that proves the audit has teeth.
-        if self.dedup_journal:
-            violations.extend(exactly_once_violations(peers))
+        # Exactly-once: no invocation id may appear more than once across
+        # every backend's effect ledger.
+        violations.extend(exactly_once_violations(peers))
         # Convergence only means anything after the cooldown settled, and
         # applies within each shard group (each elects its own coordinator).
         groups = self.service.all_groups()

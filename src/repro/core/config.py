@@ -2,10 +2,12 @@
 
 The seed scattered deployment knobs across ``WhisperSystem.__init__``
 (seed, heartbeats, load sharing), ``deploy_student_service`` (replicas,
-dataset sizes) and ad-hoc call sites (settle time), and the overload work
-adds more (dispatch policy, queue bounds).  :class:`ScenarioConfig`
-collapses them into one dataclass consumed by
-:class:`~repro.core.system.WhisperSystem`.
+dataset sizes) and ad-hoc call sites, and the overload work adds more
+(dispatch policy, queue bounds).  :class:`ScenarioConfig` collapses them
+into one dataclass consumed by :class:`~repro.core.system.WhisperSystem`.
+A field exists because some caller sets it (``tests/core/
+test_knob_census.py`` holds that); what no caller varies is a constant
+where it is used — exactly-once dedup, for one, is always on.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
-from ..ontology.match import DegreeOfMatch
 from .autoscale import AutoscaleSpec
 from .breaker import BreakerSpec
 from .errors import UnsupportedScenarioError
@@ -31,9 +32,6 @@ class ScenarioConfig:
     # -- simulation-wide --
     #: Root seed for every RNG stream (runs are bit-for-bit reproducible).
     seed: int = 0
-    #: Simulated seconds :meth:`WhisperSystem.settle` waits by default for
-    #: joins, SRDI pushes and the first election to finish.
-    settle: float = 6.0
     #: Record per-message detail on the trace (memory-heavy; debug only).
     record_trace_details: bool = False
     #: Request-scoped tracing + metrics (near-zero-cost to disable).
@@ -61,9 +59,6 @@ class ScenarioConfig:
     #: suite catches the resulting stale-result delivery.
     epoch_fencing: bool = True
 
-    # -- semantic matching --
-    min_degree: DegreeOfMatch = DegreeOfMatch.EXACT
-
     # -- load sharing & overload control --
     #: Spread requests over members (§4.1) instead of coordinator-only.
     load_sharing: bool = False
@@ -77,13 +72,8 @@ class ScenarioConfig:
     queue_bound: Optional[int] = None
 
     # -- exactly-once invocation --
-    #: Dedup/result journal on every b-peer: retried invocation ids are
-    #: answered from the journal (or parked behind the in-flight
-    #: execution for mutating services) instead of re-executed.  ``False``
-    #: restores the seed's at-least-once semantics — the baseline the
-    #: duplicate-execution audit measures against.
-    dedup_journal: bool = True
-    #: Bound on journal entries per peer (oldest DONE evicted past it).
+    #: Bound on each b-peer's dedup/result journal (oldest DONE entry
+    #: evicted past it — that invocation is then at-least-once again).
     journal_capacity: int = 4096
 
     # -- semantic sharding --
@@ -93,10 +83,6 @@ class ScenarioConfig:
     #: groups, each with its own replication/election/journal, and the
     #: proxy routes on the annotation+argument key.
     shards: int = 1
-    #: Virtual nodes per shard group on the consistent-hash ring; more
-    #: points smooth the per-shard key distribution and shrink the
-    #: segment remapped by one group's failover.
-    virtual_nodes: int = 64
 
     # -- canonical student scenario (§3) --
     replicas: int = 4

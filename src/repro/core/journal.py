@@ -28,8 +28,9 @@ re-executing them.
 Entries are epoch-aware (they record the coordinator term that produced
 the result) and the journal is bounded: once ``capacity`` is exceeded the
 oldest ``DONE`` entries are evicted — an evicted entry degrades that
-invocation back to at-least-once, which the campaign's duplicate audit
-would surface, so capacity is sized well above the retry horizon.
+invocation back to at-least-once, which the exactly-once audit surfaces
+(the negative control of ``tests/core/test_exactly_once.py``), so
+capacity is sized well above the retry horizon.
 
 Steady state *is* the full journal: a long-lived peer evicts one entry per
 insertion for the rest of its life.  Eviction therefore walks the entry map

@@ -192,7 +192,7 @@ class SwsProxy(Peer):
         #: self-test shows to be unsafe.
         self.epoch_fencing = config.epoch_fencing
         self.sws = sws
-        self.group_matcher = SemanticGroupMatcher(matcher, min_degree=config.min_degree)
+        self.group_matcher = SemanticGroupMatcher(matcher)
         self.request_timeout = config.request_timeout
         self.max_attempts = config.max_attempts
         #: Seconds one remote discovery query / one coordinator lookup waits.
@@ -207,7 +207,6 @@ class SwsProxy(Peer):
         #: answers so a split-brain minority cannot win the bind simply by
         #: replying first — the highest epoch wins instead.
         self.resolve_grace = 0.02
-        self.virtual_nodes = config.virtual_nodes
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
         self.shard_suspect_interval = 10.0
@@ -971,10 +970,7 @@ class SwsProxy(Peer):
             return None
         router = self._routers.get(operation)
         if router is None:
-            router = ShardRouter(
-                virtual_nodes=self.virtual_nodes,
-                suspect_interval=self.shard_suspect_interval,
-            )
+            router = ShardRouter(suspect_interval=self.shard_suspect_interval)
             self._routers[operation] = router
         router.update(sharded)
         return router

@@ -529,14 +529,8 @@ class WhisperSystem:
 
     # -- simulation control ---------------------------------------------------------------
 
-    def settle(self, duration: Optional[float] = None) -> None:
-        """Let leases, joins, SRDI pushes, and the first election finish.
-
-        Without an explicit ``duration`` the config's ``settle`` window is
-        used, so sweeps tune it in one place.
-        """
-        if duration is None:
-            duration = self.config.settle
+    def settle(self, duration: float = 6.0) -> None:
+        """Let leases, joins, SRDI pushes, and the first election finish."""
         self.env.run(until=self.env.now + duration)
 
     def run_until(self, time: float) -> None:

@@ -16,7 +16,8 @@ def _service(epoch):
             is_coordinator=False,
         ),
         node=SimpleNamespace(up=True),
-        implementation=SimpleNamespace(backend=None),
+        # An empty effect ledger: the exactly-once audit has nothing to count.
+        implementation=SimpleNamespace(backend=SimpleNamespace(effect_counts=dict)),
     )
     peer._member_load = {}
     group = SimpleNamespace(name="g0", peers=[peer])
@@ -30,13 +31,13 @@ def _service(epoch):
 
 class TestAcceptedEpochCursor:
     def test_advancing_epochs_pass(self):
-        registry = InvariantRegistry(dedup_journal=False)
+        registry = InvariantRegistry()
         assert registry.check_step(_service(Epoch(1, "aa"))) == []
         assert registry.check_step(_service(Epoch(2, "bb"))) == []
 
     def test_regression_caught_even_if_it_self_corrects(self):
         """The cursor sees the dip a final-state audit would miss."""
-        registry = InvariantRegistry(dedup_journal=False)
+        registry = InvariantRegistry()
         assert registry.check_step(_service(Epoch(3, "aa"))) == []
         violations = registry.check_step(_service(Epoch(1, "bb")))
         assert violations and "regressed" in violations[0]
@@ -45,7 +46,7 @@ class TestAcceptedEpochCursor:
 
     def test_fresh_registry_has_no_history(self):
         """Per-run state: a new registry accepts any starting epoch."""
-        first = InvariantRegistry(dedup_journal=False)
+        first = InvariantRegistry()
         first.check_step(_service(Epoch(9, "aa")))
-        second = InvariantRegistry(dedup_journal=False)
+        second = InvariantRegistry()
         assert second.check_step(_service(Epoch(1, "bb"))) == []

@@ -17,7 +17,7 @@ from repro.backend import (
     student_lookup_operational,
 )
 from repro.core import ScenarioConfig, WhisperSystem, bpeer as bpeer_module
-from repro.core.bpeer import ExecRequest, _majority_acks
+from repro.core.bpeer import SYNC_GATE, ExecRequest, _majority_acks
 from repro.p2p import Peer
 from repro.wsdl import student_admin_wsdl
 
@@ -68,18 +68,18 @@ def _park_expiry(peer, request):
 
 
 def _sync_park_expiry(peer, request):
-    peer._sync_parked = [request]
-    peer._expire_sync_parked(request)
+    peer._parked[SYNC_GATE] = [request]
+    peer._expire_parked(SYNC_GATE, request)
 
 
 def _sync_drain(peer, request):
-    peer._sync_parked = [request]
-    peer._drain_sync_parked()
+    peer._parked[SYNC_GATE] = [request]
+    peer._drain_sync_gate()
 
 
 def _sync_bounce(peer, request):
-    peer._sync_parked = [request]
-    peer._bounce_sync_parked()
+    peer._parked[SYNC_GATE] = [request]
+    peer._bounce_parked([SYNC_GATE])
 
 
 def _barrier_blocked(peer, request):

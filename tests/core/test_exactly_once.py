@@ -5,8 +5,9 @@ call executes once, its result is replicated through the group's dedup
 journal, and a retry carrying the same idempotency key — to the same
 coordinator or to a freshly elected one after a crash — is answered from
 the journal (``InvokeResult.deduped``) instead of mutating the backend
-again.  With the journal disabled, the same retry double-applies: the
-at-least-once baseline the duplicate audit must catch.
+again.  The negative control needs no switch: a retry whose DONE entry
+was evicted from the bounded journal double-applies, and the
+exactly-once audit catches it.
 """
 
 import itertools
@@ -15,20 +16,16 @@ import pytest
 
 from repro.backend.datasets import student_database
 from repro.backend.services import student_enrollment
+from repro.check.invariants import exactly_once_violations
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.wsdl.samples import student_admin_wsdl
 
 REPLICAS = 4
 
 
-def _build(dedup_journal=True, seed=1206):
+def _build(seed=1206):
     system = WhisperSystem(
-        ScenarioConfig(
-            seed=seed,
-            heartbeat_interval=0.5,
-            miss_threshold=2,
-            dedup_journal=dedup_journal,
-        )
+        ScenarioConfig(seed=seed, heartbeat_interval=0.5, miss_threshold=2)
     )
     implementations = [
         student_enrollment(student_database(50)) for _ in range(REPLICAS)
@@ -125,20 +122,30 @@ class TestDedupOnRetry:
         assert _effect_counts(service) == {first.invocation_id: 1}
 
 
-class TestBaselineWithoutJournal:
-    def test_retry_double_applies(self):
-        system, service = _build(dedup_journal=False)
-        first = _invoke(system, service, {"ID": "S00001", "course": "C101"})
-        assert not first.deduped
+class TestEvictionNegativeControl:
+    """The audit has teeth: an evicted DONE entry degrades its invocation
+    back to at-least-once (``journal.py``), and the retry double-applies."""
 
+    @staticmethod
+    def _enrol_a_then_b_then_replay_a(capacity):
+        system, service = _build()
+        for peer in service.group.peers:
+            peer.journal.capacity = capacity
+        first = _invoke(system, service, {"ID": "S00001", "course": "C101"})
+        # B's entry evicts A's DONE entry wherever the capacity is 1.
+        _invoke(system, service, {"ID": "S00002", "course": "C102"})
+        system.settle(1.0)  # let B's eager broadcast land
         _replay_same_invocation(service.proxy)
         retry = _invoke(system, service, {"ID": "S00001", "course": "C101"})
+        assert retry.invocation_id == first.invocation_id
+        return service, retry
+
+    def test_evicted_entry_double_applies(self):
+        service, retry = self._enrol_a_then_b_then_replay_a(capacity=1)
         assert not retry.deduped
-        # At-least-once: the retried call executed again.  The effect
-        # ledger records both applications under the same idempotency
-        # key — exactly what the campaign's duplicate audit flags.
-        counts = _effect_counts(service)
-        assert counts[first.invocation_id] == 2
-        # The journal machinery stayed inert end to end.
-        assert all(not peer.journal_enabled for peer in service.group.peers)
-        assert all(len(peer.journal) == 0 for peer in service.group.peers)
+        (violation,) = exactly_once_violations(service.all_peers())
+        assert f"invocation {retry.invocation_id} applied 2 times" in violation
+
+        service, retry = self._enrol_a_then_b_then_replay_a(capacity=4096)
+        assert retry.deduped
+        assert exactly_once_violations(service.all_peers()) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ScenarioConfig, WhisperSystem
+from repro.core.bpeer import ExecRequest
 from repro.soap import RequestTimeout, SoapFault
 
 
@@ -104,3 +105,28 @@ class TestGracefulShutdown:
             # Bring it back (rejoin via start).
             peer.start(system.rendezvous)
             system.settle(3.0)
+
+    def test_shutdown_answers_retries_parked_behind_an_in_flight_call(self):
+        """A planned leave answers every parked retry ``busy`` — so its
+        proxy retries at the successor at once instead of waiting out its
+        per-attempt timeout — not only the ones gated behind the sync."""
+        system = WhisperSystem(ScenarioConfig(seed=146, replicas=3))
+        service = system.deploy_enrollment_service()
+        system.settle(6.0)
+        peer = service.group.coordinator_peer()
+        replies = []
+        peer._reply = lambda request, reply: replies.append(reply)
+        retry = ExecRequest(
+            request_id=9,
+            group_id=peer.group_id,
+            operation="EnrollStudent",
+            arguments={"ID": "S00001", "course": "X1"},
+            reply_to=peer.peer_id,
+            reply_addr=peer.endpoint.address,
+            invocation_id="maint#1",
+            attempt=2,
+        )
+        peer.journal.begin(retry.invocation_id, origin=peer.peer_id)  # in flight
+        assert peer._park_if_in_flight(retry)
+        peer.shutdown()
+        assert [(r.kind, r.invocation_id) for r in replies] == [("busy", "maint#1")]

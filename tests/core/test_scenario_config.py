@@ -70,12 +70,6 @@ class TestLegacyShims:
         assert proxy.max_attempts == 3
         assert proxy.deadline_budget == 9.0
 
-    def test_settle_default_comes_from_config(self):
-        system = WhisperSystem(ScenarioConfig(seed=64, settle=1.5))
-        before = system.env.now
-        system.settle()
-        assert system.env.now - before == pytest.approx(1.5)
-
 
 class TestInvokeResult:
     def test_result_is_frozen(self):
