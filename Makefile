@@ -108,9 +108,8 @@ saga-smoke:
 
 # Adaptive capacity benchmark: the diurnal trace priced against the
 # provision-for-peak baseline (replica-hours, availability parity, p99
-# band, cache hit ratio), the breaker trip-and-heal drill, and the
-# single-deployment Figure-4 byte-identity guard.  Regenerates the
-# committed BENCH_capacity.json record.
+# band, cache hit ratio) and the breaker trip-and-heal drill.
+# Regenerates the committed BENCH_capacity.json record.
 capacity:
 	python -m repro capacity --out BENCH_capacity.json
 
@@ -165,8 +164,8 @@ loc:
 	@wc -l src/repro/*.py src/repro/core/*.py | grep -v ' total$$' | awk '{printf "%7d  %s\n", $$1, $$2}'
 
 # What the traffic reaches (DESIGN.md §6.15; not a gate): every
-# `python -m repro` line of the smoke tiers, the other CLI commands once,
-# the bench_e2e smoke suite and the examples run under the profile hook of
+# `python -m repro` line of the smoke tiers, the other CLI commands once
+# (`trace` and `metrics` also with each export flag), the bench_e2e smoke suite and the examples run under the profile hook of
 # tools/census/sitecustomize.py, which then lists, per file, the src/repro
 # functions none of them entered.  ~2 min.  The next "delete or keep"
 # decision starts from this list, not from grep.
@@ -177,7 +176,8 @@ census:
 	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
 	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
 	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
-	for command in fig4 rtt failover availability campaign overload trace metrics; do \
+	for command in fig4 rtt failover availability campaign overload trace metrics \
+		"trace --json" "metrics --json" "metrics --csv"; do \
 		python -m repro $$command >/dev/null; \
 	done; \
 	$(MAKE) -s examples >/dev/null

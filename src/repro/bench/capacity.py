@@ -18,10 +18,6 @@ cool-down → quiet evening:
   requires the breaker to trip (converting timeout storms into immediate
   rejections), then restarts them and requires a half-open probe to
   re-close it — with every trip justified by window evidence.
-
-A Figure-4 guard closes the record: with all three specs left ``None``
-the deployment must produce byte-identical message counts to the seed
-path, proving the capacity layer costs nothing until it is asked for.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from ..check.invariants import (
 )
 from ..soap.fault import SoapFault
 from ..wsdl.samples import student_management_wsdl
-from .harness import Progress, bench_record, fig4_counts, format_assertions, quiet
+from .harness import Progress, bench_record, format_assertions, quiet
 from .stats import percentile
 from .workload import PoissonWorkload
 
@@ -57,7 +53,6 @@ __all__ = [
     "run_breaker_drill",
     "run_capacity",
     "run_diurnal",
-    "run_fig4_guard",
 ]
 
 #: Uniform replica service time: each replica's knee is ~100 req/s.
@@ -150,28 +145,26 @@ def build_capacity_system(
         impl.service_time = SERVICE_TIME
         return impl
 
-    if mode == "autoscaled":
-        replicas, extras = MIN_REPLICAS, dict(
-            autoscale=AUTOSCALE, circuit_breaker=BREAKER, result_cache=CACHE
-        )
-    elif mode == "static-max":
-        replicas, extras = MAX_REPLICAS, {}
-    else:
+    if mode not in ("autoscaled", "static-max"):
         raise ValueError(f"unknown capacity mode {mode!r}")
+    elastic = mode == "autoscaled"
+    replicas = MIN_REPLICAS if elastic else MAX_REPLICAS
     config = ScenarioConfig(
         seed=seed,
         replicas=replicas,
         students=STUDENTS,
         load_sharing=True,
         queue_bound=queue_bound,
-        **extras,
+        autoscale=AUTOSCALE if elastic else None,
+        circuit_breaker=BREAKER if elastic else None,
+        result_cache=CACHE if elastic else None,
     )
     system = WhisperSystem(config)
     service = system.deploy_service(
         student_management_wsdl(),
         [implementation(index) for index in range(replicas)],
         web_host="web0",
-        replica_factory=implementation if mode == "autoscaled" else None,
+        replica_factory=implementation if elastic else None,
     )
     return system, service
 
@@ -327,31 +320,6 @@ def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
     }
 
 
-def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
-    """Byte-identity: capacity specs left ``None`` vs the untouched seed.
-
-    Both paths run the same single invocation; the specs-default
-    deployment must count exactly the seed's messages — the capacity
-    layer may not perturb a deployment that never asked for it.
-    """
-    seed_path = fig4_counts(ScenarioConfig(seed=seed, replicas=3), settle)
-    explicit = fig4_counts(
-        ScenarioConfig(
-            seed=seed,
-            replicas=3,
-            autoscale=None,
-            circuit_breaker=None,
-            result_cache=None,
-        ),
-        settle,
-    )
-    return {
-        "seed_sent": seed_path[0],
-        "specs_none_sent": explicit[0],
-        "identical": seed_path == explicit,
-    }
-
-
 def run_capacity(
     scale: str = "full",
     seed: int = 42,
@@ -365,8 +333,6 @@ def run_capacity(
     static = run_diurnal("static-max", phases, seed=seed)
     progress("breaker drill (trip on dead group, heal through probe) ...")
     drill = run_breaker_drill(seed=seed)
-    progress("figure-4 byte-identity guard ...")
-    fig4 = run_fig4_guard(seed=seed)
 
     ratio = (
         autoscaled["replica_seconds"] / static["replica_seconds"]
@@ -390,7 +356,6 @@ def run_capacity(
         "breaker_trips_and_heals": (
             drill["tripped"] and drill["healed"] and not drill["unjustified_trips"]
         ),
-        "fig4_byte_identical": fig4["identical"],
     }
     body = {
         "scale": scale,
@@ -399,7 +364,6 @@ def run_capacity(
         "static_max": static,
         "replica_seconds_ratio": ratio,
         "breaker_drill": drill,
-        "fig4_guard": fig4,
     }
     return bench_record("capacity", body, assertions)
 
@@ -441,12 +405,6 @@ def format_record(record: Dict[str, Any]) -> str:
         "breaker drill: "
         + " ".join(drill["outcomes"])
         + f" | rejections={drill['rejections']} transitions={drill['transitions']}"
-    )
-    fig4 = record["fig4_guard"]
-    lines.append(
-        f"figure-4 guard: seed {fig4['seed_sent']} msgs vs specs-None "
-        f"{fig4['specs_none_sent']} msgs — "
-        + ("IDENTICAL" if fig4["identical"] else "DIVERGED")
     )
     lines.append("")
     lines.append(format_assertions(record))

@@ -143,9 +143,9 @@ def fig4_counts(
 ) -> Tuple[int, int, Dict[str, int]]:
     """Message counts of the Figure-4 probe: deploy, settle, one invocation.
 
-    What the byte-identity guards compare: two configs that must describe
-    the same deployment have to return equal ``(sent, delivered,
-    sent-by-category)`` triples.
+    What the WAN bench's byte-identity guard compares: two configs that
+    must describe the same deployment have to return equal ``(sent,
+    delivered, sent-by-category)`` triples.
     """
     system = WhisperSystem(config)
     service = system.deploy_student_service()

@@ -34,19 +34,12 @@ class ScenarioConfig:
     seed: int = 0
     #: Record per-message detail on the trace (memory-heavy; debug only).
     record_trace_details: bool = False
-    #: Request-scoped tracing + metrics (near-zero-cost to disable).
-    observability: bool = True
     #: The network shape: regions, WAN links, gossip tuning (see
     #: :class:`~repro.core.topology.Topology`).  ``None`` keeps the
     #: paper's flat single-LAN testbed, byte-identical to the seed —
     #: equivalent to ``Topology.single_region()`` but without region
     #: bookkeeping anywhere on the hot path.
     topology: Optional[Topology] = None
-    #: Fraction of requests that get a full span tree (systematic
-    #: sampling, deterministic).  1.0 traces everything (the default);
-    #: lower rates keep the request counters exact but skip per-request
-    #: span allocation — the knob high-throughput scenarios turn down.
-    obs_sample_rate: float = 1.0
 
     # -- group coordination --
     heartbeat_interval: float = 1.0

@@ -245,8 +245,8 @@ class SwsProxy(Peer):
         #: shard-annotated advertisements (discovery *is* the shard map).
         self._routers: Dict[str, ShardRouter] = {}
         self.stats = ProxyStats()
-        #: Network-wide observability (disabled on bare networks): every
-        #: invocation records a request trace with per-phase spans.
+        #: Network-wide observability: every invocation records a request
+        #: trace with per-phase spans.
         self.obs = node.network.obs
         self._request_ids = itertools.count(1)
         #: Idempotency keys: one per *logical* call (minted in ``_invoke``,
@@ -546,10 +546,10 @@ class SwsProxy(Peer):
         invoke timeout, and retry backoff grows exponentially (seeded
         jitter) under it.
 
-        With observability enabled, each invocation records a
-        :class:`~repro.obs.span.RequestTrace` with ``discover`` / ``bind``
-        / ``invoke`` / ``recover`` phase spans, feeding the per-phase
-        latency histograms that ``status_report()`` and the CLI expose.
+        Each invocation records a :class:`~repro.obs.span.RequestTrace`
+        with ``discover`` / ``bind`` / ``invoke`` / ``recover`` phase
+        spans, feeding the per-phase latency histograms that
+        ``status_report()`` and the CLI expose.
 
         ``invocation_id`` overrides the proxy-minted idempotency key —
         the saga orchestrator uses this to pin a deterministic,

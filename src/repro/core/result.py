@@ -56,7 +56,7 @@ class InvokeResult:
     attempts: int
     #: Client-observed duration in simulated seconds, retries included.
     duration: float
-    #: Request id of the observability trace (0 when obs is disabled).
+    #: Request id of the invocation's observability trace.
     trace_id: int
     #: Name of the backend implementation that served the request, when
     #: the b-peer reported it (e.g. ``student-lookup/warehouse``).

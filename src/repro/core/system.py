@@ -205,15 +205,10 @@ class WhisperSystem:
         self.env = Environment()
         self.trace = MessageTrace(record_details=self.config.record_trace_details)
         #: Request-scoped tracing + metrics (§5's per-phase attribution).
-        #: Purely in-process: enabling it sends no extra messages, so the
-        #: Figure-4 counts are identical either way; disabling it turns
-        #: every instrumentation hook into a near-zero-cost no-op.
-        self.obs = Observability(
-            enabled=self.config.observability,
-            sample_rate=self.config.obs_sample_rate,
-        )
-        if self.config.observability:
-            self.trace.metrics = self.obs.metrics
+        #: Purely in-process: it sends no message, so the Figure-4 counts
+        #: do not depend on it.
+        self.obs = Observability()
+        self.trace.metrics = self.obs.metrics
         home_spec = self.topology.regions[0]
         self.network = Network(
             self.env,
@@ -542,21 +537,14 @@ class WhisperSystem:
         process = owner.spawn(generator)
         return self.env.run(until=process)
 
-    def reset_counters(self, include_observability: bool = False) -> None:
+    def reset_counters(self) -> None:
         """Zero the message trace (e.g. after warm-up, before measuring).
 
         RTT stamps for requests still in flight survive the reset (see
-        :meth:`~repro.simnet.trace.MessageTrace.reset`).  Pass
-        ``include_observability=True`` to also drop accumulated request
-        traces and phase histograms, so a measurement window's phase
-        breakdown excludes warm-up traffic.
+        :meth:`~repro.simnet.trace.MessageTrace.reset`).  The obs registry
+        keeps its lifetime totals.
         """
         self.trace.reset()
-        if include_observability:
-            self.obs.reset()
-            if self.trace.metrics is not None:
-                # The registry dropped the counters the trace had bound.
-                self.trace.metrics = self.obs.metrics
 
     # -- health reporting --------------------------------------------------------------
 
@@ -565,9 +553,9 @@ class WhisperSystem:
 
         Covers what an operator would check: host liveness, per-service
         group membership and coordination state, proxy statistics,
-        headline network counters, and (with observability enabled) the
-        per-phase latency breakdown — discover / bind / invoke / recover /
-        elect / execute — that attributes slow requests to their cause.
+        headline network counters, and the per-phase latency breakdown —
+        discover / bind / invoke / recover / elect / execute — that
+        attributes slow requests to their cause.
         """
         hosts_up = sum(1 for node in self.network.hosts.values() if node.up)
         services = {}
@@ -629,7 +617,6 @@ class WhisperSystem:
             "hosts": {"total": len(self.network.hosts), "up": hosts_up},
             "network": self.trace.snapshot(),
             "services": services,
-            "observability": {"enabled": self.obs.enabled},
             "phases": self.obs.phase_summary(),
         }
         if self.topology.multi_region:

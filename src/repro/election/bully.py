@@ -86,8 +86,8 @@ class BullyElector:
         self.announced: List[Tuple[float, Epoch]] = []
         self.election_in_progress = False
         self.stats = ElectionStats()
-        #: Network-wide observability (disabled on bare networks): each
-        #: election records an ``elect`` phase duration.
+        #: Network-wide observability: each election records an ``elect``
+        #: phase duration.
         self.obs = self.endpoint.node.network.obs
         self._answer_event = None
         self._coordinator_event = None

@@ -6,40 +6,23 @@ phases.  This package provides the machinery to make those attributions
 first-class: :class:`Span`/:class:`RequestTrace` record one request's
 phase timeline on the simulated clock, :class:`MetricsRegistry`
 aggregates counters and fixed-bucket latency histograms, and
-:class:`Observability` ties both together behind a single
-enabled/disabled switch (disabled = near-zero cost, nothing retained).
+:class:`Observability` ties both together.  It is always on: every
+request is traced, and what it retains is bounded (:data:`MAX_TRACES`
+traces, fixed-size histograms).
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    RingBuffer,
-)
-from .observability import Observability
-from .span import (
-    NULL_SPAN,
-    NULL_TRACE,
-    PHASES,
-    NullRequestTrace,
-    NullSpan,
-    RequestTrace,
-    Span,
-)
+from .metrics import DEFAULT_LATENCY_BUCKETS, Counter, Histogram, MetricsRegistry
+from .observability import MAX_TRACES, Observability
+from .span import PHASES, RequestTrace, Span
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "Histogram",
+    "MAX_TRACES",
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACE",
-    "NullRequestTrace",
-    "NullSpan",
     "Observability",
     "PHASES",
     "RequestTrace",
-    "RingBuffer",
     "Span",
 ]

@@ -8,9 +8,9 @@ bind-phase dominated" instead of a single number.
 
 Histograms use fixed upper-bound buckets (Prometheus-style) so that
 recording is O(log buckets) with zero allocation, and quantiles are
-estimated by linear interpolation inside the owning bucket.  A disabled
-registry turns :meth:`MetricsRegistry.inc` / :meth:`MetricsRegistry.observe`
-into near-zero-cost no-ops.
+estimated by linear interpolation inside the owning bucket.  Neither
+grows with the number of samples, so the registry stays bounded however
+long a deployment runs.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import json
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "Counter",
-    "Histogram",
-    "RingBuffer",
-    "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
-]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
 
 #: Upper bounds (seconds) spanning the paper's observed range: sub-ms
 #: failure-free RTTs (§5: "approximately 0.5 milliseconds") up to the
@@ -141,80 +135,12 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
-class RingBuffer:
-    """A fixed-capacity ring of recent samples: bounded memory, no churn.
-
-    Recording overwrites the oldest slot of a preallocated list — no
-    allocation, no dict growth — so it is safe to leave on in hot loops.
-    Statistics (:meth:`snapshot`) are *exact* over the retained window
-    (unlike :class:`Histogram`'s bucket interpolation) at the cost of a
-    sort at snapshot time, which is a reporting-path operation.
-    """
-
-    __slots__ = ("name", "capacity", "_slots", "_index", "count", "total")
-
-    def __init__(self, name: str, capacity: int = 1024):
-        if capacity <= 0:
-            raise ValueError(f"ring {name}: capacity must be positive")
-        self.name = name
-        self.capacity = capacity
-        self._slots: List[float] = [0.0] * capacity
-        self._index = 0
-        #: Lifetime sample count (window holds the last ``capacity``).
-        self.count = 0
-        #: Lifetime sum (mean over everything ever recorded).
-        self.total = 0.0
-
-    def record(self, value: float) -> None:
-        """Record one sample, overwriting the oldest when full."""
-        self._slots[self._index] = value
-        self._index += 1
-        if self._index == self.capacity:
-            self._index = 0
-        self.count += 1
-        self.total += value
-
-    def window(self) -> List[float]:
-        """The retained samples, oldest first."""
-        if self.count >= self.capacity:
-            return self._slots[self._index:] + self._slots[: self._index]
-        return self._slots[: self._index]
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Exact statistics over the retained window."""
-        window = sorted(self.window())
-        if not window:
-            return {
-                "count": 0, "window": 0, "mean": None, "p50": None,
-                "p95": None, "p99": None, "min": None, "max": None,
-            }
-
-        def pick(q: float) -> float:
-            return window[min(len(window) - 1, int(q * len(window)))]
-
-        return {
-            "count": self.count,
-            "window": len(window),
-            "mean": sum(window) / len(window),
-            "p50": pick(0.50),
-            "p95": pick(0.95),
-            "p99": pick(0.99),
-            "min": window[0],
-            "max": window[-1],
-        }
-
-    def __repr__(self) -> str:
-        return f"<RingBuffer {self.name} n={self.count}/{self.capacity}>"
-
-
 class MetricsRegistry:
-    """Named counters, histograms, and rings behind one enable switch."""
+    """Named counters and fixed-bucket histograms."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.rings: Dict[str, RingBuffer] = {}
 
     # -- recording ----------------------------------------------------------------
 
@@ -233,9 +159,7 @@ class MetricsRegistry:
         return histogram
 
     def inc(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Increment counter ``name``."""
         try:
             self.counters[name].inc(amount)
         except KeyError:
@@ -247,37 +171,10 @@ class MetricsRegistry:
         value: float,
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        """Record one histogram sample (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record one histogram sample."""
         self.histogram(name, bounds).observe(value)
 
-    def ring(self, name: str, capacity: int = 1024) -> RingBuffer:
-        ring = self.rings.get(name)
-        if ring is None:
-            ring = self.rings[name] = RingBuffer(name, capacity)
-        return ring
-
-    def record(self, name: str, value: float, capacity: int = 1024) -> None:
-        """Record one ring-buffer sample (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self.ring(name, capacity).record(value)
-
     # -- export -----------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        snap = {
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "histograms": {
-                name: h.snapshot() for name, h in sorted(self.histograms.items())
-            },
-        }
-        if self.rings:
-            snap["rings"] = {
-                name: r.snapshot() for name, r in sorted(self.rings.items())
-            }
-        return snap
 
     def to_json(self, indent: Optional[int] = None) -> str:
         payload = {
@@ -286,14 +183,4 @@ class MetricsRegistry:
                 name: h.to_dict() for name, h in sorted(self.histograms.items())
             },
         }
-        if self.rings:
-            payload["rings"] = {
-                name: r.snapshot() for name, r in sorted(self.rings.items())
-            }
         return json.dumps(payload, indent=indent)
-
-    def reset(self) -> None:
-        """Drop every counter, histogram, and ring (e.g. after warm-up)."""
-        self.counters.clear()
-        self.histograms.clear()
-        self.rings.clear()

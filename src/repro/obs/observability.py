@@ -1,4 +1,4 @@
-"""The observability facade: request traces + metrics behind one switch.
+"""The observability facade: request traces + metrics, always on.
 
 One :class:`Observability` instance lives on the
 :class:`~repro.simnet.network.Network` (mirroring how
@@ -6,56 +6,35 @@ One :class:`Observability` instance lives on the
 monitor), so every component — proxies, b-peers, electors — reaches it
 via ``node.network.obs`` without extra constructor plumbing.
 
-Disabled (the default for a bare :class:`Network`), every entry point is
-a near-zero-cost no-op and nothing is retained, so instrumented hot
-paths behave byte-identically to uninstrumented ones.  Enabled (the
-default for :class:`~repro.core.system.WhisperSystem`), it keeps a
-bounded ring of recent :class:`~repro.obs.span.RequestTrace` trees and
-aggregates every phase duration into per-phase latency histograms.
+It keeps the last :data:`MAX_TRACES` :class:`~repro.obs.span.RequestTrace`
+trees and folds every phase duration into per-phase latency histograms.
+Recording is purely in-process: it sends no message, so the Figure-4
+counts do not depend on it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional
 
 from .metrics import MetricsRegistry
-from .span import NULL_TRACE, PHASES, NullRequestTrace, RequestTrace
+from .span import PHASES, RequestTrace
 
-__all__ = ["Observability"]
+__all__ = ["MAX_TRACES", "Observability"]
+
+#: Request traces retained (oldest evicted): the only per-request
+#: structure observability keeps.
+MAX_TRACES = 512
 
 
 class Observability:
-    """Request tracing and metrics for one simulated deployment.
+    """Request tracing and metrics for one simulated deployment."""
 
-    ``sample_rate`` makes span tracing *opt-in per request*: at 1.0 (the
-    default) every request gets a full span tree, exactly as before; at
-    ``r < 1`` a deterministic systematic sampler traces every ``1/r``-th
-    request and the rest pay only two counter increments.  Sampled
-    request durations additionally land in a fixed-capacity
-    :class:`~repro.obs.metrics.RingBuffer` (``request.duration.recent``),
-    so recent-tail reporting needs no per-request allocation.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_traces: int = 512,
-        sample_rate: float = 1.0,
-        ring_capacity: int = 1024,
-    ):
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(f"sample_rate {sample_rate} outside [0, 1]")
-        self.enabled = enabled
-        self.sample_rate = sample_rate
-        self.ring_capacity = ring_capacity
-        self.metrics = MetricsRegistry(enabled=enabled)
+    def __init__(self):
+        self.metrics = MetricsRegistry()
         #: Recent completed-or-in-flight request traces, oldest evicted.
-        self.traces: Deque[RequestTrace] = deque(maxlen=max_traces)
-        #: Systematic-sampling accumulator: deterministic (no RNG), and
-        #: spreads sampled requests evenly instead of in bursts.
-        self._sample_acc = 1.0 if sample_rate > 0 else 0.0
+        self.traces: Deque[RequestTrace] = deque(maxlen=MAX_TRACES)
         #: Cached phase-histogram handles — the hot fold path skips the
         #: per-observation f-string + registry lookup.
         self._phase_hists: Dict[str, Any] = {}
@@ -66,49 +45,20 @@ class Observability:
 
     def request_trace(
         self, operation: str, request_id: int, now: float
-    ) -> Union[RequestTrace, NullRequestTrace]:
-        """Open a trace for one proxy invocation.
-
-        Returns the null trace when disabled, and for requests the
-        sampler skips — those still count toward the request counters at
-        :meth:`finish_request`, they just carry no span tree.
-        """
-        if not self.enabled:
-            return NULL_TRACE
-        if self.sample_rate < 1.0:
-            self._sample_acc += self.sample_rate
-            if self._sample_acc < 1.0:
-                return NULL_TRACE
-            self._sample_acc -= 1.0
+    ) -> RequestTrace:
+        """Open a trace for one proxy invocation (or one saga)."""
         trace = RequestTrace(operation, request_id, now)
         self.traces.append(trace)
         return trace
 
     def finish_request(
-        self,
-        trace: Union[RequestTrace, NullRequestTrace],
-        now: float,
-        status: str = "ok",
+        self, trace: RequestTrace, now: float, status: str = "ok"
     ) -> None:
-        """Close ``trace`` and fold its phase durations into the metrics.
-
-        Unsampled requests (null trace while enabled) still increment the
-        request counters so throughput accounting stays exact; only the
-        span/latency detail is sampled.
-        """
-        if not self.enabled:
-            return
+        """Close ``trace`` and fold its phase durations into the metrics."""
         self.metrics.inc("requests.total")
         self.metrics.inc("requests.ok" if status == "ok" else "requests.failed")
-        if trace is NULL_TRACE or isinstance(trace, NullRequestTrace):
-            return
         trace.finish(now, status=status)
-        duration = trace.duration
-        if duration is not None:
-            self.metrics.observe("request.duration", duration)
-            self.metrics.record(
-                "request.duration.recent", duration, self.ring_capacity
-            )
+        self.metrics.observe("request.duration", trace.duration)
         accum = self._phase_accum
         accum.clear()
         root = trace.root
@@ -126,8 +76,6 @@ class Observability:
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record a phase duration outside any request trace (e.g. ``elect``)."""
-        if not self.enabled:
-            return
         self.metrics.observe(f"phase.{phase}", seconds)
 
     # -- aggregation -------------------------------------------------------------
@@ -185,9 +133,3 @@ class Observability:
             "metrics": json.loads(self.metrics.to_json()),
         }
         return json.dumps(payload, indent=indent)
-
-    def reset(self) -> None:
-        """Drop all traces and metrics (e.g. after a warm-up phase)."""
-        self.traces.clear()
-        self.metrics.reset()
-        self._phase_hists.clear()

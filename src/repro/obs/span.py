@@ -9,24 +9,13 @@ proxy invocation, rooted at a synthetic ``request`` span.
 
 Everything is stamped with the *simulation* clock (callers pass
 ``env.now``), so traces are deterministic and comparable across runs.
-When observability is disabled the null objects (:data:`NULL_SPAN`,
-:data:`NULL_TRACE`) make every tracing call a near-zero-cost no-op.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = [
-    "PHASES",
-    "Span",
-    "RequestTrace",
-    "NullSpan",
-    "NullRequestTrace",
-    "NULL_SPAN",
-    "NULL_TRACE",
-]
+__all__ = ["PHASES", "Span", "RequestTrace"]
 
 #: The canonical phase names of one Whisper request's lifecycle.
 PHASES = ("discover", "bind", "invoke", "recover", "elect", "execute")
@@ -160,10 +149,6 @@ class RequestTrace:
         self.root.tags["status"] = status
 
     @property
-    def done(self) -> bool:
-        return self.root.finished
-
-    @property
     def duration(self) -> Optional[float]:
         return self.root.duration
 
@@ -197,75 +182,3 @@ class RequestTrace:
             f"<RequestTrace {self.operation}#{self.request_id} "
             f"{self.status or 'in-flight'}>"
         )
-
-
-class NullSpan:
-    """No-op stand-in for :class:`Span` when observability is disabled.
-
-    The class attributes are shared by every disabled call site through
-    the :data:`NULL_SPAN` singleton, so they must be *immutable*: a
-    read-only mapping and a tuple.  An accidental write through the
-    singleton (``span.tags["k"] = v`` on a disabled path) raises instead
-    of silently polluting every other disabled call site.
-    """
-
-    __slots__ = ()
-
-    name = "null"
-    start = 0.0
-    end: Optional[float] = 0.0
-    tags: Mapping[str, Any] = MappingProxyType({})
-    children: Tuple[Span, ...] = ()
-    finished = True
-    duration: Optional[float] = 0.0
-
-    def child(self, name: str, now: float, **tags: Any) -> "NullSpan":
-        return self
-
-    def finish(self, now: float, **tags: Any) -> "NullSpan":
-        return self
-
-    def walk(self):
-        return iter(())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def format(self, indent: int = 0) -> str:
-        return ""
-
-
-class NullRequestTrace:
-    """No-op stand-in for :class:`RequestTrace` when disabled."""
-
-    __slots__ = ()
-
-    operation = ""
-    request_id = 0
-    status: Optional[str] = None
-    done = True
-    duration: Optional[float] = 0.0
-
-    def begin(self, phase: str, now: float, parent=None, **tags: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def finish(self, now: float, status: str = "ok") -> None:
-        return None
-
-    def spans(self) -> List[Span]:
-        return []
-
-    def phase_durations(self) -> Dict[str, float]:
-        return {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def format(self) -> str:
-        return ""
-
-
-#: Shared singletons: every disabled code path funnels through these, so
-#: tracing a request costs one attribute lookup and a method call.
-NULL_SPAN = NullSpan()
-NULL_TRACE = NullRequestTrace()

@@ -73,10 +73,9 @@ class Network:
     ):
         self.env = env
         self.trace = trace if trace is not None else MessageTrace()
-        #: Request-scoped observability; disabled unless a caller (e.g.
-        #: WhisperSystem) supplies an enabled instance, so bare networks
-        #: pay nothing for the instrumentation hooks.
-        self.obs = obs if obs is not None else Observability(enabled=False)
+        #: Request-scoped observability, shared by every component on the
+        #: network (WhisperSystem passes its own).
+        self.obs = obs if obs is not None else Observability()
         self.rng = rng if rng is not None else RngRegistry(0)
         self.default_latency = default_latency or lan_latency()
         self.default_bandwidth_bps = default_bandwidth_bps

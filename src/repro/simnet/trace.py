@@ -73,17 +73,16 @@ class MessageTrace:
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
         """Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror: when
-        set (WhisperSystem wires it with observability enabled), headline
-        message counters also land in the registry so one JSON export
-        covers network traffic alongside phase latencies.  The registry's
-        ``reset()`` orphans the bound counters: assign it again afterwards.
+        set (WhisperSystem wires its own), headline message counters also
+        land in the registry so one JSON export covers network traffic
+        alongside phase latencies.
         """
         return self._metrics
 
     @metrics.setter
     def metrics(self, registry: Optional[MetricsRegistry]) -> None:
         self._metrics = registry
-        mirrored = registry is not None and registry.enabled
+        mirrored = registry is not None
         self._net_sent = registry.counter("net.sent") if mirrored else None
         self._net_bytes = registry.counter("net.bytes") if mirrored else None
         self._net_delivered = registry.counter("net.delivered") if mirrored else None

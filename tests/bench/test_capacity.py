@@ -7,7 +7,6 @@ from repro.bench.capacity import (
     format_record,
     run_breaker_drill,
     run_capacity,
-    run_fig4_guard,
 )
 from repro.bench.harness import check_record
 from repro.bench.workload import PoissonWorkload
@@ -40,7 +39,6 @@ class TestCapacityRecord:
         assert record["assertions"]["zero_stale_epoch_serves"]
         assert record["assertions"]["capacity_invariants_clean"]
         assert record["assertions"]["breaker_trips_and_heals"]
-        assert record["assertions"]["fig4_byte_identical"]
 
     def test_autoscaled_is_cheaper_than_static(self, record):
         assert record["replica_seconds_ratio"] <= 0.6
@@ -72,7 +70,6 @@ class TestCapacityRecord:
         assert "diurnal trace: autoscaled" in text
         assert "replica-hours" in text
         assert "breaker drill" in text
-        assert "figure-4 guard" in text
 
 
 class TestStandaloneProbes:
@@ -83,10 +80,6 @@ class TestStandaloneProbes:
         assert drill["unjustified_trips"] == []
         assert ("closed", "open") in drill["transitions"]
         assert ("half-open", "closed") in drill["transitions"]
-
-    def test_fig4_guard_is_byte_identical(self):
-        guard = run_fig4_guard(seed=7)
-        assert guard["identical"], guard
 
     def test_diurnal_phases_smoke_keeps_ramp_and_quiet_full_length(self):
         smoke = {p.name: p for p in diurnal_phases("smoke")}

@@ -21,8 +21,6 @@ CALLER_TREES = ("src", "bench_e2e", "benchmarks")
 ALLOWED_UNSET = {
     "journal_capacity": "bench_e2e reads ScenarioConfig().journal_capacity to size its soak",
     "warehouse_every": "bench_e2e's ladder_full reads it to place its warehouse replicas",
-    "observability": "the obs on/off switch; tests/obs prove the off side costs nothing",
-    "obs_sample_rate": "the span-sampling rate ROADMAP item 1(d) prices at 0 / 0.1 / 1.0",
     "record_trace_details": "per-message records: examples/operations.py and the kernel oracle",
 }
 

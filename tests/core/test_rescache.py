@@ -268,11 +268,3 @@ def test_no_stale_epoch_serves_and_invariant_clean(cached_system):
     assert cache.hits >= 2
     assert cache.stale_epoch_serves == 0
     assert rescache_violations(service.proxy) == []
-
-
-def test_capacity_layer_off_is_byte_identical_to_seed():
-    """Specs left ``None`` must not perturb the seed's message flow."""
-    from repro.bench.capacity import run_fig4_guard
-
-    guard = run_fig4_guard(seed=91)
-    assert guard["identical"], guard

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry, RingBuffer
+from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 
 class TestHistogramBucketing:
@@ -79,13 +79,6 @@ class TestMetricsRegistry:
         registry.observe("phase.bind", 0.004)
         assert registry.histograms["phase.bind"].count == 2
 
-    def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.inc("x")
-        registry.observe("y", 1.0)
-        assert registry.counters == {}
-        assert registry.histograms == {}
-
     def test_negative_increment_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
@@ -95,70 +88,11 @@ class TestMetricsRegistry:
             registry.inc("x", -1)
         assert registry.counters["x"].value == 1
 
-    def test_snapshot_and_json_roundtrip(self):
+    def test_json_roundtrip(self):
         registry = MetricsRegistry()
         registry.inc("a", 5)
         registry.observe("lat", 0.003)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"a": 5}
-        assert snapshot["histograms"]["lat"]["count"] == 1
         parsed = json.loads(registry.to_json())
-        assert parsed["counters"]["a"] == 5
+        assert parsed["counters"] == {"a": 5}
+        assert parsed["histograms"]["lat"]["count"] == 1
         assert parsed["histograms"]["lat"]["buckets"][-1]["le"] is None
-
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        registry.observe("b", 1.0)
-        registry.record("c", 1.0)
-        registry.reset()
-        assert registry.counters == {} and registry.histograms == {}
-        assert registry.rings == {}
-
-
-class TestRingBuffer:
-    def test_window_before_wraparound_is_insertion_order(self):
-        ring = RingBuffer("r", capacity=4)
-        for value in (1.0, 2.0, 3.0):
-            ring.record(value)
-        assert ring.window() == [1.0, 2.0, 3.0]
-        assert ring.count == 3
-
-    def test_wraparound_overwrites_oldest(self):
-        ring = RingBuffer("r", capacity=3)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-            ring.record(value)
-        assert ring.window() == [3.0, 4.0, 5.0]
-        assert ring.count == 5           # lifetime count survives eviction
-        assert ring.total == 15.0        # lifetime sum too
-
-    def test_snapshot_exact_over_window_only(self):
-        ring = RingBuffer("r", capacity=2)
-        for value in (100.0, 1.0, 3.0):  # 100.0 evicted
-            ring.record(value)
-        stats = ring.snapshot()
-        assert stats["window"] == 2
-        assert stats["count"] == 3
-        assert stats["min"] == 1.0 and stats["max"] == 3.0
-        assert stats["mean"] == pytest.approx(2.0)
-
-    def test_empty_snapshot_is_all_none(self):
-        stats = RingBuffer("r", capacity=8).snapshot()
-        assert stats["count"] == 0 and stats["mean"] is None
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RingBuffer("r", capacity=0)
-
-    def test_registry_record_creates_and_reuses_ring(self):
-        registry = MetricsRegistry()
-        registry.record("lat", 1.0, capacity=4)
-        registry.record("lat", 2.0, capacity=4)
-        assert registry.ring("lat").window() == [1.0, 2.0]
-        snapshot = registry.snapshot()
-        assert snapshot["rings"]["lat"]["window"] == 2
-
-    def test_disabled_registry_record_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.record("lat", 1.0)
-        assert registry.rings == {}

@@ -4,8 +4,17 @@ import json
 
 import pytest
 
-from repro.core import ScenarioConfig, WhisperSystem
-from repro.obs import NULL_TRACE, Observability
+from repro.core import (
+    NoMatchingGroupError,
+    ScenarioConfig,
+    SemanticWebService,
+    SwsProxy,
+    WhisperSystem,
+)
+from repro.obs import MAX_TRACES, Observability, RequestTrace
+from repro.ontology import ConceptMatcher, Reasoner, b2b_ontology
+from repro.simnet import Environment, Network
+from repro.wsdl.samples import student_management_wsdl
 
 
 def _run_requests(system, service, count, host="obs-client"):
@@ -23,15 +32,6 @@ def _run_requests(system, service, count, host="obs-client"):
 
 
 class TestObservabilityFacade:
-    def test_disabled_returns_null_trace_and_retains_nothing(self):
-        obs = Observability(enabled=False)
-        trace = obs.request_trace("Svc.Op", 1, 0.0)
-        assert trace is NULL_TRACE
-        obs.finish_request(trace, 1.0)
-        obs.observe_phase("elect", 0.5)
-        assert len(obs.traces) == 0
-        assert obs.metrics.histograms == {}
-
     def test_finish_request_feeds_phase_histograms(self):
         obs = Observability()
         trace = obs.request_trace("Svc.Op", 1, 0.0)
@@ -50,74 +50,21 @@ class TestObservabilityFacade:
             assert summary[phase]["count"] == 0
 
     def test_trace_ring_is_bounded(self):
-        obs = Observability(max_traces=3)
-        for index in range(10):
+        obs = Observability()
+        for index in range(MAX_TRACES + 10):
             obs.request_trace("Svc.Op", index, float(index))
-        assert len(obs.traces) == 3
-        assert obs.traces[0].request_id == 7
+        assert len(obs.traces) == MAX_TRACES
+        assert obs.traces[0].request_id == 10
 
-    def test_sampling_traces_every_nth_request_exactly(self):
-        obs = Observability(sample_rate=0.25)
-        sampled = 0
-        for index in range(40):
-            trace = obs.request_trace("Svc.Op", index, float(index))
-            if trace is not NULL_TRACE:
-                sampled += 1
-            obs.finish_request(trace, float(index) + 0.1)
-        # Systematic sampling: the accumulator is primed so the first
-        # request is always traced, then exactly every 1/rate-th after.
-        assert sampled == 11
-        assert len(obs.traces) == 11
-
-    def test_unsampled_requests_still_counted(self):
-        obs = Observability(sample_rate=0.1)
+    def test_requests_counted_by_status(self):
+        obs = Observability()
         for index in range(20):
             trace = obs.request_trace("Svc.Op", index, 0.0)
             obs.finish_request(trace, 0.5, status="ok" if index % 2 else "failed")
         assert obs.metrics.counters["requests.total"].value == 20
         assert obs.metrics.counters["requests.ok"].value == 10
         assert obs.metrics.counters["requests.failed"].value == 10
-
-    def test_sample_rate_one_traces_everything(self):
-        obs = Observability(sample_rate=1.0)
-        traces = [obs.request_trace("Svc.Op", i, 0.0) for i in range(5)]
-        assert all(trace is not NULL_TRACE for trace in traces)
-
-    def test_sample_rate_zero_traces_nothing(self):
-        obs = Observability(sample_rate=0.0)
-        traces = [obs.request_trace("Svc.Op", i, 0.0) for i in range(5)]
-        assert all(trace is NULL_TRACE for trace in traces)
-
-    def test_sample_rate_validated(self):
-        with pytest.raises(ValueError):
-            Observability(sample_rate=1.5)
-        with pytest.raises(ValueError):
-            Observability(sample_rate=-0.1)
-
-    def test_sampled_durations_land_in_recent_ring(self):
-        obs = Observability()
-        trace = obs.request_trace("Svc.Op", 1, 0.0)
-        obs.finish_request(trace, 0.25)
-        ring = obs.metrics.ring("request.duration.recent")
-        assert ring.window() == [pytest.approx(0.25)]
-
-    def test_reset_drops_cached_phase_histogram_handles(self):
-        # Regression: reset() clears the registry's histograms; stale
-        # cached handles would keep folding into orphaned objects.
-        obs = Observability()
-        trace = obs.request_trace("Svc.Op", 1, 0.0)
-        trace.begin("invoke", 0.0).finish(0.2)
-        obs.finish_request(trace, 0.2)
-        obs.reset()
-        trace = obs.request_trace("Svc.Op", 2, 1.0)
-        trace.begin("invoke", 1.0).finish(1.3)
-        obs.finish_request(trace, 1.3)
-        assert obs.phase_summary()["invoke"]["count"] == 1
-        assert obs.metrics.histograms["phase.invoke"].count == 1
-
-    def test_config_sample_rate_reaches_system_observability(self):
-        system = WhisperSystem(ScenarioConfig(seed=1, obs_sample_rate=0.5))
-        assert system.obs.sample_rate == 0.5
+        assert obs.metrics.histograms["request.duration"].count == 20
 
     def test_exports_parse(self):
         obs = Observability()
@@ -137,7 +84,6 @@ class TestSystemIntegration:
         _run_requests(system, service, 4)
         report = system.status_report()
         phases = report["phases"]
-        assert report["observability"]["enabled"] is True
         assert phases["discover"]["count"] == 4
         assert phases["invoke"]["count"] == 4
         assert phases["execute"]["count"] == 4
@@ -219,44 +165,56 @@ class TestSystemIntegration:
         assert system.trace.sent_total > 0
         assert counters["net.sent"].value == before + system.trace.sent_total
 
-    def test_registry_reset_rebinds_the_mirror(self):
-        """obs.reset() drops the registry's counters, orphaning the bound
-        handles; reset_counters() re-wires them so the mirror survives."""
-        system = WhisperSystem(ScenarioConfig(seed=17))
-        service = system.deploy_student_service(system.config.replace(replicas=2))
-        system.settle(6.0)
-        system.reset_counters(include_observability=True)
-        _run_requests(system, service, 2)
-        counters = system.obs.metrics.counters
-        assert system.trace.sent_total > 0
-        assert counters["net.sent"].value == system.trace.sent_total
-        assert counters["net.bytes"].value == system.trace.bytes_total
-        assert counters["net.delivered"].value == system.trace.delivered_total
 
-    def test_disabled_observability_is_inert_and_equivalent(self):
-        reports = {}
-        for enabled in (True, False):
-            system = WhisperSystem(ScenarioConfig(seed=23, observability=enabled))
-            service = system.deploy_student_service(system.config.replace(replicas=3))
-            system.settle(6.0)
-            _run_requests(system, service, 3)
-            reports[enabled] = (system.trace.snapshot(), system)
-        disabled_system = reports[False][1]
-        assert len(disabled_system.obs.traces) == 0
-        assert disabled_system.obs.metrics.histograms == {}
-        phases = disabled_system.status_report()["phases"]
-        assert all(stats["count"] == 0 for stats in phases.values())
-        # Same seed, same workload: the message flow must be identical
-        # whether or not the instrumentation records it.
-        assert reports[True][0] == reports[False][0]
+class TestOnAndBoundedEverywhere:
+    def test_bare_network_proxy_records_a_request_trace(self):
+        """A network built without ``obs=`` still traces: there is no
+        disabled facade to fall back to."""
+        env = Environment()
+        network = Network(env)
+        ontology = b2b_ontology()
+        proxy = SwsProxy(
+            network.add_host("web"),
+            SemanticWebService(student_management_wsdl(), ontology),
+            ConceptMatcher(Reasoner(ontology)),
+        )
+        proxy.discovery_timeout = 0.1
 
-    def test_reset_counters_can_include_observability(self):
-        system = WhisperSystem(ScenarioConfig(seed=29))
-        service = system.deploy_student_service(system.config.replace(replicas=2))
-        system.settle(6.0)
-        _run_requests(system, service, 2)
-        system.reset_counters()
-        assert len(system.obs.traces) > 0  # default: obs preserved
-        system.reset_counters(include_observability=True)
-        assert len(system.obs.traces) == 0
-        assert system.status_report()["phases"]["invoke"]["count"] == 0
+        def call():
+            try:
+                yield from proxy.invoke("StudentInformation", {"ID": "S00001"}, budget=1.0)
+            except NoMatchingGroupError:
+                pass
+
+        env.run(until=proxy.node.spawn(call()))
+        (trace,) = network.obs.traces
+        assert isinstance(trace, RequestTrace)
+        assert trace.operation.endswith(".StudentInformation")
+        assert trace.status == "NoMatchingGroupError"
+        assert [span.name for span in trace.spans()] == ["discover"]
+
+    def test_retention_is_bounded_by_construction(self):
+        """2 000 served reads keep MAX_TRACES traces, and the registry has
+        the same counter and histogram names as after the first 200."""
+        system = WhisperSystem(ScenarioConfig(seed=42))
+        service = system.deploy_student_service()
+        system.settle()
+        node = system.network.add_host("bounded-client")
+
+        def reads(start, count):
+            for index in range(start, start + count):
+                yield from service.invoke(
+                    "StudentInformation", {"ID": f"S{index % 200 + 1:05d}"}
+                )
+                yield system.env.timeout(0.005)
+
+        def names():
+            metrics = system.obs.metrics
+            return set(metrics.counters), set(metrics.histograms)
+
+        system.run_process(reads(0, 200), node=node)
+        early = names()
+        system.run_process(reads(200, 1800), node=node)
+        assert system.obs.metrics.counters["requests.ok"].value == 2000
+        assert len(system.obs.traces) == MAX_TRACES
+        assert names() == early

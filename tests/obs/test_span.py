@@ -1,6 +1,6 @@
 """Unit tests for Span / RequestTrace nesting and aggregation."""
 
-from repro.obs import NULL_SPAN, NULL_TRACE, RequestTrace, Span
+from repro.obs import RequestTrace, Span
 
 
 class TestSpan:
@@ -101,30 +101,3 @@ class TestRequestTrace:
         assert data["request_id"] == 7
         assert data["status"] == "ok"
         assert data["root"]["children"][0]["name"] == "discover"
-
-
-class TestNullObjects:
-    def test_null_trace_is_inert(self):
-        span = NULL_TRACE.begin("bind", 1.0)
-        assert span is NULL_SPAN
-        assert span.child("x", 2.0) is NULL_SPAN
-        assert span.finish(3.0) is NULL_SPAN
-        NULL_TRACE.finish(5.0)
-        assert NULL_TRACE.phase_durations() == {}
-        assert NULL_TRACE.to_dict() == {}
-
-    def test_null_span_singletons_shared(self):
-        assert NULL_SPAN.child("a", 0.0) is NULL_SPAN.child("b", 1.0)
-
-    def test_null_span_state_cannot_be_mutated(self):
-        # Regression: ``tags = {}`` / ``children = []`` were shared
-        # mutable class attributes — one write through the singleton
-        # polluted every disabled-tracing call site forever.
-        import pytest
-
-        with pytest.raises(TypeError):
-            NULL_SPAN.tags["leak"] = 1
-        with pytest.raises((TypeError, AttributeError)):
-            NULL_SPAN.children.append("leak")  # tuple: no append
-        assert dict(NULL_SPAN.tags) == {}
-        assert tuple(NULL_SPAN.children) == ()

@@ -121,7 +121,7 @@ class TestMetrics:
     def metrics(self):
         from repro.obs import Observability
 
-        return Observability(enabled=True).metrics
+        return Observability().metrics
 
     @pytest.fixture
     def cache(self, clock, metrics):

@@ -49,16 +49,6 @@ class TestCounters:
         trace.on_send(0.3, message)
         assert registry.counters["net.sent"].value == 1
 
-    def test_disabled_registry_is_not_mirrored(self):
-        trace, registry = MessageTrace(), MetricsRegistry(enabled=False)
-        trace.metrics = registry
-        message = _msg()
-        trace.on_send(0.0, message)
-        trace.on_deliver(0.1, message)
-        trace.on_drop(0.2, message)
-        assert registry.counters == {}
-        assert trace.snapshot()["sent"] == 1
-
     def test_reset_zeroes_counters_and_completed_samples(self):
         trace = MessageTrace()
         trace.on_send(0.0, _msg())
