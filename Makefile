@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc census all clean
+.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins export-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc census all clean
 
 # pytest-timeout is a test extra (CI installs it); the smoke tiers use it
 # where it is present.
@@ -58,6 +58,12 @@ check-smoke:
 # 15 baseline pins are frozen: if one moved, this exits 1.
 digest-pins:
 	PYTHONPATH=src python -m tests.check.test_digest_pins
+
+# The export pins of tests/obs/test_export_pins.py (`metrics --crash --json`,
+# `trace --crash --last 3 --json`): rewrites both fixture files from this
+# tree and prints which moved.
+export-pins:
+	PYTHONPATH=src python -m tests.obs.test_export_pins
 
 # Semantic sharding: read-throughput scaling across federated shard
 # groups, Figure-4-style message growth, and the shard-group-crash

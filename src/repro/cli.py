@@ -634,6 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "last", 0) < 0:
+        parser.error(f"argument --last: must be >= 0, got {args.last}")
     if getattr(args, "queue_bound", None) == 0:
         args.queue_bound = None
     return args.func(args)

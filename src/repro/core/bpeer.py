@@ -564,7 +564,10 @@ class BPeer(Peer):
             self._flush_parked(invocation_id, reply)
             return reply
         epoch = reply.epoch if reply.epoch is not None else self.coordinator_mgr.epoch
-        canonical = replace(reply, invocation_id=invocation_id, epoch=epoch)
+        # A direct copy: a relayed reply is the member's own journal object.
+        canonical = ExecReply(reply.request_id, reply.kind, reply.value, reply.fault_code,
+                              reply.coordinator, reply.served_by, epoch, reply.retry_after,
+                              invocation_id, reply.deduped)  # fmt: skip
         entry, first = self._commit_result(invocation_id, canonical, epoch)
         return canonical if first else self._replay_reply(entry, request)
 

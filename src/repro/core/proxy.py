@@ -192,6 +192,13 @@ class SwsProxy(Peer):
         #: self-test shows to be unsafe.
         self.epoch_fencing = config.epoch_fencing
         self.sws = sws
+        #: Per operation, fixed at deploy time: the request-trace name and
+        #: the output element ``_translate`` validates (DESIGN.md §6.18).
+        self._per_operation: Dict[str, Tuple[str, Optional[str]]] = {}
+        for name in sws.operations():
+            parts = sws.operation(name).outputs
+            element = parts[0].element.split(":", 1)[-1] if parts else None
+            self._per_operation[name] = (f"{sws.name}.{name}", element)
         self.group_matcher = SemanticGroupMatcher(matcher)
         self.request_timeout = config.request_timeout
         self.max_attempts = config.max_attempts
@@ -557,9 +564,9 @@ class SwsProxy(Peer):
         *same* logical call and the b-peer journal deduplicates it.
         """
         self.stats.invocations += 1
-        rtrace = self.obs.request_trace(
-            f"{self.sws.name}.{operation}", self.stats.invocations, self.env.now
-        )
+        known = self._per_operation.get(operation)
+        name = known[0] if known else f"{self.sws.name}.{operation}"
+        rtrace = self.obs.request_trace(name, self.stats.invocations, self.env.now)
         try:
             result = yield from self._invoke(
                 operation, arguments, timeout, budget, rtrace, invocation_id
@@ -1091,12 +1098,9 @@ class SwsProxy(Peer):
 
     def _translate(self, operation: str, value: Any) -> Any:
         """Validate/format the b-peer result against the WSDL schema."""
-        parts = self.sws.operation(operation).outputs
-        if not parts:
-            return value
-        element = parts[0].element.split(":", 1)[-1]
+        element = self._per_operation[operation][1]
         schema = self.sws.definitions.schema
-        if element in schema.elements:
+        if element is not None and element in schema.elements:
             try:
                 schema.validate_element(element, value)
             except SchemaError:

@@ -6,11 +6,15 @@ Web" (§3.1).  A :class:`SemanticWebService` pairs a WSDL-S document with
 the ontology its annotations point into, and exposes the accessors the
 paper's SWS-proxy listing uses (``get_sem_action``, ``get_sem_input``,
 ``get_sem_output``).
+
+Every accessor reads the service table (``name -> (Operation,
+SemanticAnnotation)``) that the constructor's validation pass builds: a
+snapshot of the validated description (DESIGN.md §6.18).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..ontology.ontology import Ontology
 from ..wsdl.annotations import SemanticAnnotation
@@ -26,23 +30,29 @@ class SemanticWebService:
     def __init__(self, definitions: Definitions, ontology: Ontology):
         self.definitions = definitions
         self.ontology = ontology
-        self._check_annotations()
+        self._table = self._check_annotations()
 
     @property
     def name(self) -> str:
         return self.definitions.name
 
     def operations(self) -> List[str]:
-        return [operation.name for operation in self.definitions.operations()]
+        return list(self._table)
+
+    def __contains__(self, operation_name: str) -> bool:
+        return operation_name in self._table
+
+    def _entry(self, name: str) -> Tuple[Operation, SemanticAnnotation]:
+        entry = self._table.get(name)
+        if entry is None:
+            raise AnnotationError(f"service {self.name!r} has no operation {name!r}")
+        return entry
 
     def operation(self, name: str) -> Operation:
-        for interface in self.definitions.interfaces.values():
-            if name in interface.operations:
-                return interface.operations[name]
-        raise AnnotationError(f"service {self.name!r} has no operation {name!r}")
+        return self._entry(name)[0]
 
     def annotation(self, operation_name: str) -> SemanticAnnotation:
-        return self.operation(operation_name).annotation()
+        return self._entry(operation_name)[1]
 
     # -- the paper's accessor names (§3.2 listing) ------------------------------------
 
@@ -57,22 +67,31 @@ class SemanticWebService:
 
     # -- validation ---------------------------------------------------------------------
 
-    def _check_annotations(self) -> None:
+    def _check_annotations(self) -> Dict[str, Tuple[Operation, SemanticAnnotation]]:
+        """Validate every operation; return the service table."""
         operations = self.definitions.operations()
         if not operations:
             raise AnnotationError(f"service {self.name!r} declares no operations")
+        table: Dict[str, Tuple[Operation, SemanticAnnotation]] = {}
         for operation in operations:
+            if operation.name in table:
+                raise AnnotationError(
+                    f"operation {operation.name!r} of {self.name!r} is declared twice"
+                )
             if not operation.is_annotated:
                 raise AnnotationError(
                     f"operation {operation.name!r} of {self.name!r} is not fully "
                     "annotated (WSDL alone gives only syntactic information)"
                 )
-            unresolved = operation.annotation().unresolved_in(self.ontology)
+            annotation = operation.annotation()
+            unresolved = annotation.unresolved_in(self.ontology)
             if unresolved:
                 raise AnnotationError(
                     f"operation {operation.name!r} references concepts missing "
                     f"from the ontology: {unresolved}"
                 )
+            table[operation.name] = (operation, annotation)
+        return table
 
     def __repr__(self) -> str:
         return f"<SemanticWebService {self.name} ops={self.operations()}>"

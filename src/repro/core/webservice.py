@@ -74,7 +74,7 @@ class WhisperWebService:
     def _dispatch(
         self, operation: str, arguments: Dict[str, Any], headers: Dict[str, str]
     ) -> Generator:
-        if operation not in self.sws.operations():
+        if operation not in self.sws:
             raise SoapFault.client(
                 f"service {self.sws.name!r} has no operation {operation!r}"
             )

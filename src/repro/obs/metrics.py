@@ -159,11 +159,11 @@ class MetricsRegistry:
         return histogram
 
     def inc(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name``."""
-        try:
-            self.counters[name].inc(amount)
-        except KeyError:
-            self.counter(name).inc(amount)
+        """Increment counter ``name``: one lookup, the increment inlined."""
+        counter = self.counters.get(name) or self.counter(name)
+        if amount < 0:
+            raise ValueError(f"counter {name}: negative increment {amount}")
+        counter.value += amount
 
     def observe(
         self,
@@ -172,7 +172,7 @@ class MetricsRegistry:
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
         """Record one histogram sample."""
-        self.histogram(name, bounds).observe(value)
+        (self.histograms.get(name) or self.histogram(name, bounds)).observe(value)
 
     # -- export -----------------------------------------------------------------------
 

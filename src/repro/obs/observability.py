@@ -10,6 +10,10 @@ It keeps the last :data:`MAX_TRACES` :class:`~repro.obs.span.RequestTrace`
 trees and folds every phase duration into per-phase latency histograms.
 Recording is purely in-process: it sends no message, so the Figure-4
 counts do not depend on it.
+
+Recording does one lookup per fact (DESIGN.md §6.18): phase histograms are
+handles bound on first use, since a registry is never reset, and a trace
+is folded over its child lists in :meth:`~repro.obs.span.Span.walk` order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from .metrics import MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .span import PHASES, RequestTrace
 
 __all__ = ["MAX_TRACES", "Observability"]
@@ -35,11 +39,8 @@ class Observability:
         self.metrics = MetricsRegistry()
         #: Recent completed-or-in-flight request traces, oldest evicted.
         self.traces: Deque[RequestTrace] = deque(maxlen=MAX_TRACES)
-        #: Cached phase-histogram handles — the hot fold path skips the
-        #: per-observation f-string + registry lookup.
-        self._phase_hists: Dict[str, Any] = {}
-        #: Reused per-request phase accumulator (cleared, never rebuilt).
-        self._phase_accum: Dict[str, float] = {}
+        #: Phase-histogram handles by phase name, bound on first use.
+        self._phase_hists: Dict[str, Histogram] = {}
 
     # -- request lifecycle ------------------------------------------------------
 
@@ -59,24 +60,20 @@ class Observability:
         self.metrics.inc("requests.ok" if status == "ok" else "requests.failed")
         trace.finish(now, status=status)
         self.metrics.observe("request.duration", trace.duration)
-        accum = self._phase_accum
-        accum.clear()
-        root = trace.root
-        for span in root.walk():
-            if span is root or span.end is None:
-                continue
-            accum[span.name] = accum.get(span.name, 0.0) + (span.end - span.start)
-        for phase, seconds in accum.items():
-            histogram = self._phase_hists.get(phase)
-            if histogram is None:
-                histogram = self._phase_hists[phase] = self.metrics.histogram(
-                    f"phase.{phase}"
-                )
-            histogram.observe(seconds)
+        for phase, seconds in trace.phase_durations().items():
+            self._phase_histogram(phase).observe(seconds)
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record a phase duration outside any request trace (e.g. ``elect``)."""
-        self.metrics.observe(f"phase.{phase}", seconds)
+        self._phase_histogram(phase).observe(seconds)
+
+    def _phase_histogram(self, phase: str) -> Histogram:
+        """``phase.<phase>``'s histogram, bound on first use."""
+        histogram = self._phase_hists.get(phase)
+        if histogram is None:
+            name = f"phase.{phase}"
+            histogram = self._phase_hists[phase] = self.metrics.histogram(name)
+        return histogram
 
     # -- aggregation -------------------------------------------------------------
 
@@ -104,10 +101,13 @@ class Observability:
     # -- export -------------------------------------------------------------------
 
     def recent_traces(self, limit: Optional[int] = None) -> List[RequestTrace]:
+        """The ``limit`` most recent traces (all when ``None``), oldest first."""
         traces = list(self.traces)
-        if limit is not None:
-            traces = traces[-limit:]
-        return traces
+        if limit is None:
+            return traces
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        return traces[-limit:] if limit else []
 
     def traces_to_json(
         self, limit: Optional[int] = None, indent: Optional[int] = None

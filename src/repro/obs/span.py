@@ -49,7 +49,8 @@ class Span:
 
     def child(self, name: str, now: float, **tags: Any) -> "Span":
         """Open a nested span starting at ``now``."""
-        span = Span(name, now, tags=tags or None)
+        span = Span(name, now)
+        span.tags = tags  # a fresh dict per call: no copy needed
         self.children.append(span)
         return span
 
@@ -111,6 +112,24 @@ class Span:
         return f"<Span {self.name} {state}>"
 
 
+def _close_open(spans: List[Span], now: float) -> None:
+    """End every open span at ``now``, in :meth:`Span.walk` order, descending
+    only into spans with children (as :func:`_sum_phases`; DESIGN.md §6.18)."""
+    for span in spans:
+        if span.end is None:
+            span.end = now
+        if span.children:
+            _close_open(span.children, now)
+
+
+def _sum_phases(spans: List[Span], totals: Dict[str, float]) -> None:
+    for span in spans:
+        if span.end is not None:
+            totals[span.name] = totals.get(span.name, 0.0) + (span.end - span.start)
+        if span.children:
+            _sum_phases(span.children, totals)
+
+
 class RequestTrace:
     """The span tree of one proxy invocation.
 
@@ -142,9 +161,8 @@ class RequestTrace:
 
     def finish(self, now: float, status: str = "ok") -> None:
         """Close the trace: force-close any open span, stamp the outcome."""
-        for span in self.root.walk():
-            if not span.finished:
-                span.finish(now)
+        self.root.finish(now)
+        _close_open(self.root.children, now)
         self.status = status
         self.root.tags["status"] = status
 
@@ -161,9 +179,7 @@ class RequestTrace:
     def phase_durations(self) -> Dict[str, float]:
         """Total finished-span seconds per phase name (root excluded)."""
         totals: Dict[str, float] = {}
-        for span in self.spans():
-            if span.duration is not None:
-                totals[span.name] = totals.get(span.name, 0.0) + span.duration
+        _sum_phases(self.root.children, totals)
         return totals
 
     def to_dict(self) -> Dict[str, Any]:

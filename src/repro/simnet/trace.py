@@ -67,8 +67,9 @@ class MessageTrace:
     rtt_samples: Deque[RttSample] = field(default_factory=lambda: deque(maxlen=8192))
     _metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
     #: The registry's ``net.*`` counters, bound when :attr:`metrics` is set
-    #: so the per-message hooks skip the name lookups (all four or none).
-    _net_sent = _net_bytes = _net_delivered = _net_dropped = None
+    #: so the per-message hooks skip the name lookups (all four or none),
+    #: and its ``net.rtt`` histogram, bound on the first round trip.
+    _net_sent = _net_bytes = _net_delivered = _net_dropped = _net_rtt = None
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
@@ -87,6 +88,7 @@ class MessageTrace:
         self._net_bytes = registry.counter("net.bytes") if mirrored else None
         self._net_delivered = registry.counter("net.delivered") if mirrored else None
         self._net_dropped = registry.counter("net.dropped") if mirrored else None
+        self._net_rtt = None
 
     # -- network hooks ---------------------------------------------------------
 
@@ -96,7 +98,7 @@ class MessageTrace:
         self.sent_by_category[message.category] += 1
         self.sent_by_host[message.src[0]] += 1
         if self._net_sent is not None:
-            self._net_sent.inc()
+            self._net_sent.value += 1
             self._net_bytes.inc(message.size_bytes)
         if self.record_details:
             self.records.append(
@@ -114,7 +116,7 @@ class MessageTrace:
     def on_deliver(self, time: float, message) -> None:
         self.delivered_total += 1
         if self._net_delivered is not None:
-            self._net_delivered.inc()
+            self._net_delivered.value += 1
         if self.record_details:
             self.records.append(
                 TraceRecord(
@@ -131,7 +133,7 @@ class MessageTrace:
     def on_drop(self, time: float, message, reason: str = "") -> None:
         self.dropped_total += 1
         if self._net_dropped is not None:
-            self._net_dropped.inc()
+            self._net_dropped.value += 1
         if self.record_details:
             self.records.append(
                 TraceRecord(
@@ -156,8 +158,10 @@ class MessageTrace:
         start = self._pending_rtt.pop(correlation_id, None)
         if start is not None:
             self.rtt_samples.append(RttSample(correlation_id, start, time))
-            if self.metrics is not None:
-                self.metrics.observe("net.rtt", time - start)
+            if self._metrics is not None:
+                if self._net_rtt is None:
+                    self._net_rtt = self._metrics.histogram("net.rtt")
+                self._net_rtt.observe(time - start)
 
     def cancel_request(self, correlation_id: int) -> None:
         """Forget a request stamp whose reply will never come (timeout,

@@ -12,8 +12,8 @@ Whisper masks.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator
 
 from ..simnet.events import EXPIRED, Interrupt, Wait
@@ -127,7 +127,7 @@ class HttpServer:
         else:
             try:
                 outcome = handler(request)
-                if inspect.isgenerator(outcome):
+                if isinstance(outcome, GeneratorType):
                     outcome = yield from outcome
                 response = outcome
             except Interrupt:

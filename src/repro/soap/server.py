@@ -10,7 +10,7 @@ network before returning).  Exceptions become ``<soap:fault>`` responses;
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator
 
 from ..simnet.node import Node
@@ -62,7 +62,7 @@ class SoapServer:
             outcome = dispatcher(
                 envelope.operation, envelope.arguments, envelope.headers
             )
-            if inspect.isgenerator(outcome):
+            if isinstance(outcome, GeneratorType):
                 outcome = yield from outcome
         except SoapFault as fault:
             return self._fault_response(fault)

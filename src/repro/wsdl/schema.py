@@ -4,6 +4,10 @@ WSDL describes message parts with XML-Schema elements.  Whisper only needs
 enough of XSD to (a) give each part a named, structured type and (b)
 validate the Python values that flow through SOAP encoding.  We support the
 usual built-in simple types plus named complex types with element fields.
+
+Every proxy reply is validated, so validation splits type names inline
+and finds extraneous keys by counting, building no set unless to word the
+error; there is no per-type plan cache (DESIGN.md §6.18 has the numbers).
 """
 
 from __future__ import annotations
@@ -98,16 +102,8 @@ class Schema:
 
     # -- validation ------------------------------------------------------------------
 
-    @staticmethod
-    def _local(type_name: str) -> tuple:
-        """Split ``xsd:string`` / ``tns:StudentInfo`` into (prefix, local)."""
-        if ":" in type_name:
-            prefix, local = type_name.split(":", 1)
-            return prefix, local
-        return "", type_name
-
     def is_simple(self, type_name: str) -> bool:
-        prefix, local = self._local(type_name)
+        prefix, _colon, local = type_name.partition(":")
         return prefix in ("xsd", "xs") and local in BUILTIN_TYPES
 
     def validate_value(self, type_name: str, value: Any) -> None:
@@ -115,8 +111,12 @@ class Schema:
 
         Simple types accept matching Python scalars; complex types accept
         dicts keyed by element name (repeated elements take lists).
+        With a type's element names distinct, a dict has an undeclared key
+        exactly when it has more keys than declarations present.
         """
-        prefix, local = self._local(type_name)
+        prefix, colon, local = type_name.partition(":")
+        if not colon:
+            prefix, local = "", type_name
         if prefix in ("xsd", "xs"):
             expected = BUILTIN_TYPES.get(local)
             if expected is None:
@@ -137,6 +137,7 @@ class Schema:
             raise SchemaError(
                 f"complex type {type_name!r} requires a dict, got {type(value).__name__}"
             )
+        present = 0
         for declaration in complex_type.elements:
             if declaration.name not in value:
                 if declaration.required:
@@ -145,6 +146,7 @@ class Schema:
                         f"of {type_name!r}"
                     )
                 continue
+            present += 1
             item = value[declaration.name]
             if declaration.repeated:
                 if not isinstance(item, list):
@@ -156,8 +158,8 @@ class Schema:
                     self.validate_value(declaration.type_name, entry)
             else:
                 self.validate_value(declaration.type_name, item)
-        extraneous = set(value) - {d.name for d in complex_type.elements}
-        if extraneous:
+        if present < len(value):
+            extraneous = set(value) - {d.name for d in complex_type.elements}
             raise SchemaError(
                 f"unexpected elements {sorted(extraneous)} for {type_name!r}"
             )

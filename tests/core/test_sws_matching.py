@@ -80,6 +80,38 @@ class TestSemanticWebService:
         with pytest.raises(AnnotationError):
             sws.annotation("Ghost")
 
+    def test_operation_declared_by_two_interfaces_rejected(self, ontology):
+        """Otherwise ``operations()`` lists the name twice and ``operation()``
+        silently answers with the first interface's declaration."""
+        definitions = student_management_wsdl()
+        original = definitions.single_interface().operation("StudentInformation")
+        twin = Interface(name="StudentManagementMirror")
+        twin.add_operation(
+            Operation(
+                name=original.name,
+                inputs=list(original.inputs),
+                outputs=list(original.outputs),
+                action=original.action,
+            )
+        )
+        definitions.add_interface(twin)
+        with pytest.raises(AnnotationError, match="declared twice"):
+            SemanticWebService(definitions, ontology)
+
+    def test_accessors_answer_from_the_constructor_table(self, ontology):
+        definitions = student_management_wsdl()
+        sws = SemanticWebService(definitions, ontology)
+        operation = definitions.single_interface().operation("StudentInformation")
+        assert sws.operation("StudentInformation") is operation
+        assert "StudentInformation" in sws and "Ghost" not in sws
+        with pytest.raises(AnnotationError):
+            sws.operation("Ghost")
+        assert sws.annotation("StudentInformation") == operation.annotation()
+        # One annotation object per operation, not one per call.
+        assert sws.annotation("StudentInformation") is sws.annotation(
+            "StudentInformation"
+        )
+
 
 class TestSemanticGroupMatcher:
     def test_exact_advertisement_matches(self, matcher):

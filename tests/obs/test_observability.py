@@ -66,6 +66,26 @@ class TestObservabilityFacade:
         assert obs.metrics.counters["requests.failed"].value == 10
         assert obs.metrics.histograms["request.duration"].count == 20
 
+    def test_recent_traces_limit_counts_from_the_newest(self):
+        obs = Observability()
+        for index in range(5):
+            obs.request_trace("Svc.Op", index, float(index))
+        assert obs.recent_traces(0) == []
+        assert json.loads(obs.traces_to_json(limit=0)) == []
+        assert [t.request_id for t in obs.recent_traces(2)] == [3, 4]
+        assert [t.request_id for t in obs.recent_traces(10)] == [0, 1, 2, 3, 4]
+        assert len(obs.recent_traces()) == 5
+        with pytest.raises(ValueError, match=">= 0"):
+            obs.recent_traces(-1)
+
+    def test_trace_last_rejects_a_negative_count_before_running(self, capsys):
+        from repro import cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["trace", "--last", "-1"])
+        assert exit_info.value.code == 2
+        assert "--last: must be >= 0" in capsys.readouterr().err
+
     def test_exports_parse(self):
         obs = Observability()
         trace = obs.request_trace("Svc.Op", 1, 0.0)
