@@ -10,21 +10,22 @@ not coordinate, so there is no single consistent executor.
 
 :class:`ReplicatedPlainService` deploys N independent plain Web services;
 :class:`FailoverSoapClient` is the retrying client stub.  The ablation
-benchmark compares this baseline's availability and failover latency with
-Whisper's server-side approach.
+benchmark (``test_baseline_comparison.py``, Ablation E) compares this
+baseline's availability and failover latency with Whisper's server-side
+approach; it is prior art to measure against, not part of ``repro``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..backend.services import ServiceImplementation
-from ..simnet.node import Node
-from ..soap.client import SoapClient
-from ..soap.fault import SoapFault
-from ..soap.http import RequestTimeout
-from .system import WhisperSystem
-from .webservice import PlainWebService
+from repro.backend.services import ServiceImplementation
+from repro.core.system import WhisperSystem
+from repro.core.webservice import PlainWebService
+from repro.simnet.node import Node
+from repro.soap.client import SoapClient
+from repro.soap.fault import SoapFault
+from repro.soap.http import RequestTimeout
 
 __all__ = ["ReplicatedPlainService", "FailoverSoapClient"]
 

@@ -20,13 +20,10 @@ import pytest
 
 from repro.backend import student_database, student_lookup_operational
 from repro.bench import ProbeWorkload, format_table, student_arguments
-from repro.core import (
-    FailoverSoapClient,
-    ReplicatedPlainService,
-    ScenarioConfig,
-    WhisperSystem,
-)
+from repro.core import ScenarioConfig, WhisperSystem
 from repro.soap import SoapClient
+
+from .baselines import FailoverSoapClient, ReplicatedPlainService
 
 RUN_SECONDS = 120.0
 PROBE_PERIOD = 0.4

@@ -7,7 +7,6 @@ clients → web server → service → proxy → P2P → b-peers → backends.
 """
 
 from .autoscale import AutoscaleSpec, AutoscalingGroup, AutoscalePolicy
-from .baselines import FailoverSoapClient, ReplicatedPlainService
 from .bpeer import BPeer, ExecReply, ExecRequest
 from .bpeer_group import BPeerGroup, deploy_bpeer_group, semantic_advertisement_for
 from .breaker import BreakerSpec, CircuitBreaker
@@ -63,13 +62,11 @@ __all__ = [
     "RetryPolicy",
     "ExecReply",
     "ExecRequest",
-    "FailoverSoapClient",
     "InvokeOutcome",
     "InvokeResult",
     "LeastOutstandingDispatch",
     "MemberLoad",
     "QosWeightedDispatch",
-    "ReplicatedPlainService",
     "RoundRobinDispatch",
     "GroupMatch",
     "InvocationFailedError",

@@ -10,8 +10,8 @@ a relay when the destination is NAT-isolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Set
 
 from ..simnet.events import Interrupt
 from ..simnet.message import Address, Message
@@ -28,7 +28,7 @@ class UnresolvablePeerError(Exception):
     """The endpoint has no route (no peer advertisement) for a peer ID."""
 
 
-@dataclass
+@dataclass(slots=True)
 class EndpointMessage:
     """The JXTA-level message carried inside a transport datagram."""
 
@@ -38,7 +38,9 @@ class EndpointMessage:
     payload: Any
     #: When set, the message is being relayed: deliver to ``dst_peer``.
     relayed: bool = False
-    headers: Dict[str, Any] = field(default_factory=dict)
+    #: Set by the one federated-rendezvous hop a relayed message may take
+    #: (:meth:`RendezvousService._federated_relay`), so it takes no second.
+    fed_hop: bool = False
 
 
 #: Listener signature: ``listener(endpoint_message)``.
@@ -60,7 +62,9 @@ class EndpointService:
         self.port = port
         self.nat_isolated = nat_isolated
         self._routes: Dict[PeerId, Address] = {}
-        self._nat_peers: Dict[PeerId, bool] = {}
+        #: Destinations reachable only through the relay; empty (and so
+        #: never consulted by :meth:`send`) unless NAT peers are wired in.
+        self._nat_peers: Set[PeerId] = set()
         self._listeners: Dict[str, Listener] = {}
         self.relay_peer: Optional[PeerId] = None
         #: Last-resort forwarding for relayed envelopes with no local route
@@ -72,9 +76,12 @@ class EndpointService:
         ] = None
         self.messages_in = 0
         self.messages_out = 0
+        #: The bound socket.  Closed, not dropped, while the host is down:
+        #: a send from a crashed host reaches the network, which records it
+        #: and drops it ``src-down``.
         self._socket = None
         self.start()
-        node.on_crash(lambda _node: self._teardown())
+        node.on_crash(lambda _node: self._socket.close())
         node.on_restart(lambda _node: self.start())
 
     # -- lifecycle ---------------------------------------------------------------
@@ -84,13 +91,6 @@ class EndpointService:
             return
         self._socket = self.node.transport.bind(self.port)
         self.node.spawn(self._receive_loop(), name=f"endpoint:{self.node.name}")
-
-    def _teardown(self) -> None:
-        """Release the port immediately on crash (the receive loop's
-        interrupt is delivered asynchronously)."""
-        if self._socket is not None:
-            self._socket.close()
-            self._socket = None
 
     @property
     def address(self) -> Address:
@@ -103,7 +103,10 @@ class EndpointService:
     ) -> None:
         """Learn (typically from a peer advertisement) where a peer lives."""
         self._routes[peer_id] = address
-        self._nat_peers[peer_id] = nat_isolated
+        if nat_isolated:
+            self._nat_peers.add(peer_id)
+        elif self._nat_peers:
+            self._nat_peers.discard(peer_id)
 
     def route_for(self, peer_id: PeerId) -> Optional[Address]:
         return self._routes.get(peer_id)
@@ -135,15 +138,34 @@ class EndpointService:
 
         Raises :class:`UnresolvablePeerError` when no route is known and no
         relay can help.  Sending is fire-and-forget (datagram semantics);
-        loss happens silently, exactly like a real crashed peer.
+        loss happens silently, exactly like a real crashed peer.  One route
+        lookup: the destination's, or the relay's when either end is behind
+        a NAT.
         """
-        envelope = EndpointMessage(
-            src_peer=self.peer_id,
-            dst_peer=dst_peer,
-            protocol=protocol,
-            payload=payload,
+        relay_peer = self.relay_peer
+        if (
+            self.nat_isolated or self._nat_peers and dst_peer in self._nat_peers
+        ) and dst_peer != relay_peer:
+            if relay_peer is None:
+                raise UnresolvablePeerError(
+                    f"{dst_peer} is NAT-isolated and no relay is configured"
+                )
+            address = self._routes.get(relay_peer)
+            if address is None:
+                raise UnresolvablePeerError(f"no route to relay {relay_peer}")
+            relayed = True
+        else:
+            address = self._routes.get(dst_peer)
+            if address is None:
+                raise UnresolvablePeerError(f"no route to {dst_peer}")
+            relayed = False
+        self.messages_out += 1
+        self._socket.send(
+            address,
+            EndpointMessage(self.peer_id, dst_peer, protocol, payload, relayed),
+            category or protocol,
+            size_bytes,
         )
-        self._transmit(envelope, category or protocol, size_bytes)
 
     def send_via(
         self,
@@ -162,63 +184,27 @@ class EndpointService:
         address = self._routes.get(via_peer)
         if address is None:
             raise UnresolvablePeerError(f"no route to via-peer {via_peer}")
-        envelope = EndpointMessage(
-            src_peer=self.peer_id,
-            dst_peer=dst_peer,
-            protocol=protocol,
-            payload=payload,
-            relayed=True,
-        )
         self.messages_out += 1
         self._socket.send(
-            address, payload=envelope, category=category or protocol, size_bytes=size_bytes
-        )
-
-    def _transmit(
-        self, envelope: EndpointMessage, category: str, size_bytes: int
-    ) -> None:
-        dst_peer = envelope.dst_peer
-        address = self._routes.get(dst_peer)
-        needs_relay = (
-            self._nat_peers.get(dst_peer, False) or self.nat_isolated
-        ) and dst_peer != self.relay_peer
-
-        if needs_relay:
-            if self.relay_peer is None:
-                raise UnresolvablePeerError(
-                    f"{dst_peer} is NAT-isolated and no relay is configured"
-                )
-            relay_address = self._routes.get(self.relay_peer)
-            if relay_address is None:
-                raise UnresolvablePeerError(f"no route to relay {self.relay_peer}")
-            envelope.relayed = True
-            self.messages_out += 1
-            self._socket.send(
-                relay_address,
-                payload=envelope,
-                category=category,
-                size_bytes=size_bytes,
-            )
-            return
-
-        if address is None:
-            raise UnresolvablePeerError(f"no route to {dst_peer}")
-        self.messages_out += 1
-        self._socket.send(
-            address, payload=envelope, category=category, size_bytes=size_bytes
+            address,
+            EndpointMessage(self.peer_id, dst_peer, protocol, payload, True),
+            category or protocol,
+            size_bytes,
         )
 
     # -- receiving ----------------------------------------------------------------------
 
     def _receive_loop(self):
         socket = self._socket
+        get = socket.inbox.get
         try:
             while True:
-                message: Message = yield socket.recv()
+                message: Message = yield get()
                 envelope = message.payload
                 if not isinstance(envelope, EndpointMessage):
                     continue
-                if envelope.dst_peer != self.peer_id:
+                dst_peer = envelope.dst_peer
+                if dst_peer is not self.peer_id and dst_peer != self.peer_id:
                     # We are acting as a relay hop: forward to the target.
                     self._relay_forward(envelope, message)
                     continue
@@ -228,8 +214,6 @@ class EndpointService:
                     listener(envelope)
         except Interrupt:
             socket.close()
-            if self._socket is socket:
-                self._socket = None
 
     def _relay_forward(self, envelope: EndpointMessage, message: Message) -> None:
         address = self._routes.get(envelope.dst_peer)
@@ -237,9 +221,4 @@ class EndpointService:
             if self.relay_fallback is not None:
                 self.relay_fallback(envelope, message)
             return  # relay cannot help locally; fallback or drop
-        self._socket.send(
-            address,
-            payload=envelope,
-            category=message.category,
-            size_bytes=message.size_bytes,
-        )
+        self._socket.send(address, envelope, message.category, message.size_bytes)

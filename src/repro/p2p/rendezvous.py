@@ -151,20 +151,15 @@ class RendezvousService:
     def _federated_relay(self, envelope, message) -> bool:
         """Forward an unroutable relayed envelope to the other regions.
 
-        One federated hop only (the ``fed-hop`` header stops loops): the
-        region actually holding the destination's lease has a route and
+        One federated hop only (the envelope's ``fed_hop`` flag stops loops):
+        the region actually holding the destination's lease has a route and
         delivers; the others drop silently, like any relay without a route.
         """
-        if envelope.headers.get("fed-hop"):
+        if envelope.fed_hop:
             return False
-        envelope.headers["fed-hop"] = True
+        envelope.fed_hop = True
         for address in self.federated.values():
-            self.endpoint._socket.send(
-                address,
-                payload=envelope,
-                category=message.category,
-                size_bytes=message.size_bytes,
-            )
+            self.endpoint._socket.send(address, envelope, message.category, message.size_bytes)
         return True
 
     def _fan_out_federated(self, request: "_PropagateRequest", size_bytes: int) -> None:

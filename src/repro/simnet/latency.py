@@ -5,12 +5,20 @@ delay of a packet.  Transmission delay (size / bandwidth) is added separately
 by the link.  The defaults are calibrated to the paper's testbed: a 100
 Mbit/s switched Ethernet LAN, where the observed average application-level
 RTT was roughly 0.5 ms.
+
+Every datagram on the LAN draws one :class:`LogNormalLatency` delay, so that
+model runs the standard library's normal-deviate loop inline rather than
+through ``Random.lognormvariate``: the same ``random()`` draws and the same
+float operations, hence the same delays and the same RNG state afterwards on
+every CPython whose ``random`` uses Kinderman–Monahan (3.10 – 3.13;
+``tests/simnet/test_latency_oracle.py`` holds it to the stdlib call).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from math import exp as _exp, log as _log
 from typing import Protocol
 
 __all__ = [
@@ -21,6 +29,9 @@ __all__ = [
     "lan_latency",
     "parse_latency_spec",
 ]
+
+#: The Kinderman–Monahan constant ``Random.normalvariate`` uses.
+_NV_MAGICCONST = random.NV_MAGICCONST
 
 
 class LatencyModel(Protocol):
@@ -78,7 +89,18 @@ class LogNormalLatency:
         self._mu = math.log(median)
 
     def __call__(self, rng: random.Random) -> float:
-        return max(self.floor, rng.lognormvariate(self._mu, self.sigma))
+        # ``max(floor, rng.lognormvariate(mu, sigma))`` with the stdlib's
+        # Kinderman–Monahan loop written out: the same ``random()`` draws
+        # and float operations, without its two Python-level calls.
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                break
+        delay = _exp(self._mu + z * self.sigma)
+        return delay if delay > self.floor else self.floor
 
     def __repr__(self) -> str:
         return f"LogNormalLatency(median={self.median}, sigma={self.sigma})"

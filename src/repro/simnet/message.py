@@ -6,15 +6,17 @@ counts to protocol layers (discovery, heartbeat, election, request, ...),
 which is what the paper's Figure 4 plots.
 
 ``Message`` is a hand-rolled ``__slots__`` class rather than a dataclass:
-million-message runs allocate one of these per datagram, and dropping the
-per-instance ``__dict__`` (plus the dataclass ``__init__`` indirection)
-is a measurable win on the simulator's hot path.
+million-message runs allocate one of these per datagram, so it holds only
+what the network, the trace and the receivers read — no per-instance
+``__dict__``, no headers mapping, no send stamp or hop count nobody reads,
+no dataclass ``__init__`` indirection (DESIGN.md §6.19 counts what one
+datagram costs).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 __all__ = ["Address", "Message"]
 
@@ -27,18 +29,7 @@ Address = Tuple[str, int]
 class Message:
     """A single datagram on the simulated network."""
 
-    __slots__ = (
-        "src",
-        "dst",
-        "payload",
-        "category",
-        "size_bytes",
-        "headers",
-        "msg_id",
-        "sent_at",
-        "correlation_id",
-        "hops",
-    )
+    __slots__ = ("src", "dst", "payload", "category", "size_bytes", "msg_id", "correlation_id")
 
     def __init__(
         self,
@@ -47,46 +38,15 @@ class Message:
         payload: Any,
         category: str = "data",
         size_bytes: int = 512,
-        headers: Optional[Dict[str, Any]] = None,
-        msg_id: Optional[int] = None,
-        sent_at: Optional[float] = None,
         correlation_id: Optional[int] = None,
-        hops: int = 0,
     ):
         self.src = src
         self.dst = dst
         self.payload = payload
         self.category = category
         self.size_bytes = size_bytes
-        self.headers: Dict[str, Any] = {} if headers is None else headers
-        self.msg_id = next(_MESSAGE_IDS) if msg_id is None else msg_id
-        self.sent_at = sent_at
+        self.msg_id = next(_MESSAGE_IDS)
         self.correlation_id = correlation_id
-        self.hops = hops
-
-    def reply_to(
-        self,
-        payload: Any,
-        category: Optional[str] = None,
-        size_bytes: Optional[int] = None,
-        headers: Optional[Dict[str, Any]] = None,
-    ) -> "Message":
-        """Build a response addressed back to this message's sender.
-
-        The request's ``headers`` are carried over (as a copy, so the
-        reply can be annotated without mutating the request) unless an
-        explicit ``headers`` mapping replaces them — piggybacked metadata
-        such as epoch gossip and journal hints must survive the turn.
-        """
-        return Message(
-            src=self.dst,
-            dst=self.src,
-            payload=payload,
-            category=category or self.category,
-            size_bytes=size_bytes if size_bytes is not None else self.size_bytes,
-            headers=dict(self.headers) if headers is None else headers,
-            correlation_id=self.correlation_id or self.msg_id,
-        )
 
     def __repr__(self) -> str:
         return (

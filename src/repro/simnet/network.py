@@ -347,31 +347,35 @@ class Network:
     def send(self, message: Message) -> None:
         """Inject ``message``; it arrives (or is dropped) after the link delay."""
         src_name, dst_name = message.src[0], message.dst[0]
-        if dst_name not in self.hosts:
+        hosts = self.hosts
+        if dst_name not in hosts:
             raise UnknownHostError(dst_name)
-        if src_name not in self.hosts:
+        src_node = hosts.get(src_name)
+        if src_node is None:
             # Symmetric with the destination check: a spoofed/typo'd source
             # is a caller bug, not a droppable network condition.
             raise UnknownHostError(src_name)
         now = self.env.now
-        message.sent_at = now
         self.trace.on_send(now, message)
 
         if self.hooks and self._fire_hooks("pre-send", message) == "drop":
             self.trace.on_drop(now, message, reason="fault-injected")
             return
-        if not self.hosts[src_name].up:
+        if not src_node.up:
             self.trace.on_drop(now, message, reason="src-down")
             return
         if self._partitions and self.partitioned(src_name, dst_name):
             self.trace.on_drop(now, message, reason="partition")
             return
 
-        link = self._route(src_name, dst_name)
-        if link is None:
-            # Distinct regions with no WAN link between them.
-            self.trace.on_drop(now, message, reason="no-wan-route")
-            return
+        if self._links or self._host_region:
+            link = self._route(src_name, dst_name)
+            if link is None:
+                # Distinct regions with no WAN link between them.
+                self.trace.on_drop(now, message, reason="no-wan-route")
+                return
+        else:
+            link = self._default_link
         loss = max(link.loss_rate, self.loss_rate)
         if loss > 0 and self._rng_stream.random() < loss:
             self.trace.on_drop(now, message, reason="loss")
@@ -396,7 +400,6 @@ class Network:
     def _deliver(self, arrival: Event) -> None:
         message: Message = arrival._value
         dst_node = self.hosts[message.dst[0]]
-        message.hops += 1
         if self.hooks and self._fire_hooks("pre-deliver", message) == "drop":
             self.trace.on_drop(self.env.now, message, reason="fault-injected")
             return

@@ -99,7 +99,7 @@ class MessageTrace:
         self.sent_by_host[message.src[0]] += 1
         if self._net_sent is not None:
             self._net_sent.value += 1
-            self._net_bytes.inc(message.size_bytes)
+            self._net_bytes.value += message.size_bytes
         if self.record_details:
             self.records.append(
                 TraceRecord(

@@ -24,17 +24,21 @@ class PortInUseError(Exception):
 
 
 class Socket:
-    """A bound datagram endpoint ``(host, port)``."""
+    """A bound datagram endpoint ``(host, port)``.
+
+    A closed socket still sends: its host is down, so the network records
+    the datagram and drops it ``src-down``, as for any send from a crashed
+    host.
+    """
 
     def __init__(self, transport: "Transport", port: int):
+        node = transport.node
         self._transport = transport
+        self._network = node.network
         self.port = port
-        self.inbox = Store(transport.node.env)
+        self.address: Address = (node.name, port)
+        self.inbox = Store(node.env)
         self.closed = False
-
-    @property
-    def address(self) -> Address:
-        return (self._transport.node.name, self.port)
 
     def send(
         self,
@@ -45,24 +49,8 @@ class Socket:
         correlation_id: Optional[int] = None,
     ) -> Message:
         """Send a datagram; returns the message object (already in flight)."""
-        message = Message(
-            src=self.address,
-            dst=dst,
-            payload=payload,
-            category=category,
-            size_bytes=size_bytes,
-            correlation_id=correlation_id,
-        )
-        self._transport.node.network.send(message)
-        return message
-
-    def send_message(self, message: Message) -> Message:
-        """Send a pre-built message (its ``src`` must be this socket)."""
-        if message.src != self.address:
-            raise ValueError(
-                f"message src {message.src} does not match socket {self.address}"
-            )
-        self._transport.node.network.send(message)
+        message = Message(self.address, dst, payload, category, size_bytes, correlation_id)
+        self._network.send(message)
         return message
 
     def recv(self) -> StoreGet:

@@ -54,19 +54,20 @@ _TOKEN = re.compile(
 )
 
 
-def _check_xml_text(text: str, what: str) -> str:
-    """Reject strings XML 1.0 cannot transport (e.g. control characters).
+def check_xml(document: str) -> str:
+    """Refuse a written document XML 1.0 cannot transport (e.g. one holding a
+    control character), wherever in it the character sits.
 
-    SOAP is an XML protocol: such strings cannot appear on the wire, so we
+    SOAP is an XML protocol: such a document cannot appear on the wire, so we
     fail loudly at encode time instead of producing an unparseable message.
+    The escapers never write one, so a match is always an input's character.
     """
-    match = _XML_INVALID.search(text)
+    match = _XML_INVALID.search(document)
     if match is not None:
         raise EncodingError(
-            f"{what} contains an XML-invalid character {match.group()!r} "
-            f"at index {match.start()}"
+            f"XML-invalid character {match.group()!r} at document index {match.start()}"
         )
-    return text
+    return document
 
 
 def escape_text(text: str) -> str:
@@ -124,6 +125,12 @@ def xml_element(tag: str, attrs: str, body: str) -> str:
 def encode_value(tag: str, value: Any, name: Optional[str] = None) -> str:
     """Encode ``value`` as the XML of an element named ``tag`` (``name``: its
     ``name`` attribute), byte for byte as the stdlib tree serialiser would."""
+    return check_xml(write_value(tag, value, name))
+
+
+def write_value(tag: str, value: Any, name: Optional[str] = None) -> str:
+    """:func:`encode_value` without :func:`check_xml`, for a writer that
+    checks the document it is part of once."""
     try:
         return _encode(tag, value, name)
     except RecursionError:  # nested past the frame limit, or a list inside itself
@@ -140,7 +147,7 @@ def _encode(tag: str, value: Any, name: Optional[str]) -> str:
     elif isinstance(value, float):
         kind, body = "float", repr(value)
     elif isinstance(value, str):
-        kind, body = "string", escape_text(_check_xml_text(value, "string value"))
+        kind, body = "string", escape_text(value)
     elif isinstance(value, (list, tuple)):
         kind, body = "list", "".join([_encode("item", entry, None) for entry in value])
     elif isinstance(value, dict):
@@ -148,7 +155,6 @@ def _encode(tag: str, value: Any, name: Optional[str]) -> str:
         for key in value:
             if not isinstance(key, str):
                 raise EncodingError(f"struct keys must be strings, got {key!r}")
-            _check_xml_text(key, "struct key")
             members.append(_encode("member", value[key], key))
         kind, body = "struct", "".join(members)
     else:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from .encoding import encode_value, escape_attr, escape_text, xml_element  # to_xml's half
+from .encoding import check_xml, escape_attr, escape_text, write_value, xml_element  # to_xml's half
 from .encoding import ATTR, TEXT, EncodingError, decode_values, unescape_attr, unescape_text
 from .fault import SoapFault
 
@@ -119,6 +119,9 @@ class Envelope:
     # -- XML ------------------------------------------------------------------------
 
     def to_xml(self) -> str:
+        """The document, as the stdlib tree serialiser writes it.  A character
+        XML 1.0 cannot carry, in any position (operation, argument or header
+        name or value, fault text, encoded value), is an ``EncodingError``."""
         parts = [_OPEN]
         add = parts.append
         if self.headers:
@@ -131,14 +134,14 @@ class Envelope:
 
         if self.kind == "call":
             arguments = [
-                encode_value("argument", value, name)
+                write_value("argument", value, name)
                 for name, value in self.arguments.items()
             ]
             attrs = f' operation="{escape_attr(self.operation or "")}"'
             add(xml_element("call", attrs, "".join(arguments)))
         elif self.kind == "result":
             attrs = f' operation="{escape_attr(self.operation or "")}"'
-            add(xml_element("result", attrs, encode_value("return", self.value)))
+            add(xml_element("result", attrs, write_value("return", self.value)))
         elif self.kind == "fault":
             fault = self.fault
             add("<soapenv:Fault>")
@@ -147,12 +150,12 @@ class Envelope:
             if fault.faultactor:
                 add(xml_element("faultactor", "", escape_text(fault.faultactor)))
             if fault.detail is not None:
-                add(xml_element("detail", "", encode_value("value", fault.detail)))
+                add(xml_element("detail", "", write_value("value", fault.detail)))
             add("</soapenv:Fault>")
         else:
             raise EnvelopeError(f"unknown envelope kind {self.kind!r}")
         add(_CLOSE)
-        return "".join(parts)
+        return check_xml("".join(parts))
 
     @classmethod
     def from_xml(cls, document: str) -> "Envelope":

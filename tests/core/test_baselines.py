@@ -1,9 +1,10 @@
-"""Tests for the client-side failover baseline."""
+"""Tests for the client-side failover baseline (``benchmarks/baselines.py``)."""
 
 import pytest
 
+from benchmarks.baselines import FailoverSoapClient, ReplicatedPlainService
 from repro.backend import student_database, student_lookup_operational
-from repro.core import FailoverSoapClient, ReplicatedPlainService, ScenarioConfig, WhisperSystem
+from repro.core import ScenarioConfig, WhisperSystem
 from repro.soap import RequestTimeout, SoapFault
 
 

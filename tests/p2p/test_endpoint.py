@@ -3,13 +3,16 @@
 import pytest
 
 from repro.p2p import (
+    EndpointMessage,
     EndpointService,
     Peer,
     PeerId,
+    RendezvousService,
     UnresolvablePeerError,
     attach_nat_peer,
     configure_relay,
 )
+from repro.simnet import Message
 
 
 def _endpoint(network, host_name, nat=False):
@@ -121,7 +124,48 @@ class TestRelay:
             a.send(b.peer_id, "x", None)
 
 
+def _drop_reasons(network, monkeypatch):
+    reasons = []
+    on_drop = network.trace.on_drop
+
+    def recording(time, message, reason=""):
+        reasons.append(reason)
+        on_drop(time, message, reason)
+
+    monkeypatch.setattr(network.trace, "on_drop", recording)
+    return reasons
+
+
 class TestCrashRecovery:
+    @pytest.mark.parametrize("path", ["send", "send_via", "relay_forward", "federated_relay"])
+    def test_send_from_crashed_host_is_dropped_src_down(self, env, network, monkeypatch, path):
+        """A crashed host's endpoint sends like any down host: the network
+        records the datagram and drops it ``src-down`` — nothing raises."""
+        a = _endpoint(network, "a")
+        b = _endpoint(network, "b")
+        a.add_route(b.peer_id, b.address)
+        got = []
+        b.register_listener("x", lambda m: got.append(m.payload))
+        envelope = EndpointMessage(PeerId.from_name("c"), b.peer_id, "x", "lost")
+        if path == "federated_relay":
+            RendezvousService(a, is_rendezvous=True).federate_with(b.peer_id, b.address)
+            envelope.dst_peer = PeerId.from_name("leased-elsewhere")
+        a.node.crash()
+        reasons = _drop_reasons(network, monkeypatch)
+        dropped, sent = network.trace.dropped_total, network.trace.sent_total
+        if path == "send":
+            a.send(b.peer_id, "x", "lost")
+        elif path == "send_via":
+            a.send_via(b.peer_id, b.peer_id, "x", "lost")
+        else:  # forwarding a relayed envelope: by route, or to a federated region
+            message = Message(("c", 9701), a.address, envelope)
+            a._relay_forward(envelope, message)
+        env.run(until=0.1)
+        assert got == []
+        assert network.trace.sent_total == sent + 1
+        assert network.trace.dropped_total == dropped + 1
+        assert reasons == ["src-down"]
+
     def test_endpoint_rebinds_after_restart(self, env, network):
         a = _endpoint(network, "a")
         b = _endpoint(network, "b")

@@ -316,37 +316,10 @@ class TestLinks:
 
 
 class TestMessageObject:
-    def test_reply_to_swaps_addresses(self):
-        message = Message(src=("a", 1), dst=("b", 2), payload="req")
-        reply = message.reply_to("resp")
-        assert reply.src == ("b", 2)
-        assert reply.dst == ("a", 1)
-        assert reply.correlation_id == message.msg_id
-
     def test_message_ids_unique(self):
         first = Message(src=("a", 1), dst=("b", 2), payload=None)
         second = Message(src=("a", 1), dst=("b", 2), payload=None)
         assert first.msg_id != second.msg_id
-
-    def test_reply_to_propagates_headers_copy(self):
-        # Regression: piggybacked metadata (epoch gossip, journal hints)
-        # used to be silently dropped from every reply.
-        message = Message(
-            src=("a", 1), dst=("b", 2), payload="req",
-            headers={"epoch": 7, "hint": "retry-after"},
-        )
-        reply = message.reply_to("resp")
-        assert reply.headers == {"epoch": 7, "hint": "retry-after"}
-        # A *copy*: mutating the reply's headers must not alias back.
-        reply.headers["epoch"] = 8
-        assert message.headers["epoch"] == 7
-
-    def test_reply_to_explicit_headers_override(self):
-        message = Message(
-            src=("a", 1), dst=("b", 2), payload="req", headers={"epoch": 7}
-        )
-        reply = message.reply_to("resp", headers={"fresh": True})
-        assert reply.headers == {"fresh": True}
 
     def test_message_is_slotted(self):
         message = Message(src=("a", 1), dst=("b", 2), payload=None)

@@ -125,15 +125,6 @@ class TestTransport:
         socket.close()
         host.transport.bind(8080)  # must not raise
 
-    def test_send_message_requires_matching_src(self, env, network):
-        from repro.simnet import Message
-
-        a, b = network.add_host("a"), network.add_host("b")
-        socket = a.transport.bind(100)
-        bad = Message(src=("a", 999), dst=("b", 1), payload=None)
-        with pytest.raises(ValueError):
-            socket.send_message(bad)
-
     def test_crash_flushes_queued_inbound(self, env, network):
         a, b = network.add_host("a"), network.add_host("b")
         sa = a.transport.bind()

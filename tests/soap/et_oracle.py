@@ -14,7 +14,19 @@ produce.  (Unlike the scanner, the old reader lets ``EncodingError`` and
 import xml.etree.ElementTree as ET
 
 from repro.soap import SOAP_ENV_NS, EncodingError, Envelope, EnvelopeError, SoapFault
-from repro.soap.encoding import _check_xml_text
+from repro.soap.encoding import _XML_INVALID
+
+
+def _check_xml_text(text, what):
+    """The old writer's per-string check: string values and struct keys
+    only (the writer now checks its whole document once)."""
+    match = _XML_INVALID.search(text)
+    if match is not None:
+        raise EncodingError(
+            f"{what} contains an XML-invalid character {match.group()!r} "
+            f"at index {match.start()}"
+        )
+    return text
 
 _ENVELOPE = f"{{{SOAP_ENV_NS}}}Envelope"
 _HEADER = f"{{{SOAP_ENV_NS}}}Header"

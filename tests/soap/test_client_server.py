@@ -3,6 +3,7 @@
 import pytest
 
 from repro.soap import (
+    EncodingError,
     Envelope,
     HttpRequest,
     HttpResponse,
@@ -91,6 +92,24 @@ class TestFaults:
         assert fault.detail == {"why": "test"}
         assert client.faults_received == 1
         assert server.faults_returned == 1
+
+    def test_unwritable_argument_name_refused_before_sending(self, env, network, deployment):
+        """An argument name XML cannot carry is refused at the client, not
+        sent as an envelope the server's reader refuses a round trip later."""
+        _server, client, _s, client_node = deployment
+        sent_before = network.trace.sent_total
+        refused = []
+
+        def caller():
+            try:
+                yield from client.call(("a", 80), "/svc", "add", {"a\x01": 1, "b": 2})
+            except EncodingError as error:
+                refused.append(error)
+
+        env.run(until=client_node.spawn(caller()))
+        assert len(refused) == 1
+        assert client.calls_sent == 0
+        assert network.trace.sent_total == sent_before
 
     def test_dispatcher_bug_becomes_server_fault(self, env, deployment):
         _server, client, _s, client_node = deployment

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soap import Envelope, EnvelopeError, FaultCode, SoapFault
+from repro.soap import EncodingError, Envelope, EnvelopeError, FaultCode, SoapFault
 
 
 class TestCallEnvelope:
@@ -80,6 +80,32 @@ class TestErrors:
         )
         with pytest.raises(EnvelopeError):
             Envelope.from_xml(xml)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: Envelope.call(f"op{c}", {"a": 1}),
+            lambda c: Envelope.call("op", {f"a{c}": 1}),
+            lambda c: Envelope.call("op", {"a": 1}, headers={f"h{c}": "v"}),
+            lambda c: Envelope.call("op", {"a": 1}, headers={"h": f"v{c}"}),
+            lambda c: Envelope.from_fault(SoapFault(FaultCode.SERVER, f"down{c}")),
+            lambda c: Envelope.from_fault(
+                SoapFault(FaultCode.SERVER, "down", faultactor=f"urn:{c}")
+            ),
+        ],
+        ids=["operation", "argument-name", "header-name", "header-value",
+             "faultstring", "faultactor"],
+    )
+    def test_xml_invalid_character_refused_in_every_position(self, build):
+        """The writer refuses what its own reader would: no position is
+        written unchecked, and the error names the character and its index
+        in the document (where a harmless ``_`` lands in the valid twin)."""
+        with pytest.raises(EncodingError) as refused:
+            build("\x01").to_xml()
+        message = str(refused.value)
+        assert "'\\x01'" in message
+        index = int(message.rsplit(" ", 1)[1])
+        assert build("_").to_xml()[index] == "_"
 
     def test_size_bytes_positive_and_grows(self):
         small = Envelope.call("Op", {"a": 1})
