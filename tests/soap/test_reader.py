@@ -286,6 +286,22 @@ def test_reader_and_writer_agree_on_which_characters_are_invalid():
         assert list(map(ord, rejected)) == expected
 
 
+@pytest.mark.parametrize("prefix", ["", "é"], ids=["ascii", "non-ascii"])
+def test_writer_check_refuses_exactly_the_invalid_characters(prefix):
+    """``check_xml`` takes a byte-table path for an ASCII document and the
+    ``_XML_INVALID`` scan for any other; both refuse exactly the characters
+    outside XML 1.0's ``Char``, and name the one they found by its index."""
+    from repro.soap.encoding import _XML_INVALID, check_xml
+
+    for code in [*range(0x80), 0xD800, 0xDFFF, 0xFFFE, 0xFFFF, 0xFFFD, 0x10000]:
+        document = f"{prefix}<v>a{chr(code)}</v>"
+        if _XML_INVALID.search(chr(code)) is None:
+            assert check_xml(document) is document
+        else:
+            with pytest.raises(EncodingError, match=f"at document index {len(prefix) + 4}$"):
+                check_xml(document)
+
+
 # -- no XML parser on the path ---------------------------------------------------------
 
 
