@@ -39,7 +39,7 @@ overload:
 	python -m repro overload
 
 exactly-once:
-	python -m repro campaign --seed 42 --duration 60 --workload enroll --loss 0.01
+	python -m repro exactly-once
 
 check:
 	python -m repro check --seeds 5 --schedules 50
@@ -71,13 +71,12 @@ export-pins:
 shard:
 	python -m repro shard
 
-# The CI tier: a short 1-vs-4 sweep plus the rebalance audit (exit 1 if
-# any effect is double-applied), a cross-shard schedule-exploration pass,
-# and the sharding benchmark's assertions.
+# The CI tier: the sharding experiment itself (the sweep and the rebalance
+# audit, exit 1 if a gate fails — ~8 s) and a cross-shard
+# schedule-exploration pass.
 shard-smoke:
-	python -m repro shard --shards 1,4 --duration 4 --window 5
+	python -m repro shard
 	python -m repro check --shards 2 --seeds 1 --schedules 5 --timeout 300
-	pytest benchmarks/test_sharding.py -q $(PYTEST_TIMEOUT)
 
 # Multi-region WAN benchmark: gossip convergence vs the O(log N) bound,
 # staleness vs fanout, gossip-vs-flood message economy, nearest-region
@@ -182,7 +181,7 @@ census:
 	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
 	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
 	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
-	for command in fig4 rtt failover availability campaign overload trace metrics \
+	for command in fig4 rtt failover availability campaign exactly-once overload trace metrics \
 		"trace --json" "metrics --json" "metrics --csv"; do \
 		python -m repro $$command >/dev/null; \
 	done; \

@@ -18,60 +18,24 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import ClosedLoopWorkload, format_table
-from repro.core import FaultCampaign, ScenarioConfig, WhisperSystem
-
-SEEDS = (7, 11, 42)
-DURATION = 60.0
-LOSS_RATE = 0.01
+from repro.bench.campaign import format_exactly_once, run_exactly_once
+from repro.bench.harness import check_record
+from repro.core import ScenarioConfig, WhisperSystem
 
 FIG4_REPLICAS = 8
 MEASUREMENT_WINDOW = 20.0
 
 
-def run_duplicate_rate_experiment():
-    return [
-        FaultCampaign(
-            seed=seed,
-            duration=DURATION,
-            replicas=4,
-            workload="enroll",
-            loss_rate=LOSS_RATE,
-        ).run()
-        for seed in SEEDS
-    ]
-
-
 @pytest.mark.paper
 def test_exactly_once_under_failover(benchmark, show):
-    reports = benchmark.pedantic(
-        run_duplicate_rate_experiment, rounds=1, iterations=1
-    )
-    show(format_table(
-        ["seed", "avail", "effects", "invocations", "dup'd",
-         "deduped", "suppressed", "p99 (ms)"],
-        [[r.seed, round(r.availability, 4), r.effects_applied,
-          r.distinct_effects, len(r.double_applied), r.probes_deduped,
-          r.duplicates_suppressed,
-          round(r.probe_p99 * 1000, 1) if r.probe_p99 else None]
-         for r in reports],
-        title=(
-            f"Exactly-once under failover — enroll workload, churn + "
-            f"partitions + {LOSS_RATE:.0%} loss, {DURATION:.0f}s, seeds {SEEDS}"
-        ),
-    ))
-    # Safety: every seed is free of double-application, and every
-    # campaign invariant (fencing, alternation, convergence) holds with
-    # the journal in the loop.
-    for report in reports:
-        assert not report.double_applied, (
-            f"seed {report.seed}: {report.double_applied}"
-        )
-        assert report.ok, f"seed {report.seed}: {report.violations}"
-    # The machinery demonstrably engaged: retries were answered from the
-    # journal somewhere across the sweep.
-    engaged = sum(r.probes_deduped + r.duplicates_suppressed + r.journal_hits
-                  for r in reports)
-    assert engaged >= 1, "no retry ever hit the journal — schedule too tame"
+    """Safety, gated by ``repro.bench.campaign.run_exactly_once`` (what
+    ``python -m repro exactly-once`` prints): no seed double-applies, every
+    campaign invariant holds with the journal in the loop, and the journal
+    demonstrably engaged."""
+    record = benchmark.pedantic(run_exactly_once, rounds=1, iterations=1)
+    show(format_exactly_once(record))
+    assert [row["seed"] for row in record["rows"]] == [7, 11, 42]
+    assert check_record(record, "exactly-once") == []
 
 
 def measure_fig4_categories() -> dict:

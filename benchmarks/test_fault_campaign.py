@@ -8,60 +8,22 @@ windows, so availability climbs monotonically with MTBF.
 Every campaign also audits the recovery layer's safety invariants
 (strict crash/restart alternation, one coordinator per epoch, no stale
 result delivered) — a scheduling or fencing regression fails here even if
-the availability numbers still look plausible.
+the availability numbers still look plausible.  The measurement and its
+gates are ``repro.bench.campaign.run_campaign`` — the same function
+``python -m repro campaign`` prints and EXPERIMENTS.md tabulates.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import format_table
-from repro.core import FaultCampaign
-
-MTBFS = (10.0, 25.0, 50.0)
-MTTR = 10.0
-SEEDS = (7, 11, 42)
-DURATION = 90.0
-
-
-def run_experiment():
-    rows = []
-    for mtbf in MTBFS:
-        availabilities = []
-        violations = []
-        for seed in SEEDS:
-            report = FaultCampaign(
-                seed=seed, duration=DURATION, replicas=4, mtbf=mtbf, mttr=MTTR
-            ).run()
-            availabilities.append(report.availability)
-            violations.extend(report.violations)
-        rows.append(
-            (mtbf, sum(availabilities) / len(availabilities), violations)
-        )
-    return rows
+from repro.bench.campaign import format_campaign, run_campaign
+from repro.bench.harness import check_record
 
 
 @pytest.mark.paper
 def test_availability_vs_mtbf(benchmark, show):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    show(format_table(
-        ["MTBF (s)", "availability", "violations"],
-        [[mtbf, availability, len(violations)]
-         for mtbf, availability, violations in rows],
-        title=(
-            f"Fault campaign — availability vs. MTBF "
-            f"(x4 replicas, MTTR={MTTR:.0f}s, {DURATION:.0f}s, "
-            f"seeds {SEEDS})"
-        ),
-    ))
-    for mtbf, _availability, violations in rows:
-        assert not violations, f"MTBF={mtbf}: {violations}"
-    availability = {mtbf: value for mtbf, value, _ in rows}
-    # Rarer faults → higher availability, monotone within noise.
-    assert availability[50.0] > availability[10.0]
-    assert availability[25.0] >= availability[10.0] - 0.02
-    assert availability[50.0] >= availability[25.0] - 0.02
-    # Even the harshest point keeps the service mostly up; the mildest
-    # masks nearly everything.
-    assert availability[10.0] > 0.6
-    assert availability[50.0] > 0.9
+    record = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    show(format_campaign(record))
+    assert [row["mtbf_s"] for row in record["rows"]] == [10.0, 25.0, 50.0]
+    assert check_record(record, "campaign") == []

@@ -9,67 +9,32 @@ aggregate knee 250 req/s) is driven by an open-loop Poisson workload:
   near-perfectly available;
 * below the knee, **least-outstanding** dispatch routes around the slow
   replicas that blind round-robin keeps feeding.
+
+Both comparisons and their gates are ``repro.bench.overload.run_overload``
+— the same function ``python -m repro overload`` prints and
+EXPERIMENTS.md tabulates; the two tests read one run of it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.bench import format_table, run_overload_point
-from repro.core import ScenarioConfig
+from repro.bench.harness import check_record
+from repro.bench.overload import format_overload, run_overload
 
-BASE = ScenarioConfig(
-    seed=42,
-    replicas=4,
-    request_timeout=2.0,
-    max_attempts=6,
-    deadline_budget=2.0,
-)
-OVERLOAD_RATE = 500.0  # 2x the 250 req/s aggregate knee
-HEADROOM_RATE = 150.0  # comfortably below the knee
-
-COLUMNS = [
-    "offered (req/s)", "x knee", "requests", "ok", "shed", "shed rate",
-    "accepted avail", "tput (req/s)", "p50 (ms)", "p99 (ms)",
-]
+overload_record = functools.cache(run_overload)
 
 
 @pytest.mark.paper
 def test_bounded_queue_tames_tail_latency_past_knee(benchmark, show):
     """At 2x capacity: shed-and-hint beats queue-forever on p99, and the
     work a bounded deployment accepts is still served reliably."""
-
-    def measure():
-        unbounded = run_overload_point(
-            OVERLOAD_RATE, duration=5.0, config=BASE.replace(dispatch="round-robin")
-        )
-        bounded = run_overload_point(
-            OVERLOAD_RATE,
-            duration=5.0,
-            config=BASE.replace(dispatch="least-outstanding", queue_bound=8),
-        )
-        return unbounded, bounded
-
-    unbounded, bounded = benchmark.pedantic(measure, rounds=1, iterations=1)
-    show(format_table(
-        ["variant"] + COLUMNS,
-        [
-            ["unbounded rr"] + unbounded.row(),
-            ["bounded lo"] + bounded.row(),
-        ],
-        title=f"Saturation at {OVERLOAD_RATE:.0f} req/s (knee {bounded.capacity:.0f})",
-    ))
-    # Admission control keeps the tail of accepted work bounded.
-    assert bounded.latency.p99 < unbounded.latency.p99, (
-        bounded.latency.p99, unbounded.latency.p99,
-    )
-    # Overload is actually shed, not silently absorbed...
-    assert bounded.shed_rate > 0.0
-    assert bounded.coordinator_sheds > 0
-    # ...while admitted requests still almost always succeed.
-    assert bounded.accepted_availability >= 0.99
-    # Shed clients saw the retry-after hint and some rode it to success.
-    assert bounded.retry_after_honored > 0
+    record = benchmark.pedantic(overload_record, rounds=1, iterations=1)
+    show(format_overload(record))
+    assert [p["rate"] for p in record["saturation"]] == [500.0, 500.0]
+    assert check_record(record, "overload") == []
 
 
 @pytest.mark.paper
@@ -78,24 +43,9 @@ def test_least_outstanding_beats_round_robin_on_heterogeneous_backends(
 ):
     """Below the knee, blind rotation queues behind the 40ms replicas;
     the load ledger steers work to whoever is actually free."""
-
-    def measure():
-        config = BASE.replace(queue_bound=8)
-        rr = run_overload_point(
-            HEADROOM_RATE, duration=8.0, config=config.replace(dispatch="round-robin")
-        )
-        lo = run_overload_point(
-            HEADROOM_RATE,
-            duration=8.0,
-            config=config.replace(dispatch="least-outstanding"),
-        )
-        return rr, lo
-
-    rr, lo = benchmark.pedantic(measure, rounds=1, iterations=1)
-    show(format_table(
-        ["policy"] + COLUMNS,
-        [["round-robin"] + rr.row(), ["least-outstanding"] + lo.row()],
-        title=f"Dispatch policy at {HEADROOM_RATE:.0f} req/s (knee {lo.capacity:.0f})",
-    ))
-    assert lo.throughput >= rr.throughput, (lo.throughput, rr.throughput)
-    assert lo.latency.p99 <= rr.latency.p99, (lo.latency.p99, rr.latency.p99)
+    record = benchmark.pedantic(overload_record, rounds=1, iterations=1)
+    assert [p["dispatch"] for p in record["dispatch"]] == [
+        "round-robin", "least-outstanding",
+    ]
+    assert record["assertions"]["least_outstanding_throughput_at_least_round_robin"]
+    assert record["assertions"]["least_outstanding_p99_at_most_round_robin"]

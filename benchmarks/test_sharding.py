@@ -14,89 +14,36 @@ Three claims for the federated shard-group layer (see EXPERIMENTS.md):
   remaps only its ring segment, the workload keeps making progress via
   ring-successor handoff, and no enrollment is ever double-applied
   (sticky at-most-once pinning keeps per-group dedup journals sufficient).
+
+All three and their gates are ``repro.bench.sharding.run_shard`` — the
+same function ``python -m repro shard`` prints and EXPERIMENTS.md
+tabulates; the two tests read one run of it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.bench import format_table
-from repro.bench.sharding import run_rebalance, run_shard_sweep
+from repro.bench.harness import check_record
+from repro.bench.sharding import format_shard, run_shard
 
-SHARD_COUNTS = (1, 2, 4)
-REPLICAS_PER_SHARD = 2
-RATE_MULTIPLE = 3.0
-DURATION = 6.0
-MESSAGE_WINDOW = 10.0
-SPEEDUP_FLOOR = 2.5
+shard_record = functools.cache(run_shard)
 
 
 @pytest.mark.paper
 def test_shard_scaling_and_message_growth(benchmark, show):
-    points = benchmark.pedantic(
-        lambda: run_shard_sweep(
-            shard_counts=SHARD_COUNTS,
-            replicas=REPLICAS_PER_SHARD,
-            rate_multiple=RATE_MULTIPLE,
-            duration=DURATION,
-            message_window=MESSAGE_WINDOW,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    show(format_table(
-        ["shards", "offered/s", "requests", "ok", "shed",
-         "tput", "p50 ms", "p99 ms", "msgs"],
-        [p.row() for p in points],
-        title=(
-            f"Shard scaling — {REPLICAS_PER_SHARD} replicas/shard, offered "
-            f"{RATE_MULTIPLE:.1f}x one shard's knee, {DURATION:.0f}s Poisson"
-        ),
-    ))
-    by_shards = {p.shards: p for p in points}
-    one, four = by_shards[1], by_shards[4]
-
-    # Scaling: the federation absorbs what a single group must shed.
-    speedup = four.throughput / one.throughput
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"4-shard speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor "
-        f"({one.throughput:.1f} -> {four.throughput:.1f} req/s)"
-    )
-    assert one.shed > 0, "single group never saturated — rate too low"
-    assert four.shed == 0, "4 shards should have headroom at this rate"
-    # The ring actually spread the keyspace: every group served work.
-    assert all(count > 0 for count in four.per_group_executed.values()), (
-        four.per_group_executed
-    )
-    assert four.shard_routed > 0
-
-    # Figure-4-style growth: more shard groups, more maintenance traffic,
-    # monotonically and roughly in proportion to the peer count.
-    messages = [by_shards[n].steady_messages for n in SHARD_COUNTS]
-    assert messages[0] < messages[1] < messages[2], messages
-    growth = messages[2] / messages[0]
-    assert 2.0 <= growth <= 8.0, (
-        f"4-shard steady-state message growth {growth:.2f}x outside the "
-        f"predictable band (counts: {messages})"
-    )
+    record = benchmark.pedantic(shard_record, rounds=1, iterations=1)
+    show(format_shard(record))
+    assert [p["shards"] for p in record["sweep"]] == [1, 2, 4]
+    assert check_record(record, "shard") == []
 
 
 @pytest.mark.paper
 def test_rebalance_keeps_exactly_once_across_shard_group_loss(benchmark, show):
-    report = benchmark.pedantic(run_rebalance, rounds=1, iterations=1)
-    show(format_table(
-        ["metric", "value"],
-        report.rows(),
-        title="Rebalance — whole shard group crashed mid-enrollment",
-    ))
-    # Only the victim's ring segment remaps (virtual nodes keep the
-    # segments balanced, so the fraction sits near 1/shards).
-    assert 0.10 < report.remapped_fraction < 0.45, report.remapped_fraction
-    # The handoff preserved exactly-once: zero double-applied effects
-    # across every shard group's backend ledgers.
-    assert report.exactly_once, report.double_applied
-    assert report.distinct_effects == report.succeeded
-    # And the workload kept making progress through the crash.
-    assert report.succeeded >= report.enrollments * 0.8, (
-        f"only {report.succeeded}/{report.enrollments} enrollments survived"
-    )
+    record = benchmark.pedantic(shard_record, rounds=1, iterations=1)
+    assert record["rebalance"]["shards"] == 4
+    for gate in ("only_victim_segment_remaps", "exactly_once_across_handoff",
+                 "one_effect_per_success", "progress_through_crash"):
+        assert record["assertions"][gate], gate

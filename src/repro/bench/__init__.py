@@ -7,13 +7,6 @@ listed in DESIGN.md.
 """
 
 from .harness import Sweep, SweepPoint, run_sweep
-from .overload import (
-    OverloadPoint,
-    aggregate_capacity,
-    build_overload_system,
-    heterogeneous_implementations,
-    run_overload_point,
-)
 from .report import ascii_plot, format_phase_breakdown, format_sweep, format_table
 from .stats import LinearFit, Summary, linear_fit, percentile, summarize
 from .workload import (
@@ -27,23 +20,18 @@ from .workload import (
 __all__ = [
     "ClosedLoopWorkload",
     "LinearFit",
-    "OverloadPoint",
     "PoissonWorkload",
     "ProbeWorkload",
     "Summary",
     "Sweep",
     "SweepPoint",
     "WorkloadResult",
-    "aggregate_capacity",
     "ascii_plot",
-    "build_overload_system",
     "format_phase_breakdown",
     "format_sweep",
     "format_table",
-    "heterogeneous_implementations",
     "linear_fit",
     "percentile",
-    "run_overload_point",
     "run_sweep",
     "student_arguments",
     "summarize",

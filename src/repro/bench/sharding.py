@@ -18,21 +18,27 @@ simulated testbed as the paper's §5 experiments:
   segment remaps (reported as the ring fraction), the workload keeps
   making progress via ring-successor failover, and the per-group dedup
   journals keep every enrollment exactly-once across the handoff.
+
+:func:`run_shard` answers all three in one record (``python -m repro
+shard``, ``benchmarks/test_sharding.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..backend.datasets import student_database
 from ..backend.services import student_lookup_operational
+from ..check.invariants import effect_totals
 from ..core.config import ScenarioConfig
 from ..core.errors import WhisperError
 from ..core.sharding import ShardRing
 from ..core.system import WhisperSystem
 from ..soap.fault import SoapFault
 from ..wsdl.samples import student_management_wsdl
+from .harness import Progress, bench_record, format_assertions, quiet
+from .report import format_table
 from .stats import Summary
 from .workload import PoissonWorkload
 
@@ -41,7 +47,9 @@ __all__ = [
     "RebalanceReport",
     "ShardPoint",
     "build_sharded_system",
+    "format_shard",
     "run_rebalance",
+    "run_shard",
     "run_shard_point",
     "run_shard_sweep",
     "shard_capacity",
@@ -52,16 +60,28 @@ __all__ = [
 #: has a knee at ``R * 100``/s.
 READ_SERVICE_TIME = 0.010
 
+#: The scaling sweep: shard counts at a fixed per-group replication, all
+#: offered the same open-loop load, a multiple of one group's knee.
+SHARD_COUNTS = (1, 2, 4)
+REPLICAS_PER_SHARD = 2
+RATE_MULTIPLE = 3.0
+DURATION = 6.0
+#: The quiet window the Figure-4-style message count is taken over.
+MESSAGE_WINDOW = 10.0
+SPEEDUP_FLOOR = 2.5
 
-def shard_capacity(replicas: int, service_time: float = READ_SERVICE_TIME) -> float:
+#: The rebalance audit: shard group 0 crashes at enrollment ``CRASH_AT``.
+REBALANCE_SHARDS = 4
+ENROLLMENTS = 60
+CRASH_AT = 15
+
+
+def shard_capacity(replicas: int) -> float:
     """One shard group's knee in requests/second."""
-    return replicas / service_time
+    return replicas / READ_SERVICE_TIME
 
 
-def build_sharded_system(
-    config: ScenarioConfig,
-    service_time: float = READ_SERVICE_TIME,
-):
+def build_sharded_system(config: ScenarioConfig):
     """Deploy the read service across ``config.shards`` federated groups.
 
     Every shard group gets ``config.replicas`` homogeneous replicas, each
@@ -77,7 +97,7 @@ def build_sharded_system(
         impls = []
         for _ in range(scenario.replicas):
             impl = student_lookup_operational(student_database(scenario.students))
-            impl.service_time = service_time
+            impl.service_time = READ_SERVICE_TIME
             impls.append(impl)
         return impls
 
@@ -111,8 +131,8 @@ class ShardPoint:
     per_group_executed: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The point as ``python -m repro shard --json`` exports it:
-        every field, the latency summary as its two headline percentiles."""
+        """The point as the ``shard`` record holds it: every field, the
+        latency summary as its two headline percentiles."""
         payload = asdict(self)
         del payload["latency"]
         payload.update(
@@ -120,53 +140,31 @@ class ShardPoint:
         )
         return payload
 
-    def row(self) -> List[object]:
-        return [
-            self.shards,
-            f"{self.rate:.0f}",
-            self.requests,
-            self.successes,
-            self.shed,
-            f"{self.throughput:.1f}",
-            f"{self.latency.p50 * 1000:.1f}",
-            f"{self.latency.p99 * 1000:.1f}",
-            self.steady_messages,
-        ]
 
-
-def run_shard_point(
-    shards: int,
-    rate: float,
-    duration: float = 8.0,
-    config: Optional[ScenarioConfig] = None,
-    settle: float = 6.0,
-    message_window: float = 10.0,
-    service_time: float = READ_SERVICE_TIME,
-) -> ShardPoint:
+def run_shard_point(shards: int, rate: float, config: ScenarioConfig) -> ShardPoint:
     """Run one open-loop read point against a fresh sharded deployment."""
-    scenario = config if config is not None else ScenarioConfig(seed=42)
-    scenario = scenario.replace(shards=shards)
-    system, service = build_sharded_system(scenario, service_time=service_time)
-    system.settle(settle)
+    scenario = config.replace(shards=shards)
+    system, service = build_sharded_system(scenario)
+    system.settle()
     workload = PoissonWorkload(
         system,
         service.address,
         service.path,
         "StudentInformation",
         rate=rate,
-        duration=duration,
+        duration=DURATION,
         call_timeout=scenario.deadline_budget,
     )
     result = workload.run()
     # Figure-4-style growth: count every message in a quiet window once
     # the workload drained — heartbeats, renewals, and leases per group.
     system.reset_counters()
-    system.run_until(system.env.now + message_window)
+    system.run_until(system.env.now + MESSAGE_WINDOW)
     return ShardPoint(
         shards=shards,
         replicas_per_shard=scenario.replicas,
         rate=rate,
-        shard_knee=shard_capacity(scenario.replicas, service_time),
+        shard_knee=shard_capacity(scenario.replicas),
         requests=result.requests,
         successes=result.successes,
         shed=result.shed,
@@ -183,27 +181,18 @@ def run_shard_point(
     )
 
 
-def run_shard_sweep(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    replicas: int = 2,
-    rate_multiple: float = 3.0,
-    duration: float = 8.0,
-    seed: int = 42,
-    message_window: float = 10.0,
-    service_time: float = READ_SERVICE_TIME,
-) -> List[ShardPoint]:
+def run_shard_sweep(seed: int = 42) -> List[ShardPoint]:
     """The scaling sweep: a fixed offered load across shard counts.
 
-    The rate is ``rate_multiple`` times one shard group's knee, so the
+    The rate is ``RATE_MULTIPLE`` times one shard group's knee, so the
     single-group point is saturated (bounded queues shed the excess)
     while the federated points have headroom — the throughput ratio
     between them is the scaling claim.
     """
-    knee = shard_capacity(replicas, service_time)
-    rate = rate_multiple * knee
+    rate = RATE_MULTIPLE * shard_capacity(REPLICAS_PER_SHARD)
     config = ScenarioConfig(
         seed=seed,
-        replicas=replicas,
+        replicas=REPLICAS_PER_SHARD,
         queue_bound=8,
         request_timeout=2.0,
         max_attempts=6,
@@ -211,17 +200,7 @@ def run_shard_sweep(
         heartbeat_interval=0.5,
         miss_threshold=2,
     )
-    return [
-        run_shard_point(
-            shards,
-            rate,
-            duration=duration,
-            config=config,
-            message_window=message_window,
-            service_time=service_time,
-        )
-        for shards in shard_counts
-    ]
+    return [run_shard_point(shards, rate, config) for shards in SHARD_COUNTS]
 
 
 @dataclass
@@ -244,31 +223,11 @@ class RebalanceReport:
         return not self.double_applied
 
     def to_dict(self) -> Dict[str, Any]:
-        """The report as ``python -m repro shard --json`` exports it."""
+        """The report as the ``shard`` record holds it."""
         return {**asdict(self), "exactly_once": self.exactly_once}
 
-    def rows(self) -> List[List[object]]:
-        return [
-            ["shards", self.shards],
-            ["victim group", self.victim],
-            ["remapped ring fraction", f"{self.remapped_fraction:.3f}"],
-            ["enrollments offered", self.enrollments],
-            ["succeeded", self.succeeded],
-            ["failed", self.failed],
-            ["shard failovers", self.shard_failovers],
-            ["distinct effects", self.distinct_effects],
-            ["double-applied", len(self.double_applied)],
-        ]
 
-
-def run_rebalance(
-    shards: int = 4,
-    replicas: int = 2,
-    enrollments: int = 60,
-    crash_at: int = 15,
-    seed: int = 42,
-    settle: float = 6.0,
-) -> RebalanceReport:
+def run_rebalance(seed: int = 42) -> RebalanceReport:
     """Crash shard group 0 mid-workload; audit handoff cost and safety.
 
     The workload is the mutating EnrollStudent service — the hard case:
@@ -278,8 +237,8 @@ def run_rebalance(
     """
     config = ScenarioConfig(
         seed=seed,
-        shards=shards,
-        replicas=replicas,
+        shards=REBALANCE_SHARDS,
+        replicas=REPLICAS_PER_SHARD,
         load_sharing=True,
         heartbeat_interval=0.5,
         miss_threshold=2,
@@ -287,13 +246,13 @@ def run_rebalance(
     )
     system = WhisperSystem(config)
     service = system.deploy_enrollment_service(web_host=None)
-    system.settle(settle)
+    system.settle()
     victim = service.shard_groups_for("EnrollStudent")[0]
     outcomes = {"ok": 0, "failed": 0}
 
     def workload():
-        for index in range(enrollments):
-            if index == crash_at:
+        for index in range(ENROLLMENTS):
+            if index == CRASH_AT:
                 for peer in victim.peers:
                     peer.node.crash()
             try:
@@ -312,20 +271,12 @@ def run_rebalance(
     ring = ShardRing()
     for group in service.shard_groups_for("EnrollStudent"):
         ring.add(group.name)
-    applied: Dict[str, int] = {}
-    seen_backends = set()
-    for peer in service.all_peers():
-        backend = peer.implementation.backend
-        if id(backend) in seen_backends:
-            continue
-        seen_backends.add(id(backend))
-        for invocation_id, _applied_by in getattr(backend, "effect_log", []):
-            applied[invocation_id] = applied.get(invocation_id, 0) + 1
+    applied = effect_totals(service.all_peers())
     return RebalanceReport(
-        shards=shards,
+        shards=REBALANCE_SHARDS,
         victim=victim.name,
         remapped_fraction=ring.segment_fraction(victim.name),
-        enrollments=enrollments,
+        enrollments=ENROLLMENTS,
         succeeded=outcomes["ok"],
         failed=outcomes["failed"],
         shard_failovers=service.proxy.stats.shard_failovers,
@@ -336,3 +287,98 @@ def run_rebalance(
             if count > 1
         },
     )
+
+
+# -- the experiment --------------------------------------------------------------------
+
+
+def run_shard(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
+    """Read scaling and message growth across shard counts, then the
+    shard-group-crash rebalance audit."""
+    progress(f"scaling sweep over {list(SHARD_COUNTS)} shard groups ...")
+    points = run_shard_sweep(seed)
+    progress("rebalance: whole shard group crashed mid-enrollment ...")
+    rebalance = run_rebalance(seed)
+    by_shards = {p.shards: p for p in points}
+    one, four = by_shards[1], by_shards[4]
+    messages = [by_shards[n].steady_messages for n in SHARD_COUNTS]
+    speedup = four.throughput / one.throughput
+    growth = messages[2] / messages[0]
+    assertions = {
+        # Scaling: the federation absorbs what a single group must shed.
+        "speedup_at_least_floor": speedup >= SPEEDUP_FLOOR,
+        "one_shard_saturates": one.shed > 0,
+        "four_shards_have_headroom": four.shed == 0,
+        # The ring actually spread the keyspace: every group served work.
+        "every_group_served": all(
+            count > 0 for count in four.per_group_executed.values()
+        ),
+        "ring_routed": four.shard_routed > 0,
+        # Figure-4-style growth: more shard groups, more maintenance
+        # traffic, monotonically and roughly in proportion to the peers.
+        "messages_grow_with_shards": messages[0] < messages[1] < messages[2],
+        "message_growth_in_band": 2.0 <= growth <= 8.0,
+        # Only the victim's ring segment remaps (virtual nodes keep the
+        # segments balanced, so the fraction sits near 1/shards).
+        "only_victim_segment_remaps": 0.10 < rebalance.remapped_fraction < 0.45,
+        # The handoff preserved exactly-once across every group's ledger.
+        "exactly_once_across_handoff": rebalance.exactly_once,
+        "one_effect_per_success": rebalance.distinct_effects == rebalance.succeeded,
+        # And the workload kept making progress through the crash.
+        "progress_through_crash": (
+            rebalance.succeeded >= rebalance.enrollments * 0.8
+        ),
+    }
+    body = {
+        "seed": seed,
+        "replicas_per_shard": REPLICAS_PER_SHARD,
+        "rate_multiple": RATE_MULTIPLE,
+        "duration_s": DURATION,
+        "message_window_s": MESSAGE_WINDOW,
+        "speedup_floor": SPEEDUP_FLOOR,
+        "sweep": [p.to_dict() for p in points],
+        "speedup": speedup,
+        "rebalance": rebalance.to_dict(),
+    }
+    return bench_record("shard", body, assertions)
+
+
+def format_shard(record: Dict[str, Any]) -> str:
+    sweep = record["sweep"]
+    rebalance = record["rebalance"]
+    return "\n".join([
+        format_table(
+            ["shards", "offered/s", "requests", "ok", "shed",
+             "tput", "p50 ms", "p99 ms", "msgs"],
+            [[p["shards"], f"{p['rate']:.0f}", p["requests"], p["successes"],
+              p["shed"], f"{p['throughput']:.1f}", f"{p['p50_ms']:.1f}",
+              f"{p['p99_ms']:.1f}", p["steady_messages"]]
+             for p in sweep],
+            title=(
+                f"Shard scaling — {record['replicas_per_shard']} replicas/shard "
+                f"(knee ~{sweep[0]['shard_knee']:.0f}/s each), offered "
+                f"{record['rate_multiple']:.1f}x one shard's knee, "
+                f"{record['duration_s']:.0f}s Poisson + "
+                f"{record['message_window_s']:.0f}s message window"
+            ),
+        ),
+        f"speedup at {sweep[-1]['shards']} shards vs {sweep[0]['shards']}: "
+        f"{record['speedup']:.2f}x (floor {record['speedup_floor']}x)",
+        "",
+        format_table(
+            ["metric", "value"],
+            [
+                ["shards", rebalance["shards"]],
+                ["victim group", rebalance["victim"]],
+                ["remapped ring fraction", f"{rebalance['remapped_fraction']:.3f}"],
+                ["enrollments offered", rebalance["enrollments"]],
+                ["succeeded", rebalance["succeeded"]],
+                ["failed", rebalance["failed"]],
+                ["shard failovers", rebalance["shard_failovers"]],
+                ["distinct effects", rebalance["distinct_effects"]],
+                ["double-applied", len(rebalance["double_applied"])],
+            ],
+            title="Rebalance — whole shard group crashed mid-enrollment",
+        ),
+        format_assertions(record),
+    ])

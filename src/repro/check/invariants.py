@@ -2,7 +2,7 @@
 
 Each function inspects live system state and returns human-readable
 violation strings (empty list = invariant holds).  They are shared with
-the fault campaign's post-run audit (:mod:`repro.core.campaign`); the
+the fault campaign's post-run audit (:mod:`repro.bench.campaign`); the
 schedule checker additionally evaluates them **after every slice** of a
 run through a stateful :class:`InvariantRegistry`, which also tracks
 cursors for the invariants that are about *trajectories* (per-peer

@@ -46,6 +46,8 @@ from ..backend.loans import (
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 from ..simnet.events import Interrupt
+from ..workflow.dlq import DeadLetterQueue
+from ..workflow.saga import CompensableTask, Saga, SagaLog, SagaOrchestrator
 from ..wsdl.samples import loan_booking_wsdl, loan_desk_wsdl, solvency_wsdl
 from .faults import DecisionFaultInjector
 from .invariants import (
@@ -246,13 +248,8 @@ def loan_saga(
     services: Dict[str, Any],
     timeout: float = 1.5,
     budget: Optional[float] = 6.0,
-) -> "Saga":
+) -> Saga:
     """The three-step loan saga: register → reserve funds → book."""
-    # Imported lazily: repro.core's campaign imports this package's
-    # invariants, so a module-level workflow import here would close a
-    # cycle back through workflow.engine → core.errors → core.
-    from ..workflow.saga import CompensableTask, Saga
-
     def args_full(context):
         return {
             "loanId": context["loan_id"],
@@ -373,9 +370,6 @@ def run_saga_schedule(
     to *count* the stranded effects a violating run leaves behind, not
     stop at the first one.
     """
-    from ..workflow.dlq import DeadLetterQueue
-    from ..workflow.saga import SagaLog, SagaOrchestrator
-
     system, services, fleet = _deploy_loans(scenario)
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
     system.settle(scenario.settle)
@@ -539,9 +533,6 @@ def run_dlq_demo(
     (:meth:`~repro.workflow.saga.SagaOrchestrator.requeue`), after which
     the atomicity audit must be silent and the queue empty.
     """
-    from ..workflow.dlq import DeadLetterQueue
-    from ..workflow.saga import SagaLog, SagaOrchestrator
-
     scenario = SagaCheckScenario(
         seed=seed,
         sagas=sagas,

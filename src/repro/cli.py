@@ -6,10 +6,10 @@
     python -m repro rtt [--samples 200] [--json]
     python -m repro failover [--heartbeat 1.0] [--json]
     python -m repro availability [--replicas 6] [--duration 180] [--json]
-    python -m repro campaign [--duration 90] [--workload enroll] [--loss 0.01] [--json]
-    python -m repro overload [--rates 125,250,375,500] [--queue-bound 8]
-    python -m repro shard [--shards 1,2,4] [--replicas 2] [--rate-multiple 3.0]
-                          [--skip-rebalance] [--json]
+    python -m repro campaign [--json]
+    python -m repro exactly-once [--json]
+    python -m repro overload [--seed 42] [--json]
+    python -m repro shard [--seed 42] [--json]
     python -m repro check [--seeds 5] [--schedules 50] [--timeout 300]
                           [--regions 2] [--capacity] [--saga] [--self-test]
                           [--replay FILE] [--out FILE] [--json]
@@ -21,15 +21,13 @@
     python -m repro dlq [--sagas 3] [--requeue] [--json]
 
 Each subcommand prints the same tables the corresponding benchmark
-asserts on (see EXPERIMENTS.md).  The first four (the paper's §5) and
+asserts on (see EXPERIMENTS.md).  The first four (the paper's §5), the
+extensions ``campaign`` / ``exactly-once`` / ``overload`` / ``shard`` and
 ``wan`` / ``saga`` / ``capacity`` are *gated*: one runner under
 ``repro.bench`` returns a record whose ``assertions`` are the paper-shape
 gates, and the command exits 1 if one fails.  Common flags — ``--seed``,
-``--duration``, ``--json`` — are shared parent parsers, so they work
-uniformly before or after the subcommand name.  ``overload`` sweeps an
-open-loop arrival rate across the deployment's saturation knee and shows
-what bounded queues + load-aware dispatch do to shed rate and tail
-latency.
+``--json`` — are shared parent parsers, so they work uniformly before or
+after the subcommand name.
 """
 
 from __future__ import annotations
@@ -38,131 +36,22 @@ import argparse
 import json as json_module
 from typing import List, Optional, Tuple
 
-from .bench import capacity, format_phase_breakdown, format_table, paper, saga, wan
+from .bench import (
+    campaign,
+    capacity,
+    format_phase_breakdown,
+    format_table,
+    overload,
+    paper,
+    saga,
+    sharding,
+    wan,
+)
 from .bench.harness import check_record, quiet
-from .bench.overload import run_overload_point
 from .core import ScenarioConfig, WhisperSystem
-from .core.dispatch import DISPATCH_POLICIES
 from .soap import RequestTimeout, SoapFault
 
 __all__ = ["main"]
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .core import FaultCampaign
-
-    campaign = FaultCampaign(
-        seed=args.seed,
-        duration=args.duration,
-        replicas=args.replicas,
-        mtbf=args.mtbf,
-        mttr=args.mttr,
-        partitions=args.partitions,
-        partition_duration=args.partition_duration,
-        workload=args.workload,
-        loss_rate=args.loss,
-    )
-    report = campaign.run()
-    if args.json:
-        print(json_module.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
-    config = ScenarioConfig(
-        seed=args.seed,
-        replicas=args.replicas,
-        dispatch=args.dispatch,
-        queue_bound=args.queue_bound,
-        request_timeout=2.0,
-        max_attempts=6,
-        deadline_budget=args.deadline,
-    )
-    points = [
-        run_overload_point(rate, duration=args.duration, config=config)
-        for rate in rates
-    ]
-    if args.json:
-        print(json_module.dumps([p.to_dict() for p in points], indent=2))
-        return 0
-    knee = points[0].capacity if points else 0.0
-    bound = "unbounded" if args.queue_bound is None else str(args.queue_bound)
-    print(format_table(
-        ["rate", "load", "offered", "ok", "shed", "shed rate",
-         "accepted avail", "tput", "p50 ms", "p99 ms"],
-        [p.row() for p in points],
-        title=(f"Overload sweep — {args.replicas} replicas, knee ~{knee:.0f}/s, "
-               f"dispatch {args.dispatch}, queue bound {bound}"),
-    ))
-    return 0
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    """Sharding sweep: read scaling, message growth, rebalance safety."""
-    from .bench.sharding import run_rebalance, run_shard_sweep, shard_capacity
-
-    shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
-    points = run_shard_sweep(
-        shard_counts=shard_counts,
-        replicas=args.replicas,
-        rate_multiple=args.rate_multiple,
-        duration=args.duration,
-        seed=args.seed,
-        message_window=args.window,
-    )
-    rebalance = None
-    if not args.skip_rebalance:
-        rebalance = run_rebalance(
-            shards=max(shard_counts),
-            replicas=args.replicas,
-            seed=args.seed,
-        )
-
-    if args.json:
-        payload = {
-            "sweep": [p.to_dict() for p in points],
-            "speedup": (
-                points[-1].throughput / points[0].throughput
-                if points and points[0].throughput > 0
-                else None
-            ),
-            "rebalance": None if rebalance is None else rebalance.to_dict(),
-        }
-        print(json_module.dumps(payload, indent=2))
-        return 0
-
-    knee = shard_capacity(args.replicas)
-    print(format_table(
-        ["shards", "offered/s", "requests", "ok", "shed",
-         "tput", "p50 ms", "p99 ms", "msgs"],
-        [p.row() for p in points],
-        title=(
-            f"Shard scaling — {args.replicas} replicas/shard "
-            f"(knee ~{knee:.0f}/s each), offered "
-            f"{args.rate_multiple:.1f}x one shard's knee, "
-            f"{args.duration:.0f}s Poisson + {args.window:.0f}s message window"
-        ),
-    ))
-    if len(points) > 1 and points[0].throughput > 0:
-        speedup = points[-1].throughput / points[0].throughput
-        print(f"\nspeedup at {points[-1].shards} shards vs "
-              f"{points[0].shards}: {speedup:.2f}x")
-    if rebalance is not None:
-        print()
-        print(format_table(
-            ["metric", "value"],
-            rebalance.rows(),
-            title=(
-                "Rebalance — whole shard group crashed mid-enrollment "
-                "(ring-successor handoff, per-group dedup journals)"
-            ),
-        ))
-        print("exactly-once across handoff: "
-              + ("HELD" if rebalance.exactly_once else "VIOLATED"))
-    return 0 if rebalance is None or rebalance.exactly_once else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -337,6 +226,17 @@ _GATED = {
     "capacity": (capacity.run_capacity, capacity.format_record, ("seed", "scale"),
                  "adaptive capacity: diurnal trace, autoscaled vs static-max, "
                  "plus breaker drill and cache gates"),
+    "campaign": (campaign.run_campaign, campaign.format_campaign, (),
+                 "seeded fault campaigns: availability vs. MTBF with the "
+                 "invariant audit"),
+    "exactly-once": (campaign.run_exactly_once, campaign.format_exactly_once, (),
+                     "enroll campaigns under churn, partitions and loss: no "
+                     "invocation applied twice"),
+    "overload": (overload.run_overload, overload.format_overload, ("seed",),
+                 "past the knee: bounded queues vs. unbounded, least-outstanding "
+                 "vs. round-robin"),
+    "shard": (sharding.run_shard, sharding.format_shard, ("seed",),
+              "semantic sharding: read scaling, message growth, rebalance"),
 }
 
 #: The option each of those keyword arguments is read from (``seed`` is the
@@ -422,17 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="root RNG seed")
 
     # Shared flags as parent parsers.  ``default=argparse.SUPPRESS`` keeps
-    # a subcommand-level ``--seed``/``--duration`` from clobbering the
-    # top-level value (or the per-command ``set_defaults``) when the flag
-    # is not actually on the command line.
+    # a subcommand-level ``--seed`` from clobbering the top-level value
+    # when the flag is not actually on the command line.
     seed_parent = argparse.ArgumentParser(add_help=False)
     seed_parent.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="root RNG seed"
-    )
-    duration_parent = argparse.ArgumentParser(add_help=False)
-    duration_parent.add_argument(
-        "--duration", type=float, default=argparse.SUPPRESS,
-        help="run length in simulated seconds",
     )
     json_parent = argparse.ArgumentParser(add_help=False)
     json_parent.add_argument(
@@ -454,80 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"where to write the {name} record",
             )
         bench.set_defaults(func=_gated_bench)
-
-    campaign = subparsers.add_parser(
-        "campaign",
-        parents=[seed_parent, duration_parent, json_parent],
-        help="seeded fault campaign (churn + partitions) with invariant audit",
-    )
-    campaign.add_argument("--replicas", type=int, default=4)
-    campaign.add_argument("--mtbf", type=float, default=25.0)
-    campaign.add_argument("--mttr", type=float, default=10.0)
-    campaign.add_argument("--partitions", type=int, default=2)
-    campaign.add_argument("--partition-duration", type=float, default=6.0)
-    campaign.add_argument(
-        "--workload", choices=("lookup", "enroll"), default="lookup",
-        help="probe workload: read-only lookups or mutating enrollments",
-    )
-    campaign.add_argument(
-        "--loss", type=float, default=0.0,
-        help="network-wide message loss rate (e.g. 0.01 for 1%%)",
-    )
-    campaign.set_defaults(func=_cmd_campaign, duration=90.0)
-
-    overload = subparsers.add_parser(
-        "overload",
-        parents=[seed_parent, duration_parent, json_parent],
-        help="saturation sweep: shed rate + tail latency across the knee",
-    )
-    overload.add_argument(
-        "--rates", default="125,250,375,500",
-        help="comma-separated open-loop arrival rates (requests/s)",
-    )
-    overload.add_argument("--replicas", type=int, default=4)
-    overload.add_argument(
-        "--dispatch", choices=sorted(DISPATCH_POLICIES), default="least-outstanding",
-    )
-    overload.add_argument(
-        "--queue-bound", type=int, default=8,
-        help="per-member admission bound (0 = unbounded)",
-    )
-    overload.add_argument(
-        "--deadline", type=float, default=2.0,
-        help="per-request deadline budget in seconds",
-    )
-    overload.set_defaults(func=_cmd_overload, duration=5.0)
-
-    shard = subparsers.add_parser(
-        "shard",
-        parents=[seed_parent, json_parent],
-        help="semantic sharding: read scaling, message growth, rebalance",
-    )
-    shard.add_argument(
-        "--shards", default="1,2,4",
-        help="comma-separated shard counts to sweep",
-    )
-    shard.add_argument(
-        "--replicas", type=int, default=2,
-        help="replicas per shard group (fixed across the sweep)",
-    )
-    shard.add_argument(
-        "--rate-multiple", type=float, default=3.0,
-        help="offered load as a multiple of one shard group's knee",
-    )
-    shard.add_argument(
-        "--duration", type=float, default=8.0,
-        help="Poisson workload duration per point (simulated seconds)",
-    )
-    shard.add_argument(
-        "--window", type=float, default=10.0,
-        help="steady-state message-count window per point",
-    )
-    shard.add_argument(
-        "--skip-rebalance", action="store_true",
-        help="skip the shard-group-crash rebalance audit",
-    )
-    shard.set_defaults(func=_cmd_shard)
 
     check = subparsers.add_parser(
         "check",
@@ -636,6 +456,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "last", 0) < 0:
         parser.error(f"argument --last: must be >= 0, got {args.last}")
-    if getattr(args, "queue_bound", None) == 0:
-        args.queue_bound = None
     return args.func(args)

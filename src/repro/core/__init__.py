@@ -10,7 +10,6 @@ from .autoscale import AutoscaleSpec, AutoscalingGroup, AutoscalePolicy
 from .bpeer import BPeer, ExecReply, ExecRequest
 from .bpeer_group import BPeerGroup, deploy_bpeer_group, semantic_advertisement_for
 from .breaker import BreakerSpec, CircuitBreaker
-from .campaign import CampaignReport, FaultCampaign
 from .config import ScenarioConfig
 from .dispatch import (
     DispatchPolicy,
@@ -51,14 +50,12 @@ __all__ = [
     "CircuitOpenError",
     "ResultCacheSpec",
     "SemanticResultCache",
-    "CampaignReport",
     "Deadline",
     "DedupJournal",
     "DeployedService",
     "DispatchPolicy",
     "JournalEntry",
     "JournalStats",
-    "FaultCampaign",
     "RetryPolicy",
     "ExecReply",
     "ExecRequest",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CampaignReport, FaultCampaign
+from repro.bench.campaign import FaultCampaign
 
 
 def _run(seed, **kwargs):
@@ -42,18 +42,3 @@ class TestInvariants:
         assert report.probes_failed == 0
         assert report.availability == 1.0
 
-
-class TestReport:
-    def test_format_lists_violations(self):
-        report = CampaignReport(seed=1, duration=10.0)
-        report.violations.append("h0: crash while already down")
-        assert not report.ok
-        text = report.format()
-        assert "INVARIANT VIOLATIONS" in text
-        assert "crash while already down" in text
-
-    def test_format_reports_clean_run(self):
-        report = CampaignReport(seed=1, duration=10.0, probes_ok=20)
-        assert report.ok
-        assert report.availability == 1.0
-        assert "all hold" in report.format()

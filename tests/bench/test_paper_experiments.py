@@ -1,10 +1,16 @@
-"""The paper's four experiments: one definition each, gated like the rest.
+"""One definition of each experiment, gated like the rest.
 
-``repro.bench.paper.run_*`` is what the CLI prints, what
-``benchmarks/test_<x>.py`` asserts on and what EXPERIMENTS.md tabulates;
-these tests hold the three together at the smallest sizes.
+``repro.bench.paper.run_*`` (the paper's four) and the extensions'
+``run_campaign`` / ``run_exactly_once`` / ``run_overload`` / ``run_shard``
+are what the CLI prints, what ``benchmarks/test_<x>.py`` asserts on and
+what EXPERIMENTS.md tabulates; these tests hold the three together — the
+paper's four at their smallest sizes, the extensions at the one size they
+have, each run once, through ``python -m repro <name> --json``.
 """
 
+import contextlib
+import functools
+import io
 import json
 import pathlib
 import re
@@ -24,18 +30,45 @@ SMALLEST = {
     "availability": dict(replicas=2, duration=60.0),
 }
 
+#: Gated with no smaller size: each runs in seconds at full size.
+EXTENSIONS = ("campaign", "exactly-once", "overload", "shard")
 
-@pytest.fixture(scope="module", params=sorted(SMALLEST))
+
+@functools.cache
+def cli_json(name):
+    """``python -m repro <name> --json`` once: the exit code, the record it
+    printed and the record its runner returned."""
+    run = _GATED[name][0]
+    returned = []
+
+    def spy(**kwargs):
+        returned.append(run(**kwargs))
+        return returned[-1]
+
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_GATED, name, (spy,) + _GATED[name][1:])
+        with contextlib.redirect_stdout(printed):
+            code = main([name, "--json"])
+    return code, json.loads(printed.getvalue()), returned[0]
+
+
+@pytest.fixture(scope="module", params=sorted(SMALLEST) + list(EXTENSIONS))
 def experiment(request):
     name = request.param
-    return name, getattr(paper, f"run_{name}")(**SMALLEST[name])
+    if name in SMALLEST:
+        return name, _GATED[name][0](**SMALLEST[name])
+    return name, cli_json(name)[2]
 
 
 class TestRecords:
     def test_smallest_size_passes_its_gates(self, experiment):
         name, record = experiment
         assert record["schema"] == f"repro-{name}/1"
-        assert record["seed"] == 42
+        if "seed" in record:
+            assert record["seed"] == 42
+        else:  # a seed set, like saga's
+            assert record["seeds"] == [7, 11, 42]
         assert record["assertions"] and record["ok"]
         assert check_record(record, name) == []
         json.dumps(record)  # what --json prints
@@ -48,7 +81,7 @@ class TestRecords:
 
     def test_formatter_ends_with_the_assertions_footer(self, experiment):
         name, record = experiment
-        text = getattr(paper, f"format_{name}")(record)
+        text = _GATED[name][1](record)
         assert text.splitlines()[-1].startswith("assertions: ")
         assert "FAIL" not in text
 
@@ -73,6 +106,32 @@ class TestOneAnswer:
         assert "rtt assertion failed: service_rtt_low_milliseconds" in (
             capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("name", EXTENSIONS)
+    def test_cli_json_prints_exactly_the_record(self, name):
+        code, printed, returned = cli_json(name)
+        assert code == 0
+        assert printed == returned
+
+    def test_campaign_runs_the_documented_90s_fault_load(self):
+        """At the parent ``overload``'s ``set_defaults(duration=5.0)``
+        rewrote the ``--duration`` both commands shared: ``repro campaign``
+        ran 5 s campaigns that injected no crash at all."""
+        _code, printed, _returned = cli_json("campaign")
+        campaigns = [c for row in printed["rows"] for c in row["campaigns"]]
+        assert len(campaigns) == 9
+        assert all(c["duration"] == 90.0 and c["crashes"] > 0 for c in campaigns)
+
+    @pytest.mark.parametrize("name", EXTENSIONS)
+    def test_forced_gate_exits_one_and_names_it(self, name, capsys, monkeypatch):
+        record = cli_json(name)[2]
+        gate = list(record["assertions"])[-1]
+        forced = {**record, "assertions": {**record["assertions"], gate: False}}
+        monkeypatch.setitem(
+            _GATED, name, (lambda **kwargs: forced,) + _GATED[name][1:]
+        )
+        assert main([name]) == 1
+        assert f"{name} assertion failed: {gate}" in capsys.readouterr().out
 
 
 class TestRegistration:

@@ -38,6 +38,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", flag])
 
+    def test_no_set_defaults_rewrites_an_action_another_command_shares(self):
+        """argparse hands every subparser built with ``parents=`` the parent's
+        action *objects*, and ``set_defaults`` writes into the action: at
+        the parent, ``overload``'s ``duration=5.0`` became ``campaign``'s
+        (documented 90 s), so ``repro campaign`` injected no crash."""
+        commands = next(
+            action for action in build_parser()._actions if action.choices
+        ).choices
+        for name, command in commands.items():
+            for action in command._actions:
+                if action.dest not in command._defaults:
+                    continue
+                sharers = [
+                    other for other, parser in commands.items()
+                    if other != name and any(a is action for a in parser._actions)
+                ]
+                assert not sharers, (name, action.dest, sharers)
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--duration", "90"], ["campaign", "--replicas", "4"],
+        ["campaign", "--mtbf", "5"], ["campaign", "--mttr", "10"],
+        ["campaign", "--partitions", "2"],
+        ["campaign", "--partition-duration", "6"],
+        ["campaign", "--workload", "enroll"], ["campaign", "--loss", "0.01"],
+        ["overload", "--duration", "5"], ["overload", "--rates", "125,250"],
+        ["overload", "--replicas", "4"], ["overload", "--dispatch", "qos"],
+        ["overload", "--queue-bound", "0"], ["overload", "--deadline", "2"],
+        ["shard", "--shards", "1,4"], ["shard", "--replicas", "2"],
+        ["shard", "--rate-multiple", "3"], ["shard", "--duration", "4"],
+        ["shard", "--window", "5"], ["shard", "--skip-rebalance"],
+    ], ids=" ".join)
+    def test_experiment_knobs_are_not_flags(self, argv):
+        """Each experiment is one definition: its benchmark file's
+        parameters, not a second set the command line can vary."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_fig4_runs_small(self, capsys):
