@@ -18,11 +18,12 @@ bench:
 bench-verbose:
 	pytest benchmarks/ --benchmark-only -s
 
-# The CI tier of the paper's experiments: the benchmark files whose gates
-# are the reproduction's claims (Figure 4, availability, overload,
-# exactly-once, failover RTT).
+# The CI tier of the paper's experiments and the extensions: every
+# benchmark file, so every gate of the reproduction's claims runs in CI
+# (Figure 4, RTT, availability, scalability, the ablations, the
+# maintenance trade-off, overload, exactly-once, sharding, ...).
 benchmark-smoke:
-	pytest benchmarks -q -k "fig4 or availability or overload or exactly_once or rtt_failover" $(PYTEST_TIMEOUT)
+	pytest benchmarks -q $(PYTEST_TIMEOUT)
 
 examples:
 	python examples/quickstart.py
@@ -71,11 +72,10 @@ export-pins:
 shard:
 	python -m repro shard
 
-# The CI tier: the sharding experiment itself (the sweep and the rebalance
-# audit, exit 1 if a gate fails — ~8 s) and a cross-shard
-# schedule-exploration pass.
+# The CI tier: a cross-shard schedule-exploration pass.  The sharding
+# record itself is gated by benchmarks/test_sharding.py, which
+# benchmark-smoke runs.
 shard-smoke:
-	python -m repro shard
 	python -m repro check --shards 2 --seeds 1 --schedules 5 --timeout 300
 
 # Multi-region WAN benchmark: gossip convergence vs the O(log N) bound,
@@ -85,10 +85,10 @@ shard-smoke:
 wan:
 	python -m repro wan --out BENCH_wan.json
 
-# The CI tier: reduced sweeps, same assertions (exit 1 on any failure),
+# The CI tier: the committed definition (exit 1 on any failed gate),
 # plus a region-partition schedule-exploration pass.
 wan-smoke:
-	python -m repro wan --smoke --out bench-wan-smoke.json
+	python -m repro wan --out bench-wan-smoke.json
 	python -m repro check --regions 2 --seeds 1 --schedules 5 --timeout 300
 
 # Saga benchmark: availability, p99, and compensation correctness of the
@@ -98,14 +98,14 @@ wan-smoke:
 saga:
 	python -m repro saga --out BENCH_saga.json
 
-# The CI tier: single-seed bench with the full assertion set, a random
-# saga schedule-exploration pass, the compensation-off self-test (the
+# The CI tier: the committed bench definition, a random saga
+# schedule-exploration pass, the compensation-off self-test (the
 # atomicity audit must catch, shrink, and replay the violation), a
 # standalone --replay of the file it wrote (the one replay path picks
 # the saga scenario from the file's format field), and the
 # dead-letter-queue park + requeue demo.
 saga-smoke:
-	python -m repro saga --smoke --out bench-saga-smoke.json
+	python -m repro saga --out bench-saga-smoke.json
 	python -m repro check --saga --seeds 1 --schedules 5 --timeout 300
 	python -m repro check --saga --self-test --timeout 300 --out saga-self-test-repro.json
 	python -m repro check --replay saga-self-test-repro.json
@@ -118,12 +118,12 @@ saga-smoke:
 capacity:
 	python -m repro capacity --out BENCH_capacity.json
 
-# The CI tier: the smoke bench with the full assertion set, a
+# The CI tier: the committed bench definition, a
 # scale-op-enabled schedule-exploration pass, and the capacity
 # conformance test suites (autoscale properties, breaker transition
 # table, result-cache semantics, record gating).
 capacity-smoke:
-	python -m repro capacity --smoke --out bench-capacity-smoke.json
+	python -m repro capacity --out bench-capacity-smoke.json
 	python -m repro check --capacity --seeds 1 --schedules 25 --timeout 300
 	pytest tests/properties/test_prop_autoscale.py tests/core/test_breaker.py \
 		tests/core/test_rescache.py tests/bench/test_capacity.py -q
@@ -181,7 +181,7 @@ census:
 	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
 	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
 	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
-	for command in fig4 rtt failover availability campaign exactly-once overload trace metrics \
+	for command in fig4 rtt failover availability campaign exactly-once overload shard trace metrics \
 		"trace --json" "metrics --json" "metrics --csv"; do \
 		python -m repro $$command >/dev/null; \
 	done; \

@@ -39,13 +39,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..check.invariants import (
-    announced_epoch_violations,
-    convergence_violations,
-    effect_totals,
-    exactly_once_violations,
-    stale_result_violations,
-)
+from ..check.invariants import InvariantRegistry, effect_totals
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 from ..soap.client import SoapClient
@@ -331,27 +325,18 @@ class FaultCampaign:
         }
 
     def _audit(self, report: CampaignReport) -> None:
-        """Post-run safety audit over the shared invariant functions.
-
-        The checkers themselves live in :mod:`repro.check.invariants` so
-        the schedule-exploration checker and the fault campaign judge a
-        run by the *same* definitions — a violation either harness finds
-        is a violation to the other.
+        """Post-run safety audit: crash/restart alternation, then the
+        schedule checker's own registry, so the checker and the campaign
+        judge a run by the *same* invariants — a violation either harness
+        finds is a violation to the other.  The registry's queue-bound,
+        autoscale, breaker and cache checks are vacuous here: a campaign
+        deploys none of them.  Convergence (the final check) only means
+        anything once the cooldown has settled, which it has by now.
         """
-        peers = self.service.all_peers()
-        violations = report.violations
-        violations.extend(self.system.failures.alternation_violations())
-        violations.extend(announced_epoch_violations(peers))
-        violations.extend(stale_result_violations(self.service.proxy))
-        # Exactly-once: no invocation id may appear more than once across
-        # every backend's effect ledger.
-        violations.extend(exactly_once_violations(peers))
-        # Convergence only means anything after the cooldown settled, and
-        # applies within each shard group (each elects its own coordinator).
-        groups = self.service.all_groups()
-        for group in groups:
-            label = group.name if len(groups) > 1 else ""
-            violations.extend(convergence_violations(group.peers, group=label))
+        registry = InvariantRegistry()
+        report.violations.extend(self.system.failures.alternation_violations())
+        report.violations.extend(registry.check_step(self.service))
+        report.violations.extend(registry.check_final(self.service))
 
 
 # -- the experiments -------------------------------------------------------------------

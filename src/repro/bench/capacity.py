@@ -23,7 +23,7 @@ cool-down → quiet evening:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..backend.datasets import student_database
 from ..backend.services import ServiceImplementation, student_lookup_operational
@@ -104,25 +104,20 @@ class Phase:
         return factory
 
 
-def diurnal_phases(scale: str = "full") -> Tuple[Phase, ...]:
+def diurnal_phases() -> Tuple[Phase, ...]:
     """The trace: quiet → stepped ramp → peak → read-heavy → quiet.
 
     The ramp rises in steps (as diurnal load does) rather than jumping
     straight to the peak: a reactive controller can only avoid deep
     queues if demand grows no faster than one scaling decision per step.
-    Smoke halves only the heavy phases (peak, read-heavy): the ramp
-    steps *are* the adaptation window, and the quiet phases are where
-    elasticity pays — shrinking either skews the transient's weight or
-    the replica-hours ratio, while costing almost nothing to keep.
     """
-    stretch = 1.0 if scale == "full" else 0.5
     return (
         Phase("quiet-am", rate=30.0, duration=12.0, key_space=200),
         Phase("ramp-1", rate=80.0, duration=3.0, key_space=1000),
         Phase("ramp-2", rate=140.0, duration=3.0, key_space=1000),
         Phase("ramp-3", rate=200.0, duration=3.0, key_space=1000),
-        Phase("peak", rate=250.0, duration=10.0 * stretch, key_space=STUDENTS),
-        Phase("read-heavy", rate=80.0, duration=10.0 * stretch, key_space=8),
+        Phase("peak", rate=250.0, duration=10.0, key_space=STUDENTS),
+        Phase("read-heavy", rate=80.0, duration=10.0, key_space=8),
         Phase("quiet-pm", rate=30.0, duration=12.0, key_space=200),
     )
 
@@ -320,13 +315,9 @@ def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
     }
 
 
-def run_capacity(
-    scale: str = "full",
-    seed: int = 42,
-    progress: Progress = quiet,
-) -> Dict[str, Any]:
-    """The full adaptive-capacity measurement; the BENCH_capacity record."""
-    phases = diurnal_phases(scale)
+def run_capacity(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
+    """The adaptive-capacity measurement; the BENCH_capacity record."""
+    phases = diurnal_phases()
     progress("diurnal trace, autoscaled (2..6 replicas + breaker + cache) ...")
     autoscaled = run_diurnal("autoscaled", phases, seed=seed)
     progress(f"diurnal trace, static-max ({MAX_REPLICAS} replicas) ...")
@@ -358,7 +349,6 @@ def run_capacity(
         ),
     }
     body = {
-        "scale": scale,
         "seed": seed,
         "autoscaled": autoscaled,
         "static_max": static,

@@ -18,13 +18,12 @@ crash for good measure.  Per seed the bench reports:
   which must strand partial effects (registered-but-never-funded loans)
   — the measured cost of not having the saga layer.
 
-``python -m repro saga`` writes the record to ``BENCH_saga.json``;
-``make saga-smoke`` runs the single-seed variant CI uploads.
+``python -m repro saga`` writes the record to ``BENCH_saga.json``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..check.saga import (
     ORCHESTRATOR_HOST,
@@ -40,6 +39,7 @@ from .stats import percentile
 __all__ = ["run_saga_bench", "format_record"]
 
 SEEDS = (7, 11, 42)
+SAGAS_PER_SEED = 24
 LOSS_RATE = 0.01
 
 
@@ -47,7 +47,7 @@ def _fault_schedule(decisions: int, label: str) -> Schedule:
     """Orchestrator crashes at commit boundaries + one coordinator kill.
 
     Decisions are aimed as fractions of the clean run's decision count,
-    so the same recipe lands mid-workload at every seed and scale; the
+    so the same recipe lands mid-workload at every seed; the
     ``pre-commit`` point pins the orchestrator crashes to the instant a
     b-peer is about to apply a side effect — the in-doubt window the
     write-ahead saga log exists for.
@@ -75,9 +75,9 @@ def _fault_schedule(decisions: int, label: str) -> Schedule:
     )
 
 
-def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
+def _seed_result(seed: int) -> Dict[str, Any]:
     """One seed's measurement: clean run, faulted run, stranded baseline."""
-    scenario = SagaCheckScenario(seed=seed, sagas=sagas, loss_rate=LOSS_RATE)
+    scenario = SagaCheckScenario(seed=seed, sagas=SAGAS_PER_SEED, loss_rate=LOSS_RATE)
     clean = run_saga_schedule(scenario, Schedule(label=f"seed{seed}/clean"))
     schedule = _fault_schedule(clean.decisions, f"seed{seed}/faults")
     faulted = run_saga_schedule(scenario, schedule)
@@ -90,12 +90,12 @@ def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
     def digestible(run: SagaRunResult) -> Dict[str, Any]:
         solvent = [
             f"loan-{index:04d}"
-            for index in range(sagas)
+            for index in range(SAGAS_PER_SEED)
             if not loan_saga_context(scenario, index)["insolvent"]
         ]
         insolvent = [
             f"loan-{index:04d}"
-            for index in range(sagas)
+            for index in range(SAGAS_PER_SEED)
             if loan_saga_context(scenario, index)["insolvent"]
         ]
         solvent_submitted = [s for s in solvent if s in run.saga_states]
@@ -144,20 +144,12 @@ def _seed_result(seed: int, sagas: int) -> Dict[str, Any]:
     }
 
 
-def run_saga_bench(
-    scale: str = "full",
-    seeds: Optional[Sequence[int]] = None,
-    progress: Progress = quiet,
-) -> Dict[str, Any]:
-    """The full saga measurement; returns the BENCH_saga record dict."""
-    if seeds is None:
-        seeds = SEEDS[:1] if scale == "smoke" else SEEDS
-    sagas = 10 if scale == "smoke" else 24
-
+def run_saga_bench(progress: Progress = quiet) -> Dict[str, Any]:
+    """The saga measurement; returns the BENCH_saga record dict."""
     results: List[Dict[str, Any]] = []
-    for seed in seeds:
+    for seed in SEEDS:
         progress(f"seed {seed}: clean + faulted + no-compensation baseline ...")
-        results.append(_seed_result(seed, sagas))
+        results.append(_seed_result(seed))
 
     assertions = {
         # The headline guarantee: with compensation on, the atomicity
@@ -188,9 +180,8 @@ def run_saga_bench(
         ),
     }
     body = {
-        "scale": scale,
-        "seeds": list(seeds),
-        "sagas_per_seed": sagas,
+        "seeds": list(SEEDS),
+        "sagas_per_seed": SAGAS_PER_SEED,
         "loss_rate": LOSS_RATE,
         "results": results,
     }

@@ -324,29 +324,16 @@ def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
     }
 
 
-def run_wan(
-    scale: str = "full",
-    seed: int = 42,
-    progress: Progress = quiet,
-) -> Dict[str, Any]:
-    """The full WAN measurement; returns the BENCH_wan record dict."""
-    if scale == "smoke":
-        region_counts: Sequence[int] = (2, 3)
-        fanouts: Sequence[int] = (1, 2)
-        economy_window, latency_samples = 15.0, 10
-    else:
-        region_counts = (2, 3, 4, 6, 8)
-        fanouts = (1, 2, 3, 4)
-        economy_window, latency_samples = 30.0, 30
-
+def run_wan(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
+    """The WAN measurement; returns the BENCH_wan record dict."""
     progress("convergence sweep ...")
-    convergence = run_convergence(region_counts, seed=seed)
+    convergence = run_convergence(seed=seed)
     progress("staleness-vs-fanout sweep ...")
-    staleness = run_staleness(fanouts, seed=seed)
+    staleness = run_staleness(seed=seed)
     progress("message economy (gossip vs flood) ...")
-    economy = run_message_economy(seed=seed, window=economy_window)
+    economy = run_message_economy(seed=seed)
     progress("nearest-region latency ...")
-    latency = run_latency(seed=seed, samples=latency_samples)
+    latency = run_latency(seed=seed)
     progress("figure-4 byte-identity guard ...")
     fig4 = run_fig4_guard(seed=seed)
 
@@ -362,7 +349,6 @@ def run_wan(
         "fig4_byte_identical": fig4["identical"],
     }
     body = {
-        "scale": scale,
         "seed": seed,
         "convergence": [point.to_dict() for point in convergence],
         "staleness": [point.to_dict() for point in staleness],

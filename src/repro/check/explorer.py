@@ -48,9 +48,16 @@ from ..core.topology import Topology
 from ..simnet.events import Interrupt
 from ..soap.fault import SoapFault
 from .faults import DecisionFaultInjector
-from .invariants import InvariantRegistry
-from .saga import ORCHESTRATOR_HOST, SagaCheckScenario, SagaRunResult
-from .schedule import FaultOp, Schedule, random_schedule
+from .invariants import InvariantRegistry, effect_totals
+from .saga import ORCHESTRATOR_HOST, SETTLE as SAGA_SETTLE, SagaCheckScenario, SagaRunResult
+from .schedule import (
+    HEARTBEAT_INTERVAL,
+    MISS_THRESHOLD,
+    SLICE_SECONDS,
+    FaultOp,
+    Schedule,
+    random_schedule,
+)
 from .tiebreak import build_tiebreak
 
 __all__ = [
@@ -68,6 +75,18 @@ __all__ = [
 ]
 
 
+#: The enroll deployment every :class:`CheckScenario` explores: three
+#: replicas over 40 students, each member's admission capped at 4.
+REPLICAS = 3
+STUDENTS = 40
+QUEUE_BOUND = 4
+#: The open-loop probe driver: one EnrollStudent every 0.4 s, each attempt
+#: timing out after 1.5 s inside an 8 s budget.
+PROBE_PERIOD = 0.4
+PROBE_TIMEOUT = 1.5
+PROBE_BUDGET = 8.0
+
+
 @dataclass(frozen=True)
 class CheckScenario:
     """The fixed half of an explored run (the schedule is the other half).
@@ -79,23 +98,15 @@ class CheckScenario:
     one of them is.  ``load_sharing`` stays off so the queue-bound audit
     sees the coordinator-only admission ledger the bound governs.
     ``shards`` and ``regions`` are mutually exclusive axes (the system
-    does not support sharded multi-region deployments).
+    does not support sharded multi-region deployments).  What no caller
+    varies is a module constant; ``settle``, ``probe_duration`` and
+    ``cooldown`` are fields because tests shorten them.
     """
 
     seed: int = 0
-    replicas: int = 3
-    students: int = 40
-    queue_bound: Optional[int] = 4
-    heartbeat_interval: float = 0.5
-    miss_threshold: int = 2
     settle: float = 6.0
     probe_duration: float = 12.0
-    probe_period: float = 0.4
-    probe_timeout: float = 1.5
-    probe_budget: float = 8.0
     cooldown: float = 12.0
-    #: Invariants are re-audited every this many simulated seconds.
-    slice_seconds: float = 0.5
     epoch_fencing: bool = True
     #: Federated shard groups for the enroll service; 1 keeps the
     #: deployment (and every existing repro file's digest) unchanged.
@@ -224,7 +235,7 @@ def _build_system(scenario: CheckScenario):
             # trip mid-schedule never dooms eventual rebind.
             autoscale=AutoscaleSpec(
                 min_replicas=2,
-                max_replicas=scenario.replicas + 2,
+                max_replicas=REPLICAS + 2,
                 cooldown=2.0,
                 interval=0.5,
                 drain_timeout=8.0,
@@ -239,14 +250,14 @@ def _build_system(scenario: CheckScenario):
         )
     config = ScenarioConfig(
         seed=scenario.seed,
-        heartbeat_interval=scenario.heartbeat_interval,
-        miss_threshold=scenario.miss_threshold,
+        heartbeat_interval=HEARTBEAT_INTERVAL,
+        miss_threshold=MISS_THRESHOLD,
         epoch_fencing=scenario.epoch_fencing,
-        queue_bound=scenario.queue_bound,
-        replicas=scenario.replicas,
-        students=scenario.students,
-        request_timeout=scenario.probe_timeout,
-        deadline_budget=scenario.probe_budget,
+        queue_bound=QUEUE_BOUND,
+        replicas=REPLICAS,
+        students=STUDENTS,
+        request_timeout=PROBE_TIMEOUT,
+        deadline_budget=PROBE_BUDGET,
         shards=scenario.shards,
         topology=topology,
         **capacity_specs,
@@ -267,7 +278,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
 
     injector = DecisionFaultInjector(system, service, schedule.ops)
     injector.install()
-    registry = InvariantRegistry(queue_bound=scenario.queue_bound)
+    registry = InvariantRegistry(queue_bound=QUEUE_BOUND)
     result = RunResult(hosts=sorted(injector.watched))
 
     env = system.env
@@ -279,11 +290,11 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
             yield from service.invoke(
                 "EnrollStudent",
                 {
-                    "ID": f"S{sequence % scenario.students + 1:05d}",
+                    "ID": f"S{sequence % STUDENTS + 1:05d}",
                     "course": f"C{sequence:05d}",
                 },
-                timeout=scenario.probe_timeout,
-                budget=scenario.probe_budget,
+                timeout=PROBE_TIMEOUT,
+                budget=PROBE_BUDGET,
             )
         except (SoapFault, WhisperError):
             probes["failed"] += 1
@@ -298,15 +309,15 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
         while clock < scenario.probe_duration:
             node.spawn(one_probe(sequence), name=f"check-probe-{sequence}")
             sequence += 1
-            yield env.timeout(scenario.probe_period)
-            clock += scenario.probe_period
+            yield env.timeout(PROBE_PERIOD)
+            clock += PROBE_PERIOD
 
     node.spawn(driver(), name="check-driver")
 
     horizon = env.now + scenario.probe_duration + scenario.cooldown
     violations: List[str] = []
     while env.now < horizon:
-        system.run_until(min(env.now + scenario.slice_seconds, horizon))
+        system.run_until(min(env.now + SLICE_SECONDS, horizon))
         result.timeline.append((env.now, injector.decisions))
         violations = registry.check_step(service)
         if violations:
@@ -327,9 +338,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
     if not violations:
         violations = registry.check_final(service)
         if not violations:
-            violations = _eventual_rebind_violations(
-                system, service, node, scenario
-            )
+            violations = _eventual_rebind_violations(system, service, node)
         if violations:
             result.violated_at = env.now
 
@@ -339,16 +348,13 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
     result.sim_time = env.now
     result.probes_ok = probes["ok"]
     result.probes_failed = probes["failed"]
-    result.effects_applied = sum(
-        len(peer.implementation.backend.effect_log)
-        for peer in service.all_peers()
-    )
+    result.effects_applied = sum(effect_totals(service.all_peers()).values())
     result.fired = injector.fired
     result.skipped = injector.skipped
     return result
 
 
-def _eventual_rebind_violations(system, service, node, scenario) -> List[str]:
+def _eventual_rebind_violations(system, service, node) -> List[str]:
     """Post-cooldown liveness: one probe must land within its budget.
 
     Every schedule is bounded (crashes restart, partitions heal), so
@@ -364,8 +370,8 @@ def _eventual_rebind_violations(system, service, node, scenario) -> List[str]:
             yield from service.invoke(
                 "EnrollStudent",
                 {"ID": "S00001", "course": "C-rebind-final"},
-                timeout=scenario.probe_timeout,
-                budget=scenario.probe_budget,
+                timeout=PROBE_TIMEOUT,
+                budget=PROBE_BUDGET,
             )
         except (SoapFault, WhisperError) as exc:
             outcome["error"] = f"{type(exc).__name__}: {exc}"
@@ -377,10 +383,10 @@ def _eventual_rebind_violations(system, service, node, scenario) -> List[str]:
             f"eventual-rebind: post-cooldown probe failed after "
             f"{elapsed:.3f}s ({outcome['error']})"
         ]
-    if elapsed > scenario.probe_budget:
+    if elapsed > PROBE_BUDGET:
         return [
             f"eventual-rebind: post-cooldown probe took {elapsed:.3f}s "
-            f"(> budget {scenario.probe_budget:.3f}s)"
+            f"(> budget {PROBE_BUDGET:.3f}s)"
         ]
     return []
 
@@ -836,7 +842,7 @@ def saga_self_test(
                 ops=(
                     FaultOp(
                         at_decision=_decision_near(
-                            baseline.timeline, scenario.settle + offset
+                            baseline.timeline, SAGA_SETTLE + offset
                         ),
                         action="crash",
                         target=ORCHESTRATOR_HOST,

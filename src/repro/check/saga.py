@@ -55,7 +55,13 @@ from .invariants import (
     exactly_once_violations,
     saga_atomicity_violations,
 )
-from .schedule import Schedule, random_schedule
+from .schedule import (
+    HEARTBEAT_INTERVAL,
+    MISS_THRESHOLD,
+    SLICE_SECONDS,
+    Schedule,
+    random_schedule,
+)
 from .tiebreak import build_tiebreak
 
 __all__ = [
@@ -74,6 +80,17 @@ __all__ = [
 ORCHESTRATOR_HOST = "saga-host"
 
 
+#: The loan fleet every :class:`SagaCheckScenario` deploys: two replicas
+#: per operation group, settled for 6 s before the first saga, then one
+#: saga submitted every 0.8 s.
+REPLICAS = 2
+SETTLE = 6.0
+SAGA_PERIOD = 0.8
+#: What an insolvent applicant asks for: more than the lowest credit
+#: tier's 5 000 limit covers.
+INSOLVENT_AMOUNT = 9_000.0
+
+
 @dataclass(frozen=True)
 class SagaCheckScenario:
     """The fixed half of one saga check run (the schedule is the other).
@@ -81,26 +98,20 @@ class SagaCheckScenario:
     Every fourth saga is submitted for an insolvent applicant (lowest
     credit tier, amount above it), so the compensation path is exercised
     on every run — the atomicity audit always has material, even under a
-    baseline schedule.
+    baseline schedule.  What no caller varies is a module constant;
+    ``cooldown`` is a field because tests shorten it.
     """
 
     seed: int = 0
-    replicas: int = 2
     sagas: int = 10
     #: Every ``insolvent_every``-th saga targets an applicant whose
-    #: credit tier cannot cover :attr:`insolvent_amount`.
+    #: credit tier cannot cover :data:`INSOLVENT_AMOUNT`.
     insolvent_every: int = 4
     solvent_amount: float = 1_000.0
-    insolvent_amount: float = 9_000.0
-    saga_period: float = 0.8
     step_timeout: float = 1.5
     step_budget: float = 6.0
     compensation_attempts: int = 3
-    heartbeat_interval: float = 0.5
-    miss_threshold: int = 2
-    settle: float = 6.0
     cooldown: float = 12.0
-    slice_seconds: float = 0.5
     compensation_enabled: bool = True
     #: Network-wide message loss applied once the workload starts (the
     #: settle window stays clean so deployment is identical across runs).
@@ -319,7 +330,7 @@ def loan_saga_context(scenario: SagaCheckScenario, index: int) -> Dict[str, Any]
     )
     if insolvent:
         applicant = f"APP-{(index % 8) * 4:04d}"
-        amount = scenario.insolvent_amount
+        amount = INSOLVENT_AMOUNT
     else:
         applicant = f"APP-{(index % 8) * 4 + 1 + (index % 3):04d}"
         amount = scenario.solvent_amount
@@ -339,14 +350,14 @@ def _deploy_loans(scenario: SagaCheckScenario) -> Tuple[WhisperSystem, Dict[str,
     system = WhisperSystem(
         ScenarioConfig(
             seed=scenario.seed,
-            heartbeat_interval=scenario.heartbeat_interval,
-            miss_threshold=scenario.miss_threshold,
-            replicas=scenario.replicas,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+            miss_threshold=MISS_THRESHOLD,
+            replicas=REPLICAS,
             request_timeout=scenario.step_timeout,
             deadline_budget=scenario.step_budget,
         )
     )
-    services, fleet = build_loan_fleet(system, scenario.replicas)
+    services, fleet = build_loan_fleet(system, REPLICAS)
     return system, services, fleet
 
 
@@ -372,7 +383,7 @@ def run_saga_schedule(
     """
     system, services, fleet = _deploy_loans(scenario)
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
-    system.settle(scenario.settle)
+    system.settle(SETTLE)
     if scenario.loss_rate:
         system.network.loss_rate = scenario.loss_rate
 
@@ -431,16 +442,16 @@ def run_saga_schedule(
                 )
                 active[saga_id] = process
                 submitted["count"] += 1
-            yield env.timeout(scenario.saga_period)
+            yield env.timeout(SAGA_PERIOD)
 
     client.spawn(driver(), name="saga-driver")
 
-    horizon = env.now + scenario.sagas * scenario.saga_period + scenario.cooldown
+    horizon = env.now + scenario.sagas * SAGA_PERIOD + scenario.cooldown
     hard_stop = horizon + 10 * scenario.cooldown
     seen_crashes = host.crash_count
     violations: List[str] = []
     while env.now < horizon:
-        system.run_until(min(env.now + scenario.slice_seconds, horizon))
+        system.run_until(min(env.now + SLICE_SECONDS, horizon))
         result.timeline.append((env.now, injector.decisions))
         # Restart-driven recovery: when the orchestrator host has crashed
         # since the last slice and is back up, a *fresh* orchestrator
@@ -542,7 +553,7 @@ def run_dlq_demo(
         compensation_attempts=2,
     )
     system, services, fleet = _deploy_loans(scenario)
-    system.settle(scenario.settle)
+    system.settle(SETTLE)
     env = system.env
 
     cancel_hosts = [
@@ -575,7 +586,7 @@ def run_dlq_demo(
                 orchestrator.execute(saga, context, saga_id=f"loan-{index:04d}"),
                 name=f"saga-loan-{index:04d}",
             )
-            yield env.timeout(scenario.saga_period)
+            yield env.timeout(SAGA_PERIOD)
 
     client.spawn(driver(), name="dlq-driver")
     deadline = env.now + outage + 60.0

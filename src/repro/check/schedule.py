@@ -24,6 +24,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["FaultOp", "Schedule", "random_schedule", "ACTIONS"]
 
+#: What every checked deployment shares, whichever scenario it runs: a
+#: fast failure detector (0.5 s heartbeats, suspicion after 2 misses), so
+#: a fault's failover fits a short run, and an invariant audit after
+#: every half second of simulated time.
+HEARTBEAT_INTERVAL = 0.5
+MISS_THRESHOLD = 2
+SLICE_SECONDS = 0.5
+
 #: Every fault action a schedule may carry.  ``drop`` consumes the
 #: decision itself (the message is discarded); the rest mutate the world
 #: and let the decision proceed.  ``*-coordinator`` resolve their victim

@@ -15,9 +15,9 @@
                           [--replay FILE] [--out FILE] [--json]
     python -m repro trace [--samples 20] [--crash] [--last 5] [--json]
     python -m repro metrics [--samples 50] [--crash] [--json | --csv]
-    python -m repro wan [--smoke] [--out BENCH_wan.json] [--json]
-    python -m repro saga [--smoke] [--out BENCH_saga.json] [--json]
-    python -m repro capacity [--smoke] [--out BENCH_capacity.json] [--json]
+    python -m repro wan [--out BENCH_wan.json] [--json]
+    python -m repro saga [--out BENCH_saga.json] [--json]
+    python -m repro capacity [--out BENCH_capacity.json] [--json]
     python -m repro dlq [--sagas 3] [--requeue] [--json]
 
 Each subcommand prints the same tables the corresponding benchmark
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json as json_module
+import sys
 from typing import List, Optional, Tuple
 
 from .bench import (
@@ -48,14 +49,15 @@ from .bench import (
     wan,
 )
 from .bench.harness import check_record, quiet
-from .core import ScenarioConfig, WhisperSystem
+from .core import ScenarioConfig, UnsupportedScenarioError, WhisperSystem
 from .soap import RequestTimeout, SoapFault
 
 __all__ = ["main"]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Schedule exploration: 0 = clean, 1 = counterexample, 2 = checker broken."""
+    """Schedule exploration: 0 = clean, 1 = counterexample, 2 = checker
+    broken or a usage error (one line on stderr)."""
     from .check import (
         CheckScenario,
         SagaCheckScenario,
@@ -64,6 +66,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
         saga_self_test,
         self_test,
     )
+
+    # The axis flags shape the explored enroll scenario; no other mode
+    # reads them, so naming one there is a mistake, not a no-op.
+    axes = [flag for flag, given in (
+        ("--shards", args.shards != 1),
+        ("--regions", args.regions != 1),
+        ("--capacity", args.capacity),
+    ) if given]
+    modes = [flag for flag, given in (
+        ("--replay", args.replay),
+        ("--self-test", args.self_test),
+        ("--saga", args.saga),
+    ) if given]
+    if axes and modes:
+        return _usage_error(
+            f"{modes[0]} does not read {' / '.join(axes)}: the axis flags "
+            f"shape only the explored enroll scenario"
+        )
 
     if args.replay:
         ok, result, expected = replay_repro(args.replay)
@@ -128,12 +148,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         time_budget=args.timeout,
         repro_path=args.out,
     )
-    report = explorer.explore()
+    try:
+        report = explorer.explore()
+    except UnsupportedScenarioError as error:
+        # Raised by the first deployment, before any schedule has run.
+        return _usage_error(str(error))
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2))
     else:
         print(report.format())
     return 0 if report.clean else 1
+
+
+def _usage_error(message: str) -> int:
+    print(f"repro check: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _observed_run(
@@ -218,12 +247,12 @@ _GATED = {
     "availability": (paper.run_availability, paper.format_availability,
                      ("seed", "replicas", "duration"),
                      "availability under churn vs replication degree"),
-    "wan": (wan.run_wan, wan.format_record, ("seed", "scale"),
+    "wan": (wan.run_wan, wan.format_record, ("seed",),
             "multi-region gossip: convergence, staleness, message economy"),
-    "saga": (saga.run_saga_bench, saga.format_record, ("scale",),
+    "saga": (saga.run_saga_bench, saga.format_record, (),
              "saga bench: availability + atomicity under faults, vs the "
              "no-compensation baseline"),
-    "capacity": (capacity.run_capacity, capacity.format_record, ("seed", "scale"),
+    "capacity": (capacity.run_capacity, capacity.format_record, ("seed",),
                  "adaptive capacity: diurnal trace, autoscaled vs static-max, "
                  "plus breaker drill and cache gates"),
     "campaign": (campaign.run_campaign, campaign.format_campaign, (),
@@ -240,8 +269,7 @@ _GATED = {
 }
 
 #: The option each of those keyword arguments is read from (``seed`` is the
-#: shared parent).  A bench with a ``scale`` also takes ``--out``: its
-#: record is a committed ``BENCH_<name>.json``.
+#: shared parent).
 _GATED_OPTIONS = {
     "max_peers": ("--max-peers", dict(type=int, default=16)),
     "samples": ("--samples", dict(type=int, default=200)),
@@ -251,10 +279,11 @@ _GATED_OPTIONS = {
         help="largest replication degree swept (1, 2, 4, 6 up to this)")),
     "duration": ("--duration", dict(
         type=float, default=180.0, help="run length in simulated seconds")),
-    "scale": ("--smoke", dict(
-        dest="scale", action="store_const", const="smoke", default="full",
-        help="the CI tier: reduced sweeps, same assertions")),
 }
+
+#: The benches whose record is committed as ``BENCH_<name>.json``; each
+#: also takes ``--out``.
+_KEPT_RECORDS = ("wan", "saga", "capacity")
 
 
 def _gated_bench(args: argparse.Namespace) -> int:
@@ -342,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             if keyword in _GATED_OPTIONS:
                 flag, spec = _GATED_OPTIONS[keyword]
                 bench.add_argument(flag, **spec)
-        if "scale" in keywords:
+        if name in _KEPT_RECORDS:
             bench.add_argument(
                 "--out", default=f"BENCH_{name}.json",
                 help=f"where to write the {name} record",

@@ -15,7 +15,6 @@ from .dispatch import (
     DispatchPolicy,
     LeastOutstandingDispatch,
     MemberLoad,
-    QosWeightedDispatch,
     RoundRobinDispatch,
     dispatch_policy,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "InvokeResult",
     "LeastOutstandingDispatch",
     "MemberLoad",
-    "QosWeightedDispatch",
     "RoundRobinDispatch",
     "GroupMatch",
     "InvocationFailedError",

@@ -17,8 +17,8 @@ requests over the members (§4.1: "the redundancy mechanism of Whisper
 makes possible to also address scalability requirements through
 load-sharing"), with members answering the proxy directly.  *Which*
 member gets each request is a pluggable
-:class:`~repro.core.dispatch.DispatchPolicy` (blind round-robin,
-least-outstanding, or QoS-weighted); with a ``queue_bound`` set, the
+:class:`~repro.core.dispatch.DispatchPolicy` (blind round-robin or
+least-outstanding); with a ``queue_bound`` set, the
 coordinator additionally runs admission control — when every eligible
 member is at its bound the request is *shed* with a ``busy`` reply
 carrying a retry-after hint, instead of queueing without limit.

@@ -56,7 +56,7 @@ class ScenarioConfig:
     #: Spread requests over members (§4.1) instead of coordinator-only.
     load_sharing: bool = False
     #: Dispatch policy name or instance (see :mod:`repro.core.dispatch`):
-    #: ``round-robin``, ``least-outstanding``, or ``qos``.
+    #: ``round-robin`` or ``least-outstanding``.
     dispatch: Union[str, Any, None] = "round-robin"
     #: Per-member cap on dispatched-but-unfinished requests.  ``None``
     #: keeps the seed's unbounded queues; with a bound, the coordinator

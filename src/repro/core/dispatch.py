@@ -8,17 +8,12 @@ saturation: slow members accumulate backlog while fast members idle.
 
 This module makes the coordinator's choice a policy object, in the spirit
 of the CERN peer-group line of work (adaptive member selection from
-observed load) and the QoS-selection literature (weighted member ranking):
+observed load):
 
 * :class:`RoundRobinDispatch` — the paper-faithful blind rotation;
 * :class:`LeastOutstandingDispatch` — pick the member with the fewest
   requests in flight (adaptive capacity: a slow or struggling member
-  naturally receives less work);
-* :class:`QosWeightedDispatch` — rank members by their reported QoS
-  profile (time/cost/reliability, reusing
-  :class:`~repro.qos.selection.QosSelector`) with the advertised time
-  inflated by current backlog, so selection is both quality- and
-  load-aware.
+  naturally receives less work).
 
 Policies see only what a coordinator can actually know: the current group
 view and a per-member :class:`MemberLoad` ledger fed by dispatch
@@ -30,18 +25,16 @@ by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..p2p.ids import PeerId
 from ..qos.metrics import QosMetrics
-from ..qos.selection import QosSelector
 
 __all__ = [
     "MemberLoad",
     "DispatchPolicy",
     "RoundRobinDispatch",
     "LeastOutstandingDispatch",
-    "QosWeightedDispatch",
     "dispatch_policy",
     "DISPATCH_POLICIES",
 ]
@@ -131,59 +124,10 @@ class LeastOutstandingDispatch(DispatchPolicy):
         )
 
 
-class QosWeightedDispatch(DispatchPolicy):
-    """Rank members by reported QoS, inflated by current backlog.
-
-    Each member's effective response time is its reported QoS time scaled
-    by ``1 + outstanding`` (an M/M/1-ish expected-wait proxy); the
-    member ranking then reuses the §2.4 SAW selector over
-    time/cost/reliability, so an unreliable-but-idle member can still
-    lose to a reliable one with a short queue.
-    """
-
-    name = "qos"
-
-    #: Prior for members that have not reported yet.  ``QosMetrics`` is
-    #: frozen, so the shared default cannot be corrupted in place; a
-    #: per-instance override goes through the constructor.
-    DEFAULT_QOS = QosMetrics(time=0.05, cost=1.0, reliability=1.0)
-
-    def __init__(
-        self,
-        selector: Optional[QosSelector] = None,
-        default_qos: Optional[QosMetrics] = None,
-    ):
-        self.selector = selector or QosSelector()
-        self._default_qos = default_qos if default_qos is not None else self.DEFAULT_QOS
-
-    @property
-    def default_qos(self) -> QosMetrics:
-        """The (immutable) prior used for members with no report yet."""
-        return self._default_qos
-
-    def choose(
-        self, members: Sequence[PeerId], load: Dict[PeerId, MemberLoad]
-    ) -> Optional[PeerId]:
-        if not members:
-            return None
-        candidates: Dict[PeerId, QosMetrics] = {}
-        for member in members:
-            state = load.get(member)
-            qos = state.qos if state is not None and state.qos is not None else self.default_qos
-            outstanding = state.outstanding if state is not None else 0
-            candidates[member] = QosMetrics(
-                time=qos.time * (1 + outstanding),
-                cost=qos.cost,
-                reliability=qos.reliability,
-            )
-        return self.selector.select(candidates)
-
-
 #: Policy registry for string specs (config files, CLI flags).
 DISPATCH_POLICIES = {
     RoundRobinDispatch.name: RoundRobinDispatch,
     LeastOutstandingDispatch.name: LeastOutstandingDispatch,
-    QosWeightedDispatch.name: QosWeightedDispatch,
 }
 
 DispatchSpec = Union[str, DispatchPolicy, None]

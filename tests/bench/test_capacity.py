@@ -1,13 +1,8 @@
-"""The adaptive-capacity benchmark record: smoke tier, assertions, gating."""
+"""The adaptive-capacity benchmark record: the committed one, assertions, gating."""
 
 import pytest
 
-from repro.bench.capacity import (
-    diurnal_phases,
-    format_record,
-    run_breaker_drill,
-    run_capacity,
-)
+from repro.bench.capacity import format_record, run_breaker_drill, run_capacity
 from repro.bench.harness import check_record
 from repro.bench.workload import PoissonWorkload
 from repro.check.invariants import (
@@ -17,16 +12,21 @@ from repro.check.invariants import (
     retirement_violations,
 )
 
+from . import committed_record, without_provenance
+
 
 @pytest.fixture(scope="module")
 def record():
-    return run_capacity(scale="smoke", seed=42)
+    return run_capacity()
 
 
 class TestCapacityRecord:
+    def test_record_equals_the_committed_one(self, record):
+        assert without_provenance(record) == committed_record("capacity")
+
     def test_schema_and_tier(self, record):
         assert record["schema"] == "repro-capacity/1"
-        assert record["scale"] == "smoke"
+        assert "scale" not in record  # one definition: no smoke tier
         assert record["seed"] == 42
 
     def test_all_assertions_hold(self, record):
@@ -80,15 +80,6 @@ class TestStandaloneProbes:
         assert drill["unjustified_trips"] == []
         assert ("closed", "open") in drill["transitions"]
         assert ("half-open", "closed") in drill["transitions"]
-
-    def test_diurnal_phases_smoke_keeps_ramp_and_quiet_full_length(self):
-        smoke = {p.name: p for p in diurnal_phases("smoke")}
-        full = {p.name: p for p in diurnal_phases("full")}
-        # Shrinking the ramp or the quiet valleys would distort the
-        # transient (ramp) and the elastic-floor economics (quiet).
-        for name in ("quiet-am", "ramp-1", "ramp-2", "ramp-3", "quiet-pm"):
-            assert smoke[name].duration == full[name].duration
-        assert smoke["peak"].duration < full["peak"].duration
 
 
 @pytest.mark.parametrize("seed", [7, 42], indirect=True)

@@ -1,20 +1,25 @@
-"""The WAN benchmark record: smoke tier, assertions, gating."""
+"""The WAN benchmark record: the committed one, assertions, gating."""
 
 import pytest
 
 from repro.bench.harness import check_record
 from repro.bench.wan import format_record, run_wan
 
+from . import committed_record, without_provenance
+
 
 @pytest.fixture(scope="module")
 def record():
-    return run_wan(scale="smoke", seed=42)
+    return run_wan()
 
 
 class TestWanRecord:
+    def test_record_equals_the_committed_one(self, record):
+        assert without_provenance(record) == committed_record("wan")
+
     def test_schema_and_tier(self, record):
         assert record["schema"] == "repro-wan/1"
-        assert record["scale"] == "smoke"
+        assert "scale" not in record  # one definition: no smoke tier
         assert record["seed"] == 42
 
     def test_all_assertions_hold(self, record):

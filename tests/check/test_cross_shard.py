@@ -13,7 +13,7 @@ slice exactly as in the single-group runs.
 import pytest
 
 from repro.check import CheckScenario, FaultOp, Schedule, run_schedule
-from repro.check.explorer import replay_repro, save_repro
+from repro.check.explorer import REPLICAS, replay_repro, save_repro
 
 SHARDED = CheckScenario(shards=2)
 
@@ -36,8 +36,8 @@ class TestShardedBaseline:
         assert sharded_baseline.probes_ok > 0
         assert sharded_baseline.effects_applied > 0
         # The decision space spans both shard groups' replicas.
-        assert len(_shard_hosts(sharded_baseline, 0)) == SHARDED.replicas
-        assert len(_shard_hosts(sharded_baseline, 1)) == SHARDED.replicas
+        assert len(_shard_hosts(sharded_baseline, 0)) == REPLICAS
+        assert len(_shard_hosts(sharded_baseline, 1)) == REPLICAS
 
     def test_sharded_runs_are_deterministic(self, sharded_baseline):
         again = run_schedule(SHARDED, Schedule(label="sharded-baseline"))
@@ -70,7 +70,7 @@ class TestShardGroupFailover:
         schedule = self._group_crash_schedule(sharded_baseline)
         result = run_schedule(SHARDED, schedule)
         assert result.violations == [], result.violations
-        assert len(result.fired) == SHARDED.replicas  # whole group went down
+        assert len(result.fired) == REPLICAS  # whole group went down
         victims = {f["victim"] for f in result.fired}
         assert victims == set(_shard_hosts(sharded_baseline, 0))
         # The surviving shard group kept the workload alive.

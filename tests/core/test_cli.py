@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.check import CheckScenario, Schedule
 from repro.cli import build_parser, main
+from repro.core import UnsupportedScenarioError
 
 
 class TestParser:
@@ -139,3 +141,33 @@ class TestCommands:
         assert "compensation disabled" in capsys.readouterr().out
         assert main(["check", "--replay", out]) == 0
         assert "byte-identical" in capsys.readouterr().out
+
+    def test_check_unsupported_axes_are_a_one_line_usage_error(self, capsys):
+        """The combination ``check_supported`` rejects exits 2 with its
+        message, not a traceback under the "counterexample found" code."""
+        with pytest.raises(UnsupportedScenarioError) as rejected:
+            CheckScenario(shards=2, regions=2).run(Schedule(label="unsupported"))
+        assert main(["check", "--shards", "2", "--regions", "2",
+                     "--seeds", "1", "--schedules", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro check: error: {rejected.value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", [
+        ["--saga"], ["--self-test"], ["--saga", "--self-test"],
+        ["--replay", "tests/check/fixtures/whisper-check-1.json"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("axis", [
+        ["--shards", "2"], ["--regions", "2"], ["--capacity"],
+    ], ids=" ".join)
+    def test_check_axis_flags_no_mode_reads_are_a_usage_error(
+        self, capsys, tmp_path, mode, axis
+    ):
+        argv = ["check", *mode, *axis, "--seeds", "1", "--schedules", "0",
+                "--out", str(tmp_path / "repro.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro check: error: ")
+        assert f"does not read {axis[0]}" in line

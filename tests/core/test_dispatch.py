@@ -8,12 +8,10 @@ from repro.core.dispatch import (
     DispatchPolicy,
     LeastOutstandingDispatch,
     MemberLoad,
-    QosWeightedDispatch,
     RoundRobinDispatch,
     dispatch_policy,
 )
 from repro.p2p.ids import PeerId
-from repro.qos.metrics import QosMetrics
 
 
 def _peers(count):
@@ -103,63 +101,6 @@ class TestLeastOutstanding:
 
     def test_empty_view_returns_none(self):
         assert LeastOutstandingDispatch().choose([], {}) is None
-
-
-class TestQosWeighted:
-    def test_prefers_reported_faster_member(self):
-        members = _peers(2)
-        load = {
-            members[0]: MemberLoad(qos=QosMetrics(time=0.100, cost=1.0, reliability=1.0)),
-            members[1]: MemberLoad(qos=QosMetrics(time=0.005, cost=1.0, reliability=1.0)),
-        }
-        assert QosWeightedDispatch().choose(members, load) == members[1]
-
-    def test_backlog_inflates_effective_time(self):
-        """A fast member with a deep queue loses to a slower idle one."""
-        members = _peers(2)
-        load = {
-            members[0]: MemberLoad(
-                outstanding=9, qos=QosMetrics(time=0.005, cost=1.0, reliability=1.0)
-            ),
-            members[1]: MemberLoad(
-                outstanding=0, qos=QosMetrics(time=0.020, cost=1.0, reliability=1.0)
-            ),
-        }
-        assert QosWeightedDispatch().choose(members, load) == members[1]
-
-    def test_unreported_member_uses_default_prior(self):
-        members = _peers(2)
-        load = {
-            members[0]: MemberLoad(qos=QosMetrics(time=5.0, cost=1.0, reliability=1.0)),
-        }
-        # The unreported member gets the (much better) default prior.
-        assert QosWeightedDispatch().choose(members, load) == members[1]
-
-    def test_empty_view_returns_none(self):
-        assert QosWeightedDispatch().choose([], {}) is None
-
-    def test_default_prior_is_immutable_and_shared_safely(self):
-        import dataclasses
-
-        policy = QosWeightedDispatch()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            policy.default_qos.time = 99.0  # type: ignore[misc]
-        with pytest.raises(AttributeError):
-            policy.default_qos = QosMetrics(time=1.0, cost=1.0, reliability=1.0)
-        # A fresh instance still sees the pristine class default.
-        assert QosWeightedDispatch().default_qos == QosWeightedDispatch.DEFAULT_QOS
-
-    def test_default_prior_constructor_override(self):
-        prior = QosMetrics(time=9.0, cost=1.0, reliability=1.0)
-        policy = QosWeightedDispatch(default_qos=prior)
-        assert policy.default_qos is prior
-        members = _peers(2)
-        load = {
-            members[0]: MemberLoad(qos=QosMetrics(time=5.0, cost=1.0, reliability=1.0)),
-        }
-        # With a *worse* prior, the reported member wins (inverse of
-        # test_unreported_member_uses_default_prior).
-        assert policy.choose(members, load) == members[0]
 
 
 class TestFactory:

@@ -1,17 +1,22 @@
-"""Every ``ScenarioConfig`` field is a knob some caller turns.
+"""Every option is a knob some caller turns.
 
 A field nothing outside ``config.py`` ever passes is a constant wearing
 an option's clothes: it costs a parameter in every layer it is threaded
 through and is exercised at one value only.  The census reads the
 keyword names of every ``ScenarioConfig(...)`` and ``<config>.replace(...)``
 call under ``src/``, ``bench_e2e/`` and ``benchmarks/``; a field that
-appears in none must be listed below with the reason it stays.
+appears in none must be listed below with the reason it stays.  The same
+rule holds for the checker's two scenarios, and for the gated benches: a
+runner takes exactly the keywords its command reads off the command line.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
+from repro.check import CheckScenario, SagaCheckScenario
+from repro.cli import _GATED
 from repro.core import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -49,3 +54,52 @@ def test_every_field_is_passed_by_some_caller_or_allowlisted():
         f"never passed and not allowlisted: {sorted(unset - set(ALLOWED_UNSET))}; "
         f"allowlisted but passed (or gone): {sorted(set(ALLOWED_UNSET) - unset)}"
     )
+
+
+#: Scenario fields no caller outside ``tests/`` passes, each with its reason.
+SCENARIO_ALLOWED_UNSET = {
+    (CheckScenario, "settle"): "tests shorten the run to keep tier-1 fast",
+    (CheckScenario, "probe_duration"): "tests shorten the run to keep tier-1 fast",
+    (CheckScenario, "cooldown"): "tests shorten the run to keep tier-1 fast",
+    (SagaCheckScenario, "cooldown"): "tests shorten the run to keep tier-1 fast",
+}
+
+
+def _scenario_keywords_passed(scenario_cls):
+    """Keywords of ``<Scenario>(...)`` and ``<...scenario...>.replace(...)``
+    calls outside ``tests/`` (a ``replace`` counts when its receiver's
+    source names a scenario, which sets it apart from ``config.replace``)."""
+    passed = set()
+    for tree in CALLER_TREES + ("examples",):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == scenario_cls.__name__) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "replace"
+                    and "scenario" in ast.unparse(func.value).lower()
+                ):
+                    passed.update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_scenario_field_is_passed_by_some_caller_or_allowlisted():
+    for scenario_cls in (CheckScenario, SagaCheckScenario):
+        fields = {field.name for field in dataclasses.fields(scenario_cls)}
+        unset = fields - _scenario_keywords_passed(scenario_cls)
+        allowed = {
+            name for (cls, name) in SCENARIO_ALLOWED_UNSET if cls is scenario_cls
+        }
+        assert unset == allowed, (
+            f"{scenario_cls.__name__}: never passed and not allowlisted: "
+            f"{sorted(unset - allowed)}; allowlisted but passed (or gone): "
+            f"{sorted(allowed - unset)}"
+        )
+
+
+def test_every_gated_runner_parameter_is_a_command_line_keyword():
+    for command, (run, _format, keywords, _help) in _GATED.items():
+        parameters = set(inspect.signature(run).parameters) - {"progress"}
+        assert parameters == set(keywords), (command, sorted(parameters))
