@@ -170,9 +170,12 @@ loc:
 
 # What the traffic reaches (DESIGN.md §6.15; not a gate): every
 # `python -m repro` line of the smoke tiers, the other CLI commands once
-# (`trace` and `metrics` also with each export flag), the bench_e2e smoke suite and the examples run under the profile hook of
+# (`trace` and `metrics` also with each export flag), the bench_e2e smoke
+# suite, `pytest benchmarks --benchmark-disable` (timing off, so
+# pytest-benchmark leaves the hook installed around each benchmarked
+# call) and the examples run under the profile hook of
 # tools/census/sitecustomize.py, which then lists, per file, the src/repro
-# functions none of them entered.  ~2 min.  The next "delete or keep"
+# functions none of them entered.  ~3 min.  The next "delete or keep"
 # decision starts from this list, not from grep.
 CENSUS_DIR ?= .census
 SMOKE_TIERS := check-smoke shard-smoke wan-smoke saga-smoke capacity-smoke benchmark-smoke
@@ -181,6 +184,7 @@ census:
 	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
 	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
 	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
+	python -m pytest benchmarks --benchmark-disable -q -p no:cacheprovider >/dev/null; \
 	for command in fig4 rtt failover availability campaign exactly-once overload shard trace metrics \
 		"trace --json" "metrics --json" "metrics --csv"; do \
 		python -m repro $$command >/dev/null; \

@@ -306,7 +306,7 @@ class FaultCampaign:
             report.journal_hits += journal.hits
             report.journal_merges += journal.merges
             report.duplicates_suppressed += journal.duplicates_suppressed
-            report.requests_parked += peer.requests_parked
+            report.requests_parked += peer.exactly_once.requests_parked
         counters = self.system.obs.metrics.counters
         for name, attribute in (
             ("bpeer.journal_replicated", "journal_replications"),

@@ -115,7 +115,7 @@ class TestGracefulShutdown:
         system.settle(6.0)
         peer = service.group.coordinator_peer()
         replies = []
-        peer._reply = lambda request, reply: replies.append(reply)
+        peer._reply = peer.exactly_once.reply = lambda request, reply: replies.append(reply)
         retry = ExecRequest(
             request_id=9,
             group_id=peer.group_id,
@@ -127,6 +127,6 @@ class TestGracefulShutdown:
             attempt=2,
         )
         peer.journal.begin(retry.invocation_id, origin=peer.peer_id)  # in flight
-        assert peer._park_if_in_flight(retry)
+        assert peer.exactly_once.park(retry)
         peer.shutdown()
         assert [(r.kind, r.invocation_id) for r in replies] == [("busy", "maint#1")]

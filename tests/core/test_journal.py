@@ -23,29 +23,24 @@ def _done_entry(invocation_id, reply="reply", epoch=None, recorded_at=0.0):
 class TestBegin:
     def test_begin_marks_executing(self):
         journal = DedupJournal()
-        entry = journal.begin("inv-1", request="req", epoch="e1", now=3.0)
+        entry = journal.begin("inv-1", epoch="e1", now=3.0)
         assert entry.state == EXECUTING
-        assert entry.request == "req"
         assert entry.recorded_at == 3.0
         assert "inv-1" in journal
 
     def test_begin_is_idempotent(self):
         journal = DedupJournal()
-        first = journal.begin("inv-1", request="req-a")
-        second = journal.begin("inv-1", request="req-b")
+        first = journal.begin("inv-1")
+        second = journal.begin("inv-1")
         assert second is first
         assert len(journal) == 1
-        # The latest pending request wins (it is the one a late result
-        # must answer).
-        assert first.request == "req-b"
 
     def test_begin_never_demotes_done(self):
         journal = DedupJournal()
         journal.complete("inv-1", reply="result")
-        entry = journal.begin("inv-1", request="retry")
+        entry = journal.begin("inv-1")
         assert entry.done
         assert entry.reply == "result"
-        assert entry.request is None
 
 
 class TestComplete:
@@ -98,11 +93,10 @@ class TestMerge:
 
     def test_merge_upgrades_executing_placeholder(self):
         journal = DedupJournal()
-        journal.begin("inv-1", request="pending")
+        journal.begin("inv-1")
         assert journal.merge(_done_entry("inv-1", reply="A"), now=7.0)
         local = journal.lookup("inv-1")
         assert local.done and local.reply == "A"
-        assert local.request is None
 
     def test_merge_local_done_wins(self):
         journal = DedupJournal()
@@ -128,11 +122,10 @@ class TestCrashSemantics:
 
     def test_export_ships_only_done_without_transients(self):
         journal = DedupJournal()
-        journal.begin("in-flight", request="pending")
+        journal.begin("in-flight")
         journal.complete("finished", reply="A")
         exported = journal.export()
         assert [entry.invocation_id for entry in exported] == ["finished"]
-        assert all(entry.request is None for entry in exported)
 
 
 class TestBounds:
@@ -177,13 +170,11 @@ class TestReplicable:
             reply={"ok": True},
             epoch=("peer", 3),
             recorded_at=4.5,
-            request="pending",
             origin="peer-2",
         )
         copy = entry.replicable()
-        assert copy == dataclasses.replace(entry, request=None)
+        assert copy == dataclasses.replace(entry)
         assert copy is not entry and copy.reply is entry.reply
-        assert entry.request == "pending"
 
     def test_entries_carry_no_instance_dict(self):
         assert not hasattr(JournalEntry(invocation_id="inv-1"), "__dict__")
@@ -212,7 +203,7 @@ def apply_op(journal, op):
     """Apply one ``(name, key, stamp)`` step; returns what the call returned."""
     name, key, stamp = op
     if name == "begin":
-        return journal.begin(key, request=f"req-{stamp}", epoch=stamp, now=stamp).state
+        return journal.begin(key, epoch=stamp, now=stamp).state
     if name == "complete":
         return journal.complete(key, reply=f"reply-{stamp}", epoch=stamp, now=stamp)[1]
     if name == "merge":

@@ -107,6 +107,42 @@ def deployment():
     return system, service, drive
 
 
+#: Python-level calls into ``core/bpeer.py`` and ``core/journal.py`` together
+#: per served request, as measured on this fixture before the exactly-once
+#: protocol moved out of ``BPeer`` into ``core/journal.py`` (DESIGN.md §6.20).
+#: The two files are summed because code moved between them.
+MAX_CALLS_PER_READ = 39.06
+MAX_CALLS_PER_WRITE = 111.08
+_COUNTED_FILES = ("core/bpeer.py", "core/journal.py")
+
+
+def _calls_per_file(run):
+    """Python-level frames (generator resumes included) ``run`` enters in
+    each counted file."""
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            filename = frame.f_code.co_filename.replace("\\", "/")
+            if filename.endswith(_COUNTED_FILES):
+                calls[filename.rsplit("/", 1)[-1]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_served_requests_cost_no_more_bpeer_and_journal_calls(deployment):
+    system, _service, drive = deployment
+    reads = _calls_per_file(lambda: drive(READS, 0, start=2000))
+    writes = _calls_per_file(lambda: drive(0, WRITES, start=3000))
+    assert sum(reads.values()) / READS <= MAX_CALLS_PER_READ, reads
+    assert sum(writes.values()) / WRITES <= MAX_CALLS_PER_WRITE, writes
+
+
 def test_served_requests_rederive_nothing(deployment, monkeypatch):
     system, service, drive = deployment
     served_before = system.obs.metrics.counters["requests.ok"].value
@@ -124,7 +160,7 @@ def test_served_requests_rederive_nothing(deployment, monkeypatch):
     list(Span("probe", 0.0).walk())
     system.obs.metrics.counter("bookkeeping.probe")
     system.obs.metrics.histogram("bookkeeping.probe")
-    sys.modules["repro.core.bpeer"].replace(ExecReply(request_id=1, kind="busy"))
+    sys.modules["repro.core.journal"].replace(ExecReply(request_id=1, kind="busy"))
     assert set(calls) == {
         "Operation.annotation",
         "Definitions.operations",
@@ -136,9 +172,10 @@ def test_served_requests_rederive_nothing(deployment, monkeypatch):
 
 
 def test_canonical_reply_copy_names_every_field():
-    """``BPeer._journal_complete`` copies an ``ExecReply`` field by field: a
+    """``ExactlyOnce.complete`` copies an ``ExecReply`` field by field: a
     field added to the message must be added to that copy too."""
     assert [field.name for field in dataclasses.fields(ExecReply)] == [
         "request_id", "kind", "value", "fault_code", "coordinator",
         "served_by", "epoch", "retry_after", "invocation_id", "deduped",
     ]  # fmt: skip
+

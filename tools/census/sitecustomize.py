@@ -10,9 +10,10 @@ process reached, then a reached / not-reached table per package.  ``make
 census`` does both over the repo's non-test traffic.
 
 A profile hook sees only what runs while it is installed: pytest-benchmark
-calls ``sys.setprofile(None)`` around the timed callable, and
-``bench_e2e``'s traced runs install their own.  For ``benchmarks/`` and
-``tests/`` the evidence of use is ``grep``, not this hook.
+calls ``sys.setprofile(None)`` around a *timed* callable (so ``make
+census`` runs ``benchmarks/`` with ``--benchmark-disable``), and
+``bench_e2e``'s traced runs install their own.  For ``tests/`` the
+evidence of use is ``grep``, not this hook.
 """
 
 import ast
