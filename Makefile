@@ -168,21 +168,21 @@ loc:
 	done
 	@wc -l src/repro/*.py src/repro/core/*.py | grep -v ' total$$' | awk '{printf "%7d  %s\n", $$1, $$2}'
 
-# What the traffic reaches (DESIGN.md §6.15; not a gate): every
+# What the traffic reaches (DESIGN.md §6.15), as a gate: every
 # `python -m repro` line of the smoke tiers, the other CLI commands once
 # (`trace` and `metrics` also with each export flag), the bench_e2e smoke
-# suite, `pytest benchmarks --benchmark-disable` (timing off, so
-# pytest-benchmark leaves the hook installed around each benchmarked
-# call) and the examples run under the profile hook of
-# tools/census/sitecustomize.py, which then lists, per file, the src/repro
-# functions none of them entered.  ~3 min.  The next "delete or keep"
-# decision starts from this list, not from grep.
+# suite with its traced runs, `pytest benchmarks --benchmark-disable` and
+# the examples run under the profile hook of tools/census/sitecustomize.py,
+# which then lists, per file, the src/repro functions none of them entered
+# and exits 1 if one has no row in DESIGN.md §6.14's kept-with-a-reason
+# table.  ~5 min.  The next "delete or keep" decision starts from this
+# list, not from grep.
 CENSUS_DIR ?= .census
 SMOKE_TIERS := check-smoke shard-smoke wan-smoke saga-smoke capacity-smoke benchmark-smoke
 census:
 	rm -rf $(CENSUS_DIR) && mkdir -p $(CENSUS_DIR)
 	export REPRO_CENSUS_DIR=$(abspath $(CENSUS_DIR)) PYTHONPATH=$(abspath tools/census):$(abspath src); set -e; \
-	python3 bench_e2e/run.py --smoke --out $(CENSUS_DIR)/e2e.json >/dev/null; \
+	python3 bench_e2e/run.py --smoke --traced --out $(CENSUS_DIR)/e2e.json >/dev/null; \
 	$(MAKE) -s -n $(SMOKE_TIERS) | grep '^python -m repro' | sh -e >/dev/null; \
 	python -m pytest benchmarks --benchmark-disable -q -p no:cacheprovider >/dev/null; \
 	for command in fig4 rtt failover availability campaign exactly-once overload shard trace metrics \

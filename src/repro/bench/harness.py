@@ -8,10 +8,9 @@ measurement callable against it, and collects one row.  Rows print through
 
 from __future__ import annotations
 
-import json
 import platform
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
@@ -35,9 +34,6 @@ class SweepPoint:
 
     parameter: Any
     measurements: Dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.measurements[key]
 
     def row(self, columns: Sequence[str]) -> List[Any]:
         return [self.parameter] + [self.measurements.get(c) for c in columns]
@@ -80,62 +76,19 @@ class Sweep:
             lines.append(",".join(cell(v) for v in point.row(columns)))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The sweep as JSON, for machine-readable benchmark exports.
-
-        Non-JSON-native measurement values (e.g. nested phase summaries
-        are fine; arbitrary objects fall back to ``str``) never make the
-        export raise.
-        """
-        payload = {
-            "name": self.name,
-            "parameter": self.parameter_name,
-            "points": [
-                {"parameter": point.parameter, **point.measurements}
-                for point in self.points
-            ],
-        }
-        return json.dumps(payload, indent=indent, default=str)
-
 
 #: Measure signature: ``measure(parameter) -> {column: value}``.
 Measure = Callable[[Any], Dict[str, Any]]
 
 
 def run_sweep(
-    name: str,
-    parameter_name: str,
-    values: Iterable[Any],
-    measure: Measure,
-    repeats: int = 1,
-    reduce: Optional[Callable[[List[Dict[str, Any]]], Dict[str, Any]]] = None,
+    name: str, parameter_name: str, values: Iterable[Any], measure: Measure
 ) -> Sweep:
-    """Run ``measure`` at every swept value; optionally repeat and reduce.
-
-    With ``repeats > 1``, ``measure`` is called that many times per value
-    (callers vary seeds inside), and ``reduce`` combines the dicts (default:
-    arithmetic mean of numeric columns).
-    """
+    """Run ``measure`` once at every swept value."""
     sweep = Sweep(name=name, parameter_name=parameter_name)
     for value in values:
-        runs = [measure(value) for _ in range(repeats)]
-        if len(runs) == 1:
-            combined = runs[0]
-        else:
-            combined = (reduce or _mean_reduce)(runs)
-        sweep.points.append(SweepPoint(parameter=value, measurements=combined))
+        sweep.points.append(SweepPoint(parameter=value, measurements=measure(value)))
     return sweep
-
-
-def _mean_reduce(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
-    combined: Dict[str, Any] = {}
-    for key in runs[0]:
-        values = [run[key] for run in runs if key in run]
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            combined[key] = sum(values) / len(values)
-        else:
-            combined[key] = values[0]
-    return combined
 
 
 def fig4_counts(

@@ -84,9 +84,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares over the paired samples."""

@@ -504,7 +504,7 @@ def save_repro(
 def load_repro(path: str) -> Tuple[Scenario, Schedule, Dict[str, Any]]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    declared = payload.get("format")
+    declared = payload.get("format") if isinstance(payload, dict) else None
     scenario_cls = _SCENARIOS.get(declared) if isinstance(declared, str) else None
     if scenario_cls is None:
         raise ValueError(

@@ -73,11 +73,6 @@ class DecisionFaultInjector:
             peer.pre_commit_hook = None
         self._installed = False
 
-    @property
-    def exhausted(self) -> bool:
-        """Every armed op has fired (or been skipped)."""
-        return not self._pending
-
     # -- decision points ---------------------------------------------------------------
 
     def _network_hook(self, point: str, message: Message) -> Optional[str]:

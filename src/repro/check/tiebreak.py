@@ -44,13 +44,8 @@ _RANK_BOUND = 1 << 16
 class FifoTiebreak(TiebreakPolicy):
     """Scheduling order (the environment default, made explicit)."""
 
-    kind = "fifo"
-
     def key(self, env: Environment, urgent: bool, event: Event) -> int:
         return 0
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind}
 
 
 class SeededShuffleTiebreak(TiebreakPolicy):
@@ -63,17 +58,12 @@ class SeededShuffleTiebreak(TiebreakPolicy):
     churn samples) of the run it perturbs.
     """
 
-    kind = "shuffle"
-
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = random.Random(f"tiebreak-shuffle:{self.seed}")
 
     def key(self, env: Environment, urgent: bool, event: Event) -> int:
         return self._rng.randrange(_RANK_BOUND)
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "seed": self.seed}
 
 
 class AdversarialDelayTiebreak(TiebreakPolicy):
@@ -85,8 +75,6 @@ class AdversarialDelayTiebreak(TiebreakPolicy):
     process (timer callbacks, injected stimuli) keep FIFO order.
     """
 
-    kind = "adversarial"
-
     def __init__(self, victim: str):
         if not victim:
             raise ValueError("adversarial tiebreak needs a victim substring")
@@ -97,9 +85,6 @@ class AdversarialDelayTiebreak(TiebreakPolicy):
         if process is not None and process.name and self.victim in process.name:
             return _RANK_BOUND
         return 0
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "victim": self.victim}
 
 
 def build_tiebreak(spec: Optional[Dict[str, Any]]) -> Optional[TiebreakPolicy]:

@@ -62,7 +62,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         CheckScenario,
         SagaCheckScenario,
         ScheduleExplorer,
-        replay_repro,
+        load_repro,
         saga_self_test,
         self_test,
     )
@@ -81,12 +81,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ) if given]
     if axes and modes:
         return _usage_error(
+            "check",
             f"{modes[0]} does not read {' / '.join(axes)}: the axis flags "
             f"shape only the explored enroll scenario"
         )
 
     if args.replay:
-        ok, result, expected = replay_repro(args.replay)
+        try:
+            scenario, schedule, expected = load_repro(args.replay)
+        except (OSError, ValueError) as error:
+            return _usage_error("check", f"--replay: {error}")
+        result = scenario.run(schedule)
+        ok = result.digest() == expected["digest"]
         payload = {
             "replay": args.replay,
             "match": ok,
@@ -152,7 +158,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = explorer.explore()
     except UnsupportedScenarioError as error:
         # Raised by the first deployment, before any schedule has run.
-        return _usage_error(str(error))
+        return _usage_error("check", str(error))
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2))
     else:
@@ -160,8 +166,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _usage_error(message: str) -> int:
-    print(f"repro check: error: {message}", file=sys.stderr)
+def _usage_error(command: str, message: str) -> int:
+    print(f"repro {command}: error: {message}", file=sys.stderr)
     return 2
 
 
@@ -480,9 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least value of each count option; ``main`` rejects a smaller one
+#: before any command runs (``--schedules 0`` is the baseline run alone).
+_LEAST_COUNT = {
+    "seeds": 1,
+    "schedules": 0,
+    "max_ops": 1,
+    "shards": 1,
+    "regions": 1,
+    "samples": 1,
+    "last": 0,
+    "sagas": 1,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "last", 0) < 0:
-        parser.error(f"argument --last: must be >= 0, got {args.last}")
+    args = build_parser().parse_args(argv)
+    for option, least in _LEAST_COUNT.items():
+        value = getattr(args, option, least)
+        if value < least:
+            flag = "--" + option.replace("_", "-")
+            return _usage_error(
+                args.command, f"argument {flag}: must be >= {least}, got {value}"
+            )
     return args.func(args)

@@ -182,13 +182,6 @@ class AutoscalingGroup:
                 self._control_loop(), name=f"autoscale:{self.group.name}"
             )
 
-    def stop(self) -> None:
-        self._sample_replica_time()
-        if self._proc is not None and self._proc.is_alive:
-            proc, self._proc = self._proc, None
-            if proc is not self.env.active_process:
-                proc.interrupt("shutdown")
-
     # -- introspection -----------------------------------------------------------------
 
     def active_peers(self) -> List[object]:

@@ -136,14 +136,6 @@ class SyntacticGroupMatcher:
         matches.sort(key=lambda m: m.advertisement.key())
         return matches
 
-    def find_best(
-        self,
-        annotation: SemanticAnnotation,
-        advertisements: Sequence[SemanticAdvertisement],
-    ) -> Optional[GroupMatch]:
-        matches = self.find_all(annotation, advertisements)
-        return matches[0] if matches else None
-
 
 def _local(uri: str) -> str:
     return split_uri(uri)[1]

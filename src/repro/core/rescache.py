@@ -173,11 +173,6 @@ class SemanticResultCache:
         self._invalidate_count(len(doomed))
         return len(doomed)
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # -- internals ---------------------------------------------------------------------
 
     def _miss(self) -> None:

@@ -73,8 +73,3 @@ class InvokeResult:
     #: Id of the b-peer group that served the request (``None`` for
     #: cached/degraded results and legacy construction sites).
     group_id: Optional[Any] = None
-
-    @property
-    def recovered(self) -> bool:
-        """True when failover recovery ran (a busy retry is not recovery)."""
-        return self.outcome is InvokeOutcome.RECOVERED

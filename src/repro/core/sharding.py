@@ -31,7 +31,7 @@ import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["shard_key", "ShardRing", "ShardRouter"]
 
@@ -66,38 +66,14 @@ class ShardRing:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.virtual_nodes = virtual_nodes
         self._points: List[Tuple[int, str]] = []  # sorted (hash, member)
-        self._members: Dict[str, List[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, member: str) -> bool:
-        return member in self._members
-
-    @property
-    def members(self) -> List[str]:
-        return sorted(self._members)
+        self._members: Set[str] = set()
 
     def add(self, member: str) -> None:
         if member in self._members:
             return
-        hashes = [
-            _hash64(f"{member}#vnode{index}") for index in range(self.virtual_nodes)
-        ]
-        self._members[member] = hashes
-        for point in hashes:
-            insort(self._points, (point, member))
-
-    def remove(self, member: str) -> None:
-        hashes = self._members.pop(member, None)
-        if hashes is None:
-            return
-        doomed = set(hashes)
-        self._points = [
-            (point, owner)
-            for point, owner in self._points
-            if not (owner == member and point in doomed)
-        ]
+        self._members.add(member)
+        for index in range(self.virtual_nodes):
+            insort(self._points, (_hash64(f"{member}#vnode{index}"), member))
 
     def lookup(self, key: str, exclude: FrozenSet[str] = frozenset()) -> Optional[str]:
         """Owner of ``key``, walking clockwise past excluded members.

@@ -45,9 +45,6 @@ class Epoch:
     def __lt__(self, other: "Epoch") -> bool:
         return self.key() < other.key()
 
-    def __le__(self, other: "Epoch") -> bool:
-        return self.key() <= other.key()
-
     def __gt__(self, other: "Epoch") -> bool:
         return self.key() > other.key()
 

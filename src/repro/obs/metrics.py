@@ -39,11 +39,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: negative increment {amount}")
-        self.value += amount
-
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
 

@@ -51,10 +51,6 @@ class OntologyBuilder:
         )
         return self
 
-    def subclass(self, child: str, parent: str) -> "OntologyBuilder":
-        self._ontology.add_subclass(self._resolve(child), self._resolve(parent))
-        return self
-
     def equivalent(self, name_a: str, name_b: str) -> "OntologyBuilder":
         self._ontology.add_equivalence(self._resolve(name_a), self._resolve(name_b))
         return self
@@ -78,12 +74,6 @@ class OntologyBuilder:
             kind=PropertyKind.DATATYPE,
             domain=self._resolve(domain) if domain else None,
             range=range,
-        )
-        return self
-
-    def individual(self, name: str, types: Iterable[str] = ()) -> "OntologyBuilder":
-        self._ontology.add_individual(
-            self._resolve(name), [self._resolve(t) for t in types]
         )
         return self
 

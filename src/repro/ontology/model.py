@@ -34,9 +34,6 @@ class Concept:
     parents: Set[str] = field(default_factory=set)
     equivalents: Set[str] = field(default_factory=set)
 
-    def __hash__(self) -> int:
-        return hash(self.uri)
-
     def __repr__(self) -> str:
         return f"<Concept {self.uri}>"
 
@@ -51,9 +48,6 @@ class Property:
     range: Optional[str] = None
     label: Optional[str] = None
     parents: Set[str] = field(default_factory=set)
-
-    def __hash__(self) -> int:
-        return hash(self.uri)
 
     def __repr__(self) -> str:
         return f"<Property {self.uri} ({self.kind})>"
@@ -72,9 +66,6 @@ class Individual:
 
     def get_values(self, property_uri: str) -> List[Any]:
         return list(self.values.get(property_uri, []))
-
-    def __hash__(self) -> int:
-        return hash(self.uri)
 
     def __repr__(self) -> str:
         return f"<Individual {self.uri}>"

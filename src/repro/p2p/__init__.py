@@ -31,7 +31,7 @@ from .endpoint import (
 from .gossip import GOSSIP_PROTOCOL, GossipEntry, GossipService
 from .ids import WORLD_GROUP_ID, JxtaId, PeerGroupId, PeerId, PipeId
 from .membership import Credential, MembershipError, MembershipService
-from .peer import Peer, create_peer_network
+from .peer import Peer
 from .peergroup import GroupService, PeerGroupView
 from .pipes import InputPipe, OutputPipe, PipeBindError, PipeService, PropagatePipe
 from .relay import attach_nat_peer, configure_relay
@@ -79,5 +79,4 @@ __all__ = [
     "advertisement_from_xml",
     "attach_nat_peer",
     "configure_relay",
-    "create_peer_network",
 ]

@@ -110,10 +110,6 @@ class AdvertisementCache:
             self._inc("discovery.cache_miss")
         return results
 
-    def keys(self) -> List[str]:
-        self._purge()
-        return sorted(self._entries)
-
     def clear(self) -> None:
         """Drop everything, keeping the expired/flushed accounting honest.
 

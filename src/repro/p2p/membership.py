@@ -2,8 +2,8 @@
 
 JXTA groups gate membership through a membership service that issues
 credentials.  Whisper's groups are cooperative, so we implement the
-``NullMembership``-style flow: ``apply`` yields an application, ``join``
-turns it into a credential naming the peer and group.  The group service
+``NullMembership``-style flow: ``join`` issues a credential naming the
+peer and group.  The group service
 and b-peers attach credentials to sensitive operations; verification
 checks the (peer, group) binding and expiry.
 """
@@ -45,10 +45,6 @@ class MembershipService:
         self.peer_id = peer_id
         self._clock = clock
         self._credentials: Dict[PeerGroupId, Credential] = {}
-
-    def apply(self, group_id: PeerGroupId) -> PeerGroupId:
-        """Start an application; returns the application token (the group)."""
-        return group_id
 
     def join(self, group_id: PeerGroupId) -> Credential:
         """Complete the join, obtaining a credential."""

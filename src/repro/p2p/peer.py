@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simnet.network import Network
 from ..simnet.node import Node
 from .advertisement import PeerAdvertisement
 from .cache import AdvertisementCache
@@ -85,25 +84,3 @@ class Peer:
         role = "rdv" if self.rendezvous.is_rendezvous else "edge"
         return f"<Peer {self.name} ({role}) on {self.node.name}>"
 
-
-def create_peer_network(
-    network: Network,
-    edge_count: int,
-    rendezvous_name: str = "rdv0",
-    edge_prefix: str = "peer",
-) -> tuple:
-    """Convenience: one rendezvous + N edges, all attached and published.
-
-    Returns ``(rendezvous_peer, [edge_peers])``.
-    """
-    rdv_node = network.add_host(rendezvous_name)
-    rendezvous = Peer(rdv_node, is_rendezvous=True)
-    rendezvous.publish_self(remote=False)
-    edges = []
-    for index in range(edge_count):
-        node = network.add_host(f"{edge_prefix}{index}")
-        peer = Peer(node)
-        peer.attach_to(rendezvous)
-        peer.publish_self(remote=True)
-        edges.append(peer)
-    return rendezvous, edges

@@ -5,12 +5,12 @@ dimension beyond data and function: after semantic discovery finds a
 matching b-peer group, selection should pick the peer "that provides the
 best quality criteria match".  This package provides the time/cost/
 reliability model, online profiles, composition-structure aggregation, and
-the SAW-based selector (with random/round-robin baselines for ablation).
+the SAW-based selector (with a random baseline for ablation).
 """
 
 from .aggregation import conditional, loop, parallel, sequence
 from .metrics import QosMetrics, QosProfile
-from .selection import QosSelector, QosWeights, RandomSelector, RoundRobinSelector
+from .selection import QosSelector, QosWeights, RandomSelector
 
 __all__ = [
     "QosMetrics",
@@ -18,7 +18,6 @@ __all__ = [
     "QosSelector",
     "QosWeights",
     "RandomSelector",
-    "RoundRobinSelector",
     "conditional",
     "loop",
     "parallel",

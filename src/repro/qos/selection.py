@@ -4,8 +4,8 @@
 the semantics of the required Web service, the next step is to select the
 most suitable peer" (§2.4).  Candidates are ranked by a weighted sum of
 min–max-normalised dimensions (the standard SAW — simple additive
-weighting — method of the QoS-selection literature).  Random and
-round-robin selectors provide the ablation baselines.
+weighting — method of the QoS-selection literature).  A random
+selector provides the ablation baseline.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "QosWeights",
     "QosSelector",
     "RandomSelector",
-    "RoundRobinSelector",
 ]
 
 
@@ -99,17 +98,3 @@ class RandomSelector:
         ordered = sorted(candidates, key=str)
         return self.rng.choice(ordered)
 
-
-class RoundRobinSelector:
-    """Cycles through candidates (the load-sharing baseline)."""
-
-    def __init__(self):
-        self._cursor = 0
-
-    def select(self, candidates: Dict[Hashable, QosMetrics]) -> Optional[Hashable]:
-        if not candidates:
-            return None
-        ordered = sorted(candidates, key=str)
-        choice = ordered[self._cursor % len(ordered)]
-        self._cursor += 1
-        return choice

@@ -23,10 +23,10 @@ from .latency import (
     parse_latency_spec,
 )
 from .message import Address, Message
-from .network import Link, Network, Region, UnknownHostError, lan
+from .network import Link, Network, Region, UnknownHostError
 from .node import Node
 from .process import Process
-from .queues import PriorityStore, Store
+from .queues import Store
 from .rng import RngRegistry
 from .trace import MessageTrace, RttSample, TraceRecord
 from .transport import PortInUseError, Socket, Transport
@@ -50,7 +50,6 @@ __all__ = [
     "Network",
     "Node",
     "PortInUseError",
-    "PriorityStore",
     "Process",
     "Region",
     "RngRegistry",
@@ -66,7 +65,6 @@ __all__ = [
     "UniformLatency",
     "UnknownHostError",
     "Wait",
-    "lan",
     "lan_latency",
     "parse_latency_spec",
 ]

@@ -142,14 +142,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if self._value is not PENDING:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     # -- misc ---------------------------------------------------------------
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:

@@ -200,9 +200,6 @@ class Network:
             self.regions[region].hosts.add(key)
         return node
 
-    def add_hosts(self, names: Iterable[str], region: Optional[str] = None) -> List[Node]:
-        return [self.add_host(name, region=region) for name in names]
-
     def resolve_host_name(self, name: str) -> str:
         """Resolve a possibly-bare host name to its stored key.
 
@@ -413,14 +410,3 @@ class Network:
         else:
             self.trace.on_drop(self.env.now, message, reason="no-socket")
 
-
-def lan(
-    env: Environment,
-    host_names: Iterable[str],
-    seed: int = 0,
-    trace: Optional[MessageTrace] = None,
-) -> Network:
-    """Build the paper's testbed: identical hosts on a 100 Mbit/s LAN."""
-    network = Network(env, trace=trace, rng=RngRegistry(seed))
-    network.add_hosts(host_names)
-    return network

@@ -52,11 +52,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if any)."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process.
 

@@ -1,4 +1,4 @@
-"""Inter-process communication primitives: FIFO and priority stores.
+"""Inter-process communication primitives: FIFO stores.
 
 A :class:`Store` is an unbounded (or bounded) queue of items.  ``put`` and
 ``get`` return events; processes yield them to block until the operation
@@ -8,14 +8,12 @@ simulated network.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque
 
 from .events import PENDING, Event
 
-__all__ = ["Store", "PriorityStore", "StorePut", "StoreGet"]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 _UNBOUNDED = float("inf")
 
@@ -122,13 +120,9 @@ class Store:
         and no ``StorePut`` event — which nobody would listen to — is
         scheduled.  Under a :class:`~repro.simnet.environment.TiebreakPolicy`
         every scheduled event draws an ordering key, so there, and on
-        bounded stores and subclasses, this is exactly ``put``.
+        bounded stores, this is exactly ``put``.
         """
-        if (
-            self.env.tiebreak is not None
-            or type(self) is not Store
-            or self.capacity != _UNBOUNDED
-        ):
+        if self.env.tiebreak is not None or self.capacity != _UNBOUNDED:
             self.put(item)
             return
         getters = self._get_waiters
@@ -189,35 +183,3 @@ class Store:
                 else:
                     break
 
-
-class PriorityStore(Store):
-    """A store that hands out the smallest item first.
-
-    Items are compared as ``(priority_key, insertion_seq)`` so ties are
-    FIFO and items never need to be comparable with each other.
-    """
-
-    def __init__(self, env, capacity: float = _UNBOUNDED, key=None):
-        super().__init__(env, capacity)
-        self._heap: List[Tuple[Any, int, Any]] = []
-        self._seq = itertools.count()
-        self._key = key or (lambda item: item)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self._heap) < self.capacity:
-            heapq.heappush(
-                self._heap, (self._key(event.item), next(self._seq), event.item)
-            )
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self._heap:
-            _key, _seq, item = heapq.heappop(self._heap)
-            event.succeed(item)
-            return True
-        return False

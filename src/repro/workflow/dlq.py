@@ -107,9 +107,6 @@ class DeadLetterQueue:
             entry.requeues += 1
             entry.requeued_at = now
 
-    def get(self, saga_id: str) -> Optional[DeadLetterEntry]:
-        return self._entries.get(saga_id)
-
     def entries(self) -> List[DeadLetterEntry]:
         return list(self._entries.values())
 
@@ -118,6 +115,3 @@ class DeadLetterQueue:
 
     def export(self) -> List[Dict[str, Any]]:
         return [entry.to_dict() for entry in self._entries.values()]
-
-    def __len__(self) -> int:
-        return len(self._entries)

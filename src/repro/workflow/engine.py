@@ -169,13 +169,6 @@ class WorkflowEngine:
         result.finished_at = self.env.now
         return result
 
-    def execute(
-        self, workflow: WorkflowNode, context: Context, result: WorkflowResult
-    ) -> Generator:
-        """Generator form, for embedding in an existing process."""
-        workflow.validate()
-        yield from self._execute(workflow, context, result)
-
     # -- node dispatch ------------------------------------------------------------------
 
     def _execute(

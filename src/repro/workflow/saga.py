@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 from ..simnet.events import Timeout
 from ..simnet.node import Node
 from .engine import TASK_ERRORS, format_error
-from .model import Context, ServiceTask, WorkflowError, WorkflowNode
+from .model import Context, WorkflowError, WorkflowNode
 
 __all__ = [
     "CompensableTask",
@@ -133,21 +133,6 @@ class CompensableTask(WorkflowNode):
     def compensation_mapping(self) -> Callable[[Context], Dict[str, Any]]:
         return self.compensate_mapping or self.input_mapping
 
-    def forward_task(self) -> ServiceTask:
-        """The forward half as a plain :class:`ServiceTask` (QoS view)."""
-        return ServiceTask(
-            name=self.name,
-            service=self.service,
-            operation=self.operation,
-            input_mapping=self.input_mapping,
-            output_key=self.output_key,
-            timeout=self.timeout,
-            budget=self.budget,
-        )
-
-    def tasks(self) -> List[ServiceTask]:
-        return [self.forward_task()]
-
     def validate(self) -> None:
         if not self.name:
             raise WorkflowError("compensable task needs a name")
@@ -181,9 +166,6 @@ class Saga(WorkflowNode):
 
     name: str
     steps: Sequence[CompensableTask]
-
-    def tasks(self) -> List[ServiceTask]:
-        return [step.forward_task() for step in self.steps]
 
     def validate(self) -> None:
         if not self.name:
@@ -222,18 +204,6 @@ class StepRecord:
     #: (a resumed in-doubt step observing its original execution).
     deduped: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "state": self.state,
-            "mutating": self.mutating,
-            "invocation_id": self.invocation_id,
-            "compensation_id": self.compensation_id,
-            "compensation_attempts": self.compensation_attempts,
-            "error": self.error,
-            "deduped": self.deduped,
-        }
-
 
 @dataclass
 class SagaRecord:
@@ -253,31 +223,11 @@ class SagaRecord:
         return self.state in SagaState.TERMINAL
 
     @property
-    def succeeded(self) -> bool:
-        return self.state == SagaState.COMMITTED
-
-    @property
     def elapsed(self) -> Optional[float]:
         if self.finished_at is None:
             return None
         return self.finished_at - self.started_at
 
-    def step(self, name: str) -> StepRecord:
-        for record in self.steps:
-            if record.name == name:
-                return record
-        raise KeyError(name)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "saga_id": self.saga_id,
-            "saga": self.saga,
-            "state": self.state,
-            "error": self.error,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "steps": [s.to_dict() for s in self.steps],
-        }
 
 
 class SagaLog:
@@ -345,9 +295,6 @@ class SagaLog:
         """Records a restarted orchestrator must resume or compensate."""
         return [r for r in self._records.values() if not r.terminal]
 
-    def export(self) -> List[Dict[str, Any]]:
-        return [record.to_dict() for record in self._records.values()]
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -399,18 +346,6 @@ class SagaOrchestrator:
         self._definitions[saga.name] = saga
 
     # -- public API --------------------------------------------------------------------
-
-    def run(
-        self,
-        saga: Saga,
-        context: Optional[Context] = None,
-        saga_id: Optional[str] = None,
-    ) -> SagaRecord:
-        """Execute ``saga`` to completion (advances the simulation)."""
-        generator = self.execute(saga, context, saga_id=saga_id)
-        process = self.node.spawn(generator, name=f"saga-{saga.name}")
-        self.env.run(until=process)
-        return process.value
 
     def execute(
         self,

@@ -13,7 +13,7 @@ error; there is no per-type plan cache (DESIGN.md §6.18 has the numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "XSD_NS",
@@ -70,12 +70,6 @@ class ComplexType:
 
     name: str
     elements: List[ElementDecl] = field(default_factory=list)
-
-    def element(self, name: str) -> Optional[ElementDecl]:
-        for declaration in self.elements:
-            if declaration.name == name:
-                return declaration
-        return None
 
 
 class Schema:

@@ -63,10 +63,6 @@ class TestLinearFit:
         assert fit.intercept == pytest.approx(1.0)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_predict(self):
-        fit = linear_fit([0, 1], [0, 2])
-        assert fit.predict(5) == pytest.approx(10.0)
-
     def test_noisy_line_high_r2(self):
         xs = list(range(20))
         ys = [2 * x + 1 + (0.1 if x % 2 else -0.1) for x in xs]
@@ -97,32 +93,6 @@ class TestSweep:
         assert sweep.parameters() == [1, 2, 3]
         assert sweep.series("square") == [1, 4, 9]
         assert sweep.columns() == ["square"]
-
-    def test_repeats_mean_reduce(self):
-        calls = {"count": 0}
-
-        def measure(n):
-            calls["count"] += 1
-            return {"value": calls["count"]}
-
-        sweep = run_sweep("demo", "n", [10], measure, repeats=4)
-        assert sweep.points[0]["value"] == 2.5  # mean of 1..4
-
-    def test_custom_reduce(self):
-        sweep = run_sweep(
-            "demo", "n", [1],
-            lambda n: {"v": n},
-            repeats=3,
-            reduce=lambda runs: {"v": max(r["v"] for r in runs)},
-        )
-        assert sweep.points[0]["v"] == 1
-
-    def test_non_numeric_columns_survive_reduce(self):
-        sweep = run_sweep(
-            "demo", "n", [1], lambda n: {"label": "x", "v": 2}, repeats=2
-        )
-        assert sweep.points[0]["label"] == "x"
-        assert sweep.points[0]["v"] == 2
 
     def test_sweep_point_row(self):
         point = SweepPoint(parameter=5, measurements={"a": 1, "b": 2})

@@ -6,7 +6,6 @@ import pytest
 
 from repro.check import (
     AdversarialDelayTiebreak,
-    FifoTiebreak,
     SeededShuffleTiebreak,
     build_tiebreak,
 )
@@ -18,17 +17,14 @@ class TestSpecs:
         """FIFO maps to no policy at all (the environment's fast path)."""
         assert build_tiebreak(None) is None
         assert build_tiebreak({"kind": "fifo"}) is None
-        assert FifoTiebreak().spec() == {"kind": "fifo"}
 
     def test_shuffle_round_trip(self):
-        policy = SeededShuffleTiebreak(7)
-        rebuilt = build_tiebreak(policy.spec())
+        rebuilt = build_tiebreak({"kind": "shuffle", "seed": 7})
         assert isinstance(rebuilt, SeededShuffleTiebreak)
         assert rebuilt.seed == 7
 
     def test_adversarial_round_trip(self):
-        policy = AdversarialDelayTiebreak("bpeer2")
-        rebuilt = build_tiebreak(policy.spec())
+        rebuilt = build_tiebreak({"kind": "adversarial", "victim": "bpeer2"})
         assert isinstance(rebuilt, AdversarialDelayTiebreak)
         assert rebuilt.victim == "bpeer2"
 

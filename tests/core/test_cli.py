@@ -153,21 +153,52 @@ class TestCommands:
         assert captured.err == f"repro check: error: {rejected.value}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("mode", [
-        ["--saga"], ["--self-test"], ["--saga", "--self-test"],
-        ["--replay", "tests/check/fixtures/whisper-check-1.json"],
-    ], ids=" ".join)
-    @pytest.mark.parametrize("axis", [
-        ["--shards", "2"], ["--regions", "2"], ["--capacity"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv, message", [
+        *(
+            pytest.param(
+                ["check", *mode, *axis, "--seeds", "1", "--schedules", "0"],
+                f"does not read {axis[0]}",
+                id=f"{' '.join(axis)}-{' '.join(mode)}",
+            )
+            for axis in (["--shards", "2"], ["--regions", "2"], ["--capacity"])
+            for mode in (
+                ["--saga"], ["--self-test"], ["--saga", "--self-test"],
+                ["--replay", "tests/check/fixtures/whisper-check-1.json"],
+            )
+        ),
+        *(
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in (
+                (["check", "--max-ops", "0"], "--max-ops: must be >= 1, got 0"),
+                (["check", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
+                (["check", "--schedules", "-1"], "--schedules: must be >= 0, got -1"),
+                (["check", "--regions", "0"], "--regions: must be >= 1, got 0"),
+                (["check", "--replay", "missing.json"], "--replay: [Errno 2]"),
+                (["check", "--replay", "README.md"], "--replay: Expecting value"),
+                (["check", "--replay", "nope.json"], "not a repro file (format='nope'"),
+                (["check", "--replay", "BENCH_wan.json"], "not a repro file (format=None"),
+                (["dlq", "--sagas", "-1"], "--sagas: must be >= 1, got -1"),
+                (["trace", "--samples", "-2"], "--samples: must be >= 1, got -2"),
+                (["metrics", "--samples", "-2"], "--samples: must be >= 1, got -2"),
+                (["trace", "--last", "-1"], "--last: must be >= 0, got -1"),
+            )
+        ),
+    ])
     def test_check_axis_flags_no_mode_reads_are_a_usage_error(
-        self, capsys, tmp_path, mode, axis
+        self, capsys, tmp_path, argv, message
     ):
-        argv = ["check", *mode, *axis, "--seeds", "1", "--schedules", "0",
-                "--out", str(tmp_path / "repro.json")]
+        """Every argv here exits 2 with one ``repro <command>: error:``
+        line on stderr and nothing run: no traceback under the
+        "counterexample found" code 1, no vacuous pass."""
+        (tmp_path / "nope.json").write_text('{"format": "nope"}')
+        if argv[0] == "check":
+            argv = [
+                str(tmp_path / arg) if arg in ("missing.json", "nope.json") else arg
+                for arg in argv
+            ] + ["--out", str(tmp_path / "repro.json")]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("repro check: error: ")
-        assert f"does not read {axis[0]}" in line
+        assert line.startswith(f"repro {argv[0]}: error: ")
+        assert message in line

@@ -53,7 +53,6 @@ def test_miss_then_hit():
     entry = cache.lookup("k", now=1.0)
     assert entry is not None and entry.value == {"x": 1}
     assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.hit_ratio == 0.5
 
 
 def test_staleness_bound_expires_entries():

@@ -80,14 +80,6 @@ class TestInvokeResult:
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.attempts = 2
 
-    def test_recovered_property_tracks_outcome(self):
-        kwargs = dict(value=None, epoch=None, attempts=2, duration=0.1, trace_id=1)
-        assert InvokeResult(outcome=InvokeOutcome.RECOVERED, **kwargs).recovered
-        assert not InvokeResult(outcome=InvokeOutcome.OK, **kwargs).recovered
-        assert not InvokeResult(
-            outcome=InvokeOutcome.RETRIED_AFTER_SHED, **kwargs
-        ).recovered
-
     def test_invoke_returns_typed_result(self):
         system = WhisperSystem(ScenarioConfig(seed=65, replicas=2))
         service = system.deploy_student_service()

@@ -81,9 +81,7 @@ class TestObservabilityFacade:
     def test_trace_last_rejects_a_negative_count_before_running(self, capsys):
         from repro import cli
 
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["trace", "--last", "-1"])
-        assert exit_info.value.code == 2
+        assert cli.main(["trace", "--last", "-1"]) == 2
         assert "--last: must be >= 0" in capsys.readouterr().err
 
     def test_exports_parse(self):

@@ -8,7 +8,6 @@ from repro.qos import (
     QosSelector,
     QosWeights,
     RandomSelector,
-    RoundRobinSelector,
     conditional,
     loop,
     parallel,
@@ -152,19 +151,12 @@ class TestSelection:
     def test_empty_candidates(self):
         assert QosSelector().select({}) is None
         assert RandomSelector().select({}) is None
-        assert RoundRobinSelector().select({}) is None
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             QosWeights(time=-1)
         with pytest.raises(ValueError):
             QosWeights(time=0, cost=0, reliability=0)
-
-    def test_round_robin_cycles(self):
-        selector = RoundRobinSelector()
-        candidates = {"a": self.FAST, "b": self.CHEAP, "c": self.FLAKY}
-        picks = [selector.select(candidates) for _ in range(6)]
-        assert picks == ["a", "b", "c", "a", "b", "c"]
 
     def test_random_selector_deterministic_with_seed(self):
         import random

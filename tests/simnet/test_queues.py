@@ -1,11 +1,11 @@
-"""Unit tests for Store and PriorityStore."""
+"""Unit tests for Store."""
 
 from collections import deque
 
 import pytest
 
 from repro.check.tiebreak import FifoTiebreak
-from repro.simnet import Environment, PriorityStore, Store
+from repro.simnet import Environment, Store
 
 
 @pytest.fixture
@@ -315,52 +315,3 @@ class TestPush:
         self._consume(env, store, 2, got)
         env.run()
         assert [item for item, _ in got] == ["fills", "waits"]
-
-    def test_priority_store_keeps_put_semantics(self, env):
-        store, got = PriorityStore(env), []
-        for item in (5, 1, 3):
-            store.push(item)
-        assert len(store) == 3 and not store.items
-        self._consume(env, store, 3, got)
-        env.run()
-        assert [item for item, _ in got] == [1, 3, 5]
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        for item in (5, 1, 3):
-            store.put(item)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.run(until=env.process(consumer()))
-        assert got == [1, 3, 5]
-
-    def test_key_function(self, env):
-        store = PriorityStore(env, key=lambda item: item["priority"])
-        store.put({"priority": 2, "name": "b"})
-        store.put({"priority": 1, "name": "a"})
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.run(until=env.process(consumer()))
-        assert got[0]["name"] == "a"
-
-    def test_ties_are_fifo(self, env):
-        store = PriorityStore(env, key=lambda item: 0)
-        for name in ("first", "second", "third"):
-            store.put(name)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.run(until=env.process(consumer()))
-        assert got == ["first", "second", "third"]

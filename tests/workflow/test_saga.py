@@ -43,6 +43,15 @@ def _orchestrator(system, name="saga-host", **kwargs):
     return host, SagaOrchestrator(host, **kwargs)
 
 
+def _run(orchestrator, saga, context, saga_id=None):
+    """Execute ``saga`` to completion on the orchestrator's host."""
+    process = orchestrator.node.spawn(
+        orchestrator.execute(saga, context, saga_id=saga_id)
+    )
+    orchestrator.env.run(until=process)
+    return process.value
+
+
 SOLVENT = {"loan_id": "LOAN-9001", "applicant": "APP-0001", "amount": 500.0}
 INSOLVENT = {"loan_id": "LOAN-9002", "applicant": "APP-0000", "amount": 9_000.0}
 
@@ -52,7 +61,7 @@ class TestHappyPath:
         system, services, fleet = _deploy()
         _host, orchestrator = _orchestrator(system)
         saga = loan_saga(services)
-        record = orchestrator.run(saga, dict(SOLVENT))
+        record = _run(orchestrator, saga, dict(SOLVENT))
         assert record.state == SagaState.COMMITTED
         assert [step.state for step in record.steps] == [StepState.COMMITTED] * 3
         assert record.context["registration"]["status"] == "registered"
@@ -65,7 +74,7 @@ class TestHappyPath:
     def test_step_invocation_ids_are_saga_scoped(self):
         system, services, _fleet = _deploy()
         _host, orchestrator = _orchestrator(system)
-        record = orchestrator.run(
+        record = _run(orchestrator, 
             loan_saga(services), dict(SOLVENT), saga_id="loan-keyed"
         )
         assert [step.invocation_id for step in record.steps] == [
@@ -79,7 +88,7 @@ class TestCompensation:
     def test_insolvent_saga_compensates(self):
         system, services, fleet = _deploy()
         _host, orchestrator = _orchestrator(system)
-        record = orchestrator.run(loan_saga(services), dict(INSOLVENT))
+        record = _run(orchestrator, loan_saga(services), dict(INSOLVENT))
         assert record.state == SagaState.COMPENSATED
         register, reserve, book = record.steps
         assert register.state == StepState.COMPENSATED
@@ -100,7 +109,7 @@ class TestCompensation:
             system.failures.crash_at(system.env.now + 0.01, peer.node.name)
         _host, orchestrator = _orchestrator(system)
         saga = loan_saga(services, timeout=1.0, budget=3.0)
-        record = orchestrator.run(saga, dict(SOLVENT))
+        record = _run(orchestrator, saga, dict(SOLVENT))
         assert record.state == SagaState.COMPENSATED
         trace = [
             t for t in system.obs.recent_traces() if t.operation == "saga.loan"
@@ -124,7 +133,7 @@ class TestCompensation:
         _host, orchestrator = _orchestrator(
             system, compensation_enabled=False
         )
-        record = orchestrator.run(loan_saga(services), dict(INSOLVENT))
+        record = _run(orchestrator, loan_saga(services), dict(INSOLVENT))
         assert record.state == SagaState.ABANDONED
         violations = saga_atomicity_violations(
             orchestrator.log, fleet.all_peers()
@@ -180,7 +189,7 @@ class TestRecovery:
         host, orchestrator = _orchestrator(system, log=saga_log)
         saga = loan_saga(services)
         orchestrator.register(saga)
-        orchestrator.run(saga, dict(SOLVENT), saga_id="loan-done")
+        _run(orchestrator, saga, dict(SOLVENT), saga_id="loan-done")
         # A filter naming no incomplete saga resumes nothing.
         process = host.spawn(orchestrator.recover(saga_ids=["loan-other"]))
         system.env.run(until=process)
@@ -210,7 +219,7 @@ class TestDeadLetterQueue:
         host, orchestrator = _orchestrator(system)
         saga = loan_saga(services)
         orchestrator.register(saga)
-        orchestrator.run(saga, dict(SOLVENT), saga_id="loan-live")
+        _run(orchestrator, saga, dict(SOLVENT), saga_id="loan-live")
         process = host.spawn(orchestrator.requeue("loan-live"))
         with pytest.raises(WorkflowError, match="not dead-lettered"):
             system.env.run(until=process)

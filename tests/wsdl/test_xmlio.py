@@ -31,8 +31,7 @@ class TestRoundTrip:
         parsed = definitions_from_xml(definitions_to_xml(original))
         assert "StudentInfoType" in parsed.schema.complex_types
         complex_type = parsed.schema.complex_types["StudentInfoType"]
-        courses = complex_type.element("enrolledCourses")
-        assert courses is not None
+        (courses,) = [e for e in complex_type.elements if e.name == "enrolledCourses"]
         assert courses.repeated
         assert not courses.required
         assert set(parsed.schema.elements) == {"StudentID", "StudentInfo"}
