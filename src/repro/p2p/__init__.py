@@ -2,12 +2,14 @@
 
 Whisper's fault tolerance rests on "the features and characteristics of
 peer-to-peer networks" (§1), concretely JXTA 2.3.  This package implements
-the protocol surface Whisper uses: peer/group/pipe identifiers, XML
-advertisements (including the paper's new *semantic advertisements*,
-§4.3), an endpoint service with relay routing, rendezvous peers with
-leases + propagation + an SRDI index, a resolver, discovery with local
-caches and remote queries, logical peer groups, pipes, and membership
-credentials.
+the protocol surface Whisper uses: peer and group identifiers, XML
+advertisements (peer advertisements and the paper's new *semantic
+advertisements*, §4.3), an endpoint service with relay routing, rendezvous
+peers with leases + propagation + an SRDI index, a resolver, discovery
+with local caches and remote queries, and logical peer groups.  JXTA's
+pipes and membership credentials are left out: a b-peer group finds its
+members through its semantic advertisement, reaches its coordinator
+through the resolver and messages members directly.
 """
 
 from .advertisement import (
@@ -15,8 +17,6 @@ from .advertisement import (
     AdvParseError,
     Advertisement,
     PeerAdvertisement,
-    PeerGroupAdvertisement,
-    PipeAdvertisement,
     SemanticAdvertisement,
     advertisement_from_xml,
 )
@@ -29,11 +29,9 @@ from .endpoint import (
     UnresolvablePeerError,
 )
 from .gossip import GOSSIP_PROTOCOL, GossipEntry, GossipService
-from .ids import WORLD_GROUP_ID, JxtaId, PeerGroupId, PeerId, PipeId
-from .membership import Credential, MembershipError, MembershipService
+from .ids import JxtaId, PeerGroupId, PeerId
 from .peer import Peer
 from .peergroup import GroupService, PeerGroupView
-from .pipes import InputPipe, OutputPipe, PipeBindError, PipeService, PropagatePipe
 from .relay import attach_nat_peer, configure_relay
 from .rendezvous import RendezvousService
 from .resolver import ResolverQuery, ResolverResponse, ResolverService
@@ -42,7 +40,6 @@ __all__ = [
     "AdvParseError",
     "Advertisement",
     "AdvertisementCache",
-    "Credential",
     "DEFAULT_LIFETIME",
     "DiscoveryQuery",
     "DiscoveryService",
@@ -53,29 +50,18 @@ __all__ = [
     "GossipEntry",
     "GossipService",
     "GroupService",
-    "InputPipe",
     "JxtaId",
-    "MembershipError",
-    "MembershipService",
-    "OutputPipe",
     "Peer",
     "PeerAdvertisement",
-    "PeerGroupAdvertisement",
     "PeerGroupId",
     "PeerGroupView",
     "PeerId",
-    "PipeAdvertisement",
-    "PipeBindError",
-    "PipeId",
-    "PipeService",
-    "PropagatePipe",
     "RendezvousService",
     "ResolverQuery",
     "ResolverResponse",
     "ResolverService",
     "SemanticAdvertisement",
     "UnresolvablePeerError",
-    "WORLD_GROUP_ID",
     "advertisement_from_xml",
     "attach_nat_peer",
     "configure_relay",

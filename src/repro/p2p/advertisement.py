@@ -1,11 +1,11 @@
 """JXTA advertisements, including Whisper's *semantic advertisements*.
 
 "All resources in JXTA networks are represented by a metadata XML document
-called an advertisement" (§4.3).  We implement the standard kinds (peer,
-peer group, pipe) plus the paper's contribution: an *extendable*
-advertisement carrying the semantic signature (action / input / output
-ontology concepts) of a b-peer group, so that discovery can match on
-semantics instead of names.
+called an advertisement" (§4.3).  We implement the two kinds Whisper
+publishes: JXTA's peer advertisement, and the paper's contribution, an
+*extendable* peer-group advertisement carrying the semantic signature
+(action / input / output ontology concepts) of a b-peer group, so that
+discovery can match on semantics instead of names.
 
 Every advertisement serialises to an XML document and back; the XML length
 is the advertisement's simulated wire size.  An advertisement renders its
@@ -16,16 +16,14 @@ document once and serves that rendering (and its size) from then on;
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
-from .ids import PeerGroupId, PeerId, PipeId
+from .ids import PeerGroupId, PeerId
 
 __all__ = [
     "Advertisement",
     "PeerAdvertisement",
-    "PeerGroupAdvertisement",
-    "PipeAdvertisement",
     "SemanticAdvertisement",
     "AdvParseError",
     "advertisement_from_xml",
@@ -66,10 +64,6 @@ class Advertisement:
     def key(self) -> str:
         """Unique cache key (same key = same logical advertisement)."""
         raise NotImplementedError
-
-    @property
-    def adv_type(self) -> str:
-        return self.ADV_TYPE
 
     # -- attributes for discovery queries -------------------------------------------
 
@@ -190,80 +184,13 @@ class PeerAdvertisement(Advertisement):
 
 
 @dataclass
-class PeerGroupAdvertisement(Advertisement):
-    """Announces a peer group."""
-
-    ADV_TYPE: ClassVar[str] = "jxta:PGA"
-
-    group_id: PeerGroupId = None
-    name: str = ""
-    description: str = ""
-
-    def key(self) -> str:
-        return f"PGA:{self.group_id.urn}"
-
-    def attributes(self) -> Dict[str, str]:
-        return {"Name": self.name, "GID": self.group_id.urn}
-
-    def _body_elements(self) -> List[ET.Element]:
-        return [
-            _text_element("GID", self.group_id.urn),
-            _text_element("Name", self.name),
-            _text_element("Desc", self.description),
-        ]
-
-    @classmethod
-    def _from_element(cls, root: ET.Element) -> "PeerGroupAdvertisement":
-        return cls(
-            group_id=PeerGroupId.from_urn(_required_text(root, "GID")),
-            name=_required_text(root, "Name"),
-            description=root.findtext("Desc", ""),
-        )
-
-
-@dataclass
-class PipeAdvertisement(Advertisement):
-    """Announces a communication pipe."""
-
-    ADV_TYPE: ClassVar[str] = "jxta:PipeAdv"
-
-    UNICAST: ClassVar[str] = "JxtaUnicast"
-    PROPAGATE: ClassVar[str] = "JxtaPropagate"
-
-    pipe_id: PipeId = None
-    name: str = ""
-    pipe_type: str = "JxtaUnicast"
-
-    def key(self) -> str:
-        return f"Pipe:{self.pipe_id.urn}"
-
-    def attributes(self) -> Dict[str, str]:
-        return {"Name": self.name, "PipeID": self.pipe_id.urn, "Type": self.pipe_type}
-
-    def _body_elements(self) -> List[ET.Element]:
-        return [
-            _text_element("PipeID", self.pipe_id.urn),
-            _text_element("Name", self.name),
-            _text_element("Type", self.pipe_type),
-        ]
-
-    @classmethod
-    def _from_element(cls, root: ET.Element) -> "PipeAdvertisement":
-        return cls(
-            pipe_id=PipeId.from_urn(_required_text(root, "PipeID")),
-            name=_required_text(root, "Name"),
-            pipe_type=_required_text(root, "Type"),
-        )
-
-
-@dataclass
 class SemanticAdvertisement(Advertisement):
     """Whisper's new advertisement kind (§4.3).
 
-    Extends a peer-group advertisement with the group's semantic signature:
-    the *action* concept (functional semantics, §2.3) and the *input* /
-    *output* concepts (data semantics, §2.2), all URIs into a shared OWL
-    ontology.  The SWS-proxy's ``findPeerGroupAdv`` (§3.2) matches against
+    Extends JXTA's peer-group advertisement (group id, name, description)
+    with the group's semantic signature: the *action* concept (functional
+    semantics, §2.3) and the *input* / *output* concepts (data semantics,
+    §2.2), all URIs into a shared OWL ontology.  The SWS-proxy's ``findPeerGroupAdv`` (§3.2) matches against
     exactly these three fields.
     """
 

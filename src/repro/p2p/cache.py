@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Type
 
 from .advertisement import Advertisement
 
-__all__ = ["AdvertisementCache"]
+__all__ = ["AdvertisementCache", "matching"]
 
 
 @dataclass
@@ -27,13 +27,11 @@ class AdvertisementCache:
 
     When handed a metrics registry, the cache emits exactly one
     ``discovery.cache_hit`` or ``discovery.cache_miss`` per lookup
-    (``get`` and ``query`` alike — a query that matches ten
+    (``get``, ``query`` and ``select`` alike — a query that matches ten
     advertisements is still *one* hit, and an empty result is a miss),
     plus ``discovery.cache_expired`` per entry purged past its lifetime
     and ``discovery.cache_flushed`` per live entry dropped by
-    ``clear()``.  Campaign reports use these to correlate
-    stale-advertisement windows (e.g. after a partition) with discovery
-    misses and dedup journal misses.
+    ``clear()``.  ``repro metrics`` exports them.
     """
 
     def __init__(self, clock: Callable[[], float], metrics: Optional[Any] = None):
@@ -86,23 +84,20 @@ class AdvertisementCache:
     ) -> List[Advertisement]:
         """All live advertisements matching the JXTA-style query triple.
 
-        ``adv_type`` restricts the advertisement class; ``attribute`` /
-        ``value`` match against :meth:`Advertisement.attributes`.  A ``*``
-        suffix on ``value`` performs a prefix match (JXTA wildcard style).
+        ``adv_type`` restricts the advertisement class, compared on its
+        ``ADV_TYPE``; the rule is :func:`matching`'s.
         """
+        type_tag = adv_type.ADV_TYPE if adv_type is not None else None
+        return self.select(matching(type_tag, attribute, value))
+
+    def select(self, predicate: Callable[[Advertisement], bool]) -> List[Advertisement]:
+        """All live advertisements ``predicate`` accepts, in key order."""
         self._purge()
-        results: List[Advertisement] = []
-        for entry in self._entries.values():
-            advertisement = entry.advertisement
-            if adv_type is not None and not isinstance(advertisement, adv_type):
-                continue
-            if attribute is not None:
-                actual = advertisement.attributes().get(attribute)
-                if actual is None:
-                    continue
-                if value is not None and not _match_value(actual, value):
-                    continue
-            results.append(advertisement)
+        results = [
+            entry.advertisement
+            for entry in self._entries.values()
+            if predicate(entry.advertisement)
+        ]
         results.sort(key=lambda adv: adv.key())
         if results:
             self._inc("discovery.cache_hit")
@@ -132,7 +127,33 @@ class AdvertisementCache:
         self._inc("discovery.cache_expired", len(expired))
 
 
-def _match_value(actual: str, pattern: str) -> bool:
-    if pattern.endswith("*"):
-        return actual.startswith(pattern[:-1])
-    return actual == pattern
+def matching(
+    adv_type: Optional[str] = None,
+    attribute: Optional[str] = None,
+    value: Optional[str] = None,
+) -> Callable[[Advertisement], bool]:
+    """The JXTA-style query triple as a predicate.
+
+    The one rule local queries, remote discovery answers and the
+    rendezvous' SRDI index apply.  ``adv_type`` is an ``ADV_TYPE`` tag,
+    compared exactly; ``attribute`` / ``value`` match against
+    :meth:`Advertisement.attributes` — an attribute with no value only has
+    to be present, and a ``*`` suffix on ``value`` performs a prefix match
+    (JXTA wildcard style).
+    """
+
+    def matches(advertisement: Advertisement) -> bool:
+        if adv_type is not None and advertisement.ADV_TYPE != adv_type:
+            return False
+        if attribute is None:
+            return True
+        actual = advertisement.attributes().get(attribute)
+        if actual is None:
+            return False
+        if value is None:
+            return True
+        if value.endswith("*"):
+            return actual.startswith(value[:-1])
+        return actual == value
+
+    return matches

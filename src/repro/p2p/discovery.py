@@ -17,7 +17,7 @@ from typing import Any, Generator, List, Optional, Type
 
 from ..simnet.events import Wait
 from .advertisement import Advertisement, advertisement_from_xml
-from .cache import AdvertisementCache
+from .cache import AdvertisementCache, matching
 from .rendezvous import RendezvousService
 from .resolver import ResolverQuery, ResolverService
 
@@ -133,42 +133,16 @@ class DiscoveryService:
 
     def _handle_query(self, query: ResolverQuery) -> Optional[Any]:
         request: DiscoveryQuery = query.payload
-        matches = self._match_request(request)
+        predicate = matching(request.adv_type, request.attribute, request.value)
+        matches = self.cache.select(predicate)
         # A rendezvous additionally answers from its SRDI index, covering
         # advertisements published by edges that are not asked directly.
         if self.rendezvous.is_rendezvous and self.rendezvous.srdi:
-            probe = DiscoveryQuery(
-                adv_type=request.adv_type,
-                attribute=request.attribute,
-                value=request.value,
-            )
-            for advertisement in self.rendezvous.srdi_lookup(
-                lambda adv: _matches(adv, probe)
-            ):
-                if advertisement.key() not in {m.key() for m in matches}:
+            known = {advertisement.key() for advertisement in matches}
+            for advertisement in self.rendezvous.srdi_lookup(predicate):
+                if advertisement.key() not in known:
                     matches.append(advertisement)
         if not matches:
             return None
         limited = matches[: request.threshold]
         return [advertisement.to_xml() for advertisement in limited]
-
-    def _match_request(self, request: DiscoveryQuery) -> List[Advertisement]:
-        return [
-            advertisement
-            for advertisement in self.cache.query()
-            if _matches(advertisement, request)
-        ]
-
-
-def _matches(advertisement: Advertisement, request: DiscoveryQuery) -> bool:
-    if request.adv_type is not None and advertisement.adv_type != request.adv_type:
-        return False
-    if request.attribute is not None:
-        actual = advertisement.attributes().get(request.attribute)
-        if actual is None:
-            return False
-        if request.value is not None:
-            if request.value.endswith("*"):
-                return actual.startswith(request.value[:-1])
-            return actual == request.value
-    return True

@@ -1,6 +1,6 @@
 """JXTA-style identifiers.
 
-JXTA names every resource — peers, peer groups, pipes — with a URN of the
+JXTA names every resource — here peers and peer groups — with a URN of the
 form ``urn:jxta:uuid-<hex>``.  We generate the UUID part deterministically
 from the resource's kind and name (SHA-256, UUIDv5-style), which keeps
 whole simulations reproducible while preserving global uniqueness across
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["JxtaId", "PeerId", "PeerGroupId", "PipeId", "WORLD_GROUP_ID"]
+__all__ = ["JxtaId", "PeerId", "PeerGroupId"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -76,13 +76,3 @@ class PeerGroupId(JxtaId):
     __slots__ = ()
     KIND = "peergroup"
 
-
-class PipeId(JxtaId):
-    """Identifies a pipe."""
-
-    __slots__ = ()
-    KIND = "pipe"
-
-
-#: The world group every peer implicitly belongs to (JXTA's NetPeerGroup).
-WORLD_GROUP_ID = PeerGroupId.from_name("jxta:world")

@@ -1,8 +1,10 @@
 """The peer: one participant on the JXTA-like network.
 
 A :class:`Peer` stacks the protocol services on one simulated host:
-endpoint → (rendezvous, resolver) → discovery / groups / pipes /
-membership.  B-peers (:mod:`repro.core.bpeer`) build on this class.
+endpoint → (rendezvous, resolver) → discovery / groups.  That is all a
+b-peer group runs on: semantic advertisements found by discovery, a
+coordinator resolved through the resolver, group messaging for Bully and
+the journal.  B-peers (:mod:`repro.core.bpeer`) build on this class.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from ..simnet.node import Node
 from .advertisement import PeerAdvertisement
 from .cache import AdvertisementCache
 from .discovery import DiscoveryService
-from .endpoint import ENDPOINT_PORT, EndpointService
+from .endpoint import EndpointService
 from .ids import PeerId
-from .membership import MembershipService
 from .peergroup import GroupService
-from .pipes import PipeService
 from .rendezvous import RendezvousService
 from .resolver import ResolverService
 
@@ -25,23 +25,19 @@ __all__ = ["Peer"]
 
 
 class Peer:
-    """A full JXTA-like protocol stack on one host."""
+    """The JXTA-like protocol stack Whisper runs, on one host."""
 
     def __init__(
         self,
         node: Node,
         name: Optional[str] = None,
         is_rendezvous: bool = False,
-        nat_isolated: bool = False,
-        port: int = ENDPOINT_PORT,
     ):
         self.node = node
         self.env = node.env
         self.name = name or node.name
         self.peer_id = PeerId.from_name(self.name)
-        self.endpoint = EndpointService(
-            node, self.peer_id, port=port, nat_isolated=nat_isolated
-        )
+        self.endpoint = EndpointService(node, self.peer_id)
         self.cache = AdvertisementCache(
             clock=lambda: self.env.now, metrics=node.network.obs.metrics
         )
@@ -49,8 +45,6 @@ class Peer:
         self.resolver = ResolverService(self.endpoint, self.rendezvous)
         self.discovery = DiscoveryService(self.resolver, self.cache, self.rendezvous)
         self.groups = GroupService(self.endpoint, self.rendezvous, self.resolver)
-        self.pipes = PipeService(self.endpoint, self.resolver, self.rendezvous)
-        self.membership = MembershipService(self.peer_id, clock=lambda: self.env.now)
 
     # -- convenience -----------------------------------------------------------------
 

@@ -317,40 +317,6 @@ class GroupService:
             size_bytes=size_bytes,
         )
 
-    def propagate_to_group(
-        self,
-        group_id: PeerGroupId,
-        protocol: str,
-        payload: Any,
-        category: Optional[str] = None,
-        size_bytes: int = 512,
-        include_self: bool = True,
-    ) -> int:
-        """Unicast a datagram to every member; returns how many were sent.
-
-        This is the JXTA propagate-pipe pattern scoped to a group; its cost
-        is linear in the member count.
-        """
-        view = self.groups.get(group_id)
-        if view is None:
-            return 0
-        sent = 0
-        for member in view.sorted_members():
-            if member == self.endpoint.peer_id:
-                continue
-            try:
-                self.send_to_member(
-                    group_id, member, protocol, payload, category, size_bytes
-                )
-                sent += 1
-            except UnresolvablePeerError:
-                continue
-        if include_self:
-            listener = self._listeners.get(protocol)
-            if listener is not None:
-                listener(payload, self.endpoint.peer_id, group_id)
-        return sent
-
     # -- inbound ----------------------------------------------------------------------------
 
     def _on_direct(self, message: EndpointMessage) -> None:

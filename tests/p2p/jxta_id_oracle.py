@@ -46,7 +46,3 @@ class PeerId(JxtaId):
 
 class PeerGroupId(JxtaId):
     KIND = "peergroup"
-
-
-class PipeId(JxtaId):
-    KIND = "pipe"

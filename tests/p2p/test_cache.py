@@ -5,9 +5,9 @@ import pytest
 from repro.p2p import (
     AdvertisementCache,
     PeerAdvertisement,
-    PeerGroupAdvertisement,
     PeerGroupId,
     PeerId,
+    SemanticAdvertisement,
 )
 
 
@@ -27,7 +27,7 @@ def _peer_adv(name, host="h", port=1):
 
 
 def _group_adv(name):
-    return PeerGroupAdvertisement(group_id=PeerGroupId.from_name(name), name=name)
+    return SemanticAdvertisement(group_id=PeerGroupId.from_name(name), name=name)
 
 
 class TestPublish:
@@ -88,7 +88,7 @@ class TestQuery:
         cache.publish(_peer_adv("p1"))
         cache.publish(_group_adv("g1"))
         assert len(cache.query(PeerAdvertisement)) == 1
-        assert len(cache.query(PeerGroupAdvertisement)) == 1
+        assert len(cache.query(SemanticAdvertisement)) == 1
         assert len(cache.query()) == 2
 
     def test_query_by_attribute_value(self, cache):

@@ -7,14 +7,13 @@ import pytest
 from repro.p2p import (
     Advertisement,
     PeerAdvertisement,
-    PeerGroupAdvertisement,
     PeerGroupId,
     SemanticAdvertisement,
 )
 
 
 def _group_adv(name):
-    return PeerGroupAdvertisement(group_id=PeerGroupId.from_name(name), name=name)
+    return SemanticAdvertisement(group_id=PeerGroupId.from_name(name), name=name)
 
 
 def _semantic_adv(name, action):
@@ -38,7 +37,7 @@ class TestLocal:
     def test_publish_then_local_query(self, env, p2p):
         _rendezvous, edges = p2p
         edges[0].discovery.publish(_group_adv("g1"))
-        results = edges[0].discovery.get_local_advertisements(PeerGroupAdvertisement)
+        results = edges[0].discovery.get_local_advertisements(SemanticAdvertisement)
         assert [a.name for a in results] == ["g1"]
 
     def test_local_query_by_attribute(self, env, p2p):
@@ -55,21 +54,21 @@ class TestLocal:
         advertisement = _group_adv("g1")
         edges[0].discovery.publish(advertisement)
         edges[0].discovery.flush(advertisement)
-        assert edges[0].discovery.get_local_advertisements(PeerGroupAdvertisement) == []
+        assert edges[0].discovery.get_local_advertisements(SemanticAdvertisement) == []
 
 
 class TestRemote:
     def test_finds_advertisements_on_other_peers(self, env, p2p):
         _rendezvous, edges = p2p
         edges[3].discovery.publish(_group_adv("remote-group"))
-        found = _remote(env, edges[0], adv_type=PeerGroupAdvertisement, timeout=0.5)
+        found = _remote(env, edges[0], adv_type=SemanticAdvertisement, timeout=0.5)
         assert "remote-group" in [a.name for a in found]
 
     def test_found_advertisements_cached_locally(self, env, p2p):
         _rendezvous, edges = p2p
         edges[3].discovery.publish(_group_adv("cached-group"))
-        _remote(env, edges[0], adv_type=PeerGroupAdvertisement, timeout=0.5)
-        local = edges[0].discovery.get_local_advertisements(PeerGroupAdvertisement)
+        _remote(env, edges[0], adv_type=SemanticAdvertisement, timeout=0.5)
+        local = edges[0].discovery.get_local_advertisements(SemanticAdvertisement)
         assert "cached-group" in [a.name for a in local]
 
     def test_finds_srdi_indexed_advertisements(self, env, p2p):
@@ -123,7 +122,7 @@ class TestRemote:
         edges[1].discovery.publish(_group_adv("early"))
         start = env.now
         found = _remote(
-            env, edges[0], adv_type=PeerGroupAdvertisement, timeout=5.0, threshold=1
+            env, edges[0], adv_type=SemanticAdvertisement, timeout=5.0, threshold=1
         )
         assert found
         assert env.now - start < 1.0  # did not wait the full timeout
@@ -132,11 +131,34 @@ class TestRemote:
         _rendezvous, edges = p2p
         start = env.now
         found = _remote(
-            env, edges[0], adv_type=PeerGroupAdvertisement,
+            env, edges[0], adv_type=SemanticAdvertisement,
             attribute="Name", value="ghost", timeout=0.4,
         )
         assert found == []
         assert env.now - start >= 0.4
+
+    def test_a_non_matching_answer_counts_a_miss(self, env, network, p2p):
+        """A peer asked what its cache does not hold looks up once and
+        finds nothing: a miss, although the cache is not empty (every
+        peer holds its own peer advertisement)."""
+        _rendezvous, edges = p2p
+        edges[1].discovery.publish(_group_adv("present"))
+        counters = network.obs.metrics.counters
+
+        def count(name):
+            counter = counters.get(name)
+            return counter.value if counter is not None else 0
+
+        hits, misses = count("discovery.cache_hit"), count("discovery.cache_miss")
+        found = _remote(
+            env, edges[0], adv_type=SemanticAdvertisement,
+            attribute="Name", value="ghost", timeout=0.4,
+        )
+        assert found == []
+        assert count("discovery.cache_hit") == hits
+        # One lookup per peer asked: the rendezvous and all four edges,
+        # the querying one included.
+        assert count("discovery.cache_miss") == misses + 5
 
     def test_attribute_filter_applies_remotely(self, env, p2p):
         _rendezvous, edges = p2p
@@ -153,5 +175,5 @@ class TestRemote:
         advertisement = _group_adv("dup")
         for edge in edges[1:]:
             edge.discovery.publish(advertisement)
-        found = _remote(env, edges[0], adv_type=PeerGroupAdvertisement, timeout=0.5)
+        found = _remote(env, edges[0], adv_type=SemanticAdvertisement, timeout=0.5)
         assert [a.name for a in found].count("dup") == 1

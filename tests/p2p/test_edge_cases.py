@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.p2p import Peer, PeerGroupAdvertisement, PeerGroupId
+from repro.p2p import Peer, PeerGroupId, SemanticAdvertisement
 
 
 class TestDisconnectedPeer:
@@ -10,12 +10,12 @@ class TestDisconnectedPeer:
         """An unconnected peer can still publish locally; the SRDI push is
         silently skipped (nothing to push to)."""
         lonely = Peer(network.add_host("lonely"))
-        advertisement = PeerGroupAdvertisement(
+        advertisement = SemanticAdvertisement(
             group_id=PeerGroupId.from_name("g"), name="g"
         )
         lonely.discovery.publish(advertisement, remote=True)  # must not raise
         env.run(until=0.2)
-        local = lonely.discovery.get_local_advertisements(PeerGroupAdvertisement)
+        local = lonely.discovery.get_local_advertisements(SemanticAdvertisement)
         assert [a.name for a in local] == ["g"]
 
     def test_propagate_without_rendezvous_is_local_only(self, env, network):

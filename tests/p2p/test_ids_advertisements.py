@@ -6,11 +6,8 @@ from repro.p2p import (
     Advertisement,
     AdvParseError,
     PeerAdvertisement,
-    PeerGroupAdvertisement,
     PeerGroupId,
     PeerId,
-    PipeAdvertisement,
-    PipeId,
     SemanticAdvertisement,
     advertisement_from_xml,
 )
@@ -55,20 +52,12 @@ class TestAdvertisements:
         assert parsed.key() == original.key()
 
     def test_peergroup_advertisement_roundtrip(self):
-        original = PeerGroupAdvertisement(
+        original = SemanticAdvertisement(
             group_id=PeerGroupId.from_name("g"), name="g", description="a group"
         )
         parsed = _roundtrip(original)
         assert parsed.group_id == original.group_id
         assert parsed.description == "a group"
-
-    def test_pipe_advertisement_roundtrip(self):
-        original = PipeAdvertisement(
-            pipe_id=PipeId.from_name("pp"), name="pp",
-            pipe_type=PipeAdvertisement.PROPAGATE,
-        )
-        parsed = _roundtrip(original)
-        assert parsed.pipe_type == PipeAdvertisement.PROPAGATE
 
     def test_semantic_advertisement_roundtrip(self):
         original = SemanticAdvertisement(
@@ -87,7 +76,7 @@ class TestAdvertisements:
         assert parsed.ontology_uri == "http://o"
 
     def test_lifetime_survives_roundtrip(self):
-        original = PeerGroupAdvertisement(
+        original = SemanticAdvertisement(
             group_id=PeerGroupId.from_name("g"), name="g", lifetime=123.0
         )
         assert _roundtrip(original).lifetime == 123.0

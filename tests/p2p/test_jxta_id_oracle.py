@@ -19,7 +19,7 @@ from repro.p2p import ids
 
 from . import jxta_id_oracle as oracle
 
-KINDS = ["JxtaId", "PeerId", "PeerGroupId", "PipeId"]
+KINDS = ["JxtaId", "PeerId", "PeerGroupId"]
 HEXES = [
     ids.PeerId.from_name(name).uuid_hex for name in ("alpha", "beta", "gamma")
 ] + ["", "0", "00", "ABC"]

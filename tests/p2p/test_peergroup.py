@@ -99,34 +99,6 @@ class TestGroupMessaging:
         env.run(until=env.now + 0.2)
         assert got == [("direct", edges[0].peer_id)]
 
-    def test_propagate_to_group_reaches_members_only(self, env, p2p):
-        _rendezvous, edges = p2p
-        for edge in edges[:3]:
-            edge.groups.join(GID, "test-group")
-        env.run(until=env.now + 1.0)
-        got = []
-        for edge in edges:
-            edge.groups.register_group_listener(
-                "app", lambda payload, src, gid, name=edge.name: got.append(name)
-            )
-        sent = edges[0].groups.propagate_to_group(GID, "app", "hello")
-        env.run(until=env.now + 0.2)
-        assert sent == 2
-        assert sorted(got) == ["edge0", "edge1", "edge2"]  # includes self loopback
-
-    def test_propagate_exclude_self(self, env, p2p):
-        _rendezvous, edges = p2p
-        for edge in edges[:2]:
-            edge.groups.join(GID, "test-group")
-        env.run(until=env.now + 1.0)
-        got = []
-        edges[0].groups.register_group_listener(
-            "app", lambda payload, src, gid: got.append("self")
-        )
-        edges[0].groups.propagate_to_group(GID, "app", "x", include_self=False)
-        env.run(until=env.now + 0.2)
-        assert got == []
-
     def test_messages_scoped_by_group_id(self, env, p2p):
         _rendezvous, edges = p2p
         other = PeerGroupId.from_name("other-group")

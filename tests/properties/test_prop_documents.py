@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from repro.p2p import (
     PeerAdvertisement,
-    PeerGroupAdvertisement,
     PeerGroupId,
     PeerId,
-    PipeAdvertisement,
-    PipeId,
     SemanticAdvertisement,
     advertisement_from_xml,
 )
@@ -78,22 +75,6 @@ def test_peer_advertisement_roundtrips(name, host, port):
     parsed = advertisement_from_xml(advertisement.to_xml())
     assert parsed.address == (host, port)
     assert parsed.peer_id == advertisement.peer_id
-
-
-@given(
-    name=names,
-    pipe_type=st.sampled_from(
-        [PipeAdvertisement.UNICAST, PipeAdvertisement.PROPAGATE]
-    ),
-)
-@settings(max_examples=40, deadline=None)
-def test_pipe_advertisement_roundtrips(name, pipe_type):
-    advertisement = PipeAdvertisement(
-        pipe_id=PipeId.from_name(name), name=name, pipe_type=pipe_type
-    )
-    parsed = advertisement_from_xml(advertisement.to_xml())
-    assert parsed.pipe_type == pipe_type
-    assert parsed.pipe_id == advertisement.pipe_id
 
 
 @st.composite
