@@ -14,6 +14,7 @@ way" (§4.1) while remaining semantically equivalent.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, Mapping
 
 from .store import Database, RecordNotFound
@@ -27,9 +28,9 @@ def build_warehouse(operational: Database) -> Database:
     """ETL: snapshot an operational database into warehouse layout.
 
     Each operational table becomes ``dw_<table>`` with denormalised rows:
-    keys prefixed with ``dim_``, lists flattened to pipe-joined strings,
-    and a row-level ``fact_source`` marker.  The transformation is loss-
-    free for the fields service implementations need.
+    keys prefixed with ``dim_`` (interned: all rows share one string per
+    column), lists flattened to pipe-joined strings, and a row-level
+    ``fact_source`` marker.  Loss-free for the fields services need.
     """
     warehouse = Database(operational.name.replace("operational", "warehouse"))
     for source in operational.tables():
@@ -46,9 +47,9 @@ def _to_warehouse_row(row: Mapping[str, Any], source_name: str) -> Dict[str, Any
     transformed: Dict[str, Any] = {"fact_source": source_name}
     for key, value in row.items():
         if isinstance(value, list):
-            transformed["lst_" + key] = "|".join(str(item) for item in value)
+            transformed[sys.intern("lst_" + key)] = "|".join(str(item) for item in value)
         else:
-            transformed["dim_" + key] = value
+            transformed[sys.intern("dim_" + key)] = value
     return transformed
 
 

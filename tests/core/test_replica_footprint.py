@@ -108,3 +108,17 @@ def test_the_warehouse_etl_leaves_its_source_shared():
     assert len(warehouse.table("dw_students")) == STUDENTS
     assert operational.table("students").private_rows == 0
     assert operational.reads == 0
+
+
+def test_warehouse_rows_share_their_column_names():
+    """Every row of a warehouse table keys its fields by the same string
+    objects, not by a fresh ``"dim_" + key`` per field per row (12 000
+    strings per 2 000-student warehouse, which the GC-tracked count above
+    cannot see: a row of atomic values is an untracked dict)."""
+    warehouse = build_warehouse(student_database(STUDENTS))
+    table = warehouse.table("dw_students")
+    rows = list(table.scan())
+    assert len(rows) == STUDENTS
+    columns = set(rows[0])
+    assert all(set(row) == columns for row in rows)
+    assert len({id(key) for row in rows for key in row}) == len(columns)
