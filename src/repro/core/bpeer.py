@@ -55,7 +55,7 @@ from ..election.coordinator import GroupCoordinator
 from ..election.epoch import Epoch
 from .config import ScenarioConfig
 from .dispatch import MemberLoad, dispatch_policy
-from .journal import ExactlyOnce, JournalEntry
+from .journal import ENTRY_BYTES, ExactlyOnce, JournalEntry
 
 __all__ = ["BPeer", "ExecRequest", "ExecReply"]
 
@@ -376,9 +376,10 @@ class BPeer(Peer):
         if self.queue_bound is not None and state.outstanding >= self.queue_bound:
             self._shed(request)
             return
-        # In-flight marker: a retry arriving while this runs is parked
-        # (never concurrently executed); a duplicate result the delegation
-        # fallback produces is suppressed at completion (first wins).
+        # In-flight marker (mutating groups): a retry arriving while this
+        # runs is parked (never concurrently executed); a duplicate result
+        # the delegation fallback produces is suppressed at completion
+        # (first wins).
         self.exactly_once.begin(request)
         state.outstanding += 1
         self.node.network.obs.metrics.observe(
@@ -650,8 +651,9 @@ class BPeer(Peer):
         # A member finished a direct-dispatched request: release its
         # ledger slot and refresh its QoS snapshot (feeds the
         # least-outstanding policy and the busy reply's retry-after
-        # hint).  The report piggybacks the member's DONE journal entry —
-        # free replication back to the dispatching coordinator.
+        # hint).  A mutating request's report piggybacks the member's DONE
+        # journal entry — free replication back to the dispatching
+        # coordinator; a read's result stays on the member that served it.
         _mode, member, qos, entry = payload
         self._release_load(member)
         self._load_for(member).qos = qos
@@ -680,31 +682,19 @@ class BPeer(Peer):
             reply = self.exactly_once.complete(request, reply)
         if direct:
             self._reply(request, reply)
-            self._report_to(coordinator, entry=self._piggyback_entry(request, reply))
+            self._report_to(coordinator, self.exactly_once.report_entry(request, reply))
         else:
             relay_reply = ("relay-reply", delegation_id, reply)
             self._tell(coordinator, relay_reply, 512, "bpeer-delegate")
 
-    def _report_to(
-        self, coordinator: Optional[PeerId], entry: Optional[JournalEntry] = None
-    ) -> None:
-        """Completion report to the dispatching coordinator (+ journal entry)."""
+    def _report_to(self, coordinator: Optional[PeerId], entry: Optional[JournalEntry]) -> None:
+        """Completion report to the dispatching coordinator (+ a mutating
+        request's DONE entry)."""
         if coordinator is None or coordinator == self.peer_id:
             return
         report = ("report", self.peer_id, self.qos_profile.snapshot(), entry)
-        size_bytes = 96 if entry is None else 96 + 288
+        size_bytes = 96 if entry is None else 96 + ENTRY_BYTES
         self._tell(coordinator, report, size_bytes, "bpeer-load-report")
-
-    def _piggyback_entry(
-        self, request: ExecRequest, reply: ExecReply
-    ) -> Optional[JournalEntry]:
-        """The DONE entry a completion report should carry, if any."""
-        if reply.kind != "result":
-            return None
-        entry = self.journal.lookup(request.invocation_id)
-        if entry is None or not entry.done:
-            return None
-        return entry.replicable()
 
     # -- coordinator discovery (proxy-side resolver queries) ---------------------------------
 

@@ -25,7 +25,9 @@ the proxy-minted *invocation id* (idempotency key):
 * *Replication.*  A mutating invocation's ``DONE`` entry is broadcast at
   completion, piggybacked on load-sharing reports, and pushed by every
   member to a newly announced coordinator, so the replacement answers
-  retried calls from the journal instead of re-executing them.
+  retried calls from the journal instead of re-executing them.  A
+  read-only group's entries do none of this: nothing is recorded before a
+  read executes, and its ``DONE`` entry stays on the peer that served it.
 * *Takeover sync.*  Broadcast and push share a blind spot: a coordinator
   whose announcement never reached the group (elected alone inside a
   partition, winning after the heal on epoch height) is never offered
@@ -68,6 +70,9 @@ __all__ = [
 #: Entry states.
 EXECUTING = "executing"
 DONE = "done"
+
+#: Modelled wire size of one replicated entry (reply and value included).
+ENTRY_BYTES = 288
 
 
 @dataclass(slots=True)
@@ -489,7 +494,12 @@ class ExactlyOnce:
     # -- begin, complete, replicate ---------------------------------------------------
 
     def begin(self, request: "ExecRequest") -> None:
-        """Mark an admitted request in flight here (a retry parks behind it)."""
+        """Mark an admitted mutating request in flight here (a retry parks
+        behind it).  A read-only group records nothing before execution:
+        its retries never park, and a load-shared read's marker would sit
+        on the dispatching coordinator with nothing to clear it."""
+        if not self.mutating:
+            return
         epoch, now = self.coordinator_mgr.epoch, self.env.now
         self.journal.begin(request.invocation_id, epoch=epoch, now=now, origin=self.peer_id)
 
@@ -546,8 +556,20 @@ class ExactlyOnce:
         for member in members:
             if member == self.peer_id:
                 continue
-            if self.tell(member, ("journal", [shipped]), 288):
+            if self.tell(member, ("journal", [shipped]), ENTRY_BYTES):
                 self.metrics.inc("bpeer.journal_replicated")
+
+    def report_entry(self, request: "ExecRequest", reply: "ExecReply") -> Optional[JournalEntry]:
+        """The DONE entry a load-sharing completion report carries back to
+        the dispatching coordinator: a mutating result's, never a read's
+        (the coordinator marked no read in flight and would never replay
+        it — a retried read re-executes harmlessly)."""
+        if not self.mutating or reply.kind != "result":
+            return None
+        entry = self.journal.lookup(request.invocation_id)
+        if entry is None or not entry.done:
+            return None
+        return entry.replicable()
 
     def merge(self, entries: List[JournalEntry]) -> None:
         """Fold in replicated DONE entries and answer what was parked
@@ -580,7 +602,7 @@ class ExactlyOnce:
         entries = self.journal.export()
         if not entries:
             return
-        if self.tell(coordinator, ("journal-push", entries), 96 + 288 * len(entries)):
+        if self.tell(coordinator, ("journal-push", entries), 96 + ENTRY_BYTES * len(entries)):
             self._pushed = term
             self.metrics.inc("bpeer.journal_pushes")
 
@@ -674,7 +696,7 @@ class ExactlyOnce:
         # signal the puller's gate is waiting on.
         entries = self.journal.export()
         reply = ("journal-sync-reply", payload[1], entries)
-        self.tell(src_peer, reply, 96 + 288 * len(entries))
+        self.tell(src_peer, reply, 96 + ENTRY_BYTES * len(entries))
 
     def _on_journal_sync_reply(self, payload, src_peer) -> None:
         # A member answered our takeover pull: merge its entries and,
@@ -815,7 +837,7 @@ class ExactlyOnce:
             self.journal.begin(invocation_id, epoch=epoch, now=self.env.now, origin=origin)
             self.metrics.inc("bpeer.intents_recorded")
         reply = ("intent-reply", token, status, extra, seen)
-        self.tell(src_peer, reply, 96 if status != "done" else 96 + 288)
+        self.tell(src_peer, reply, 96 if status != "done" else 96 + ENTRY_BYTES)
 
     def _on_intent_reply(self, payload, src_peer) -> None:
         _mode, token, status, extra, seen = payload

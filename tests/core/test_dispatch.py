@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import student_database, student_enrollment, student_lookup_operational
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.core.dispatch import (
     DISPATCH_POLICIES,
@@ -11,7 +12,9 @@ from repro.core.dispatch import (
     RoundRobinDispatch,
     dispatch_policy,
 )
+from repro.core.journal import ENTRY_BYTES
 from repro.p2p.ids import PeerId
+from repro.wsdl import student_admin_wsdl
 
 
 def _peers(count):
@@ -195,3 +198,112 @@ class TestCrashedMemberSkip:
 
         system.env.run(until=service.proxy.node.spawn(runner()))
         assert outcome["result"].value["studentId"] == "S00001"
+
+
+READS = 12
+
+
+@pytest.fixture
+def shared_groups():
+    """A settled load-sharing deployment with a read-only group
+    (``StudentInformation``) and a mutating one (``EnrollStudent``), four
+    replicas each, message details recorded."""
+    system = WhisperSystem(ScenarioConfig(seed=4207, replicas=4, load_sharing=True))
+    database = student_database()
+    service = system.deploy_service(
+        student_admin_wsdl(),
+        {
+            "StudentInformation": [student_lookup_operational(database) for _ in range(4)],
+            "EnrollStudent": [student_enrollment(database) for _ in range(4)],
+        },
+    )
+    system.settle(6.0)
+    system.trace.record_details = True
+    return system, service
+
+
+def _invoke(system, service, operation, arguments, **kwargs):
+    outcome = {}
+
+    def runner():
+        outcome["result"] = yield from service.proxy.invoke(operation, arguments, **kwargs)
+
+    system.env.run(until=service.proxy.node.spawn(runner()))
+    return outcome["result"]
+
+
+def _reads(system, service, count=READS):
+    return [
+        _invoke(system, service, "StudentInformation", {"ID": f"S{index + 1:05d}"})
+        for index in range(count)
+    ]
+
+
+def _report_sizes(system):
+    return [
+        record.size_bytes
+        for record in system.trace.records
+        if record.event == "send" and record.category == "bpeer-load-report"
+    ]
+
+
+class TestDirectDispatchedJournal:
+    """Under load sharing a read's result stays on the peer that served it;
+    a mutating result still rides the completion report back."""
+
+    def test_only_a_mutating_report_carries_its_entry(self, shared_groups):
+        system, service = shared_groups
+        _reads(system, service)
+        system.settle(1.0)
+        read_sizes = _report_sizes(system)
+        assert len(read_sizes) >= READS // 2  # the members served most reads
+        assert set(read_sizes) == {96}
+
+        system.trace.records.clear()
+        writes = [
+            _invoke(system, service, "EnrollStudent", {"ID": "S00001", "course": f"C{index}"})
+            for index in range(4)
+        ]
+        system.settle(1.0)
+        assert set(_report_sizes(system)) == {96 + ENTRY_BYTES}
+        coordinator = service.groups["EnrollStudent"].coordinator_peer()
+        for result in writes:
+            assert coordinator.journal.lookup(result.invocation_id).done
+
+    def test_coordinator_keeps_no_entry_for_reads_it_dispatched(self, shared_groups):
+        system, service = shared_groups
+        results = _reads(system, service)
+        system.settle(1.0)
+        peers = service.groups["StudentInformation"].peers
+        coordinator = service.groups["StudentInformation"].coordinator_peer()
+        for result in results:
+            assert result.value["studentId"]
+            holders = [peer for peer in peers if result.invocation_id in peer.journal]
+            # One DONE entry, on the peer that executed the read; never an
+            # in-flight marker at the dispatching coordinator.
+            assert len(holders) == 1, result.invocation_id
+            assert holders[0].journal.lookup(result.invocation_id).done
+        assert len(coordinator.journal) == coordinator.requests_executed
+        assert sum(len(peer.journal) for peer in peers) == READS
+        assert coordinator.journal.stats.merges == 0
+
+    def test_a_retried_read_reexecutes_with_the_same_value(self, shared_groups):
+        system, service = shared_groups
+        first = _reads(system, service, count=4)
+        system.settle(1.0)
+        group = service.groups["StudentInformation"]
+        coordinator = group.coordinator_peer()
+        members = [peer for peer in group.peers if peer is not coordinator]
+        served_by_members = [
+            result for result in first
+            if any(result.invocation_id in peer.journal for peer in members)
+        ]  # fmt: skip
+        assert served_by_members
+        for original in served_by_members:
+            retry = _invoke(system, service, "StudentInformation",
+                            {"ID": original.value["studentId"]},
+                            invocation_id=original.invocation_id)  # fmt: skip
+            assert retry.invocation_id == original.invocation_id
+            assert retry.value == original.value
+        # The coordinator answered none of them from its journal.
+        assert coordinator.journal.stats.hits == 0
