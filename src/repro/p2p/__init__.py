@@ -4,12 +4,14 @@ Whisper's fault tolerance rests on "the features and characteristics of
 peer-to-peer networks" (§1), concretely JXTA 2.3.  This package implements
 the protocol surface Whisper uses: peer and group identifiers, XML
 advertisements (peer advertisements and the paper's new *semantic
-advertisements*, §4.3), an endpoint service with relay routing, rendezvous
-peers with leases + propagation + an SRDI index, a resolver, discovery
-with local caches and remote queries, and logical peer groups.  JXTA's
-pipes and membership credentials are left out: a b-peer group finds its
-members through its semantic advertisement, reaches its coordinator
-through the resolver and messages members directly.
+advertisements*, §4.3), an endpoint service that sends by route (or
+through the rendezvous when it has none), rendezvous peers with leases +
+propagation + an SRDI index, a resolver, discovery with local caches and
+remote queries, and logical peer groups.  JXTA's pipes, membership
+credentials and NAT relays are left out: a b-peer group finds its members
+through its semantic advertisement, reaches its coordinator through the
+resolver and messages members directly, and the paper's testbed is one
+LAN.
 """
 
 from .advertisement import (
@@ -32,7 +34,6 @@ from .gossip import GOSSIP_PROTOCOL, GossipEntry, GossipService
 from .ids import JxtaId, PeerGroupId, PeerId
 from .peer import Peer
 from .peergroup import GroupService, PeerGroupView
-from .relay import attach_nat_peer, configure_relay
 from .rendezvous import RendezvousService
 from .resolver import ResolverQuery, ResolverResponse, ResolverService
 
@@ -63,6 +64,4 @@ __all__ = [
     "SemanticAdvertisement",
     "UnresolvablePeerError",
     "advertisement_from_xml",
-    "attach_nat_peer",
-    "configure_relay",
 ]

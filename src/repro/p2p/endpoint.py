@@ -2,16 +2,19 @@
 
 JXTA's endpoint service provides "an abstract network transport capable of
 transporting messages between peers, either directly, or via relay peers"
-(§5).  Ours does the same: peers address each other by :class:`PeerId`;
-the endpoint resolves IDs to transport addresses from peer advertisements,
-dispatches inbound messages to per-protocol listeners, and routes through
-a relay when the destination is NAT-isolated.
+(§5).  Ours sends by route only: peers address each other by
+:class:`PeerId`, the endpoint resolves IDs to transport addresses from peer
+advertisements and dispatches inbound messages to per-protocol listeners.
+The one relay is the rendezvous: :meth:`EndpointService.send_via` hands an
+envelope to it when the sender has no direct route, and a peer that
+receives an envelope addressed to another forwards it by its own routes.
+JXTA's NAT traversal is left out: the paper's testbed is one LAN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 from ..simnet.events import Interrupt
 from ..simnet.message import Address, Message
@@ -36,8 +39,6 @@ class EndpointMessage:
     dst_peer: PeerId
     protocol: str
     payload: Any
-    #: When set, the message is being relayed: deliver to ``dst_peer``.
-    relayed: bool = False
     #: Set by the one federated-rendezvous hop a relayed message may take
     #: (:meth:`RendezvousService._federated_relay`), so it takes no second.
     fed_hop: bool = False
@@ -50,23 +51,11 @@ Listener = Callable[[EndpointMessage], None]
 class EndpointService:
     """One peer's messaging endpoint."""
 
-    def __init__(
-        self,
-        node: Node,
-        peer_id: PeerId,
-        port: int = ENDPOINT_PORT,
-        nat_isolated: bool = False,
-    ):
+    def __init__(self, node: Node, peer_id: PeerId):
         self.node = node
         self.peer_id = peer_id
-        self.port = port
-        self.nat_isolated = nat_isolated
         self._routes: Dict[PeerId, Address] = {}
-        #: Destinations reachable only through the relay; empty (and so
-        #: never consulted by :meth:`send`) unless NAT peers are wired in.
-        self._nat_peers: Set[PeerId] = set()
         self._listeners: Dict[str, Listener] = {}
-        self.relay_peer: Optional[PeerId] = None
         #: Last-resort forwarding for relayed envelopes with no local route
         #: (federated rendezvous install one: the destination may be leased
         #: to a rendezvous in another region).  Returns True if it re-routed
@@ -89,31 +78,21 @@ class EndpointService:
     def start(self) -> None:
         if self._socket is not None and not self._socket.closed:
             return
-        self._socket = self.node.transport.bind(self.port)
+        self._socket = self.node.transport.bind(ENDPOINT_PORT)
         self.node.spawn(self._receive_loop(), name=f"endpoint:{self.node.name}")
 
     @property
     def address(self) -> Address:
-        return (self.node.name, self.port)
+        return (self.node.name, ENDPOINT_PORT)
 
     # -- routing table ---------------------------------------------------------------
 
-    def add_route(
-        self, peer_id: PeerId, address: Address, nat_isolated: bool = False
-    ) -> None:
+    def add_route(self, peer_id: PeerId, address: Address) -> None:
         """Learn (typically from a peer advertisement) where a peer lives."""
         self._routes[peer_id] = address
-        if nat_isolated:
-            self._nat_peers.add(peer_id)
-        elif self._nat_peers:
-            self._nat_peers.discard(peer_id)
 
     def route_for(self, peer_id: PeerId) -> Optional[Address]:
         return self._routes.get(peer_id)
-
-    def set_relay(self, relay_peer: PeerId) -> None:
-        """Use ``relay_peer`` to reach NAT-isolated destinations."""
-        self.relay_peer = relay_peer
 
     # -- listeners --------------------------------------------------------------------
 
@@ -136,33 +115,17 @@ class EndpointService:
     ) -> None:
         """Send a message to another peer by ID.
 
-        Raises :class:`UnresolvablePeerError` when no route is known and no
-        relay can help.  Sending is fire-and-forget (datagram semantics);
-        loss happens silently, exactly like a real crashed peer.  One route
-        lookup: the destination's, or the relay's when either end is behind
-        a NAT.
+        Raises :class:`UnresolvablePeerError` when no route is known.
+        Sending is fire-and-forget (datagram semantics); loss happens
+        silently, exactly like a real crashed peer.
         """
-        relay_peer = self.relay_peer
-        if (
-            self.nat_isolated or self._nat_peers and dst_peer in self._nat_peers
-        ) and dst_peer != relay_peer:
-            if relay_peer is None:
-                raise UnresolvablePeerError(
-                    f"{dst_peer} is NAT-isolated and no relay is configured"
-                )
-            address = self._routes.get(relay_peer)
-            if address is None:
-                raise UnresolvablePeerError(f"no route to relay {relay_peer}")
-            relayed = True
-        else:
-            address = self._routes.get(dst_peer)
-            if address is None:
-                raise UnresolvablePeerError(f"no route to {dst_peer}")
-            relayed = False
+        address = self._routes.get(dst_peer)
+        if address is None:
+            raise UnresolvablePeerError(f"no route to {dst_peer}")
         self.messages_out += 1
         self._socket.send(
             address,
-            EndpointMessage(self.peer_id, dst_peer, protocol, payload, relayed),
+            EndpointMessage(self.peer_id, dst_peer, protocol, payload),
             category or protocol,
             size_bytes,
         )
@@ -187,7 +150,7 @@ class EndpointService:
         self.messages_out += 1
         self._socket.send(
             address,
-            EndpointMessage(self.peer_id, dst_peer, protocol, payload, True),
+            EndpointMessage(self.peer_id, dst_peer, protocol, payload),
             category or protocol,
             size_bytes,
         )

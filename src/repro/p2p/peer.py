@@ -15,7 +15,7 @@ from ..simnet.node import Node
 from .advertisement import PeerAdvertisement
 from .cache import AdvertisementCache
 from .discovery import DiscoveryService
-from .endpoint import EndpointService
+from .endpoint import ENDPOINT_PORT, EndpointService
 from .ids import PeerId
 from .peergroup import GroupService
 from .rendezvous import RendezvousService
@@ -54,7 +54,7 @@ class Peer:
             peer_id=self.peer_id,
             name=self.name,
             host=self.node.name,
-            port=self.endpoint.port,
+            port=ENDPOINT_PORT,
         )
 
     def publish_self(self, remote: bool = True) -> PeerAdvertisement:
@@ -69,10 +69,6 @@ class Peer:
             rendezvous_peer.peer_id, rendezvous_peer.endpoint.address
         )
         self.rendezvous.connect(rendezvous_peer.peer_id)
-
-    def learn_route_to(self, other: "Peer") -> None:
-        """Directly learn another peer's address (same-LAN shortcut)."""
-        self.endpoint.add_route(other.peer_id, other.endpoint.address)
 
     def __repr__(self) -> str:
         role = "rdv" if self.rendezvous.is_rendezvous else "edge"

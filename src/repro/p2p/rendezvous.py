@@ -33,7 +33,6 @@ RENEW_PERIOD = LEASE_DURATION / 2
 class _LeaseRequest:
     peer_id: PeerId
     address: Address
-    nat_isolated: bool = False
 
 
 @dataclass
@@ -105,11 +104,7 @@ class RendezvousService:
             )
 
     def _send_lease_request(self) -> None:
-        request = _LeaseRequest(
-            peer_id=self.endpoint.peer_id,
-            address=self.endpoint.address,
-            nat_isolated=self.endpoint.nat_isolated,
-        )
+        request = _LeaseRequest(self.endpoint.peer_id, self.endpoint.address)
         self.endpoint.send(
             self.connected_to,
             PROTOCOL,
@@ -260,9 +255,7 @@ class RendezvousService:
         kind, body = message.payload
         if kind == "lease-request" and self.is_rendezvous:
             request: _LeaseRequest = body
-            self.endpoint.add_route(
-                request.peer_id, request.address, nat_isolated=request.nat_isolated
-            )
+            self.endpoint.add_route(request.peer_id, request.address)
             self.clients[request.peer_id] = self.env.now + self.lease_duration
             grant = _LeaseGrant(self.endpoint.peer_id, self.lease_duration)
             self.endpoint.send(

@@ -30,7 +30,7 @@ def _send_exec(system, deployed, target_peer, operation="StudentInformation",
     requester.endpoint.register_listener(
         "whisper:exec-reply", lambda message: replies.append(message.payload)
     )
-    requester.learn_route_to(target_peer)
+    requester.endpoint.add_route(target_peer.peer_id, target_peer.endpoint.address)
     request = ExecRequest(
         request_id=request_id,
         group_id=deployed.group.group_id,
@@ -73,7 +73,7 @@ class TestRequestHandling:
         from repro.p2p import Peer
 
         requester = Peer(node)
-        requester.learn_route_to(coordinator)
+        requester.endpoint.add_route(coordinator.peer_id, coordinator.endpoint.address)
         replies = []
         requester.endpoint.register_listener(
             "whisper:exec-reply", lambda message: replies.append(message.payload)
@@ -116,7 +116,7 @@ class TestRequestHandling:
 
         node = system.network.add_host("burst-client")
         requester = Peer(node)
-        requester.learn_route_to(coordinator)
+        requester.endpoint.add_route(coordinator.peer_id, coordinator.endpoint.address)
         done_times = []
         requester.endpoint.register_listener(
             "whisper:exec-reply",

@@ -1,4 +1,5 @@
-"""Unit tests for the endpoint service (peer-ID messaging + relays)."""
+"""Unit tests for the endpoint service (peer-ID messaging, the rendezvous
+relay hop and crash recovery)."""
 
 import pytest
 
@@ -9,15 +10,13 @@ from repro.p2p import (
     PeerId,
     RendezvousService,
     UnresolvablePeerError,
-    attach_nat_peer,
-    configure_relay,
 )
 from repro.simnet import Message
 
 
-def _endpoint(network, host_name, nat=False):
+def _endpoint(network, host_name):
     node = network.add_host(host_name)
-    return EndpointService(node, PeerId.from_name(host_name), nat_isolated=nat)
+    return EndpointService(node, PeerId.from_name(host_name))
 
 
 class TestDirectMessaging:
@@ -79,49 +78,11 @@ class TestRelay:
         a.add_route(relay.peer_id, relay.address)
         relay.add_route(b.peer_id, b.address)
         got = []
-        b.register_listener("x", lambda m: got.append((m.payload, m.relayed)))
+        b.register_listener("x", lambda m: got.append((m.payload, m.src_peer)))
         a.send_via(relay.peer_id, b.peer_id, "x", "through-relay")
         env.run(until=0.1)
-        assert got == [("through-relay", True)]
-
-    def test_nat_peer_reachable_through_relay(self, env, network):
-        relay = _endpoint(network, "relay")
-        public = _endpoint(network, "public")
-        nat = _endpoint(network, "nat", nat=True)
-        attach_nat_peer(nat, relay, [public])
-        got = []
-        nat.register_listener("x", lambda m: got.append(m.payload))
-        public.send(nat.peer_id, "x", "hi-nat")
-        env.run(until=0.1)
-        assert got == ["hi-nat"]
-
-    def test_nat_peer_sends_out_through_relay(self, env, network):
-        relay = _endpoint(network, "relay")
-        public = _endpoint(network, "public")
-        nat = _endpoint(network, "nat", nat=True)
-        attach_nat_peer(nat, relay, [public])
-        got = []
-        public.register_listener("x", lambda m: got.append(m.payload))
-        nat.send(public.peer_id, "x", "from-nat")
-        env.run(until=0.1)
-        assert got == ["from-nat"]
-        # Two hops: nat->relay and relay->public.
-        assert network.trace.sent_total >= 2
-
-    def test_configure_relay_wires_clients(self, env, network):
-        relay = _endpoint(network, "relay")
-        a = _endpoint(network, "a")
-        b = _endpoint(network, "b")
-        configure_relay(relay, [a, b])
-        assert a.relay_peer == relay.peer_id
-        assert relay.route_for(a.peer_id) == a.address
-
-    def test_nat_without_relay_raises(self, env, network):
-        a = _endpoint(network, "a")
-        b = _endpoint(network, "b")
-        a.add_route(b.peer_id, b.address, nat_isolated=True)
-        with pytest.raises(UnresolvablePeerError):
-            a.send(b.peer_id, "x", None)
+        assert got == [("through-relay", a.peer_id)]
+        assert relay.messages_in == 0  # forwarded, not delivered to the relay
 
 
 def _drop_reasons(network, monkeypatch):
