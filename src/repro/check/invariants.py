@@ -86,7 +86,7 @@ def stale_result_violations(proxy) -> List[str]:
     """Delivered-result epochs must be monotone per group."""
     violations: List[str] = []
     high: Dict[object, Epoch] = {}
-    for group_id, epoch in proxy.result_epoch_log:
+    for group_id, epoch in proxy.bindings.result_epoch_log:
         last = high.get(group_id)
         if last is not None and epoch < last:
             violations.append(

@@ -11,7 +11,8 @@ The proxy's lifecycle per request:
    action/input/output annotations (local cache first, then a remote
    discovery query — the paper's ``findPeerGroupAdv``);
 2. **bind** — resolve the group's current coordinator (a resolver query
-   answered by group members) and cache the binding;
+   answered by group members) and keep the binding in the proxy's
+   :class:`BindingTable`, which also holds the epoch fence on results;
 3. **invoke** — send the request to the bound coordinator and wait;
 4. **recover** — on timeout or a ``not-coordinator`` redirect, drop the
    binding (unless another request has re-bound since) and go back to step
@@ -29,7 +30,9 @@ it: ``unattempted`` builds the results that never hit the wire, one
 give-up exit (attempt cap or deadline), one sticky rule (``pinned``) and
 one ``switch_group`` behind both the shard ring and the region ladder,
 ``enter_recovery``/``close_recovery`` around the recover span.  ``_count``
-bumps a ``ProxyStats`` field and its ``proxy.*`` metric together.
+bumps a ``ProxyStats`` field and its ``proxy.*`` metric together.  What the
+call knows of a group beyond this one call — its binding, the lookup in
+flight, the highest epoch delivered — it asks ``self.bindings``.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from ..election.epoch import GENESIS, Epoch
+from ..election.epoch import Epoch
 from ..ontology.match import ConceptMatcher
 from ..p2p.advertisement import SemanticAdvertisement
 from ..p2p.endpoint import EndpointMessage, UnresolvablePeerError
@@ -68,7 +72,7 @@ from .retry import Deadline, RetryPolicy
 from .sharding import ShardRouter, shard_key
 from .sws import SemanticWebService
 
-__all__ = ["SwsProxy", "ProxyStats"]
+__all__ = ["SwsProxy", "ProxyStats", "BindingTable"]
 
 
 @dataclass
@@ -137,10 +141,9 @@ class _Binding:
     group_id: PeerGroupId
     coordinator: PeerId
     address: Optional[Address]
-    #: Coordinator epoch this binding was made under (``None`` when the
-    #: answering peer predates epochs); stamped onto every request so
-    #: b-peers can fence stale bindings.
-    epoch: Optional[Epoch] = None
+    #: Coordinator epoch this binding was made under; stamped onto every
+    #: request so b-peers can fence stale bindings.
+    epoch: Epoch
 
 
 def _shard_set_complete(matches: List[GroupMatch]) -> bool:
@@ -172,6 +175,167 @@ def _shard_threshold(matches: List[GroupMatch]) -> int:
     )
 
 
+class BindingTable:
+    """One proxy's bindings and epoch fence, per group (DESIGN.md §6.21).
+
+    It owns the installed ``(coordinator, epoch)`` per group, the one
+    coordinator lookup in flight per group, the epoch witnessed to b-peers
+    and the highest epoch a result was delivered under.  It reaches the
+    network only through the callables it is handed — the resolver's
+    ``send_query`` / ``cancel_query``, the endpoint's ``add_route`` and the
+    proxy's counter — so a test can drive it with fakes.
+    """
+
+    def __init__(
+        self,
+        env,
+        epoch_fencing: bool,
+        send_query: Callable[..., int],
+        cancel_query: Callable[[int], None],
+        add_route: Callable[[PeerId, Address], None],
+        count: Callable[[str], None],
+        on_fence_advance: Optional[Callable[[PeerGroupId, Epoch], Any]] = None,
+    ):
+        self.env = env
+        #: Split-brain fencing on the proxy side: prefer the highest-epoch
+        #: answer, discard stale results, gossip the highest witnessed term.
+        #: ``False`` is the naive proxy the checker's self-test shows unsafe.
+        self.epoch_fencing = epoch_fencing
+        self._send_query = send_query
+        self._cancel_query = cancel_query
+        self._add_route = add_route
+        self._count = count
+        #: Called with ``(group_id, epoch)`` when a delivered result raises
+        #: the group's fence (the proxy's result cache drops what it fences).
+        self._on_fence_advance = on_fence_advance
+        #: Seconds one coordinator lookup waits for its first answer.
+        self.coordinator_timeout = 1.0
+        #: After the first resolver answer, wait this long for racing
+        #: answers so a split-brain minority cannot win the bind simply by
+        #: replying first — the highest epoch wins instead.
+        self.resolve_grace = 0.02
+        self.bound: Dict[PeerGroupId, _Binding] = {}
+        #: Coordinator lookups in flight, one per group at most: the event
+        #: fires with the binding the lookup installed, or ``None``.
+        self.lookups: Dict[PeerGroupId, Any] = {}
+        #: Highest epoch whose result was delivered to the client, per
+        #: group — results below it are discarded (no-stale-result).
+        self.delivered: Dict[PeerGroupId, Epoch] = {}
+        #: Audit log of delivered ``(group_id, epoch)`` pairs, in delivery
+        #: order; the checker audits it is monotone per group.
+        self.result_epoch_log: Deque[Tuple[PeerGroupId, Epoch]] = deque(maxlen=8192)
+
+    def resolve(self, group_id: PeerGroupId, deadline: Deadline) -> Generator:
+        """Ask the group who currently coordinates it (``yield from``).
+
+        Single-flight: at most one query per group is in flight.  The
+        first caller asks; whoever needs the same answer meanwhile waits
+        for that query's outcome — the binding it installs, or its
+        ``NoCoordinatorError`` — under its own ``deadline`` and for no
+        longer than its own lookup could have taken.  A grace window after
+        the first answer collects racing ones: the highest epoch wins.
+        """
+        env = self.env
+        flight = self.lookups.get(group_id)
+        if flight is not None:
+            self._count("shared_lookups")
+            patience = deadline.clamp(
+                env.now, self.coordinator_timeout + self.resolve_grace
+            )
+            binding = yield Wait(env, flight, patience)
+            if binding is None or binding is EXPIRED:
+                raise NoCoordinatorError(f"no coordinator response for {group_id}")
+            return binding
+        answers: List[Tuple] = []
+        done = env.event()
+
+        def on_response(response) -> None:
+            answers.append(response.payload)
+            if not done.triggered:
+                done.succeed()
+
+        timeout = deadline.clamp(env.now, self.coordinator_timeout)
+        query_id = self._send_query(
+            COORD_HANDLER, group_id, on_response=on_response, size_bytes=128
+        )
+        flight = self.lookups[group_id] = env.event()
+        binding = None
+        try:
+            outcome = yield Wait(env, done, timeout)
+            if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
+                grace = deadline.clamp(env.now, self.resolve_grace)
+                if grace > 0.0:
+                    yield env.timeout(grace)
+            if not answers:
+                raise NoCoordinatorError(f"no coordinator response for {group_id}")
+            if self.epoch_fencing:
+                coordinator, address, epoch = max(answers, key=itemgetter(2))
+            else:
+                # Unfenced: first answer wins, even if it is a deposed
+                # coordinator's stale claim.
+                coordinator, address, epoch = answers[0]
+            binding = self.install(group_id, coordinator, address, epoch)
+            return binding
+        finally:
+            # On every exit, an interrupt included (the caller's host
+            # crashed mid-lookup): listener and slot are released, and
+            # whoever joined learns the outcome.
+            self._cancel_query(query_id)
+            del self.lookups[group_id]
+            if flight.callbacks:
+                flight.succeed(binding)
+
+    def install(
+        self, group_id: PeerGroupId, coordinator: PeerId, address: Optional[Address], epoch: Epoch
+    ) -> _Binding:
+        """The single path that installs a binding: a lookup's answer or a
+        redirect's forward pointer.  Replacing a live binding by a different
+        ``(coordinator, epoch)`` is a failover and counts as a rebind."""
+        previous = self.bound.get(group_id)
+        if previous is not None and (
+            previous.coordinator != coordinator or previous.epoch != epoch
+        ):
+            self._count("rebinds")
+        binding = self.bound[group_id] = _Binding(group_id, coordinator, address, epoch)
+        if address is not None:
+            self._add_route(coordinator, address)
+        return binding
+
+    def drop(self, used: _Binding) -> None:
+        """Compare-and-drop: forget the group's binding only if it is still
+        the ``(coordinator, epoch)`` a failed attempt went out under.  One
+        some other request installed since is newer evidence than the
+        caller's failure, and stays (the caller retries on it at once)."""
+        current = self.bound.get(used.group_id)
+        if current is None or (current.coordinator, current.epoch) != (
+            used.coordinator, used.epoch
+        ):
+            return
+        del self.bound[used.group_id]
+        self._count("rebinds")
+
+    def witnessed(self, binding: _Binding) -> Optional[Epoch]:
+        """The freshest term this proxy can vouch for, gossiped to b-peers."""
+        if not self.epoch_fencing:
+            return None
+        last = self.delivered.get(binding.group_id)
+        return binding.epoch if last is None else max(binding.epoch, last)
+
+    def deliver(self, group_id: PeerGroupId, epoch: Epoch) -> bool:
+        """Record a result about to be delivered under ``epoch``; ``False``
+        (nothing recorded) when fencing is on and a newer term already
+        delivered — a deposed coordinator's late answer."""
+        last = self.delivered.get(group_id)
+        if last is None or epoch > last:
+            self.delivered[group_id] = epoch
+            if self._on_fence_advance is not None:
+                self._on_fence_advance(group_id, epoch)
+        elif self.epoch_fencing and epoch < last:
+            return False
+        self.result_epoch_log.append((group_id, epoch))
+        return True
+
+
 class SwsProxy(Peer):
     """One Web service's proxy onto the P2P back-end."""
 
@@ -185,12 +349,6 @@ class SwsProxy(Peer):
         region_count: int = 1,
     ):
         super().__init__(node, name=f"proxy:{sws.name}")
-        #: Split-brain fencing on the proxy side (PR 2): prefer the
-        #: highest-epoch resolver answer, discard stale results, gossip
-        #: the highest witnessed term.  ``False`` restores the naive
-        #: first-answer-wins proxy — the behaviour the schedule checker's
-        #: self-test shows to be unsafe.
-        self.epoch_fencing = config.epoch_fencing
         self.sws = sws
         #: Per operation, fixed at deploy time: the request-trace name and
         #: the output element ``_translate`` validates (DESIGN.md §6.18).
@@ -202,18 +360,13 @@ class SwsProxy(Peer):
         self.group_matcher = SemanticGroupMatcher(matcher)
         self.request_timeout = config.request_timeout
         self.max_attempts = config.max_attempts
-        #: Seconds one remote discovery query / one coordinator lookup waits.
+        #: Seconds one remote discovery query waits.
         self.discovery_timeout = 1.0
-        self.coordinator_timeout = 1.0
         self.qos_selector = QosSelector()
         self.retry = RetryPolicy()
         #: Default per-request wall budget (simulated seconds); ``invoke``'s
         #: ``budget`` argument overrides it per call.
         self.deadline_budget = config.deadline_budget
-        #: After the first resolver answer, wait this long for racing
-        #: answers so a split-brain minority cannot win the bind simply by
-        #: replying first — the highest epoch wins instead.
-        self.resolve_grace = 0.02
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
         self.shard_suspect_interval = 10.0
@@ -262,17 +415,13 @@ class SwsProxy(Peer):
         self._invocation_ids = itertools.count(1)
         self._retry_rng = node.network.rng.stream(f"proxy-retry:{self.name}")
         self._pending: Dict[int, Any] = {}
-        self._bindings: Dict[PeerGroupId, _Binding] = {}
-        #: Coordinator lookups in flight, one per group at most: the event
-        #: fires with the binding the lookup installed, or ``None``.
-        self._lookups: Dict[PeerGroupId, Any] = {}
         self._group_profiles: Dict[str, QosProfile] = {}
-        #: Highest epoch whose result was delivered to the client, per
-        #: group — results below it are discarded (no-stale-result).
-        self._last_result_epoch: Dict[PeerGroupId, Epoch] = {}
-        #: Audit log of delivered ``(group_id, epoch)`` pairs, in delivery
-        #: order; the fault campaign checks it is monotone per group.
-        self.result_epoch_log: Deque[Tuple[PeerGroupId, Epoch]] = deque(maxlen=8192)
+        cache = self.result_cache
+        self.bindings = BindingTable(
+            self.env, config.epoch_fencing, self.resolver.send_query,
+            self.resolver.cancel_query, self.endpoint.add_route, self._count,
+            on_fence_advance=cache.invalidate_epoch if cache is not None else None,
+        )  # fmt: skip
         self.endpoint.register_listener(PROTO_EXEC_REPLY, self._on_reply)
 
     # -- discovery (the paper's findPeerGroupAdv) ------------------------------------------
@@ -408,124 +557,6 @@ class SwsProxy(Peer):
             self._group_profiles[group_key] = profile
         return self._group_profiles[group_key]
 
-    # -- binding ----------------------------------------------------------------------------
-
-    def resolve_coordinator(
-        self, group_id: PeerGroupId, deadline: Optional[Deadline] = None
-    ) -> Generator:
-        """Ask the group who currently coordinates it (``yield from``).
-
-        Single-flight: at most one query per group is in flight.  The
-        first caller asks; whoever needs the same answer meanwhile waits
-        for that query's outcome — the binding it installs, or its
-        ``NoCoordinatorError`` — under its own ``deadline`` and for no
-        longer than its own lookup could have taken.
-
-        After the first answer lands, a short grace window collects any
-        racing answers; if they conflict (split-brain after a partition
-        heal), the highest-epoch claim wins the binding.
-        """
-        flight = self._lookups.get(group_id)
-        if flight is not None:
-            self._count("shared_lookups")
-            patience = self.coordinator_timeout + self.resolve_grace
-            if deadline is not None:
-                patience = deadline.clamp(self.env.now, patience)
-            binding = yield Wait(self.env, flight, patience)
-            if binding is None or binding is EXPIRED:
-                raise NoCoordinatorError(f"no coordinator response for {group_id}")
-            return binding
-        answers: List[Tuple] = []
-        done = self.env.event()
-
-        def on_response(response) -> None:
-            answers.append(response.payload)
-            if not done.triggered:
-                done.succeed()
-
-        timeout = self.coordinator_timeout
-        if deadline is not None:
-            timeout = deadline.clamp(self.env.now, timeout)
-        query_id = self.resolver.send_query(
-            COORD_HANDLER, group_id, on_response=on_response, size_bytes=128
-        )
-        flight = self._lookups[group_id] = self.env.event()
-        binding = None
-        try:
-            outcome = yield Wait(self.env, done, timeout)
-            if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
-                grace = self.resolve_grace
-                if deadline is not None:
-                    grace = deadline.clamp(self.env.now, grace)
-                if grace > 0.0:
-                    yield self.env.timeout(grace)
-            if not answers:
-                raise NoCoordinatorError(f"no coordinator response for {group_id}")
-            if self.epoch_fencing:
-                coordinator, address, epoch = max(
-                    answers,
-                    key=lambda item: item[2] if item[2] is not None else GENESIS,
-                )
-            else:
-                # Unfenced: first answer wins, even if it is a deposed
-                # coordinator's stale claim.
-                coordinator, address, epoch = answers[0]
-            binding = self._rebind(group_id, coordinator, address, epoch)
-            return binding
-        finally:
-            # On every exit, an interrupt included (the caller's host
-            # crashed mid-lookup): listener and slot are released, and
-            # whoever joined learns the outcome.
-            self.resolver.cancel_query(query_id)
-            del self._lookups[group_id]
-            if flight.callbacks:
-                flight.succeed(binding)
-
-    def _rebind(
-        self,
-        group_id: PeerGroupId,
-        coordinator: PeerId,
-        address: Optional[Address],
-        epoch: Optional[Epoch],
-    ) -> _Binding:
-        """The single path that installs a binding.
-
-        Replacing a live binding is a failover and counts as a rebind —
-        this is what the old redirect-with-pointer shortcut skipped,
-        undercounting ``ProxyStats.rebinds``.
-        """
-        previous = self._bindings.get(group_id)
-        if previous is not None and (
-            previous.coordinator != coordinator or previous.epoch != epoch
-        ):
-            self._count("rebinds")
-        binding = _Binding(
-            group_id=group_id, coordinator=coordinator, address=address, epoch=epoch
-        )
-        self._bindings[group_id] = binding
-        if address is not None:
-            self.endpoint.add_route(coordinator, address)
-        return binding
-
-    def drop_binding(
-        self, group_id: PeerGroupId, used: Optional[_Binding] = None
-    ) -> None:
-        """Forget a (presumed stale) binding; next invoke re-binds.
-
-        With ``used`` — the binding a failed attempt went out under — this
-        is a compare-and-drop: a ``(coordinator, epoch)`` some other request
-        installed since is newer evidence than the caller's failure, and
-        stays (the caller retries on it at once, with no lookup).
-        """
-        current = self._bindings.get(group_id)
-        if current is None or (
-            used is not None
-            and (current.coordinator, current.epoch) != (used.coordinator, used.epoch)
-        ):
-            return
-        del self._bindings[group_id]
-        self._count("rebinds")
-
     # -- invocation ----------------------------------------------------------------------------
 
     def invoke(
@@ -633,7 +664,7 @@ class SwsProxy(Peer):
         if self.result_cache is not None and not mutating:
             cache_key = shard_key(action, arguments)
             entry = self.result_cache.lookup(
-                cache_key, self.env.now, fence_for=self._last_result_epoch.get
+                cache_key, self.env.now, fence_for=self.bindings.delivered.get
             )
             if entry is not None:
                 self.stats.cache_hits += 1
@@ -692,6 +723,7 @@ class SwsProxy(Peer):
         advertisement = match.advertisement
         group_id = advertisement.group_id
         profile = self._profile_for(advertisement.key(), advertisement)
+        bindings = self.bindings
         #: Whether any attempt has actually been handed to the network —
         #: the point past which a mutating request may have executed.
         sent = False
@@ -803,13 +835,11 @@ class SwsProxy(Peer):
                     raise InvocationFailedError(f"{self.sws.name}.{operation} {why}")
                 attempt += 1
                 busy_was_last = False
-                binding = self._bindings.get(group_id)
+                binding = bindings.bound.get(group_id)
                 if binding is None:
                     bind_span = rtrace.begin("bind", self.env.now)
                     try:
-                        binding = yield from self.resolve_coordinator(
-                            group_id, deadline=deadline
-                        )
+                        binding = yield from bindings.resolve(group_id, deadline)
                     except NoCoordinatorError:
                         bind_span.finish(self.env.now, outcome="no-coordinator")
                         self._breaker_feedback(advertisement.name, ok=False)
@@ -836,19 +866,19 @@ class SwsProxy(Peer):
                     self._count("timeouts")
                     self._breaker_feedback(advertisement.name, ok=False)
                     profile.record_failure()
-                    self.drop_binding(group_id, binding)
+                    bindings.drop(binding)
                     enter_recovery("timeout")
                     if not try_reroute():
                         try_region_failover()
                     continue
                 if reply.kind == "result":
-                    if not reply.deduped and self._result_is_stale(group_id, reply):
+                    if not (reply.deduped or bindings.deliver(group_id, reply.epoch)):
                         # A deposed coordinator answered after a takeover
                         # already delivered under a newer term: never hand the
                         # stale value to the client.
                         invoke_span.finish(self.env.now, outcome="stale-result")
                         self._count("stale_results_discarded")
-                        self.drop_binding(group_id, binding)
+                        bindings.drop(binding)
                         enter_recovery("stale-result")
                         yield from backoff()
                         continue
@@ -863,8 +893,6 @@ class SwsProxy(Peer):
                         # execution's term; it neither advances nor violates
                         # the monotone result-epoch audit.
                         self._count("deduped")
-                    else:
-                        self._record_result_epoch(group_id, reply.epoch)
                     if recover_span is not None:
                         close_recovery()
                         self.stats.failover_durations.append(elapsed)
@@ -922,11 +950,10 @@ class SwsProxy(Peer):
                         self._count("stale_epoch_redirects")
                     enter_recovery(reason)
                     if reply.coordinator is not None:
-                        coordinator, address, epoch = reply.coordinator
-                        self._rebind(group_id, coordinator, address, epoch)
+                        bindings.install(group_id, *reply.coordinator)
                         # Fresh forward pointer: retry immediately, no backoff.
                     else:
-                        self.drop_binding(group_id, binding)
+                        bindings.drop(binding)
                         yield from backoff()
                     continue
                 if reply.kind == "cannot-serve":
@@ -988,37 +1015,6 @@ class SwsProxy(Peer):
         setattr(self.stats, event, getattr(self.stats, event) + 1)
         self.obs.metrics.inc(f"proxy.{event}")
 
-    def _highest_witnessed(self, binding: _Binding) -> Optional[Epoch]:
-        """The freshest term this proxy can vouch for, gossiped to b-peers."""
-        if not self.epoch_fencing:
-            return None
-        last = self._last_result_epoch.get(binding.group_id)
-        if binding.epoch is None:
-            return last
-        if last is None:
-            return binding.epoch
-        return max(binding.epoch, last)
-
-    def _result_is_stale(self, group_id: PeerGroupId, reply: ExecReply) -> bool:
-        if not self.epoch_fencing or reply.epoch is None:
-            return False
-        last = self._last_result_epoch.get(group_id)
-        return last is not None and reply.epoch < last
-
-    def _record_result_epoch(
-        self, group_id: PeerGroupId, epoch: Optional[Epoch]
-    ) -> None:
-        if epoch is None:
-            return
-        last = self._last_result_epoch.get(group_id)
-        if last is None or epoch > last:
-            self._last_result_epoch[group_id] = epoch
-            if self.result_cache is not None:
-                # Epoch fence advanced (failover happened): entries the
-                # new fence predates may miss recovered writes — drop.
-                self.result_cache.invalidate_epoch(group_id, epoch)
-        self.result_epoch_log.append((group_id, epoch))
-
     # -- circuit breakers ----------------------------------------------------------------
 
     def _breaker_for(self, scope: str) -> Optional[CircuitBreaker]:
@@ -1066,7 +1062,7 @@ class SwsProxy(Peer):
             reply_to=self.peer_id,
             reply_addr=self.endpoint.address,
             epoch=binding.epoch,
-            observed_epoch=self._highest_witnessed(binding),
+            observed_epoch=self.bindings.witnessed(binding),
             invocation_id=invocation_id,
             attempt=attempt,
         )

@@ -52,7 +52,7 @@ class ResultCacheSpec:
 class CacheEntry:
     value: Any
     action: str
-    epoch: Any  # Epoch, or None when the serving result carried none
+    epoch: Any  # the Epoch the result was delivered under
     group_id: Any
     stored_at: float
 
@@ -110,7 +110,7 @@ class SemanticResultCache:
             self._miss()
             return None
         fence = fence_for(entry.group_id) if fence_for is not None else None
-        if fence is not None and entry.epoch is not None and entry.epoch < fence:
+        if fence is not None and entry.epoch < fence:
             del self._entries[key]
             self._invalidate_count(1)
             self._miss()
@@ -119,7 +119,7 @@ class SemanticResultCache:
         self.hits += 1
         if self.metrics is not None:
             self.metrics.inc("rescache.hit")
-        if fence is not None and entry.epoch is not None and entry.epoch < fence:
+        if fence is not None and entry.epoch < fence:
             self.stale_epoch_serves += 1  # unreachable by construction; audited anyway
         self.serves.append(
             CacheServe(at=now, key=key, entry_epoch=entry.epoch, fence_epoch=fence, age=age)
@@ -145,28 +145,12 @@ class SemanticResultCache:
         self._invalidate_count(doomed)
         return doomed
 
-    def invalidate_group(self, group_id: Any) -> int:
-        """Drop every entry stored from ``group_id`` (mutating op landed)."""
-        doomed = [k for k, e in self._entries.items() if e.group_id == group_id]
-        for key in doomed:
-            del self._entries[key]
-        self._invalidate_count(len(doomed))
-        return len(doomed)
-
-    def invalidate_action(self, action: str) -> int:
-        """Drop every entry cached under the given semantic action."""
-        doomed = [k for k, e in self._entries.items() if e.action == action]
-        for key in doomed:
-            del self._entries[key]
-        self._invalidate_count(len(doomed))
-        return len(doomed)
-
     def invalidate_epoch(self, group_id: Any, fence: Any) -> int:
         """Drop entries of ``group_id`` fenced by a newly-seen epoch."""
         doomed = [
             k
             for k, e in self._entries.items()
-            if e.group_id == group_id and e.epoch is not None and e.epoch < fence
+            if e.group_id == group_id and e.epoch < fence
         ]
         for key in doomed:
             del self._entries[key]

@@ -58,10 +58,10 @@ class EndpointService:
         self._listeners: Dict[str, Listener] = {}
         #: Last-resort forwarding for relayed envelopes with no local route
         #: (federated rendezvous install one: the destination may be leased
-        #: to a rendezvous in another region).  Returns True if it re-routed
-        #: the envelope; the default None keeps the seed's drop behaviour.
+        #: to a rendezvous in another region).  With none, such an envelope
+        #: is dropped.
         self.relay_fallback: Optional[
-            Callable[[EndpointMessage, Message], bool]
+            Callable[[EndpointMessage, Message], None]
         ] = None
         self.messages_in = 0
         self.messages_out = 0
@@ -155,6 +155,12 @@ class EndpointService:
             size_bytes,
         )
 
+    def forward(self, address: Address, envelope: EndpointMessage, message: Message) -> None:
+        """Pass a relayed ``envelope`` on to ``address`` unchanged, in a
+        datagram of ``message``'s category and size.  A relay hop is not a
+        send of this peer's: ``messages_out`` does not count it."""
+        self._socket.send(address, envelope, message.category, message.size_bytes)
+
     # -- receiving ----------------------------------------------------------------------
 
     def _receive_loop(self):
@@ -180,8 +186,7 @@ class EndpointService:
 
     def _relay_forward(self, envelope: EndpointMessage, message: Message) -> None:
         address = self._routes.get(envelope.dst_peer)
-        if address is None:
-            if self.relay_fallback is not None:
-                self.relay_fallback(envelope, message)
-            return  # relay cannot help locally; fallback or drop
-        self._socket.send(address, envelope, message.category, message.size_bytes)
+        if address is not None:
+            self.forward(address, envelope, message)
+        elif self.relay_fallback is not None:
+            self.relay_fallback(envelope, message)

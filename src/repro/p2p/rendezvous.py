@@ -143,7 +143,7 @@ class RendezvousService:
         if self.endpoint.relay_fallback is None:
             self.endpoint.relay_fallback = self._federated_relay
 
-    def _federated_relay(self, envelope, message) -> bool:
+    def _federated_relay(self, envelope, message) -> None:
         """Forward an unroutable relayed envelope to the other regions.
 
         One federated hop only (the envelope's ``fed_hop`` flag stops loops):
@@ -151,11 +151,10 @@ class RendezvousService:
         delivers; the others drop silently, like any relay without a route.
         """
         if envelope.fed_hop:
-            return False
+            return
         envelope.fed_hop = True
         for address in self.federated.values():
-            self.endpoint._socket.send(address, envelope, message.category, message.size_bytes)
-        return True
+            self.endpoint.forward(address, envelope, message)
 
     def _fan_out_federated(self, request: "_PropagateRequest", size_bytes: int) -> None:
         """Forward a propagated datagram to every federated rendezvous."""

@@ -74,23 +74,23 @@ class TestElectionSafety:
 
 class TestStaleResults:
     def test_monotone_deliveries_pass(self):
-        proxy = SimpleNamespace(result_epoch_log=[
+        proxy = SimpleNamespace(bindings=SimpleNamespace(result_epoch_log=[
             ("g", Epoch(1, "aa")), ("g", Epoch(1, "aa")), ("g", Epoch(2, "bb")),
-        ])
+        ]))
         assert stale_result_violations(proxy) == []
 
     def test_regression_flagged(self):
-        proxy = SimpleNamespace(result_epoch_log=[
+        proxy = SimpleNamespace(bindings=SimpleNamespace(result_epoch_log=[
             ("g", Epoch(2, "bb")), ("g", Epoch(1, "aa")),
-        ])
+        ]))
         violations = stale_result_violations(proxy)
         assert len(violations) == 1
         assert "after" in violations[0]
 
     def test_groups_are_independent(self):
-        proxy = SimpleNamespace(result_epoch_log=[
+        proxy = SimpleNamespace(bindings=SimpleNamespace(result_epoch_log=[
             ("g1", Epoch(2, "bb")), ("g2", Epoch(1, "aa")),
-        ])
+        ]))
         assert stale_result_violations(proxy) == []
 
 

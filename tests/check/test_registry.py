@@ -25,7 +25,7 @@ def _service(epoch):
         group=group,
         all_peers=lambda: [peer],
         all_groups=lambda: [group],
-        proxy=SimpleNamespace(result_epoch_log=[]),
+        proxy=SimpleNamespace(bindings=SimpleNamespace(result_epoch_log=[])),
     )
 
 

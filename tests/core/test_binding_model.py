@@ -1,0 +1,270 @@
+"""The proxy's binding table against its spec (DESIGN.md §6.21).
+
+One :class:`~repro.core.proxy.BindingTable` runs on a real simulated clock
+with a fake resolver and two fake b-peer groups.  Each group has a history
+of ``(coordinator, address, epoch)`` claims, and an election appends a new
+one under a higher epoch.  Hypothesis picks when callers ask for a
+coordinator (each under its own deadline), when an open query is answered
+and by which claim (the newest, or a stale one a member still believes),
+when the clock moves, when a caller's host dies mid-lookup, and which
+binding a failed attempt names when it drops.  It also picks when a
+redirect installs a pointer and which epoch a result is delivered under.
+Epoch fencing is on or off per example.  The spec, checked after every
+step or at the moment it applies:
+
+* at most one coordinator query is in flight per group, and the table's
+  lookup slots are exactly the groups with one;
+* a drop never removes a binding newer than the one it names, and always
+  removes the one it names;
+* with fencing on, delivered result epochs are monotone per group, and a
+  result is refused exactly when a newer epoch was delivered before it;
+* once the resolver has answered a query, the bind it ends with is to the
+  highest-epoch claim among the answers (the first answer, unfenced) —
+  so once the newest coordinator has answered, the next bind is to it.
+"""
+
+from __future__ import annotations
+
+import collections
+from types import SimpleNamespace
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from repro.check.invariants import stale_result_violations
+from repro.core.errors import NoCoordinatorError
+from repro.core.proxy import BindingTable
+from repro.core.retry import Deadline
+from repro.election.epoch import Epoch
+from repro.p2p.ids import PeerGroupId, PeerId
+from repro.simnet import Environment
+from repro.simnet.events import Interrupt
+
+GROUPS = tuple(PeerGroupId.from_name(f"model-group-{index}") for index in range(2))
+PEERS = tuple(PeerId.from_name(f"peer-{index}") for index in range(3))
+#: How many terms behind the newest claim each answering member is.
+STALENESS = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
+
+
+class _FakeResolver:
+    """``send_query`` / ``cancel_query`` as the table calls them; a query
+    stays open, collecting what the model answers, until cancelled."""
+
+    def __init__(self, on_close):
+        self.open = {}  # query id -> (group id, on_response, answers so far)
+        self._ids = 0
+        self.on_close = on_close
+
+    def send_query(self, handler, group_id, on_response, size_bytes):
+        self._ids += 1
+        self.open[self._ids] = (group_id, on_response, [])
+        return self._ids
+
+    def cancel_query(self, query_id):
+        group_id, _on_response, answers = self.open.pop(query_id)
+        self.on_close(group_id, answers)
+
+    def answer(self, query_id, claim):
+        _group_id, on_response, answers = self.open[query_id]
+        answers.append(claim)
+        on_response(SimpleNamespace(payload=claim))
+
+    def open_groups(self):
+        return [group_id for group_id, _on_response, _answers in self.open.values()]
+
+
+class BindingModel(RuleBasedStateMachine):
+    @initialize(fencing=st.sampled_from((True, False)))
+    def deploy(self, fencing):
+        self.env = Environment()
+        self.fencing = fencing
+        self.resolver = _FakeResolver(self._lookup_closed)
+        self.counts = collections.Counter()
+        #: The route the table added last, cleared before the clock runs:
+        #: a lookup that ends by installing a binding adds its route just
+        #: before it cancels its query, with nothing in between.
+        self.last_route = None
+        self.advances = []  # (group id, epoch) the cache hook was told
+        self.table = BindingTable(
+            self.env, fencing, self.resolver.send_query, self.resolver.cancel_query,
+            self._add_route, self._count,
+            on_fence_advance=lambda group_id, epoch: self.advances.append((group_id, epoch)),
+        )  # fmt: skip
+        # Every group starts settled: peer 0 coordinates it under term 1.
+        self.claims = {
+            group_id: [(PEERS[0], (f"host-{PEERS[0]}", 9701), Epoch(1, PEERS[0].uuid_hex))]
+            for group_id in GROUPS
+        }
+        self.issued = {group_id: [] for group_id in GROUPS}  # every binding handed out
+        self.delivered = {}  # group id -> highest epoch delivered
+        self.callers = []  # live caller processes
+
+    # -- the fake groups --------------------------------------------------------------
+
+    @rule(group=st.sampled_from(GROUPS), winner=st.sampled_from(PEERS))
+    def elect(self, group, winner):
+        """A new term: ``winner`` coordinates under a higher epoch."""
+        epoch = self.claims[group][-1][2].next_for(winner.uuid_hex)
+        self.claims[group].append((winner, (f"host-{winner}", 9701), epoch))
+
+    @precondition(lambda self: self.resolver.open)
+    @rule(data=st.data(), stale=STALENESS)
+    def answer(self, data, stale):
+        """Members answer an open query, in this order, each with the newest
+        claim or with one ``stale`` terms old it has not heard superseded."""
+        self._answer(data.draw(st.sampled_from(sorted(self.resolver.open))), stale)
+
+    def _answer(self, query_id, stale):
+        history = self.claims[self.resolver.open[query_id][0]]
+        for terms in stale:
+            self.resolver.answer(query_id, history[max(0, len(history) - 1 - terms)])
+
+    # -- the proxy's side ---------------------------------------------------------------
+
+    @rule(
+        group=st.sampled_from(GROUPS),
+        budget=st.sampled_from((0.01, 0.1, 0.5, 5.0)),
+        stale=STALENESS | st.just([]),
+    )
+    def bind(self, group, budget, stale):
+        """A request needs the group's coordinator, under its own deadline;
+        the group's query (this caller's or the one it joins) may be
+        answered at once."""
+        deadline = Deadline(at=self.env.now + budget)
+
+        def caller():
+            try:
+                binding = yield from self.table.resolve(group, deadline)
+            except (NoCoordinatorError, Interrupt):
+                return
+            # The leader's lookup installed it; a joiner shares it.
+            assert self.table.bound.get(group) is binding
+            self.issued[group].append(binding)
+
+        self.callers.append(self.env.process(caller()))
+        self._run(self.env.now)
+        for query_id, (group_id, _on_response, _answers) in list(self.resolver.open.items()):
+            if group_id == group:
+                self._answer(query_id, stale)
+
+    @rule(delay=st.sampled_from((0.005, 0.01, 0.02, 0.3, 1.0)))
+    def tick(self, delay):
+        self._run(self.env.now + delay)
+
+    @precondition(lambda self: self.callers)
+    @rule(data=st.data())
+    def crash_caller(self, data):
+        """The host a caller runs on dies mid-lookup."""
+        data.draw(st.sampled_from(self.callers)).interrupt("host crashed")
+        self._run(self.env.now)
+
+    def _run(self, until):
+        self.last_route = None
+        self.env.run(until=until)
+        self.callers = [caller for caller in self.callers if caller.is_alive]
+
+    @rule(group=st.sampled_from(GROUPS), stale=st.integers(min_value=0, max_value=2))
+    def redirect(self, group, stale):
+        """A ``not-coordinator`` reply's forward pointer is installed."""
+        history = self.claims[group]
+        claim = history[max(0, len(history) - 1 - stale)]
+        self.issued[group].append(self.table.install(group, *claim))
+
+    @rule(group=st.sampled_from(GROUPS), pick=st.integers(min_value=0, max_value=20))
+    def fail_attempt(self, group, pick):
+        """An attempt sent under one of the bindings handed out failed:
+        compare-and-drop with that binding as the evidence."""
+        if not self.issued[group]:
+            return
+        used = self.issued[group][pick % len(self.issued[group])]
+        before = self.table.bound.get(group)
+        rebinds = self.counts["rebinds"]
+        self.table.drop(used)
+        after = self.table.bound.get(group)
+        assert self.counts["rebinds"] == rebinds + (after is not before)
+        if before is None:
+            assert after is None
+        elif (before.coordinator, before.epoch) == (used.coordinator, used.epoch):
+            assert after is None, "a drop kept the binding it named"
+        else:
+            assert after is before, (
+                f"a drop naming {used.coordinator}@{used.epoch} removed "
+                f"{before.coordinator}@{before.epoch}"
+            )
+
+    @rule(group=st.sampled_from(GROUPS), pick=st.integers(min_value=0, max_value=20))
+    def deliver(self, group, pick):
+        """A result arrives, produced under one of the group's terms."""
+        history = self.claims[group]
+        epoch = history[pick % len(history)][2]
+        last = self.delivered.get(group)
+        delivered = self.table.deliver(group, epoch)
+        assert delivered == (not self.fencing or last is None or not epoch < last)
+        if delivered and (last is None or epoch > last):
+            self.delivered[group] = epoch
+
+    # -- the spec -----------------------------------------------------------------------
+
+    def _count(self, event):
+        self.counts[event] += 1
+
+    def _add_route(self, peer_id, address):
+        self.last_route = (peer_id, address)
+
+    def _lookup_closed(self, group_id, answers):
+        """The table cancels its query on every exit.  One that heard
+        answers and was not interrupted has just installed a binding, and
+        it is the claim the rule picks: the highest epoch, fenced; the
+        first answer, unfenced."""
+        installed, self.last_route = self.last_route, None
+        if not answers:
+            assert installed is None, "a lookup nobody answered installed a binding"
+            return
+        if installed is None:
+            return  # interrupted: it installs nothing
+        if self.fencing:
+            expected = max(answers, key=lambda claim: claim[2])
+        else:
+            expected = answers[0]
+        bound = self.table.bound.get(group_id)
+        assert (bound.coordinator, bound.address, bound.epoch) == expected, (
+            f"bound {bound} after answers {answers}"
+        )
+        assert installed == (bound.coordinator, bound.address)
+
+    def teardown(self):
+        # Callers still suspended are closed when collected, and a closed
+        # lookup cancels its query: nothing left to check by then.
+        self.resolver.on_close = lambda _group_id, _answers: None
+
+    @invariant()
+    def one_query_in_flight_per_group(self):
+        groups = self.resolver.open_groups()
+        assert len(groups) == len(set(groups)), f"two queries in flight: {groups}"
+        assert set(self.table.lookups) == set(groups)
+
+    @invariant()
+    def delivered_epochs_are_monotone(self):
+        for group_id in GROUPS:
+            advances = [epoch for group, epoch in self.advances if group == group_id]
+            assert all(a < b for a, b in zip(advances, advances[1:]))
+        if self.fencing:
+            assert stale_result_violations(SimpleNamespace(bindings=self.table)) == []
+
+    @invariant()
+    def witnessed_epoch_is_the_freshest_known(self):
+        for group_id, binding in self.table.bound.items():
+            witnessed = self.table.witnessed(binding)
+            if not self.fencing:
+                assert witnessed is None
+                continue
+            last = self.delivered.get(group_id)
+            assert witnessed == (binding.epoch if last is None else max(binding.epoch, last))
+
+
+BindingModel.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None, derandomize=True,
+    database=None,
+)  # fmt: skip
+TestBindingModel = BindingModel.TestCase

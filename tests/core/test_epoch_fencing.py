@@ -11,7 +11,11 @@ and the retry lands under the fresh term.
 import pytest
 
 from repro.core import ScenarioConfig, WhisperSystem
+from repro.core.retry import Deadline
 from repro.election import Epoch
+
+#: A deadline no lookup in these tests reaches.
+_NO_DEADLINE = Deadline(at=float("inf"))
 
 
 @pytest.fixture
@@ -69,7 +73,7 @@ class TestPartitionThenHeal:
         old_coord = deployed.group.coordinator_peer()
         old_epoch = old_coord.coordinator_mgr.epoch
         assert old_epoch.counter >= 1
-        binding = proxy._bindings[group_id]
+        binding = proxy.bindings.bound[group_id]
         assert binding.coordinator == old_coord.peer_id
         assert binding.epoch == old_epoch
 
@@ -125,7 +129,7 @@ class TestPartitionThenHeal:
         assert outcome["value"]["studentId"] == "S00002"
         assert old_coord.stale_epoch_rejections == rejections + 1
         assert proxy.stats.stale_epoch_redirects >= 1
-        assert proxy._bindings[group_id].epoch == final_epoch
+        assert proxy.bindings.bound[group_id].epoch == final_epoch
 
 
 class TestResolverEpochPreference:
@@ -146,13 +150,12 @@ class TestResolverEpochPreference:
         forged = Epoch(real_epoch.counter + 7, follower.peer_id.uuid_hex)
         follower.coordinator_mgr.elector.coordinator = follower.peer_id
         follower.coordinator_mgr.elector.epoch = forged
-        proxy.resolve_grace = 0.1  # collect every racing answer
-        proxy.drop_binding(group_id)
+        proxy.bindings.resolve_grace = 0.1  # collect every racing answer
 
         result = {}
 
         def runner():
-            result["binding"] = yield from proxy.resolve_coordinator(group_id)
+            result["binding"] = yield from proxy.bindings.resolve(group_id, _NO_DEADLINE)
 
         system.env.run(until=proxy.node.spawn(runner()))
         assert result["binding"].coordinator == follower.peer_id
@@ -171,13 +174,12 @@ class TestResolverEpochPreference:
         )
         follower.coordinator_mgr.elector.coordinator = follower.peer_id
         follower.coordinator_mgr.elector.epoch = Epoch(0, follower.peer_id.uuid_hex)
-        proxy.resolve_grace = 0.1
-        proxy.drop_binding(group_id)
+        proxy.bindings.resolve_grace = 0.1
 
         result = {}
 
         def runner():
-            result["binding"] = yield from proxy.resolve_coordinator(group_id)
+            result["binding"] = yield from proxy.bindings.resolve(group_id, _NO_DEADLINE)
 
         system.env.run(until=proxy.node.spawn(runner()))
         assert result["binding"].coordinator == coordinator_id
@@ -200,8 +202,7 @@ class TestResolverEpochPreference:
         forged = Epoch(real_epoch.counter + 7, follower.peer_id.uuid_hex)
         follower.coordinator_mgr.elector.coordinator = follower.peer_id
         follower.coordinator_mgr.elector.epoch = forged
-        proxy.resolve_grace = 0.1
-        proxy.drop_binding(group_id)
+        proxy.bindings.resolve_grace = 0.1
         queries = proxy.resolver.queries_sent
 
         bindings = []
@@ -210,7 +211,7 @@ class TestResolverEpochPreference:
             # The late caller arrives inside the leader's grace window,
             # after the first answers have landed.
             yield system.env.timeout(delay)
-            bindings.append((yield from proxy.resolve_coordinator(group_id)))
+            bindings.append((yield from proxy.bindings.resolve(group_id, _NO_DEADLINE)))
 
         callers = [proxy.node.spawn(caller(delay)) for delay in (0.0, 0.05)]
         for process in callers:

@@ -15,6 +15,9 @@ from repro.soap import SoapFault
 
 from ..ontology.match_oracle import ReferenceMatcher
 
+#: A deadline no lookup in these tests reaches.
+_NO_DEADLINE = Deadline(at=float("inf"))
+
 
 @pytest.fixture
 def system():
@@ -118,8 +121,8 @@ class TestBindingPath:
         result = {}
 
         def runner():
-            result["binding"] = yield from proxy.resolve_coordinator(
-                deployed.group.group_id
+            result["binding"] = yield from proxy.bindings.resolve(
+                deployed.group.group_id, _NO_DEADLINE
             )
 
         system.env.run(until=proxy.node.spawn(runner()))
@@ -128,9 +131,10 @@ class TestBindingPath:
     def test_drop_binding_counts_rebinds(self, system, deployed):
         proxy = deployed.proxy
         _invoke(system, proxy, "StudentInformation", {"ID": "S00001"})
-        proxy.drop_binding(deployed.group.group_id)
+        used = proxy.bindings.bound[deployed.group.group_id]
+        proxy.bindings.drop(used)
         assert proxy.stats.rebinds == 1
-        proxy.drop_binding(deployed.group.group_id)  # already gone
+        proxy.bindings.drop(used)  # already gone
         assert proxy.stats.rebinds == 1
 
     def test_redirect_updates_binding(self, system, deployed):
@@ -145,8 +149,9 @@ class TestBindingPath:
         # Poison the binding to point at the follower.
         from repro.core.proxy import _Binding
 
-        proxy._bindings[deployed.group.group_id] = _Binding(
-            deployed.group.group_id, follower.peer_id, follower.endpoint.address
+        proxy.bindings.bound[deployed.group.group_id] = _Binding(
+            deployed.group.group_id, follower.peer_id, follower.endpoint.address,
+            follower.coordinator_mgr.epoch,
         )
         proxy.endpoint.add_route(follower.peer_id, follower.endpoint.address)
         outcome = _invoke(system, proxy, "StudentInformation", {"ID": "S00002"})
@@ -156,7 +161,7 @@ class TestBindingPath:
     def test_redirect_with_pointer_counts_rebind(self, system, deployed):
         """Regression: following a redirect's forward pointer is a
         failover and must count as a rebind.  The old code rewrote
-        ``_bindings[group_id]`` in place, so redirect-driven failovers
+        the binding in place, so redirect-driven failovers
         were invisible in ``ProxyStats.rebinds``."""
         proxy = deployed.proxy
         _invoke(system, proxy, "StudentInformation", {"ID": "S00001"})
@@ -167,22 +172,23 @@ class TestBindingPath:
         )
         from repro.core.proxy import _Binding
 
-        proxy._bindings[deployed.group.group_id] = _Binding(
-            deployed.group.group_id, follower.peer_id, follower.endpoint.address
+        proxy.bindings.bound[deployed.group.group_id] = _Binding(
+            deployed.group.group_id, follower.peer_id, follower.endpoint.address,
+            follower.coordinator_mgr.epoch,
         )
         proxy.endpoint.add_route(follower.peer_id, follower.endpoint.address)
         rebinds = proxy.stats.rebinds
         outcome = _invoke(system, proxy, "StudentInformation", {"ID": "S00002"})
         assert outcome["value"]["studentId"] == "S00002"
         assert proxy.stats.rebinds == rebinds + 1
-        binding = proxy._bindings[deployed.group.group_id]
+        binding = proxy.bindings.bound[deployed.group.group_id]
         assert binding.coordinator == coordinator_id
         assert binding.epoch is not None
 
     def test_successful_invoke_stamps_binding_epoch(self, system, deployed):
         proxy = deployed.proxy
         _invoke(system, proxy, "StudentInformation", {"ID": "S00001"})
-        binding = proxy._bindings[deployed.group.group_id]
+        binding = proxy.bindings.bound[deployed.group.group_id]
         coordinator = deployed.group.coordinator_peer()
         assert binding.epoch == coordinator.coordinator_mgr.epoch
         assert binding.epoch.counter >= 1
@@ -246,10 +252,10 @@ class TestSingleFlightLookup:
     answer meanwhile shares its outcome (DESIGN.md §6.13)."""
 
     @staticmethod
-    def _resolve(system, proxy, group_id, outcomes, deadline=None, node=None):
+    def _resolve(system, proxy, group_id, outcomes, deadline=_NO_DEADLINE, node=None):
         def caller():
             try:
-                binding = yield from proxy.resolve_coordinator(group_id, deadline)
+                binding = yield from proxy.bindings.resolve(group_id, deadline)
                 outcomes.append((system.env.now, binding))
             except (NoCoordinatorError, Interrupt) as error:
                 outcomes.append((system.env.now, error))
@@ -273,10 +279,10 @@ class TestSingleFlightLookup:
         bindings = [binding for _at, binding in outcomes]
         assert bindings[0].coordinator == deployed.group.coordinator_id()
         assert bindings[1] is bindings[0] and bindings[2] is bindings[0]
-        assert proxy._bindings[group_id] is bindings[0]
+        assert proxy.bindings.bound[group_id] is bindings[0]
         assert proxy.resolver.queries_sent == queries + 1
         assert proxy.stats.shared_lookups == 2
-        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0
 
     def test_joiners_receive_the_leaders_failure_and_back_off_on_their_own(
         self, system, deployed
@@ -315,7 +321,7 @@ class TestSingleFlightLookup:
         # Far fewer queries than binds attempted (parent: one each).
         binds = proxy.stats.shared_lookups + proxy.resolver.queries_sent - queries
         assert proxy.resolver.queries_sent - queries < binds
-        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0
 
     def test_joiner_with_a_shorter_deadline_leaves_on_its_own(self, system, deployed):
         proxy, group_id = deployed.proxy, deployed.group.group_id
@@ -330,23 +336,23 @@ class TestSingleFlightLookup:
         (left_at, error), = outcomes
         assert isinstance(error, NoCoordinatorError)
         assert left_at == pytest.approx(started + 0.2)
-        assert group_id in proxy._lookups  # the leader is still asking
+        assert group_id in proxy.bindings.lookups  # the leader is still asking
         system.env.run(until=leader)
-        assert outcomes[1][0] == pytest.approx(started + proxy.coordinator_timeout)
-        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        assert outcomes[1][0] == pytest.approx(started + proxy.bindings.coordinator_timeout)
+        assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0
 
     def test_joiner_waits_no_longer_than_its_own_lookup_would(self, system, deployed):
         """A leader wedged past its timeout (its process's host is frozen
         here by simply never finishing) cannot hold a joiner for ever."""
         proxy, group_id = deployed.proxy, deployed.group.group_id
-        proxy._lookups[group_id] = system.env.event()  # a lookup that never ends
+        proxy.bindings.lookups[group_id] = system.env.event()  # a lookup that never ends
         started = system.env.now
         outcomes = []
         system.env.run(until=self._resolve(system, proxy, group_id, outcomes))
         (left_at, error), = outcomes
         assert isinstance(error, NoCoordinatorError)
         assert left_at == pytest.approx(
-            started + proxy.coordinator_timeout + proxy.resolve_grace
+            started + proxy.bindings.coordinator_timeout + proxy.bindings.resolve_grace
         )
 
     @pytest.mark.parametrize("callers_on", ["the proxy's host", "another host"])
@@ -365,15 +371,15 @@ class TestSingleFlightLookup:
         self._resolve(system, proxy, group_id, outcomes, node=host)
         self._resolve(system, proxy, group_id, outcomes, node=host)
         system.run_until(system.env.now + 0.001)  # query out, no answer yet
-        assert group_id in proxy._lookups and proxy.resolver.listeners == 1
+        assert group_id in proxy.bindings.lookups and proxy.resolver.listeners == 1
         host.crash()
         system.run_until(system.env.now + 0.5)
         assert [type(error) for _at, error in outcomes] == [Interrupt, Interrupt]
-        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0
         host.restart()
         if host is proxy.node:
             proxy.attach_to(system.rendezvous)
             system.settle(1.0)
         outcome = _invoke(system, proxy, "StudentInformation", {"ID": "S00003"})
         assert outcome["value"]["studentId"] == "S00003"
-        assert proxy._lookups == {} and proxy.resolver.listeners == 0
+        assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0

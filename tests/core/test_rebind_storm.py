@@ -50,7 +50,7 @@ def _failover_under(parked: int):
     proxy, env = service.proxy, system.env
     warm: list = []
     env.run(until=proxy.node.spawn(_read(proxy, 0, warm)))  # bind
-    bound_to = proxy._bindings[service.group.group_id].coordinator
+    bound_to = proxy.bindings.bound[service.group.group_id].coordinator
     assert bound_to == service.group.coordinator_id()
 
     service.group.coordinator_peer().node.crash()
@@ -73,7 +73,7 @@ def _failover_under(parked: int):
         "lookups": proxy.resolver.queries_sent - queries,
         "shared": proxy.stats.shared_lookups - shared,
         "propagates": system.trace.sent_by_category["rdv-propagate"] - propagates,
-        "rebound": proxy._bindings[service.group.group_id].coordinator != bound_to,
+        "rebound": proxy.bindings.bound[service.group.group_id].coordinator != bound_to,
     }
 
 
@@ -120,7 +120,7 @@ class TestLateTimeoutKeepsTheFreshBinding:
         group_id = service.group.group_id
         warm: list = []
         env.run(until=proxy.node.spawn(_read(proxy, 0, warm)))
-        dead = proxy._bindings[group_id]
+        dead = proxy.bindings.bound[group_id]
         service.group.coordinator_peer().node.crash()
 
         patient: list = []
@@ -128,7 +128,7 @@ class TestLateTimeoutKeepsTheFreshBinding:
         request_a = proxy.node.spawn(_read(proxy, 1, patient, timeout=8.0))
         env.run(until=proxy.node.spawn(_read(proxy, 2, hasty)))
         assert hasty[0].outcome.value == "recovered" and not patient
-        fresh = proxy._bindings[group_id]
+        fresh = proxy.bindings.bound[group_id]
         assert fresh.coordinator != dead.coordinator and fresh.epoch > dead.epoch
         queries = proxy.resolver.queries_sent
         rebinds = proxy.stats.rebinds
@@ -138,7 +138,7 @@ class TestLateTimeoutKeepsTheFreshBinding:
         assert patient[0].attempts == 2 and patient[0].outcome.value == "recovered"
         assert patient[0].epoch == fresh.epoch
         assert proxy.stats.timeouts == timeouts + 1  # A's, on the dead binding
-        assert proxy._bindings[group_id] is fresh  # which B's binding survived
+        assert proxy.bindings.bound[group_id] is fresh  # which B's binding survived
         assert proxy.resolver.queries_sent == queries  # and A asked nobody
         assert proxy.stats.rebinds == rebinds  # a kept binding is no rebind
 
@@ -151,9 +151,9 @@ class TestLateTimeoutKeepsTheFreshBinding:
         group_id = service.group.group_id
         warm: list = []
         env.run(until=proxy.node.spawn(_read(proxy, 0, warm)))
-        used = proxy._bindings[group_id]
-        again = proxy._rebind(group_id, used.coordinator, used.address, used.epoch)
+        used = proxy.bindings.bound[group_id]
+        again = proxy.bindings.install(group_id, used.coordinator, used.address, used.epoch)
         assert again is not used and proxy.stats.rebinds == 0
-        proxy.drop_binding(group_id, used)
-        assert group_id not in proxy._bindings
+        proxy.bindings.drop(used)
+        assert group_id not in proxy.bindings.bound
         assert proxy.stats.rebinds == 1

@@ -116,16 +116,24 @@ MAX_CALLS_PER_READ = 35.06
 MAX_CALLS_PER_WRITE = 110.08
 _COUNTED_FILES = ("core/bpeer.py", "core/journal.py")
 
+#: Python-level calls into ``core/proxy.py`` and ``core/retry.py`` together
+#: per served request on the same fixture (DESIGN.md §6.21): the proxy's
+#: call path, its binding table and epoch fence, and the deadline it
+#: clamps every phase to.
+MAX_PROXY_CALLS_PER_READ = 26.0
+MAX_PROXY_CALLS_PER_WRITE = 26.0
+_PROXY_FILES = ("core/proxy.py", "core/retry.py")
 
-def _calls_per_file(run):
+
+def _calls_per_file(run, counted=_COUNTED_FILES):
     """Python-level frames (generator resumes included) ``run`` enters in
-    each counted file."""
+    each of the ``counted`` files."""
     calls = collections.Counter()
 
     def profile(frame, event, _arg):
         if event == "call":
             filename = frame.f_code.co_filename.replace("\\", "/")
-            if filename.endswith(_COUNTED_FILES):
+            if filename.endswith(counted):
                 calls[filename.rsplit("/", 1)[-1]] += 1
 
     # An earlier test's deployment, collected inside the window, would
@@ -145,6 +153,14 @@ def test_served_requests_cost_no_more_bpeer_and_journal_calls(deployment):
     writes = _calls_per_file(lambda: drive(0, WRITES, start=3000))
     assert sum(reads.values()) / READS <= MAX_CALLS_PER_READ, reads
     assert sum(writes.values()) / WRITES <= MAX_CALLS_PER_WRITE, writes
+
+
+def test_served_requests_cost_no_more_proxy_calls(deployment):
+    system, _service, drive = deployment
+    reads = _calls_per_file(lambda: drive(READS, 0, start=4000), _PROXY_FILES)
+    writes = _calls_per_file(lambda: drive(0, WRITES, start=5000), _PROXY_FILES)
+    assert sum(reads.values()) / READS <= MAX_PROXY_CALLS_PER_READ, reads
+    assert sum(writes.values()) / WRITES <= MAX_PROXY_CALLS_PER_WRITE, writes
 
 
 def test_served_requests_rederive_nothing(deployment, monkeypatch):

@@ -110,12 +110,6 @@ def test_equal_epoch_is_not_fenced():
     assert cache.lookup("k", now=1.0, fence_for=lambda group: 3) is not None
 
 
-def test_epochless_entry_is_never_fenced():
-    cache = SemanticResultCache(SPEC)
-    store(cache, "k", epoch=None, now=0.0)
-    assert cache.lookup("k", now=1.0, fence_for=lambda group: 99) is not None
-
-
 # -- invalidation family -------------------------------------------------------------
 
 
@@ -125,23 +119,6 @@ def test_invalidate_all_flushes_everything():
     store(cache, "b", now=0.0)
     assert cache.invalidate_all() == 2
     assert len(cache) == 0 and cache.invalidated == 2
-
-
-def test_invalidate_group_is_scoped():
-    cache = SemanticResultCache(SPEC)
-    store(cache, "a", group_id="g1", now=0.0)
-    store(cache, "b", group_id="g2", now=0.0)
-    assert cache.invalidate_group("g1") == 1
-    assert cache.lookup("b", now=0.1) is not None
-    assert cache.lookup("a", now=0.1) is None
-
-
-def test_invalidate_action_is_scoped():
-    cache = SemanticResultCache(SPEC)
-    store(cache, "a", action="sm:Lookup", now=0.0)
-    store(cache, "b", action="sm:Other", now=0.0)
-    assert cache.invalidate_action("sm:Lookup") == 1
-    assert cache.lookup("b", now=0.1) is not None
 
 
 def test_invalidate_epoch_drops_only_fenced_entries_of_group():
