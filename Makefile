@@ -48,10 +48,14 @@ check:
 check-self-test:
 	python -m repro check --self-test
 
-# The CI tier: a shorter exploration (the invariants must hold), then the
-# self-test (fencing off must violate, shrink, and replay).
+# The CI tier: a shorter exploration (the invariants must hold), flat and
+# on the two multi-group axes (the registry's per-group and cross-group
+# paths run nowhere else in CI but the digest pins), then the self-test
+# (fencing off must violate, shrink, and replay).
 check-smoke:
 	python -m repro check --seeds 3 --schedules 25 --timeout 300
+	python -m repro check --shards 2 --seeds 3 --schedules 25 --timeout 300
+	python -m repro check --regions 2 --seeds 3 --schedules 25 --timeout 300
 	python -m repro check --self-test --timeout 300
 
 # The flow pins of tests/check/test_digest_pins.py as this tree produces

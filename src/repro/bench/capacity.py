@@ -33,12 +33,7 @@ from ..core.config import ScenarioConfig
 from ..core.errors import CircuitOpenError, WhisperError
 from ..core.rescache import ResultCacheSpec
 from ..core.system import DeployedService, WhisperSystem
-from ..check.invariants import (
-    autoscale_violations,
-    breaker_violations,
-    rescache_violations,
-    retirement_violations,
-)
+from ..check.invariants import InvariantRegistry, breaker_violations
 from ..soap.fault import SoapFault
 from ..wsdl.samples import student_management_wsdl
 from .harness import Progress, bench_record, format_assertions, quiet
@@ -229,12 +224,6 @@ def run_diurnal(
     wall = finished - started
     if controller is not None:
         replica_seconds = controller.replica_seconds_total(finished) - replica_base
-        violations = (
-            autoscale_violations(service.autoscalers)
-            + retirement_violations(service.autoscalers)
-            + breaker_violations(service.proxy)
-            + rescache_violations(service.proxy)
-        )
         scale_events = [
             {"at": event.at - started, "direction": event.direction,
              "replicas": event.replicas}
@@ -242,7 +231,9 @@ def run_diurnal(
         ]
     else:
         replica_seconds = len(service.group.peers) * wall
-        violations, scale_events = [], []
+        scale_events = []
+    registry = InvariantRegistry(queue_bound=system.config.queue_bound)
+    violations = registry.check_step([service]) or registry.check_final([service])
     requests = totals["requests"]
     return {
         "mode": mode,

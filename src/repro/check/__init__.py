@@ -16,14 +16,17 @@ This package explores that space without giving up determinism:
   from the network's pre-send/pre-deliver hooks and the b-peers'
   pre-commit hook;
 * :mod:`~repro.check.invariants` — the safety checkers (election safety,
-  epoch monotonicity, exactly-once, queue bounds, no stale result,
-  convergence) evaluated after every slice of the run;
+  epoch monotonicity, no stale result, exactly-once, queue bounds, the
+  adaptive-capacity checks, saga atomicity, convergence), composed in one
+  :class:`~repro.check.invariants.InvariantRegistry` that audits every
+  checked run — after every slice of an explored one;
 * :mod:`~repro.check.explorer` — the one engine: the loop that samples
   schedules, shrinks a violating one to a minimal counterexample (ddmin
   over fault ops), dumps a replayable repro file, and re-executes it
   byte-identically — for whichever scenario it is handed;
 * :mod:`~repro.check.saga` — the engine's second scenario: loan sagas
-  behind a crashable orchestrator, audited for atomicity.
+  behind a crashable orchestrator, audited by the same registry handed
+  the saga log.
 
 ``python -m repro check`` is the command-line entry point (``--saga``
 picks the scenario; ``--replay FILE`` reads it off the file).

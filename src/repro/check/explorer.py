@@ -7,11 +7,12 @@ stale delivery that later self-corrects) is caught when it happens.
 Two scenarios plug in: :class:`CheckScenario` (a small enroll deployment
 with a mutating workload and an open-loop probe driver) and
 :class:`~repro.check.saga.SagaCheckScenario` (loan sagas behind a
-crashable orchestrator).  A scenario is a frozen dataclass with
-``replace`` / ``to_dict`` / ``from_dict``, a repro ``FORMAT`` string,
-``run(schedule)``, and its schedule sampling (``baseline_schedule()``,
-``schedules(baseline, max_ops)``); everything else here is written once
-against that.
+crashable orchestrator).  Both subclass
+:class:`~repro.check.schedule.Scenario` (``replace`` / ``to_dict`` /
+``from_dict``, a repro ``FORMAT`` string, ``run(schedule)``, and their
+schedule sampling) and record their runs in a
+:class:`~repro.check.schedule.RunRecord`; everything else here is
+written once against those two bases.
 
 On a violation the explorer shrinks the schedule — ddmin over the fault
 ops, then an attempt to drop the tiebreak perturbation — to a minimal
@@ -29,14 +30,12 @@ the invariants have teeth, not just that quiet runs stay quiet.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.autoscale import AutoscaleSpec
 from ..core.breaker import BreakerSpec
@@ -55,6 +54,8 @@ from .schedule import (
     MISS_THRESHOLD,
     SLICE_SECONDS,
     FaultOp,
+    RunRecord,
+    Scenario,
     Schedule,
     random_schedule,
 )
@@ -88,8 +89,8 @@ PROBE_BUDGET = 8.0
 
 
 @dataclass(frozen=True)
-class CheckScenario:
-    """The fixed half of an explored run (the schedule is the other half).
+class CheckScenario(Scenario):
+    """The enroll deployment under one schedule.
 
     Small on purpose: three replicas and a dozen probes already contain
     every protocol interaction the invariants watch (election, dispatch,
@@ -103,7 +104,6 @@ class CheckScenario:
     ``cooldown`` are fields because tests shorten them.
     """
 
-    seed: int = 0
     settle: float = 6.0
     probe_duration: float = 12.0
     cooldown: float = 12.0
@@ -156,55 +156,15 @@ class CheckScenario:
                 scale_events=self.capacity,
             )
 
-    def replace(self, **changes: Any) -> "CheckScenario":
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CheckScenario":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
-
 
 @dataclass
-class RunResult:
-    """Everything one run produced, digestible for replay comparison."""
+class RunResult(RunRecord):
+    """One enroll run: the common record plus the probe driver's tally."""
 
-    violations: List[str] = field(default_factory=list)
-    violated_at: Optional[float] = None
-    decisions: int = 0
-    sim_time: float = 0.0
     probes_ok: int = 0
     probes_failed: int = 0
-    effects_applied: int = 0
-    fired: List[Dict[str, Any]] = field(default_factory=list)
-    skipped: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``(sim_time, decision_count)`` at every slice boundary — the map
-    #: directed schedules use to aim an op at a wall-clock moment.
-    timeline: List[Tuple[float, int]] = field(default_factory=list)
-    hosts: List[str] = field(default_factory=list)
 
-    def digest(self) -> str:
-        """Fingerprint of the observable outcome; replays must match it."""
-        payload = {
-            "violations": self.violations,
-            "violated_at": self.violated_at,
-            "decisions": self.decisions,
-            "sim_time": self.sim_time,
-            "probes_ok": self.probes_ok,
-            "probes_failed": self.probes_failed,
-            "effects_applied": self.effects_applied,
-            "fired": self.fired,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-#: What the engine below is generic over: either scenario, either result.
-Scenario = Union[CheckScenario, SagaCheckScenario]
-Result = Union[RunResult, SagaRunResult]
+    DIGESTED: ClassVar[Tuple[str, ...]] = ("probes_ok", "probes_failed")
 
 
 # -- one run -----------------------------------------------------------------------
@@ -276,7 +236,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
     system.settle(scenario.settle)
 
-    injector = DecisionFaultInjector(system, service, schedule.ops)
+    injector = DecisionFaultInjector(system, [service], schedule.ops)
     injector.install()
     registry = InvariantRegistry(queue_bound=QUEUE_BOUND)
     result = RunResult(hosts=sorted(injector.watched))
@@ -319,7 +279,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
     while env.now < horizon:
         system.run_until(min(env.now + SLICE_SECONDS, horizon))
         result.timeline.append((env.now, injector.decisions))
-        violations = registry.check_step(service)
+        violations = registry.check_step([service])
         if violations:
             result.violated_at = env.now
             break
@@ -336,7 +296,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
         horizon = max(horizon, last_heal + scenario.cooldown)
 
     if not violations:
-        violations = registry.check_final(service)
+        violations = registry.check_final([service])
         if not violations:
             violations = _eventual_rebind_violations(system, service, node)
         if violations:
@@ -398,7 +358,7 @@ def shrink_schedule(
     scenario: Scenario,
     schedule: Schedule,
     max_runs: int = 48,
-) -> Tuple[Schedule, Result, int]:
+) -> Tuple[Schedule, RunRecord, int]:
     """ddmin the fault ops, then try dropping the tiebreak perturbation.
 
     The oracle is "the reduced schedule still violates *some* invariant"
@@ -407,9 +367,9 @@ def shrink_schedule(
     result, and how many shrink runs were spent.
     """
     runs = 0
-    best: Optional[Result] = None
+    best: Optional[RunRecord] = None
 
-    def violates(candidate: Schedule) -> Optional[Result]:
+    def violates(candidate: Schedule) -> Optional[RunRecord]:
         nonlocal runs
         if runs >= max_runs:
             return None
@@ -481,7 +441,7 @@ def save_repro(
     path: str,
     scenario: Scenario,
     schedule: Schedule,
-    result: Result,
+    result: RunRecord,
 ) -> Dict[str, Any]:
     """Write a replayable counterexample file; returns its payload."""
     payload = {
@@ -518,7 +478,7 @@ def load_repro(path: str) -> Tuple[Scenario, Schedule, Dict[str, Any]]:
     )
 
 
-def replay_repro(path: str) -> Tuple[bool, Result, Dict[str, Any]]:
+def replay_repro(path: str) -> Tuple[bool, RunRecord, Dict[str, Any]]:
     """Re-execute a repro file; True iff the outcome digest matches."""
     scenario, schedule, expected = load_repro(path)
     result = scenario.run(schedule)
@@ -528,9 +488,9 @@ def replay_repro(path: str) -> Tuple[bool, Result, Dict[str, Any]]:
 def _shrink_and_seal(
     scenario: Scenario,
     schedule: Schedule,
-    result: Result,
+    result: RunRecord,
     repro_path: Optional[str],
-) -> Tuple[Schedule, Result, int, Optional[bool]]:
+) -> Tuple[Schedule, RunRecord, int, Optional[bool]]:
     """What every found violation goes through: shrink, save, replay.
 
     Returns the minimal schedule, its result, the shrink runs spent, and
@@ -654,7 +614,7 @@ class ScheduleExplorer:
         report: ExploreReport,
         scenario: Scenario,
         schedule: Schedule,
-        result: Result,
+        result: RunRecord,
         schedule_index: int,
     ) -> None:
         shrunk, shrunk_result, shrink_runs, replay_ok = _shrink_and_seal(
@@ -734,7 +694,7 @@ def _depose_then_kill(
 
 def _prove_teeth(
     scenario: Scenario,
-    variants: Callable[[Result], Iterator[Schedule]],
+    variants: Callable[[RunRecord], Iterator[Schedule]],
     repro_path: Optional[str],
     time_budget: Optional[float],
 ) -> Dict[str, Any]:

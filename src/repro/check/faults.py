@@ -38,14 +38,14 @@ __all__ = ["DecisionFaultInjector"]
 class DecisionFaultInjector:
     """Fires one schedule's fault ops at protocol decision points."""
 
-    def __init__(self, system, service, ops: Sequence[FaultOp]):
+    def __init__(self, system, services: Sequence[Any], ops: Sequence[FaultOp]):
         self.system = system
-        self.service = service
+        self.services = list(services)
         #: Hosts whose traffic defines the decision space: the b-peer
-        #: replicas across every federated shard group.  Probe/client and
-        #: rendezvous chatter that never touches a replica is not a
-        #: protocol decision worth perturbing.
-        self.watched = {peer.node.name for peer in service.all_peers()}
+        #: replicas of every service, across every federated shard group.
+        #: Probe/client and rendezvous chatter that never touches a
+        #: replica is not a protocol decision worth perturbing.
+        self.watched = {peer.node.name for peer in self._peers()}
         self._pending: List[FaultOp] = sorted(ops, key=lambda op: op.at_decision)
         #: Global decision counter (1-based after the first decision).
         self.decisions = 0
@@ -61,7 +61,7 @@ class DecisionFaultInjector:
         if self._installed:
             return
         self.system.network.add_hook(self._network_hook)
-        for peer in self.service.all_peers():
+        for peer in self._peers():
             peer.pre_commit_hook = self._pre_commit_hook
         self._installed = True
 
@@ -69,9 +69,13 @@ class DecisionFaultInjector:
         if not self._installed:
             return
         self.system.network.remove_hook(self._network_hook)
-        for peer in self.service.all_peers():
+        for peer in self._peers():
             peer.pre_commit_hook = None
         self._installed = False
+
+    def _peers(self) -> List[Any]:
+        """Every service's peers, read afresh (a scale-up adds one)."""
+        return [peer for service in self.services for peer in service.all_peers()]
 
     # -- decision points ---------------------------------------------------------------
 
@@ -123,7 +127,9 @@ class DecisionFaultInjector:
             # race the schedule's other faults.  Capacity scenarios only;
             # recorded as skipped when the deployment has no controller
             # or the bound/drain state refuses the transition.
-            controller = next(iter(getattr(self.service, "autoscalers", ())), None)
+            controller = next(
+                (c for service in self.services for c in service.autoscalers), None
+            )
             accepted = False
             if controller is not None:
                 if op.action == "scale-up":
@@ -168,7 +174,7 @@ class DecisionFaultInjector:
         group name its hosts with ``crash``/``partition`` targets instead.
         """
         best = None
-        for peer in self.service.all_peers():
+        for peer in self._peers():
             if not (peer.node.up and peer.coordinator_mgr.is_coordinator):
                 continue
             if best is None or peer.coordinator_mgr.epoch > best.coordinator_mgr.epoch:

@@ -1,12 +1,14 @@
 """Protocol safety invariants, as reusable audit functions + a registry.
 
 Each function inspects live system state and returns human-readable
-violation strings (empty list = invariant holds).  They are shared with
-the fault campaign's post-run audit (:mod:`repro.bench.campaign`); the
-schedule checker additionally evaluates them **after every slice** of a
-run through a stateful :class:`InvariantRegistry`, which also tracks
-cursors for the invariants that are about *trajectories* (per-peer
-accepted epochs must never regress) rather than final states.
+violation strings (empty list = invariant holds).  They are composed in
+one place, the stateful :class:`InvariantRegistry`, which every checked
+run audits through: the schedule checker's two scenarios **after every
+slice**, the dead-letter-queue demo, the fault campaign
+(:mod:`repro.bench.campaign`) and the capacity bench's diurnal audit
+(:mod:`repro.bench.capacity`) once after the run.  The registry also
+tracks cursors for the invariants that are about *trajectories*
+(per-peer accepted epochs must never regress) rather than final states.
 
 The invariants:
 
@@ -21,8 +23,14 @@ The invariants:
   all backend effect ledgers (journal-enabled runs only);
 * **queue bound** — no member's admission ledger exceeds the configured
   bound;
+* **autoscale / retirement / breaker / result cache** — the adaptive
+  capacity invariants (vacuous unless the deployment enables them);
+* **saga atomicity** — every saga all committed or every applied step
+  compensated, never a double rollback (runs that hand the registry a
+  saga log; after cooldown every saga must also have ended);
 * **convergence** — after cooldown, at most one live peer claims
-  coordination (final check, meaningless mid-fault);
+  coordination per group (final check, meaningless mid-fault, so only
+  on a network without standing message loss);
 * **eventual rebind** — a post-cooldown probe completes within its
   deadline budget (checked by the explorer, which owns the probe).
 """
@@ -30,7 +38,7 @@ The invariants:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..election.epoch import Epoch
 
@@ -51,7 +59,7 @@ __all__ = [
 ]
 
 
-# -- shared audit functions (also used by the fault campaign) --------------------------
+# -- the audit functions ---------------------------------------------------------------
 
 
 def announced_epoch_violations(peers) -> List[str]:
@@ -366,53 +374,70 @@ def saga_atomicity_violations(saga_log, peers, final: bool = False) -> List[str]
 
 
 class InvariantRegistry:
-    """Step + final invariant evaluation for one explored run.
+    """Step + final invariant evaluation for one checked run's services.
 
-    A registry instance is per-run: it carries the accepted-epoch cursors
-    that turn per-peer epoch monotonicity from a final-state property
-    into a trajectory property (a regression that later self-corrects
-    would be invisible to an end-of-run audit).
+    The one place invariants are composed (DESIGN.md §6.22).  An instance
+    is per-run: it carries the accepted-epoch cursors that turn per-peer
+    epoch monotonicity from a final-state property into a trajectory
+    property (a regression that later self-corrects would be invisible to
+    an end-of-run audit).  Handed a ``saga_log``, it appends saga
+    atomicity after its own checks.
     """
 
-    def __init__(self, queue_bound: Optional[int] = None):
+    def __init__(self, queue_bound: Optional[int] = None, saga_log=None):
         self.queue_bound = queue_bound
+        self.saga_log = saga_log
         self._accepted: Dict[str, Epoch] = {}
 
-    def check_step(self, service) -> List[str]:
+    def check_step(self, services: Sequence) -> List[str]:
         """Invariants that must hold at every instant of the run.
 
-        Audits every peer of every federated shard group (epoch keys are
-        owner-qualified, so cross-group announcements can never collide);
-        for single-group services this is exactly ``service.group.peers``.
+        Audits every peer of every group of every service (epoch keys are
+        owner-qualified, so cross-group announcements can never collide)
+        and every service's proxy.
         """
-        peers = service.all_peers()
+        peers = _peers(services)
+        proxies = [service.proxy for service in services]
+        # Vacuous unless a service has autoscaling, a breaker or a cache.
+        autoscalers = [c for service in services for c in service.autoscalers]
         violations = announced_epoch_violations(peers)
         violations.extend(self._accepted_epoch_step(peers))
-        violations.extend(stale_result_violations(service.proxy))
+        for proxy in proxies:
+            violations.extend(stale_result_violations(proxy))
         violations.extend(exactly_once_violations(peers))
         violations.extend(queue_bound_violations(peers, self.queue_bound))
-        # Adaptive-capacity invariants: all vacuous (empty inputs) unless
-        # the scenario enabled autoscale / breaker / result cache.
-        autoscalers = getattr(service, "autoscalers", ())
         violations.extend(autoscale_violations(autoscalers))
         violations.extend(retirement_violations(autoscalers))
-        violations.extend(breaker_violations(service.proxy))
-        violations.extend(rescache_violations(service.proxy))
+        for proxy in proxies:
+            violations.extend(breaker_violations(proxy))
+            violations.extend(rescache_violations(proxy))
+        if self.saga_log is not None:
+            violations.extend(saga_atomicity_violations(self.saga_log, peers))
         return violations
 
-    def check_final(self, service) -> List[str]:
+    def check_final(self, services: Sequence) -> List[str]:
         """Invariants that only make sense once the faults have drained.
 
-        Convergence is per shard group: each federated group elects its
-        own coordinator, so "at most one claimant" applies within each
-        group, never across them.
+        Convergence is per b-peer group: each group elects its own
+        coordinator, so "at most one claimant" applies within each group;
+        a violation names its group unless the run has only one.  It needs
+        a quiet network: under a standing message loss (a scenario's
+        ``loss_rate``, which no cooldown drains) the failure detector may
+        depose a live coordinator at any instant, and one sample catches
+        the handover, not a split brain.  With a saga log, every saga must
+        also have ended.
         """
-        groups = service.all_groups()
-        if len(groups) == 1:
-            return convergence_violations(groups[0].peers)
+        peers = _peers(services)
+        groups = [group for service in services for group in service.all_groups()]
+        labelled = len(groups) > 1
         violations: List[str] = []
-        for group in groups:
-            violations.extend(convergence_violations(group.peers, group=group.name))
+        if not peers[0].node.network.loss_rate:
+            for group in groups:
+                violations.extend(
+                    convergence_violations(group.peers, group=group.name if labelled else "")
+                )
+        if self.saga_log is not None:
+            violations.extend(saga_atomicity_violations(self.saga_log, peers, final=True))
         return violations
 
     def _accepted_epoch_step(self, peers) -> List[str]:
@@ -428,3 +453,7 @@ class InvariantRegistry:
             if last is None or current > last:
                 self._accepted[peer.name] = current
         return violations
+
+
+def _peers(services) -> List:
+    return [peer for service in services for peer in service.all_peers()]

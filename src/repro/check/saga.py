@@ -17,20 +17,19 @@ The run driver models the deployment story the saga log exists for: the
 orchestrator host crashes mid-saga (its processes die with simnet
 ``Interrupt``), the host restarts, and a *fresh* orchestrator instance —
 sharing only the durable :class:`~repro.workflow.saga.SagaLog` and DLQ
-objects — recovers the orphaned sagas.  The atomicity invariant is
-re-audited after every slice, and a ``final=True`` pass after cooldown
-additionally requires every saga to have reached a terminal state.
+objects — recovers the orphaned sagas.  The run is audited by the same
+:class:`~repro.check.invariants.InvariantRegistry` as the enroll
+scenario, handed the saga log: every invariant plus saga atomicity after
+every slice, and after cooldown the final checks, which additionally
+require every saga to have reached a terminal state.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from ..backend.loans import (
     book_loan,
@@ -44,21 +43,19 @@ from ..backend.loans import (
     unbook_loan,
 )
 from ..core.config import ScenarioConfig
-from ..core.system import WhisperSystem
+from ..core.system import DeployedService, WhisperSystem
 from ..simnet.events import Interrupt
 from ..workflow.dlq import DeadLetterQueue
 from ..workflow.saga import CompensableTask, Saga, SagaLog, SagaOrchestrator
 from ..wsdl.samples import loan_booking_wsdl, loan_desk_wsdl, solvency_wsdl
 from .faults import DecisionFaultInjector
-from .invariants import (
-    effect_totals,
-    exactly_once_violations,
-    saga_atomicity_violations,
-)
+from .invariants import InvariantRegistry, effect_totals
 from .schedule import (
     HEARTBEAT_INTERVAL,
     MISS_THRESHOLD,
     SLICE_SECONDS,
+    RunRecord,
+    Scenario,
     Schedule,
     random_schedule,
 )
@@ -92,8 +89,8 @@ INSOLVENT_AMOUNT = 9_000.0
 
 
 @dataclass(frozen=True)
-class SagaCheckScenario:
-    """The fixed half of one saga check run (the schedule is the other).
+class SagaCheckScenario(Scenario):
+    """The loan fleet and its sagas under one schedule.
 
     Every fourth saga is submitted for an insolvent applicant (lowest
     credit tier, amount above it), so the compensation path is exercised
@@ -102,7 +99,6 @@ class SagaCheckScenario:
     ``cooldown`` is a field because tests shorten it.
     """
 
-    seed: int = 0
     sagas: int = 10
     #: Every ``insolvent_every``-th saga targets an applicant whose
     #: credit tier cannot cover :data:`INSOLVENT_AMOUNT`.
@@ -143,79 +139,38 @@ class SagaCheckScenario:
                 label=f"seed{self.seed}/{index}",
             )
 
-    def replace(self, **changes: Any) -> "SagaCheckScenario":
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SagaCheckScenario":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
-
 
 @dataclass
-class SagaRunResult:
-    """Everything one saga check run produced, digestible for replay."""
+class SagaRunResult(RunRecord):
+    """One saga run: the common record plus how each saga ended."""
 
-    violations: List[str] = field(default_factory=list)
-    violated_at: Optional[float] = None
-    decisions: int = 0
-    sim_time: float = 0.0
     submitted: int = 0
     committed: int = 0
     compensated: int = 0
     abandoned: int = 0
     dead_lettered: int = 0
     recoveries: int = 0
-    effects_applied: int = 0
-    fired: List[Dict[str, Any]] = field(default_factory=list)
-    skipped: List[Dict[str, Any]] = field(default_factory=list)
-    timeline: List[Tuple[float, int]] = field(default_factory=list)
-    hosts: List[str] = field(default_factory=list)
     saga_states: Dict[str, str] = field(default_factory=dict)
     #: Wall-to-wall simulated duration per *terminal* saga (the bench's
     #: latency sample; deterministic, so deliberately outside the digest).
     saga_elapsed: Dict[str, float] = field(default_factory=dict)
 
-    def digest(self) -> str:
-        """Fingerprint of the observable outcome; replays must match it."""
-        payload = {
-            "violations": self.violations,
-            "violated_at": self.violated_at,
-            "decisions": self.decisions,
-            "sim_time": self.sim_time,
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "compensated": self.compensated,
-            "abandoned": self.abandoned,
-            "dead_lettered": self.dead_lettered,
-            "recoveries": self.recoveries,
-            "effects_applied": self.effects_applied,
-            "fired": self.fired,
-            "saga_states": self.saga_states,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class _Fleet:
-    """``all_peers()`` over several deployed services, for the injector
-    (and the ledger audits, which want every backend in one sweep)."""
-
-    def __init__(self, services: Sequence[Any]):
-        self.services = list(services)
-
-    def all_peers(self) -> List[Any]:
-        return [peer for service in self.services for peer in service.all_peers()]
+    DIGESTED: ClassVar[Tuple[str, ...]] = (
+        "submitted", "committed", "compensated", "abandoned", "dead_lettered",
+        "recoveries", "saga_states",
+    )  # fmt: skip
 
 
 # -- the loan-solvency pipeline (shared with the saga benchmark) ---------------------
 
 
-def build_loan_fleet(system: WhisperSystem, replicas: int) -> Tuple[Dict[str, Any], _Fleet]:
+def build_loan_fleet(
+    system: WhisperSystem, replicas: int
+) -> Tuple[Dict[str, DeployedService], List[DeployedService]]:
     """Deploy the CRUD → business-logic → orchestration loan pipeline.
+
+    Returns the services by role and, for the audits and the fault
+    injector, the same services as a list.
 
     Each service's forward and compensating operation groups share ONE
     operational :class:`~repro.backend.store.Database` across all
@@ -252,7 +207,7 @@ def build_loan_fleet(system: WhisperSystem, replicas: int) -> Tuple[Dict[str, An
         web_host="booking-web",
     )
     services = {"loan_desk": loan_desk, "solvency": solvency, "booking": booking}
-    return services, _Fleet(list(services.values()))
+    return services, list(services.values())
 
 
 def loan_saga(
@@ -345,7 +300,9 @@ def loan_saga_context(scenario: SagaCheckScenario, index: int) -> Dict[str, Any]
 # -- one run -----------------------------------------------------------------------
 
 
-def _deploy_loans(scenario: SagaCheckScenario) -> Tuple[WhisperSystem, Dict[str, Any], _Fleet]:
+def _deploy_loans(
+    scenario: SagaCheckScenario,
+) -> Tuple[WhisperSystem, Dict[str, DeployedService], List[DeployedService]]:
     """A fresh system carrying the loan fleet, sized by ``scenario``."""
     system = WhisperSystem(
         ScenarioConfig(
@@ -361,14 +318,6 @@ def _deploy_loans(scenario: SagaCheckScenario) -> Tuple[WhisperSystem, Dict[str,
     return system, services, fleet
 
 
-def _audit(saga_log, fleet: _Fleet, final: bool = False) -> List[str]:
-    """Saga atomicity + exactly-once over every backend of the fleet."""
-    peers = fleet.all_peers()
-    violations = saga_atomicity_violations(saga_log, peers, final=final)
-    violations.extend(exactly_once_violations(peers))
-    return violations
-
-
 def run_saga_schedule(
     scenario: SagaCheckScenario,
     schedule: Schedule,
@@ -377,9 +326,9 @@ def run_saga_schedule(
     """Execute one (scenario, schedule) pair and audit it slice by slice.
 
     ``halt_on_violation=False`` runs the full horizon regardless and
-    reports the final audit — the benchmark's baseline mode, which wants
-    to *count* the stranded effects a violating run leaves behind, not
-    stop at the first one.
+    reports the final checks — the benchmark's baseline mode, which
+    wants to *count* the stranded effects a violating run leaves behind,
+    not stop at the first one.
     """
     system, services, fleet = _deploy_loans(scenario)
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
@@ -397,6 +346,7 @@ def run_saga_schedule(
     host = system.network.add_host(ORCHESTRATOR_HOST)
     client = system.network.add_host("saga-client")
     saga_log = SagaLog()
+    registry = InvariantRegistry(saga_log=saga_log)
     dlq = DeadLetterQueue()
     definition = loan_saga(
         services, timeout=scenario.step_timeout, budget=scenario.step_budget
@@ -476,7 +426,7 @@ def run_saga_schedule(
                 for saga_id in orphans:
                     active[saga_id] = process
                 result.recoveries += 1
-        violations = _audit(saga_log, fleet)
+        violations = registry.check_step(fleet)
         if violations:
             if result.violated_at is None:
                 result.violated_at = env.now
@@ -495,7 +445,7 @@ def run_saga_schedule(
             horizon = min(max(horizon, env.now + scenario.cooldown), hard_stop)
 
     if not violations:
-        violations = _audit(saga_log, fleet, final=True)
+        violations = registry.check_final(fleet)
         if violations and result.violated_at is None:
             result.violated_at = env.now
 
@@ -516,7 +466,8 @@ def run_saga_schedule(
             result.abandoned += 1
         elif record.state == "dead-lettered":
             result.dead_lettered += 1
-    result.effects_applied = sum(effect_totals(fleet.all_peers()).values())
+    peers = [peer for service in fleet for peer in service.all_peers()]
+    result.effects_applied = sum(effect_totals(peers).values())
     result.fired = injector.fired
     result.skipped = injector.skipped
     return result
@@ -626,5 +577,6 @@ def run_dlq_demo(
     result["states"] = {
         record.saga_id: record.state for record in saga_log.records()
     }
-    result["violations"] = _audit(saga_log, fleet, final=True)
+    registry = InvariantRegistry(saga_log=saga_log)
+    result["violations"] = registry.check_step(fleet) or registry.check_final(fleet)
     return result

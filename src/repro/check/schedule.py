@@ -14,15 +14,23 @@ Schedules serialize to plain JSON (they are the bulk of a repro file) and
 are generated by :func:`random_schedule` from a private
 :class:`random.Random`, so the explorer's sampling never disturbs the
 simulation's own seeded streams.
+
+The other half of a run is its :class:`Scenario` (the deployment and
+workload), and what a run produced is a :class:`RunRecord`; the two
+checker scenarios subclass both, so the engine in
+:mod:`repro.check.explorer` is written once against these bases.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["FaultOp", "Schedule", "random_schedule", "ACTIONS"]
+__all__ = ["FaultOp", "Schedule", "Scenario", "RunRecord", "random_schedule", "ACTIONS"]
 
 #: What every checked deployment shares, whichever scenario it runs: a
 #: fast failure detector (0.5 s heartbeats, suspicion after 2 misses), so
@@ -167,6 +175,59 @@ class Schedule:
         ops = ", ".join(op.describe() for op in self.ops) or "no faults"
         label = f"[{self.label}] " if self.label else ""
         return f"{label}tiebreak={kind}; {ops}"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """The fixed half of one check run (a :class:`Schedule` is the other).
+
+    A subclass adds its own fields, its repro ``FORMAT`` string,
+    ``run(schedule)`` returning its :class:`RunRecord`, and its sampling:
+    ``baseline_schedule()`` and ``schedules(baseline, max_ops)``.
+    """
+
+    seed: int = 0
+
+    #: The ``format`` field of this scenario's repro files.
+    FORMAT: ClassVar[str] = ""
+
+    def replace(self, **changes: Any) -> "Scenario":
+        return dataclasses.replace(self, **changes)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
+        names = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in names})
+
+
+@dataclass
+class RunRecord:
+    """Everything one check run produced, digestible for replay."""
+
+    violations: List[str] = field(default_factory=list)
+    violated_at: Optional[float] = None
+    decisions: int = 0
+    sim_time: float = 0.0
+    effects_applied: int = 0
+    fired: List[Dict[str, Any]] = field(default_factory=list)
+    skipped: List[Dict[str, Any]] = field(default_factory=list)
+    #: ``(sim_time, decision_count)`` at every slice boundary — the map
+    #: directed schedules use to aim an op at a wall-clock moment.
+    timeline: List[Tuple[float, int]] = field(default_factory=list)
+    hosts: List[str] = field(default_factory=list)
+
+    #: The scenario's own fields the digest covers besides the common ones.
+    DIGESTED: ClassVar[Tuple[str, ...]] = ()
+
+    def digest(self) -> str:
+        """Fingerprint of the observable outcome; replays must match it."""
+        names = ("violations", "violated_at", "decisions", "sim_time", "effects_applied", "fired")
+        payload = {name: getattr(self, name) for name in names + self.DIGESTED}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 #: Sampling weights for :func:`random_schedule`.  Coordinator-targeted

@@ -45,6 +45,9 @@ __all__ = [
     "AutoscalingGroup",
 ]
 
+#: Poll period of a retirement's drain waits (view pruning, idleness).
+DRAIN_GRACE = 0.05
+
 
 @dataclass(frozen=True)
 class AutoscaleSpec:
@@ -56,7 +59,6 @@ class AutoscaleSpec:
     low_watermark: float = 0.5
     cooldown: float = 5.0
     interval: float = 1.0
-    drain_grace: float = 0.05
     drain_timeout: float = 30.0
     #: The victim must be *continuously* idle this long before shutdown:
     #: the leave announcement propagates asynchronously, so a delegation
@@ -308,7 +310,7 @@ class AutoscalingGroup:
             #    expiry prunes it eventually, and retries mask the rest.
             deadline = self.env.now + self.spec.drain_timeout
             while self._in_live_views(victim) and self.env.now < deadline:
-                yield self.env.timeout(self.spec.drain_grace)
+                yield self.env.timeout(DRAIN_GRACE)
             # 3. Drain: queued work, the in-flight execution, and parked
             #    duplicate-retries must all clear — and *stay* clear for
             #    a settle window, because a delegation issued from a
@@ -322,7 +324,7 @@ class AutoscalingGroup:
                     idle_since = self.env.now
                 elif self.env.now - idle_since >= self.spec.drain_settle:
                     break
-                yield self.env.timeout(self.spec.drain_grace)
+                yield self.env.timeout(DRAIN_GRACE)
             queued, parked = victim.pending_work()
             self._sample_replica_time()
             # 4. Deregister the advertisement: stop republishing and flush

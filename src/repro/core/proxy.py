@@ -26,13 +26,13 @@ handed back to the Web service.
 
 One call path: ``invoke`` opens the request trace and ``_invoke`` is the
 whole call — a single generator whose locals are the per-call state.  In
-it: ``unattempted`` builds the results that never hit the wire, one
-give-up exit (attempt cap or deadline), one sticky rule (``pinned``) and
-one ``switch_group`` behind both the shard ring and the region ladder,
-``enter_recovery``/``close_recovery`` around the recover span.  ``_count``
-bumps a ``ProxyStats`` field and its ``proxy.*`` metric together.  What the
-call knows of a group beyond this one call — its binding, the lookup in
-flight, the highest epoch delivered — it asks ``self.bindings``.
+it: one give-up exit (attempt cap or deadline), one sticky rule
+(``pinned``) and one ``switch_group`` behind both the shard ring and the
+region ladder, ``enter_recovery``/``close_recovery`` around the recover
+span.  ``_count`` bumps a ``ProxyStats`` field and its ``proxy.*`` metric
+together.  What the call knows of a group beyond this one call — its
+binding, the lookup in flight, the highest epoch delivered — it asks
+``self.bindings``.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ class ProxyStats:
     region_failovers: int = 0
     #: Calls rejected locally by an open circuit breaker (no traffic).
     breaker_rejected: int = 0
-    #: Breaker rejections answered by a graceful-degradation fallback.
-    breaker_fallbacks: int = 0
     #: Read-only invocations served from the semantic result cache.
     cache_hits: int = 0
     #: Cache-eligible invocations that had to take the full path.
@@ -390,10 +388,6 @@ class SwsProxy(Peer):
         #: i.e. per (service, shard) scope (``None`` spec disables).
         self._breaker_spec = config.circuit_breaker
         self._breakers: Dict[str, CircuitBreaker] = {}
-        #: Graceful-degradation handlers per operation: with the circuit
-        #: open, ``fallback(operation, arguments)`` supplies a degraded
-        #: value instead of raising :class:`CircuitOpenError`.
-        self.fallbacks: Dict[str, Any] = {}
         #: Read-through semantic result cache (``None`` spec disables):
         #: read-only hits return before discovery even starts.
         self.result_cache: Optional[SemanticResultCache] = (
@@ -427,14 +421,14 @@ class SwsProxy(Peer):
     # -- discovery (the paper's findPeerGroupAdv) ------------------------------------------
 
     def find_peer_group_adv(
-        self, annotation: SemanticAnnotation, deadline: Optional[Deadline] = None
+        self, annotation: SemanticAnnotation, deadline: Deadline
     ) -> Generator:
         """Locate semantic advertisements matching an operation's ``annotation``.
 
         Mirrors §3.2: local advertisements are scanned first; only if none
         match is a remote discovery query issued.  Returns the list of
-        matches, best first (``yield from``).  A ``deadline`` caps each
-        remote query's timeout at the request's remaining budget.
+        matches, best first (``yield from``).  The request's ``deadline``
+        caps each remote query's timeout at its remaining budget.
 
         Shard awareness: an advertisement carrying ``shard_count`` means
         the keyspace is partitioned over that many sibling groups, so a
@@ -452,9 +446,7 @@ class SwsProxy(Peer):
 
         def query(**narrowing) -> Generator:
             """One remote query, capped at the request's remaining budget."""
-            timeout = self.discovery_timeout
-            if deadline is not None:
-                timeout = deadline.clamp(self.env.now, timeout)
+            timeout = deadline.clamp(self.env.now, self.discovery_timeout)
             return self.discovery.get_remote_advertisements(
                 SemanticAdvertisement, timeout=timeout, **narrowing
             )
@@ -639,19 +631,6 @@ class SwsProxy(Peer):
         if invocation_id is None:
             invocation_id = f"{self.name}#{next(self._invocation_ids)}"
 
-        def unattempted(value, outcome, epoch, served_by) -> InvokeResult:
-            """A result that never touched the network (cache hit, fallback)."""
-            return InvokeResult(
-                value=value,
-                outcome=outcome,
-                epoch=epoch,
-                attempts=0,
-                duration=self.env.now - started_at,
-                trace_id=rtrace.request_id,
-                served_by=served_by,
-                invocation_id=invocation_id,
-            )
-
         # Read-through semantic result cache: a hit on a read-only
         # operation returns here — no discovery, no bind, no traffic.
         # The key is the semantic action concept + the canonicalized
@@ -668,8 +647,15 @@ class SwsProxy(Peer):
             )
             if entry is not None:
                 self.stats.cache_hits += 1
-                return unattempted(
-                    entry.value, InvokeOutcome.CACHED, entry.epoch, "rescache"
+                return InvokeResult(
+                    value=entry.value,
+                    outcome=InvokeOutcome.CACHED,
+                    epoch=entry.epoch,
+                    attempts=0,
+                    duration=self.env.now - started_at,
+                    trace_id=rtrace.request_id,
+                    served_by="rescache",
+                    invocation_id=invocation_id,
                 )
             self.stats.cache_misses += 1
 
@@ -705,17 +691,12 @@ class SwsProxy(Peer):
                 and m.advertisement.group_id != match.advertisement.group_id
             ]
         # Circuit breaker, scoped to the chosen advertisement (i.e. per
-        # service + shard): an open circuit rejects locally — the
-        # fallback handler answers degraded, or CircuitOpenError raises.
+        # service + shard): an open circuit rejects locally with
+        # CircuitOpenError.
         breaker = self._breaker_for(match.advertisement.name)
         if breaker is not None and not breaker.allow(self.env.now):
             breaker.reject(self.env.now)
             self.stats.breaker_rejected += 1
-            fallback = self.fallbacks.get(operation)
-            if fallback is not None:
-                self._count("breaker_fallbacks")
-                degraded = fallback(operation, arguments)
-                return unattempted(degraded, InvokeOutcome.DEGRADED, None, "fallback")
             raise CircuitOpenError(
                 f"circuit open for {match.advertisement.name!r} "
                 f"({self.sws.name}.{operation} rejected locally)"

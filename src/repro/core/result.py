@@ -38,9 +38,6 @@ class InvokeOutcome(enum.Enum):
     #: Served from the proxy's semantic result cache — no discovery, no
     #: bind, no network traffic (read-only operations only).
     CACHED = "cached"
-    #: Served by a graceful-degradation fallback handler because the
-    #: service's circuit breaker was open.
-    DEGRADED = "degraded"
 
 
 @dataclass(frozen=True)

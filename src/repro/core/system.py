@@ -42,7 +42,7 @@ from .autoscale import AutoscalingGroup
 from .bpeer_group import BPeerGroup, deploy_bpeer_group
 from .config import ScenarioConfig
 from .proxy import SwsProxy
-from .topology import Topology
+from .topology import DEFAULT_WAN_BANDWIDTH_BPS, Topology
 from .result import InvokeResult
 from .sws import SemanticWebService
 from .webservice import PlainWebService, WhisperWebService
@@ -246,7 +246,6 @@ class WhisperSystem:
             self.network.add_region(
                 spec.name,
                 latency=parse_latency_spec(spec.latency),
-                bandwidth_bps=spec.bandwidth_bps,
                 loss_rate=spec.loss_rate,
             )
         for link in topology.wan_links_effective():
@@ -259,8 +258,7 @@ class WhisperSystem:
                     if link.latency_back is not None
                     else None
                 ),
-                bandwidth_bps=link.bandwidth_bps,
-                loss_rate=link.loss_rate,
+                bandwidth_bps=DEFAULT_WAN_BANDWIDTH_BPS,
             )
         gossip_spec = topology.gossip
         for spec in topology.regions:
@@ -275,7 +273,6 @@ class WhisperSystem:
                 fanout=gossip_spec.fanout,
                 interval=gossip_spec.interval,
                 anti_entropy_interval=gossip_spec.anti_entropy_interval,
-                rumor_rounds=gossip_spec.rumor_rounds,
                 mode=gossip_spec.mode,
             )
         # Federate along the WAN links (the default mesh federates every

@@ -47,18 +47,20 @@ __all__ = [
 
 #: A mid-continental WAN hop: median 40 ms one way with heavy-tailed jitter.
 DEFAULT_WAN_LATENCY = "lognormal:40ms±15ms"
-#: 20 Mbit/s of provisioned inter-region capacity.
+#: 20 Mbit/s of provisioned inter-region capacity, on every WAN link.
 DEFAULT_WAN_BANDWIDTH_BPS = 20e6
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """One region: a switched LAN segment with its own characteristics."""
+    """One region: a switched LAN segment with its own characteristics.
+
+    Its links run at the network's default LAN bandwidth.
+    """
 
     name: str
     #: Latency spec string (or LatencyModel) for intra-region links.
     latency: str = "lan"
-    bandwidth_bps: float = 100e6
     loss_rate: float = 0.0
 
     def __post_init__(self):
@@ -71,15 +73,14 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class WanLinkSpec:
-    """A WAN link between two regions, optionally asymmetric."""
+    """A lossless WAN link between two regions, optionally asymmetric,
+    at :data:`DEFAULT_WAN_BANDWIDTH_BPS`."""
 
     a: str
     b: str
     latency: str = DEFAULT_WAN_LATENCY
     #: Return-path latency; ``None`` means symmetric.
     latency_back: Optional[str] = None
-    bandwidth_bps: float = DEFAULT_WAN_BANDWIDTH_BPS
-    loss_rate: float = 0.0
 
     def __post_init__(self):
         if self.a == self.b:
@@ -87,8 +88,6 @@ class WanLinkSpec:
         parse_latency_spec(self.latency)
         if self.latency_back is not None:
             parse_latency_spec(self.latency_back)
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"WAN {self.a}-{self.b}: loss_rate out of range")
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,6 @@ class GossipSpec:
     interval: float = 0.5
     #: Seconds between anti-entropy digest exchanges.
     anti_entropy_interval: float = 5.0
-    #: Rounds a rumor stays hot (re-forwarded) after first sight.
-    rumor_rounds: int = 2
     #: ``"gossip"`` (rumor + anti-entropy) or ``"flood"`` (the baseline:
     #: every SRDI push is forwarded to every federated rendezvous).
     mode: str = "gossip"
@@ -112,8 +109,6 @@ class GossipSpec:
             raise ValueError("gossip fanout must be >= 1")
         if self.interval <= 0 or self.anti_entropy_interval <= 0:
             raise ValueError("gossip intervals must be positive")
-        if self.rumor_rounds < 1:
-            raise ValueError("rumor_rounds must be >= 1")
         if self.mode not in ("gossip", "flood"):
             raise ValueError(f"unknown gossip mode {self.mode!r}")
 

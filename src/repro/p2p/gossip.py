@@ -9,7 +9,7 @@ with the classic epidemic pair:
 
 * **rumor mongering** — a rendezvous that learns a *new or changed*
   advertisement pushes it to ``fanout`` random federated rendezvous every
-  ``interval`` seconds, for ``rumor_rounds`` rounds; receivers re-rumor
+  ``interval`` seconds, for ``RUMOR_ROUNDS`` rounds; receivers re-rumor
   what was news to them.  With fanout >= 2 a fresh advertisement reaches
   all R regions in O(log R) rounds.
 * **anti-entropy** — every ``anti_entropy_interval`` seconds each
@@ -54,6 +54,8 @@ GOSSIP_PROTOCOL = "whisper:gossip"
 
 #: Fixed per-message overhead (headers, vector framing), bytes.
 _OVERHEAD = 128
+#: Rounds a rumor stays hot (re-forwarded) after first sight.
+RUMOR_ROUNDS = 2
 
 
 @dataclass
@@ -94,7 +96,6 @@ class GossipService:
         fanout: int = 2,
         interval: float = 0.5,
         anti_entropy_interval: float = 5.0,
-        rumor_rounds: int = 2,
         mode: str = "gossip",
     ):
         self.peer = peer
@@ -106,7 +107,6 @@ class GossipService:
         self.fanout = fanout
         self.interval = interval
         self.anti_entropy_interval = anti_entropy_interval
-        self.rumor_rounds = rumor_rounds
         self.mode = mode
         #: federated gossip peers: rendezvous peer id -> its region name.
         self.peers: Dict[PeerId, str] = {}
@@ -172,7 +172,7 @@ class GossipService:
         self._seq += 1
         entry = GossipEntry(key, self.region, self._seq, document, origin)
         self._remember(entry)
-        self._hot[key] = self.rumor_rounds
+        self._hot[key] = RUMOR_ROUNDS
 
     # -- epidemic machinery --------------------------------------------------------------
 
@@ -261,7 +261,7 @@ class GossipService:
             self._install(entry)
             self.stats.entries_applied += 1
             if re_rumor:
-                self._hot[entry.key] = self.rumor_rounds
+                self._hot[entry.key] = RUMOR_ROUNDS
 
     def _is_newer(self, entry: GossipEntry) -> bool:
         existing = self.entries.get(entry.key)

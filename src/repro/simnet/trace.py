@@ -60,7 +60,6 @@ class MessageTrace:
     dropped_total: int = 0
     bytes_total: int = 0
     sent_by_category: Counter = field(default_factory=Counter)
-    sent_by_host: Counter = field(default_factory=Counter)
     records: List[TraceRecord] = field(default_factory=list)
     _pending_rtt: Dict[int, float] = field(default_factory=dict)
     #: The most recent round trips (a ring, like the other audit records).
@@ -96,7 +95,6 @@ class MessageTrace:
         self.sent_total += 1
         self.bytes_total += message.size_bytes
         self.sent_by_category[message.category] += 1
-        self.sent_by_host[message.src[0]] += 1
         if self._net_sent is not None:
             self._net_sent.value += 1
             self._net_bytes.value += message.size_bytes
@@ -223,6 +221,5 @@ class MessageTrace:
         self.dropped_total = 0
         self.bytes_total = 0
         self.sent_by_category.clear()
-        self.sent_by_host.clear()
         self.records.clear()
         self.rtt_samples.clear()

@@ -1,4 +1,5 @@
-"""The stateful registry: epoch monotonicity as a trajectory property."""
+"""The stateful registry: epoch monotonicity as a trajectory property,
+and one audit over every service of a run (saga atomicity included)."""
 
 from types import SimpleNamespace
 
@@ -6,47 +7,115 @@ from repro.check import InvariantRegistry
 from repro.election import Epoch
 
 
-def _service(epoch):
+def _peer(name="p0", epoch=None, coordinator=False, effects=None, loss_rate=0.0):
     peer = SimpleNamespace(
-        name="p0",
+        name=name,
         peer_id=SimpleNamespace(uuid_hex="aa"),
         coordinator_mgr=SimpleNamespace(
-            epoch=epoch,
+            epoch=epoch if epoch is not None else Epoch(1, "aa"),
             elector=SimpleNamespace(announced=[]),
-            is_coordinator=False,
+            is_coordinator=coordinator,
         ),
-        node=SimpleNamespace(up=True),
-        # An empty effect ledger: the exactly-once audit has nothing to count.
-        implementation=SimpleNamespace(backend=SimpleNamespace(effect_counts=dict)),
+        node=SimpleNamespace(up=True, network=SimpleNamespace(loss_rate=loss_rate)),
+        # The effect ledger: invocation id -> applications (empty: the
+        # exactly-once audit has nothing to count).
+        implementation=SimpleNamespace(
+            backend=SimpleNamespace(effect_counts=lambda: dict(effects or {}))
+        ),
     )
     peer._member_load = {}
-    group = SimpleNamespace(name="g0", peers=[peer])
+    return peer
+
+
+def _service(epoch=None, peers=None, group_name="g0", result_epoch_log=()):
+    peers = peers if peers is not None else [_peer(epoch=epoch)]
+    group = SimpleNamespace(name=group_name, peers=peers)
     return SimpleNamespace(
         group=group,
-        all_peers=lambda: [peer],
+        all_peers=lambda: list(peers),
         all_groups=lambda: [group],
-        proxy=SimpleNamespace(bindings=SimpleNamespace(result_epoch_log=[])),
+        autoscalers=[],
+        proxy=SimpleNamespace(
+            bindings=SimpleNamespace(result_epoch_log=list(result_epoch_log))
+        ),
     )
 
 
 class TestAcceptedEpochCursor:
     def test_advancing_epochs_pass(self):
         registry = InvariantRegistry()
-        assert registry.check_step(_service(Epoch(1, "aa"))) == []
-        assert registry.check_step(_service(Epoch(2, "bb"))) == []
+        assert registry.check_step([_service(Epoch(1, "aa"))]) == []
+        assert registry.check_step([_service(Epoch(2, "bb"))]) == []
 
     def test_regression_caught_even_if_it_self_corrects(self):
         """The cursor sees the dip a final-state audit would miss."""
         registry = InvariantRegistry()
-        assert registry.check_step(_service(Epoch(3, "aa"))) == []
-        violations = registry.check_step(_service(Epoch(1, "bb")))
+        assert registry.check_step([_service(Epoch(3, "aa"))]) == []
+        violations = registry.check_step([_service(Epoch(1, "bb"))])
         assert violations and "regressed" in violations[0]
         # A later recovery to a fresh term is clean again.
-        assert registry.check_step(_service(Epoch(4, "cc"))) == []
+        assert registry.check_step([_service(Epoch(4, "cc"))]) == []
 
     def test_fresh_registry_has_no_history(self):
         """Per-run state: a new registry accepts any starting epoch."""
         first = InvariantRegistry()
-        first.check_step(_service(Epoch(9, "aa")))
+        first.check_step([_service(Epoch(9, "aa"))])
         second = InvariantRegistry()
-        assert second.check_step(_service(Epoch(1, "bb"))) == []
+        assert second.check_step([_service(Epoch(1, "bb"))]) == []
+
+
+class TestFleet:
+    def test_stale_result_on_the_second_service_is_reported(self):
+        stale = [("grp-b", Epoch(2, "bb")), ("grp-b", Epoch(1, "aa"))]
+        fleet = [
+            _service(peers=[_peer("p0")]),
+            _service(peers=[_peer("p1")], group_name="g1", result_epoch_log=stale),
+        ]
+        (violation,) = InvariantRegistry().check_step(fleet)
+        assert "delivered result under" in violation and "grp-b" in violation
+
+    @staticmethod
+    def _two_claimants_in_g1(loss_rate=0.0):
+        def peer(name):
+            return _peer(name, coordinator=True, loss_rate=loss_rate)
+
+        return [
+            _service(peers=[peer("p0")], group_name="g0"),
+            _service(peers=[peer("p1"), peer("p2")], group_name="g1"),
+        ]
+
+    def test_convergence_names_the_group_with_two_claimants(self):
+        assert InvariantRegistry().check_final(self._two_claimants_in_g1()) == [
+            "2 live peers claim coordination after cooldown in group g1: "
+            "['p1', 'p2']"
+        ]
+
+    def test_convergence_waits_for_a_quiet_network(self):
+        """Under standing loss a dual claim is a handover in progress."""
+        fleet = self._two_claimants_in_g1(loss_rate=0.03)
+        assert InvariantRegistry().check_final(fleet) == []
+
+
+def _saga_log(state):
+    record = SimpleNamespace(saga_id="loan-1", state=state, steps=[])
+    return SimpleNamespace(records=lambda: [record])
+
+
+class TestSagaLog:
+    #: ``register`` applied and never compensated.
+    EFFECTS = {"saga:loan-1:register:fwd": 1}
+
+    def test_uncompensated_step_of_a_compensated_saga_is_a_step_violation(self):
+        fleet = [_service(peers=[_peer(effects=self.EFFECTS)])]
+        registry = InvariantRegistry(saga_log=_saga_log("compensated"))
+        assert registry.check_step(fleet) == [
+            "saga loan-1: compensated but applied steps ['register'] have no "
+            "compensation effect"
+        ]
+
+    def test_a_running_saga_is_only_a_final_violation(self):
+        fleet = [_service(peers=[_peer(effects=self.EFFECTS)])]
+        registry = InvariantRegistry(saga_log=_saga_log("running"))
+        assert registry.check_step(fleet) == []
+        (violation,) = registry.check_final(fleet)
+        assert violation.startswith("saga loan-1: still running after cooldown")

@@ -19,7 +19,6 @@ from repro.core.breaker import (
 from repro.check.invariants import breaker_violations
 from repro.core.config import ScenarioConfig
 from repro.core.errors import CircuitOpenError
-from repro.core.result import InvokeOutcome
 from repro.core.system import WhisperSystem
 
 SPEC = BreakerSpec(window=8, min_calls=4, failure_threshold=0.5, open_duration=2.0)
@@ -286,44 +285,6 @@ def test_breaker_trips_rejects_and_heals(seed):
     assert (CLOSED, OPEN) in pairs
     assert (OPEN, HALF_OPEN) in pairs
     assert (HALF_OPEN, CLOSED) in pairs
-    assert breaker_violations(service.proxy) == []
-
-
-@pytest.mark.parametrize("seed", [7, 11, 42], indirect=True)
-def test_breaker_fallback_degrades_instead_of_raising(seed):
-    """A registered fallback answers rejected calls with DEGRADED results."""
-    system, service = drill_system(seed)
-    service.proxy.fallbacks["StudentInformation"] = (
-        lambda operation, arguments: {"Name": "unavailable"}
-    )
-    node, _soap = system.add_client("fallback-client")
-    results = []
-
-    def invoke(count, gap):
-        for _ in range(count):
-            try:
-                result = yield from service.invoke(
-                    "StudentInformation", {"ID": "S00001"}
-                )
-            except Exception as exc:
-                results.append(exc)
-            else:
-                results.append(result)
-            yield system.env.timeout(gap)
-
-    for peer in service.group.peers:
-        peer.node.crash()
-    system.run_process(invoke(6, 0.3), node=node)
-
-    degraded = [
-        r for r in results
-        if not isinstance(r, Exception) and r.outcome is InvokeOutcome.DEGRADED
-    ]
-    assert degraded, "open breaker never routed to the fallback"
-    assert all(r.value == {"Name": "unavailable"} for r in degraded)
-    assert all(r.served_by == "fallback" for r in degraded)
-    assert not any(isinstance(r, CircuitOpenError) for r in results)
-    assert service.proxy.stats.breaker_fallbacks == len(degraded)
     assert breaker_violations(service.proxy) == []
 
 

@@ -53,7 +53,7 @@ class TestDiscoveryPath:
 
         def runner():
             matches["found"] = yield from proxy.find_peer_group_adv(
-                proxy.sws.annotation("StudentInformation")
+                proxy.sws.annotation("StudentInformation"), _NO_DEADLINE
             )
 
         system.env.run(until=proxy.node.spawn(runner()))

@@ -40,7 +40,6 @@ class TestSpecs:
             {"fanout": 0},
             {"interval": 0.0},
             {"anti_entropy_interval": -1.0},
-            {"rumor_rounds": 0},
             {"mode": "broadcast"},
         ],
     )

@@ -6,8 +6,9 @@ messages, network-wide loss — every saga must end all-committed or
 all-compensated, with no double compensation and no stranded partial
 effects, as audited over the durable saga log and every backend's
 ``Database.effect_log`` by
-:func:`repro.check.invariants.saga_atomicity_violations` (re-checked
-after every slice of the run by :func:`run_saga_schedule`).
+:func:`repro.check.invariants.saga_atomicity_violations`, which
+:func:`run_saga_schedule` re-checks after every slice of the run with
+every other invariant of the :class:`~repro.check.InvariantRegistry`.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -56,9 +57,11 @@ def test_sagas_are_atomic_under_random_faults(seed, loss, schedule):
         seed=seed, sagas=5, cooldown=8.0, loss_rate=loss
     )
     result = run_saga_schedule(scenario, schedule)
-    # The slice-by-slice audit: atomicity (all committed or every applied
-    # step compensated, no double rollback, no stranded effects) plus
-    # exactly-once over every backend effect ledger.
+    # The slice-by-slice audit: the registry's invariants (election
+    # safety, epoch monotonicity, no stale result, exactly-once over every
+    # backend effect ledger) plus atomicity (all committed or every
+    # applied step compensated, no double rollback, no stranded effects);
+    # after cooldown, convergence and every saga ended.
     assert result.violations == [], (seed, loss, schedule.describe())
     # Every submitted saga reached a terminal state once faults drained
     # (dead-lettered is terminal: parked in the DLQ, not stranded).

@@ -164,7 +164,6 @@ class TestDelivery:
             return (
                 trace.snapshot(),
                 dict(trace.sent_by_category),
-                dict(trace.sent_by_host),
                 len(trace.records),
                 {
                     name: registry.counter(name).value

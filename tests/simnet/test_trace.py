@@ -27,11 +27,6 @@ class TestCounters:
             trace.on_send(0.0, _msg(category))
         assert trace.category_breakdown() == {"election": 2, "heartbeat": 1}
 
-    def test_per_host_counts(self):
-        trace = MessageTrace()
-        trace.on_send(0.0, _msg())
-        assert trace.sent_by_host["a"] == 1
-
     def test_metrics_mirror_binds_on_assignment(self):
         trace, registry = MessageTrace(), MetricsRegistry()
         message = _msg(size=40)
