@@ -331,14 +331,10 @@ class FaultCampaign:
         finds is a violation to the other.  The registry's queue-bound,
         autoscale, breaker and cache checks are vacuous here: a campaign
         deploys none of them.  Convergence (the final check) only means
-        anything once the cooldown has settled, which it has by now, and
-        on a network without standing loss (the registry skips it under
-        ``loss_rate``).
+        anything once the cooldown has settled, which it has by now.
         """
-        registry = InvariantRegistry()
         report.violations.extend(self.system.failures.alternation_violations())
-        report.violations.extend(registry.check_step([self.service]))
-        report.violations.extend(registry.check_final([self.service]))
+        report.violations.extend(InvariantRegistry().audit([self.service]))
 
 
 # -- the experiments -------------------------------------------------------------------

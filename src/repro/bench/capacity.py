@@ -233,7 +233,7 @@ def run_diurnal(
         replica_seconds = len(service.group.peers) * wall
         scale_events = []
     registry = InvariantRegistry(queue_bound=system.config.queue_bound)
-    violations = registry.check_step([service]) or registry.check_final([service])
+    violations = registry.audit([service])
     requests = totals["requests"]
     return {
         "mode": mode,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..simnet.message import Message
+from .invariants import all_peers
 from .schedule import FaultOp
 
 __all__ = ["DecisionFaultInjector"]
@@ -45,7 +46,7 @@ class DecisionFaultInjector:
         #: replicas of every service, across every federated shard group.
         #: Probe/client and rendezvous chatter that never touches a
         #: replica is not a protocol decision worth perturbing.
-        self.watched = {peer.node.name for peer in self._peers()}
+        self.watched = {peer.node.name for peer in all_peers(self.services)}
         self._pending: List[FaultOp] = sorted(ops, key=lambda op: op.at_decision)
         #: Global decision counter (1-based after the first decision).
         self.decisions = 0
@@ -61,7 +62,7 @@ class DecisionFaultInjector:
         if self._installed:
             return
         self.system.network.add_hook(self._network_hook)
-        for peer in self._peers():
+        for peer in all_peers(self.services):
             peer.pre_commit_hook = self._pre_commit_hook
         self._installed = True
 
@@ -69,13 +70,9 @@ class DecisionFaultInjector:
         if not self._installed:
             return
         self.system.network.remove_hook(self._network_hook)
-        for peer in self._peers():
+        for peer in all_peers(self.services):
             peer.pre_commit_hook = None
         self._installed = False
-
-    def _peers(self) -> List[Any]:
-        """Every service's peers, read afresh (a scale-up adds one)."""
-        return [peer for service in self.services for peer in service.all_peers()]
 
     # -- decision points ---------------------------------------------------------------
 
@@ -174,7 +171,7 @@ class DecisionFaultInjector:
         group name its hosts with ``crash``/``partition`` targets instead.
         """
         best = None
-        for peer in self._peers():
+        for peer in all_peers(self.services):
             if not (peer.node.up and peer.coordinator_mgr.is_coordinator):
                 continue
             if best is None or peer.coordinator_mgr.epoch > best.coordinator_mgr.epoch:

@@ -29,8 +29,8 @@ The invariants:
   compensated, never a double rollback (runs that hand the registry a
   saga log; after cooldown every saga must also have ended);
 * **convergence** — after cooldown, at most one live peer claims
-  coordination per group (final check, meaningless mid-fault, so only
-  on a network without standing message loss);
+  coordination per group (final check, meaningless mid-fault); a claim
+  younger than a handover's length is a handover, not a split brain;
 * **eventual rebind** — a post-cooldown probe completes within its
   deadline budget (checked by the explorer, which owns the probe).
 """
@@ -56,6 +56,7 @@ __all__ = [
     "breaker_violations",
     "rescache_violations",
     "InvariantRegistry",
+    "all_peers",
 ]
 
 
@@ -147,23 +148,48 @@ def queue_bound_violations(peers, bound: Optional[int]) -> List[str]:
 def convergence_violations(peers, group: str = "") -> List[str]:
     """At most one live self-believed coordinator (post-cooldown only).
 
+    Two claims are a split brain once both have stood for a handover's
+    length; a younger claim is a handover in progress.  The peer that
+    wins an election drops the coordinator it suspected from its view,
+    so the deposed peer hears of the fresher term only when its next
+    re-affirmation (:meth:`~repro.election.bully.BullyElector.reaffirm`)
+    is rebuffed, and if it outranks its successor it must then win an
+    election of its own.  Under message loss the failure detector can
+    start such a handover at any instant, cooldown or not.
+
     ``group`` labels the violation for sharded deployments, where the
     check runs once per federated shard group (each group legitimately
     has its own coordinator).  Left empty for single-group audits so the
     message — and therefore existing repro-file digests — is unchanged.
     """
     claimants = [
-        peer.name
+        peer
         for peer in peers
         if peer.node.up and peer.coordinator_mgr.is_coordinator
     ]
-    if len(claimants) > 1:
-        where = f" in group {group}" if group else ""
-        return [
-            f"{len(claimants)} live peers claim coordination "
-            f"after cooldown{where}: {claimants}"
-        ]
-    return []
+    if len(claimants) < 2:
+        return []
+    stood = 0
+    for peer in claimants:
+        # A handover lasts up to one re-affirmation interval plus one
+        # election (its answer and coordinator timeouts).
+        manager = peer.coordinator_mgr
+        elector = manager.elector
+        handover = (
+            manager.watchdog_interval + elector.answer_timeout + elector.coordinator_timeout
+        )
+        since = max(
+            (when for when, epoch in elector.announced if epoch == manager.epoch),
+            default=float("-inf"),
+        )
+        stood += peer.node.env.now - since >= handover
+    if stood < 2:
+        return []
+    where = f" in group {group}" if group else ""
+    return [
+        f"{len(claimants)} live peers claim coordination "
+        f"after cooldown{where}: {[peer.name for peer in claimants]}"
+    ]
 
 
 # -- adaptive capacity -----------------------------------------------------------------
@@ -396,7 +422,7 @@ class InvariantRegistry:
         owner-qualified, so cross-group announcements can never collide)
         and every service's proxy.
         """
-        peers = _peers(services)
+        peers = all_peers(services)
         proxies = [service.proxy for service in services]
         # Vacuous unless a service has autoscaling, a breaker or a cache.
         autoscalers = [c for service in services for c in service.autoscalers]
@@ -420,25 +446,30 @@ class InvariantRegistry:
 
         Convergence is per b-peer group: each group elects its own
         coordinator, so "at most one claimant" applies within each group;
-        a violation names its group unless the run has only one.  It needs
-        a quiet network: under a standing message loss (a scenario's
-        ``loss_rate``, which no cooldown drains) the failure detector may
-        depose a live coordinator at any instant, and one sample catches
-        the handover, not a split brain.  With a saga log, every saga must
-        also have ended.
+        a violation names its group unless the run has only one.  With a
+        saga log, every saga must also have ended.
         """
-        peers = _peers(services)
         groups = [group for service in services for group in service.all_groups()]
         labelled = len(groups) > 1
         violations: List[str] = []
-        if not peers[0].node.network.loss_rate:
-            for group in groups:
-                violations.extend(
-                    convergence_violations(group.peers, group=group.name if labelled else "")
-                )
+        for group in groups:
+            violations.extend(
+                convergence_violations(group.peers, group=group.name if labelled else "")
+            )
         if self.saga_log is not None:
-            violations.extend(saga_atomicity_violations(self.saga_log, peers, final=True))
+            violations.extend(
+                saga_atomicity_violations(self.saga_log, all_peers(services), final=True)
+            )
         return violations
+
+    def audit(self, services: Sequence) -> List[str]:
+        """One post-run audit: the step checks, then the final ones if clean.
+
+        The order the slice loops follow at their end; the final checks
+        presume the step ones held (with a saga log, a final atomicity
+        audit also repeats every step atomicity violation).
+        """
+        return self.check_step(services) or self.check_final(services)
 
     def _accepted_epoch_step(self, peers) -> List[str]:
         violations: List[str] = []
@@ -455,5 +486,6 @@ class InvariantRegistry:
         return violations
 
 
-def _peers(services) -> List:
+def all_peers(services: Sequence) -> List:
+    """Every b-peer of every service, across all of its groups."""
     return [peer for service in services for peer in service.all_peers()]

@@ -49,7 +49,7 @@ from ..workflow.dlq import DeadLetterQueue
 from ..workflow.saga import CompensableTask, Saga, SagaLog, SagaOrchestrator
 from ..wsdl.samples import loan_booking_wsdl, loan_desk_wsdl, solvency_wsdl
 from .faults import DecisionFaultInjector
-from .invariants import InvariantRegistry, effect_totals
+from .invariants import InvariantRegistry, all_peers, effect_totals
 from .schedule import (
     HEARTBEAT_INTERVAL,
     MISS_THRESHOLD,
@@ -466,8 +466,7 @@ def run_saga_schedule(
             result.abandoned += 1
         elif record.state == "dead-lettered":
             result.dead_lettered += 1
-    peers = [peer for service in fleet for peer in service.all_peers()]
-    result.effects_applied = sum(effect_totals(peers).values())
+    result.effects_applied = sum(effect_totals(all_peers(fleet)).values())
     result.fired = injector.fired
     result.skipped = injector.skipped
     return result
@@ -577,6 +576,5 @@ def run_dlq_demo(
     result["states"] = {
         record.saga_id: record.state for record in saga_log.records()
     }
-    registry = InvariantRegistry(saga_log=saga_log)
-    result["violations"] = registry.check_step(fleet) or registry.check_final(fleet)
+    result["violations"] = InvariantRegistry(saga_log=saga_log).audit(fleet)
     return result

@@ -24,11 +24,16 @@ def _peer(name, owner_hex, announced, *, up=True, claims=False, backend=None,
     shim = SimpleNamespace(
         name=name,
         peer_id=SimpleNamespace(uuid_hex=owner_hex),
+        # The election timers give a handover 4 s; the clock stands at 0.
         coordinator_mgr=SimpleNamespace(
-            elector=SimpleNamespace(announced=list(announced)),
+            elector=SimpleNamespace(
+                announced=list(announced), answer_timeout=0.5, coordinator_timeout=1.5
+            ),
+            epoch=None,
             is_coordinator=claims,
+            watchdog_interval=2.0,
         ),
-        node=SimpleNamespace(up=up),
+        node=SimpleNamespace(up=up, env=SimpleNamespace(now=0.0)),
         implementation=SimpleNamespace(backend=backend),
     )
     shim._member_load = member_load or {}

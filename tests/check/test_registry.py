@@ -7,16 +7,29 @@ from repro.check import InvariantRegistry
 from repro.election import Epoch
 
 
-def _peer(name="p0", epoch=None, coordinator=False, effects=None, loss_rate=0.0):
+#: The fake peers' clock.  A handover lasts 4 s: a 2 s re-affirmation
+#: interval plus an election's 0.5 s answer and 1.5 s coordinator timeouts.
+NOW = 10.0
+
+
+def _peer(name="p0", epoch=None, coordinator=False, effects=None, claimed_at=None):
+    epoch = epoch if epoch is not None else Epoch(1, "aa")
     peer = SimpleNamespace(
         name=name,
         peer_id=SimpleNamespace(uuid_hex="aa"),
         coordinator_mgr=SimpleNamespace(
-            epoch=epoch if epoch is not None else Epoch(1, "aa"),
-            elector=SimpleNamespace(announced=[]),
+            epoch=epoch,
+            # The peer's own announcements (a claimant's term, if it
+            # announced one) and its failure detector's settings.
+            elector=SimpleNamespace(
+                announced=[] if claimed_at is None else [(claimed_at, epoch)],
+                answer_timeout=0.5,
+                coordinator_timeout=1.5,
+            ),
+            watchdog_interval=2.0,
             is_coordinator=coordinator,
         ),
-        node=SimpleNamespace(up=True, network=SimpleNamespace(loss_rate=loss_rate)),
+        node=SimpleNamespace(up=True, env=SimpleNamespace(now=NOW)),
         # The effect ledger: invocation id -> applications (empty: the
         # exactly-once audit has nothing to count).
         implementation=SimpleNamespace(
@@ -75,13 +88,16 @@ class TestFleet:
         assert "delivered result under" in violation and "grp-b" in violation
 
     @staticmethod
-    def _two_claimants_in_g1(loss_rate=0.0):
-        def peer(name):
-            return _peer(name, coordinator=True, loss_rate=loss_rate)
+    def _two_claimants_in_g1(second_claimed_at=None):
+        def peer(name, claimed_at=None):
+            return _peer(name, coordinator=True, claimed_at=claimed_at)
 
         return [
             _service(peers=[peer("p0")], group_name="g0"),
-            _service(peers=[peer("p1"), peer("p2")], group_name="g1"),
+            _service(
+                peers=[peer("p1", claimed_at=1.0), peer("p2", second_claimed_at)],
+                group_name="g1",
+            ),
         ]
 
     def test_convergence_names_the_group_with_two_claimants(self):
@@ -90,10 +106,15 @@ class TestFleet:
             "['p1', 'p2']"
         ]
 
-    def test_convergence_waits_for_a_quiet_network(self):
-        """Under standing loss a dual claim is a handover in progress."""
-        fleet = self._two_claimants_in_g1(loss_rate=0.03)
+    def test_a_claim_younger_than_a_handover_is_not_a_split_brain(self):
+        """The deposed coordinator has not yet heard of its successor."""
+        fleet = self._two_claimants_in_g1(second_claimed_at=NOW - 3.9)
         assert InvariantRegistry().check_final(fleet) == []
+
+    def test_two_claims_that_stood_a_handover_are_a_split_brain(self):
+        fleet = self._two_claimants_in_g1(second_claimed_at=NOW - 4.0)
+        (violation,) = InvariantRegistry().check_final(fleet)
+        assert "in group g1: ['p1', 'p2']" in violation
 
 
 def _saga_log(state):
@@ -119,3 +140,13 @@ class TestSagaLog:
         assert registry.check_step(fleet) == []
         (violation,) = registry.check_final(fleet)
         assert violation.startswith("saga loan-1: still running after cooldown")
+
+    def test_audit_runs_the_final_checks_only_when_the_step_checks_hold(self):
+        registry = InvariantRegistry(saga_log=_saga_log("running"))
+        clean = [_service(peers=[_peer()])]
+        (violation,) = registry.audit(clean)
+        assert "still running after cooldown" in violation
+        stale = [("grp-b", Epoch(2, "bb")), ("grp-b", Epoch(1, "aa"))]
+        broken = [_service(peers=[_peer()], result_epoch_log=stale)]
+        (violation,) = InvariantRegistry(saga_log=_saga_log("running")).audit(broken)
+        assert "delivered result under" in violation

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.invariants import (
+    all_peers,
     effect_totals,
     exactly_once_violations,
     saga_atomicity_violations,
@@ -38,11 +39,6 @@ def _deploy(seed=77, replicas=2):
     return system, services, fleet
 
 
-def _peers(fleet):
-    """Every b-peer of the loan fleet's services."""
-    return [peer for service in fleet for peer in service.all_peers()]
-
-
 def _orchestrator(system, name="saga-host", **kwargs):
     host = system.network.add_host(name)
     return host, SagaOrchestrator(host, **kwargs)
@@ -73,7 +69,7 @@ class TestHappyPath:
         assert record.context["reservation"]["status"] == "reserved"
         assert record.context["booking"]["status"] == "booked"
         assert not saga_atomicity_violations(
-            orchestrator.log, _peers(fleet), final=True
+            orchestrator.log, all_peers(fleet), final=True
         )
 
     def test_step_invocation_ids_are_saga_scoped(self):
@@ -103,7 +99,7 @@ class TestCompensation:
         row = loan_db.table("loan_applications").get(INSOLVENT["loan_id"])
         assert row["status"] == "cancelled"
         assert not saga_atomicity_violations(
-            orchestrator.log, _peers(fleet), final=True
+            orchestrator.log, all_peers(fleet), final=True
         )
 
     def test_compensations_run_in_reverse_commit_order(self):
@@ -130,7 +126,7 @@ class TestCompensation:
             == "released"
         )
         assert not saga_atomicity_violations(
-            orchestrator.log, _peers(fleet), final=True
+            orchestrator.log, all_peers(fleet), final=True
         )
 
     def test_compensation_disabled_abandons(self):
@@ -141,7 +137,7 @@ class TestCompensation:
         record = _run(orchestrator, loan_saga(services), dict(INSOLVENT))
         assert record.state == SagaState.ABANDONED
         violations = saga_atomicity_violations(
-            orchestrator.log, _peers(fleet)
+            orchestrator.log, all_peers(fleet)
         )
         assert violations and "stranded" in violations[0]
 
@@ -179,7 +175,7 @@ class TestRecovery:
         system.run_until(env.now + 10.0)
         assert not process.is_alive
         assert record.state == SagaState.COMMITTED
-        peers = _peers(fleet)
+        peers = all_peers(fleet)
         # In-doubt steps re-issued under their original idempotency keys:
         # every saga-scoped effect applied exactly once.
         assert not exactly_once_violations(peers)
