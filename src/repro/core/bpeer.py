@@ -77,7 +77,7 @@ REPUBLISH_PERIOD = 10.0
 QUEUE_DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecRequest:
     """A service request travelling from proxy to b-peer group."""
 
@@ -103,7 +103,7 @@ class ExecRequest:
     attempt: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecReply:
     """The b-peer group's answer to one :class:`ExecRequest`.
 

@@ -53,7 +53,6 @@ capacity is sized well above the retry horizon.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -80,7 +79,9 @@ class JournalEntry:
     """One invocation's dedup record.
 
     ``reply`` is the canonical :class:`~repro.core.bpeer.ExecReply` once
-    the entry is ``DONE`` (replayed, re-stamped, to every retry).
+    the entry is ``DONE`` (replayed, re-stamped, to every retry).  A
+    ``DONE`` entry is born ``DONE`` and never written again, so it is
+    shipped as itself and the group holds one object per invocation.
     """
 
     invocation_id: str
@@ -88,7 +89,6 @@ class JournalEntry:
     reply: Optional[Any] = None
     #: Coordinator epoch the execution ran under (fencing/audit context).
     epoch: Optional[Any] = None
-    recorded_at: float = 0.0
     #: For ``EXECUTING`` entries: the peer that holds the write intent —
     #: the only peer whose journal can say whether the effect was applied
     #: (its apply + ``complete`` are atomic).  An in-doubt intent is
@@ -98,17 +98,6 @@ class JournalEntry:
     @property
     def done(self) -> bool:
         return self.state == DONE
-
-    def replicable(self) -> "JournalEntry":
-        """A copy safe to ship to other peers."""
-        return JournalEntry(
-            invocation_id=self.invocation_id,
-            state=self.state,
-            reply=self.reply,
-            epoch=self.epoch,
-            recorded_at=self.recorded_at,
-            origin=self.origin,
-        )
 
 
 @dataclass
@@ -133,7 +122,8 @@ class DedupJournal:
         if capacity < 1:
             raise ValueError("journal capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, JournalEntry]" = OrderedDict()
+        #: Insertion-ordered: the head is the oldest entry.
+        self._entries: Dict[str, JournalEntry] = {}
         self.stats = JournalStats()
 
     def __len__(self) -> int:
@@ -149,7 +139,6 @@ class DedupJournal:
         self,
         invocation_id: str,
         epoch: Optional[Any] = None,
-        now: float = 0.0,
         origin: Optional[Any] = None,
     ) -> JournalEntry:
         """Mark an invocation in flight (idempotent; never demotes DONE)."""
@@ -158,44 +147,30 @@ class DedupJournal:
             if entry.state == EXECUTING and entry.origin is None:
                 entry.origin = origin
             return entry
-        entry = JournalEntry(
-            invocation_id=invocation_id,
-            state=EXECUTING,
-            epoch=epoch,
-            recorded_at=now,
-            origin=origin,
+        entry = self._entries[invocation_id] = JournalEntry(
+            invocation_id, EXECUTING, epoch=epoch, origin=origin
         )
-        self._entries[invocation_id] = entry
         self._evict()
         return entry
 
     def complete(
-        self,
-        invocation_id: str,
-        reply: Any,
-        epoch: Optional[Any] = None,
-        now: float = 0.0,
+        self, invocation_id: str, reply: Any, epoch: Optional[Any] = None
     ) -> Tuple[JournalEntry, bool]:
         """Record the invocation's canonical result.
 
         Returns ``(entry, first)``.  ``first`` is False when the entry was
         already ``DONE`` — the caller holds a *duplicate* result whose
         delivery must be suppressed in favour of the stored one (first
-        result wins).
+        result wins).  A new ``DONE`` entry replaces the ``EXECUTING``
+        placeholder at the tail, the newest end.
         """
         entry = self._entries.get(invocation_id)
         if entry is not None and entry.done:
             self.stats.duplicates_suppressed += 1
             return entry, False
-        if entry is None:
-            entry = JournalEntry(invocation_id=invocation_id)
-            self._entries[invocation_id] = entry
-        entry.state = DONE
-        entry.reply = reply
-        entry.epoch = epoch
-        entry.recorded_at = now
-        entry.origin = None
-        self._entries.move_to_end(invocation_id)
+        if entry is not None:
+            del self._entries[invocation_id]
+        entry = self._entries[invocation_id] = JournalEntry(invocation_id, DONE, reply, epoch)
         self._evict()
         return entry, True
 
@@ -207,28 +182,24 @@ class DedupJournal:
         if entry is not None and not entry.done:
             del self._entries[invocation_id]
 
-    def merge(self, entry: JournalEntry, now: float = 0.0) -> bool:
+    def merge(self, entry: JournalEntry) -> bool:
         """Fold in a replicated ``DONE`` entry from another peer.
 
-        Returns True when the entry was new knowledge (installed or
-        upgraded a local ``EXECUTING`` placeholder); an already-``DONE``
-        local entry wins (first result wins) and the merge is a no-op.
+        Returns True when the entry was new knowledge: the entry itself is
+        installed at the tail, replacing a local ``EXECUTING`` placeholder
+        if there is one.  An already-``DONE`` local entry wins (first
+        result wins) and the merge is a no-op.
         """
         if not entry.done:
             return False
-        local = self._entries.get(entry.invocation_id)
-        if local is not None and local.done:
-            return False
-        if local is None:
-            self._entries[entry.invocation_id] = entry.replicable()
-        else:
-            local.state = DONE
-            local.reply = entry.reply
-            local.epoch = entry.epoch
-            local.recorded_at = now or entry.recorded_at
-            local.origin = None
+        invocation_id = entry.invocation_id
+        local = self._entries.get(invocation_id)
+        if local is not None:
+            if local.done:
+                return False
+            del self._entries[invocation_id]
+        self._entries[invocation_id] = entry
         self.stats.merges += 1
-        self._entries.move_to_end(entry.invocation_id)
         self._evict()
         return True
 
@@ -250,16 +221,18 @@ class DedupJournal:
         return len(stale)
 
     def export(self) -> List[JournalEntry]:
-        """A copy of every ``DONE`` entry — the payload of the
-        journal-transfer handshake after an election."""
-        return [entry.replicable() for entry in self._entries.values() if entry.done]
+        """Every ``DONE`` entry — the payload of the journal-transfer
+        handshake after an election."""
+        return [entry for entry in self._entries.values() if entry.done]
 
     def _evict(self) -> None:
         """Evict oldest ``DONE`` entries past capacity (never in-flight).
 
         Steady state *is* the full journal (a long-lived peer evicts one
         entry per insertion), so this walks from the head and touches only
-        the victims and in-flight markers before them, never the rest."""
+        the victims and in-flight markers before them, never the rest
+        (and, in C, the slots earlier deletions left until the dict's next
+        resize compacts them)."""
         excess = len(self._entries) - self.capacity
         if excess <= 0:
             return
@@ -500,8 +473,8 @@ class ExactlyOnce:
         on the dispatching coordinator with nothing to clear it."""
         if not self.mutating:
             return
-        epoch, now = self.coordinator_mgr.epoch, self.env.now
-        self.journal.begin(request.invocation_id, epoch=epoch, now=now, origin=self.peer_id)
+        epoch = self.coordinator_mgr.epoch
+        self.journal.begin(request.invocation_id, epoch=epoch, origin=self.peer_id)
 
     def complete(self, request: "ExecRequest", reply: "ExecReply") -> "ExecReply":
         """Record an execution's outcome; returns the reply to deliver.
@@ -529,9 +502,7 @@ class ExactlyOnce:
         canonical = type(reply)(reply.request_id, reply.kind, reply.value, reply.fault_code,
                                 reply.coordinator, reply.served_by, epoch, reply.retry_after,
                                 invocation_id, reply.deduped)  # fmt: skip
-        entry, first = self.journal.complete(
-            invocation_id, canonical, epoch=epoch, now=self.env.now
-        )
+        entry, first = self.journal.complete(invocation_id, canonical, epoch=epoch)
         if not first:
             self.metrics.inc("bpeer.duplicate_suppressed")
             return _replayed(entry, request)
@@ -552,11 +523,10 @@ class ExactlyOnce:
             return
         view = self.view()
         members = view.sorted_members() if view is not None else []
-        shipped = entry.replicable()
         for member in members:
             if member == self.peer_id:
                 continue
-            if self.tell(member, ("journal", [shipped]), ENTRY_BYTES):
+            if self.tell(member, ("journal", [entry]), ENTRY_BYTES):
                 self.metrics.inc("bpeer.journal_replicated")
 
     def report_entry(self, request: "ExecRequest", reply: "ExecReply") -> Optional[JournalEntry]:
@@ -569,13 +539,13 @@ class ExactlyOnce:
         entry = self.journal.lookup(request.invocation_id)
         if entry is None or not entry.done:
             return None
-        return entry.replicable()
+        return entry
 
     def merge(self, entries: List[JournalEntry]) -> None:
         """Fold in replicated DONE entries and answer what was parked
         behind them (it raced the replication)."""
         for entry in entries:
-            if self.journal.merge(entry, now=self.env.now):
+            if self.journal.merge(entry):
                 self.metrics.inc("bpeer.journal_merges")
             self._serve_parked(entry.invocation_id)
 
@@ -757,7 +727,7 @@ class ExactlyOnce:
         if wait.done_entry is not None:
             # Someone already holds the canonical result: replay, never
             # re-execute.
-            self.journal.merge(wait.done_entry, now=self.env.now)
+            self.journal.merge(wait.done_entry)
             self._serve_parked(invocation_id)
             replayed = self.replay(request)
             if replayed is not None:
@@ -828,13 +798,13 @@ class ExactlyOnce:
             # quorum and tell it what we know.
             status, seen = "stale", max_seen
         elif entry is not None and entry.done:
-            status, extra = "done", entry.replicable()
+            status, extra = "done", entry
         elif entry is not None:
             # A rival's intent (or the asker's own earlier one) is
             # already on file: report who holds it.
             status, extra = "held", entry.origin
         else:
-            self.journal.begin(invocation_id, epoch=epoch, now=self.env.now, origin=origin)
+            self.journal.begin(invocation_id, epoch=epoch, origin=origin)
             self.metrics.inc("bpeer.intents_recorded")
         reply = ("intent-reply", token, status, extra, seen)
         self.tell(src_peer, reply, 96 if status != "done" else 96 + ENTRY_BYTES)
@@ -880,7 +850,7 @@ class ExactlyOnce:
         _mode, invocation_id, asker = payload
         entry = self.journal.lookup(invocation_id)
         if entry is not None and entry.done:
-            outcome: Any = entry.replicable()
+            outcome: Any = entry
         elif entry is not None and entry.origin == self.peer_id:
             outcome = "pending"  # still executing — keep waiting
         else:

@@ -266,22 +266,24 @@ class BindingTable:
                     yield env.timeout(grace)
             if not answers:
                 raise NoCoordinatorError(f"no coordinator response for {group_id}")
-            if self.epoch_fencing:
-                coordinator, address, epoch = max(answers, key=itemgetter(2))
-            else:
-                # Unfenced: first answer wins, even if it is a deposed
-                # coordinator's stale claim.
-                coordinator, address, epoch = answers[0]
-            binding = self.install(group_id, coordinator, address, epoch)
-            return binding
         finally:
             # On every exit, an interrupt included (the caller's host
-            # crashed mid-lookup): listener and slot are released, and
-            # whoever joined learns the outcome.
+            # crashed mid-lookup): the answers in hand are installed,
+            # listener and slot are released, and whoever joined learns
+            # the outcome.
+            if answers:
+                if self.epoch_fencing:
+                    coordinator, address, epoch = max(answers, key=itemgetter(2))
+                else:
+                    # Unfenced: first answer wins, even if it is a deposed
+                    # coordinator's stale claim.
+                    coordinator, address, epoch = answers[0]
+                binding = self.install(group_id, coordinator, address, epoch)
             self._cancel_query(query_id)
             del self.lookups[group_id]
             if flight.callbacks:
                 flight.succeed(binding)
+        return binding
 
     def install(
         self, group_id: PeerGroupId, coordinator: PeerId, address: Optional[Address], epoch: Epoch

@@ -187,7 +187,7 @@ class Saga(WorkflowNode):
             seen.add(step.name)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Durable per-step state inside a :class:`SagaRecord`."""
 
@@ -205,7 +205,7 @@ class StepRecord:
     deduped: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class SagaRecord:
     """One saga instance's durable state (and the run's result object)."""
 

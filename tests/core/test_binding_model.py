@@ -18,9 +18,10 @@ step or at the moment it applies:
   removes the one it names;
 * with fencing on, delivered result epochs are monotone per group, and a
   result is refused exactly when a newer epoch was delivered before it;
-* once the resolver has answered a query, the bind it ends with is to the
-  highest-epoch claim among the answers (the first answer, unfenced) —
-  so once the newest coordinator has answered, the next bind is to it.
+* once the resolver has answered a query, the bind it ends with — also
+  when its caller is interrupted — is to the highest-epoch claim among
+  the answers (the first answer, unfenced), so once the newest
+  coordinator has answered, the next bind is to it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class BindingModel(RuleBasedStateMachine):
         self.issued = {group_id: [] for group_id in GROUPS}  # every binding handed out
         self.delivered = {}  # group id -> highest epoch delivered
         self.callers = []  # live caller processes
+        self.misclosed = []  # what closed lookups did against the spec
 
     # -- the fake groups --------------------------------------------------------------
 
@@ -214,24 +216,32 @@ class BindingModel(RuleBasedStateMachine):
 
     def _lookup_closed(self, group_id, answers):
         """The table cancels its query on every exit.  One that heard
-        answers and was not interrupted has just installed a binding, and
-        it is the claim the rule picks: the highest epoch, fenced; the
-        first answer, unfenced."""
+        answers, interrupted or not, has just installed a binding, and it
+        is the claim the rule picks: the highest epoch, fenced; the first
+        answer, unfenced.  What this finds is reported by the invariant
+        below: an assertion raised here, in an interrupted caller's
+        ``finally``, would die with the caller."""
         installed, self.last_route = self.last_route, None
         if not answers:
-            assert installed is None, "a lookup nobody answered installed a binding"
+            if installed is not None:
+                self.misclosed.append("a lookup nobody answered installed a binding")
             return
         if installed is None:
-            return  # interrupted: it installs nothing
+            self.misclosed.append(f"answers {answers} in hand were not installed")
+            return
         if self.fencing:
             expected = max(answers, key=lambda claim: claim[2])
         else:
             expected = answers[0]
         bound = self.table.bound.get(group_id)
-        assert (bound.coordinator, bound.address, bound.epoch) == expected, (
-            f"bound {bound} after answers {answers}"
-        )
-        assert installed == (bound.coordinator, bound.address)
+        if (bound.coordinator, bound.address, bound.epoch) != expected or installed != (
+            bound.coordinator, bound.address
+        ):
+            self.misclosed.append(f"bound {bound} after answers {answers}")
+
+    @invariant()
+    def answers_in_hand_are_installed(self):
+        assert self.misclosed == []
 
     def teardown(self):
         # Callers still suspended are closed when collected, and a closed

@@ -10,22 +10,16 @@ from repro.core import DedupJournal, JournalEntry
 from repro.core.journal import DONE, EXECUTING
 
 
-def _done_entry(invocation_id, reply="reply", epoch=None, recorded_at=0.0):
-    return JournalEntry(
-        invocation_id=invocation_id,
-        state=DONE,
-        reply=reply,
-        epoch=epoch,
-        recorded_at=recorded_at,
-    )
+def _done_entry(invocation_id, reply="reply", epoch=None):
+    return JournalEntry(invocation_id=invocation_id, state=DONE, reply=reply, epoch=epoch)
 
 
 class TestBegin:
     def test_begin_marks_executing(self):
         journal = DedupJournal()
-        entry = journal.begin("inv-1", epoch="e1", now=3.0)
+        entry = journal.begin("inv-1", epoch="e1")
         assert entry.state == EXECUTING
-        assert entry.recorded_at == 3.0
+        assert entry.epoch == "e1"
         assert "inv-1" in journal
 
     def test_begin_is_idempotent(self):
@@ -47,7 +41,7 @@ class TestComplete:
     def test_first_complete_wins(self):
         journal = DedupJournal()
         journal.begin("inv-1")
-        entry, first = journal.complete("inv-1", reply="A", epoch="e1", now=5.0)
+        entry, first = journal.complete("inv-1", reply="A", epoch="e1")
         assert first
         assert entry.done
         assert entry.reply == "A"
@@ -94,9 +88,9 @@ class TestMerge:
     def test_merge_upgrades_executing_placeholder(self):
         journal = DedupJournal()
         journal.begin("inv-1")
-        assert journal.merge(_done_entry("inv-1", reply="A"), now=7.0)
-        local = journal.lookup("inv-1")
-        assert local.done and local.reply == "A"
+        remote = _done_entry("inv-1", reply="A")
+        assert journal.merge(remote)
+        assert journal.lookup("inv-1") is remote
 
     def test_merge_local_done_wins(self):
         journal = DedupJournal()
@@ -163,18 +157,28 @@ class TestBounds:
 
 
 class TestReplicable:
-    def test_replicable_equals_dataclasses_replace(self):
-        entry = JournalEntry(
-            invocation_id="inv-1",
-            state=DONE,
-            reply={"ok": True},
-            epoch=("peer", 3),
-            recorded_at=4.5,
-            origin="peer-2",
-        )
-        copy = entry.replicable()
-        assert copy == dataclasses.replace(entry)
-        assert copy is not entry and copy.reply is entry.reply
+    @pytest.mark.parametrize("seed", [7, 11, 42], indirect=True)
+    def test_done_entries_are_never_written_again(self, seed):
+        """What sharing one DONE entry across the group rests on: while a
+        key stays in the journal its DONE entry stays the same object, and
+        no journal call changes a field of any entry once it is DONE."""
+        rng = random.Random(seed)
+        journal = DedupJournal(capacity=4)
+        held = {}  # key -> the DONE entry the journal holds for it
+        seen = []  # (entry, its fields when first seen DONE)
+        for stamp in range(1, 601):
+            name = rng.choices(OP_NAMES + ("resize",), (6, 6, 3, 1, 1, 1))[0]
+            key = f"inv-{rng.randrange(12)}"
+            apply_op(journal, (name, key, rng.randrange(1, 9) if name == "resize" else stamp))
+            held = {key: entry for key, entry in held.items() if key in journal}
+            for key, entry in journal._entries.items():
+                if key in held:
+                    assert entry is held[key], (stamp, name, key)
+                elif entry.done:
+                    held[key] = entry
+                    seen.append((entry, dataclasses.astuple(entry)))
+            for entry, fields in seen:
+                assert dataclasses.astuple(entry) == fields, (stamp, name, entry)
 
     def test_entries_carry_no_instance_dict(self):
         assert not hasattr(JournalEntry(invocation_id="inv-1"), "__dict__")
@@ -203,12 +207,11 @@ def apply_op(journal, op):
     """Apply one ``(name, key, stamp)`` step; returns what the call returned."""
     name, key, stamp = op
     if name == "begin":
-        return journal.begin(key, epoch=stamp, now=stamp).state
+        return journal.begin(key, epoch=stamp).state
     if name == "complete":
-        return journal.complete(key, reply=f"reply-{stamp}", epoch=stamp, now=stamp)[1]
+        return journal.complete(key, reply=f"reply-{stamp}", epoch=stamp)[1]
     if name == "merge":
-        remote = _done_entry(key, reply=f"remote-{stamp}", epoch=stamp, recorded_at=stamp)
-        return journal.merge(remote, now=stamp)
+        return journal.merge(_done_entry(key, reply=f"remote-{stamp}", epoch=stamp))
     if name == "abandon":
         return journal.abandon(key)
     if name == "drop_executing":
