@@ -73,6 +73,9 @@ DONE = "done"
 #: Modelled wire size of one replicated entry (reply and value included).
 ENTRY_BYTES = 288
 
+#: Evictions between two rebuilds of a journal's dict (``_evict``).
+COMPACT_EVERY = 512
+
 
 @dataclass(slots=True)
 class JournalEntry:
@@ -124,6 +127,8 @@ class DedupJournal:
         self.capacity = capacity
         #: Insertion-ordered: the head is the oldest entry.
         self._entries: Dict[str, JournalEntry] = {}
+        #: Evictions since ``_entries`` was last rebuilt.
+        self._holes = 0
         self.stats = JournalStats()
 
     def __len__(self) -> int:
@@ -230,9 +235,13 @@ class DedupJournal:
 
         Steady state *is* the full journal (a long-lived peer evicts one
         entry per insertion), so this walks from the head and touches only
-        the victims and in-flight markers before them, never the rest
-        (and, in C, the slots earlier deletions left until the dict's next
-        resize compacts them)."""
+        the victims and in-flight markers before them, never the rest.
+
+        A dict's iteration also steps over the slots its deletions left, and
+        they pile up at the head until the dict next resizes: a full journal
+        of 4 096 would walk thousands per eviction.  Rebuilding the dict
+        every ``COMPACT_EVERY`` evictions keeps that walk short, and keeps
+        the table at the size its live entries need."""
         excess = len(self._entries) - self.capacity
         if excess <= 0:
             return
@@ -241,6 +250,10 @@ class DedupJournal:
         for key in list(islice(done, excess)):
             del self._entries[key]
             self.stats.evictions += 1
+            self._holes += 1
+        if self._holes >= COMPACT_EVERY:
+            self._entries = dict(self._entries)
+            self._holes = 0
 
 
 # -- the protocol ------------------------------------------------------------------------
