@@ -272,13 +272,10 @@ class BindingTable:
             # listener and slot are released, and whoever joined learns
             # the outcome.
             if answers:
-                if self.epoch_fencing:
-                    coordinator, address, epoch = max(answers, key=itemgetter(2))
-                else:
-                    # Unfenced: first answer wins, even if it is a deposed
-                    # coordinator's stale claim.
-                    coordinator, address, epoch = answers[0]
-                binding = self.install(group_id, coordinator, address, epoch)
+                # Unfenced, the first answer wins, even a deposed
+                # coordinator's stale claim.
+                claim = max(answers, key=itemgetter(2)) if self.epoch_fencing else answers[0]
+                binding = self.install(group_id, *claim)
             self._cancel_query(query_id)
             del self.lookups[group_id]
             if flight.callbacks:
