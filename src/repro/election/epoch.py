@@ -41,15 +41,16 @@ class Epoch:
         return Epoch(self.counter + 1, owner_hex)
 
     # -- ordering (lexicographic on (counter, owner)) -------------------------------
+    # ``key()`` is written out: every request's epoch fence compares epochs.
 
     def __lt__(self, other: "Epoch") -> bool:
-        return self.key() < other.key()
+        return (self.counter, self.owner_hex) < (other.counter, other.owner_hex)
 
     def __gt__(self, other: "Epoch") -> bool:
-        return self.key() > other.key()
+        return (self.counter, self.owner_hex) > (other.counter, other.owner_hex)
 
     def __ge__(self, other: "Epoch") -> bool:
-        return self.key() >= other.key()
+        return (self.counter, self.owner_hex) >= (other.counter, other.owner_hex)
 
     def __str__(self) -> str:
         owner = self.owner_hex[:8] if self.owner_hex else "-"

@@ -78,7 +78,7 @@ class EndpointService:
     def start(self) -> None:
         if self._socket is not None and not self._socket.closed:
             return
-        self._socket = self.node.transport.bind(ENDPOINT_PORT)
+        self._socket = self.node.transport.bind(ENDPOINT_PORT, self._receive)
         self.node.spawn(self._receive_loop(), name=f"endpoint:{self.node.name}")
 
     @property
@@ -166,23 +166,28 @@ class EndpointService:
     def _receive_loop(self):
         socket = self._socket
         get = socket.inbox.get
+        receive = socket.receiver
         try:
             while True:
-                message: Message = yield get()
-                envelope = message.payload
-                if not isinstance(envelope, EndpointMessage):
-                    continue
-                dst_peer = envelope.dst_peer
-                if dst_peer is not self.peer_id and dst_peer != self.peer_id:
-                    # We are acting as a relay hop: forward to the target.
-                    self._relay_forward(envelope, message)
-                    continue
-                self.messages_in += 1
-                listener = self._listeners.get(envelope.protocol)
-                if listener is not None:
-                    listener(envelope)
+                receive((yield get()))
         except Interrupt:
             socket.close()
+
+    def _receive(self, message: Message) -> None:
+        """The receive loop's body, also run in the arrival event itself
+        (:attr:`~repro.simnet.transport.Socket.receiver`)."""
+        envelope = message.payload
+        if not isinstance(envelope, EndpointMessage):
+            return
+        dst_peer = envelope.dst_peer
+        if dst_peer is not self.peer_id and dst_peer != self.peer_id:
+            # We are acting as a relay hop: forward to the target.
+            self._relay_forward(envelope, message)
+            return
+        self.messages_in += 1
+        listener = self._listeners.get(envelope.protocol)
+        if listener is not None:
+            listener(envelope)
 
     def _relay_forward(self, envelope: EndpointMessage, message: Message) -> None:
         address = self._routes.get(envelope.dst_peer)

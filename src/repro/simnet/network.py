@@ -405,8 +405,16 @@ class Network:
         ):
             self.trace.on_drop(self.env.now, message, reason="dst-down")
             return
-        if dst_node.transport.deliver(message):
-            self.trace.on_deliver(self.env.now, message)
-        else:
+        socket = dst_node.transport.socket_at(message.dst[1])
+        if socket is None:
             self.trace.on_drop(self.env.now, message, reason="no-socket")
+            return
+        self.trace.on_deliver(self.env.now, message)
+        inbox = socket.inbox
+        if socket.receiver is not None and inbox.push_resumes_next():
+            # The getter the push would wake is the next event, and its
+            # only work is this call: make it here (DESIGN.md §6.9).
+            socket.receiver(message)
+        else:
+            inbox.push(message)
 

@@ -136,6 +136,31 @@ class Store:
         if getters:
             self._trigger()
 
+    def push_resumes_next(self) -> bool:
+        """Whether :meth:`push` would wake a parked getter as the very next
+        event dispatched.
+
+        It would while no policy is installed and nothing else is queued
+        for the current instant: ``push`` then appends the live head
+        getter to the empty normal deque, and every entry still on the
+        heap lies later (an instant's heap run is drained into the deques
+        when its first entry pops).  A backlog, a dead head getter or a
+        bounded store takes the general path.  A caller that would only
+        run the getter's waiter may then run it in place, one event fewer
+        and nothing reordered (DESIGN.md §6.9).
+        """
+        env = self.env
+        if (
+            env.tiebreak is not None
+            or env._now_urgent
+            or env._now_normal
+            or self.items
+            or self.capacity != _UNBOUNDED
+        ):
+            return False
+        getters = self._get_waiters
+        return bool(getters) and getters[0]._value is PENDING and not getters[0].cancelled
+
     # -- internals -------------------------------------------------------------
 
     def _do_put(self, event: StorePut) -> bool:

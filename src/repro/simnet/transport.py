@@ -2,12 +2,15 @@
 
 This is the lowest messaging layer services see.  A socket is bound to one
 port; ``send`` hands a :class:`~repro.simnet.message.Message` to the
-network, ``recv`` yields the next inbound message.
+network, ``recv`` yields the next inbound message.  A socket bound with a
+``receiver`` is read by a loop that only passes each message to it; the
+network then calls the receiver itself when the kernel allows
+(:meth:`~repro.simnet.network.Network._deliver`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .message import Address, Message
 from .queues import Store, StoreGet
@@ -31,13 +34,22 @@ class Socket:
     host.
     """
 
-    def __init__(self, transport: "Transport", port: int):
+    def __init__(
+        self,
+        transport: "Transport",
+        port: int,
+        receiver: Optional[Callable[[Message], None]] = None,
+    ):
         node = transport.node
         self._transport = transport
         self._network = node.network
         self.port = port
         self.address: Address = (node.name, port)
         self.inbox = Store(node.env)
+        #: The body of the loop that reads :attr:`inbox`, if that loop does
+        #: nothing but ``receiver((yield inbox.get()))``: the network may
+        #: run it inside the arrival event instead (DESIGN.md §6.9).
+        self.receiver = receiver
         self.closed = False
 
     def send(
@@ -72,8 +84,16 @@ class Transport:
         self._sockets: Dict[int, Socket] = {}
         self._next_ephemeral = _EPHEMERAL.start
 
-    def bind(self, port: Optional[int] = None) -> Socket:
-        """Bind a port (or allocate an ephemeral one) and return a socket."""
+    def bind(
+        self,
+        port: Optional[int] = None,
+        receiver: Optional[Callable[[Message], None]] = None,
+    ) -> Socket:
+        """Bind a port (or allocate an ephemeral one) and return a socket.
+
+        ``receiver`` is the body of the socket's receive loop
+        (:attr:`Socket.receiver`).
+        """
         if port is None:
             # One lap at most: a range with no free port fails the check below.
             for _ in _EPHEMERAL:
@@ -83,26 +103,19 @@ class Transport:
                     break
         if port in self._sockets:
             raise PortInUseError(f"{self.node.name}:{port} is already bound")
-        socket = Socket(self, port)
+        socket = Socket(self, port, receiver)
         self._sockets[port] = socket
         return socket
 
     def unbind(self, port: int) -> None:
         self._sockets.pop(port, None)
 
-    def deliver(self, message: Message) -> bool:
-        """Hand an inbound message to the right socket.
-
-        Returns False (message dropped) if the port is unbound or the host
-        is down.
-        """
-        if not self.node.up:
-            return False
-        socket = self._sockets.get(message.dst[1])
+    def socket_at(self, port: int) -> Optional[Socket]:
+        """The open socket bound to ``port`` (``None``: traffic to it drops)."""
+        socket = self._sockets.get(port)
         if socket is None or socket.closed:
-            return False
-        socket.inbox.push(message)
-        return True
+            return None
+        return socket
 
     def flush(self) -> None:
         """Discard every queued inbound message (host crash)."""

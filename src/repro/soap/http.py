@@ -95,7 +95,7 @@ class HttpServer:
         """(Re)bind the port and start the accept loop."""
         if self._socket is not None and not self._socket.closed:
             return
-        self._socket = self.node.transport.bind(self.port)
+        self._socket = self.node.transport.bind(self.port, self._accept)
         self.node.spawn(self._accept_loop(), name=f"http:{self.node.name}:{self.port}")
 
     def _teardown(self) -> None:
@@ -108,17 +108,21 @@ class HttpServer:
 
     def _accept_loop(self) -> Generator:
         socket = self._socket
+        accept = socket.receiver
         try:
             while True:
-                message = yield socket.recv()
-                request = message.payload
-                if not isinstance(request, HttpRequest):
-                    continue
-                self.node.spawn(self._serve(message, request), name=self._serve_name)
+                accept((yield socket.recv()))
         except Interrupt:
             socket.close()
             if self._socket is socket:
                 self._socket = None
+
+    def _accept(self, message) -> None:
+        """The accept loop's body, also run in the arrival event itself
+        (:attr:`~repro.simnet.transport.Socket.receiver`)."""
+        request = message.payload
+        if isinstance(request, HttpRequest):
+            self.node.spawn(self._serve(message, request), name=self._serve_name)
 
     def _serve(self, message, request: HttpRequest) -> Generator:
         handler = self._handlers.get(request.path)

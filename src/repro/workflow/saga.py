@@ -33,7 +33,6 @@ a mix.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
@@ -244,7 +243,8 @@ class SagaLog:
     """
 
     def __init__(self):
-        self._records: "OrderedDict[str, SagaRecord]" = OrderedDict()
+        #: Insertion-ordered: :meth:`records` lists sagas as they opened.
+        self._records: Dict[str, SagaRecord] = {}
         #: Sagas ever opened (monotonic; records are never evicted).
         self.opened = 0
 

@@ -113,7 +113,7 @@ def deployment():
 #: records its result once, on the peer that executes it, and nothing before.
 #: The two files are summed because code moves between them.
 MAX_CALLS_PER_READ = 35.06
-MAX_CALLS_PER_WRITE = 110.08
+MAX_CALLS_PER_WRITE = 109.08
 _COUNTED_FILES = ("core/bpeer.py", "core/journal.py")
 
 #: Python-level calls into ``core/proxy.py`` and ``core/retry.py`` together

@@ -1,9 +1,10 @@
 """What one datagram costs the simulator, counted (DESIGN.md §6.19).
 
 Counted with ``sys.setprofile``, not timed, so the guard is exact on any
-host: one endpoint datagram — ``EndpointService.send`` through the network,
-the two kernel events and the receive loop to a no-op listener — makes at
-most ``MAX_CALLS`` Python-level calls and exactly two kernel events.  The
+host: one endpoint datagram — ``EndpointService.send`` through the network
+and its arrival event, which runs the receive loop's body, to a no-op
+listener — makes at most ``MAX_CALLS`` Python-level calls and exactly one
+kernel event.  The
 other guards keep the bookkeeping off: no per-message ``__dict__``, and no
 ``Random.lognormvariate`` / ``normalvariate`` frames on a served write.
 """
@@ -23,8 +24,9 @@ from repro.simnet import Environment, Message, MessageTrace, Network, RngRegistr
 from repro.wsdl import student_admin_wsdl
 
 #: The budget for one datagram, send to listener included: 29 calls while
-#: the datagram path carried its bookkeeping, 21 since.
-MAX_CALLS = 23
+#: the datagram path carried its bookkeeping, 21 once it did not, 17 since
+#: the arrival event runs the receive loop's body itself.
+MAX_CALLS = 19
 DATAGRAMS = 200
 
 
@@ -63,12 +65,11 @@ def test_one_endpoint_datagram_costs_at_most_the_budget():
     def datagrams():
         for _ in range(DATAGRAMS):
             a.send(b.peer_id, "x", None)
-            env.step()  # the arrival (a Timeout on the heap)
-            env.step()  # the inbox getter, resuming the receive loop
+            env.step()  # the arrival (a Timeout on the heap), listener included
 
     calls = _python_calls(datagrams)
     assert len(heard) == DATAGRAMS
-    assert env.events_processed - events_before == 2 * DATAGRAMS
+    assert env.events_processed - events_before == DATAGRAMS
     assert env.peek() == float("inf")  # nothing left over per datagram
     assert sum(calls.values()) / DATAGRAMS <= MAX_CALLS, sorted(calls.items())
 
