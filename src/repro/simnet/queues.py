@@ -137,18 +137,11 @@ class Store:
             self._trigger()
 
     def push_resumes_next(self) -> bool:
-        """Whether :meth:`push` would wake a parked getter as the very next
-        event dispatched.
-
-        It would while no policy is installed and nothing else is queued
-        for the current instant: ``push`` then appends the live head
-        getter to the empty normal deque, and every entry still on the
-        heap lies later (an instant's heap run is drained into the deques
-        when its first entry pops).  A backlog, a dead head getter or a
-        bounded store takes the general path.  A caller that would only
-        run the getter's waiter may then run it in place, one event fewer
-        and nothing reordered (DESIGN.md §6.9).
-        """
+        """Whether :meth:`push` would wake a live parked getter as the very
+        next event dispatched: no policy installed, nothing else queued for
+        the current instant (every heap entry lies later), no backlog.  A
+        caller that would only run the getter's waiter may then run it in
+        place, one event fewer and nothing reordered (DESIGN.md §6.9)."""
         env = self.env
         if (
             env.tiebreak is not None

@@ -2,10 +2,8 @@
 
 This is the lowest messaging layer services see.  A socket is bound to one
 port; ``send`` hands a :class:`~repro.simnet.message.Message` to the
-network, ``recv`` yields the next inbound message.  A socket bound with a
-``receiver`` is read by a loop that only passes each message to it; the
-network then calls the receiver itself when the kernel allows
-(:meth:`~repro.simnet.network.Network._deliver`).
+network, ``recv`` yields the next inbound message (or the network hands it
+to the socket's ``receiver``).
 """
 
 from __future__ import annotations
@@ -21,6 +19,9 @@ __all__ = ["Transport", "Socket", "PortInUseError"]
 #: The IANA dynamic range: ephemeral ports are handed out round-robin.
 _EPHEMERAL = range(49152, 65536)
 
+#: The body of a socket's receive loop, called with each inbound message.
+Receiver = Callable[[Message], None]
+
 
 class PortInUseError(Exception):
     """Raised when binding a port that already has a socket."""
@@ -34,12 +35,7 @@ class Socket:
     host.
     """
 
-    def __init__(
-        self,
-        transport: "Transport",
-        port: int,
-        receiver: Optional[Callable[[Message], None]] = None,
-    ):
+    def __init__(self, transport: "Transport", port: int, receiver: Optional[Receiver] = None):
         node = transport.node
         self._transport = transport
         self._network = node.network
@@ -84,16 +80,9 @@ class Transport:
         self._sockets: Dict[int, Socket] = {}
         self._next_ephemeral = _EPHEMERAL.start
 
-    def bind(
-        self,
-        port: Optional[int] = None,
-        receiver: Optional[Callable[[Message], None]] = None,
-    ) -> Socket:
-        """Bind a port (or allocate an ephemeral one) and return a socket.
-
-        ``receiver`` is the body of the socket's receive loop
-        (:attr:`Socket.receiver`).
-        """
+    def bind(self, port: Optional[int] = None, receiver: Optional[Receiver] = None) -> Socket:
+        """Bind a port (or allocate an ephemeral one) and return a socket
+        whose receive loop's body is ``receiver`` (:attr:`Socket.receiver`)."""
         if port is None:
             # One lap at most: a range with no free port fails the check below.
             for _ in _EPHEMERAL:

@@ -4,9 +4,9 @@ Counted with ``sys.setprofile``, not timed, so the guard is exact on any
 host: one endpoint datagram — ``EndpointService.send`` through the network
 and its arrival event, which runs the receive loop's body, to a no-op
 listener — makes at most ``MAX_CALLS`` Python-level calls and exactly one
-kernel event.  The
-other guards keep the bookkeeping off: no per-message ``__dict__``, and no
-``Random.lognormvariate`` / ``normalvariate`` frames on a served write.
+kernel event.  The other guards keep the bookkeeping off: no per-message
+``__dict__``, and no ``Random.lognormvariate`` / ``normalvariate`` frames on
+a served write.
 """
 
 from __future__ import annotations
