@@ -107,6 +107,9 @@ class CheckScenario(Scenario):
     settle: float = 6.0
     probe_duration: float = 12.0
     cooldown: float = 12.0
+    #: ``False`` is the self-test's seeded defect: every b-peer's elector
+    #: and the proxy's binding table drop their epoch fence (b-peers and
+    #: journals stay fenced — fencing is the protocol, not an option).
     epoch_fencing: bool = True
     #: Federated shard groups for the enroll service; 1 keeps the
     #: deployment (and every existing repro file's digest) unchanged.
@@ -212,7 +215,6 @@ def _build_system(scenario: CheckScenario):
         seed=scenario.seed,
         heartbeat_interval=HEARTBEAT_INTERVAL,
         miss_threshold=MISS_THRESHOLD,
-        epoch_fencing=scenario.epoch_fencing,
         queue_bound=QUEUE_BOUND,
         replicas=REPLICAS,
         students=STUDENTS,
@@ -224,6 +226,10 @@ def _build_system(scenario: CheckScenario):
     )
     system = WhisperSystem(config)
     service = system.deploy_enrollment_service()
+    if not scenario.epoch_fencing:
+        for peer in service.all_peers():
+            peer.coordinator_mgr.elector.epoch_fencing = False
+        service.proxy.bindings.epoch_fencing = False
     return system, service
 
 
@@ -755,11 +761,12 @@ def self_test(
 ) -> Dict[str, Any]:
     """Prove the checker catches what fencing prevents.
 
-    Runs the scenario **with epoch fencing disabled** under directed
-    depose-then-kill schedules (varying timing offsets and shuffle
-    seeds) until an invariant trips, then requires shrink + repro-file
-    replay to succeed.  Returns a structured outcome; ``ok`` is True only
-    if a violation was found, shrunk, and replayed byte-identically.
+    Runs the scenario **with the electors' and the proxy's epoch fence
+    disabled** under directed depose-then-kill schedules (varying timing
+    offsets and shuffle seeds) until an invariant trips, then requires
+    shrink + repro-file replay to succeed.  Returns a structured outcome;
+    ``ok`` is True only if a violation was found, shrunk, and replayed
+    byte-identically.
     """
     scenario = CheckScenario(seed=seed, epoch_fencing=False)
     partition_offsets = (1.0, 1.6, 2.2, 0.6)

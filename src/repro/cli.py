@@ -126,7 +126,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             title = (
                 "saga checker self-test (compensation disabled)"
                 if args.saga
-                else "checker self-test (epoch fencing disabled)"
+                else "checker self-test (elector and proxy fencing disabled)"
             )
             print(f"{title}: {status}")
             for key in ("violations", "shrunk_schedule", "shrink_runs",
@@ -416,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--self-test", action="store_true",
-        help="disable epoch fencing (with --saga: compensation) and "
-             "require the checker to catch, shrink, and replay the "
-             "resulting violation",
+        help="disable the electors' and the proxy's epoch fence (with "
+             "--saga: compensation) and require the checker to catch, "
+             "shrink, and replay the resulting violation",
     )
     check.add_argument(
         "--shards", type=int, default=1,

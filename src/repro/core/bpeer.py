@@ -155,11 +155,6 @@ class BPeer(Peer):
         self.group_name = group_name
         self.implementation = implementation
         self.load_sharing = config.load_sharing
-        #: Split-brain fencing (PR 2).  ``False`` restores the pre-epoch
-        #: behaviour — stale-term requests are served and stale
-        #: announcements accepted — which the schedule-exploration
-        #: checker's self-test uses to prove its invariants have teeth.
-        self.epoch_fencing = config.epoch_fencing
         #: Decision-point hook fired right before an admitted request's
         #: side effect is applied (``hook(bpeer, request)``).  A fault
         #: injector may crash the node here; execution is then abandoned,
@@ -175,7 +170,6 @@ class BPeer(Peer):
             group_id,
             heartbeat_interval=config.heartbeat_interval,
             miss_threshold=config.miss_threshold,
-            epoch_fencing=config.epoch_fencing,
         )
         #: The exactly-once protocol (DESIGN.md §6.20): the dedup journal,
         #: the park table, the commit barrier and the takeover sync.
@@ -184,8 +178,7 @@ class BPeer(Peer):
             view=partial(self.groups.groups.get, group_id),
             tell=partial(self._tell, category="bpeer-journal"),
             reply=self._reply, busy=self._busy_reply,
-            mutating=implementation.mutating, epoch_fencing=config.epoch_fencing,
-            capacity=config.journal_capacity,
+            mutating=implementation.mutating, capacity=config.journal_capacity,
         )  # fmt: skip
         self.journal = self.exactly_once.journal
         self.groups.on_membership_change(self._on_roster_change)
@@ -319,7 +312,7 @@ class BPeer(Peer):
         if request.group_id != self.group_id or not self.node.up:
             return
         self.endpoint.add_route(request.reply_to, request.reply_addr)
-        if request.observed_epoch is not None and self.epoch_fencing:
+        if request.observed_epoch is not None:
             # Client-carried fencing token: a coordinator whose term is
             # below it re-elects (minting above it) instead of serving
             # results the proxy would have to discard as stale.
@@ -339,7 +332,7 @@ class BPeer(Peer):
             self._redirect(request)
             return
         current = self.coordinator_mgr.epoch
-        if self.epoch_fencing and request.epoch is not None and request.epoch < current:
+        if request.epoch is not None and request.epoch < current:
             # Fencing: the proxy is bound to a term this group has moved
             # past (e.g. we crashed/partitioned and were re-elected under a
             # fresh epoch).  Even though we ARE the coordinator, serving a

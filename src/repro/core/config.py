@@ -44,13 +44,6 @@ class ScenarioConfig:
     # -- group coordination --
     heartbeat_interval: float = 1.0
     miss_threshold: int = 3
-    #: Split-brain fencing (election epochs, PR 2): stale-term requests
-    #: are bounced, stale announcements rejected, stale results discarded,
-    #: and the proxy prefers the highest-epoch resolver answer.  ``False``
-    #: restores the unfenced pre-epoch protocol — only the schedule
-    #: checker's self-test should ever do this: it proves the invariant
-    #: suite catches the resulting stale-result delivery.
-    epoch_fencing: bool = True
 
     # -- load sharing & overload control --
     #: Spread requests over members (§4.1) instead of coordinator-only.

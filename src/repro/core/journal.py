@@ -330,7 +330,7 @@ class ExactlyOnce:
     """
 
     def __init__(self, node, peer_id, coordinator_mgr, view, tell, reply, busy, *,
-                 mutating: bool, epoch_fencing: bool, capacity: int):  # fmt: skip
+                 mutating: bool, capacity: int):  # fmt: skip
         self.node = node
         self.env = node.env
         self.metrics = node.network.obs.metrics
@@ -341,7 +341,6 @@ class ExactlyOnce:
         self.reply = reply
         self.busy = busy
         self.mutating = mutating
-        self.epoch_fencing = epoch_fencing
         self.journal = DedupJournal(capacity=capacity)
         #: The park table: retries parked behind an in-flight duplicate
         #: (keyed by invocation id) or gated behind the takeover sync
@@ -750,7 +749,7 @@ class ExactlyOnce:
         # Blocked: no quorum (partitioned/deposed/rival intent).  Bounce
         # the proxy; it backs off, re-binds, and retries elsewhere.
         self.metrics.inc("bpeer.commit_blocked")
-        if self.epoch_fencing and wait.max_seen is not None:
+        if wait.max_seen is not None:
             # A refusing member knew a fresher term — stand for
             # re-election above it instead of limping on deposed.
             self.coordinator_mgr.elector.observe_external_epoch(wait.max_seen)
@@ -806,7 +805,7 @@ class ExactlyOnce:
         seen = None
         max_seen = self.coordinator_mgr.elector.max_epoch_seen
         entry = self.journal.lookup(invocation_id)
-        if self.epoch_fencing and epoch is not None and max_seen > epoch:
+        if epoch is not None and max_seen > epoch:
             # Fencing: the asker's term is already superseded — deny it
             # quorum and tell it what we know.
             status, seen = "stale", max_seen

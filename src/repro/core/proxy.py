@@ -187,7 +187,6 @@ class BindingTable:
     def __init__(
         self,
         env,
-        epoch_fencing: bool,
         send_query: Callable[..., int],
         cancel_query: Callable[[int], None],
         add_route: Callable[[PeerId, Address], None],
@@ -197,8 +196,9 @@ class BindingTable:
         self.env = env
         #: Split-brain fencing on the proxy side: prefer the highest-epoch
         #: answer, discard stale results, gossip the highest witnessed term.
-        #: ``False`` is the naive proxy the checker's self-test shows unsafe.
-        self.epoch_fencing = epoch_fencing
+        #: Only the schedule checker's self-test seam clears it, to show
+        #: the naive proxy unsafe.
+        self.epoch_fencing = True
         self._send_query = send_query
         self._cancel_query = cancel_query
         self._add_route = add_route
@@ -260,7 +260,7 @@ class BindingTable:
         binding = None
         try:
             outcome = yield Wait(env, done, timeout)
-            if outcome is not EXPIRED and self.epoch_fencing and self.resolve_grace > 0.0:
+            if outcome is not EXPIRED and self.epoch_fencing:
                 grace = deadline.clamp(env.now, self.resolve_grace)
                 if grace > 0.0:
                     yield env.timeout(grace)
@@ -411,7 +411,7 @@ class SwsProxy(Peer):
         self._group_profiles: Dict[str, QosProfile] = {}
         cache = self.result_cache
         self.bindings = BindingTable(
-            self.env, config.epoch_fencing, self.resolver.send_query,
+            self.env, self.resolver.send_query,
             self.resolver.cancel_query, self.endpoint.add_route, self._count,
             on_fence_advance=cache.invalidate_epoch if cache is not None else None,
         )  # fmt: skip

@@ -51,25 +51,22 @@ class ElectionStats:
 class BullyElector:
     """Runs Bully elections for one peer within one group."""
 
-    def __init__(
-        self,
-        groups: GroupService,
-        group_id: PeerGroupId,
-        answer_timeout: float = 0.5,
-        coordinator_timeout: float = 1.5,
-        epoch_fencing: bool = True,
-    ):
+    #: Seconds an ELECTION waits for an ANSWER before the sender wins.
+    answer_timeout = 0.5
+    #: Seconds an answered sender waits for the COORDINATOR broadcast.
+    coordinator_timeout = 1.5
+
+    def __init__(self, groups: GroupService, group_id: PeerGroupId):
         self.groups = groups
         self.group_id = group_id
         self.endpoint = groups.endpoint
         self.env = self.endpoint.node.env
-        self.answer_timeout = answer_timeout
-        self.coordinator_timeout = coordinator_timeout
-        #: With fencing off (checker self-tests only), stale COORDINATOR
-        #: announcements are accepted and a coordinator whose term went
-        #: stale keeps serving — the pre-PR-2 behaviour.  Epochs are still
-        #: minted and recorded so the invariant audit stays meaningful.
-        self.epoch_fencing = epoch_fencing
+        #: Only the schedule checker's self-test seam clears this: stale
+        #: COORDINATOR announcements are then accepted and a coordinator
+        #: whose term went stale keeps serving — the pre-epoch behaviour.
+        #: Epochs are still minted and recorded so the invariant audit
+        #: stays meaningful.
+        self.epoch_fencing = True
 
         self.coordinator: Optional[PeerId] = None
         #: Epoch of the currently accepted coordinator (GENESIS before any

@@ -32,19 +32,10 @@ class GroupCoordinator:
         group_id: PeerGroupId,
         heartbeat_interval: float = 1.0,
         miss_threshold: int = 3,
-        answer_timeout: float = 0.5,
-        coordinator_timeout: float = 1.5,
-        epoch_fencing: bool = True,
     ):
         self.groups = groups
         self.group_id = group_id
-        self.elector = BullyElector(
-            groups,
-            group_id,
-            answer_timeout=answer_timeout,
-            coordinator_timeout=coordinator_timeout,
-            epoch_fencing=epoch_fencing,
-        )
+        self.elector = BullyElector(groups, group_id)
         self.monitor = HeartbeatMonitor(
             groups,
             group_id,

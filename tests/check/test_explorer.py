@@ -26,8 +26,12 @@ from repro.check import (
     self_test,
     shrink_schedule,
 )
+from repro.check.explorer import _build_system
 from repro.check.saga import ORCHESTRATOR_HOST
 from repro.cli import main
+from repro.core.bpeer import PROTO_EXEC, ExecRequest
+from repro.election.epoch import GENESIS
+from repro.p2p import EndpointMessage
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -247,3 +251,37 @@ class TestSelfTest:
         scenario, schedule, _expected = load_repro(path)
         assert scenario.epoch_fencing is False
         assert schedule.ops  # a schedule-induced violation, not baseline
+
+    def test_unfenced_seam_is_the_electors_and_the_binding_table(self):
+        """``epoch_fencing=False`` clears the fence on every peer's elector
+        in every shard group and on the proxy's binding table; b-peers
+        stay fenced and still bounce a stale-term request."""
+        scenario = CheckScenario(epoch_fencing=False, shards=2)
+        system, service = _build_system(scenario)
+        groups = service.shard_groups["EnrollStudent"]
+        assert len(groups) == 2
+        for group in groups:
+            assert group.peers
+            for peer in group.peers:
+                assert peer.coordinator_mgr.elector.epoch_fencing is False
+        assert service.proxy.bindings.epoch_fencing is False
+
+        system.settle(scenario.settle)
+        peer = groups[0].coordinator_peer()
+        assert peer.coordinator_mgr.epoch > GENESIS
+        replies = []
+        peer._reply = lambda request, reply: replies.append(reply)
+        stale = ExecRequest(
+            request_id=1,
+            group_id=peer.group_id,
+            operation="EnrollStudent",
+            arguments={"ID": "S00001", "course": "C00001"},
+            reply_to=peer.peer_id,
+            reply_addr=peer.endpoint.address,
+            invocation_id="stale#1",
+            epoch=GENESIS,
+        )
+        rejections = peer.stale_epoch_rejections
+        peer._on_exec(EndpointMessage(peer.peer_id, peer.peer_id, PROTO_EXEC, stale))
+        assert peer.stale_epoch_rejections == rejections + 1
+        assert [reply.value for reply in replies] == ["stale-epoch"]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import collections
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -88,10 +89,13 @@ class BindingModel(RuleBasedStateMachine):
         self.last_route = None
         self.advances = []  # (group id, epoch) the cache hook was told
         self.table = BindingTable(
-            self.env, fencing, self.resolver.send_query, self.resolver.cancel_query,
+            self.env, self.resolver.send_query, self.resolver.cancel_query,
             self._add_route, self._count,
             on_fence_advance=lambda group_id, epoch: self.advances.append((group_id, epoch)),
         )  # fmt: skip
+        # Unfenced is the checker self-test's seeded defect: the seam it
+        # uses is this attribute.
+        self.table.epoch_fencing = fencing
         # Every group starts settled: peer 0 coordinates it under term 1.
         self.claims = {
             group_id: [(PEERS[0], (f"host-{PEERS[0]}", 9701), Epoch(1, PEERS[0].uuid_hex))]
@@ -278,3 +282,28 @@ BindingModel.TestCase.settings = settings(
     database=None,
 )  # fmt: skip
 TestBindingModel = BindingModel.TestCase
+
+
+@pytest.mark.parametrize("fencing", [True, False])
+def test_a_stale_first_answer_loses_to_a_fresher_one_in_the_grace_window(fencing):
+    """The lookup rule on its own, so it does not rest on the model's draw:
+    a deposed coordinator answers first, the new one inside the grace
+    window; fenced, the highest epoch binds, unfenced, the first answer."""
+    env = Environment()
+    resolver = _FakeResolver(lambda group_id, answers: None)
+    table = BindingTable(env, resolver.send_query, resolver.cancel_query,
+                         lambda peer, address: None, lambda name: None)  # fmt: skip
+    table.epoch_fencing = fencing
+    group = GROUPS[0]
+    stale, fresh = (
+        (peer, (f"host-{peer}", 9701), Epoch(term, peer.uuid_hex))
+        for term, peer in ((1, PEERS[0]), (2, PEERS[1]))
+    )
+    env.process(table.resolve(group, Deadline(at=5.0)))
+    env.run(until=0.001)
+    (query_id,) = resolver.open
+    resolver.answer(query_id, stale)
+    resolver.answer(query_id, fresh)
+    env.run(until=1.0)
+    assert not resolver.open
+    assert table.bound[group].epoch == (fresh if fencing else stale)[2]

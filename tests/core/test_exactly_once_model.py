@@ -99,7 +99,7 @@ class ExactlyOnceModel(RuleBasedStateMachine):
                     (request.invocation_id, reply)
                 ),
                 busy=self._busy_for(index),
-                mutating=True, epoch_fencing=True, capacity=4096,
+                mutating=True, capacity=4096,
             )  # fmt: skip
             node.on_crash(lambda _node, protocol=protocol: protocol.reset(crash=True))
             self.protocols.append(protocol)
