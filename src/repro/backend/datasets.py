@@ -67,9 +67,9 @@ def _generate_students(count: int, seed: int) -> Database:
     return database
 
 
-def claims_database(count: int = 150, seed: int = 11) -> Database:
+def claims_database(count: int = 150) -> Database:
     """Insurance claims keyed by claim ID (§1's first domain)."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
     database = Database("claims-operational")
     table = database.create_table("claims", primary_key="claim_id")
     statuses = ["filed", "under-assessment", "approved", "rejected", "settled"]
@@ -87,9 +87,9 @@ def claims_database(count: int = 150, seed: int = 11) -> Database:
     return database
 
 
-def loans_database(count: int = 120, seed: int = 13) -> Database:
+def loans_database(count: int = 120) -> Database:
     """Loan applications keyed by loan ID (§1's second domain)."""
-    rng = random.Random(seed)
+    rng = random.Random(13)
     database = Database("loans-operational")
     table = database.create_table("loans", primary_key="loan_id")
     for index in range(count):
@@ -108,9 +108,9 @@ def loans_database(count: int = 120, seed: int = 13) -> Database:
     return database
 
 
-def patients_database(count: int = 100, seed: int = 17) -> Database:
+def patients_database(count: int = 100) -> Database:
     """Patient records keyed by patient ID (§1's third domain)."""
-    rng = random.Random(seed)
+    rng = random.Random(17)
     database = Database("patients-operational")
     table = database.create_table("patients", primary_key="patient_id")
     conditions = ["hypertension", "diabetes", "asthma", "fracture", "allergy"]

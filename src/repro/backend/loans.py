@@ -54,12 +54,13 @@ def loan_desk_database() -> Database:
     return database
 
 
-def solvency_database(applicants: int = 32) -> Database:
-    """The solvency tier's store: accounts with credit limits + reservations."""
+def solvency_database() -> Database:
+    """The solvency tier's store: 32 accounts with credit limits, and
+    reservations."""
     database = Database("solvency")
     accounts = database.create_table("accounts", primary_key="applicant_id")
     database.create_table("reservations", primary_key="loan_id")
-    for index in range(applicants):
+    for index in range(32):
         accounts.insert(
             {
                 "applicant_id": f"APP-{index:04d}",

@@ -120,9 +120,9 @@ def diurnal_phases() -> Tuple[Phase, ...]:
 def build_capacity_system(
     mode: str,
     seed: int = 42,
-    queue_bound: int = 8,
 ) -> Tuple[WhisperSystem, DeployedService]:
-    """Deploy the uniform student-lookup service in one of two shapes.
+    """Deploy the uniform student-lookup service in one of two shapes,
+    each member's queue bounded at 8.
 
     ``"autoscaled"`` starts at the elastic floor with the autoscaler,
     breaker, and semantic cache armed; ``"static-max"`` pins
@@ -144,7 +144,7 @@ def build_capacity_system(
         replicas=replicas,
         students=STUDENTS,
         load_sharing=True,
-        queue_bound=queue_bound,
+        queue_bound=8,
         autoscale=AUTOSCALE if elastic else None,
         circuit_breaker=BREAKER if elastic else None,
         result_cache=CACHE if elastic else None,
@@ -163,12 +163,11 @@ def run_diurnal(
     mode: str,
     phases: Sequence[Phase],
     seed: int = 42,
-    settle: float = 6.0,
-    call_timeout: float = 10.0,
 ) -> Dict[str, Any]:
-    """Drive the full trace against one deployment; return its ledger."""
+    """Drive the full trace against one deployment (6 s to settle, 10 s per
+    call); return its ledger."""
     system, service = build_capacity_system(mode, seed=seed)
-    system.settle(settle)
+    system.settle(6.0)
     controller = service.autoscalers[0] if service.autoscalers else None
     started = system.env.now
     replica_base = (
@@ -188,7 +187,7 @@ def run_diurnal(
             "StudentInformation",
             rate=phase.rate,
             duration=phase.duration,
-            call_timeout=call_timeout,
+            call_timeout=10.0,
             arguments=phase.arguments(),
             rng_stream=f"capacity-{phase.name}",
         )
@@ -253,7 +252,7 @@ def run_diurnal(
     }
 
 
-def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
+def run_breaker_drill(seed: int = 42) -> Dict[str, Any]:
     """Trip the breaker on a dead group, then heal it through a probe."""
     system = WhisperSystem(
         ScenarioConfig(
@@ -268,7 +267,7 @@ def run_breaker_drill(seed: int = 42, settle: float = 6.0) -> Dict[str, Any]:
         )
     )
     service = system.deploy_student_service()
-    system.settle(settle)
+    system.settle(6.0)
     node, _soap = system.add_client("drill-client")
     outcomes: List[str] = []
 

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import platform
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
-
-from ..core.config import ScenarioConfig
-from ..core.system import WhisperSystem
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 __all__ = [
     "SweepPoint",
     "Sweep",
     "run_sweep",
-    "fig4_counts",
     "Progress",
     "quiet",
     "bench_record",
@@ -89,29 +85,6 @@ def run_sweep(
     for value in values:
         sweep.points.append(SweepPoint(parameter=value, measurements=measure(value)))
     return sweep
-
-
-def fig4_counts(
-    config: ScenarioConfig, settle: float = 10.0
-) -> Tuple[int, int, Dict[str, int]]:
-    """Message counts of the Figure-4 probe: deploy, settle, one invocation.
-
-    What the WAN bench's byte-identity guard compares: two configs that
-    must describe the same deployment have to return equal ``(sent,
-    delivered, sent-by-category)`` triples.
-    """
-    system = WhisperSystem(config)
-    service = system.deploy_student_service()
-    system.settle(settle)
-    node, _soap = system.add_client()
-    system.run_process(
-        service.invoke("StudentInformation", {"ID": "S00001"}), node
-    )
-    return (
-        system.trace.sent_total,
-        system.trace.delivered_total,
-        dict(system.trace.sent_by_category),
-    )
 
 
 #: How a gated bench reports the phase it is starting: the CLI passes

@@ -19,23 +19,18 @@ same simulated testbed as the paper's §5 experiments:
 * **Nearest-region latency** — client RTT when the proxy binds its home
   region's group, vs the same client's RTT after the home region's group
   crashes and invocations fail over across the WAN.
-
-The record also carries a **Figure-4 guard**: a single-region topology
-expressed through the new API must produce byte-identical message counts
-to the seed's flat-LAN path (``topology=None``), proving the WAN layer
-costs nothing until a second region exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..core.config import ScenarioConfig
 from ..core.system import WhisperSystem
 from ..core.topology import GossipSpec, Topology
-from .harness import Progress, bench_record, fig4_counts, format_assertions, quiet
+from .harness import Progress, bench_record, format_assertions, quiet
 from .stats import percentile
 
 __all__ = [
@@ -52,6 +47,8 @@ __all__ = [
 #: Advertisement categories that cross the WAN in each mode.
 GOSSIP_CATEGORIES = ("gossip-rumor", "gossip-digest", "gossip-delta")
 FLOOD_CATEGORIES = ("gossip-flood",)
+#: Seconds between rumor rounds in every sweep (``GossipSpec``'s default).
+INTERVAL = 0.5
 
 
 def _region_names(count: int) -> List[str]:
@@ -64,18 +61,13 @@ def build_wan_system(
     replicas: int = 1,
     fanout: int = 2,
     mode: str = "gossip",
-    interval: float = 0.5,
-    anti_entropy_interval: float = 5.0,
+    interval: float = INTERVAL,
 ):
-    """A region-replicated student service over a full WAN mesh."""
+    """A region-replicated student service over a full WAN mesh (digest
+    exchange every 5 s, ``GossipSpec``'s default)."""
     topology = Topology.mesh(
         _region_names(regions),
-        gossip=GossipSpec(
-            fanout=fanout,
-            interval=interval,
-            anti_entropy_interval=anti_entropy_interval,
-            mode=mode,
-        ),
+        gossip=GossipSpec(fanout=fanout, interval=interval, mode=mode),
     )
     system = WhisperSystem(
         ScenarioConfig(seed=seed, replicas=replicas, topology=topology)
@@ -165,65 +157,41 @@ def _round_bound(regions: int) -> float:
     return 2.0 * math.log2(max(2, regions)) + 3.0
 
 
-def _spread_point(
-    regions: int, fanout: int, seed: int, interval: float, settle: float
-) -> ConvergencePoint:
+def _spread_point(regions: int, fanout: int, seed: int, settle: float) -> ConvergencePoint:
     """Deploy, let the rumors run for ``settle``, measure the spread."""
     system, _service = build_wan_system(
-        regions, seed=seed, fanout=fanout, interval=interval
+        regions, seed=seed, fanout=fanout, interval=INTERVAL
     )
     system.settle(settle)
     spread = _spread_delays(system)
     return ConvergencePoint(
         regions=regions,
         fanout=fanout,
-        interval=interval,
-        rounds=spread["max_delay"] / interval,
+        interval=INTERVAL,
+        rounds=spread["max_delay"] / INTERVAL,
         round_bound=_round_bound(regions),
         **spread,
     )
 
 
-def run_convergence(
-    region_counts: Sequence[int] = (2, 3, 4, 6, 8),
-    fanout: int = 2,
-    seed: int = 42,
-    interval: float = 0.5,
-    settle: float = 20.0,
-) -> List[ConvergencePoint]:
-    """Spread delay vs region count at a fixed fanout."""
-    return [
-        _spread_point(regions, fanout, seed, interval, settle)
-        for regions in region_counts
-    ]
+def run_convergence(seed: int) -> List[ConvergencePoint]:
+    """Spread delay vs region count (2 to 8) at fanout 2, after 20 s."""
+    return [_spread_point(regions, 2, seed, 20.0) for regions in (2, 3, 4, 6, 8)]
 
 
-def run_staleness(
-    fanouts: Sequence[int] = (1, 2, 3, 4),
-    regions: int = 4,
-    seed: int = 42,
-    interval: float = 0.5,
-    settle: float = 30.0,
-) -> List[ConvergencePoint]:
-    """Spread delay vs fanout at a fixed region count.
+def run_staleness(seed: int) -> List[ConvergencePoint]:
+    """Spread delay vs fanout (1 to 4) over 4 regions, after 30 s.
 
-    ``settle`` must exceed the anti-entropy interval so the fanout-1
-    point (which leans on digest repair) still fully converges — its
-    *delay* is the staleness being measured.
+    The 30 s exceed the anti-entropy interval so the fanout-1 point
+    (which leans on digest repair) still fully converges — its *delay* is
+    the staleness being measured.
     """
-    return [
-        _spread_point(regions, fanout, seed, interval, settle)
-        for fanout in fanouts
-    ]
+    return [_spread_point(4, fanout, seed, 30.0) for fanout in (1, 2, 3, 4)]
 
 
-def run_message_economy(
-    regions: int = 3,
-    seed: int = 42,
-    settle: float = 20.0,
-    window: float = 30.0,
-) -> Dict[str, Any]:
-    """Steady-state cross-region advertisement traffic, gossip vs flood.
+def run_message_economy(seed: int) -> Dict[str, Any]:
+    """Steady-state cross-region advertisement traffic, gossip vs flood,
+    over 3 regions: 20 s to settle, then a 30 s counted window.
 
     Both deployments settle to full convergence first; the counted window
     then contains only keep-alive traffic — periodic SRDI republications,
@@ -232,6 +200,7 @@ def run_message_economy(
     flood traffic grows with the number of publishing replicas, digest
     traffic does not.
     """
+    regions, window = 3, 30.0
     counts: Dict[str, Dict[str, Any]] = {}
     for mode, categories in (
         ("gossip", GOSSIP_CATEGORIES),
@@ -240,7 +209,7 @@ def run_message_economy(
         system, _service = build_wan_system(
             regions, seed=seed, replicas=2, mode=mode
         )
-        system.settle(settle)
+        system.settle(20.0)
         spread = _spread_delays(system)
         system.reset_counters()
         system.run_until(system.env.now + window)
@@ -265,15 +234,12 @@ def run_message_economy(
     }
 
 
-def run_latency(
-    regions: int = 3,
-    seed: int = 42,
-    samples: int = 30,
-    settle: float = 20.0,
-) -> Dict[str, Any]:
-    """Client RTT binding the home region vs failing over across the WAN."""
+def run_latency(seed: int) -> Dict[str, Any]:
+    """Client RTT binding the home region vs failing over across the WAN:
+    3 regions, 30 calls each way after 20 s to settle."""
+    regions, samples = 3, 30
     system, service = build_wan_system(regions, seed=seed, replicas=2)
-    system.settle(settle)
+    system.settle(20.0)
     node, _soap = system.add_client("wan-client")
     home: List[float] = []
     remote: List[float] = []
@@ -312,18 +278,6 @@ def run_latency(
     }
 
 
-def run_fig4_guard(seed: int = 42, settle: float = 10.0) -> Dict[str, Any]:
-    """Byte-identity: explicit single-region topology vs the seed path."""
-    config = ScenarioConfig(seed=seed, replicas=3)
-    seed_path = fig4_counts(config, settle)
-    single = fig4_counts(config.replace(topology=Topology.single_region()), settle)
-    return {
-        "seed_sent": seed_path[0],
-        "single_region_sent": single[0],
-        "identical": seed_path == single,
-    }
-
-
 def run_wan(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
     """The WAN measurement; returns the BENCH_wan record dict."""
     progress("convergence sweep ...")
@@ -334,8 +288,6 @@ def run_wan(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
     economy = run_message_economy(seed=seed)
     progress("nearest-region latency ...")
     latency = run_latency(seed=seed)
-    progress("figure-4 byte-identity guard ...")
-    fig4 = run_fig4_guard(seed=seed)
 
     log_rounds = all(
         point.within_bound for point in convergence if point.fanout >= 2
@@ -346,7 +298,6 @@ def run_wan(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
         and all(p.converged for p in staleness),
         "gossip_beats_flood": economy["gossip_beats_flood"],
         "nearest_region_faster": latency["nearest_region_faster"],
-        "fig4_byte_identical": fig4["identical"],
     }
     body = {
         "seed": seed,
@@ -354,7 +305,6 @@ def run_wan(seed: int = 42, progress: Progress = quiet) -> Dict[str, Any]:
         "staleness": [point.to_dict() for point in staleness],
         "economy": economy,
         "latency": latency,
-        "fig4_guard": fig4,
     }
     return bench_record("wan", body, assertions)
 
@@ -409,13 +359,6 @@ def format_record(record: Dict[str, Any]) -> str:
     lines.append(
         f"cross-region failover p50: {latency['failover_p50_ms']:.1f} ms "
         f"(region_failovers={latency['region_failovers']})"
-    )
-    fig4 = record["fig4_guard"]
-    lines.append("")
-    lines.append(
-        f"figure-4 guard: seed {fig4['seed_sent']} msgs vs "
-        f"single-region topology {fig4['single_region_sent']} msgs — "
-        + ("IDENTICAL" if fig4["identical"] else "DIVERGED")
     )
     lines.append("")
     lines.append(format_assertions(record))

@@ -360,10 +360,12 @@ def _eventual_rebind_violations(system, service, node) -> List[str]:
 # -- shrinking ----------------------------------------------------------------------
 
 
+#: The most re-runs one shrink may spend.
+MAX_SHRINK_RUNS = 48
+
+
 def shrink_schedule(
-    scenario: Scenario,
-    schedule: Schedule,
-    max_runs: int = 48,
+    scenario: Scenario, schedule: Schedule
 ) -> Tuple[Schedule, RunRecord, int]:
     """ddmin the fault ops, then try dropping the tiebreak perturbation.
 
@@ -377,7 +379,7 @@ def shrink_schedule(
 
     def violates(candidate: Schedule) -> Optional[RunRecord]:
         nonlocal runs
-        if runs >= max_runs:
+        if runs >= MAX_SHRINK_RUNS:
             return None
         runs += 1
         outcome = scenario.run(candidate)
@@ -393,7 +395,7 @@ def shrink_schedule(
     # ddmin over the op list: remove progressively smaller chunks.
     kept = list(range(len(schedule.ops)))
     granularity = 2
-    while len(kept) >= 2 and runs < max_runs:
+    while len(kept) >= 2 and runs < MAX_SHRINK_RUNS:
         chunk = max(1, len(kept) // granularity)
         reduced = False
         for start in range(0, len(kept), chunk):
@@ -422,7 +424,7 @@ def shrink_schedule(
     )
 
     # A counterexample that survives FIFO ordering is simpler still.
-    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < max_runs:
+    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < MAX_SHRINK_RUNS:
         fifo = Schedule(tiebreak=None, ops=minimal.ops, label=minimal.label)
         outcome = violates(fifo)
         if outcome is not None:

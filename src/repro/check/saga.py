@@ -479,14 +479,13 @@ def run_dlq_demo(
     seed: int = 42,
     sagas: int = 3,
     requeue: bool = False,
-    outage: float = 20.0,
 ) -> Dict[str, Any]:
     """Deterministically park sagas in the DLQ; optionally requeue them.
 
     Every submission is insolvent (``ReserveFunds`` faults), so each
     saga must compensate its registered loan — but every replica of the
-    ``CancelLoan`` operation group is crashed for ``outage`` seconds
-    before the workload starts.  The forward ``RegisterLoan`` group is a
+    ``CancelLoan`` operation group is crashed for 20 s before the
+    workload starts.  The forward ``RegisterLoan`` group is a
     *different* set of hosts and keeps committing, so compensation
     exhausts its attempt budget against the dead group and the sagas
     park in the dead-letter queue.  With ``requeue=True`` the demo then
@@ -505,6 +504,7 @@ def run_dlq_demo(
     system, services, fleet = _deploy_loans(scenario)
     system.settle(SETTLE)
     env = system.env
+    outage = 20.0
 
     cancel_hosts = [
         peer.node.name

@@ -172,15 +172,16 @@ def _usage_error(command: str, message: str) -> int:
 
 
 def _observed_run(
-    seed: int, samples: int, crash: bool = False, replicas: int = 4
+    seed: int, samples: int, crash: bool = False
 ) -> Tuple[WhisperSystem, object]:
-    """Deploy the student service and drive ``samples`` requests through it.
+    """Deploy the student service on 4 replicas and drive ``samples``
+    requests through it.
 
     With ``crash=True`` the group's coordinator is crashed shortly after
     the workload starts, so the traces show the full failure story: a
     timed-out ``invoke``, a ``recover`` span, re-``bind``, and retry.
     """
-    system = WhisperSystem(ScenarioConfig(seed=seed, replicas=replicas))
+    system = WhisperSystem(ScenarioConfig(seed=seed, replicas=4))
     service = system.deploy_student_service()
     system.settle(6.0)
     node, soap = system.add_client("obs-client")

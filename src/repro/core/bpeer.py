@@ -148,9 +148,8 @@ class BPeer(Peer):
         group_name: str,
         implementation: ServiceImplementation,
         config: ScenarioConfig = ScenarioConfig(),
-        name: Optional[str] = None,
     ):
-        super().__init__(node, name=name)
+        super().__init__(node)
         self.group_id = group_id
         self.group_name = group_name
         self.implementation = implementation
@@ -242,17 +241,18 @@ class BPeer(Peer):
                 self._republish_loop(), name=f"bpeer-republish:{self.name}"
             )
 
-    def keep_published(self, advertisement, remote: bool = True) -> None:
-        """Publish now and republish periodically (survives SRDI loss)."""
-        self.published_advertisements.append((advertisement, remote))
-        self.discovery.publish(advertisement, remote=remote)
+    def keep_published(self, advertisement) -> None:
+        """Publish now, into the rendezvous' SRDI index too, and republish
+        periodically (survives SRDI loss)."""
+        self.published_advertisements.append(advertisement)
+        self.discovery.publish(advertisement, remote=True)
 
     def _republish_loop(self):
         try:
             while True:
                 yield self.env.timeout(REPUBLISH_PERIOD)
-                for advertisement, remote in self.published_advertisements:
-                    self.discovery.publish(advertisement, remote=remote)
+                for advertisement in self.published_advertisements:
+                    self.discovery.publish(advertisement, remote=True)
         except Interrupt:
             return
 
@@ -260,8 +260,8 @@ class BPeer(Peer):
         """Recover after a crash+restart: re-attach, re-join, re-serve."""
         if self._rendezvous is not None:
             self.start(self._rendezvous)
-            for advertisement, remote in self.published_advertisements:
-                self.discovery.publish(advertisement, remote=remote)
+            for advertisement in self.published_advertisements:
+                self.discovery.publish(advertisement, remote=True)
 
     def shutdown(self) -> None:
         """Gracefully leave the group (planned maintenance).

@@ -95,8 +95,10 @@ class ShardRing:
                 return owner
         return None
 
-    def segment_fraction(self, member: str, samples: int = 4096) -> float:
-        """Approximate fraction of the keyspace owned by ``member``."""
+    def segment_fraction(self, member: str) -> float:
+        """Approximate fraction of the keyspace owned by ``member``, from
+        4096 probe keys."""
+        samples = 4096
         if member not in self._members or not self._points:
             return 0.0
         owned = sum(
@@ -121,8 +123,8 @@ class ShardRouter:
     segment for clockwise failover until the suspicion expires.
     """
 
-    def __init__(self, virtual_nodes: int = 64, suspect_interval: float = 10.0):
-        self.ring = ShardRing(virtual_nodes)
+    def __init__(self, suspect_interval: float = 10.0):
+        self.ring = ShardRing()
         self.suspect_interval = suspect_interval
         self._suspicions: Dict[str, _Suspicion] = {}
 

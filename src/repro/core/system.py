@@ -24,7 +24,6 @@ from ..backend.warehouse import build_warehouse
 from ..obs import Observability
 from ..ontology.domains import b2b_ontology
 from ..ontology.match import ConceptMatcher
-from ..ontology.ontology import Ontology
 from ..ontology.reasoner import Reasoner
 from ..p2p.gossip import GossipService
 from ..p2p.peer import Peer
@@ -191,12 +190,7 @@ def _shard_implementations(operation_impls, shards: int, operation: str, what: s
 class WhisperSystem:
     """A complete Whisper deployment on one simulated LAN."""
 
-    def __init__(
-        self,
-        config: Optional[ScenarioConfig] = None,
-        *,
-        ontology: Optional[Ontology] = None,
-    ):
+    def __init__(self, config: Optional[ScenarioConfig] = None):
         """Build a deployment from one :class:`ScenarioConfig`."""
         self.config = config if config is not None else ScenarioConfig()
         #: The declarative network shape.  ``config.topology=None`` means
@@ -209,20 +203,15 @@ class WhisperSystem:
         #: do not depend on it.
         self.obs = Observability()
         self.trace.metrics = self.obs.metrics
-        home_spec = self.topology.regions[0]
         self.network = Network(
             self.env,
             trace=self.trace,
             rng=RngRegistry(self.config.seed),
-            default_latency=(
-                parse_latency_spec(home_spec.latency)
-                if self.config.topology is not None
-                else None
-            ),
+            default_latency=parse_latency_spec(self.topology.regions[0].latency),
             obs=self.obs,
         )
         self.failures = FailureInjector(self.network)
-        self.ontology = ontology if ontology is not None else b2b_ontology()
+        self.ontology = b2b_ontology()
         self.reasoner = Reasoner(self.ontology)
         self.matcher = ConceptMatcher(self.reasoner)
         self.services: Dict[str, DeployedService] = {}
@@ -420,29 +409,18 @@ class WhisperSystem:
         return deployed
 
     def deploy_plain_service(
-        self,
-        service_name: str,
-        implementation: ServiceImplementation,
-        web_host: Optional[str] = None,
+        self, service_name: str, implementation: ServiceImplementation
     ) -> PlainWebService:
         """Deploy the no-Whisper baseline (implementation on the web host)."""
-        node = self.network.add_host(web_host or f"web-{service_name}")
+        node = self.network.add_host(f"web-{service_name}")
         return PlainWebService(node, service_name, implementation)
 
-    def add_client(
-        self,
-        name: str = "client0",
-        timeout: float = 5.0,
-        region: Optional[str] = None,
-    ):
+    def add_client(self, name: str = "client0", timeout: float = 5.0):
         """Add a client host; returns ``(node, soap_client)``.
 
-        In multi-region topologies the client lands in ``region``
-        (defaulting to the home region); on the flat LAN the argument
-        must stay ``None``.
+        In multi-region topologies the client lands in the home region.
         """
-        if region is None and self.topology.multi_region:
-            region = self.topology.home
+        region = self.topology.home if self.topology.multi_region else None
         node = self.network.add_host(name, region=region)
         return node, SoapClient(node, default_timeout=timeout)
 
@@ -495,15 +473,14 @@ class WhisperSystem:
         )
 
     def deploy_enrollment_service(
-        self,
-        config: Optional[ScenarioConfig] = None,
-        web_host: Optional[str] = "web0",
+        self, web_host: Optional[str] = "web0"
     ) -> DeployedService:
         """The write twin of :meth:`deploy_student_service`: §3's mutating
         ``sm:EnrollStudent``, every replica (of every shard) over its own
         operational store, so an audit can attribute each application of
-        an effect to the member that made it."""
-        scenario = config if config is not None else self.config
+        an effect to the member that made it.  Sized by the system's
+        :class:`ScenarioConfig`."""
+        scenario = self.config
 
         def replica(_index: int) -> ServiceImplementation:
             return student_enrollment(student_database(scenario.students))

@@ -181,24 +181,23 @@ class Topology:
     # -- constructors -------------------------------------------------------------
 
     @staticmethod
-    def single_region(name: str = "lan0", latency: str = "lan") -> "Topology":
+    def single_region() -> "Topology":
         """The paper's testbed: one switched LAN, no WAN, no gossip."""
-        return Topology(regions=(RegionSpec(name, latency=latency),))
+        return Topology(regions=(RegionSpec("lan0"),))
 
     @staticmethod
     def mesh(
         region_names,
-        lan_latency: str = "lan",
-        wan_latency: str = DEFAULT_WAN_LATENCY,
         gossip: Optional[GossipSpec] = None,
         placement: str = "replicate",
     ) -> "Topology":
-        """A full symmetric mesh over ``region_names`` — the bench workhorse."""
+        """A full symmetric mesh over ``region_names`` — the bench
+        workhorse: paper-LAN regions, default WAN links."""
         names = list(region_names)
         return Topology(
-            regions=tuple(RegionSpec(name, latency=lan_latency) for name in names),
+            regions=tuple(RegionSpec(name) for name in names),
             wan_links=tuple(
-                WanLinkSpec(a, b, latency=wan_latency)
+                WanLinkSpec(a, b)
                 for index, a in enumerate(names)
                 for b in names[index + 1 :]
             ),

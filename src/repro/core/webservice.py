@@ -33,12 +33,11 @@ class WhisperWebService:
         node: Node,
         sws: SemanticWebService,
         proxy: SwsProxy,
-        port: int = 80,
     ):
         self.node = node
         self.sws = sws
         self.proxy = proxy
-        self.soap = SoapServer(node, port=port)
+        self.soap = SoapServer(node)
         self.path = f"/{sws.name}"
         self.soap.mount(self.path, self._dispatch)
         # Standard SOA affordance: GET <path>?wsdl returns the (WSDL-S)
@@ -106,11 +105,11 @@ class PlainWebService:
     behind.  Used as the 1-replica baseline of Ablation B.
     """
 
-    def __init__(self, node: Node, service_name: str, implementation, port: int = 80):
+    def __init__(self, node: Node, service_name: str, implementation):
         self.node = node
         self.service_name = service_name
         self.implementation = implementation
-        self.soap = SoapServer(node, port=port)
+        self.soap = SoapServer(node)
         self.path = f"/{service_name}"
         self.soap.mount(self.path, self._dispatch)
 

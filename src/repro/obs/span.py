@@ -153,11 +153,10 @@ class RequestTrace:
 
     # -- recording -----------------------------------------------------------
 
-    def begin(
-        self, phase: str, now: float, parent: Optional[Span] = None, **tags: Any
-    ) -> Span:
-        """Open a phase span under ``parent`` (default: the root)."""
-        return (parent or self.root).child(phase, now, **tags)
+    def begin(self, phase: str, now: float, **tags: Any) -> Span:
+        """Open a phase span under the root (a nested one is
+        :meth:`Span.child` of its parent)."""
+        return self.root.child(phase, now, **tags)
 
     def finish(self, now: float, status: str = "ok") -> None:
         """Close the trace: force-close any open span, stamp the outcome."""

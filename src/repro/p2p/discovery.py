@@ -75,12 +75,9 @@ class DiscoveryService:
     # -- local queries (paper §3.2: getLocalAdvertisements) -----------------------------
 
     def get_local_advertisements(
-        self,
-        adv_type: Optional[Type[Advertisement]] = None,
-        attribute: Optional[str] = None,
-        value: Optional[str] = None,
+        self, adv_type: Optional[Type[Advertisement]] = None
     ) -> List[Advertisement]:
-        return self.cache.query(adv_type=adv_type, attribute=attribute, value=value)
+        return self.cache.query(adv_type=adv_type)
 
     # -- remote queries --------------------------------------------------------------------
 

@@ -66,12 +66,11 @@ class RendezvousService:
         self,
         endpoint: EndpointService,
         is_rendezvous: bool = False,
-        lease_duration: float = LEASE_DURATION,
     ):
         self.endpoint = endpoint
         self.env = endpoint.node.env
         self.is_rendezvous = is_rendezvous
-        self.lease_duration = lease_duration
+        self.lease_duration = LEASE_DURATION
         #: rendezvous side: connected edge peers -> lease expiry time.
         self.clients: Dict[PeerId, float] = {}
         #: edge side: the rendezvous we hold a lease with.

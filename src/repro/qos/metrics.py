@@ -54,10 +54,10 @@ class QosProfile:
     initial_time: float = 0.05
     initial_reliability: float = 1.0
 
-    _time: Optional[float] = field(default=None, repr=False)
-    _reliability: Optional[float] = field(default=None, repr=False)
-    observations: int = 0
-    successes: int = 0
+    _time: Optional[float] = field(default=None, init=False, repr=False)
+    _reliability: Optional[float] = field(default=None, init=False, repr=False)
+    observations: int = field(default=0, init=False)
+    successes: int = field(default=0, init=False)
 
     def record_success(self, elapsed: float) -> None:
         """Record a successful invocation that took ``elapsed`` seconds."""

@@ -105,7 +105,7 @@ class FailureInjector:
         time: float,
         region_a: str,
         region_b: str,
-        duration: Optional[float] = None,
+        duration: float,
     ) -> None:
         """Cut the WAN between two regions at ``time``; heal after ``duration``."""
         label = f"wan:{region_a}|{region_b}"
@@ -113,11 +113,10 @@ class FailureInjector:
         def split() -> None:
             handle = self.network.partition_regions(region_a, region_b)
             self.log.append(FailureEvent(self.network.env.now, "partition", label))
-            if duration is not None:
-                self._at(
-                    self.network.env.now + duration,
-                    lambda: self._heal_one(handle, label),
-                )
+            self._at(
+                self.network.env.now + duration,
+                lambda: self._heal_one(handle, label),
+            )
 
         self._at(time, split)
 
@@ -129,7 +128,6 @@ class FailureInjector:
         mtbf: float,
         mttr: float,
         until: float,
-        stream: str = "churn",
     ) -> List[Tuple[float, float, str]]:
         """Exponential crash/restart churn over ``hosts`` until ``until``.
 
@@ -140,9 +138,10 @@ class FailureInjector:
         Each host's timeline strictly alternates crash/restart: the next
         time-between-failures is sampled from the *repair* time, never from
         inside the outage (a host cannot crash while already down).
-        Returns the schedule as ``(crash_time, restart_time, host)`` tuples.
+        Returns the schedule as ``(crash_time, restart_time, host)`` tuples;
+        every call draws from the registry's one ``churn`` stream.
         """
-        rng = self.network.rng.stream(stream)
+        rng = self.network.rng.stream("churn")
         env = self.network.env
         schedule: List[Tuple[float, float, str]] = []
         for host in hosts:

@@ -19,7 +19,7 @@ byte-for-byte like the flat LAN the paper measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs import Observability
 from .environment import Environment
@@ -43,7 +43,7 @@ class UnknownHostError(Exception):
 
 @dataclass
 class Link:
-    """Per-host-pair overrides of the default LAN characteristics."""
+    """A route's characteristics: a region's LAN or a directed WAN link."""
 
     latency: LatencyModel
     bandwidth_bps: float
@@ -80,12 +80,11 @@ class Network:
         self.default_latency = default_latency or lan_latency()
         self.default_bandwidth_bps = default_bandwidth_bps
         self.loss_rate = 0.0
-        #: The flat-LAN route every send without an override or region
+        #: The flat-LAN route every send between region-free hosts
         #: takes.  Latency and bandwidth only: ``loss_rate`` is assigned
         #: mid-run, so :meth:`send` and :meth:`link_between` read it live.
         self._default_link = Link(self.default_latency, default_bandwidth_bps)
         self.hosts: Dict[str, Node] = {}
-        self._links: Dict[FrozenSet[str], Link] = {}
         self.regions: Dict[str, Region] = {}
         #: Directed WAN links, ``(src_region, dst_region) -> Link`` — two
         #: entries per region pair so up/down latency can differ.
@@ -126,7 +125,6 @@ class Network:
         self,
         name: str,
         latency: Optional[LatencyModel] = None,
-        bandwidth_bps: Optional[float] = None,
         loss_rate: float = 0.0,
     ) -> Region:
         """Declare a named LAN segment; hosts join it via ``add_host(region=)``."""
@@ -138,7 +136,7 @@ class Network:
             name=name,
             link=Link(
                 latency=latency or self.default_latency,
-                bandwidth_bps=bandwidth_bps or self.default_bandwidth_bps,
+                bandwidth_bps=self.default_bandwidth_bps,
                 loss_rate=loss_rate,
             ),
         )
@@ -152,7 +150,6 @@ class Network:
         latency: Optional[LatencyModel] = None,
         latency_back: Optional[LatencyModel] = None,
         bandwidth_bps: Optional[float] = None,
-        loss_rate: float = 0.0,
     ) -> Link:
         """Join two regions with a WAN link (asymmetric if ``latency_back``).
 
@@ -168,12 +165,10 @@ class Network:
         forward = Link(
             latency=latency or self.default_latency,
             bandwidth_bps=bandwidth_bps or self.default_bandwidth_bps,
-            loss_rate=loss_rate,
         )
         backward = Link(
             latency=latency_back or forward.latency,
             bandwidth_bps=forward.bandwidth_bps,
-            loss_rate=loss_rate,
         )
         self._wan_links[(a, b)] = forward
         self._wan_links[(b, a)] = backward
@@ -235,36 +230,14 @@ class Network:
             raise ValueError(f"unknown region {region!r}")
         return set(self.regions[region].hosts)
 
-    def connect(
-        self,
-        a: str,
-        b: str,
-        latency: Optional[LatencyModel] = None,
-        bandwidth_bps: Optional[float] = None,
-        loss_rate: float = 0.0,
-    ) -> Link:
-        """Override the default LAN characteristics for one host pair."""
-        a, b = self.resolve_host_name(a), self.resolve_host_name(b)
-        link = Link(
-            latency=latency or self.default_latency,
-            bandwidth_bps=bandwidth_bps or self.default_bandwidth_bps,
-            loss_rate=loss_rate,
-        )
-        self._links[frozenset((a, b))] = link
-        return link
-
     def _route(self, src: str, dst: str) -> Optional[Link]:
         """The directed effective link, or ``None`` when no WAN route exists.
 
-        Per-pair overrides win; then same-region traffic uses the region's
-        LAN link, cross-region traffic the directed WAN link (``None`` if
-        the regions were never connected), and everything else the default
-        flat LAN — exactly the seed's behaviour when no regions exist.
+        Same-region traffic uses the region's LAN link, cross-region
+        traffic the directed WAN link (``None`` if the regions were never
+        connected), and everything else the default flat LAN — exactly the
+        seed's behaviour when no regions exist.
         """
-        if self._links:
-            override = self._links.get(frozenset((src, dst)))
-            if override is not None:
-                return override
         if self._host_region:
             region_a = self._host_region.get(src)
             region_b = self._host_region.get(dst)
@@ -275,7 +248,7 @@ class Network:
         return self._default_link
 
     def link_between(self, a: str, b: str) -> Link:
-        """The effective ``a -> b`` link (override, region, WAN, or default)."""
+        """The effective ``a -> b`` link (region, WAN, or default)."""
         a, b = self.resolve_host_name(a), self.resolve_host_name(b)
         link = self._route(a, b)
         if link is not None and link is not self._default_link:
@@ -365,7 +338,7 @@ class Network:
             self.trace.on_drop(now, message, reason="partition")
             return
 
-        if self._links or self._host_region:
+        if self._host_region:
             link = self._route(src_name, dst_name)
             if link is None:
                 # Distinct regions with no WAN link between them.

@@ -42,14 +42,11 @@ class SoapClient:
         arguments: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
-        retries: int = 0,
     ) -> Generator:
         """Invoke ``operation`` at ``address``/``path`` (use with ``yield from``).
 
-        ``retries`` re-issues the request after a timeout (the reliability
-        a real HTTP client gets from TCP retransmission; our simulated
-        transport is a datagram, so lossy-network scenarios opt in here).
-        Each attempt gets the full ``timeout``.
+        One request, waited for ``timeout`` (the client's default unless
+        given): a lost request or reply raises :class:`RequestTimeout`.
         """
         env = self.node.env
         trace = self.node.network.trace
@@ -67,19 +64,13 @@ class SoapClient:
         correlation = next(_CALL_IDS)
         trace.stamp_request(correlation, env.now)
         self.calls_sent += 1
-        response = None
         try:
-            for attempt in range(retries + 1):
-                try:
-                    response = yield from http_request(
-                        self.node, address, request, timeout=effective_timeout
-                    )
-                    break
-                except RequestTimeout:
-                    self.timeouts += 1
-                    if attempt == retries:
-                        raise
-        except BaseException:  # timed out, or the caller's host crashed
+            response = yield from http_request(
+                self.node, address, request, timeout=effective_timeout
+            )
+        except BaseException as error:  # timed out, or the caller's host crashed
+            if isinstance(error, RequestTimeout):
+                self.timeouts += 1
             trace.cancel_request(correlation)
             raise
         trace.stamp_reply(correlation, env.now)

@@ -44,12 +44,12 @@ class SoapFault(Exception):
         self.faultactor = faultactor
 
     @classmethod
-    def client(cls, message: str, detail: Any = None) -> "SoapFault":
-        return cls(FaultCode.CLIENT, message, detail)
+    def client(cls, message: str) -> "SoapFault":
+        return cls(FaultCode.CLIENT, message)
 
     @classmethod
-    def server(cls, message: str, detail: Any = None) -> "SoapFault":
-        return cls(FaultCode.SERVER, message, detail)
+    def server(cls, message: str) -> "SoapFault":
+        return cls(FaultCode.SERVER, message)
 
     @classmethod
     def server_busy(

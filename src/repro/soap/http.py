@@ -75,10 +75,10 @@ Handler = Callable[[HttpRequest], Any]
 class HttpServer:
     """An HTTP listener on one node, dispatching by request path."""
 
-    def __init__(self, node: Node, port: int = 80, category: str = "soap"):
+    def __init__(self, node: Node):
         self.node = node
-        self.port = port
-        self.category = category
+        #: Every service on the LAN listens on HTTP's one well-known port.
+        self.port = 80
         self._handlers: Dict[str, Handler] = {}
         self._socket = None
         self.requests_served = 0
@@ -145,7 +145,7 @@ class HttpServer:
             self._socket.send(
                 message.src,
                 payload=response,
-                category=self.category,
+                category="soap",
                 size_bytes=response.size_bytes(),
                 correlation_id=message.correlation_id or message.msg_id,
             )
@@ -156,7 +156,6 @@ def http_request(
     address: Address,
     request: HttpRequest,
     timeout: float = 5.0,
-    category: str = "soap",
 ) -> Generator:
     """Issue a request and wait for the response (or time out).
 
@@ -170,7 +169,7 @@ def http_request(
         socket.send(
             address,
             payload=request,
-            category=category,
+            category="soap",
             size_bytes=request.size_bytes(),
         )
         message = yield Wait(env, socket.recv(), timeout)

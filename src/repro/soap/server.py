@@ -27,9 +27,9 @@ Dispatcher = Callable[[str, Dict[str, Any], Dict[str, str]], Any]
 class SoapServer:
     """SOAP-over-HTTP endpoints for one node."""
 
-    def __init__(self, node: Node, port: int = 80):
+    def __init__(self, node: Node):
         self.node = node
-        self.http = HttpServer(node, port=port)
+        self.http = HttpServer(node)
         self._dispatchers: Dict[str, Dispatcher] = {}
         self.calls_handled = 0
         self.faults_returned = 0

@@ -143,10 +143,10 @@ class WorkflowResult:
 class WorkflowEngine:
     """Executes workflows from one client host."""
 
-    def __init__(self, node: Node, default_timeout: float = 30.0):
+    def __init__(self, node: Node):
         self.node = node
         self.env = node.env
-        self.client = SoapClient(node, default_timeout=default_timeout)
+        self.client = SoapClient(node, default_timeout=30.0)
 
     # -- public API -----------------------------------------------------------------
 

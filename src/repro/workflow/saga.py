@@ -324,7 +324,6 @@ class SagaOrchestrator:
         dlq=None,
         compensation_enabled: bool = True,
         max_compensation_attempts: int = 3,
-        compensation_backoff: float = 0.5,
     ):
         self.node = node
         self.env = node.env
@@ -333,7 +332,9 @@ class SagaOrchestrator:
         self.dlq = dlq
         self.compensation_enabled = compensation_enabled
         self.max_compensation_attempts = max_compensation_attempts
-        self.compensation_backoff = compensation_backoff
+        #: Backoff before a compensation retry: this many seconds per
+        #: attempt already made.
+        self.compensation_backoff = 0.5
         self._definitions: Dict[str, Saga] = {}
         self._saga_seq = itertools.count(1)
         self._trace_ids = itertools.count(1)

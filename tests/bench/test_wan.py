@@ -27,7 +27,6 @@ class TestWanRecord:
         assert record["assertions"]["all_points_converged"]
         assert record["assertions"]["gossip_beats_flood"]
         assert record["assertions"]["nearest_region_faster"]
-        assert record["assertions"]["fig4_byte_identical"]
         assert record["ok"]
 
     def test_convergence_points_carry_the_bound(self, record):
@@ -52,4 +51,4 @@ class TestWanRecord:
     def test_format_record_renders(self, record):
         text = format_record(record)
         assert "convergence" in text
-        assert "figure-4 guard" in text
+        assert "nearest-region client latency" in text

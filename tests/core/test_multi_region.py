@@ -9,7 +9,7 @@ nothing against the seed.
 
 import pytest
 
-from repro.bench.wan import build_wan_system, run_fig4_guard
+from repro.bench.wan import build_wan_system
 from repro.core import ScenarioConfig, UnsupportedScenarioError, WhisperSystem
 from repro.core.topology import Topology
 
@@ -99,10 +99,6 @@ class TestSpanPlacement:
 
 
 class TestGuards:
-    def test_single_region_topology_is_byte_identical_to_seed(self):
-        guard = run_fig4_guard(seed=7)
-        assert guard["identical"], guard
-
     def test_sharding_and_regions_do_not_compose_yet(self):
         topology = Topology.mesh(["r0", "r1"])
         system = WhisperSystem(

@@ -12,17 +12,25 @@ from repro.soap import RequestTimeout, SoapFault
 
 
 def _call(system, service, arguments, client, timeout=60.0, retries=0):
+    """One call through the SOAP front end; the caller re-issues it up to
+    ``retries`` times after a timeout (the client↔web-server hop is a
+    datagram, and a lost one is the caller's to re-send)."""
     node, soap = client
     outcome = {}
 
     def caller():
-        try:
-            outcome["value"] = yield from soap.call(
-                service.address, service.path, "StudentInformation", arguments,
-                timeout=timeout, retries=retries,
-            )
-        except (SoapFault, RequestTimeout) as error:
-            outcome["error"] = error
+        for _ in range(retries + 1):
+            try:
+                outcome["value"] = yield from soap.call(
+                    service.address, service.path, "StudentInformation", arguments,
+                    timeout=timeout,
+                )
+                return
+            except RequestTimeout as error:
+                outcome["error"] = error
+            except SoapFault as error:
+                outcome["error"] = error
+                return
 
     system.env.run(until=node.spawn(caller()))
     return outcome

@@ -76,7 +76,7 @@ class TestRequestTrace:
     def test_nested_spans_counted_in_phase_durations(self):
         trace = RequestTrace("Svc.Op", request_id=2, now=0.0)
         recover = trace.begin("recover", 1.0)
-        trace.begin("bind", 1.1, parent=recover).finish(1.6)
+        recover.child("bind", 1.1).finish(1.6)
         recover.finish(3.0)
         trace.finish(3.0)
         durations = trace.phase_durations()

@@ -44,7 +44,7 @@ class TestLocal:
         _rendezvous, edges = p2p
         edges[0].discovery.publish(_semantic_adv("s1", "http://o#ActA"))
         edges[0].discovery.publish(_semantic_adv("s2", "http://o#ActB"))
-        results = edges[0].discovery.get_local_advertisements(
+        results = edges[0].discovery.cache.query(
             SemanticAdvertisement, "Action", "http://o#ActA"
         )
         assert [a.name for a in results] == ["s1"]

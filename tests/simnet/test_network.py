@@ -286,32 +286,11 @@ class TestFailureModes:
 
 
 class TestLinks:
-    def test_link_override_changes_latency(self, env, network):
-        a, b = network.add_host("a"), network.add_host("b")
-        network.connect("a", "b", latency=ConstantLatency(0.5))
-        sa = a.transport.bind()
-        sb = b.transport.bind(700)
-        times = []
-
-        def receiver():
-            yield sb.recv()
-            times.append(env.now)
-
-        b.spawn(receiver())
-        sa.send(("b", 700), payload="x", size_bytes=0)
-        env.run()
-        assert times[0] == pytest.approx(0.5, abs=1e-6)
-
     def test_link_between_defaults_without_override(self, network):
         network.add_host("a")
         network.add_host("b")
         link = network.link_between("a", "b")
         assert link.bandwidth_bps == network.default_bandwidth_bps
-
-    def test_connect_unknown_host_rejected(self, network):
-        network.add_host("a")
-        with pytest.raises(UnknownHostError):
-            network.connect("a", "ghost")
 
 
 class TestMessageObject:

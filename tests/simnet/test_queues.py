@@ -64,31 +64,6 @@ class TestStore:
         env.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("x")
-            log.append(("x-in", env.now))
-            yield store.put("y")
-            log.append(("y-in", env.now))
-
-        def consumer():
-            yield env.timeout(5.0)
-            item = yield store.get()
-            log.append((item, env.now))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert ("x-in", 0.0) in log
-        assert ("y-in", 5.0) in log
-
-    def test_invalid_capacity_rejected(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
     def test_len_reports_queued_items(self, env):
         store = Store(env)
         assert len(store) == 0
@@ -131,25 +106,6 @@ class TestTombstoneCancellation:
         assert events[0].value == "a" and events[3].value == "b"
         assert not events[1].triggered and not events[2].triggered
         assert len(store._get_waiters) == 0
-
-    def test_cancelled_put_never_lands(self, env):
-        store = Store(env, capacity=1)
-        store.put("fills")
-        blocked = store.put("withdrawn")
-        env.run()
-        assert not blocked.triggered
-        blocked.cancel()
-        got = []
-
-        def drain():
-            item = yield store.get()
-            got.append(item)
-
-        env.process(drain())
-        env.run()
-        # The withdrawn put must not slip into the freed capacity.
-        assert got == ["fills"]
-        assert len(store) == 0
 
     def test_cancel_after_trigger_is_noop(self, env):
         store = Store(env)
@@ -305,13 +261,3 @@ class TestPush:
         env.run()
         assert env.events_processed == 1  # the ``StorePut``
         assert list(store.items) == ["item"]
-
-    def test_bounded_store_keeps_put_semantics(self, env):
-        store = Store(env, capacity=1)
-        store.push("fills")
-        store.push("waits")
-        assert list(store.items) == ["fills"] and len(store._put_waiters) == 1
-        got = []
-        self._consume(env, store, 2, got)
-        env.run()
-        assert [item for item, _ in got] == ["fills", "waits"]

@@ -1,4 +1,5 @@
-"""Tests for SOAP client-side retries (datagram-loss recovery)."""
+"""The SOAP client on a lossy network: one request per call, a timeout
+when it or its reply is lost, and the RTT stamps released either way."""
 
 import os
 import subprocess
@@ -16,7 +17,7 @@ SOURCE = str(Path(__file__).resolve().parents[2] / "src")
 @pytest.fixture
 def deployment(env, network, two_hosts):
     server_node, client_node = two_hosts
-    server = SoapServer(server_node, port=80)
+    server = SoapServer(server_node)
     calls = {"count": 0}
 
     def dispatcher(operation, arguments, headers):
@@ -28,13 +29,13 @@ def deployment(env, network, two_hosts):
     return server, client, client_node, calls
 
 
-def _call(env, node, client, retries, timeout=0.5):
+def _call(env, node, client, timeout=0.5):
     outcome = {}
 
     def caller():
         try:
             outcome["value"] = yield from client.call(
-                ("a", 80), "/svc", "op", {}, timeout=timeout, retries=retries
+                ("a", 80), "/svc", "op", {}, timeout=timeout
             )
         except RequestTimeout as error:
             outcome["error"] = error
@@ -44,58 +45,26 @@ def _call(env, node, client, retries, timeout=0.5):
 
 
 class TestRetries:
-    def test_retry_recovers_from_lost_request(self, env, network, deployment):
-        _server, client, client_node, calls = deployment
-        network.loss_rate = 1.0  # first attempt is lost
-
-        def heal():
-            # Heal just before the first 0.5s attempt times out, so the
-            # retry goes out over a healthy network.
-            yield env.timeout(0.45)
-            network.loss_rate = 0.0
-
-        client_node.spawn(heal())
-        outcome = _call(env, client_node, client, retries=2)
-        assert "value" in outcome
-        assert client.timeouts == 1  # one lost attempt, then success
-
     def test_no_retries_by_default(self, env, network, deployment):
-        _server, client, client_node, _calls = deployment
+        _server, client, client_node, calls = deployment
         network.loss_rate = 1.0
-        outcome = _call(env, client_node, client, retries=0)
+        outcome = _call(env, client_node, client)
         assert isinstance(outcome["error"], RequestTimeout)
         assert client.timeouts == 1
-
-    def test_retries_exhausted_raises(self, env, network, deployment):
-        _server, client, client_node, _calls = deployment
-        network.loss_rate = 1.0
-        outcome = _call(env, client_node, client, retries=3)
-        assert isinstance(outcome["error"], RequestTimeout)
-        assert client.timeouts == 4  # initial attempt + 3 retries
-
-    def test_retry_can_double_execute(self, env, network, deployment):
-        """Retries are at-least-once: if only the *response* is lost, the
-        server executes twice.  (Whisper's operations are reads, but the
-        semantics are worth pinning down.)"""
-        server, client, client_node, calls = deployment
-        outcome = _call(env, client_node, client, retries=1)
-        first_count = calls["count"]
-        assert first_count == 1
-        assert outcome["value"] == 1
+        assert calls["count"] == 0
 
 
 class TestRttStampHygiene:
     """The RTT monitor's request stamps: released on every exit, and keyed by
     something that does not depend on the interpreter's hash seed."""
 
-    @pytest.mark.parametrize("retries", [0, 2])
-    def test_timed_out_calls_release_their_stamps(self, env, network, deployment, retries):
+    def test_timed_out_calls_release_their_stamps(self, env, network, deployment):
         _server, client, client_node, _calls = deployment
         network.loss_rate = 1.0
         for _ in range(5):
-            outcome = _call(env, client_node, client, retries=retries)
+            outcome = _call(env, client_node, client)
             assert isinstance(outcome["error"], RequestTimeout)
-        assert client.timeouts == 5 * (retries + 1)
+        assert client.timeouts == 5
         assert network.trace._pending_rtt == {}  # five entries, for ever, before PR 17
         assert network.trace.rtts() == []
 
@@ -119,7 +88,7 @@ class TestRttStampHygiene:
     def test_answered_calls_still_stamp_one_sample_each(self, env, network, deployment):
         _server, client, client_node, _calls = deployment
         for _ in range(3):
-            assert "value" in _call(env, client_node, client, retries=1)
+            assert "value" in _call(env, client_node, client)
         assert len(network.trace.rtts()) == 3
         assert network.trace._pending_rtt == {}
         ids = [sample.correlation_id for sample in network.trace.rtt_samples]
@@ -134,7 +103,7 @@ class TestRttStampHygiene:
             "env = Environment()\n"
             "network = Network(env, trace=MessageTrace(), rng=RngRegistry(7))\n"
             "a, b = network.add_host('a'), network.add_host('b')\n"
-            "SoapServer(a, port=80).mount('/svc', lambda op, args, headers: args['n'])\n"
+            "SoapServer(a).mount('/svc', lambda op, args, headers: args['n'])\n"
             "client = SoapClient(b)\n"
             "def calls():\n"
             "    for n in range(4):\n"

@@ -5,6 +5,7 @@ import pytest
 from repro.soap import (
     EncodingError,
     Envelope,
+    FaultCode,
     HttpRequest,
     HttpResponse,
     RequestTimeout,
@@ -18,7 +19,7 @@ from repro.soap import (
 @pytest.fixture
 def deployment(env, network, two_hosts):
     server_node, client_node = two_hosts
-    server = SoapServer(server_node, port=80)
+    server = SoapServer(server_node)
 
     def dispatcher(operation, arguments, headers):
         if operation == "add":
@@ -29,7 +30,7 @@ def deployment(env, network, two_hosts):
             yield env.timeout(float(arguments["delay"]))
             return "done"
         if operation == "fail-client":
-            raise SoapFault.client("bad arguments", detail={"why": "test"})
+            raise SoapFault(FaultCode.CLIENT, "bad arguments", detail={"why": "test"})
         raise RuntimeError("unexpected operation")
 
     server.mount("/svc", dispatcher)

@@ -22,7 +22,7 @@ def _run_call(env, node, address, request, timeout=1.0):
 class TestRequestResponse:
     def test_simple_handler(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
         server.route("/echo", lambda req: HttpResponse(200, body=req.body.upper()))
         result = _run_call(
             env, client_node, ("a", 80), HttpRequest("POST", "/echo", body="hello")
@@ -33,7 +33,7 @@ class TestRequestResponse:
 
     def test_generator_handler(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
 
         def slow(request):
             yield env.timeout(0.2)
@@ -48,14 +48,14 @@ class TestRequestResponse:
 
     def test_unknown_path_404(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        HttpServer(server_node, port=80)
+        HttpServer(server_node)
         result = _run_call(env, client_node, ("a", 80), HttpRequest("GET", "/nope"))
         assert result["response"].status == 404
         assert not result["response"].ok
 
     def test_handler_exception_500(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
 
         def broken(request):
             raise RuntimeError("kaboom")
@@ -67,7 +67,7 @@ class TestRequestResponse:
 
     def test_non_response_return_500(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
         server.route("/bad", lambda req: "not a response")
         result = _run_call(env, client_node, ("a", 80), HttpRequest("GET", "/bad"))
         assert result["response"].status == 500
@@ -75,7 +75,7 @@ class TestRequestResponse:
     def test_concurrent_requests_do_not_mix(self, env, network):
         server_node = network.add_host("srv")
         client_node = network.add_host("cli")
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
 
         def echo_delay(request):
             delay = float(request.body)
@@ -102,7 +102,7 @@ class TestRequestResponse:
 class TestTimeouts:
     def test_crashed_server_times_out(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
         server.route("/x", lambda req: HttpResponse(200))
         server_node.crash()
         result = _run_call(
@@ -113,7 +113,7 @@ class TestTimeouts:
 
     def test_slow_handler_times_out(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
 
         def too_slow(request):
             yield env.timeout(10.0)
@@ -127,7 +127,7 @@ class TestTimeouts:
 
     def test_restarted_server_answers_again(self, env, network, two_hosts):
         server_node, client_node = two_hosts
-        server = HttpServer(server_node, port=80)
+        server = HttpServer(server_node)
         server.route("/x", lambda req: HttpResponse(200, body="ok"))
         server_node.crash()
         server_node.restart()

@@ -1,5 +1,7 @@
 """Every name DESIGN.md §6.14's kept-with-a-reason table lists is still
-defined under ``src/repro``, so no row outlives its name.
+defined under ``src/repro``, so no row outlives its name; and §6.15's
+per-package table, which ``make census`` compares with its measurement,
+parses and adds up.
 
 Reads files only: the table and the source, parsed by the same functions
 ``make census`` gates with (``tools/census/sitecustomize.py``); the census
@@ -45,3 +47,10 @@ def test_a_bare_name_does_not_match_another_class():
     assert census.is_kept("Span.__repr__", kept)
     assert not census.is_kept("Queue.delete", kept)
     assert not census.is_kept("Table.__len__", kept)
+
+
+def test_the_per_package_table_parses_and_adds_up():
+    totals = _census().recorded_totals()
+    packages = {name: counts for name, counts in totals.items() if name != "total"}
+    assert len(packages) == 14  # (top) and the thirteen packages
+    assert totals["total"] == tuple(map(sum, zip(*packages.values())))

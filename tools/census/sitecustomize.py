@@ -9,7 +9,8 @@ tools/census/sitecustomize.py DIR`` it prints, per file, the functions no
 process reached — each by its qualified name (``Class.method``;
 ``module.function`` at module level) — then a reached / not-reached table
 per package, and exits 1 if an unreached name has no row in DESIGN.md
-§6.14's kept-with-a-reason table.  ``make census`` does both over the
+§6.14's kept-with-a-reason table, or if the per-package counts differ from
+the table DESIGN.md §6.15 records.  ``make census`` does both over the
 repo's non-test traffic.
 
 A profile hook sees only what runs while it is installed, and a later
@@ -37,6 +38,9 @@ DESIGN = os.path.join(ROOT, "DESIGN.md")
 KEPT_HEADER = "| name(s) | why it stays |"
 #: Bare method names one row may cover for every class.
 ANY_CLASS = frozenset(("__repr__", "__str__"))
+#: The header of DESIGN.md §6.15's table: what the census measured, per
+#: package, two packages to a row.
+TOTALS_HEADER = "| package | reached | not reached | | package | reached | not reached |"
 
 
 def _install(out_dir):
@@ -134,6 +138,25 @@ def kept_names(design=DESIGN):
     return kept
 
 
+def recorded_totals(design=DESIGN):
+    """§6.15's table: package -> ``(reached, not reached)``, with the
+    top-level modules as ``(top)`` and the sum as ``total``."""
+    with open(design) as source:
+        lines = source.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == TOTALS_HEADER)
+    recorded = {}
+    for line in lines[start + 2:]:
+        line = line.strip()
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for package, hit, not_hit in (cells[0:3], cells[4:7]):
+            if package:
+                package = "(top)" if package.startswith("(top") else package.strip("`*")
+                recorded[package] = (int(re.sub(r"\D", "", hit)), int(re.sub(r"\D", "", not_hit)))
+    return recorded
+
+
 def is_kept(name, kept):
     """A row keeps its name and what is defined inside it (a class's
     methods, a function's nested functions)."""
@@ -172,7 +195,15 @@ def _report(out_dir):
     if unlisted:
         print(f"\n{len(unlisted)} unreached name(s) with no row in DESIGN.md "
               f"§6.14's table: {', '.join(unlisted)}")
-    return 1 if unlisted else 0
+    recorded = recorded_totals()
+    stale = sorted(
+        package for package in set(totals) | set(recorded)
+        if tuple(totals.get(package, ())) != recorded.get(package)
+    )
+    for package in stale:
+        print(f"DESIGN.md §6.15 reads {package} {recorded.get(package)}, "
+              f"measured {tuple(totals.get(package, ())) or None}")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
