@@ -47,7 +47,7 @@ __all__ = [
 #: Advertisement categories that cross the WAN in each mode.
 GOSSIP_CATEGORIES = ("gossip-rumor", "gossip-digest", "gossip-delta")
 FLOOD_CATEGORIES = ("gossip-flood",)
-#: Seconds between rumor rounds in every sweep (``GossipSpec``'s default).
+#: Seconds between rumor rounds in every WAN system built here.
 INTERVAL = 0.5
 
 
@@ -61,13 +61,12 @@ def build_wan_system(
     replicas: int = 1,
     fanout: int = 2,
     mode: str = "gossip",
-    interval: float = INTERVAL,
 ):
     """A region-replicated student service over a full WAN mesh (digest
     exchange every 5 s, ``GossipSpec``'s default)."""
     topology = Topology.mesh(
         _region_names(regions),
-        gossip=GossipSpec(fanout=fanout, interval=interval, mode=mode),
+        gossip=GossipSpec(fanout=fanout, interval=INTERVAL, mode=mode),
     )
     system = WhisperSystem(
         ScenarioConfig(seed=seed, replicas=replicas, topology=topology)
@@ -159,9 +158,7 @@ def _round_bound(regions: int) -> float:
 
 def _spread_point(regions: int, fanout: int, seed: int, settle: float) -> ConvergencePoint:
     """Deploy, let the rumors run for ``settle``, measure the spread."""
-    system, _service = build_wan_system(
-        regions, seed=seed, fanout=fanout, interval=INTERVAL
-    )
+    system, _service = build_wan_system(regions, seed=seed, fanout=fanout)
     system.settle(settle)
     spread = _spread_delays(system)
     return ConvergencePoint(
