@@ -33,21 +33,21 @@ _DEGREES = ["Mathematics", "Engineering", "Informatics", "Biology", "Economics"]
 _COURSES = ["M101", "E204", "I310", "B120", "EC210", "M202", "I405"]
 
 
-def student_database(count: int = 200, seed: int = 7) -> Database:
+def student_database(count: int = 200) -> Database:
     """Student records keyed by student ID (the §3 scenario's data).
 
-    Deployments ask for the same ``(count, seed)`` once per replica and
+    Deployments ask for the same ``count`` once per replica and
     shard: the rows are generated once, each caller gets its own copy —
     lazily (:meth:`Table.copy`): a replica holds privately only the rows
     it has read or written, not the dataset.
     """
-    return _generate_students(count, seed).copy()
+    return _generate_students(count).copy()
 
 
 @functools.lru_cache(maxsize=4)
-def _generate_students(count: int, seed: int) -> Database:
+def _generate_students(count: int) -> Database:
     """The master copy: never handed out, so never mutated."""
-    rng = random.Random(seed)
+    rng = random.Random(7)
     database = Database("students-operational")
     table = database.create_table("students", primary_key="student_id")
     for index in range(count):

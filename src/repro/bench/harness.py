@@ -57,20 +57,6 @@ class Sweep:
                     seen.append(key)
         return seen
 
-    def to_csv(self) -> str:
-        """The sweep as CSV (parameter column first), for offline plotting."""
-
-        def cell(value: Any) -> str:
-            text = str(value)
-            if any(ch in text for ch in ",\"\n"):
-                text = '"' + text.replace('"', '""') + '"'
-            return text
-
-        columns = self.columns()
-        lines = [",".join(cell(c) for c in [self.parameter_name] + columns)]
-        for point in self.points:
-            lines.append(",".join(cell(v) for v in point.row(columns)))
-        return "\n".join(lines) + "\n"
 
 
 #: Measure signature: ``measure(parameter) -> {column: value}``.

@@ -139,18 +139,6 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
 
-    @property
-    def is_baseline(self) -> bool:
-        """No perturbation at all (FIFO order, no faults)."""
-        kind = (self.tiebreak or {}).get("kind", "fifo")
-        return kind == "fifo" and not self.ops
-
-    def without_ops(self, indexes: Sequence[int]) -> "Schedule":
-        """A copy with the ops at ``indexes`` removed (for shrinking)."""
-        drop = set(indexes)
-        kept = tuple(op for i, op in enumerate(self.ops) if i not in drop)
-        return Schedule(tiebreak=self.tiebreak, ops=kept, label=self.label)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "tiebreak": self.tiebreak,

@@ -16,7 +16,6 @@ from ..backend.services import ServiceImplementation
 from ..p2p.advertisement import SemanticAdvertisement
 from ..p2p.ids import PeerGroupId, PeerId
 from ..p2p.peer import Peer
-from ..qos.metrics import QosMetrics
 from ..simnet.network import Network
 from ..wsdl.annotations import SemanticAnnotation
 from .bpeer import BPeer
@@ -30,16 +29,13 @@ def semantic_advertisement_for(
     annotation: SemanticAnnotation,
     ontology_uri: str,
     description: str = "",
-    qos: Optional["QosMetrics"] = None,
     shard_index: Optional[int] = None,
     shard_count: Optional[int] = None,
     region: Optional[str] = None,
 ) -> SemanticAdvertisement:
     """Build the group's semantic advertisement from a WSDL-S annotation.
 
-    ``qos`` optionally attaches the §2.4 QoS annotation (advertised
-    expected time / cost / reliability) that QoS-aware proxies use as a
-    selection prior.  ``shard_index``/``shard_count`` mark the group as
+    ``shard_index``/``shard_count`` mark the group as
     one shard of a federated set partitioning the service keyspace;
     ``region`` marks its home region in multi-region topologies.  All
     stay ``None`` for single-group single-LAN deployments so the
@@ -53,9 +49,6 @@ def semantic_advertisement_for(
         outputs=annotation.outputs,
         ontology_uri=ontology_uri,
         description=description,
-        qos_time=qos.time if qos is not None else None,
-        qos_cost=qos.cost if qos is not None else None,
-        qos_reliability=qos.reliability if qos is not None else None,
         shard_index=shard_index,
         shard_count=shard_count,
         region=region,
@@ -136,7 +129,6 @@ def deploy_bpeer_group(
     implementations: Sequence[ServiceImplementation],
     ontology_uri: str = "",
     config: ScenarioConfig = ScenarioConfig(),
-    advertise_qos: Optional[QosMetrics] = None,
     shard_index: Optional[int] = None,
     shard_count: Optional[int] = None,
     region: Optional[str] = None,
@@ -163,7 +155,6 @@ def deploy_bpeer_group(
         annotation,
         ontology_uri,
         description=f"b-peer group {group_name}",
-        qos=advertise_qos,
         shard_index=shard_index,
         shard_count=shard_count,
         region=region,

@@ -521,9 +521,7 @@ class SwsProxy(Peer):
         if len(tied) == 1:
             return tied[0]
         candidates = {
-            m.advertisement.key(): self._profile_for(
-                m.advertisement.key(), m.advertisement
-            ).snapshot()
+            m.advertisement.key(): self._profile_for(m.advertisement.key()).snapshot()
             for m in tied
         }
         chosen_key = self.qos_selector.select(candidates)
@@ -532,20 +530,9 @@ class SwsProxy(Peer):
                 return match
         return tied[0]
 
-    def _profile_for(
-        self, group_key: str, advertisement: Optional[SemanticAdvertisement] = None
-    ) -> QosProfile:
+    def _profile_for(self, group_key: str) -> QosProfile:
         if group_key not in self._group_profiles:
-            profile = QosProfile()
-            # §2.4 extension: a group advertising its QoS seeds the proxy's
-            # profile, so selection is informed before the first invocation.
-            if advertisement is not None and advertisement.has_qos:
-                profile = QosProfile(
-                    cost=advertisement.qos_cost,
-                    initial_time=advertisement.qos_time,
-                    initial_reliability=advertisement.qos_reliability,
-                )
-            self._group_profiles[group_key] = profile
+            self._group_profiles[group_key] = QosProfile()
         return self._group_profiles[group_key]
 
     # -- invocation ----------------------------------------------------------------------------
@@ -702,7 +689,7 @@ class SwsProxy(Peer):
             )
         advertisement = match.advertisement
         group_id = advertisement.group_id
-        profile = self._profile_for(advertisement.key(), advertisement)
+        profile = self._profile_for(advertisement.key())
         bindings = self.bindings
         #: Whether any attempt has actually been handed to the network —
         #: the point past which a mutating request may have executed.
@@ -748,7 +735,7 @@ class SwsProxy(Peer):
             nonlocal advertisement, group_id, profile
             advertisement = successor.advertisement
             group_id = advertisement.group_id
-            profile = self._profile_for(advertisement.key(), advertisement)
+            profile = self._profile_for(advertisement.key())
 
         def try_reroute() -> bool:
             """Fail the key over to its ring successor, if safe: suspects

@@ -169,5 +169,4 @@ class SemanticResultCache:
             return
         self.invalidated += n
         if self.metrics is not None:
-            for _ in range(n):
-                self.metrics.inc("rescache.invalidated")
+            self.metrics.inc("rescache.invalidated", n)

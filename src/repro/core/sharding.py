@@ -35,6 +35,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["shard_key", "ShardRing", "ShardRouter"]
 
+#: Points each member contributes to the ring.
+VIRTUAL_NODES = 64
+
 
 def _hash64(value: str) -> int:
     """Deterministic 64-bit hash (BLAKE2b; never the salted ``hash()``)."""
@@ -54,17 +57,14 @@ def shard_key(action: str, arguments: Mapping[str, object]) -> str:
 class ShardRing:
     """Consistent-hash ring with virtual nodes over shard-group names.
 
-    Each member contributes ``virtual_nodes`` points at
+    Each member contributes :data:`VIRTUAL_NODES` points at
     ``hash64(f"{member}#vnode{i}")``; a key is owned by the first point
     clockwise from ``hash64(key)``.  ``lookup`` can exclude (suspected)
     members, in which case only their segments walk further clockwise —
     the defining rebalance property this module exists for.
     """
 
-    def __init__(self, virtual_nodes: int = 64):
-        if virtual_nodes < 1:
-            raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self):
         self._points: List[Tuple[int, str]] = []  # sorted (hash, member)
         self._members: Set[str] = set()
 
@@ -72,7 +72,7 @@ class ShardRing:
         if member in self._members:
             return
         self._members.add(member)
-        for index in range(self.virtual_nodes):
+        for index in range(VIRTUAL_NODES):
             insort(self._points, (_hash64(f"{member}#vnode{index}"), member))
 
     def lookup(self, key: str, exclude: FrozenSet[str] = frozenset()) -> Optional[str]:
@@ -146,7 +146,3 @@ class ShardRouter:
     def route(self, key: str, now: float) -> Optional[str]:
         """Group that owns ``key`` right now (skipping suspected groups)."""
         return self.ring.lookup(key, exclude=self.suspected(now))
-
-    def route_home(self, key: str) -> Optional[str]:
-        """The key's un-failed-over owner (ignores suspicions)."""
-        return self.ring.lookup(key)

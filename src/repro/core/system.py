@@ -207,7 +207,6 @@ class WhisperSystem:
             self.env,
             trace=self.trace,
             rng=RngRegistry(self.config.seed),
-            default_latency=parse_latency_spec(self.topology.regions[0].latency),
             obs=self.obs,
         )
         self.failures = FailureInjector(self.network)
@@ -232,11 +231,7 @@ class WhisperSystem:
         """Wire regions, WAN links, per-region rendezvous, and federation."""
         topology = self.topology
         for spec in topology.regions:
-            self.network.add_region(
-                spec.name,
-                latency=parse_latency_spec(spec.latency),
-                loss_rate=spec.loss_rate,
-            )
+            self.network.add_region(spec.name)
         for link in topology.wan_links_effective():
             self.network.connect_regions(
                 link.a,
@@ -261,7 +256,6 @@ class WhisperSystem:
                 rng=self.network.rng.stream(f"gossip:{spec.name}"),
                 fanout=gossip_spec.fanout,
                 interval=gossip_spec.interval,
-                anti_entropy_interval=gossip_spec.anti_entropy_interval,
                 mode=gossip_spec.mode,
             )
         # Federate along the WAN links (the default mesh federates every

@@ -53,22 +53,17 @@ DEFAULT_WAN_BANDWIDTH_BPS = 20e6
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """One region: a switched LAN segment with its own characteristics.
+    """One region: a switched LAN segment of the paper's LAN.
 
-    Its links run at the network's default LAN bandwidth.
+    Its links have the network's default LAN latency and bandwidth and
+    lose nothing.
     """
 
     name: str
-    #: Latency spec string (or LatencyModel) for intra-region links.
-    latency: str = "lan"
-    loss_rate: float = 0.0
 
     def __post_init__(self):
         if not self.name or "/" in self.name:
             raise ValueError(f"invalid region name {self.name!r}")
-        parse_latency_spec(self.latency)  # fail fast on typos
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"region {self.name}: loss_rate out of range")
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,6 @@ class GossipSpec:
     fanout: int = 2
     #: Seconds between rumor rounds.
     interval: float = 0.5
-    #: Seconds between anti-entropy digest exchanges.
-    anti_entropy_interval: float = 5.0
     #: ``"gossip"`` (rumor + anti-entropy) or ``"flood"`` (the baseline:
     #: every SRDI push is forwarded to every federated rendezvous).
     mode: str = "gossip"
@@ -107,8 +100,8 @@ class GossipSpec:
     def __post_init__(self):
         if self.fanout < 1:
             raise ValueError("gossip fanout must be >= 1")
-        if self.interval <= 0 or self.anti_entropy_interval <= 0:
-            raise ValueError("gossip intervals must be positive")
+        if self.interval <= 0:
+            raise ValueError("gossip interval must be positive")
         if self.mode not in ("gossip", "flood"):
             raise ValueError(f"unknown gossip mode {self.mode!r}")
 
@@ -157,12 +150,6 @@ class Topology:
 
     def region_names(self) -> List[str]:
         return [region.name for region in self.regions]
-
-    def region(self, name: str) -> RegionSpec:
-        for spec in self.regions:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
     def wan_links_effective(self) -> Tuple[WanLinkSpec, ...]:
         """Declared links, or the implicit full mesh when none are given."""

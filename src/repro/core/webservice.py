@@ -15,9 +15,7 @@ from typing import Any, Dict, Generator
 
 from ..simnet.node import Node
 from ..soap.fault import SoapFault
-from ..soap.http import HttpResponse
 from ..soap.server import SoapServer
-from ..wsdl.xmlio import definitions_to_xml
 from .errors import InvocationFailedError, NoMatchingGroupError, WhisperError
 from .proxy import SwsProxy
 from .sws import SemanticWebService
@@ -40,31 +38,6 @@ class WhisperWebService:
         self.soap = SoapServer(node)
         self.path = f"/{sws.name}"
         self.soap.mount(self.path, self._dispatch)
-        # Standard SOA affordance: GET <path>?wsdl returns the (WSDL-S)
-        # service description, letting clients bootstrap from the URL alone.
-        self.soap.http.route(f"{self.path}?wsdl", self._serve_wsdl)
-
-    def _serve_wsdl(self, request) -> HttpResponse:
-        from ..wsdl.definitions import ServicePort
-
-        definitions = self.sws.definitions
-        # Advertise this live endpoint in the document (WSDL service/port),
-        # so a client can invoke straight from the description.
-        location = f"sim://{self.node.name}:{self.soap.port}{self.path}"
-        if not any(port.location == location for port in definitions.ports):
-            interface = next(iter(definitions.interfaces))
-            definitions.add_port(
-                ServicePort(
-                    name=f"{self.sws.name}Port",
-                    interface_name=interface,
-                    location=location,
-                )
-            )
-        return HttpResponse(
-            status=200,
-            body=definitions_to_xml(definitions),
-            headers={"Content-Type": "text/xml"},
-        )
 
     @property
     def address(self):

@@ -17,8 +17,8 @@ from .domains import (
     university_ontology,
 )
 from .match import ConceptMatch, ConceptMatcher, DegreeOfMatch, SignatureMatch
-from .model import Concept, Individual, Property, PropertyKind
-from .namespaces import Namespace, NamespaceRegistry, QName, split_uri
+from .model import Concept, Property, PropertyKind
+from .namespaces import Namespace, NamespaceRegistry, split_uri
 from .ontology import Ontology, OntologyError
 from .owlxml import OwlParseError, ontology_from_xml, ontology_to_xml
 from .reasoner import Reasoner
@@ -29,7 +29,6 @@ __all__ = [
     "ConceptMatch",
     "ConceptMatcher",
     "DegreeOfMatch",
-    "Individual",
     "LEGACY",
     "Namespace",
     "NamespaceRegistry",
@@ -39,7 +38,6 @@ __all__ = [
     "OwlParseError",
     "Property",
     "PropertyKind",
-    "QName",
     "Reasoner",
     "SM",
     "SignatureMatch",

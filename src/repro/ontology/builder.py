@@ -77,12 +77,9 @@ class OntologyBuilder:
         )
         return self
 
-    def build(self, validate: bool = True) -> Ontology:
-        """Return the ontology, optionally failing on structural problems."""
-        if validate:
-            problems = self._ontology.validate()
-            if problems:
-                raise ValueError(
-                    "invalid ontology:\n  " + "\n  ".join(problems)
-                )
+    def build(self) -> Ontology:
+        """Return the ontology, failing on structural problems."""
+        problems = self._ontology.validate()
+        if problems:
+            raise ValueError("invalid ontology:\n  " + "\n  ".join(problems))
         return self._ontology

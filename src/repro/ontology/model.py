@@ -1,16 +1,16 @@
-"""The ontology object model: concepts, properties, individuals.
+"""The ontology object model: concepts and properties.
 
 This is an OWL-lite-sized model — exactly the slice Whisper's semantic
-matching needs: named classes with subsumption and equivalence, object and
-datatype properties with domain/range, and individuals with types.
+matching needs: named classes with subsumption and equivalence, and object
+and datatype properties with domain/range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Optional, Set
 
-__all__ = ["Concept", "Property", "Individual", "PropertyKind"]
+__all__ = ["Concept", "Property", "PropertyKind"]
 
 
 class PropertyKind:
@@ -52,20 +52,3 @@ class Property:
     def __repr__(self) -> str:
         return f"<Property {self.uri} ({self.kind})>"
 
-
-@dataclass
-class Individual:
-    """A named individual with one or more types and property values."""
-
-    uri: str
-    types: Set[str] = field(default_factory=set)
-    values: Dict[str, List[Any]] = field(default_factory=dict)
-
-    def add_value(self, property_uri: str, value: Any) -> None:
-        self.values.setdefault(property_uri, []).append(value)
-
-    def get_values(self, property_uri: str) -> List[Any]:
-        return list(self.values.get(property_uri, []))
-
-    def __repr__(self) -> str:
-        return f"<Individual {self.uri}>"

@@ -9,9 +9,9 @@ ontology).  This module provides the tiny URI machinery both sides share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-__all__ = ["Namespace", "QName", "NamespaceRegistry", "split_uri"]
+__all__ = ["Namespace", "NamespaceRegistry", "split_uri"]
 
 
 def split_uri(uri: str) -> Tuple[str, str]:
@@ -35,47 +35,19 @@ class Namespace:
     def __getitem__(self, local_name: str) -> str:
         return self.uri + local_name
 
-    def term(self, local_name: str) -> "QName":
-        return QName(self.uri, local_name)
-
-    def __str__(self) -> str:
-        return self.uri
-
-
-@dataclass(frozen=True)
-class QName:
-    """A qualified name: namespace URI + local name."""
-
-    namespace: str
-    local_name: str
-
-    @property
-    def uri(self) -> str:
-        return self.namespace + self.local_name
-
-    @classmethod
-    def from_uri(cls, uri: str) -> "QName":
-        namespace, local = split_uri(uri)
-        return cls(namespace, local)
-
     def __str__(self) -> str:
         return self.uri
 
 
 class NamespaceRegistry:
-    """Bidirectional prefix <-> namespace-URI map (like XML ``xmlns``)."""
+    """Prefix -> namespace-URI map (like XML ``xmlns``)."""
 
     def __init__(self):
         self._by_prefix: Dict[str, str] = {}
-        self._by_uri: Dict[str, str] = {}
 
     def bind(self, prefix: str, uri: str) -> Namespace:
         """Associate ``prefix`` with ``uri`` (re-binding is allowed)."""
-        old_uri = self._by_prefix.get(prefix)
-        if old_uri is not None:
-            self._by_uri.pop(old_uri, None)
         self._by_prefix[prefix] = uri
-        self._by_uri[uri] = prefix
         return Namespace(uri)
 
     def resolve(self, curie: str) -> str:
@@ -87,17 +59,6 @@ class NamespaceRegistry:
             if prefix in self._by_prefix:
                 return self._by_prefix[prefix] + local
         return curie
-
-    def compact(self, uri: str) -> str:
-        """Compress a URI to ``prefix:Local`` if a prefix is bound."""
-        namespace, local = split_uri(uri)
-        prefix = self._by_uri.get(namespace)
-        if prefix is None:
-            return uri
-        return f"{prefix}:{local}"
-
-    def prefix_of(self, uri: str) -> Optional[str]:
-        return self._by_uri.get(uri)
 
     def prefixes(self) -> Dict[str, str]:
         return dict(self._by_prefix)

@@ -1,6 +1,6 @@
 """The ontology container.
 
-An :class:`Ontology` holds concepts, properties, and individuals, provides
+An :class:`Ontology` holds concepts and properties, provides
 the mutation API used by the builder and the OWL-XML parser, and performs
 structural validation (undefined references, subsumption cycles outside
 equivalence classes).
@@ -8,9 +8,9 @@ equivalence classes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
-from .model import Concept, Individual, Property, PropertyKind
+from .model import Concept, Property, PropertyKind
 from .namespaces import NamespaceRegistry
 
 __all__ = ["Ontology", "OntologyError"]
@@ -21,7 +21,7 @@ class OntologyError(Exception):
 
 
 class Ontology:
-    """A named collection of concepts, properties, and individuals."""
+    """A named collection of concepts and properties."""
 
     def __init__(self, uri: str, label: Optional[str] = None):
         self.uri = uri
@@ -29,7 +29,6 @@ class Ontology:
         self.namespaces = NamespaceRegistry()
         self.concepts: Dict[str, Concept] = {}
         self.properties: Dict[str, Property] = {}
-        self.individuals: Dict[str, Individual] = {}
         #: Bumped by every mutator (the concept ones all go through
         #: ``add_concept``).  The reasoner's caches and the matcher's
         #: signature memo remember the version they were filled at and
@@ -89,15 +88,6 @@ class Ontology:
                 prop.range = range
         return prop
 
-    def add_individual(self, uri: str, types: Iterable[str] = ()) -> Individual:
-        self.version += 1
-        individual = self.individuals.get(uri)
-        if individual is None:
-            individual = Individual(uri=uri)
-            self.individuals[uri] = individual
-        individual.types.update(types)
-        return individual
-
     def merge(self, other: "Ontology") -> None:
         """Import every axiom of ``other`` into this ontology."""
         for concept in other.concepts.values():
@@ -107,11 +97,6 @@ class Ontology:
             merged.equivalents.update(concept.equivalents)
         for prop in other.properties.values():
             self.add_property(prop.uri, prop.kind, prop.domain, prop.range, prop.label)
-        for individual in other.individuals.values():
-            merged_individual = self.add_individual(individual.uri, individual.types)
-            for property_uri, values in individual.values.items():
-                for value in values:
-                    merged_individual.add_value(property_uri, value)
         for prefix, uri in other.namespaces.prefixes().items():
             if self.namespaces.resolve(f"{prefix}:x") == f"{prefix}:x":
                 self.namespaces.bind(prefix, uri)
@@ -127,35 +112,12 @@ class Ontology:
     def has_concept(self, uri: str) -> bool:
         return uri in self.concepts
 
-    def direct_parents(self, uri: str) -> Set[str]:
-        return set(self.concept(uri).parents)
-
-    def direct_children(self, uri: str) -> Set[str]:
-        return {
-            concept.uri
-            for concept in self.concepts.values()
-            if uri in concept.parents
-        }
-
-    def roots(self) -> List[str]:
-        """Concepts with no declared parents."""
-        return sorted(
-            concept.uri for concept in self.concepts.values() if not concept.parents
-        )
-
-    def individuals_of(self, concept_uri: str) -> List[Individual]:
-        return [
-            individual
-            for individual in self.individuals.values()
-            if concept_uri in individual.types
-        ]
-
     # -- validation ------------------------------------------------------------------
 
     def validate(self) -> List[str]:
         """Return a list of structural problems (empty = valid).
 
-        Checks: parent/equivalent/domain/range/type references must resolve
+        Checks: parent/equivalent/domain/range references must resolve
         to declared concepts, and the subsumption graph must be acyclic once
         equivalence classes are collapsed.
         """
@@ -180,12 +142,6 @@ class Ontology:
                 and prop.range not in self.concepts
             ):
                 problems.append(f"property {prop.uri} has undefined range {prop.range}")
-        for individual in self.individuals.values():
-            for type_uri in individual.types:
-                if type_uri not in self.concepts:
-                    problems.append(
-                        f"individual {individual.uri} has undefined type {type_uri}"
-                    )
         problems.extend(self._find_cycles())
         return problems
 
@@ -214,5 +170,5 @@ class Ontology:
     def __repr__(self) -> str:
         return (
             f"<Ontology {self.uri} concepts={len(self.concepts)} "
-            f"properties={len(self.properties)} individuals={len(self.individuals)}>"
+            f"properties={len(self.properties)}>"
         )

@@ -20,13 +20,11 @@ __all__ = ["ontology_to_xml", "ontology_from_xml", "OwlParseError"]
 _RDF_ABOUT = f"{{{RDF.uri}}}about"
 _RDF_RESOURCE = f"{{{RDF.uri}}}resource"
 _RDF_RDF = f"{{{RDF.uri}}}RDF"
-_RDF_TYPE = f"{{{RDF.uri}}}type"
 _OWL_ONTOLOGY = f"{{{OWL.uri}}}Ontology"
 _OWL_CLASS = f"{{{OWL.uri}}}Class"
 _OWL_EQUIVALENT = f"{{{OWL.uri}}}equivalentClass"
 _OWL_OBJECT_PROPERTY = f"{{{OWL.uri}}}ObjectProperty"
 _OWL_DATATYPE_PROPERTY = f"{{{OWL.uri}}}DatatypeProperty"
-_OWL_INDIVIDUAL = f"{{{OWL.uri}}}NamedIndividual"
 _RDFS_SUBCLASS = f"{{{RDFS.uri}}}subClassOf"
 _RDFS_LABEL = f"{{{RDFS.uri}}}label"
 _RDFS_COMMENT = f"{{{RDFS.uri}}}comment"
@@ -75,12 +73,6 @@ def ontology_to_xml(ontology: Ontology) -> str:
             ET.SubElement(element, _RDFS_DOMAIN, {_RDF_RESOURCE: prop.domain})
         if prop.range:
             ET.SubElement(element, _RDFS_RANGE, {_RDF_RESOURCE: prop.range})
-
-    for uri in sorted(ontology.individuals):
-        individual = ontology.individuals[uri]
-        element = ET.SubElement(root, _OWL_INDIVIDUAL, {_RDF_ABOUT: uri})
-        for type_uri in sorted(individual.types):
-            ET.SubElement(element, _RDF_TYPE, {_RDF_RESOURCE: type_uri})
 
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
@@ -139,11 +131,6 @@ def ontology_from_xml(document: str) -> Ontology:
                 ),
                 label=_optional_text(element, _RDFS_LABEL),
             )
-
-    for element in root.findall(_OWL_INDIVIDUAL):
-        about = _require_about(element)
-        types = [_require_resource(t) for t in element.findall(_RDF_TYPE)]
-        ontology.add_individual(about, types)
 
     return ontology
 

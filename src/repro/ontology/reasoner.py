@@ -113,20 +113,11 @@ class Reasoner:
         self._ancestor_cache[uri] = result
         return result
 
-    def descendants(self, uri: str) -> Set[str]:
-        """Reflexive-transitive subclasses of ``uri``."""
-        return {
-            other for other in self.ontology.concepts if uri in self.ancestors(other)
-        }
-
     def is_subsumed_by(self, child: str, parent: str) -> bool:
         """True if ``child`` ⊑ ``parent`` (reflexive, through equivalence)."""
         if child == parent:
             return True
         return parent in self.ancestors(child)
-
-    def subsumes(self, parent: str, child: str) -> bool:
-        return self.is_subsumed_by(child, parent)
 
     # -- similarity helpers ------------------------------------------------------------
 

@@ -9,8 +9,8 @@ discovery can match on semantics instead of names.
 
 Every advertisement serialises to an XML document and back; the XML length
 is the advertisement's simulated wire size.  An advertisement renders its
-document once and serves that rendering (and its size) from then on;
-``invalidate_xml_cache()`` is the contract for code that mutates one.
+document once and serves that rendering from then on: advertisements are
+not mutated after their first render.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ class Advertisement:
 
     lifetime: float = DEFAULT_LIFETIME
 
-    # Plain class attributes (no annotation, so not dataclass fields):
-    # per-instance caches shadow them on first render.
+    # A plain class attribute (no annotation, so not a dataclass field):
+    # the per-instance rendering shadows it on first render.
     _xml_cache = None
-    _size_cache = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -82,8 +81,7 @@ class Advertisement:
         Advertisements are value objects — built once, then matched and
         re-sent many times (discovery and rendezvous answer paths
         serialise the same advertisements for every query) — so the first
-        render is remembered.  Code that mutates an advertisement after
-        rendering must call :meth:`invalidate_xml_cache`.
+        render is remembered.
         """
         cached = self._xml_cache
         if cached is None:
@@ -98,20 +96,9 @@ class Advertisement:
             root.append(element)
         return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
-    def invalidate_xml_cache(self) -> None:
-        """Drop the cached rendering after a field mutation."""
-        self._xml_cache = None
-        self._size_cache = None
-
     @classmethod
     def _from_element(cls, root: ET.Element) -> "Advertisement":
         raise NotImplementedError
-
-    def size_bytes(self) -> int:
-        cached = self._size_cache
-        if cached is None:
-            cached = self._size_cache = len(self.to_xml().encode())
-        return cached
 
 
 def advertisement_from_xml(document: str) -> Advertisement:
@@ -203,13 +190,6 @@ class SemanticAdvertisement(Advertisement):
     outputs: Tuple[str, ...] = ()
     ontology_uri: str = ""
     description: str = ""
-    #: Optional QoS annotations (§2.4's "semantic QoS integration", which
-    #: the paper flags as the further integration dimension): the group's
-    #: advertised expected response time (s), cost per invocation, and
-    #: reliability in [0, 1].  ``None`` means unadvertised.
-    qos_time: Optional[float] = None
-    qos_cost: Optional[float] = None
-    qos_reliability: Optional[float] = None
     #: Semantic-sharding annotations: this group's position in a
     #: federated shard set partitioning the service keyspace.  Both stay
     #: ``None`` for single-group deployments so unsharded advertisements
@@ -254,15 +234,6 @@ class SemanticAdvertisement(Advertisement):
     def get_sem_output(self) -> Tuple[str, ...]:
         return self.outputs
 
-    @property
-    def has_qos(self) -> bool:
-        """True when all three QoS dimensions are advertised."""
-        return (
-            self.qos_time is not None
-            and self.qos_cost is not None
-            and self.qos_reliability is not None
-        )
-
     def _body_elements(self) -> List[ET.Element]:
         elements = [
             _text_element("GID", self.group_id.urn),
@@ -276,14 +247,6 @@ class SemanticAdvertisement(Advertisement):
             elements.append(_text_element("Input", concept))
         for concept in self.outputs:
             elements.append(_text_element("Output", concept))
-        if self.qos_time is not None:
-            elements.append(_text_element("QosTime", repr(self.qos_time)))
-        if self.qos_cost is not None:
-            elements.append(_text_element("QosCost", repr(self.qos_cost)))
-        if self.qos_reliability is not None:
-            elements.append(
-                _text_element("QosReliability", repr(self.qos_reliability))
-            )
         if self.shard_index is not None:
             elements.append(_text_element("ShardIndex", str(self.shard_index)))
         if self.shard_count is not None:
@@ -294,10 +257,6 @@ class SemanticAdvertisement(Advertisement):
 
     @classmethod
     def _from_element(cls, root: ET.Element) -> "SemanticAdvertisement":
-        def _optional_float(tag: str) -> Optional[float]:
-            text = root.findtext(tag)
-            return float(text) if text is not None else None
-
         def _optional_int(tag: str) -> Optional[int]:
             text = root.findtext(tag)
             return int(text) if text is not None else None
@@ -310,9 +269,6 @@ class SemanticAdvertisement(Advertisement):
             description=root.findtext("Desc", ""),
             inputs=tuple(e.text or "" for e in root.findall("Input")),
             outputs=tuple(e.text or "" for e in root.findall("Output")),
-            qos_time=_optional_float("QosTime"),
-            qos_cost=_optional_float("QosCost"),
-            qos_reliability=_optional_float("QosReliability"),
             shard_index=_optional_int("ShardIndex"),
             shard_count=_optional_int("ShardCount"),
             region=root.findtext("Region"),

@@ -29,9 +29,8 @@ class AdvertisementCache:
     ``discovery.cache_hit`` or ``discovery.cache_miss`` per lookup
     (``get``, ``query`` and ``select`` alike — a query that matches ten
     advertisements is still *one* hit, and an empty result is a miss),
-    plus ``discovery.cache_expired`` per entry purged past its lifetime
-    and ``discovery.cache_flushed`` per live entry dropped by
-    ``clear()``.  ``repro metrics`` exports them.
+    plus ``discovery.cache_expired`` per entry purged past its lifetime.
+    ``repro metrics`` exports them.
     """
 
     def __init__(self, clock: Callable[[], float], metrics: Optional[Any] = None):
@@ -47,16 +46,15 @@ class AdvertisementCache:
         self._purge()
         return len(self._entries)
 
-    def publish(self, advertisement: Advertisement, lifetime: Optional[float] = None) -> None:
-        """Insert or refresh an advertisement.
+    def publish(self, advertisement: Advertisement) -> None:
+        """Insert or refresh an advertisement for its ``lifetime``.
 
         Re-publishing an advertisement with the same key replaces the old
         copy and extends its expiration.
         """
-        effective = lifetime if lifetime is not None else advertisement.lifetime
         self._entries[advertisement.key()] = _Entry(
             advertisement=advertisement,
-            expires_at=self._clock() + effective,
+            expires_at=self._clock() + advertisement.lifetime,
         )
 
     def remove(self, key: str) -> bool:
@@ -104,20 +102,6 @@ class AdvertisementCache:
         else:
             self._inc("discovery.cache_miss")
         return results
-
-    def clear(self) -> None:
-        """Drop everything, keeping the expired/flushed accounting honest.
-
-        Entries already past their lifetime count toward
-        ``discovery.cache_expired`` (they would have been purged on the
-        next lookup anyway); still-live entries count toward
-        ``discovery.cache_flushed``.
-        """
-        now = self._clock()
-        expired = sum(1 for entry in self._entries.values() if entry.expires_at <= now)
-        self._inc("discovery.cache_expired", expired)
-        self._inc("discovery.cache_flushed", len(self._entries) - expired)
-        self._entries.clear()
 
     def _purge(self) -> None:
         now = self._clock()

@@ -100,9 +100,6 @@ class EndpointService:
         """Dispatch inbound messages for ``protocol`` to ``listener``."""
         self._listeners[protocol] = listener
 
-    def unregister_listener(self, protocol: str) -> None:
-        self._listeners.pop(protocol, None)
-
     # -- sending -----------------------------------------------------------------------
 
     def send(

@@ -12,7 +12,7 @@ with the classic epidemic pair:
   ``interval`` seconds, for ``RUMOR_ROUNDS`` rounds; receivers re-rumor
   what was news to them.  With fanout >= 2 a fresh advertisement reaches
   all R regions in O(log R) rounds.
-* **anti-entropy** — every ``anti_entropy_interval`` seconds each
+* **anti-entropy** — every ``ANTI_ENTROPY_INTERVAL`` seconds each
   rendezvous sends one random federated peer a *digest* (its per-origin
   version vector).  The peer replies only on a diff, with the entries the
   digester lacks plus its own vector; the digester pushes back what the
@@ -56,6 +56,8 @@ GOSSIP_PROTOCOL = "whisper:gossip"
 _OVERHEAD = 128
 #: Rounds a rumor stays hot (re-forwarded) after first sight.
 RUMOR_ROUNDS = 2
+#: Seconds between anti-entropy digest exchanges.
+ANTI_ENTROPY_INTERVAL = 5.0
 
 
 @dataclass
@@ -95,7 +97,6 @@ class GossipService:
         rng: random.Random,
         fanout: int = 2,
         interval: float = 0.5,
-        anti_entropy_interval: float = 5.0,
         mode: str = "gossip",
     ):
         self.peer = peer
@@ -106,7 +107,6 @@ class GossipService:
         self.rng = rng
         self.fanout = fanout
         self.interval = interval
-        self.anti_entropy_interval = anti_entropy_interval
         self.mode = mode
         #: federated gossip peers: rendezvous peer id -> its region name.
         self.peers: Dict[PeerId, str] = {}
@@ -198,7 +198,7 @@ class GossipService:
     def _anti_entropy_loop(self):
         try:
             while True:
-                yield self.env.timeout(self.anti_entropy_interval)
+                yield self.env.timeout(ANTI_ENTROPY_INTERVAL)
                 if not self.peers:
                     continue
                 peer_id = self._pick_peers(1)[0]

@@ -8,7 +8,7 @@ reliability model, online profiles, composition-structure aggregation, and
 the SAW-based selector (with a random baseline for ablation).
 """
 
-from .aggregation import conditional, loop, parallel, sequence
+from .aggregation import conditional, parallel, sequence
 from .metrics import QosMetrics, QosProfile
 from .selection import QosSelector, QosWeights, RandomSelector
 
@@ -19,7 +19,6 @@ __all__ = [
     "QosWeights",
     "RandomSelector",
     "conditional",
-    "loop",
     "parallel",
     "sequence",
 ]

@@ -8,9 +8,7 @@ use these rules to predict end-to-end time/cost/reliability:
 * **sequence**   — times and costs add, reliabilities multiply;
 * **parallel**   — time is the slowest branch, costs add, reliabilities
   multiply (every branch must succeed);
-* **conditional** — probability-weighted average of the branches;
-* **loop**       — a body executed a geometrically distributed number of
-  times.
+* **conditional** — probability-weighted average of the branches.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Sequence, Tuple
 
 from .metrics import QosMetrics
 
-__all__ = ["sequence", "parallel", "conditional", "loop"]
+__all__ = ["sequence", "parallel", "conditional"]
 
 
 def sequence(parts: Sequence[QosMetrics]) -> QosMetrics:
@@ -61,19 +59,3 @@ def conditional(branches: Sequence[Tuple[float, QosMetrics]]) -> QosMetrics:
     # The weighted mean lies in [0, 1] mathematically; clamp float drift.
     reliability = min(1.0, max(0.0, sum(p * part.reliability for p, part in branches)))
     return QosMetrics(time=time, cost=cost, reliability=reliability)
-
-
-def loop(body: QosMetrics, repeat_probability: float) -> QosMetrics:
-    """QoS of a body repeated while a condition holds.
-
-    With repeat probability ``q`` the expected iteration count is
-    ``1 / (1 - q)``; reliability compounds per expected iteration.
-    """
-    if not 0.0 <= repeat_probability < 1.0:
-        raise ValueError(f"repeat probability {repeat_probability} outside [0, 1)")
-    expected_iterations = 1.0 / (1.0 - repeat_probability)
-    return QosMetrics(
-        time=body.time * expected_iterations,
-        cost=body.cost * expected_iterations,
-        reliability=min(1.0, max(0.0, body.reliability**expected_iterations)),
-    )

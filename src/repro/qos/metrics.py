@@ -45,14 +45,13 @@ class QosProfile:
     """An online QoS estimate, updated from invocation observations.
 
     The time estimate is an exponentially weighted moving average;
-    reliability is the EWMA of the success indicator.  ``alpha`` controls
-    how quickly history decays.
+    reliability is the EWMA of the success indicator, starting at 1.0.
+    ``alpha`` controls how quickly history decays.  Every invocation costs
+    one unit: nothing prices a call.
     """
 
-    cost: float = 1.0
     alpha: float = 0.2
     initial_time: float = 0.05
-    initial_reliability: float = 1.0
 
     _time: Optional[float] = field(default=None, init=False, repr=False)
     _reliability: Optional[float] = field(default=None, init=False, repr=False)
@@ -68,29 +67,21 @@ class QosProfile:
             if self._time is None
             else (1 - self.alpha) * self._time + self.alpha * elapsed
         )
-        current = (
-            self.initial_reliability if self._reliability is None else self._reliability
-        )
+        current = 1.0 if self._reliability is None else self._reliability
         self._reliability = (1 - self.alpha) * current + self.alpha * 1.0
 
     def record_failure(self) -> None:
         """Record a failed or timed-out invocation."""
         self.observations += 1
-        current = (
-            self.initial_reliability if self._reliability is None else self._reliability
-        )
+        current = 1.0 if self._reliability is None else self._reliability
         self._reliability = (1 - self.alpha) * current + self.alpha * 0.0
 
     def snapshot(self) -> QosMetrics:
         """The current point estimate."""
         return QosMetrics(
             time=self._time if self._time is not None else self.initial_time,
-            cost=self.cost,
-            reliability=(
-                self._reliability
-                if self._reliability is not None
-                else self.initial_reliability
-            ),
+            cost=1.0,
+            reliability=self._reliability if self._reliability is not None else 1.0,
         )
 
     @property

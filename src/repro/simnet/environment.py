@@ -101,13 +101,9 @@ class Environment:
     queued for this instant, and deque order is append order.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        tiebreak: Optional[TiebreakPolicy] = None,
-    ):
+    def __init__(self, tiebreak: Optional[TiebreakPolicy] = None):
         #: Current simulated time.
-        self.now = float(initial_time)
+        self.now = 0.0
         self._queue: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None

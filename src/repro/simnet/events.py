@@ -158,12 +158,6 @@ class Event:
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
 
 class Timeout(Event):
     """An event that fires automatically ``delay`` time units from now."""

@@ -100,26 +100,6 @@ class FailureInjector:
 
         self._at(time, split)
 
-    def cut_wan_at(
-        self,
-        time: float,
-        region_a: str,
-        region_b: str,
-        duration: float,
-    ) -> None:
-        """Cut the WAN between two regions at ``time``; heal after ``duration``."""
-        label = f"wan:{region_a}|{region_b}"
-
-        def split() -> None:
-            handle = self.network.partition_regions(region_a, region_b)
-            self.log.append(FailureEvent(self.network.env.now, "partition", label))
-            self._at(
-                self.network.env.now + duration,
-                lambda: self._heal_one(handle, label),
-            )
-
-        self._at(time, split)
-
     # -- churn ----------------------------------------------------------------------
 
     def churn(

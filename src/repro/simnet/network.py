@@ -121,24 +121,18 @@ class Network:
 
     # -- topology ---------------------------------------------------------------
 
-    def add_region(
-        self,
-        name: str,
-        latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
-    ) -> Region:
-        """Declare a named LAN segment; hosts join it via ``add_host(region=)``."""
+    def add_region(self, name: str) -> Region:
+        """Declare a named LAN segment; hosts join it via ``add_host(region=)``.
+
+        Its link has the default latency and bandwidth and loses nothing.
+        """
         if name in self.regions:
             raise ValueError(f"region {name!r} already exists")
         if "/" in name:
             raise ValueError(f"region name {name!r} must not contain '/'")
         region = Region(
             name=name,
-            link=Link(
-                latency=latency or self.default_latency,
-                bandwidth_bps=self.default_bandwidth_bps,
-                loss_rate=loss_rate,
-            ),
+            link=Link(self.default_latency, self.default_bandwidth_bps),
         )
         self.regions[name] = region
         return region
@@ -281,12 +275,6 @@ class Network:
         self._partitions.append(handle)
         return handle
 
-    def partition_regions(
-        self, region_a: str, region_b: str
-    ) -> Tuple[Set[str], Set[str]]:
-        """Cut the WAN between two regions (all hosts of one vs. the other)."""
-        return self.partition(self.region_hosts(region_a), self.region_hosts(region_b))
-
     def isolate_region(self, region: str) -> Tuple[Set[str], Set[str]]:
         """Partition one region away from every other host."""
         inside = self.region_hosts(region)
@@ -300,10 +288,6 @@ class Network:
                 del self._partitions[index]
                 return True
         return False
-
-    def heal_partitions(self) -> None:
-        """Remove every active partition."""
-        self._partitions.clear()
 
     def partitioned(self, a: str, b: str) -> bool:
         """True if hosts ``a`` and ``b`` cannot currently communicate."""

@@ -32,8 +32,3 @@ class RngRegistry:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per simulated host)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

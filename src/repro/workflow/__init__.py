@@ -4,7 +4,7 @@ The B2B processes of §1 — claim processing, loan management, healthcare —
 composed from Whisper service invocations, with the §2.4 QoS model
 predicting end-to-end time/cost/reliability before a single call is made.
 
-* :mod:`~repro.workflow.model` — tasks, sequence/parallel/choice/loop;
+* :mod:`~repro.workflow.model` — tasks, sequence/parallel/choice;
 * :mod:`~repro.workflow.engine` — execution on the simulated LAN;
 * :mod:`~repro.workflow.saga` — compensating multi-service transactions
   over the proxy pipeline, with a durable write-ahead saga log;
@@ -23,7 +23,6 @@ from .engine import (
 )
 from .model import (
     ExclusiveChoice,
-    LoopFlow,
     ParallelFlow,
     SequenceFlow,
     ServiceTask,
@@ -48,7 +47,6 @@ __all__ = [
     "DeadLetterEntry",
     "DeadLetterQueue",
     "ExclusiveChoice",
-    "LoopFlow",
     "ParallelFlow",
     "Saga",
     "SagaLog",

@@ -3,7 +3,7 @@
 Runs on a client host of the simulated LAN.  Sequences execute inline;
 parallel branches run as concurrent simulated processes with isolated
 context copies merged at the join; choices evaluate predicates against the
-context; loops iterate up to their bound.  Per-task latencies and the
+context.  Per-task latencies and the
 end-to-end outcome land in a :class:`WorkflowResult` for comparison with
 the §2.4 QoS prediction.
 
@@ -37,7 +37,6 @@ from ..soap.http import RequestTimeout
 from .model import (
     Context,
     ExclusiveChoice,
-    LoopFlow,
     ParallelFlow,
     SequenceFlow,
     ServiceTask,
@@ -82,7 +81,7 @@ class TaskRecord:
     succeeded: bool
     error: Optional[str] = None
     #: 1-based occurrence index among records of the same task name —
-    #: distinguishes loop iterations and re-executed steps.
+    #: distinguishes re-executed steps.
     attempt: int = 1
     #: Proxy send-and-wait attempts (1 for legacy SoapClient tasks).
     attempts: int = 1
@@ -126,7 +125,7 @@ class WorkflowResult:
     def records_for(self, task_name: str) -> List[TaskRecord]:
         """Every record for ``task_name``, in execution order.
 
-        A task can run more than once (loop bodies, re-executed steps);
+        A task can run more than once (a name reused, re-executed steps);
         each record's ``attempt`` gives its 1-based occurrence index.
         """
         return [record for record in self.records if record.task == task_name]
@@ -183,15 +182,6 @@ class WorkflowEngine:
             yield from self._run_parallel(node, context, result)
         elif isinstance(node, ExclusiveChoice):
             yield from self._run_choice(node, context, result)
-        elif isinstance(node, LoopFlow):
-            iterations = 0
-            while node.condition(context):
-                if iterations >= node.max_iterations:
-                    raise WorkflowError(
-                        f"loop exceeded {node.max_iterations} iterations"
-                    )
-                yield from self._execute(node.body, context, result)
-                iterations += 1
         else:
             raise WorkflowError(f"unknown workflow node {type(node).__name__}")
 

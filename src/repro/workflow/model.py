@@ -4,8 +4,8 @@ The paper's introduction frames Whisper's purpose as keeping *business
 processes* running — insurance claim processing, bank loan management,
 healthcare processes (§1) — and its QoS reference ([11], Cardoso & Sheth)
 is about workflow composition.  This module provides the composition
-algebra: service tasks combined by sequence, parallel split/join,
-exclusive choice, and loops, matching the structures
+algebra: service tasks combined by sequence, parallel split/join and
+exclusive choice, matching the structures
 :mod:`repro.qos.aggregation` can predict.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "SequenceFlow",
     "ParallelFlow",
     "ExclusiveChoice",
-    "LoopFlow",
     "WorkflowError",
 ]
 
@@ -188,29 +187,3 @@ class ExclusiveChoice(WorkflowNode):
     @property
     def otherwise_probability(self) -> float:
         return max(0.0, 1.0 - sum(p for _c, p, _n in self.branches))
-
-
-@dataclass
-class LoopFlow(WorkflowNode):
-    """A while-loop: run ``body`` while ``condition(context)`` holds.
-
-    ``repeat_probability`` feeds QoS prediction; ``max_iterations`` bounds
-    execution.
-    """
-
-    body: WorkflowNode
-    condition: Callable[[Context], bool]
-    repeat_probability: float = 0.0
-    max_iterations: int = 100
-
-    def tasks(self) -> List[ServiceTask]:
-        return self.body.tasks()
-
-    def validate(self) -> None:
-        if not 0.0 <= self.repeat_probability < 1.0:
-            raise WorkflowError(
-                f"repeat probability {self.repeat_probability} outside [0, 1)"
-            )
-        if self.max_iterations < 1:
-            raise WorkflowError("loop needs max_iterations >= 1")
-        self.body.validate()

@@ -2,7 +2,7 @@
 
 Reduces a workflow tree to one :class:`~repro.qos.metrics.QosMetrics`
 using the structural aggregation rules, from per-task metrics supplied by
-the caller (typically proxies' learned profiles or advertised QoS).
+the caller (typically proxies' learned profiles).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from ..qos import aggregation
 from ..qos.metrics import QosMetrics
 from .model import (
     ExclusiveChoice,
-    LoopFlow,
     ParallelFlow,
     SequenceFlow,
     ServiceTask,
@@ -57,8 +56,4 @@ def predict_qos(
                 "choice probabilities do not cover 1 and no 'otherwise' exists"
             )
         return aggregation.conditional(weighted)
-    if isinstance(node, LoopFlow):
-        return aggregation.loop(
-            predict_qos(node.body, task_metrics), node.repeat_probability
-        )
     raise WorkflowError(f"unknown workflow node {type(node).__name__}")

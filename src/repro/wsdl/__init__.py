@@ -13,7 +13,6 @@ from .definitions import (
     Interface,
     MessagePart,
     Operation,
-    ServicePort,
     WsdlError,
 )
 from .samples import (
@@ -39,7 +38,6 @@ __all__ = [
     "Operation",
     "Schema",
     "SchemaError",
-    "ServicePort",
     "SemanticAnnotation",
     "WSDL_NS",
     "WSSEM_NS",

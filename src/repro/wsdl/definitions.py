@@ -18,7 +18,6 @@ __all__ = [
     "MessagePart",
     "Operation",
     "Interface",
-    "ServicePort",
     "Definitions",
     "WsdlError",
 ]
@@ -106,31 +105,6 @@ class Interface:
 
 
 @dataclass
-class ServicePort:
-    """A concrete endpoint binding an interface to an address.
-
-    The WSDL ``service``/``port`` element: where the interface can actually
-    be invoked.  ``location`` is a URL-ish string; for the simulated stack
-    it is ``sim://<host>:<port><path>``.
-    """
-
-    name: str
-    interface_name: str
-    location: str
-
-    def address(self) -> tuple:
-        """Parse the simulated location into ``((host, port), path)``."""
-        if not self.location.startswith("sim://"):
-            raise WsdlError(f"not a simulated endpoint: {self.location!r}")
-        rest = self.location[len("sim://"):]
-        host_port, _slash, path = rest.partition("/")
-        host, _colon, port = host_port.partition(":")
-        if not port:
-            raise WsdlError(f"endpoint lacks a port: {self.location!r}")
-        return (host, int(port)), "/" + path
-
-
-@dataclass
 class Definitions:
     """A WSDL ``definitions`` document."""
 
@@ -140,34 +114,12 @@ class Definitions:
     schema: Schema = field(default_factory=Schema)
     #: prefix -> namespace URI bindings on the document element.
     namespaces: Dict[str, str] = field(default_factory=dict)
-    #: Concrete endpoints (WSDL service/port elements).
-    ports: List[ServicePort] = field(default_factory=list)
-
-    def add_port(self, port: ServicePort) -> ServicePort:
-        if port.interface_name not in self.interfaces:
-            raise WsdlError(
-                f"port {port.name!r} binds unknown interface {port.interface_name!r}"
-            )
-        self.ports.append(port)
-        return port
-
-    def endpoint(self) -> tuple:
-        """The first port's parsed ``((host, port), path)``."""
-        if not self.ports:
-            raise WsdlError(f"{self.name!r} declares no service ports")
-        return self.ports[0].address()
 
     def add_interface(self, interface: Interface) -> Interface:
         if interface.name in self.interfaces:
             raise WsdlError(f"duplicate interface {interface.name!r}")
         self.interfaces[interface.name] = interface
         return interface
-
-    def interface(self, name: str) -> Interface:
-        try:
-            return self.interfaces[name]
-        except KeyError:
-            raise WsdlError(f"no interface {name!r} in {self.name!r}") from None
 
     def single_interface(self) -> Interface:
         """The only interface (common case for Whisper services)."""
@@ -183,25 +135,3 @@ class Definitions:
         for interface in self.interfaces.values():
             result.extend(interface.operations.values())
         return result
-
-    def validate(self) -> List[str]:
-        """Structural checks; returns problems (empty = valid)."""
-        problems: List[str] = []
-        if not self.interfaces:
-            problems.append(f"definitions {self.name!r} declares no interface")
-        for interface in self.interfaces.values():
-            if not interface.operations:
-                problems.append(f"interface {interface.name!r} has no operations")
-            for operation in interface.operations.values():
-                for part in operation.inputs + operation.outputs:
-                    local = part.element.split(":", 1)[-1]
-                    if (
-                        self.schema.elements
-                        and local not in self.schema.elements
-                        and local not in self.schema.complex_types
-                    ):
-                        problems.append(
-                            f"operation {operation.name!r} references undeclared "
-                            f"element {part.element!r}"
-                        )
-        return problems

@@ -96,10 +96,6 @@ class Schema:
 
     # -- validation ------------------------------------------------------------------
 
-    def is_simple(self, type_name: str) -> bool:
-        prefix, _colon, local = type_name.partition(":")
-        return prefix in ("xsd", "xs") and local in BUILTIN_TYPES
-
     def validate_value(self, type_name: str, value: Any) -> None:
         """Raise :class:`SchemaError` unless ``value`` conforms to the type.
 

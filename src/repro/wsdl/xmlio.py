@@ -30,7 +30,6 @@ from .definitions import (
     Interface,
     MessagePart,
     Operation,
-    ServicePort,
     WsdlError,
 )
 from .schema import ComplexType, ElementDecl, Schema
@@ -113,21 +112,6 @@ def definitions_to_xml(definitions: Definitions) -> str:
             for fault in operation.faults:
                 ET.SubElement(op_el, f"{{{WSDL_NS}}}outfault", {"ref": fault})
 
-    if definitions.ports:
-        service_el = ET.SubElement(
-            root, f"{{{WSDL_NS}}}service", {"name": definitions.name}
-        )
-        for port in definitions.ports:
-            ET.SubElement(
-                service_el,
-                f"{{{WSDL_NS}}}port",
-                {
-                    "name": port.name,
-                    "binding": port.interface_name,
-                    "location": port.location,
-                },
-            )
-
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
@@ -177,16 +161,6 @@ def definitions_from_xml(document: str) -> Definitions:
                 operation.outputs.append(_parse_part(output_el, namespaces))
             interface.add_operation(operation)
         definitions.add_interface(interface)
-
-    for service_el in _findall_either(root, "service"):
-        for port_el in _findall_either(service_el, "port"):
-            definitions.add_port(
-                ServicePort(
-                    name=port_el.get("name", ""),
-                    interface_name=port_el.get("binding", ""),
-                    location=port_el.get("location", ""),
-                )
-            )
 
     return definitions
 

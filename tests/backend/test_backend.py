@@ -116,16 +116,9 @@ class TestDatasets:
         assert set(row) >= {"student_id", "name", "degree", "email", "enrolled_courses"}
 
     def test_datasets_deterministic(self):
-        a = student_database(count=20, seed=5).read("students", "S00007")
-        b = student_database(count=20, seed=5).read("students", "S00007")
+        a = student_database(count=20).read("students", "S00007")
+        b = student_database(count=20).read("students", "S00007")
         assert a == b
-
-    def test_different_seeds_differ(self):
-        a = student_database(count=20, seed=5)
-        b = student_database(count=20, seed=6)
-        rows_a = [a.read("students", f"S{i:05d}")["name"] for i in range(1, 21)]
-        rows_b = [b.read("students", f"S{i:05d}")["name"] for i in range(1, 21)]
-        assert rows_a != rows_b
 
     def test_student_database_copies_are_independent(self):
         """The seeded rows are generated once and handed out as copies

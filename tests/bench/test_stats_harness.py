@@ -99,29 +99,6 @@ class TestSweep:
         assert point.row(["b", "a"]) == [5, 2, 1]
 
 
-class TestCsvExport:
-    def test_sweep_to_csv(self):
-        sweep = run_sweep("demo", "n", [1, 2], lambda n: {"sq": n * n, "name": "x"})
-        csv = sweep.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "n,sq,name"
-        assert lines[1] == "1,1,x"
-        assert lines[2] == "2,4,x"
-
-    def test_csv_quotes_special_characters(self):
-        sweep = run_sweep("demo", "n", [1], lambda n: {"label": 'has,comma "q"'})
-        csv = sweep.to_csv()
-        assert '"has,comma ""q"""' in csv
-
-    def test_csv_parses_back(self):
-        import csv as csv_module
-        import io
-
-        sweep = run_sweep("demo", "peers", [2, 4, 8], lambda n: {"msgs": 10 * n})
-        rows = list(csv_module.DictReader(io.StringIO(sweep.to_csv())))
-        assert [int(r["msgs"]) for r in rows] == [20, 40, 80]
-
-
 class TestReport:
     def test_format_table_aligns(self):
         text = format_table(["n", "value"], [[1, 10.5], [100, 2]], title="T")

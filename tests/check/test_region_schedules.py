@@ -169,7 +169,13 @@ class TestWanHeal:
 
         node.spawn(driver())
         # Cut the WAN a few seconds in; heal it while probes still flow.
-        system.failures.cut_wan_at(system.env.now + 4.0, "r0", "r1", duration=8.0)
+        network = system.network
+        system.failures.partition_at(
+            system.env.now + 4.0,
+            network.region_hosts("r0"),
+            network.region_hosts("r1"),
+            duration=8.0,
+        )
         system.run_until(system.env.now + 30.0 + 20.0)  # workload + cooldown
 
         peers = service.all_peers()

@@ -48,23 +48,6 @@ class TestRoundTrip:
         )
         assert Schedule.from_dict(schedule.to_dict()) == schedule
 
-    def test_baseline_detection(self):
-        assert Schedule().is_baseline
-        assert Schedule(tiebreak={"kind": "fifo"}).is_baseline
-        assert not Schedule(tiebreak={"kind": "shuffle", "seed": 1}).is_baseline
-        assert not Schedule(
-            ops=(FaultOp(at_decision=1, action="crash", target="h"),)
-        ).is_baseline
-
-    def test_without_ops_drops_by_index(self):
-        ops = tuple(
-            FaultOp(at_decision=i, action="crash", target="h") for i in (1, 2, 3)
-        )
-        schedule = Schedule(ops=ops)
-        kept = schedule.without_ops([1])
-        assert kept.ops == (ops[0], ops[2])
-        assert kept.tiebreak == schedule.tiebreak
-
 
 class TestRandomSchedule:
     def test_deterministic_per_rng_seed(self):

@@ -18,13 +18,15 @@ through and is exercised at one value only.  Five censuses hold the rule:
   (:func:`unpassed_parameters` says how calls are matched).
 
 What no such caller passes either becomes the constant it always was or
-is listed below with the test that needs it as a seam.
+is listed below with the test that needs it as a seam; every test a
+reason cites must exist, so a seam cannot outlive the test it is kept for.
 """
 
 import ast
 import collections
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 from repro.check import CheckScenario, SagaCheckScenario
@@ -96,15 +98,6 @@ SPEC_ALLOWED_UNSET = {
     ),
     (BreakerSpec, "half_open_probes"): (
         "tests/core/test_breaker.py::test_half_open_caps_concurrent_probes"
-    ),
-    (GossipSpec, "anti_entropy_interval"): (
-        "tests/core/test_topology.py::TestSpecs::test_gossip_spec_validation"
-    ),
-    (RegionSpec, "latency"): (
-        "tests/core/test_topology.py::TestSpecs::test_region_validates_latency_spec_eagerly"
-    ),
-    (RegionSpec, "loss_rate"): (
-        "tests/core/test_topology.py::TestSpecs::test_region_rejects_bad_loss_rate"
     ),
     (RetryPolicy, "base_delay"): (
         "tests/core/test_retry.py::TestRetryPolicy pins the backoff curve"
@@ -193,15 +186,9 @@ def test_every_gated_runner_parameter_is_a_command_line_keyword():
 #: as ``make census`` prints it (``Class.method``, ``module.function``).
 SCHEDULER_ORACLE = "tests/simnet/test_scheduler_equivalence.py"
 PARAMETER_ALLOWED_UNSET = {
-    ("AdvertisementCache.publish", "lifetime"): (
-        "tests/p2p/test_cache.py::TestExpiry expires entries at chosen lifetimes"
-    ),
     ("ClosedLoopWorkload.__init__", "arguments"): (
         f"{SCHEDULER_ORACLE}::test_steady_state_write_costs_at_most_25_kernel_events "
         "drives writes"
-    ),
-    ("Environment.__init__", "initial_time"): (
-        "tests/simnet/test_environment.py::TestClock::test_custom_initial_time"
     ),
     ("Environment.__init__", "tiebreak"): (
         f"{SCHEDULER_ORACLE}::TestKernelEquivalence builds the FifoTiebreak() oracle"
@@ -212,36 +199,96 @@ PARAMETER_ALLOWED_UNSET = {
     ("FaultCampaign.__init__", "partitions"): (
         "tests/bench/test_campaign.py::test_quiet_campaign_masks_everything runs none"
     ),
+    ("Network.__init__", "default_latency"): (
+        "tests/simnet/test_network.py::TestDelivery and "
+        f"{SCHEDULER_ORACLE}::test_datagram_fast_and_fallback_branches_match_the_expanded_form "
+        "pin delays with a ConstantLatency fake"
+    ),
     ("Network.__init__", "default_bandwidth_bps"): (
         f"{SCHEDULER_ORACLE}::test_datagram_fast_and_fallback_branches_match_the_expanded_form "
         "collides arrivals on an infinite-bandwidth LAN"
     ),
-    ("OntologyBuilder.build", "validate"): (
-        "tests/ontology/test_ontology.py::TestBuilder::test_builder_validate_opt_out"
-    ),
-    ("ShardRing.__init__", "virtual_nodes"): (
-        "tests/core/test_sharding.py::TestShardRing::test_rejects_zero_virtual_nodes"
-    ),
     ("SoapClient.call", "headers"): (
         "tests/soap/test_client_server.py::TestCalls::test_headers_reach_dispatcher"
-    ),
-    ("bpeer_group.deploy_bpeer_group", "advertise_qos"): (
-        "tests/core/test_qos_advertisements.py::"
-        "test_proxy_prefers_group_with_better_advertised_qos"
     ),
     ("cli.main", "argv"): "tests/core/test_cli.py drives every command through main(argv)",
     ("datasets.claims_database", "count"): "tests/backend/test_backend.py builds small stores",
     ("datasets.loans_database", "count"): "tests/backend/test_backend.py builds small stores",
     ("datasets.patients_database", "count"): "tests/backend/test_backend.py builds small stores",
-    ("datasets.student_database", "seed"): (
-        "tests/backend/test_backend.py::TestDatasets::test_different_seeds_differ"
-    ),
     ("encoding.encode_value", "name"): (
         "tests/properties/test_prop_encoding.py::test_value_roundtrips_through_serialised_xml"
     ),
     ("report.ascii_plot", "height"): "tests/bench/test_stats_harness.py draws small plots",
     ("report.ascii_plot", "width"): "tests/bench/test_stats_harness.py draws small plots",
 }
+
+
+#: A test a reason cites: ``tests/<path>.py``, then any ``::Class`` /
+#: ``::function`` names, each defined (at any depth) inside the one
+#: before it.
+CITATION = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)*)")
+
+
+def _cites_a_defined_test(path, names):
+    if not path.is_file():
+        return False
+    scope = ast.parse(path.read_text(encoding="utf-8"))
+    for name in names:
+        scope = next(
+            (
+                node
+                for node in ast.walk(scope)
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                and node.name == name
+                and node is not scope
+            ),
+            None,
+        )
+        if scope is None:
+            return False
+    return True
+
+
+def unresolved_citations(reasons, root=ROOT):
+    """The ``tests/…py[::Name…]`` citations in ``reasons`` that name a
+    missing file, or a class or function the file does not define."""
+    return [
+        match.group(0)
+        for reason in reasons
+        for match in CITATION.finditer(reason)
+        if not _cites_a_defined_test(root / match.group(1), match.group(2).split("::")[1:])
+    ]
+
+
+def test_every_allowlist_reason_cites_a_test_that_exists():
+    reasons = [
+        *ALLOWED_UNSET.values(),
+        *SPEC_ALLOWED_UNSET.values(),
+        *SCENARIO_ALLOWED_UNSET.values(),
+        *PARAMETER_ALLOWED_UNSET.values(),
+    ]
+    assert sum(len(CITATION.findall(reason)) for reason in reasons) > 10
+    assert unresolved_citations(reasons) == []
+
+
+def test_a_citation_must_name_a_defined_test():
+    assert unresolved_citations(
+        [
+            "tests/core/test_knob_census.py::test_a_citation_must_name_a_defined_test",
+            "tests/core/test_retry.py::TestRetryPolicy pins the backoff curve",
+        ]
+    ) == []
+    assert unresolved_citations(
+        [
+            "tests/core/test_knob_census.py::test_that_is_gone",
+            "tests/core/test_gone.py drives it",
+            "tests/core/test_retry.py::TestRetryPolicy::test_that_is_gone",
+        ]
+    ) == [
+        "tests/core/test_knob_census.py::test_that_is_gone",
+        "tests/core/test_gone.py",
+        "tests/core/test_retry.py::TestRetryPolicy::test_that_is_gone",
+    ]
 
 
 def _callees(func):

@@ -1,11 +1,8 @@
-"""Tests for the §2.4 extension: QoS-annotated semantic advertisements."""
-
-import pytest
+"""The proxy's per-group QoS profiles: one per group, a default until
+the group has served, and what picks among equally matching groups."""
 
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.core.bpeer_group import semantic_advertisement_for
-from repro.p2p import PeerGroupId, SemanticAdvertisement, advertisement_from_xml
-from repro.qos import QosMetrics
 from repro.wsdl.annotations import SemanticAnnotation
 
 ANNOTATION = SemanticAnnotation(
@@ -13,148 +10,50 @@ ANNOTATION = SemanticAnnotation(
 )
 
 
-class TestQosAdvertisement:
-    def test_qos_fields_roundtrip_xml(self):
-        advertisement = SemanticAdvertisement(
-            group_id=PeerGroupId.from_name("g"), name="g", action="http://o#A",
-            qos_time=0.015, qos_cost=2.5, qos_reliability=0.97,
-        )
-        parsed = advertisement_from_xml(advertisement.to_xml())
-        assert parsed.qos_time == 0.015
-        assert parsed.qos_cost == 2.5
-        assert parsed.qos_reliability == 0.97
-        assert parsed.has_qos
-
-    def test_unannotated_advertisement_has_no_qos(self):
-        advertisement = SemanticAdvertisement(
-            group_id=PeerGroupId.from_name("g"), name="g", action="http://o#A"
-        )
-        parsed = advertisement_from_xml(advertisement.to_xml())
-        assert not parsed.has_qos
-        assert parsed.qos_time is None
-
-    def test_partial_qos_is_not_has_qos(self):
-        advertisement = SemanticAdvertisement(
-            group_id=PeerGroupId.from_name("g"), name="g", action="http://o#A",
-            qos_time=0.01,
-        )
-        assert not advertisement.has_qos
-
-    def test_builder_attaches_qos(self):
-        advertisement = semantic_advertisement_for(
-            "grp", ANNOTATION, "http://onto",
-            qos=QosMetrics(time=0.02, cost=1.0, reliability=0.9),
-        )
-        assert advertisement.has_qos
-        assert advertisement.qos_time == 0.02
-
-    def test_builder_without_qos(self):
-        advertisement = semantic_advertisement_for("grp", ANNOTATION, "http://onto")
-        assert not advertisement.has_qos
-
-
 class TestProxyQosPrior:
-    def test_advertised_qos_seeds_proxy_profile(self):
-        system = WhisperSystem(ScenarioConfig(seed=31))
-        service = system.deploy_student_service(system.config.replace(replicas=2))
-        proxy = service.proxy
-        advertisement = semantic_advertisement_for(
-            "grp-x", ANNOTATION, "http://onto",
-            qos=QosMetrics(time=0.2, cost=3.0, reliability=0.5),
-        )
-        profile = proxy._profile_for(advertisement.key(), advertisement)
-        snapshot = profile.snapshot()
-        assert snapshot.time == 0.2
-        assert snapshot.cost == 3.0
-        assert snapshot.reliability == 0.5
-
     def test_unadvertised_group_gets_default_profile(self):
         system = WhisperSystem(ScenarioConfig(seed=31))
         service = system.deploy_student_service(system.config.replace(replicas=2))
         advertisement = semantic_advertisement_for("grp-y", ANNOTATION, "http://onto")
-        profile = service.proxy._profile_for(advertisement.key(), advertisement)
+        profile = service.proxy._profile_for(advertisement.key())
         assert profile.snapshot().reliability == 1.0
 
     def test_profile_persists_across_lookups(self):
         system = WhisperSystem(ScenarioConfig(seed=31))
         service = system.deploy_student_service(system.config.replace(replicas=2))
         advertisement = semantic_advertisement_for("grp-z", ANNOTATION, "http://onto")
-        first = service.proxy._profile_for(advertisement.key(), advertisement)
+        first = service.proxy._profile_for(advertisement.key())
         first.record_success(0.123)
-        second = service.proxy._profile_for(advertisement.key(), advertisement)
+        second = service.proxy._profile_for(advertisement.key())
         assert second is first
         assert second.observations == 1
 
-    def test_invoke_seeds_profile_on_single_match_path(self):
-        """Regression: with exactly one matching group, ``invoke`` used to
-        call ``_profile_for(key)`` without the advertisement, so the profile
-        was a blank default and the advertised QoS never seeded it.
-        ``_choose_group`` short-circuits for a single match, making this the
-        only seeding opportunity on that path."""
-        from repro.backend import student_database, student_lookup_operational
-        from repro.core import SemanticWebService, SwsProxy
-        from repro.core.bpeer_group import deploy_bpeer_group
-        from repro.wsdl import student_management_wsdl
-
-        system = WhisperSystem(ScenarioConfig(seed=41))
-        sws = SemanticWebService(student_management_wsdl(), system.ontology)
-        annotation = sws.annotation("StudentInformation")
-        group = deploy_bpeer_group(
-            system.network, system.rendezvous, "grp-qos-solo", annotation,
-            [student_lookup_operational(student_database())],
-            ontology_uri=system.ontology.uri,
-            advertise_qos=QosMetrics(time=0.2, cost=3.0, reliability=0.9),
-        )
-        node = system.network.add_host("qos-solo-web")
-        proxy = SwsProxy(node, sws, system.matcher)
-        proxy.attach_to(system.rendezvous)
-        system.settle(6.0)
-
-        outcome = {}
-
-        def runner():
-            result = yield from proxy.invoke(
-                "StudentInformation", {"ID": "S00001"}
-            )
-            outcome["value"] = result.value
-
-        system.env.run(until=node.spawn(runner()))
-        assert "value" in outcome
-        profile = proxy._group_profiles[group.advertisement.key()]
-        # Seeded from the advertisement, not QosProfile() defaults
-        # (cost=1.0, initial_time=0.05).
-        assert profile.cost == 3.0
-        assert profile.initial_time == 0.2
-        assert profile.initial_reliability == 0.9
-        assert profile.observations == 1  # the successful invocation landed
-
-    def test_proxy_prefers_group_with_better_advertised_qos(self):
-        """Two semantically identical groups; only the advertised QoS
-        differs.  The proxy's first choice should be the better one."""
+    def test_proxy_prefers_group_with_better_profile(self):
+        """Two semantically identical groups; only the proxy's QoS
+        estimate of each differs.  The proxy's choice is the better one."""
         from repro.backend import student_database, student_lookup_operational
         from repro.core.bpeer_group import deploy_bpeer_group
-        from repro.wsdl import student_management_wsdl
 
         system = WhisperSystem(ScenarioConfig(seed=37))
         service = system.deploy_student_service(system.config.replace(replicas=2))
         annotation = service.sws.annotation("StudentInformation")
-        # Replace the default group advertisement set with two QoS-annotated
-        # competitors discovered by the proxy.
         good = deploy_bpeer_group(
             system.network, system.rendezvous, "grp-good", annotation,
             [student_lookup_operational(student_database())],
             ontology_uri=system.ontology.uri,
-            advertise_qos=QosMetrics(time=0.002, cost=1.0, reliability=0.99),
         )
         bad = deploy_bpeer_group(
             system.network, system.rendezvous, "grp-bad", annotation,
             [student_lookup_operational(student_database())],
             ontology_uri=system.ontology.uri,
-            advertise_qos=QosMetrics(time=0.5, cost=5.0, reliability=0.6),
         )
         system.settle(8.0)
-        matches = service.proxy.group_matcher.find_all(
+        proxy = service.proxy
+        proxy._profile_for(good.advertisement.key()).record_success(0.002)
+        proxy._profile_for(bad.advertisement.key()).record_success(0.5)
+        proxy._profile_for(bad.advertisement.key()).record_failure()
+        matches = proxy.group_matcher.find_all(
             annotation, [good.advertisement, bad.advertisement]
         )
-        chosen = service.proxy._choose_group(matches)
+        chosen = proxy._choose_group(matches)
         assert chosen.advertisement.name == "grp-good"

@@ -90,10 +90,10 @@ class TestPartitions:
         other_hosts = [
             name for name in system.network.hosts if name not in bpeer_hosts
         ]
-        system.network.partition(bpeer_hosts, other_hosts)
+        handle = system.network.partition(bpeer_hosts, other_hosts)
         outcome = _call(system, service, {"ID": "S00002"}, client, timeout=5.0)
         assert "error" in outcome  # unreachable during the partition
-        system.network.heal_partitions()
+        system.network.heal_partition(handle)
         system.settle(15.0)  # leases, renewals, and elections recover
         outcome = _call(system, service, {"ID": "S00003"}, client, timeout=60.0)
         assert "value" in outcome

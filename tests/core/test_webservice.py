@@ -5,7 +5,6 @@ import pytest
 from repro.backend import student_database, student_lookup_operational
 from repro.core import PlainWebService, ScenarioConfig, WhisperSystem
 from repro.soap import HttpRequest, RequestTimeout, SoapFault, http_request
-from repro.wsdl import definitions_from_xml
 
 
 @pytest.fixture
@@ -14,27 +13,6 @@ def system():
 
 
 class TestWhisperWebService:
-    def test_wsdl_endpoint_serves_description(self, system):
-        service = system.deploy_student_service(system.config.replace(replicas=2))
-        system.settle(6.0)
-        node = system.network.add_host("wsdl-client")
-        got = {}
-
-        def fetch():
-            got["response"] = yield from http_request(
-                node, service.address,
-                HttpRequest("GET", f"{service.path}?wsdl"),
-                timeout=2.0,
-            )
-
-        system.env.run(until=node.spawn(fetch()))
-        response = got["response"]
-        assert response.status == 200
-        parsed = definitions_from_xml(response.body)
-        assert parsed.name == "StudentManagement"
-        operation = parsed.single_interface().operation("StudentInformation")
-        assert operation.is_annotated  # WSDL-S annotations survive
-
     def test_unknown_path_404(self, system):
         service = system.deploy_student_service(system.config.replace(replicas=2))
         system.settle(6.0)

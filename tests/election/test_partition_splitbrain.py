@@ -72,9 +72,9 @@ class TestSplitBrain:
     def test_heal_converges_to_single_leader(self, cluster):
         env, network, _rdv, peers, coordinators = cluster
         majority, minority, ordered = _sides(network, peers)
-        network.partition(majority, minority)
+        handle = network.partition(majority, minority)
         env.run(until=env.now + 20.0)
-        network.heal_partitions()
+        network.heal_partition(handle)
         env.run(until=env.now + 30.0)
         beliefs = {coordinator.coordinator for coordinator in coordinators}
         assert len(beliefs) == 1, f"split-brain persisted: {beliefs}"
@@ -88,9 +88,9 @@ class TestSplitBrain:
         requests (exercised through the coordinator-query handler)."""
         env, network, rendezvous, peers, coordinators = cluster
         majority, minority, _ordered = _sides(network, peers)
-        network.partition(majority, minority)
+        handle = network.partition(majority, minority)
         env.run(until=env.now + 20.0)
-        network.heal_partitions()
+        network.heal_partition(handle)
         env.run(until=env.now + 30.0)
         # Everyone, including the rendezvous path, agrees on one live leader.
         alive_beliefs = {c.coordinator for c in coordinators}

@@ -1,6 +1,6 @@
-"""Unit tests for namespaces and qualified names."""
+"""Unit tests for namespaces and the prefix registry."""
 
-from repro.ontology import Namespace, NamespaceRegistry, QName, split_uri
+from repro.ontology import Namespace, NamespaceRegistry, split_uri
 
 
 class TestSplitUri:
@@ -24,19 +24,6 @@ class TestNamespace:
         ns = Namespace("http://x.org/o#")
         assert ns["Student"] == "http://x.org/o#Student"
 
-    def test_term_builds_qname(self):
-        ns = Namespace("http://x.org/o#")
-        qname = ns.term("Student")
-        assert qname.uri == "http://x.org/o#Student"
-        assert qname.local_name == "Student"
-
-
-class TestQName:
-    def test_from_uri_roundtrip(self):
-        qname = QName.from_uri("http://x.org/o#Student")
-        assert qname.namespace == "http://x.org/o#"
-        assert str(qname) == "http://x.org/o#Student"
-
 
 class TestRegistry:
     def test_resolve_curie(self):
@@ -52,18 +39,8 @@ class TestRegistry:
         registry = NamespaceRegistry()
         assert registry.resolve("zz:Thing") == "zz:Thing"
 
-    def test_compact(self):
-        registry = NamespaceRegistry()
-        registry.bind("sm", "http://x.org/o#")
-        assert registry.compact("http://x.org/o#Student") == "sm:Student"
-
-    def test_compact_unknown_namespace_passthrough(self):
-        registry = NamespaceRegistry()
-        assert registry.compact("http://y.org/o#T") == "http://y.org/o#T"
-
     def test_rebind_prefix(self):
         registry = NamespaceRegistry()
         registry.bind("sm", "http://old.org#")
         registry.bind("sm", "http://new.org#")
         assert registry.resolve("sm:X") == "http://new.org#X"
-        assert registry.prefix_of("http://old.org#") is None

@@ -37,29 +37,8 @@ class TestMutation:
         with pytest.raises(OntologyError):
             ontology.concept(T + "Ghost")
 
-    def test_individuals(self, ontology):
-        ontology.add_individual(T + "rex", types=[T + "Dog"])
-        individuals = ontology.individuals_of(T + "Dog")
-        assert [i.uri for i in individuals] == [T + "rex"]
-
-    def test_individual_property_values(self, ontology):
-        individual = ontology.add_individual(T + "rex", types=[T + "Dog"])
-        individual.add_value(T + "hasName", "Rex")
-        individual.add_value(T + "hasName", "Rexy")
-        assert individual.get_values(T + "hasName") == ["Rex", "Rexy"]
-        assert individual.get_values(T + "missing") == []
-
 
 class TestQueries:
-    def test_roots(self, ontology):
-        assert ontology.roots() == [T + "Thing"]
-
-    def test_direct_children(self, ontology):
-        assert ontology.direct_children(T + "Animal") == {T + "Dog"}
-
-    def test_direct_parents(self, ontology):
-        assert ontology.direct_parents(T + "Dog") == {T + "Animal"}
-
     def test_len_counts_concepts(self, ontology):
         assert len(ontology) == 3
 
@@ -108,10 +87,6 @@ class TestValidation:
         ontology.add_property(T + "hasTail", domain=T + "Ghost")
         assert any("domain" in p for p in ontology.validate())
 
-    def test_undefined_individual_type_reported(self, ontology):
-        ontology.add_individual(T + "x", types=[T + "Ghost"])
-        assert any("individual" in p for p in ontology.validate())
-
 
 class TestBuilder:
     def test_builder_resolves_curies(self):
@@ -128,10 +103,3 @@ class TestBuilder:
         builder.concept("t:B", parents=["t:Missing"])
         with pytest.raises(ValueError):
             builder.build()
-
-    def test_builder_validate_opt_out(self):
-        builder = OntologyBuilder("http://t.org/o")
-        builder.namespace("t", T)
-        builder.concept("t:B", parents=["t:Missing"])
-        onto = builder.build(validate=False)
-        assert onto.has_concept(T + "B")

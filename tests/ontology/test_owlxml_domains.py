@@ -33,12 +33,6 @@ class TestOwlXml:
         parsed = ontology_from_xml(ontology_to_xml(original))
         assert parsed.concepts[SM["StudentID"]].label == "Student ID"
 
-    def test_individuals_roundtrip(self):
-        original = university_ontology()
-        original.add_individual(SM["s-123"], types=[SM["Student"]])
-        parsed = ontology_from_xml(ontology_to_xml(original))
-        assert SM["Student"] in parsed.individuals[SM["s-123"]].types
-
     def test_malformed_xml_rejected(self):
         with pytest.raises(OwlParseError):
             ontology_from_xml("<not-closed")

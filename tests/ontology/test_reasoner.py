@@ -41,16 +41,6 @@ class TestSubsumption:
         # Transcript ⊑ StudentInfo ≡ StudentRecord, so Transcript ⊑ StudentRecord.
         assert reasoner.is_subsumed_by(T + "Transcript", T + "StudentRecord")
 
-    def test_subsumes_is_inverse(self, reasoner):
-        assert reasoner.subsumes(T + "Record", T + "Transcript")
-
-    def test_descendants(self, reasoner):
-        descendants = reasoner.descendants(T + "StudentInfo")
-        assert T + "Transcript" in descendants
-        assert T + "ContactInfo" in descendants
-        assert T + "StudentRecord" in descendants  # equivalent
-        assert T + "Record" not in descendants
-
     def test_unknown_concept_has_trivial_ancestors(self, reasoner):
         assert reasoner.ancestors(T + "Ghost") == {T + "Ghost"}
 

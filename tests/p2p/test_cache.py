@@ -9,6 +9,7 @@ from repro.p2p import (
     PeerId,
     SemanticAdvertisement,
 )
+from repro.p2p.advertisement import DEFAULT_LIFETIME
 
 
 @pytest.fixture
@@ -22,8 +23,10 @@ def cache(clock):
     return AdvertisementCache(clock=lambda: clock["now"])
 
 
-def _peer_adv(name, host="h", port=1):
-    return PeerAdvertisement(peer_id=PeerId.from_name(name), name=name, host=host, port=port)
+def _peer_adv(name, host="h", port=1, lifetime=DEFAULT_LIFETIME):
+    return PeerAdvertisement(
+        peer_id=PeerId.from_name(name), name=name, host=host, port=port, lifetime=lifetime
+    )
 
 
 def _group_adv(name):
@@ -51,16 +54,11 @@ class TestPublish:
         assert not cache.remove(advertisement.key())
         assert cache.get(advertisement.key()) is None
 
-    def test_clear(self, cache):
-        cache.publish(_peer_adv("p1"))
-        cache.clear()
-        assert len(cache) == 0
-
 
 class TestExpiry:
     def test_expires_after_lifetime(self, cache, clock):
-        advertisement = _peer_adv("p1")
-        cache.publish(advertisement, lifetime=10.0)
+        advertisement = _peer_adv("p1", lifetime=10.0)
+        cache.publish(advertisement)
         clock["now"] = 9.9
         assert cache.get(advertisement.key()) is not None
         clock["now"] = 10.1
@@ -68,16 +66,16 @@ class TestExpiry:
         assert len(cache) == 0
 
     def test_republish_extends_lifetime(self, cache, clock):
-        advertisement = _peer_adv("p1")
-        cache.publish(advertisement, lifetime=10.0)
+        advertisement = _peer_adv("p1", lifetime=10.0)
+        cache.publish(advertisement)
         clock["now"] = 8.0
-        cache.publish(advertisement, lifetime=10.0)
+        cache.publish(advertisement)
         clock["now"] = 15.0
         assert cache.get(advertisement.key()) is not None
 
     def test_query_skips_expired(self, cache, clock):
-        cache.publish(_peer_adv("p1"), lifetime=5.0)
-        cache.publish(_peer_adv("p2"), lifetime=50.0)
+        cache.publish(_peer_adv("p1", lifetime=5.0))
+        cache.publish(_peer_adv("p2", lifetime=50.0))
         clock["now"] = 10.0
         names = [a.name for a in cache.query(PeerAdvertisement)]
         assert names == ["p2"]
@@ -132,8 +130,8 @@ class TestMetrics:
         return counter.value if counter is not None else 0
 
     def test_get_hit_and_expiry_counted(self, cache, clock, metrics):
-        advertisement = _peer_adv("p1")
-        cache.publish(advertisement, lifetime=10.0)
+        advertisement = _peer_adv("p1", lifetime=10.0)
+        cache.publish(advertisement)
         assert cache.get(advertisement.key()) is not None
         assert self._counter(metrics, "discovery.cache_hit") == 1
         clock["now"] = 11.0
@@ -144,9 +142,9 @@ class TestMetrics:
     def test_query_counts_one_hit_per_lookup_and_purges(self, cache, clock, metrics):
         """One query is one lookup: a single hit no matter how many
         advertisements match (parity with ``get``)."""
-        cache.publish(_peer_adv("p1"), lifetime=5.0)
-        cache.publish(_peer_adv("p2"), lifetime=50.0)
-        cache.publish(_peer_adv("p3"), lifetime=50.0)
+        cache.publish(_peer_adv("p1", lifetime=5.0))
+        cache.publish(_peer_adv("p2", lifetime=50.0))
+        cache.publish(_peer_adv("p3", lifetime=50.0))
         clock["now"] = 10.0
         results = cache.query(PeerAdvertisement)
         assert len(results) == 2
@@ -166,28 +164,18 @@ class TestMetrics:
         assert self._counter(metrics, "discovery.cache_expired") == 0
 
     def test_get_expired_counts_expired_and_miss(self, cache, clock, metrics):
-        advertisement = _peer_adv("p1")
-        cache.publish(advertisement, lifetime=5.0)
+        advertisement = _peer_adv("p1", lifetime=5.0)
+        cache.publish(advertisement)
         clock["now"] = 10.0
         assert cache.get(advertisement.key()) is None
         assert self._counter(metrics, "discovery.cache_expired") == 1
         assert self._counter(metrics, "discovery.cache_miss") == 1
         assert self._counter(metrics, "discovery.cache_hit") == 0
 
-    def test_clear_accounts_expired_and_flushed(self, cache, clock, metrics):
-        cache.publish(_peer_adv("p1"), lifetime=5.0)
-        cache.publish(_peer_adv("p2"), lifetime=50.0)
-        cache.publish(_peer_adv("p3"), lifetime=50.0)
-        clock["now"] = 10.0
-        cache.clear()
-        assert len(cache) == 0
-        assert self._counter(metrics, "discovery.cache_expired") == 1
-        assert self._counter(metrics, "discovery.cache_flushed") == 2
-
     def test_cache_without_metrics_still_works(self, clock):
         bare = AdvertisementCache(clock=lambda: clock["now"])
-        advertisement = _peer_adv("p1")
-        bare.publish(advertisement, lifetime=1.0)
+        advertisement = _peer_adv("p1", lifetime=1.0)
+        bare.publish(advertisement)
         assert bare.get(advertisement.key()) is not None
         clock["now"] = 2.0
         assert bare.get(advertisement.key()) is None

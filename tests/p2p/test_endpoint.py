@@ -50,17 +50,6 @@ class TestDirectMessaging:
         env.run(until=0.1)
         assert got == {"x": [1], "y": [2]}
 
-    def test_unregister_listener(self, env, network):
-        a = _endpoint(network, "a")
-        b = _endpoint(network, "b")
-        a.add_route(b.peer_id, b.address)
-        got = []
-        b.register_listener("x", lambda m: got.append(m.payload))
-        b.unregister_listener("x")
-        a.send(b.peer_id, "x", 1)
-        env.run(until=0.1)
-        assert got == []
-
     def test_message_category_recorded(self, env, network):
         a = _endpoint(network, "a")
         b = _endpoint(network, "b")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.p2p import (
-    Advertisement,
     AdvParseError,
     PeerAdvertisement,
     PeerGroupId,
@@ -110,7 +109,7 @@ class TestAdvertisements:
             group_id=PeerGroupId.from_name("g"), name="g", action="a",
             inputs=tuple(f"http://o#In{i}" for i in range(20)),
         )
-        assert big.size_bytes() > small.size_bytes()
+        assert len(big.to_xml()) > len(small.to_xml())
 
 
 class TestLazyXmlCache:
@@ -124,30 +123,6 @@ class TestLazyXmlCache:
         advertisement = self._adv()
         first = advertisement.to_xml()
         assert advertisement.to_xml() is first  # cached object, not re-render
-        assert advertisement.size_bytes() == len(first.encode())
-
-    def test_invalidate_after_mutation_re_renders(self):
-        advertisement = self._adv()
-        before = advertisement.to_xml()
-        advertisement.lifetime = 12.5
-        advertisement.invalidate_xml_cache()
-        after = advertisement.to_xml()
-        assert after != before
-        assert 'lifetime="12.5"' in after
-
-    def test_size_bytes_encodes_once_per_advertisement(self, monkeypatch):
-        advertisement = self._adv()
-        documents = []
-        to_xml = Advertisement.to_xml
-
-        def counted(self):
-            documents.append(to_xml(self))
-            return documents[-1]
-
-        monkeypatch.setattr(Advertisement, "to_xml", counted)
-        sizes = {advertisement.size_bytes() for _ in range(50)}
-        # One document asked for, so one ``encode``; 49 answers from the cache.
-        assert len(documents) == 1 and sizes == {len(documents[0].encode())}
 
     def test_parse_after_cached_render_roundtrips(self):
         advertisement = self._adv()

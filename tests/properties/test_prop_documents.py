@@ -38,11 +38,6 @@ def semantic_advertisements(draw):
         outputs=tuple(draw(st.lists(uris, max_size=4))),
         ontology_uri=draw(uris),
         description=draw(names),
-        qos_time=draw(st.one_of(st.none(), st.floats(min_value=0, max_value=10))),
-        qos_cost=draw(st.one_of(st.none(), st.floats(min_value=0, max_value=100))),
-        qos_reliability=draw(
-            st.one_of(st.none(), st.floats(min_value=0, max_value=1))
-        ),
         lifetime=draw(st.floats(min_value=1, max_value=10000)),
     )
 
@@ -56,9 +51,6 @@ def test_semantic_advertisement_roundtrips(advertisement):
     assert parsed.action == advertisement.action
     assert parsed.inputs == advertisement.inputs
     assert parsed.outputs == advertisement.outputs
-    assert parsed.qos_time == advertisement.qos_time
-    assert parsed.qos_cost == advertisement.qos_cost
-    assert parsed.qos_reliability == advertisement.qos_reliability
     assert parsed.lifetime == advertisement.lifetime
     assert parsed.key() == advertisement.key()
 

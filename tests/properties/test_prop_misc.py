@@ -141,9 +141,10 @@ class TestCacheProperties:
         expiries = {}
         for name, lifetime in entries:
             advertisement = PeerAdvertisement(
-                peer_id=PeerId.from_name(name), name=name, host="h", port=1
+                peer_id=PeerId.from_name(name), name=name, host="h", port=1,
+                lifetime=lifetime,
             )
-            cache.publish(advertisement, lifetime=lifetime)
+            cache.publish(advertisement)
             expiries[advertisement.key()] = lifetime  # last publish wins
         clock["now"] = probe_time
         for advertisement in cache.query():

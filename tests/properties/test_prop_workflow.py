@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.qos import QosMetrics
 from repro.workflow import (
     ExclusiveChoice,
-    LoopFlow,
     ParallelFlow,
     SequenceFlow,
     ServiceTask,
@@ -35,7 +34,7 @@ def workflows(draw, depth=0):
     name = f"t{depth}-{counter}"
     if depth >= 3:
         return _task(name)
-    kind = draw(st.sampled_from(["task", "seq", "par", "choice", "loop"]))
+    kind = draw(st.sampled_from(["task", "seq", "par", "choice"]))
     if kind == "task":
         return _task(name)
     if kind in ("seq", "par"):
@@ -44,20 +43,14 @@ def workflows(draw, depth=0):
             for _ in range(draw(st.integers(min_value=1, max_value=3)))
         ]
         return SequenceFlow(children) if kind == "seq" else ParallelFlow(children)
-    if kind == "choice":
-        count = draw(st.integers(min_value=1, max_value=3))
-        weights = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(count)]
-        total = sum(weights)
-        branches = [
-            (lambda ctx: True, weight / total, draw(workflows(depth=depth + 1)))
-            for weight in weights
-        ]
-        return ExclusiveChoice(branches=branches)
-    return LoopFlow(
-        body=draw(workflows(depth=depth + 1)),
-        condition=lambda ctx: False,
-        repeat_probability=draw(st.floats(min_value=0.0, max_value=0.8)),
-    )
+    count = draw(st.integers(min_value=1, max_value=3))
+    weights = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(count)]
+    total = sum(weights)
+    branches = [
+        (lambda ctx: True, weight / total, draw(workflows(depth=depth + 1)))
+        for weight in weights
+    ]
+    return ExclusiveChoice(branches=branches)
 
 
 def _metrics_for(workflow, draw_value):

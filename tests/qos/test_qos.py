@@ -9,7 +9,6 @@ from repro.qos import (
     QosWeights,
     RandomSelector,
     conditional,
-    loop,
     parallel,
     sequence,
 )
@@ -36,10 +35,10 @@ class TestMetrics:
 
 class TestProfile:
     def test_initial_snapshot_uses_defaults(self):
-        profile = QosProfile(cost=3.0, initial_time=0.02)
+        profile = QosProfile(initial_time=0.02)
         snapshot = profile.snapshot()
         assert snapshot.time == 0.02
-        assert snapshot.cost == 3.0
+        assert snapshot.cost == 1.0
         assert snapshot.reliability == 1.0
 
     def test_success_moves_time_estimate(self):
@@ -89,21 +88,6 @@ class TestAggregation:
     def test_conditional_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             conditional([(0.5, self.M1), (0.4, self.M2)])
-
-    def test_loop(self):
-        combined = loop(self.M1, repeat_probability=0.5)
-        assert combined.time == pytest.approx(2.0)
-        assert combined.cost == pytest.approx(4.0)
-        assert combined.reliability == pytest.approx(0.9**2)
-
-    def test_loop_zero_repeat_is_identity(self):
-        combined = loop(self.M1, repeat_probability=0.0)
-        assert combined.time == self.M1.time
-        assert combined.reliability == pytest.approx(self.M1.reliability)
-
-    def test_loop_invalid_probability(self):
-        with pytest.raises(ValueError):
-            loop(self.M1, repeat_probability=1.0)
 
     def test_empty_structures_rejected(self):
         with pytest.raises(ValueError):

@@ -15,10 +15,6 @@ class TestClock:
     def test_starts_at_zero(self, env):
         assert env.now == 0.0
 
-    def test_custom_initial_time(self):
-        env = Environment(initial_time=100.0)
-        assert env.now == 100.0
-
     def test_run_until_time_advances_clock(self, env):
         env.timeout(50.0)
         env.run(until=10.0)

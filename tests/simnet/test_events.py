@@ -127,16 +127,6 @@ class TestConditions:
         assert result[slow] == "slow"
         assert env.now == 5.0
 
-    def test_or_operator(self, env):
-        composite = env.timeout(1.0) | env.timeout(9.0)
-        env.run(until=composite)
-        assert env.now == 1.0
-
-    def test_and_operator(self, env):
-        composite = env.timeout(1.0) & env.timeout(2.0)
-        env.run(until=composite)
-        assert env.now == 2.0
-
     def test_empty_condition_fires_immediately(self, env):
         condition = AllOf(env, [])
         assert condition.triggered

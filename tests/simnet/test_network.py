@@ -227,8 +227,8 @@ class TestFailureModes:
         a, b = network.add_host("a"), network.add_host("b")
         sa = a.transport.bind()
         sb = b.transport.bind(700)
-        network.partition(["a"], ["b"])
-        network.heal_partitions()
+        handle = network.partition(["a"], ["b"])
+        network.heal_partition(handle)
         got = []
 
         def receiver():

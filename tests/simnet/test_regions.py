@@ -128,7 +128,7 @@ class TestWanRouting:
 
     def test_intra_region_uses_region_link(self):
         env, network = _network()
-        network.add_region("eu", latency=ConstantLatency(0.002))
+        network.add_region("eu")
         network.add_host("a", region="eu")
         network.add_host("b", region="eu")
         assert _ping(env, network, "eu/a", "eu/b") == "ping"
@@ -162,7 +162,7 @@ class TestRegionFaults:
         network.add_host("a", region="eu")
         network.add_host("b", region="us")
         network.add_host("c", region="ap")
-        network.partition_regions("eu", "us")
+        network.partition(network.region_hosts("eu"), network.region_hosts("us"))
         assert _ping(env, network, "eu/a", "us/b") is None
         # The eu<->ap path is untouched by the eu|us cut.
         assert _ping(env, network, "eu/a", "ap/c") == "ping"

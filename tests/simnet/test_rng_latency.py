@@ -34,12 +34,6 @@ class TestRngRegistry:
     def test_different_seeds_differ(self):
         assert RngRegistry(1).stream("x").random() != RngRegistry(2).stream("x").random()
 
-    def test_fork_produces_distinct_but_deterministic_child(self):
-        child_a = RngRegistry(1).fork("host1")
-        child_b = RngRegistry(1).fork("host1")
-        assert child_a.seed == child_b.seed
-        assert child_a.seed != RngRegistry(1).seed
-
 
 class TestLatencyModels:
     def test_constant(self):

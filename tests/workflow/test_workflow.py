@@ -12,7 +12,6 @@ from repro.core import ScenarioConfig, WhisperSystem
 from repro.qos import QosMetrics
 from repro.workflow import (
     ExclusiveChoice,
-    LoopFlow,
     ParallelFlow,
     SequenceFlow,
     ServiceTask,
@@ -110,45 +109,6 @@ class TestExecution:
         approved = result.context["assessment"]["assessment"] == "approve"
         assert took_loan == approved
 
-    def test_loop_runs_until_condition(self, deployment):
-        system, claims, _loans = deployment
-        node = system.network.add_host(f"wf-loop-{system.env.now}")
-        engine = WorkflowEngine(node)
-        state = {"count": 0}
-
-        def bump(ctx):
-            state["count"] += 1
-            return {"request": ctx["claim_id"]}
-
-        workflow = LoopFlow(
-            body=ServiceTask(
-                name="poll",
-                address=claims.address,
-                path=claims.path,
-                operation="ProcessClaim",
-                input_mapping=bump,
-                output_key="assessment",
-            ),
-            condition=lambda ctx: state["count"] < 3,
-            repeat_probability=0.5,
-        )
-        result = engine.run(workflow, {"claim_id": "C00005"})
-        assert result.succeeded
-        assert len(result.records) == 3
-
-    def test_loop_bound_enforced(self, deployment):
-        system, claims, _loans = deployment
-        node = system.network.add_host(f"wf-bound-{system.env.now}")
-        engine = WorkflowEngine(node)
-        workflow = LoopFlow(
-            body=_claim_task(claims, name="forever"),
-            condition=lambda ctx: True,
-            max_iterations=2,
-        )
-        result = engine.run(workflow, {"claim_id": "C00006"})
-        assert not result.succeeded
-        assert "iterations" in result.error
-
     def test_task_fault_fails_workflow(self, deployment):
         system, claims, _loans = deployment
         node = system.network.add_host(f"wf-fault-{system.env.now}")
@@ -194,14 +154,6 @@ class TestValidation:
         )
         with pytest.raises(WorkflowError):
             choice.validate()
-
-    def test_bad_loop_probability_rejected(self, deployment):
-        _system, claims, _loans = deployment
-        with pytest.raises(WorkflowError):
-            LoopFlow(
-                body=_claim_task(claims), condition=lambda ctx: False,
-                repeat_probability=1.0,
-            ).validate()
 
 
 class TestParallelJoin:
@@ -266,21 +218,13 @@ class TestTaskRecords:
         system, claims, _loans = deployment
         node = system.network.add_host(f"wf-records-{system.env.now}")
         engine = WorkflowEngine(node)
-        state = {"count": 0}
-
-        def bump(ctx):
-            state["count"] += 1
-            return {"request": ctx["claim_id"]}
-
-        workflow = LoopFlow(
-            body=ServiceTask(
-                name="poll", address=claims.address, path=claims.path,
-                operation="ProcessClaim", input_mapping=bump,
-                output_key="assessment",
-            ),
-            condition=lambda ctx: state["count"] < 3,
-            repeat_probability=0.5,
+        poll = ServiceTask(
+            name="poll", address=claims.address, path=claims.path,
+            operation="ProcessClaim",
+            input_mapping=lambda ctx: {"request": ctx["claim_id"]},
+            output_key="assessment",
         )
+        workflow = SequenceFlow([poll, poll, poll])
         result = engine.run(workflow, {"claim_id": "C00022"})
         assert result.succeeded
         records = result.records_for("poll")
@@ -386,14 +330,6 @@ class TestPrediction:
         )
         predicted = predict_qos(workflow, {"a": self.T1, "b": self.T2})
         assert predicted.time == pytest.approx(0.25 * 1 + 0.75 * 2)
-
-    def test_loop_prediction(self):
-        workflow = LoopFlow(
-            body=self._task("a"), condition=lambda ctx: False,
-            repeat_probability=0.5,
-        )
-        predicted = predict_qos(workflow, {"a": self.T1})
-        assert predicted.time == pytest.approx(2.0)
 
     def test_missing_metrics_rejected(self):
         with pytest.raises(WorkflowError, match="no QoS metrics"):

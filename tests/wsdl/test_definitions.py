@@ -4,7 +4,6 @@ import pytest
 
 from repro.ontology import SM, university_ontology
 from repro.wsdl import (
-    Definitions,
     Interface,
     MessagePart,
     Operation,
@@ -31,10 +30,6 @@ class TestModel:
     def test_missing_operation_raises(self, definitions):
         with pytest.raises(WsdlError):
             definitions.single_interface().operation("Ghost")
-
-    def test_missing_interface_raises(self, definitions):
-        with pytest.raises(WsdlError):
-            definitions.interface("Ghost")
 
     def test_duplicate_interface_rejected(self, definitions):
         with pytest.raises(WsdlError):
@@ -91,24 +86,3 @@ class TestAnnotations:
     def test_all_concepts(self):
         annotation = SemanticAnnotation(action="a", inputs=("b",), outputs=("c", "d"))
         assert annotation.all_concepts() == ["a", "b", "c", "d"]
-
-
-class TestValidation:
-    def test_sample_is_valid(self, definitions):
-        assert definitions.validate() == []
-
-    def test_empty_definitions_invalid(self):
-        empty = Definitions(name="Empty", target_namespace="http://t")
-        assert any("no interface" in p for p in empty.validate())
-
-    def test_interface_without_operations_invalid(self):
-        document = Definitions(name="D", target_namespace="http://t")
-        document.add_interface(Interface(name="I"))
-        assert any("no operations" in p for p in document.validate())
-
-    def test_undeclared_element_reference_reported(self, definitions):
-        operation = definitions.single_interface().operation("StudentInformation")
-        operation.inputs.append(
-            MessagePart("extra", "tns:Ghost", model_reference=SM["StudentID"])
-        )
-        assert any("Ghost" in p for p in definitions.validate())

@@ -105,8 +105,3 @@ class TestGlobalElements:
             schema.add_element(ElementDecl("Person", "xsd:string"))
         with pytest.raises(SchemaError):
             schema.add_complex_type(ComplexType("PersonType"))
-
-    def test_is_simple(self, schema):
-        assert schema.is_simple("xsd:string")
-        assert schema.is_simple("xs:int")
-        assert not schema.is_simple("tns:PersonType")

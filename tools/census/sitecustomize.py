@@ -9,8 +9,9 @@ tools/census/sitecustomize.py DIR`` it prints, per file, the functions no
 process reached — each by its qualified name (``Class.method``;
 ``module.function`` at module level) — then a reached / not-reached table
 per package, and exits 1 if an unreached name has no row in DESIGN.md
-§6.14's kept-with-a-reason table, or if the per-package counts differ from
-the table DESIGN.md §6.15 records.  ``make census`` does both over the
+§6.14's kept-with-a-reason table, if a row keeps no unreached function
+(it outlived its reason), or if the per-package counts differ from the
+table DESIGN.md §6.15 records.  ``make census`` does both over the
 repo's non-test traffic.
 
 A profile hook sees only what runs while it is installed, and a later
@@ -110,23 +111,24 @@ def _walk(path, parent, module, prefix):
             yield from _walk(path, node, module, prefix)
 
 
-def kept_names(design=DESIGN):
-    """The names §6.14's table keeps, qualified.
+def kept_rows(design=DESIGN):
+    """§6.14's table: per row, the names it keeps, qualified.
 
     A row's first cell lists names in backticks, in groups separated by
     ``;``.  A bare name takes the qualifier of the last qualified name
-    before it in its group (``Ontology.roots`` / ``individuals_of``),
+    before it in its group (``Ontology.concept`` / ``add_subclass``),
     except those of :data:`ANY_CLASS`, which stand for that method of
     every class; a bare name opening a group is a class or a module.
     """
     with open(design) as source:
         lines = source.read().splitlines()
     start = next(i for i, line in enumerate(lines) if line.strip() == KEPT_HEADER)
-    kept = set()
+    rows = []
     for line in lines[start + 2:]:
         line = line.strip()
         if not line.startswith("|"):
             break
+        kept = set()
         for group in line.split("|")[1].split(";"):
             qualifier = None
             for name in re.findall(r"`([^`]+)`", group):
@@ -135,7 +137,13 @@ def kept_names(design=DESIGN):
                 elif name not in ANY_CLASS and qualifier is not None:
                     name = f"{qualifier}.{name}"
                 kept.add(name)
-    return kept
+        rows.append(kept)
+    return rows
+
+
+def kept_names(design=DESIGN):
+    """The names §6.14's table keeps, qualified: every row's."""
+    return set().union(*kept_rows(design))
 
 
 def recorded_totals(design=DESIGN):
@@ -172,8 +180,9 @@ def _report(out_dir):
         if name.endswith(".census"):
             with open(os.path.join(out_dir, name)) as dumped:
                 reached.update(line.strip() for line in dumped)
-    kept = kept_names()
-    unlisted = []
+    rows = kept_rows()
+    kept = set().union(*rows)
+    unlisted, unreached = [], []
     totals = collections.defaultdict(lambda: [0, 0])  # package -> [reached, not]
     for path, node, name in functions():
         relative = os.path.relpath(path, REPRO)
@@ -183,6 +192,7 @@ def _report(out_dir):
         hit = f"{path}:{first}" in reached
         totals[package][not hit] += 1
         if not hit:
+            unreached.append(name)
             size = node.end_lineno - node.lineno + 1
             mark = "" if is_kept(name, kept) else "   ** no §6.14 row"
             print(f"{relative}:{node.lineno}  {name}  ({size} lines){mark}")
@@ -195,6 +205,11 @@ def _report(out_dir):
     if unlisted:
         print(f"\n{len(unlisted)} unreached name(s) with no row in DESIGN.md "
               f"§6.14's table: {', '.join(unlisted)}")
+    outlived = [
+        row for row in rows if not any(is_kept(name, row) for name in unreached)
+    ]
+    for row in outlived:
+        print(f"DESIGN.md §6.14 row keeps no unreached function: {', '.join(sorted(row))}")
     recorded = recorded_totals()
     stale = sorted(
         package for package in set(totals) | set(recorded)
@@ -203,7 +218,7 @@ def _report(out_dir):
     for package in stale:
         print(f"DESIGN.md §6.15 reads {package} {recorded.get(package)}, "
               f"measured {tuple(totals.get(package, ())) or None}")
-    return 1 if unlisted or stale else 0
+    return 1 if unlisted or outlived or stale else 0
 
 
 if __name__ == "__main__":
