@@ -36,7 +36,13 @@ def main() -> None:
         gossip=GossipSpec(fanout=2, interval=0.5),
         home_region="eu",
     )
-    system = WhisperSystem(ScenarioConfig(seed=7, replicas=2, topology=topology))
+    # A call's limits are its deployment's: 8 s per attempt, 30 s in all.
+    system = WhisperSystem(
+        ScenarioConfig(
+            seed=7, replicas=2, topology=topology,
+            request_timeout=8.0, deadline_budget=30.0,
+        )
+    )
     service = system.deploy_student_service()
     system.settle(10.0)
 
@@ -55,9 +61,7 @@ def main() -> None:
 
     def call(student):
         started = system.env.now
-        result = yield from service.invoke(
-            "StudentInformation", {"ID": student}, timeout=8.0, budget=30.0
-        )
+        result = yield from service.invoke("StudentInformation", {"ID": student})
         log.append((student, result.value["name"], system.env.now - started))
 
     def workload():

@@ -161,15 +161,17 @@ class FaultCampaign:
         self.partitions = partitions
         self.workload = workload
         self.loss_rate = loss_rate
-        self.system = WhisperSystem(
-            ScenarioConfig(
-                seed=seed,
-                heartbeat_interval=0.5,
-                miss_threshold=2,
-                replicas=replicas,
-                students=STUDENTS,
-            )
+        config = ScenarioConfig(
+            seed=seed,
+            heartbeat_interval=0.5,
+            miss_threshold=2,
+            replicas=replicas,
+            students=STUDENTS,
         )
+        if workload == "enroll":
+            # ``request_timeout`` is already ``PROBE_TIMEOUT``.
+            config = config.replace(deadline_budget=PROBE_BUDGET)
+        self.system = WhisperSystem(config)
         if loss_rate:
             self.system.network.loss_rate = loss_rate
         if workload == "enroll":
@@ -258,8 +260,6 @@ class FaultCampaign:
                     "ID": f"S{sequence % STUDENTS + 1:05d}",
                     "course": f"C{sequence:05d}",
                 },
-                timeout=PROBE_TIMEOUT,
-                budget=PROBE_BUDGET,
             )
             if result.deduped:
                 report.probes_deduped += 1

@@ -243,6 +243,7 @@ def run_rebalance(seed: int = 42) -> RebalanceReport:
         heartbeat_interval=0.5,
         miss_threshold=2,
         request_timeout=0.5,
+        deadline_budget=6.0,
     )
     system = WhisperSystem(config)
     service = system.deploy_enrollment_service(web_host=None)
@@ -259,7 +260,6 @@ def run_rebalance(seed: int = 42) -> RebalanceReport:
                 yield from service.invoke(
                     "EnrollStudent",
                     {"ID": f"S{index + 1:05d}", "course": "b2b-integration"},
-                    budget=6.0,
                 )
             except (SoapFault, WhisperError):
                 outcomes["failed"] += 1

@@ -69,7 +69,9 @@ def build_wan_system(
         gossip=GossipSpec(fanout=fanout, interval=INTERVAL, mode=mode),
     )
     system = WhisperSystem(
-        ScenarioConfig(seed=seed, replicas=replicas, topology=topology)
+        ScenarioConfig(
+            seed=seed, replicas=replicas, topology=topology, deadline_budget=30.0
+        )
     )
     service = system.deploy_student_service()
     return system, service
@@ -247,7 +249,6 @@ def run_latency(seed: int) -> Dict[str, Any]:
             yield from service.invoke(
                 "StudentInformation",
                 {"ID": f"S{(offset + index) % 200 + 1:05d}"},
-                budget=30.0,
             )
             latencies.append(system.env.now - started)
             yield system.env.timeout(0.05)

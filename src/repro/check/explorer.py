@@ -259,8 +259,6 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
                     "ID": f"S{sequence % STUDENTS + 1:05d}",
                     "course": f"C{sequence:05d}",
                 },
-                timeout=PROBE_TIMEOUT,
-                budget=PROBE_BUDGET,
             )
         except (SoapFault, WhisperError):
             probes["failed"] += 1
@@ -336,8 +334,6 @@ def _eventual_rebind_violations(system, service, node) -> List[str]:
             yield from service.invoke(
                 "EnrollStudent",
                 {"ID": "S00001", "course": "C-rebind-final"},
-                timeout=PROBE_TIMEOUT,
-                budget=PROBE_BUDGET,
             )
         except (SoapFault, WhisperError) as exc:
             outcome["error"] = f"{type(exc).__name__}: {exc}"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Tuple
 
 from ..backend.loans import (
     book_loan,
@@ -210,12 +210,11 @@ def build_loan_fleet(
     return services, list(services.values())
 
 
-def loan_saga(
-    services: Dict[str, Any],
-    timeout: float = 1.5,
-    budget: Optional[float] = 6.0,
-) -> Saga:
-    """The three-step loan saga: register → reserve funds → book."""
+def loan_saga(services: Dict[str, Any]) -> Saga:
+    """The three-step loan saga: register → reserve funds → book.
+
+    Every step runs under its service's deployment time limits
+    (``request_timeout`` / ``deadline_budget``)."""
     def args_full(context):
         return {
             "loanId": context["loan_id"],
@@ -229,12 +228,6 @@ def loan_saga(
     def args_id(context):
         return {"loanId": context["loan_id"]}
 
-    common = dict(
-        timeout=timeout,
-        budget=budget,
-        compensate_timeout=timeout,
-        compensate_budget=budget,
-    )
     return Saga(
         name="loan",
         steps=[
@@ -246,7 +239,6 @@ def loan_saga(
                 compensate_operation="CancelLoan",
                 compensate_mapping=args_id,
                 output_key="registration",
-                **common,
             ),
             CompensableTask(
                 name="reserve",
@@ -256,7 +248,6 @@ def loan_saga(
                 compensate_operation="ReleaseFunds",
                 compensate_mapping=args_id,
                 output_key="reservation",
-                **common,
             ),
             CompensableTask(
                 name="book",
@@ -266,7 +257,6 @@ def loan_saga(
                 compensate_operation="UnbookLoan",
                 compensate_mapping=args_id,
                 output_key="booking",
-                **common,
             ),
         ],
     )
@@ -348,9 +338,7 @@ def run_saga_schedule(
     saga_log = SagaLog()
     registry = InvariantRegistry(saga_log=saga_log)
     dlq = DeadLetterQueue()
-    definition = loan_saga(
-        services, timeout=scenario.step_timeout, budget=scenario.step_budget
-    )
+    definition = loan_saga(services)
 
     def make_orchestrator() -> SagaOrchestrator:
         orchestrator = SagaOrchestrator(
@@ -523,9 +511,7 @@ def run_dlq_demo(
         dlq=dlq,
         max_compensation_attempts=scenario.compensation_attempts,
     )
-    saga = loan_saga(
-        services, timeout=scenario.step_timeout, budget=scenario.step_budget
-    )
+    saga = loan_saga(services)
     orchestrator.register(saga)
     client = system.network.add_host("saga-client")
 

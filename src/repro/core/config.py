@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, ClassVar, Optional, Union
 
 from .autoscale import AutoscaleSpec
 from .breaker import BreakerSpec
@@ -60,7 +60,7 @@ class ScenarioConfig:
     # -- exactly-once invocation --
     #: Bound on each b-peer's dedup/result journal (oldest DONE entry
     #: evicted past it — that invocation is then at-least-once again).
-    journal_capacity: int = 4096
+    journal_capacity: ClassVar[int] = 4096
 
     # -- semantic sharding --
     #: Number of federated b-peer groups the service's semantic keyspace
@@ -73,7 +73,8 @@ class ScenarioConfig:
     # -- canonical student scenario (§3) --
     replicas: int = 4
     students: int = 200
-    warehouse_every: int = 2
+    #: Every ``warehouse_every``-th student replica reads the warehouse.
+    warehouse_every: ClassVar[int] = 2
 
     # -- proxy budgets --
     request_timeout: float = 2.0

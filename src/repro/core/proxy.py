@@ -361,8 +361,7 @@ class SwsProxy(Peer):
         self.discovery_timeout = 1.0
         self.qos_selector = QosSelector()
         self.retry = RetryPolicy()
-        #: Default per-request wall budget (simulated seconds); ``invoke``'s
-        #: ``budget`` argument overrides it per call.
+        #: Per-request wall budget (simulated seconds), retries included.
         self.deadline_budget = config.deadline_budget
         #: How long a non-answering shard group's ring segment is served
         #: by its clockwise successors before being retried.
@@ -541,8 +540,6 @@ class SwsProxy(Peer):
         self,
         operation: str,
         arguments: Dict[str, Any],
-        timeout: Optional[float] = None,
-        budget: Optional[float] = None,
         invocation_id: Optional[str] = None,
     ) -> Generator:
         """Execute ``operation`` on the b-peer back-end (``yield from``).
@@ -556,9 +553,10 @@ class SwsProxy(Peer):
         :class:`InvocationFailedError` for system-level failures the
         retries could not mask.
 
-        ``timeout`` caps one send-and-wait attempt; ``budget`` (defaulting
-        to ``deadline_budget``) caps the whole request including retries —
-        the resulting deadline is propagated into every discovery, bind and
+        The call's limits are the deployment's :class:`ScenarioConfig`:
+        ``request_timeout`` caps one send-and-wait attempt and
+        ``deadline_budget`` the whole request including retries — the
+        resulting deadline is propagated into every discovery, bind and
         invoke timeout, and retry backoff grows exponentially (seeded
         jitter) under it.
 
@@ -577,9 +575,7 @@ class SwsProxy(Peer):
         name = known[0] if known else f"{self.sws.name}.{operation}"
         rtrace = self.obs.request_trace(name, self.stats.invocations, self.env.now)
         try:
-            result = yield from self._invoke(
-                operation, arguments, timeout, budget, rtrace, invocation_id
-            )
+            result = yield from self._invoke(operation, arguments, rtrace, invocation_id)
         except BaseException as error:
             self.obs.finish_request(rtrace, self.env.now, status=type(error).__name__)
             raise
@@ -590,8 +586,6 @@ class SwsProxy(Peer):
         self,
         operation: str,
         arguments: Dict[str, Any],
-        timeout: Optional[float],
-        budget: Optional[float],
         rtrace,
         invocation_id: Optional[str],
     ) -> Generator:
@@ -605,10 +599,7 @@ class SwsProxy(Peer):
         key's ring successor or the next region's group when that is safe.
         """
         started_at = self.env.now
-        per_request_timeout = timeout if timeout is not None else self.request_timeout
-        deadline = Deadline(
-            at=started_at + (budget if budget is not None else self.deadline_budget)
-        )
+        deadline = Deadline(at=started_at + self.deadline_budget)
         # Idempotency key for the whole logical call: every retry/rebind
         # below re-sends under the same id, so the b-peer group can
         # deduplicate (journal replay) instead of re-executing.  A caller
@@ -824,7 +815,7 @@ class SwsProxy(Peer):
                     binding,
                     operation,
                     arguments,
-                    deadline.clamp(self.env.now, per_request_timeout),
+                    deadline.clamp(self.env.now, self.request_timeout),
                     invocation_id,
                     attempt,
                 )

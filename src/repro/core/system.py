@@ -134,19 +134,16 @@ class DeployedService:
         self,
         operation: str,
         arguments: Dict[str, Any],
-        timeout: Optional[float] = None,
-        budget: Optional[float] = None,
         invocation_id: Optional[str] = None,
     ) -> Generator[Any, Any, InvokeResult]:
         """Invoke through the SWS-proxy; returns a typed
         :class:`~repro.core.result.InvokeResult` (``.value`` holds the
         bare payload).  Convenience for tests/benchmarks that do not
-        need the SOAP wire.  ``invocation_id`` pins the idempotency key
-        (saga orchestration) instead of letting the proxy mint one."""
-        result = yield from self.proxy.invoke(
-            operation, arguments, timeout=timeout, budget=budget,
-            invocation_id=invocation_id,
-        )
+        need the SOAP wire.  The call's time limits are the deployment's
+        ``request_timeout`` / ``deadline_budget``.  ``invocation_id`` pins
+        the idempotency key (saga orchestration) instead of letting the
+        proxy mint one."""
+        result = yield from self.proxy.invoke(operation, arguments, invocation_id)
         return result
 
 

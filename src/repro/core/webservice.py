@@ -43,9 +43,7 @@ class WhisperWebService:
     def address(self):
         return (self.node.name, self.soap.port)
 
-    def _dispatch(
-        self, operation: str, arguments: Dict[str, Any], headers: Dict[str, str]
-    ) -> Generator:
+    def _dispatch(self, operation: str, arguments: Dict[str, Any]) -> Generator:
         if operation not in self.sws:
             raise SoapFault.client(
                 f"service {self.sws.name!r} has no operation {operation!r}"
@@ -80,7 +78,6 @@ class PlainWebService:
 
     def __init__(self, node: Node, service_name: str, implementation):
         self.node = node
-        self.service_name = service_name
         self.implementation = implementation
         self.soap = SoapServer(node)
         self.path = f"/{service_name}"
@@ -90,9 +87,7 @@ class PlainWebService:
     def address(self):
         return (self.node.name, self.soap.port)
 
-    def _dispatch(
-        self, operation: str, arguments: Dict[str, Any], headers: Dict[str, str]
-    ) -> Generator:
+    def _dispatch(self, operation: str, arguments: Dict[str, Any]) -> Generator:
         yield self.node.env.timeout(self.implementation.service_time)
         try:
             return self.implementation.invoke(arguments)

@@ -52,7 +52,6 @@ class DiscoveryService:
         self.cache = cache
         self.rendezvous = rendezvous
         self.env = resolver.endpoint.node.env
-        self.remote_queries = 0
         resolver.register_handler(HANDLER_NAME, self._handle_query)
 
     # -- publishing -----------------------------------------------------------------
@@ -95,7 +94,6 @@ class DiscoveryService:
         elapses, whichever is first.  Every received advertisement is also
         published into the local cache, so subsequent local queries hit.
         """
-        self.remote_queries += 1
         query = DiscoveryQuery(
             adv_type=adv_type.ADV_TYPE if adv_type is not None else None,
             attribute=attribute,

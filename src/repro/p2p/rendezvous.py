@@ -48,7 +48,6 @@ class _PropagateRequest:
     protocol: str
     payload: Any
     origin: PeerId
-    ttl: int = 2
 
 
 @dataclass
@@ -156,20 +155,13 @@ class RendezvousService:
             self.endpoint.forward(address, envelope, message)
 
     def _fan_out_federated(self, request: "_PropagateRequest", size_bytes: int) -> None:
-        """Forward a propagated datagram to every federated rendezvous."""
-        if not self.federated or request.ttl <= 0:
-            return
-        forwarded = _PropagateRequest(
-            protocol=request.protocol,
-            payload=request.payload,
-            origin=request.origin,
-            ttl=request.ttl - 1,
-        )
+        """Forward a propagated datagram to every federated rendezvous, which
+        delivers it but never federates it again (one WAN hop reaches all)."""
         for peer_id in sorted(self.federated, key=lambda pid: pid.uuid_hex):
             self.endpoint.send(
                 peer_id,
                 PROTOCOL,
-                ("propagate-fed", forwarded),
+                ("propagate-fed", request),
                 category="rdv-propagate-fed",
                 size_bytes=size_bytes,
             )

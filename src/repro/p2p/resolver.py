@@ -58,7 +58,6 @@ class ResolverService:
         self._pending: Dict[int, ResponseListener] = {}
         self._query_ids = itertools.count(1)
         self.queries_sent = 0
-        self.responses_sent = 0
         endpoint.register_listener(PROTOCOL, self._on_message)
         rendezvous.register_propagate_listener(PROTOCOL, self._on_propagated)
         endpoint.node.on_crash(lambda _node: self._pending.clear())
@@ -152,7 +151,6 @@ class ResolverService:
             src_peer=self.endpoint.peer_id,
             payload=answer,
         )
-        self.responses_sent += 1
         try:
             self.endpoint.send(
                 query.src_peer,

@@ -47,7 +47,6 @@ class Link:
 
     latency: LatencyModel
     bandwidth_bps: float
-    loss_rate: float = 0.0
 
 
 @dataclass
@@ -79,10 +78,10 @@ class Network:
         self.rng = rng if rng is not None else RngRegistry(0)
         self.default_latency = default_latency or lan_latency()
         self.default_bandwidth_bps = default_bandwidth_bps
+        #: Network-wide loss probability; no route carries its own, and it
+        #: is assigned mid-run, so :meth:`send` reads it live.
         self.loss_rate = 0.0
-        #: The flat-LAN route every send between region-free hosts
-        #: takes.  Latency and bandwidth only: ``loss_rate`` is assigned
-        #: mid-run, so :meth:`send` and :meth:`link_between` read it live.
+        #: The flat-LAN route every send between region-free hosts takes.
         self._default_link = Link(self.default_latency, default_bandwidth_bps)
         self.hosts: Dict[str, Node] = {}
         self.regions: Dict[str, Region] = {}
@@ -245,13 +244,7 @@ class Network:
         """The effective ``a -> b`` link (region, WAN, or default)."""
         a, b = self.resolve_host_name(a), self.resolve_host_name(b)
         link = self._route(a, b)
-        if link is not None and link is not self._default_link:
-            return link
-        return Link(
-            latency=self.default_latency,
-            bandwidth_bps=self.default_bandwidth_bps,
-            loss_rate=self.loss_rate,
-        )
+        return link if link is not None else self._default_link
 
     # -- partitions ----------------------------------------------------------------
 
@@ -330,7 +323,7 @@ class Network:
                 return
         else:
             link = self._default_link
-        loss = max(link.loss_rate, self.loss_rate)
+        loss = self.loss_rate
         if loss > 0 and self._rng_stream.random() < loss:
             self.trace.on_drop(now, message, reason="loss")
             return

@@ -41,7 +41,6 @@ class SoapClient:
         operation: str,
         arguments: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> Generator:
         """Invoke ``operation`` at ``address``/``path`` (use with ``yield from``).
 
@@ -52,7 +51,7 @@ class SoapClient:
         trace = self.node.network.trace
         effective_timeout = timeout if timeout is not None else self.default_timeout
 
-        envelope = Envelope.call(operation, arguments, headers)
+        envelope = Envelope.call(operation, arguments)
         request = HttpRequest(
             method="POST",
             path=path,

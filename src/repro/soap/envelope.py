@@ -9,9 +9,9 @@ transmission time.
 serialiser would, and :meth:`Envelope.from_xml` reads that language, and only
 that language, back in one pass over the string: no XML parser, no tree
 (DESIGN.md §6.10; ``tests/soap/et_oracle.py`` keeps the tree forms of both).
-Every envelope in the system comes from ``to_xml``, so anything else — another
-prefix, single quotes, a comment, CDATA, a DOCTYPE, whitespace between
-elements — is an :class:`EnvelopeError`.
+Every envelope in the system comes from ``to_xml``, so anything else — a
+Header block, another prefix, single quotes, a comment, CDATA, a DOCTYPE,
+whitespace between elements — is an :class:`EnvelopeError`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ __all__ = ["Envelope", "EnvelopeError", "SOAP_ENV_NS"]
 
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 
-#: Prolog and root start tag, as the stdlib tree serialiser writes them.
+#: Prolog, root and Body start tags, as the stdlib tree serialiser writes them.
 _OPEN = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
-    f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
+    f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}"><soapenv:Body>'
 )
 _CLOSE = "</soapenv:Body></soapenv:Envelope>"
 _CALL_CLOSE = "</call>" + _CLOSE
@@ -39,14 +39,11 @@ _RESULT_CLOSE = "</result>" + _CLOSE
 _FAULT_CLOSE = "</soapenv:Fault>" + _CLOSE
 _DETAIL_CLOSE = "</detail>" + _FAULT_CLOSE
 
-_HEADER = re.compile(f'<header name="({ATTR})"(?: />|>(?!<)({TEXT})</header>)')
-#: Everything before the first encoded value: prolog, root tag, the optional
-#: Header block (group 1; 2-3 are its last entry), then the start tag of a call
-#: or result (4-6) or a Fault's own children (7-10).
+#: Everything before the first encoded value: prolog, root and Body tags, then
+#: the start tag of a call or result (groups 1-3) or a Fault's children (4-7).
 _OPENING = re.compile(
     re.escape(_OPEN)
-    + f"(?:<soapenv:Header>((?:{_HEADER.pattern})+)</soapenv:Header>)?"
-    + f'<soapenv:Body><(?:(call|result) operation="({ATTR})"( />|>)'
+    + f'<(?:(call|result) operation="({ATTR})"( />|>)'
     + f"|soapenv:Fault><faultcode(?: />|>(?!<)({TEXT})</faultcode>)"
     + f"<faultstring(?: />|>(?!<)({TEXT})</faultstring>)"
     + f"(?:<faultactor>(?!<)({TEXT})</faultactor>)?(<detail>)?)"
@@ -81,23 +78,14 @@ class Envelope:
     arguments: Dict[str, Any] = field(default_factory=dict)
     value: Any = None
     fault: Optional[SoapFault] = None
-    headers: Dict[str, str] = field(default_factory=dict)
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
     def call(
-        cls,
-        operation: str,
-        arguments: Optional[Dict[str, Any]] = None,
-        headers: Optional[Dict[str, str]] = None,
+        cls, operation: str, arguments: Optional[Dict[str, Any]] = None
     ) -> "Envelope":
-        return cls(
-            kind="call",
-            operation=operation,
-            arguments=dict(arguments or {}),
-            headers=dict(headers or {}),
-        )
+        return cls(kind="call", operation=operation, arguments=dict(arguments or {}))
 
     @classmethod
     def result(cls, operation: str, value: Any) -> "Envelope":
@@ -120,17 +108,10 @@ class Envelope:
 
     def to_xml(self) -> str:
         """The document, as the stdlib tree serialiser writes it.  A character
-        XML 1.0 cannot carry, in any position (operation, argument or header
-        name or value, fault text, encoded value), is an ``EncodingError``."""
+        XML 1.0 cannot carry, in any position (operation, argument name or
+        value, fault text, encoded value), is an ``EncodingError``."""
         parts = [_OPEN]
         add = parts.append
-        if self.headers:
-            add("<soapenv:Header>")
-            for name, value in sorted(self.headers.items()):
-                attrs = f' name="{escape_attr(name)}"'
-                add(xml_element("header", attrs, escape_text(str(value))))
-            add("</soapenv:Header>")
-        add("<soapenv:Body>")
 
         if self.kind == "call":
             arguments = [
@@ -164,13 +145,10 @@ class Envelope:
         head = _OPENING.match(document) if isinstance(document, str) else None
         if head is None:
             raise EnvelopeError("not the start of an envelope as to_xml writes it")
-        block, _, _, kind, operation, form, code, string, actor, has_detail = head.groups()
+        kind, operation, form, code, string, actor, has_detail = head.groups()
         pos = head.end()
         try:
             envelope = cls(kind or "fault", operation and unescape_attr(operation))
-            for name, text in _HEADER.findall(block) if block else ():
-                envelope.headers[unescape_attr(name)] = unescape_text(text)
-            envelope.headers.pop("", None)  # a header without a name is not kept
             if kind == "call":
                 if form == ">":  # the long form: at least one argument
                     rest = decode_values(document, pos, envelope.arguments, "argument")

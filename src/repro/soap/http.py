@@ -81,7 +81,6 @@ class HttpServer:
         self.port = 80
         self._handlers: Dict[str, Handler] = {}
         self._socket = None
-        self.requests_served = 0
         self._serve_name = f"http-req:{node.name}"
         self.start()
         node.on_crash(lambda _node: self._teardown())
@@ -140,7 +139,6 @@ class HttpServer:
                 response = HttpResponse(status=500, body=f"{type(error).__name__}: {error}")
         if not isinstance(response, HttpResponse):
             response = HttpResponse(status=500, body="handler returned a non-response")
-        self.requests_served += 1
         if self._socket is not None and not self._socket.closed:
             self._socket.send(
                 message.src,

@@ -1,7 +1,7 @@
 """SOAP endpoints on the server side.
 
 A :class:`SoapServer` mounts *dispatchers* on HTTP paths.  A dispatcher
-receives ``(operation, arguments, headers)`` and returns the result value —
+receives ``(operation, arguments)`` and returns the result value —
 either directly or as a generator that performs simulated work first (the
 Whisper web service's dispatcher forwards to the SWS-proxy and the P2P
 network before returning).  Exceptions become ``<soap:fault>`` responses;
@@ -20,8 +20,8 @@ from .http import HttpRequest, HttpResponse, HttpServer
 
 __all__ = ["SoapServer", "Dispatcher"]
 
-#: (operation, arguments, headers) -> value | generator-returning-value
-Dispatcher = Callable[[str, Dict[str, Any], Dict[str, str]], Any]
+#: (operation, arguments) -> value | generator-returning-value
+Dispatcher = Callable[[str, Dict[str, Any]], Any]
 
 
 class SoapServer:
@@ -30,7 +30,6 @@ class SoapServer:
     def __init__(self, node: Node):
         self.node = node
         self.http = HttpServer(node)
-        self._dispatchers: Dict[str, Dispatcher] = {}
         self.calls_handled = 0
         self.faults_returned = 0
 
@@ -40,7 +39,6 @@ class SoapServer:
 
     def mount(self, path: str, dispatcher: Dispatcher) -> None:
         """Expose ``dispatcher`` at ``path``."""
-        self._dispatchers[path] = dispatcher
         self.http.route(path, self._make_handler(dispatcher))
 
     def _make_handler(self, dispatcher: Dispatcher):
@@ -59,9 +57,7 @@ class SoapServer:
 
     def _invoke(self, dispatcher: Dispatcher, envelope: Envelope) -> Generator:
         try:
-            outcome = dispatcher(
-                envelope.operation, envelope.arguments, envelope.headers
-            )
+            outcome = dispatcher(envelope.operation, envelope.arguments)
             if isinstance(outcome, GeneratorType):
                 outcome = yield from outcome
         except SoapFault as fault:

@@ -7,20 +7,15 @@ context.  Per-task latencies and the
 end-to-end outcome land in a :class:`WorkflowResult` for comparison with
 the §2.4 QoS prediction.
 
-Tasks invoke in one of two modes (see
-:class:`~repro.workflow.model.ServiceTask`): proxy-backed tasks go
-through ``service.invoke`` and inherit the whole SWS-Proxy pipeline —
-discovery, retry under a deadline budget, epoch-fenced failover,
-overload shedding, idempotency keys — with the
-:class:`~repro.core.result.InvokeResult` metadata (attempts, outcome,
-dedup, invocation id) landing on the :class:`TaskRecord`; legacy
-address/path tasks keep the seed's raw ``SoapClient`` call.
+Tasks call their Web service over SOAP (see
+:class:`~repro.workflow.model.ServiceTask`); a Whisper service answers
+through its SWS-proxy, under its deployment's time limits.
 
 Every terminal invocation outcome is surfaced as a structured
 ``WorkflowResult.error`` instead of escaping the runner: wire faults
-(``SoapFault``, including ``Server.Busy`` after shed-retry exhaustion),
-client timeouts, and the proxy's ``WhisperError`` family (deadline
-exceeded, no matching group, invocation failed).
+(``SoapFault``, including ``Server.Busy`` after shed-retry exhaustion and
+the faults a Whisper service maps the proxy's deadline, no-group and
+invocation failures to) and client timeouts.
 """
 
 from __future__ import annotations
@@ -55,7 +50,8 @@ __all__ = [
 #: Exceptions a workflow run converts into a structured result error
 #: rather than letting escape: wire-level faults and timeouts, the
 #: proxy's terminal ``WhisperError`` family (deadline exhausted, no
-#: matching group, invocation failed), and structural workflow errors.
+#: matching group, invocation failed — saga steps call the proxy
+#: directly), and structural workflow errors.
 TASK_ERRORS = (SoapFault, RequestTimeout, WorkflowError, WhisperError)
 
 
@@ -73,7 +69,7 @@ def format_error(error: BaseException) -> str:
 
 @dataclass
 class TaskRecord:
-    """One task execution: timing, outcome, and invocation metadata."""
+    """One task execution: timing and outcome."""
 
     task: str
     started_at: float
@@ -83,14 +79,6 @@ class TaskRecord:
     #: 1-based occurrence index among records of the same task name —
     #: distinguishes re-executed steps.
     attempt: int = 1
-    #: Proxy send-and-wait attempts (1 for legacy SoapClient tasks).
-    attempts: int = 1
-    #: ``InvokeOutcome.value`` for proxy-backed tasks (``None`` legacy).
-    outcome: Optional[str] = None
-    #: Proxy-minted idempotency key, when the step went through one.
-    invocation_id: Optional[str] = None
-    #: True when the value was replayed from a b-peer dedup journal.
-    deduped: bool = False
 
     @property
     def elapsed(self) -> float:
@@ -145,6 +133,7 @@ class WorkflowEngine:
     def __init__(self, node: Node):
         self.node = node
         self.env = node.env
+        #: Every task's SOAP call waits up to 30 simulated seconds.
         self.client = SoapClient(node, default_timeout=30.0)
 
     # -- public API -----------------------------------------------------------------
@@ -197,21 +186,9 @@ class WorkflowEngine:
             succeeded=False,
         )
         try:
-            if task.service is not None:
-                invoked = yield from task.service.invoke(
-                    task.operation, arguments,
-                    timeout=task.timeout, budget=task.budget,
-                )
-                value = invoked.value
-                record.attempts = invoked.attempts
-                record.outcome = invoked.outcome.value
-                record.invocation_id = invoked.invocation_id
-                record.deduped = invoked.deduped
-            else:
-                value = yield from self.client.call(
-                    task.address, task.path, task.operation, arguments,
-                    timeout=task.timeout,
-                )
+            value = yield from self.client.call(
+                task.address, task.path, task.operation, arguments
+            )
         except TASK_ERRORS as error:
             record.finished_at = self.env.now
             record.error = format_error(error)

@@ -45,38 +45,23 @@ class WorkflowNode:
 
 @dataclass
 class ServiceTask(WorkflowNode):
-    """One invocation of a (Whisper) Web service operation.
+    """One invocation of a (Whisper) Web service operation over SOAP.
 
-    Two invocation modes, chosen by which locator is supplied:
-
-    * ``service`` — anything exposing
-      ``invoke(operation, arguments, timeout=..., budget=...)`` as a
-      simulation generator returning an
-      :class:`~repro.core.result.InvokeResult` (a
-      :class:`~repro.core.system.DeployedService` or an
-      :class:`~repro.core.proxy.SwsProxy`).  The step then inherits the
-      whole SWS-Proxy pipeline: semantic discovery, retry under a
-      deadline budget, epoch-fenced failover, overload shedding, and a
-      proxy-minted idempotency key.
-    * ``address``/``path`` — the legacy static SOAP endpoint, called
-      through :class:`~repro.soap.client.SoapClient` with no recovery
-      beyond what the remote web service provides.
-
-    ``operation`` names the WSDL operation; ``input_mapping`` builds the
-    call arguments from the context; ``output_key`` stores the result
-    value back into the context; ``budget`` (proxy mode only) caps the
-    step's whole retry deadline in simulated seconds.
+    ``address``/``path`` locate the client-facing Web service, called
+    through :class:`~repro.soap.client.SoapClient`; a Whisper service
+    behind it brings the SWS-proxy pipeline (discovery, retry under the
+    deployment's deadline budget, failover) with it.  ``operation`` names
+    the WSDL operation; ``input_mapping`` builds the call arguments from
+    the context; ``output_key`` stores the result value back into the
+    context.
     """
 
     name: str
-    address: Optional[Tuple[str, int]] = None
-    path: Optional[str] = None
+    address: Tuple[str, int]
+    path: str
     operation: str = ""
     input_mapping: Callable[[Context], Dict[str, Any]] = lambda context: {}
     output_key: Optional[str] = None
-    timeout: float = 30.0
-    service: Any = None
-    budget: Optional[float] = None
 
     def tasks(self) -> List["ServiceTask"]:
         return [self]
@@ -88,16 +73,6 @@ class ServiceTask(WorkflowNode):
             raise WorkflowError(f"task {self.name!r}: needs an operation")
         if not callable(self.input_mapping):
             raise WorkflowError(f"task {self.name!r}: input_mapping must be callable")
-        if self.service is None:
-            if self.address is None or self.path is None:
-                raise WorkflowError(
-                    f"task {self.name!r}: needs either a service or "
-                    "an address and path"
-                )
-        elif not hasattr(self.service, "invoke"):
-            raise WorkflowError(
-                f"task {self.name!r}: service must expose invoke()"
-            )
 
 
 @dataclass

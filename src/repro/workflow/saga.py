@@ -105,7 +105,8 @@ class CompensableTask(WorkflowNode):
 
     ``service`` must be proxy-backed (``invoke`` generator returning an
     :class:`~repro.core.result.InvokeResult`) — sagas only make sense on
-    top of the fault-tolerant invocation pipeline.
+    top of the fault-tolerant invocation pipeline; every call runs under
+    the service's deployment time limits.
     ``compensate_operation=None`` marks a read-only step (nothing to
     undo); ``compensate_mapping`` defaults to ``input_mapping``, and
     runs against the saga context *as of compensation time*, which
@@ -119,10 +120,6 @@ class CompensableTask(WorkflowNode):
     compensate_operation: Optional[str] = None
     compensate_mapping: Optional[Callable[[Context], Dict[str, Any]]] = None
     output_key: Optional[str] = None
-    timeout: float = 30.0
-    budget: Optional[float] = None
-    compensate_timeout: float = 30.0
-    compensate_budget: Optional[float] = None
 
     @property
     def mutating(self) -> bool:
@@ -245,8 +242,6 @@ class SagaLog:
     def __init__(self):
         #: Insertion-ordered: :meth:`records` lists sagas as they opened.
         self._records: Dict[str, SagaRecord] = {}
-        #: Sagas ever opened (monotonic; records are never evicted).
-        self.opened = 0
 
     def open(
         self,
@@ -282,7 +277,6 @@ class SagaLog:
             started_at=now,
         )
         self._records[saga_id] = record
-        self.opened += 1
         return record
 
     def get(self, saga_id: str) -> Optional[SagaRecord]:
@@ -475,8 +469,6 @@ class SagaOrchestrator:
             invoked = yield from step.service.invoke(
                 step.operation,
                 arguments,
-                timeout=step.timeout,
-                budget=step.budget,
                 invocation_id=step_record.invocation_id,
             )
         except TASK_ERRORS as error:
@@ -542,8 +534,6 @@ class SagaOrchestrator:
                 yield from step.service.invoke(
                     step.compensate_operation,
                     arguments,
-                    timeout=step.compensate_timeout,
-                    budget=step.compensate_budget,
                     invocation_id=step_record.compensation_id,
                 )
             except TASK_ERRORS as error:

@@ -134,7 +134,10 @@ class TestWanHeal:
         workload flowing, heal, and audit the protocol's promises."""
         topology = Topology.mesh(["r0", "r1"], placement="span")
         system = WhisperSystem(
-            ScenarioConfig(seed=13, replicas=3, topology=topology)
+            ScenarioConfig(
+                seed=13, replicas=3, topology=topology,
+                request_timeout=3.0, deadline_budget=12.0,
+            )
         )
         service = system.deploy_service(
             student_admin_wsdl(),
@@ -154,8 +157,6 @@ class TestWanHeal:
                 yield from service.invoke(
                     "EnrollStudent",
                     {"ID": f"S{sequence % 40 + 1:05d}", "course": f"C{sequence:04d}"},
-                    timeout=3.0,
-                    budget=12.0,
                 )
             except Exception:
                 outcomes["failed"] += 1

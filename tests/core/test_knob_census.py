@@ -20,6 +20,10 @@ through and is exercised at one value only.  Five censuses hold the rule:
 What no such caller passes either becomes the constant it always was or
 is listed below with the test that needs it as a seam; every test a
 reason cites must exist, so a seam cannot outlive the test it is kept for.
+
+A sixth holds the same rule for state: every attribute a component writes
+(``self.<name> = …``) is read somewhere under ``src/``, ``tests/``,
+``bench_e2e/``, ``benchmarks/`` or ``examples/``.
 """
 
 import ast
@@ -44,8 +48,6 @@ CALLER_TREES = ("src", "bench_e2e", "benchmarks")
 
 #: Fields kept although no caller passes them, each with its reason.
 ALLOWED_UNSET = {
-    "journal_capacity": "bench_e2e reads ScenarioConfig().journal_capacity to size its soak",
-    "warehouse_every": "bench_e2e's ladder_full reads it to place its warehouse replicas",
     "record_trace_details": "per-message records: examples/operations.py and the kernel oracle",
 }
 
@@ -207,9 +209,6 @@ PARAMETER_ALLOWED_UNSET = {
     ("Network.__init__", "default_bandwidth_bps"): (
         f"{SCHEDULER_ORACLE}::test_datagram_fast_and_fallback_branches_match_the_expanded_form "
         "collides arrivals on an infinite-bandwidth LAN"
-    ),
-    ("SoapClient.call", "headers"): (
-        "tests/soap/test_client_server.py::TestCalls::test_headers_reach_dispatcher"
     ),
     ("cli.main", "argv"): "tests/core/test_cli.py drives every command through main(argv)",
     ("datasets.claims_database", "count"): "tests/backend/test_backend.py builds small stores",
@@ -569,3 +568,94 @@ def test_the_census_resolves_what_matching_by_name_misses(tmp_path):
         ("mod.target", "width"),
         ("mod.unpassed", "knob"),
     }
+
+
+# -- every attribute a component keeps is read ------------------------------------------------
+
+#: Where an attribute may be read: the program, its tests, the benchmarks
+#: and the examples.
+READER_TREES = ("src", "tests", "bench_e2e", "benchmarks", "examples")
+
+
+def _stored_attribute(node):
+    """``x`` when ``node`` stores into ``self.x`` (``self.x = …``,
+    ``self.x += …``, ``self.x[k] = …``), else ``None``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def unread_attributes(repro, reader_roots):
+    """Attributes some ``self.<name> = …`` under ``repro`` writes that no
+    file under ``reader_roots`` reads: not as an attribute load outside a
+    store target, nor as a string constant naming it (``getattr``,
+    ``_count``)."""
+    written, read = set(), set()
+    for path in sorted(repro.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in _targets(node):
+                name = _stored_attribute(target)
+                if name is not None:
+                    written.add(name)
+    for root in reader_roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            stores = set()  # the Attribute nodes a store target writes through
+            for node in ast.walk(tree):
+                for target in _targets(node):
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                    stores.add(id(target))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and id(node) not in stores:
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return written - read
+
+
+def test_every_attribute_written_is_read_somewhere():
+    assert unread_attributes(
+        ROOT / "src" / "repro", [ROOT / tree for tree in READER_TREES]
+    ) == set()
+
+
+def test_the_attribute_census_counts_stores_as_writes(tmp_path):
+    """A subscript store and an increment are writes; a load, a mutating
+    call and a string naming the attribute are reads."""
+    repro, callers = tmp_path / "repro", tmp_path / "callers"
+    repro.mkdir()
+    callers.mkdir()
+    (repro / "mod.py").write_text(
+        "class Thing:\n"
+        "    def __init__(self):\n"
+        "        self.index = {}\n"
+        "        self.count = 0\n"
+        "        self.total: int = 0\n"
+        "        self.loaded = 1\n"
+        "        self.items = []\n"
+        "        self.named = 2\n"
+        "    def bump(self, key):\n"
+        "        self.index[key] = 1\n"
+        "        self.count += 1\n"
+        "        self.items.append(key)\n",
+        encoding="utf-8",
+    )
+    (callers / "use.py").write_text(
+        "print(thing.loaded, getattr(thing, 'named'))\n", encoding="utf-8"
+    )
+    assert unread_attributes(repro, [repro, callers]) == {"index", "count", "total"}

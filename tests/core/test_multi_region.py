@@ -18,9 +18,7 @@ def _invoke(system, service, operation="StudentInformation", arguments=None):
     outcome = {}
 
     def caller():
-        result = yield from service.invoke(
-            operation, arguments or {"ID": "S00007"}, timeout=8.0, budget=30.0
-        )
+        result = yield from service.invoke(operation, arguments or {"ID": "S00007"})
         outcome["result"] = result
 
     system.env.run(until=service.proxy.node.spawn(caller()))
@@ -78,7 +76,10 @@ class TestSpanPlacement:
     def test_one_election_domain_across_regions(self):
         topology = Topology.mesh(["r0", "r1", "r2"], placement="span")
         system = WhisperSystem(
-            ScenarioConfig(seed=42, replicas=3, topology=topology)
+            ScenarioConfig(
+                seed=42, replicas=3, topology=topology,
+                request_timeout=8.0, deadline_budget=30.0,
+            )
         )
         service = system.deploy_student_service()
         system.settle(10.0)

@@ -6,7 +6,7 @@ from repro.core import InvokeOutcome, ScenarioConfig, WhisperSystem
 from repro.soap import SoapFault
 
 
-def _flood(system, proxy, count, **invoke_kwargs):
+def _flood(system, proxy, count):
     """Fire ``count`` simultaneous invocations; collect per-call outcomes."""
     outcomes = [{} for _ in range(count)]
     processes = []
@@ -16,7 +16,6 @@ def _flood(system, proxy, count, **invoke_kwargs):
                 result = yield from proxy.invoke(
                     "StudentInformation",
                     {"ID": f"S{index % 20 + 1:05d}"},
-                    **invoke_kwargs,
                 )
                 slot["result"] = result
             except Exception as error:  # noqa: BLE001 - captured for assertions
@@ -102,17 +101,21 @@ class TestRetryAfterHonored:
         """With a budget smaller than the backlog drain time the proxy
         gives up with a terminal Server.Busy that carries the last hint."""
         system = WhisperSystem(
-            ScenarioConfig(seed=2013, replicas=1, queue_bound=1, max_attempts=8)
+            ScenarioConfig(
+                seed=2013, replicas=1, queue_bound=1, max_attempts=8,
+                deadline_budget=0.050,
+            )
         )
         service = system.deploy_student_service()
         system.settle(6.0)
-        _flood(system, service.proxy, 1)  # warm discovery + binding caches
+        (warm,) = _flood(system, service.proxy, 1)  # warm discovery + binding caches
+        assert "result" in warm, warm
         # Slow backend: one request occupies the worker for 100ms, far
         # beyond the 50ms budget of the victims queued behind it.
         for peer in service.group.peers:
             peer.implementation.service_time = 0.100
 
-        outcomes = _flood(system, service.proxy, 5, budget=0.050)
+        outcomes = _flood(system, service.proxy, 5)
         busy = [
             o["error"]
             for o in outcomes

@@ -31,12 +31,12 @@ def deployed(system):
     return service
 
 
-def _invoke(system, proxy, operation, arguments, **kwargs):
+def _invoke(system, proxy, operation, arguments):
     outcome = {}
 
     def runner():
         try:
-            result = yield from proxy.invoke(operation, arguments, **kwargs)
+            result = yield from proxy.invoke(operation, arguments)
             outcome["result"] = result
             outcome["value"] = result.value
         except Exception as error:  # noqa: BLE001 - captured for assertions
@@ -285,11 +285,15 @@ class TestSingleFlightLookup:
         assert proxy.bindings.lookups == {} and proxy.resolver.listeners == 0
 
     def test_joiners_receive_the_leaders_failure_and_back_off_on_their_own(
-        self, system, deployed
+        self, system
     ):
         """No member answers: the one query's ``NoCoordinatorError`` reaches
         every caller, and each then sleeps its *own* jittered backoff — a
         shared lookup must not turn into retries in lockstep."""
+        deployed = system.deploy_student_service(
+            system.config.replace(replicas=3, deadline_budget=1.5)
+        )
+        system.settle(6.0)
         proxy = deployed.proxy
         self._silence(deployed)
         draws = []
@@ -305,7 +309,7 @@ class TestSingleFlightLookup:
 
         def call(student):
             try:
-                yield from proxy.invoke("StudentInformation", {"ID": student}, budget=1.5)
+                yield from proxy.invoke("StudentInformation", {"ID": student})
             except Exception as error:  # noqa: BLE001 - captured for assertions
                 outcomes.append(error)
 

@@ -35,10 +35,8 @@ def _deploy(seed: int = 2206):
     return system, service
 
 
-def _read(proxy, index: int, results: list, **kwargs):
-    result = yield from proxy.invoke(
-        "StudentInformation", {"ID": f"S{index % 80 + 1:05d}"}, **kwargs
-    )
+def _read(proxy, index: int, results: list):
+    result = yield from proxy.invoke("StudentInformation", {"ID": f"S{index % 80 + 1:05d}"})
     assert result.value["studentId"] == f"S{index % 80 + 1:05d}"
     results.append(result)
 
@@ -114,7 +112,9 @@ class TestLateTimeoutKeepsTheFreshBinding:
         default 2 s) are both parked on a coordinator that has crashed.  B
         times out first and re-binds the group to the successor; A's
         timeout, when it comes, is older evidence than B's binding: the
-        binding stays and A's retry goes straight to it."""
+        binding stays and A's retry goes straight to it.  An attempt's
+        timeout is the proxy's ``request_timeout`` when it is sent, so the
+        test sets it to 8 s for A's first attempt and back for B."""
         system, service = _deploy(seed=2207)
         proxy, env = service.proxy, system.env
         group_id = service.group.group_id
@@ -125,8 +125,16 @@ class TestLateTimeoutKeepsTheFreshBinding:
 
         patient: list = []
         hasty: list = []
-        request_a = proxy.node.spawn(_read(proxy, 1, patient, timeout=8.0))
-        env.run(until=proxy.node.spawn(_read(proxy, 2, hasty)))
+        default_timeout = proxy.request_timeout
+        proxy.request_timeout = 8.0
+        request_a = proxy.node.spawn(_read(proxy, 1, patient))
+
+        def hasty_read():
+            # A's first attempt is on the wire, under 8 s, by now.
+            proxy.request_timeout = default_timeout
+            yield from _read(proxy, 2, hasty)
+
+        env.run(until=proxy.node.spawn(hasty_read()))
         assert hasty[0].outcome.value == "recovered" and not patient
         fresh = proxy.bindings.bound[group_id]
         assert fresh.coordinator != dead.coordinator and fresh.epoch > dead.epoch

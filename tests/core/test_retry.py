@@ -58,7 +58,9 @@ class TestProxyDeadline:
         """With every replica down, the proxy must give up once the
         request budget runs out — not after a fixed attempt count."""
         system = WhisperSystem(ScenarioConfig(seed=77, heartbeat_interval=0.5, miss_threshold=2))
-        service = system.deploy_student_service(system.config.replace(replicas=3))
+        service = system.deploy_student_service(
+            system.config.replace(replicas=3, deadline_budget=3.0)
+        )
         system.settle(6.0)
         for peer in service.group.peers:
             peer.node.crash()
@@ -68,9 +70,7 @@ class TestProxyDeadline:
 
         def runner():
             try:
-                result = yield from proxy.invoke(
-                    "StudentInformation", {"ID": "S00001"}, budget=3.0
-                )
+                result = yield from proxy.invoke("StudentInformation", {"ID": "S00001"})
                 outcome["value"] = result.value
             except Exception as error:  # noqa: BLE001 - captured for assertions
                 outcome["error"] = error

@@ -128,7 +128,7 @@ class TestShardFailover:
         """Killing one whole shard group remaps only its segment: reads
         for its keys fail over to ring successors, everyone else's keys
         keep their owner."""
-        system, service = _sharded_system(shards=4)
+        system, service = _sharded_system(shards=4, deadline_budget=20.0)
         ids = [f"S{i:05d}" for i in range(1, 61)]
 
         def warm():
@@ -143,9 +143,7 @@ class TestShardFailover:
 
         def run():
             for student in ids:
-                result = yield from service.invoke(
-                    "StudentInformation", {"ID": student}, budget=20.0
-                )
+                result = yield from service.invoke("StudentInformation", {"ID": student})
                 assert result.value["studentId"] == student
 
         _run(system, service, run())
@@ -170,6 +168,7 @@ class TestShardFailover:
             heartbeat_interval=0.5,
             miss_threshold=2,
             request_timeout=0.5,
+            deadline_budget=6.0,
         )
         system = WhisperSystem(config)
         databases = {
@@ -197,7 +196,6 @@ class TestShardFailover:
                     result = yield from service.invoke(
                         "EnrollStudent",
                         {"ID": f"S{index + 1:05d}", "course": "b2b-integration"},
-                        budget=6.0,
                     )
                     statuses.append(("ok", result.invocation_id))
                 except Exception as error:

@@ -8,9 +8,10 @@ motivates (coordinator crash; backend outage).
 
 import pytest
 
-from repro.backend import student_database
+from repro.backend import student_database, student_lookup_operational
 from repro.core import ScenarioConfig, WhisperSystem
 from repro.soap import RequestTimeout, SoapClient, SoapFault
+from repro.wsdl import student_management_wsdl
 
 
 def call_once(system, service, arguments, timeout=60.0, client=None):
@@ -210,7 +211,11 @@ class TestBackendFailover:
         assert outcome["error"].faultcode == "Server"
 
     def test_backend_recovery_restores_service(self, system):
-        service = system.deploy_student_service(system.config.replace(replicas=2, warehouse_every=0))
+        service = system.deploy_service(
+            student_management_wsdl(),
+            [student_lookup_operational(student_database(200)) for _ in range(2)],
+            web_host="web0",
+        )
         system.settle(6.0)
         for peer in service.group.peers:
             peer.implementation.backend.fail()
@@ -229,8 +234,11 @@ class TestReplicaStoresAreIndependent:
         invisible to its siblings, and every store starts from
         ``student_database(n)``'s rows."""
         system = WhisperSystem(ScenarioConfig(seed=3, students=40, shards=shards))
-        service = system.deploy_student_service(
-            system.config.replace(replicas=4, warehouse_every=0)
+        service = system.deploy_service(
+            student_management_wsdl(),
+            lambda _shard: [
+                student_lookup_operational(student_database(40)) for _ in range(4)
+            ],
         )
         stores = [
             peer.implementation.backend

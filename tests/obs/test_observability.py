@@ -195,12 +195,13 @@ class TestOnAndBoundedEverywhere:
             network.add_host("web"),
             SemanticWebService(student_management_wsdl(), ontology),
             ConceptMatcher(Reasoner(ontology)),
+            ScenarioConfig(deadline_budget=1.0),
         )
         proxy.discovery_timeout = 0.1
 
         def call():
             try:
-                yield from proxy.invoke("StudentInformation", {"ID": "S00001"}, budget=1.0)
+                yield from proxy.invoke("StudentInformation", {"ID": "S00001"})
             except NoMatchingGroupError:
                 pass
 

@@ -33,6 +33,7 @@ def _build(seed, loss_rate):
             heartbeat_interval=0.5,
             miss_threshold=2,
             students=STUDENTS,
+            deadline_budget=8.0,
         )
     )
     system.network.loss_rate = loss_rate
@@ -76,8 +77,6 @@ def _drive(system, service):
                         "ID": f"S{sequence % STUDENTS + 1:05d}",
                         "course": f"C{sequence:05d}",
                     },
-                    timeout=2.0,
-                    budget=8.0,
                 )
             except (SoapFault, WhisperError):
                 continue

@@ -272,17 +272,19 @@ class TestFailureModes:
 
 
     def test_loss_rate_set_after_traffic_drops_the_next_message(self, env, network):
-        """``loss_rate`` is assigned mid-run; no route may hold an old value."""
+        """``loss_rate`` is assigned mid-run; the next datagram reads it live."""
         arrivals = _exchange(env, network, count=3)
         assert len(arrivals) == 3 and network.trace.dropped_total == 0
         network.loss_rate = 1.0
-        assert network.link_between("a", "b").loss_rate == 1.0
         network.host("a").transport.bind().send(("b", 700), payload="lost")
         env.run()
         assert network.trace.dropped_total == 1
         assert network.trace.delivered_total == 3
         network.loss_rate = 0.0
-        assert network.link_between("a", "b").loss_rate == 0.0
+        network.host("a").transport.bind().send(("b", 700), payload="kept")
+        env.run()
+        assert network.trace.dropped_total == 1
+        assert network.trace.delivered_total == 4
 
 
 class TestLinks:

@@ -4,7 +4,9 @@ Until PR 12 ``Envelope.to_xml`` built an ElementTree and serialised it with
 ``ET.tostring``, and until PR 17 ``Envelope.from_xml`` parsed with
 ``ET.fromstring`` and walked the tree; ``repro.soap`` now writes and reads
 the same document directly, with no XML parser.  These are the old
-functions, unchanged, so the byte-identity tests compare the writer against
+functions, unchanged but for the Header block no envelope carries any more
+(a document with one is now outside the grammar), so the byte-identity
+tests compare the writer against
 the serialiser it must keep matching, and the reader tests compare the
 scanner against the parser it must agree with on everything the writer can
 produce.  (Unlike the scanner, the old reader lets ``EncodingError`` and
@@ -29,7 +31,6 @@ def _check_xml_text(text, what):
     return text
 
 _ENVELOPE = f"{{{SOAP_ENV_NS}}}Envelope"
-_HEADER = f"{{{SOAP_ENV_NS}}}Header"
 _BODY = f"{{{SOAP_ENV_NS}}}Body"
 _FAULT = f"{{{SOAP_ENV_NS}}}Fault"
 
@@ -85,11 +86,6 @@ def envelope_to_xml(envelope):
     """``Envelope.to_xml`` as it was: build the tree, let ElementTree write it."""
     ET.register_namespace("soapenv", SOAP_ENV_NS)
     root = ET.Element(_ENVELOPE)
-    if envelope.headers:
-        header_el = ET.SubElement(root, _HEADER)
-        for name, value in sorted(envelope.headers.items()):
-            entry = ET.SubElement(header_el, "header", {"name": name})
-            entry.text = str(value)
     body = ET.SubElement(root, _BODY)
 
     if envelope.kind == "call":
@@ -159,14 +155,6 @@ def envelope_from_xml(document):
     if root.tag != _ENVELOPE:
         raise EnvelopeError(f"expected soap Envelope, found {root.tag}")
 
-    headers = {}
-    header_el = root.find(_HEADER)
-    if header_el is not None:
-        for entry in header_el.findall("header"):
-            name = entry.get("name")
-            if name:
-                headers[name] = entry.text or ""
-
     body = root.find(_BODY)
     if body is None:
         raise EnvelopeError("envelope has no Body")
@@ -184,7 +172,7 @@ def envelope_from_xml(document):
             detail=detail_value,
             faultactor=actor_el.text if actor_el is not None else None,
         )
-        return Envelope(kind="fault", fault=fault, headers=headers)
+        return Envelope(kind="fault", fault=fault)
 
     call_el = body.find("call")
     if call_el is not None:
@@ -198,7 +186,6 @@ def envelope_from_xml(document):
             kind="call",
             operation=call_el.get("operation", ""),
             arguments=arguments,
-            headers=headers,
         )
 
     result_el = body.find("result")
@@ -209,7 +196,6 @@ def envelope_from_xml(document):
             kind="result",
             operation=result_el.get("operation", ""),
             value=value,
-            headers=headers,
         )
 
     raise EnvelopeError("envelope body holds neither call, result, nor fault")
@@ -220,6 +206,5 @@ def envelope_shape(envelope):
     results compare even where ``nan != nan`` and ``0.0 == -0.0 == False``."""
     fault = envelope.fault and vars(envelope.fault)
     return repr(
-        (envelope.kind, envelope.operation, envelope.arguments, envelope.value,
-         envelope.headers, fault)
+        (envelope.kind, envelope.operation, envelope.arguments, envelope.value, fault)
     )  # fmt: skip

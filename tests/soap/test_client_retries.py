@@ -20,7 +20,7 @@ def deployment(env, network, two_hosts):
     server = SoapServer(server_node)
     calls = {"count": 0}
 
-    def dispatcher(operation, arguments, headers):
+    def dispatcher(operation, arguments):
         calls["count"] += 1
         return calls["count"]
 
@@ -103,7 +103,7 @@ class TestRttStampHygiene:
             "env = Environment()\n"
             "network = Network(env, trace=MessageTrace(), rng=RngRegistry(7))\n"
             "a, b = network.add_host('a'), network.add_host('b')\n"
-            "SoapServer(a).mount('/svc', lambda op, args, headers: args['n'])\n"
+            "SoapServer(a).mount('/svc', lambda op, args: args['n'])\n"
             "client = SoapClient(b)\n"
             "def calls():\n"
             "    for n in range(4):\n"

@@ -21,11 +21,9 @@ def deployment(env, network, two_hosts):
     server_node, client_node = two_hosts
     server = SoapServer(server_node)
 
-    def dispatcher(operation, arguments, headers):
+    def dispatcher(operation, arguments):
         if operation == "add":
             return arguments["a"] + arguments["b"]
-        if operation == "echo-headers":
-            return dict(headers)
         if operation == "slow":
             yield env.timeout(float(arguments["delay"]))
             return "done"
@@ -58,14 +56,6 @@ class TestCalls:
         assert outcome["value"] == 5
         assert client.calls_sent == 1
         assert server.calls_handled == 1
-
-    def test_headers_reach_dispatcher(self, env, deployment):
-        _server, client, _s, client_node = deployment
-        outcome = _call(
-            env, client_node, client, ("a", 80), "/svc", "echo-headers", {},
-            headers={"tenant": "acme"},
-        )
-        assert outcome["value"]["tenant"] == "acme"
 
     def test_generator_dispatcher(self, env, deployment):
         _server, client, _s, client_node = deployment

@@ -23,15 +23,15 @@ from repro.workflow import (
 )
 
 
-def _deploy(seed=77, replicas=2):
+def _deploy(seed=77, replicas=2, request_timeout=1.5, deadline_budget=6.0):
     system = WhisperSystem(
         ScenarioConfig(
             seed=seed,
             replicas=replicas,
             heartbeat_interval=0.5,
             miss_threshold=2,
-            request_timeout=1.5,
-            deadline_budget=6.0,
+            request_timeout=request_timeout,
+            deadline_budget=deadline_budget,
         )
     )
     services, fleet = build_loan_fleet(system, replicas)
@@ -103,13 +103,13 @@ class TestCompensation:
         )
 
     def test_compensations_run_in_reverse_commit_order(self):
-        system, services, fleet = _deploy()
+        system, services, fleet = _deploy(request_timeout=1.0, deadline_budget=3.0)
         # BookLoan's whole operation group goes down, so a solvent saga
         # commits register + reserve, fails at book, and must unwind.
         for peer in services["booking"].group_for("BookLoan").peers:
             system.failures.crash_at(system.env.now + 0.01, peer.node.name)
         _host, orchestrator = _orchestrator(system)
-        saga = loan_saga(services, timeout=1.0, budget=3.0)
+        saga = loan_saga(services)
         record = _run(orchestrator, saga, dict(SOLVENT))
         assert record.state == SagaState.COMPENSATED
         trace = [

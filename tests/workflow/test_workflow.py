@@ -236,24 +236,9 @@ class TestTaskRecords:
 
 
 class TestProxyBackedTasks:
-    def test_task_runs_through_the_proxy_pipeline(self, deployment):
-        system, claims, _loans = deployment
-        node = system.network.add_host(f"wf-proxy-{system.env.now}")
-        engine = WorkflowEngine(node)
-        workflow = SequenceFlow([
-            ServiceTask(
-                name="assess", service=claims, operation="ProcessClaim",
-                input_mapping=lambda ctx: {"request": ctx["claim_id"]},
-                output_key="assessment", timeout=2.0, budget=8.0,
-            ),
-        ])
-        result = engine.run(workflow, {"claim_id": "C00030"})
-        assert result.succeeded, result.error
-        record = result.record_for("assess")
-        assert record.invocation_id is not None
-        assert record.outcome == "ok"
-        assert record.attempts == 1
-        assert not record.deduped
+    """A task's Whisper service answers through its SWS-proxy, under the
+    deployment's time limits; the proxy's terminal outcomes reach the
+    workflow as structured SOAP faults."""
 
     def test_terminal_fault_is_structured(self, deployment):
         system, claims, _loans = deployment
@@ -261,9 +246,10 @@ class TestProxyBackedTasks:
         engine = WorkflowEngine(node)
         workflow = SequenceFlow([
             ServiceTask(
-                name="assess", service=claims, operation="ProcessClaim",
+                name="assess", address=claims.address, path=claims.path,
+                operation="ProcessClaim",
                 input_mapping=lambda ctx: {"request": "C99999"},
-                output_key="assessment", timeout=2.0, budget=8.0,
+                output_key="assessment",
             ),
         ])
         result = engine.run(workflow, {"claim_id": "C99999"})
@@ -274,7 +260,11 @@ class TestProxyBackedTasks:
     def test_deadline_exhaustion_is_structured(self):
         """A proxy-level terminal outcome (deadline exceeded against a
         dead group) lands in ``result.error``, not an escaped exception."""
-        system = WhisperSystem(ScenarioConfig(seed=112, replicas=2))
+        system = WhisperSystem(
+            ScenarioConfig(
+                seed=112, replicas=2, request_timeout=0.5, deadline_budget=1.5
+            )
+        )
         claims = system.deploy_service(
             insurance_claims_wsdl(),
             [claim_assessment(claims_database()) for _ in range(2)],
@@ -287,9 +277,10 @@ class TestProxyBackedTasks:
         engine = WorkflowEngine(node)
         workflow = SequenceFlow([
             ServiceTask(
-                name="assess", service=claims, operation="ProcessClaim",
+                name="assess", address=claims.address, path=claims.path,
+                operation="ProcessClaim",
                 input_mapping=lambda ctx: {"request": ctx["claim_id"]},
-                output_key="assessment", timeout=0.5, budget=1.5,
+                output_key="assessment",
             ),
         ])
         result = engine.run(workflow, {"claim_id": "C00031"})
