@@ -56,6 +56,7 @@ check-smoke:
 	python -m repro check --seeds 3 --schedules 25 --timeout 300
 	python -m repro check --shards 2 --seeds 3 --schedules 25 --timeout 300
 	python -m repro check --regions 2 --seeds 3 --schedules 25 --timeout 300
+	python -m repro check --capacity --seeds 3 --schedules 25 --timeout 300
 	python -m repro check --self-test --timeout 300
 
 # The flow pins of tests/check/test_digest_pins.py as this tree produces

@@ -54,7 +54,7 @@ capacity is sized well above the retry horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import count
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..simnet.events import Interrupt, Wait
@@ -234,23 +234,29 @@ class DedupJournal:
         """Evict oldest ``DONE`` entries past capacity (never in-flight).
 
         Steady state *is* the full journal (a long-lived peer evicts one
-        entry per insertion), so this walks from the head and touches only
-        the victims and in-flight markers before them, never the rest.
+        entry per insertion) with a ``DONE`` entry at the head, the only one
+        touched.  The walk goes on from the head past in-flight markers,
+        in place, and touches only them and the victims, never the rest.
 
         A dict's iteration also steps over the slots its deletions left, and
         they pile up at the head until the dict next resizes: a full journal
         of 4 096 would walk thousands per eviction.  Rebuilding the dict
         every ``COMPACT_EVERY`` evictions keeps that walk short, and keeps
         the table at the size its live entries need."""
-        excess = len(self._entries) - self.capacity
+        entries = self._entries
+        excess = len(entries) - self.capacity
         if excess <= 0:
             return
-        done = (key for key, entry in self._entries.items() if entry.done)
-        # The head of the dict is walked in place; only the victims are copied.
-        for key in list(islice(done, excess)):
-            del self._entries[key]
-            self.stats.evictions += 1
-            self._holes += 1
+        victims = []
+        for key, entry in entries.items():
+            if entry.state == DONE:
+                victims.append(key)
+                if len(victims) == excess:
+                    break
+        for key in victims:
+            del entries[key]
+        self.stats.evictions += len(victims)
+        self._holes += len(victims)
         if self._holes >= COMPACT_EVERY:
             self._entries = dict(self._entries)
             self._holes = 0
@@ -535,10 +541,12 @@ class ExactlyOnce:
             return
         view = self.view()
         members = view.sorted_members() if view is not None else []
+        # One payload for the whole fan-out: receivers only iterate it.
+        payload = ("journal", [entry])
         for member in members:
             if member == self.peer_id:
                 continue
-            if self.tell(member, ("journal", [entry]), ENTRY_BYTES):
+            if self.tell(member, payload, ENTRY_BYTES):
                 self.metrics.inc("bpeer.journal_replicated")
 
     def report_entry(self, request: "ExecRequest", reply: "ExecReply") -> Optional[JournalEntry]:

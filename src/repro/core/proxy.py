@@ -16,7 +16,10 @@ The proxy's lifecycle per request:
 3. **invoke** — send the request to the bound coordinator and wait;
 4. **recover** — on timeout or a ``not-coordinator`` redirect, drop the
    binding (unless another request has re-bound since) and go back to step
-   2, where one lookup per group serves every request waiting for it.
+   2, where one lookup per group serves every request waiting for it.  A
+   timeout condemns the coordinator: until the group can have elected a
+   successor, members that still name it are hearsay, and the request
+   waits for the new term instead of re-sending into the dead one.
    Re-binding after a coordinator crash is the second component of the
    paper's multi-second worst-case RTT (§5).
 
@@ -40,9 +43,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
+from ..election.bully import BullyElector
 from ..election.epoch import Epoch
 from ..ontology.match import ConceptMatcher
 from ..p2p.advertisement import SemanticAdvertisement
@@ -142,6 +145,42 @@ class _Binding:
     #: Coordinator epoch this binding was made under; stamped onto every
     #: request so b-peers can fence stale bindings.
     epoch: Epoch
+    #: Simulated time this proxy last heard from the coordinator itself: its
+    #: own lookup answer or a reply to an attempt.  A binding installed on
+    #: the members' word starts at the install time, or keeps the condemned
+    #: coordinator's last-heard time when it names that coordinator again.
+    heard: float
+
+
+@dataclass(slots=True)
+class _Condemned:
+    """The ``(coordinator, epoch)`` a timed-out attempt gave up on, per
+    group, until a lookup installs a binding (DESIGN.md §6.13)."""
+
+    coordinator: PeerId
+    epoch: Epoch
+    heard: float
+    #: Until then a member naming the condemned coordinator is hearsay: a
+    #: member whose detector has not fired one detector bound after the
+    #: attempt expired has heard from the coordinator since.
+    expires: float
+    #: When the group is next worth asking: at once after the timeout (the
+    #: coordinator may answer for itself), then no earlier than the instant
+    #: the group can have elected (``heard`` + detector bound + one Bully
+    #: answer timeout), then on the retry policy's backoff.  Callers that
+    #: need a binding before then wait instead of asking.
+    wake: float
+    #: Hearsay-only lookups so far (the backoff exponent).
+    retries: int
+
+    def hearsay(self, claim: Tuple, answerer: PeerId) -> bool:
+        """Whether ``answerer``'s claim only repeats the condemned binding:
+        the coordinator's own answer, another peer or a newer epoch is news."""
+        return (
+            answerer != claim[0]
+            and claim[0] == self.coordinator
+            and not claim[2] > self.epoch
+        )
 
 
 def _shard_set_complete(matches: List[GroupMatch]) -> bool:
@@ -177,11 +216,13 @@ class BindingTable:
     """One proxy's bindings and epoch fence, per group (DESIGN.md §6.21).
 
     It owns the installed ``(coordinator, epoch)`` per group, the one
-    coordinator lookup in flight per group, the epoch witnessed to b-peers
-    and the highest epoch a result was delivered under.  It reaches the
-    network only through the callables it is handed — the resolver's
-    ``send_query`` / ``cancel_query``, the endpoint's ``add_route`` and the
-    proxy's counter — so a test can drive it with fakes.
+    coordinator lookup in flight per group, the coordinator a timeout
+    condemned, the epoch witnessed to b-peers and the highest epoch a result
+    was delivered under.  It reaches the network only through the callables
+    it is handed — the resolver's ``send_query`` / ``cancel_query``, the
+    endpoint's ``add_route``, the proxy's counter and its retry backoff — so
+    a test can drive it with fakes.  ``detector_bound`` is the group's
+    failure-detection bound, ``heartbeat_interval × miss_threshold``.
     """
 
     def __init__(
@@ -191,9 +232,13 @@ class BindingTable:
         cancel_query: Callable[[int], None],
         add_route: Callable[[PeerId, Address], None],
         count: Callable[[str], None],
+        detector_bound: float,
+        backoff: Callable[[int], float],
         on_fence_advance: Optional[Callable[[PeerGroupId, Epoch], Any]] = None,
     ):
         self.env = env
+        self.detector_bound = detector_bound
+        self._backoff = backoff
         #: Split-brain fencing on the proxy side: prefer the highest-epoch
         #: answer, discard stale results, gossip the highest witnessed term.
         #: Only the schedule checker's self-test seam clears it, to show
@@ -214,8 +259,10 @@ class BindingTable:
         self.resolve_grace = 0.02
         self.bound: Dict[PeerGroupId, _Binding] = {}
         #: Coordinator lookups in flight, one per group at most: the event
-        #: fires with the binding the lookup installed, or ``None``.
+        #: fires with what the lookup returns, or ``None`` if nobody answered.
         self.lookups: Dict[PeerGroupId, Any] = {}
+        #: The coordinator a timed-out attempt gave up on, per unbound group.
+        self.condemned: Dict[PeerGroupId, _Condemned] = {}
         #: Highest epoch whose result was delivered to the client, per
         #: group — results below it are discarded (no-stale-result).
         self.delivered: Dict[PeerGroupId, Epoch] = {}
@@ -228,10 +275,15 @@ class BindingTable:
 
         Single-flight: at most one query per group is in flight.  The
         first caller asks; whoever needs the same answer meanwhile waits
-        for that query's outcome — the binding it installs, or its
+        for that query's outcome — what it returns, or its
         ``NoCoordinatorError`` — under its own ``deadline`` and for no
         longer than its own lookup could have taken.  A grace window after
         the first answer collects racing ones: the highest epoch wins.
+
+        Returns the binding installed or, when every answer was hearsay
+        about the group's condemned coordinator, the :class:`_Condemned`
+        record, whose ``wake`` says when to ask again; before then the
+        record comes back without a query.
         """
         env = self.env
         flight = self.lookups.get(group_id)
@@ -244,11 +296,14 @@ class BindingTable:
             if binding is None or binding is EXPIRED:
                 raise NoCoordinatorError(f"no coordinator response for {group_id}")
             return binding
-        answers: List[Tuple] = []
+        record = self.condemned.get(group_id)
+        if record is not None and env.now < record.wake:
+            return record
+        answers: List[Tuple[Tuple, PeerId]] = []
         done = env.event()
 
         def on_response(response) -> None:
-            answers.append(response.payload)
+            answers.append((response.payload, response.src_peer))
             if not done.triggered:
                 done.succeed()
 
@@ -272,37 +327,67 @@ class BindingTable:
             # listener and slot are released, and whoever joined learns
             # the outcome.
             if answers:
-                # Unfenced, the first answer wins, even a deposed
-                # coordinator's stale claim.
-                claim = max(answers, key=itemgetter(2)) if self.epoch_fencing else answers[0]
-                binding = self.install(group_id, *claim)
+                binding = self._settle(group_id, answers)
             self._cancel_query(query_id)
             del self.lookups[group_id]
             if flight.callbacks:
                 flight.succeed(binding)
         return binding
 
+    def _settle(self, group_id: PeerGroupId, answers: List[Tuple[Tuple, PeerId]]):
+        """Install the pick from a lookup's ``(claim, answerer)`` pairs.
+
+        While the group's condemned record stands, hearsay is no candidate;
+        if nothing else was heard, nothing is installed and the record comes
+        back with ``wake`` moved past now.  Unfenced, the first answer wins,
+        even a deposed coordinator's stale claim.
+        """
+        now = self.env.now
+        record = self.condemned.get(group_id)
+        if record is not None and now < record.expires:
+            answers = [answer for answer in answers if not record.hearsay(*answer)]
+            if not answers:
+                record.wake = max(
+                    record.heard + self.detector_bound + BullyElector.answer_timeout, now
+                ) + self._backoff(record.retries)
+                record.retries += 1
+                return record
+        claim, answerer = (
+            max(answers, key=lambda answer: answer[0][2]) if self.epoch_fencing else answers[0]
+        )
+        return self.install(group_id, *claim, heard=now if answerer == claim[0] else None)
+
     def install(
-        self, group_id: PeerGroupId, coordinator: PeerId, address: Optional[Address], epoch: Epoch
-    ) -> _Binding:
+        self, group_id: PeerGroupId, coordinator: PeerId, address: Optional[Address],
+        epoch: Epoch, heard: Optional[float] = None,
+    ) -> _Binding:  # fmt: skip
         """The single path that installs a binding: a lookup's answer or a
         redirect's forward pointer.  Replacing a live binding by a different
-        ``(coordinator, epoch)`` is a failover and counts as a rebind."""
+        ``(coordinator, epoch)`` is a failover and counts as a rebind.
+        ``heard`` is now when the coordinator answered for itself; on
+        anyone else's word it is the install time, or the condemned
+        record's when the claim names that binding again."""
         previous = self.bound.get(group_id)
         if previous is not None and (
             previous.coordinator != coordinator or previous.epoch != epoch
         ):
             self._count("rebinds")
-        binding = self.bound[group_id] = _Binding(group_id, coordinator, address, epoch)
+        record = self.condemned.pop(group_id, None)
+        if heard is None:
+            heard = self.env.now
+            if record is not None and (record.coordinator, record.epoch) == (coordinator, epoch):
+                heard = record.heard
+        binding = self.bound[group_id] = _Binding(group_id, coordinator, address, epoch, heard)
         if address is not None:
             self._add_route(coordinator, address)
         return binding
 
-    def drop(self, used: _Binding) -> None:
+    def drop(self, used: _Binding, condemn: bool = False) -> None:
         """Compare-and-drop: forget the group's binding only if it is still
         the ``(coordinator, epoch)`` a failed attempt went out under.  One
         some other request installed since is newer evidence than the
-        caller's failure, and stays (the caller retries on it at once)."""
+        caller's failure, and stays (the caller retries on it at once).
+        A timed-out attempt also condemns the coordinator it dropped."""
         current = self.bound.get(used.group_id)
         if current is None or (current.coordinator, current.epoch) != (
             used.coordinator, used.epoch
@@ -310,6 +395,12 @@ class BindingTable:
             return
         del self.bound[used.group_id]
         self._count("rebinds")
+        if condemn:
+            now = self.env.now
+            self.condemned[used.group_id] = _Condemned(
+                used.coordinator, used.epoch, max(current.heard, used.heard),
+                expires=now + self.detector_bound, wake=now, retries=0,
+            )  # fmt: skip
 
     def witnessed(self, binding: _Binding) -> Optional[Epoch]:
         """The freshest term this proxy can vouch for, gossiped to b-peers."""
@@ -412,6 +503,8 @@ class SwsProxy(Peer):
         self.bindings = BindingTable(
             self.env, self.resolver.send_query,
             self.resolver.cancel_query, self.endpoint.add_route, self._count,
+            detector_bound=config.heartbeat_interval * config.miss_threshold,
+            backoff=lambda retries: self.retry.delay(retries, self._retry_rng),
             on_fence_advance=cache.invalidate_epoch if cache is not None else None,
         )  # fmt: skip
         self.endpoint.register_listener(PROTO_EXEC_REPLY, self._on_reply)
@@ -808,6 +901,18 @@ class SwsProxy(Peer):
                         if not (try_reroute() or try_region_failover()):
                             yield from backoff()
                         continue
+                    if binding.__class__ is _Condemned:
+                        # Every answer named the coordinator a timeout just
+                        # condemned: wait for the new term.  Neither an
+                        # attempt nor a breaker failure.
+                        bind_span.finish(self.env.now, outcome="hearsay")
+                        attempt -= 1
+                        enter_recovery("hearsay")
+                        if not (try_reroute() or try_region_failover()):
+                            wait = deadline.clamp(self.env.now, binding.wake - self.env.now)
+                            if wait > 0.0:
+                                yield self.env.timeout(wait)
+                        continue
                     bind_span.finish(self.env.now, outcome="ok")
                 invoke_span = rtrace.begin("invoke", self.env.now)
                 sent = True
@@ -824,11 +929,12 @@ class SwsProxy(Peer):
                     self._count("timeouts")
                     self._breaker_feedback(advertisement.name, ok=False)
                     profile.record_failure()
-                    bindings.drop(binding)
+                    bindings.drop(binding, condemn=True)
                     enter_recovery("timeout")
                     if not try_reroute():
                         try_region_failover()
                     continue
+                binding.heard = self.env.now
                 if reply.kind == "result":
                     if not (reply.deduped or bindings.deliver(group_id, reply.epoch)):
                         # A deposed coordinator answered after a takeover

@@ -57,7 +57,7 @@ class CacheEntry:
     stored_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheServe:
     """Audit-log entry: one cache hit actually delivered to a caller."""
 

@@ -24,7 +24,7 @@ from ..obs.metrics import MetricsRegistry
 __all__ = ["MessageTrace", "TraceRecord", "RttSample"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One message event kept when detailed recording is enabled."""
 
@@ -37,7 +37,7 @@ class TraceRecord:
     msg_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RttSample:
     """One request/reply round trip observed by the monitor."""
 

@@ -84,7 +84,7 @@ FAULT_SCHEDULES = {
     "shards2/11": [
         "d21caf8cba6ca1022f666dc517b627b7f3ad7b078eb9baa95ca34d18fb66c75f",
         "e8e8557318eda9d3253f26729a20d922ae7785c94901ceb6ef92eb8433e6d854",
-        "8363c87898f7a578e6e85e2fc562885b9400925adf865cfd20dc31d18cbc12e0",
+        "644cd072a992e613c9009797b54acafe31597f87dfc664fbaf9b068496d37045",
     ],
     "shards2/42": [
         "079e6f7f17ee871942cf5c47412ea3bfcff058739c443313dcf7ea131eb13d2b",
@@ -94,7 +94,7 @@ FAULT_SCHEDULES = {
     "regions2/7": [
         "bac10e2758505fc9744b5781ebfc1acf0525b37d225bc16eac85d33ae6120d4d",
         "ca007ea4361a49432f159b906ccc0a4adaa2003c7570d5612b3152556f0e5a3c",
-        "22b672d2e65309bd76df7067359f11819ae47c4c9a2634c46f980dfa8e286a11",
+        "432f51af8172717b6c969132e1839c4b4458974ddf6ab07651d243c1b3e370bc",
     ],
     "regions2/11": [
         "0e997a6b81cec4e000ef3fc4fe0e04ded9934733f360a7fb8b43d9f9743a4532",
@@ -127,7 +127,7 @@ FAULT_SCHEDULES = {
         "a4992d2648409d56b60701fcc299067dc1fd026928828963fc321a33c2662cde",
     ],
     "saga/11": [
-        "d009e67a3c03f798f61480ac08adbb8ccb40258fa3c815674b4a32524e168b7e",
+        "92107c1dfea633011d3433beaba8edb5d7d9732ac9ab5d54a4be64477fba3d8e",
         "095db149ac573c2303560c4635775b7bb8b1e379fbb34cf2e08f1520bae49aec",
         "f91dea6876a039806694e0fcf99eccdf9dd38b2734841abd67d2bc0097587cc0",
     ],

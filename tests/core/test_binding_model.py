@@ -7,7 +7,9 @@ one under a higher epoch.  Hypothesis picks when callers ask for a
 coordinator (each under its own deadline), when an open query is answered
 and by which claim (the newest, or a stale one a member still believes),
 when the clock moves, when a caller's host dies mid-lookup, and which
-binding a failed attempt names when it drops.  It also picks when a
+binding a failed attempt names when it drops, and whether the attempt
+timed out (which condemns the coordinator).  Each answer comes from the
+coordinator it names or from another member.  It also picks when a
 redirect installs a pointer and which epoch a result is delivered under.
 Epoch fencing is on or off per example.  The spec, checked after every
 step or at the moment it applies:
@@ -21,7 +23,12 @@ step or at the moment it applies:
 * once the resolver has answered a query, the bind it ends with — also
   when its caller is interrupted — is to the highest-epoch claim among
   the answers (the first answer, unfenced), so once the newest
-  coordinator has answered, the next bind is to it.
+  coordinator has answered, the next bind is to it;
+* hearsay is never installed: until one detector bound after a timeout
+  condemned a ``(coordinator, epoch)``, a member's answer naming it is no
+  candidate, while the coordinator's own answer, another peer or a newer
+  epoch is; a lookup that heard only hearsay installs nothing, and a
+  condemned group is unbound.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from repro.check.invariants import stale_result_violations
 from repro.core.errors import NoCoordinatorError
-from repro.core.proxy import BindingTable
+from repro.core.proxy import BindingTable, _Condemned
 from repro.core.retry import Deadline
 from repro.election.epoch import Epoch
 from repro.p2p.ids import PeerGroupId, PeerId
@@ -45,8 +52,22 @@ from repro.simnet.events import Interrupt
 
 GROUPS = tuple(PeerGroupId.from_name(f"model-group-{index}") for index in range(2))
 PEERS = tuple(PeerId.from_name(f"peer-{index}") for index in range(3))
-#: How many terms behind the newest claim each answering member is.
-STALENESS = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
+#: Per answer: how many terms behind the newest claim it is, and whether
+#: the coordinator it names gives it (else another member repeats it).
+STALENESS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()), min_size=1, max_size=3
+)
+#: The fake groups' failure-detection bound, short enough for ``tick``.
+DETECTOR_BOUND = 0.3
+
+
+def _backoff(retries):
+    return min(0.05 * 2**retries, 0.4)
+
+
+def _answerer(claim, own):
+    """The coordinator ``claim`` names, or a member that repeats it."""
+    return claim[0] if own else next(peer for peer in PEERS if peer != claim[0])
 
 
 class _FakeResolver:
@@ -67,10 +88,10 @@ class _FakeResolver:
         group_id, _on_response, answers = self.open.pop(query_id)
         self.on_close(group_id, answers)
 
-    def answer(self, query_id, claim):
+    def answer(self, query_id, claim, answerer):
         _group_id, on_response, answers = self.open[query_id]
-        answers.append(claim)
-        on_response(SimpleNamespace(payload=claim))
+        answers.append((claim, answerer))
+        on_response(SimpleNamespace(payload=claim, src_peer=answerer))
 
     def open_groups(self):
         return [group_id for group_id, _on_response, _answers in self.open.values()]
@@ -90,7 +111,7 @@ class BindingModel(RuleBasedStateMachine):
         self.advances = []  # (group id, epoch) the cache hook was told
         self.table = BindingTable(
             self.env, self.resolver.send_query, self.resolver.cancel_query,
-            self._add_route, self._count,
+            self._add_route, self._count, DETECTOR_BOUND, _backoff,
             on_fence_advance=lambda group_id, epoch: self.advances.append((group_id, epoch)),
         )  # fmt: skip
         # Unfenced is the checker self-test's seeded defect: the seam it
@@ -105,6 +126,9 @@ class BindingModel(RuleBasedStateMachine):
         self.delivered = {}  # group id -> highest epoch delivered
         self.callers = []  # live caller processes
         self.misclosed = []  # what closed lookups did against the spec
+        #: Per group, the ``(coordinator, epoch, expires)`` a timeout
+        #: condemned, until a binding is installed.
+        self.condemned = {}
 
     # -- the fake groups --------------------------------------------------------------
 
@@ -123,8 +147,9 @@ class BindingModel(RuleBasedStateMachine):
 
     def _answer(self, query_id, stale):
         history = self.claims[self.resolver.open[query_id][0]]
-        for terms in stale:
-            self.resolver.answer(query_id, history[max(0, len(history) - 1 - terms)])
+        for terms, own in stale:
+            claim = history[max(0, len(history) - 1 - terms)]
+            self.resolver.answer(query_id, claim, _answerer(claim, own))
 
     # -- the proxy's side ---------------------------------------------------------------
 
@@ -143,6 +168,11 @@ class BindingModel(RuleBasedStateMachine):
             try:
                 binding = yield from self.table.resolve(group, deadline)
             except (NoCoordinatorError, Interrupt):
+                return
+            if isinstance(binding, _Condemned):
+                # Only hearsay, now or at the last lookup: nothing bound.
+                assert self.table.condemned.get(group) is binding
+                assert group not in self.table.bound
                 return
             # The leader's lookup installed it; a joiner shares it.
             assert self.table.bound.get(group) is binding
@@ -176,23 +206,32 @@ class BindingModel(RuleBasedStateMachine):
         history = self.claims[group]
         claim = history[max(0, len(history) - 1 - stale)]
         self.issued[group].append(self.table.install(group, *claim))
+        self.condemned.pop(group, None)
 
-    @rule(group=st.sampled_from(GROUPS), pick=st.integers(min_value=0, max_value=20))
-    def fail_attempt(self, group, pick):
+    @rule(
+        group=st.sampled_from(GROUPS),
+        pick=st.integers(min_value=0, max_value=20),
+        timed_out=st.booleans(),
+    )
+    def fail_attempt(self, group, pick, timed_out):
         """An attempt sent under one of the bindings handed out failed:
-        compare-and-drop with that binding as the evidence."""
+        compare-and-drop with that binding as the evidence; a timeout
+        condemns the coordinator it drops."""
         if not self.issued[group]:
             return
         used = self.issued[group][pick % len(self.issued[group])]
         before = self.table.bound.get(group)
         rebinds = self.counts["rebinds"]
-        self.table.drop(used)
+        self.table.drop(used, condemn=timed_out)
         after = self.table.bound.get(group)
         assert self.counts["rebinds"] == rebinds + (after is not before)
         if before is None:
             assert after is None
         elif (before.coordinator, before.epoch) == (used.coordinator, used.epoch):
             assert after is None, "a drop kept the binding it named"
+            if timed_out:
+                expires = self.env.now + DETECTOR_BOUND
+                self.condemned[group] = (used.coordinator, used.epoch, expires)
         else:
             assert after is before, (
                 f"a drop naming {used.coordinator}@{used.epoch} removed "
@@ -220,12 +259,26 @@ class BindingModel(RuleBasedStateMachine):
 
     def _lookup_closed(self, group_id, answers):
         """The table cancels its query on every exit.  One that heard
-        answers, interrupted or not, has just installed a binding, and it
-        is the claim the rule picks: the highest epoch, fenced; the first
-        answer, unfenced.  What this finds is reported by the invariant
-        below: an assertion raised here, in an interrupted caller's
-        ``finally``, would die with the caller."""
+        answers other than hearsay, interrupted or not, has just installed
+        a binding, and it is the claim the rule picks among them: the
+        highest epoch, fenced; the first answer, unfenced.  One that heard
+        only hearsay installed nothing.  What this finds is reported by the
+        invariant below: an assertion raised here, in an interrupted
+        caller's ``finally``, would die with the caller."""
         installed, self.last_route = self.last_route, None
+        condemned = self.condemned.get(group_id)
+        if condemned is not None and self.env.now < condemned[2]:
+            answers = [
+                (claim, answerer)
+                for claim, answerer in answers
+                if answerer == claim[0]
+                or claim[0] != condemned[0]
+                or claim[2] > condemned[1]
+            ]
+            if not answers:
+                if installed is not None or group_id in self.table.bound:
+                    self.misclosed.append(f"hearsay about {condemned} was installed")
+                return
         if not answers:
             if installed is not None:
                 self.misclosed.append("a lookup nobody answered installed a binding")
@@ -233,10 +286,12 @@ class BindingModel(RuleBasedStateMachine):
         if installed is None:
             self.misclosed.append(f"answers {answers} in hand were not installed")
             return
+        self.condemned.pop(group_id, None)
+        claims = [claim for claim, _answerer in answers]
         if self.fencing:
-            expected = max(answers, key=lambda claim: claim[2])
+            expected = max(claims, key=lambda claim: claim[2])
         else:
-            expected = answers[0]
+            expected = claims[0]
         bound = self.table.bound.get(group_id)
         if (bound.coordinator, bound.address, bound.epoch) != expected or installed != (
             bound.coordinator, bound.address
@@ -251,6 +306,11 @@ class BindingModel(RuleBasedStateMachine):
         # Callers still suspended are closed when collected, and a closed
         # lookup cancels its query: nothing left to check by then.
         self.resolver.on_close = lambda _group_id, _answers: None
+
+    @invariant()
+    def a_condemned_group_is_unbound(self):
+        assert set(self.table.condemned) == set(self.condemned)
+        assert not set(self.table.condemned) & set(self.table.bound)
 
     @invariant()
     def one_query_in_flight_per_group(self):
@@ -289,10 +349,7 @@ def test_a_stale_first_answer_loses_to_a_fresher_one_in_the_grace_window(fencing
     """The lookup rule on its own, so it does not rest on the model's draw:
     a deposed coordinator answers first, the new one inside the grace
     window; fenced, the highest epoch binds, unfenced, the first answer."""
-    env = Environment()
-    resolver = _FakeResolver(lambda group_id, answers: None)
-    table = BindingTable(env, resolver.send_query, resolver.cancel_query,
-                         lambda peer, address: None, lambda name: None)  # fmt: skip
+    env, resolver, table = _table()
     table.epoch_fencing = fencing
     group = GROUPS[0]
     stale, fresh = (
@@ -302,8 +359,70 @@ def test_a_stale_first_answer_loses_to_a_fresher_one_in_the_grace_window(fencing
     env.process(table.resolve(group, Deadline(at=5.0)))
     env.run(until=0.001)
     (query_id,) = resolver.open
-    resolver.answer(query_id, stale)
-    resolver.answer(query_id, fresh)
+    resolver.answer(query_id, stale, PEERS[2])
+    resolver.answer(query_id, fresh, PEERS[2])
     env.run(until=1.0)
     assert not resolver.open
     assert table.bound[group].epoch == (fresh if fencing else stale)[2]
+
+
+def _table():
+    env = Environment()
+    resolver = _FakeResolver(lambda group_id, answers: None)
+    table = BindingTable(env, resolver.send_query, resolver.cancel_query,
+                         lambda peer, address: None, lambda name: None,
+                         DETECTOR_BOUND, _backoff)  # fmt: skip
+    return env, resolver, table
+
+
+@pytest.mark.parametrize(
+    "answer, at, installed",
+    [
+        ("a member repeats it", 0.0, False),
+        ("the coordinator itself", 0.0, True),
+        ("a member names a newer epoch", 0.0, True),
+        ("a member repeats it", DETECTOR_BOUND, True),
+    ],
+)
+def test_hearsay_about_a_condemned_binding_is_not_installed(answer, at, installed):
+    """The hearsay rule on its own, so it does not rest on the model's
+    draw: a timeout condemns ``peer-0@1``; one lookup hears one answer.
+    A member repeating the condemned claim inside the detector bound is
+    not installed, and the table waits: the caller gets the record back,
+    and the next caller before its ``wake`` gets it without a query.  The
+    coordinator's own answer, a newer epoch, or a member still vouching
+    one detector bound after the timeout is installed."""
+    env, resolver, table = _table()
+    group = GROUPS[0]
+    old = (PEERS[0], ("host-peer-0", 9701), Epoch(1, PEERS[0].uuid_hex))
+    new = (PEERS[1], ("host-peer-1", 9701), Epoch(2, PEERS[1].uuid_hex))
+    table.drop(table.install(group, *old), condemn=True)
+    record = table.condemned[group]
+    assert group not in table.bound and record.wake == 0.0
+    claim, answerer = {
+        "a member repeats it": (old, PEERS[2]),
+        "the coordinator itself": (old, PEERS[0]),
+        "a member names a newer epoch": (new, PEERS[2]),
+    }[answer]
+    env.run(until=at + 0.001)
+    outcome = []
+    env.process(_resolve_into(table, group, outcome))
+    env.run(until=at + 0.002)
+    (query_id,) = resolver.open
+    resolver.answer(query_id, claim, answerer)
+    env.run(until=at + 0.5)
+    assert not resolver.open
+    if installed:
+        assert outcome == [table.bound[group]] and group not in table.condemned
+        assert (table.bound[group].coordinator, table.bound[group].epoch) == (claim[0], claim[2])
+        return
+    assert outcome == [record] and group not in table.bound
+    # The earliest instant the group can have elected, plus one backoff.
+    assert record.wake > record.heard + DETECTOR_BOUND + 0.5
+    env.process(_resolve_into(table, group, outcome))
+    env.run(until=record.wake - 0.001)
+    assert outcome == [record, record] and not resolver.open
+
+
+def _resolve_into(table, group, outcome):
+    outcome.append((yield from table.resolve(group, Deadline(at=30.0))))

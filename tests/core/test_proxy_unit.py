@@ -151,7 +151,7 @@ class TestBindingPath:
 
         proxy.bindings.bound[deployed.group.group_id] = _Binding(
             deployed.group.group_id, follower.peer_id, follower.endpoint.address,
-            follower.coordinator_mgr.epoch,
+            follower.coordinator_mgr.epoch, system.env.now,
         )
         proxy.endpoint.add_route(follower.peer_id, follower.endpoint.address)
         outcome = _invoke(system, proxy, "StudentInformation", {"ID": "S00002"})
@@ -174,7 +174,7 @@ class TestBindingPath:
 
         proxy.bindings.bound[deployed.group.group_id] = _Binding(
             deployed.group.group_id, follower.peer_id, follower.endpoint.address,
-            follower.coordinator_mgr.epoch,
+            follower.coordinator_mgr.epoch, system.env.now,
         )
         proxy.endpoint.add_route(follower.peer_id, follower.endpoint.address)
         rebinds = proxy.stats.rebinds
