@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins export-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc census all clean
+.PHONY: install test bench benchmark-smoke examples figures overload exactly-once check check-smoke check-self-test digest-pins fixture-pins export-pins shard shard-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke bench-e2e bench-e2e-smoke e2e-pairs loc census all clean
 
 # pytest-timeout is a test extra (CI installs it); the smoke tiers use it
 # where it is present.
@@ -65,6 +65,14 @@ check-smoke:
 digest-pins:
 	PYTHONPATH=src python -m tests.check.test_digest_pins
 
+# The repro files under tests/check/fixtures/: replays each and rewrites
+# only what a replay produces (digest, decisions, sim_time, fired,
+# violated_at, the run's tallies), printing moved / unchanged and the
+# violation lines before -> after.  Exits 1 when a file's violation list
+# changed (it would no longer pin what it was saved for).
+fixture-pins:
+	PYTHONPATH=src python -m tests.check.test_explorer
+
 # The export pins of tests/obs/test_export_pins.py (`metrics --crash --json`,
 # `trace --crash --last 3 --json`): rewrites both fixture files from this
 # tree and prints which moved.
@@ -84,8 +92,8 @@ shard-smoke:
 	python -m repro check --shards 2 --seeds 1 --schedules 5 --timeout 300
 
 # Multi-region WAN benchmark: gossip convergence vs the O(log N) bound,
-# staleness vs fanout, gossip-vs-flood message economy, nearest-region
-# latency, and the single-region Figure-4 byte-identity guard.
+# staleness vs fanout, gossip-vs-flood message economy and nearest-region
+# latency.
 # Regenerates the committed BENCH_wan.json record.
 wan:
 	python -m repro wan --out BENCH_wan.json

@@ -84,7 +84,6 @@ class CampaignReport:
     journal_hits: int = 0
     journal_merges: int = 0
     journal_replications: int = 0
-    journal_pushes: int = 0
     duplicates_suppressed: int = 0
     requests_parked: int = 0
     #: Mutating executions ledgered on any backend (one per application).
@@ -307,14 +306,9 @@ class FaultCampaign:
             report.journal_merges += journal.merges
             report.duplicates_suppressed += journal.duplicates_suppressed
             report.requests_parked += peer.exactly_once.requests_parked
-        counters = self.system.obs.metrics.counters
-        for name, attribute in (
-            ("bpeer.journal_replicated", "journal_replications"),
-            ("bpeer.journal_pushes", "journal_pushes"),
-        ):
-            counter = counters.get(name)
-            if counter is not None:
-                setattr(report, attribute, counter.value)
+        replicated = self.system.obs.metrics.counters.get("bpeer.journal_replicated")
+        if replicated is not None:
+            report.journal_replications = replicated.value
         totals = effect_totals(service.all_peers())
         report.effects_applied = sum(totals.values())
         report.distinct_effects = len(totals)

@@ -30,7 +30,7 @@ proxy, ``_busy_reply`` / ``_redirect`` build the ``busy`` and
 ``not-coordinator`` bounces.  Exactly-once has no off switch and lives in
 one object, ``self.exactly_once`` (:class:`~repro.core.journal.ExactlyOnce`,
 DESIGN.md §6.20): the b-peer asks it to answer, park, begin, pass the
-commit barrier and complete each request, and hands it the nine journal
+commit barrier and complete each request, and hands it the eight journal
 modes; the b-peer keeps admission, dispatch, delegation and execution.
 """
 
@@ -136,6 +136,8 @@ class ExecReply:
 class _Delegation:
     done: Any  # simulation event
     reply: Optional[ExecReply] = None
+    #: The delegate's DONE entry for a mutating result (it completed it).
+    entry: Optional[JournalEntry] = None
 
 
 class BPeer(Peer):
@@ -219,9 +221,8 @@ class BPeer(Peer):
         self.endpoint.register_listener(PROTO_EXEC, self._on_exec)
         self.groups.register_group_listener(PROTO_DELEGATE, self._on_delegate)
         self.resolver.register_handler(COORD_HANDLER, self._on_coordinator_query)
-        # Journal-transfer handshake: whenever a new coordinator is
-        # announced, members ship it their replicated DONE entries so the
-        # takeover answers retried calls from the journal.
+        # Takeover sync: a newly elected coordinator pulls the group's
+        # DONE entries so it answers retried calls from the journal.
         self.coordinator_mgr.elector.on_coordinator_elected(self.exactly_once.start_term)
         node.on_crash(lambda _node: self._on_crash())
         node.on_restart(lambda _node: self._on_restart())
@@ -519,7 +520,6 @@ class BPeer(Peer):
         if not self._fire_pre_commit(request):
             return
         reply = yield from self._execute_or_delegate(request)
-        reply = self.exactly_once.complete(request, reply)
         self._reply(request, reply)
         self._release_load(self.peer_id)
         self._load_for(self.peer_id).qos = self.qos_profile.snapshot()
@@ -534,24 +534,31 @@ class BPeer(Peer):
         return self.node.up
 
     def _execute_or_delegate(self, request: ExecRequest):
-        """Try locally; on backend unavailability, try each other member."""
+        """Try locally; on backend unavailability, try each other member.
+        Returns the reply to deliver, its outcome already recorded."""
         reply = yield from self._execute_local(request)
-        if reply.kind != "cannot-serve":
-            return reply
-        # §4.1: a semantically equivalent peer transparently takes over.
-        for member in self.groups.groups[self.group_id].sorted_members():
-            if member == self.peer_id:
-                continue
-            replayed = self.exactly_once.replay(request)
-            if replayed is not None:
-                # The result landed via replication (a timed-out relay
-                # delegate broadcasts its DONE entry) while we waited out
-                # a delegation — stop fanning out.
-                return replayed
-            delegated = yield from self._delegate_to(member, request)
-            if delegated is not None and delegated.kind != "cannot-serve":
-                return delegated
-        return reply  # everyone's backend is down
+        if reply.kind == "cannot-serve":
+            # §4.1: a semantically equivalent peer transparently takes over.
+            for member in self.groups.groups[self.group_id].sorted_members():
+                if member == self.peer_id:
+                    continue
+                replayed = self.exactly_once.replay(request)
+                if replayed is not None:
+                    # The result landed via replication (a timed-out relay
+                    # delegate broadcasts its DONE entry) while we waited
+                    # out a delegation — stop fanning out.
+                    return replayed
+                delegated, entry = yield from self._delegate_to(member, request)
+                if entry is not None:
+                    # The delegate executed the write, completed it and
+                    # replicated its entry: install that entry, never
+                    # complete (and broadcast) the write a second time.
+                    self.exactly_once.merge([entry])
+                    return delegated
+                if delegated is not None and delegated.kind != "cannot-serve":
+                    reply = delegated
+                    break
+        return self.exactly_once.complete(request, reply)
 
     def _execute_local(self, request: ExecRequest):
         obs = self.node.network.obs
@@ -606,11 +613,11 @@ class BPeer(Peer):
         relay = ("relay", delegation_id, self.peer_id, request)
         if not self._tell(member, relay, 512, "bpeer-delegate"):
             del self._delegations[delegation_id]
-            return None
+            return None, None
         self.requests_delegated += 1
         yield Wait(self.env, delegation.done, DELEGATION_TIMEOUT)
         self._delegations.pop(delegation_id, None)
-        return delegation.reply
+        return delegation.reply, delegation.entry
 
     def _on_delegate(self, payload, src_peer: PeerId, group_id: PeerGroupId) -> None:
         """Every group-protocol message lands here: one lookup by mode."""
@@ -633,10 +640,10 @@ class BPeer(Peer):
         self._queue.push((self._serve_delegated, (delegation_id, coordinator, request)))
 
     def _on_relay_reply(self, payload, src_peer: PeerId) -> None:
-        _mode, delegation_id, reply = payload
+        _mode, delegation_id, reply, entry = payload
         delegation = self._delegations.get(delegation_id)
         if delegation is not None:
-            delegation.reply = reply
+            delegation.reply, delegation.entry = reply, entry
             if not delegation.done.triggered:
                 delegation.done.succeed()
 
@@ -672,12 +679,15 @@ class BPeer(Peer):
                 # the delegation chain; a delegate that also delegated
                 # could loop).
                 reply = yield from self._execute_local(request)
-            reply = self.exactly_once.complete(request, reply)
+                reply = self.exactly_once.complete(request, reply)
+        # A mutating result's DONE entry goes back with the answer: the
+        # caller installs it instead of completing the write again.
+        entry = self.exactly_once.report_entry(request, reply)
         if direct:
             self._reply(request, reply)
-            self._report_to(coordinator, self.exactly_once.report_entry(request, reply))
+            self._report_to(coordinator, entry)
         else:
-            relay_reply = ("relay-reply", delegation_id, reply)
+            relay_reply = ("relay-reply", delegation_id, reply, entry)
             self._tell(coordinator, relay_reply, 512, "bpeer-delegate")
 
     def _report_to(self, coordinator: Optional[PeerId], entry: Optional[JournalEntry]) -> None:

@@ -23,17 +23,18 @@ the proxy-minted *invocation id* (idempotency key):
 :class:`ExactlyOnce` is one b-peer's side of the protocol, in three parts:
 
 * *Replication.*  A mutating invocation's ``DONE`` entry is broadcast at
-  completion, piggybacked on load-sharing reports, and pushed by every
-  member to a newly announced coordinator, so the replacement answers
-  retried calls from the journal instead of re-executing them.  A
-  read-only group's entries do none of this: nothing is recorded before a
+  completion and piggybacked on load-sharing reports, so every member
+  can answer a retried call from the journal instead of re-executing it.
+  A read-only group's entries do neither: nothing is recorded before a
   read executes, and its ``DONE`` entry stays on the peer that served it.
-* *Takeover sync.*  Broadcast and push share a blind spot: a coordinator
-  whose announcement never reached the group (elected alone inside a
-  partition, winning after the heal on epoch height) is never offered
-  what the other side completed.  So a new coordinator also *pulls* from
-  every member of the all-time roster, re-pulling until each has
-  answered, and gates retried mutations it does not recognise until then.
+* *Takeover sync.*  Broadcast misses a member that was down or cut off
+  when the entry went out.  So a new coordinator *pulls* the group's
+  ``DONE`` entries from every member of the all-time roster, re-pulling
+  until each has answered, and gates retried mutations it does not
+  recognise until then.  The pull is the only transfer at the start of a
+  term: it also reaches a coordinator whose announcement never reached
+  the group (elected alone inside a partition, winning after the heal on
+  epoch height).
 * *Commit barrier.*  Replication is completion-driven, so a coordinator
   isolated *after* applying an effect cannot ship its entry and a rival
   would apply the retry again.  A mutating invocation therefore executes
@@ -226,8 +227,7 @@ class DedupJournal:
         return len(stale)
 
     def export(self) -> List[JournalEntry]:
-        """Every ``DONE`` entry — the payload of the journal-transfer
-        handshake after an election."""
+        """Every ``DONE`` entry — what a member answers a takeover pull."""
         return [entry for entry in self._entries.values() if entry.done]
 
     def _evict(self) -> None:
@@ -354,9 +354,6 @@ class ExactlyOnce:
         self._parked: Dict[Optional[str], List["ExecRequest"]] = {}
         #: Retries parked, either way (total).
         self.requests_parked = 0
-        #: ``(coordinator, epoch)`` the journal was last pushed to, so a
-        #: re-announced term does not re-send the transfer.
-        self._pushed: Optional[Tuple[Any, Any]] = None
         #: Takeover sync: the term being synced, the members that
         #: answered our pull for it, and the pull loop driving it.
         self._sync_epoch = None
@@ -375,10 +372,9 @@ class ExactlyOnce:
         self._intent_waits: Dict[int, _IntentWait] = {}
         self._intent_tokens = count(1)
         self._intent_resolving: set = set()
-        #: The protocol's nine group modes (DESIGN.md §6.7): mode -> handler.
+        #: The protocol's eight group modes (DESIGN.md §6.7): mode -> handler.
         self.handlers = {
             "journal": self._on_journal,
-            "journal-push": self._on_journal,
             "journal-pull": self._on_journal_pull,
             "journal-sync-reply": self._on_journal_sync_reply,
             "intent": self._on_intent,
@@ -569,32 +565,13 @@ class ExactlyOnce:
                 self.metrics.inc("bpeer.journal_merges")
             self._serve_parked(entry.invocation_id)
 
-    # -- term start: member push, takeover pull, sync gate ----------------------------
+    # -- term start: takeover pull, sync gate ---------------------------------------
 
     def start_term(self, coordinator) -> None:
-        """A coordinator was announced: pull into our own term, or ship
-        our DONE entries to the winner (journal-transfer handshake)."""
-        if coordinator == self.peer_id:
-            # We are the winner: pull the group's journal state into our
-            # fresh term (the push below cannot help us — members that
-            # never heard our announcement never push).
-            if self.mutating:
-                self._start_sync()
-            return
-        # Only mutating results are replicated knowledge worth shipping —
-        # a read-only entry replays locally at best, and pushing it would
-        # tax every election on the Figure-4 read path.
-        if not self.mutating or not self.node.up:
-            return
-        term = (coordinator, self.coordinator_mgr.epoch)
-        if self._pushed == term:
-            return
-        entries = self.journal.export()
-        if not entries:
-            return
-        if self.tell(coordinator, ("journal-push", entries), 96 + ENTRY_BYTES * len(entries)):
-            self._pushed = term
-            self.metrics.inc("bpeer.journal_pushes")
+        """A coordinator was announced: if it is us and the group mutates,
+        pull the group's journal state into our fresh term."""
+        if coordinator == self.peer_id and self.mutating:
+            self._start_sync()
 
     def _start_sync(self) -> None:
         """Begin (or continue) pulling journal state for our new term."""
@@ -676,8 +653,7 @@ class ExactlyOnce:
                 self.reply(request, self.busy(request, retry_after=0.0))
 
     def _on_journal(self, payload, src_peer) -> None:
-        # A mutating result's eager replication ("journal") or the bulk
-        # transfer to a freshly elected coordinator ("journal-push").
+        # A mutating result's eager replication.
         self.merge(payload[1])
 
     def _on_journal_pull(self, payload, src_peer) -> None:
@@ -908,5 +884,5 @@ class ExactlyOnce:
             self._stop_sync("shutdown")
             self.bounce_all()
         self._parked.clear()
-        self._sync_proc = self._pushed = self._sync_epoch = None
+        self._sync_proc = self._sync_epoch = None
         self._sync_answered = set()

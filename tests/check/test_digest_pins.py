@@ -15,8 +15,10 @@ says *which* flow moved:
   each axis and seed, 45 runs.  A PR that *means* to change what is sent
   between a fault and the recovery from it regenerates this half, says so,
   and brings checker evidence (``python -m repro check`` on every axis) in
-  place of bit-identity.  Last regenerated in PR 22 (one coordinator
-  lookup per failover: 24 of the 45 moved); before that, PR 14's values.
+  place of bit-identity.  Last regenerated when a new coordinator came to
+  get the group's journal from its takeover pull only (36 of the 45
+  moved); before that when a failover came to cost one coordinator lookup
+  (24 moved).
 
 Regenerate with ``make digest-pins`` (``python -m tests.check.test_digest_pins``):
 it prints both tables as they come out of this tree, ready to paste, and
@@ -62,54 +64,54 @@ BASELINE = {
 #: ``axis/seed`` -> digests of [sampled 0, sampled 1, sampled 2].
 FAULT_SCHEDULES = {
     "flat/7": [
-        "dbc36f733da065674165e72d5e58c8937ae8b9477414f53b0f157dcd7214c9c1",
-        "60189b79a8b56bc6ee00a5f7ef83c160cdd729dd7b16bd718d4608d78a2e103a",
-        "d9fd6b157481ee5dc437b22fb4e7695ea4ba8b3a43418d0136df37a605426acd",
+        "99fea5a8472155cbfa0e4d6284284900f6ada3e160f7c613766937562c87590f",
+        "ac9b672f9c22d0fef31145605bb264dcad47a7b95f8206bd3eeac43f9cea4ea2",
+        "3e2c14e6d2268ec0b36124b235ab4b52563c5bd5a7c99192a83d7a89c2119932",
     ],
     "flat/11": [
         "e4d0cf0e716322362eec9aa81e97455db7b8de8fbd23adc0c7f36aa6e179bcfd",
-        "94c195a6cfc7ab2f5d1b375ce538eed0d969ad962672715fcf8ae8f10a5796da",
-        "7cbebdc8104cdc16fdb6b83ba646314580bc6dcaf643c4881bc766852e511e0c",
+        "386e8bac37e32a21f60bbdfe82a0e04bd17e2eac5af0d961327c7789a9ba5687",
+        "26920c2a2ade653bc34ceabddae94a6466b229d128bd0f8cf41200ba485a9276",
     ],
     "flat/42": [
-        "0671858c8e28ac0359b41ae0326cfcf52fad3ad2c014572d52a14ec06f43fd34",
-        "3f5258ad6a011f9807643f214c7d46d62d2012a427ccb5062ee0cbd0da3e6b54",
-        "d4277ca45aba20d86bd6727d8d3f847f5a050e115fd5f1ac594951ebe47c9bd1",
+        "c7804421513b9ca686fe741d8f351d75e2818aef1428aeddbef844f5f7b1062c",
+        "052f1364a76a5422c6d6afba4f18633718a0958c676ee61a4759044bc2f6500c",
+        "14a6f64f8eb29a60c4a4000b3e1e6f7b9c5f64c8c5eda83356ed74b7a63c2568",
     ],
     "shards2/7": [
-        "b4c83acba9a57cfba71bc7daaa375ea104698908dde32b901117514ed7ac973d",
-        "4c4996958003c650ce2c5724f58e0276024417541c0c3d762b70ba6d13a1dc52",
-        "a09206a8374f4997483e3216e4f354b1b43eecfd12776de29fce0d0e41c3802c",
+        "df7c8923f48a0f9bbe20624797205d247599d53a90f6380794a8d9c3e105dacd",
+        "2c9a24f1ad6f63dc504e19ad82a862142d4a4e8716507ed8e06c31953380657b",
+        "ec03946d2912e9c891a1d7a02ce8efed5806b263ea4720ce1f9fe0bf0a90523f",
     ],
     "shards2/11": [
         "d21caf8cba6ca1022f666dc517b627b7f3ad7b078eb9baa95ca34d18fb66c75f",
-        "e8e8557318eda9d3253f26729a20d922ae7785c94901ceb6ef92eb8433e6d854",
-        "644cd072a992e613c9009797b54acafe31597f87dfc664fbaf9b068496d37045",
+        "552e255a761a90d8a0014fba87ea3fa6f27db0c58054a53e78ce0782936c7201",
+        "7fcb7c0e4969b769edbe0b460763fd4335513949a691c09ffd17d3c41396c7ab",
     ],
     "shards2/42": [
         "079e6f7f17ee871942cf5c47412ea3bfcff058739c443313dcf7ea131eb13d2b",
-        "9f37c2f48e2fb0ed89fe32d2411e5be0c79b7192ae7c12e7b744226880e9facf",
-        "03d4d0c6bf4eb7d4225bff3a21d13dc5a38e78571bacef7afbac991a72928e05",
+        "061849cd880a71609d62413c938ab55db8e5c0ea8e0da5548c93169e440fa79d",
+        "b39a018eed3dd108f5ac253ca0b38fe7f8aa7f3863873b8b4a4d3f3544fcbbe1",
     ],
     "regions2/7": [
-        "bac10e2758505fc9744b5781ebfc1acf0525b37d225bc16eac85d33ae6120d4d",
-        "ca007ea4361a49432f159b906ccc0a4adaa2003c7570d5612b3152556f0e5a3c",
-        "432f51af8172717b6c969132e1839c4b4458974ddf6ab07651d243c1b3e370bc",
+        "6b8ba64962773765ef6ed8921875655076c39f2d826c75060617f58b22c71b27",
+        "5504e7532563d615ebfd2a0853b5fa1ce78b4d5b8ce3f78d09a4095a20f91325",
+        "2a2e6fa9c1c95744934b4b53c518243e683670f2cd9ed2f92df333260fcefd51",
     ],
     "regions2/11": [
         "0e997a6b81cec4e000ef3fc4fe0e04ded9934733f360a7fb8b43d9f9743a4532",
-        "a44f8d204656e962c7e417c543ce84e12862d12cccacdadcd19d0d5328373ea3",
-        "3124086345e3dac794052473c2dff7155c9eb5a8abc1d66db3b6e7cee53ec417",
+        "d0dfdb7abea29f380a02663a11440cd615b6a8a04c58f63a723600ae4d794cc9",
+        "0fa81b883e3f4c82abc0f56f80762697324f14cead39b2892c6dc0489b763cc1",
     ],
     "regions2/42": [
-        "4ba309912a3715ec314604104c44eb34255d0e6f2ebc71db252d12bf35762a8a",
-        "5e1457c36065b721bea6a04c4722faa22ed589c79bd2c4bf639a862869e29e07",
-        "b8494ccf39ff38acb20ff52feb6b949ac9acfdf2448f50fa24fcd606d42c5e3e",
+        "f5bbcf0977305ca2b58b103953aec6c87a286c37799c0e3bd09e79f02c8c2d75",
+        "64d6fe53580d5cc5e1e094a6e9e45c9407ae05ee4328149274a6a1080e7ef087",
+        "7da42eb7d408e1dcfe1bae3712b0abf52ac6ef205950c176603cf7ce0b18e194",
     ],
     "capacity/7": [
-        "6998cc657779aacffeb962599931ce316f56bd8bf6cdab3943e5aa22db3d7ae7",
-        "0ed4b31dfa995e7b42433cf111e38a1dc4f9bdc144021e194042afa7574f73d8",
-        "960d1f3576bca0a69bf8457e8be69e228743108a77d0e1855cbf002202724787",
+        "d5ead6c1c14284cc5c50cb6771c5fb40476bbff247b8108408d42d80a4e98a96",
+        "ae5acc862d76bb55cba5323763cd06cfdcf353a08d304a083c5fa74ee45723eb",
+        "d81ce7f530964e61cc4126b3b4e7b10d351f7fda30c4ee7e903940f026604598",
     ],
     "capacity/11": [
         "11d0a38f7b884da78f4b79ddb120dc4ae750c8bb3993c940fda9e2f5cbbca78f",
@@ -117,23 +119,23 @@ FAULT_SCHEDULES = {
         "5fc1a1d004b229ebb0d5690c755d7c4c733a6dcb085f5b3562254a30b80772db",
     ],
     "capacity/42": [
-        "d76096b591c9f40a79dd2e87b2387e521bc63267c65e1419a6a6e450b652e961",
-        "b9647d6579627a46bb2b6c7d0e8832b5969f62d350f38a4a1138826b98ddd2e6",
-        "0be33d76827baa6bc7d122ed9bd48a38f9786b0f4a353344b84dacc04bd0a19f",
+        "7c6be7bbf42a20f8502357d3c20b185e6348f02873867a7855c94f4f71953a1b",
+        "af6688e0426c674b41bff3ccb0ad8f5996578633ac92d4396760afe07f1691c0",
+        "3c7e8ed5b885dee26c1c306b2284e05f81139673321c979ab674fb5c54261179",
     ],
     "saga/7": [
         "dd36298b562452b3d0066101c26d5590c73b074a13b37f954bb33f2cd609ab90",
-        "08a75a9300e43f500a24d99bdf7f3116d2589fb13e72f233f65cda08c10fbeb6",
-        "a4992d2648409d56b60701fcc299067dc1fd026928828963fc321a33c2662cde",
+        "2432497f4dd983f293a251d5cf76fad44d934fd8ccd6c2e2e23d828b14ae2bd6",
+        "a1efefa21411630801ee2eb95cfd7a2c016e3597c8107b576d0402f45dd8ecf4",
     ],
     "saga/11": [
-        "92107c1dfea633011d3433beaba8edb5d7d9732ac9ab5d54a4be64477fba3d8e",
-        "095db149ac573c2303560c4635775b7bb8b1e379fbb34cf2e08f1520bae49aec",
-        "f91dea6876a039806694e0fcf99eccdf9dd38b2734841abd67d2bc0097587cc0",
+        "ebd27c06c28ae26dcae5819063351de90896363450b489f17a370ce0acff3c8f",
+        "f61cd45cc17d1efbc4de33eb6c52a65a2a9edba5f8cb5a31864c22aa5b60c159",
+        "062d038b8bd66ac5a2a28274114b08dc3ef50a62fe2895b5b59e93c20f6d21f8",
     ],
     "saga/42": [
-        "804cbae2594a6a25bc8b73886dbd68b99bce2e08e4f602812584bed1163508fc",
-        "2a32933fccf447cd019069682ac43aafa381a0bce96befa12cde0497e327d139",
+        "a5c97c43e446f109349412a588e325388556de30641898cef5afe126357bba04",
+        "30a80cba25083c30a5402191de4430f1eda0c11cbeee9f8cd97970ccee395058",
         "b4e3f4148288d04e5702d5d25c8e294fe268d25f01e69150fe05e5ef4509d936",
     ],
 }

@@ -6,10 +6,20 @@ settle/probe/cooldown scenario.  The scenarios stay at the
 :class:`CheckScenario` defaults (3 replicas, 12s probe window) to keep
 them cheap.  :class:`TestEngine` runs the shrink / repro-file pipeline
 once per scenario the engine knows — it is the same code for both.
+
+The committed repro files under ``fixtures/`` are regenerated with
+``make fixture-pins`` (``python -m tests.check.test_explorer``): it
+replays each file and rewrites only what a replay produces (the digest,
+decisions, simulated end time, fired ops, violation time and the run's
+tallies), printing for each file whether it moved and its violation
+lines before → after.  It exits 1 when a file's violation list changes:
+that file would no longer pin what it was saved for, so it is left as it
+is.
 """
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -197,7 +207,8 @@ class TestEngine:
         --out`` files replay through the one ``--replay``, which reads the
         format off the file.  The saga file is the one written before the
         two checkers were merged; ``whisper-check-1.json`` was regenerated
-        in PR 22, which changed what a proxy sends during a failover (same
+        when what a proxy sends during a failover changed, and its digest
+        again when a new coordinator was left one journal transfer (same
         violation, same shrunk schedule)."""
         assert main(["check", "--replay", str(FIXTURES / fixture)]) == 0
         assert "byte-identical (1 violation(s) reproduced)" in (
@@ -208,7 +219,8 @@ class TestEngine:
         """``check --capacity`` seed47/0, shrunk (ROADMAP item 3 (ii)): two
         scale events 0.8 s apart inside the 2 s cooldown until PR 24 put the
         event on the cooldown's clock.  The schedule still replays to the
-        digest it has with the fix in — no violation."""
+        digest it has with the fix in (rewritten by ``make fixture-pins``
+        when the fault path moves) — no violation."""
         fixture = FIXTURES / "whisper-check-capacity-cooldown.json"
         assert main(["check", "--replay", str(fixture)]) == 0
         assert "byte-identical (0 violation(s) reproduced)" in (
@@ -285,3 +297,41 @@ class TestSelfTest:
         peer._on_exec(EndpointMessage(peer.peer_id, peer.peer_id, PROTO_EXEC, stale))
         assert peer.stale_epoch_rejections == rejections + 1
         assert [reply.value for reply in replies] == ["stale-epoch"]
+
+
+# -- make fixture-pins ----------------------------------------------------------------
+
+
+def rewrite_fixtures() -> int:
+    """Replay every committed repro file and rewrite what a replay produces."""
+    kept = {"format", "scenario", "schedule", "violations"}
+    changed = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        scenario, schedule, pinned = load_repro(str(path))
+        result = scenario.run(schedule)
+        before, after = pinned["violations"], result.violations
+        replayed = {
+            key: result.digest() if key == "digest" else getattr(result, key)
+            for key in pinned
+            if key not in kept and (key == "digest" or hasattr(result, key))
+        }
+        if after != before:
+            changed.append(path.name)
+            verdict = "violations changed, left as it is"
+        elif all(json.loads(json.dumps(value)) == pinned[key] for key, value in replayed.items()):
+            verdict = "unchanged"
+        else:
+            verdict = "moved"
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({**pinned, **replayed}, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        print(f"{path.name}: {verdict} ({len(before)} -> {len(after)} violation(s))")
+        for line in before:
+            print(f"  before: {line}")
+        for line in after:
+            print(f"  after:  {line}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(rewrite_fixtures())

@@ -10,7 +10,9 @@ when the clock moves, when a caller's host dies mid-lookup, and which
 binding a failed attempt names when it drops, and whether the attempt
 timed out (which condemns the coordinator).  Each answer comes from the
 coordinator it names or from another member.  It also picks when a
-redirect installs a pointer and which epoch a result is delivered under.
+redirect installs a pointer, when an attempt under one times out and a
+member at once repeats the condemned claim, and which epoch a result is
+delivered under.
 Epoch fencing is on or off per example.  The spec, checked after every
 step or at the moment it applies:
 
@@ -237,6 +239,28 @@ class BindingModel(RuleBasedStateMachine):
                 f"a drop naming {used.coordinator}@{used.epoch} removed "
                 f"{before.coordinator}@{before.epoch}"
             )
+
+    @rule(group=st.sampled_from(GROUPS), stale=st.integers(min_value=0, max_value=2))
+    def hear_hearsay(self, group, stale):
+        """A redirect installs a claim, an attempt under it times out, and
+        the lookup that follows at once hears a member repeat the claim
+        inside the detector bound: hearsay, which the spec says is no
+        candidate."""
+        if group in self.table.lookups:
+            return
+        history = self.claims[group]
+        claim = history[max(0, len(history) - 1 - stale)]
+        self.redirect(group, stale)
+        self.fail_attempt(group, len(self.issued[group]) - 1, timed_out=True)
+        self.bind(group, 5.0, [])
+        self.tick(0.001)
+        (query_id,) = (
+            query_id
+            for query_id, (group_id, _on_response, _answers) in self.resolver.open.items()
+            if group_id == group
+        )
+        self.resolver.answer(query_id, claim, _answerer(claim, own=False))
+        self.tick(0.05)
 
     @rule(group=st.sampled_from(GROUPS), pick=st.integers(min_value=0, max_value=20))
     def deliver(self, group, pick):

@@ -188,7 +188,7 @@ def _modes_sent():
 def test_handlers_cover_exactly_the_modes_sent(enroll_coordinator):
     _system, peer = enroll_coordinator
     sent = _modes_sent()
-    assert len(sent) == 13
+    assert len(sent) == 12
     assert set(peer._group_handlers) == sent
 
 

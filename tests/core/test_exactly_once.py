@@ -109,7 +109,7 @@ class TestDedupOnRetry:
         system.settle(1.0)
 
         old_coordinator.node.crash()
-        system.settle(10.0)  # re-election + journal push
+        system.settle(10.0)  # re-election + takeover sync
         successor = service.group.coordinator_peer()
         assert successor is not None and successor is not old_coordinator
 
@@ -149,3 +149,77 @@ class TestEvictionNegativeControl:
         service, retry = self._enrol_a_then_b_then_replay_a(capacity=4096)
         assert retry.deduped
         assert exactly_once_violations(service.all_peers()) == []
+
+
+def _enrol_many(system, service, count):
+    """``count`` enrollments, one after another, each a new invocation."""
+    return [
+        _invoke(system, service, {"ID": f"S{index + 1:05d}", "course": f"C{index}"})
+        for index in range(count)
+    ]
+
+
+class TestRelayedWrite:
+    """§4.1's takeover with the coordinator's backend down: a relay
+    delegate executes each write, so only that delegate completes it.  The
+    coordinator installs the entry the relay reply carries back, and the
+    proxy gets a result that is not a replay."""
+
+    WRITES = 20
+
+    def test_a_relayed_write_is_completed_once(self):
+        system, service = _build()
+        service.group.coordinator_peer().implementation.backend.fail()
+        results = _enrol_many(system, service, self.WRITES)
+        system.settle(1.0)
+        counters = system.obs.metrics.counters
+        assert [result.deduped for result in results] == [False] * self.WRITES
+        assert service.proxy.stats.deduped == 0
+        assert "bpeer.duplicate_suppressed" not in counters
+        # One journal fan-out per write: to the other three members.
+        assert counters["bpeer.journal_replicated"].value == (REPLICAS - 1) * self.WRITES
+        assert _effect_counts(service) == {result.invocation_id: 1 for result in results}
+
+
+class TestTakeoverTransfer:
+    """A new coordinator gets the group's journal once: each survivor's
+    DONE entries reach it in the one export that answers its takeover
+    pull (``journal-sync-reply``), and in no second copy."""
+
+    WRITES = 10
+
+    def test_each_survivor_ships_its_entries_to_the_winner_once(self):
+        system, service = _build()
+        results = _enrol_many(system, service, self.WRITES)
+        system.settle(1.0)
+        old_coordinator = service.group.coordinator_peer()
+        shipped = []  # (sender, receiver, mode, invocation ids)
+
+        def recording(peer, tell):
+            def tell_and_record(member, payload, size_bytes):
+                entries = [part for part in payload if isinstance(part, list)]
+                if entries:
+                    ids = [entry.invocation_id for entry in entries[0]]
+                    shipped.append((peer.peer_id, member, payload[0], ids))
+                return tell(member, payload, size_bytes)
+
+            return tell_and_record
+
+        for peer in service.group.peers:
+            peer.exactly_once.tell = recording(peer, peer.exactly_once.tell)
+        old_coordinator.node.crash()
+        system.settle(10.0)
+        winner = service.group.coordinator_peer()
+        assert winner is not None and winner is not old_coordinator
+        written = sorted(result.invocation_id for result in results)
+        survivors = [
+            peer for peer in service.group.peers if peer not in (old_coordinator, winner)
+        ]
+        assert len(survivors) == REPLICAS - 2
+        for survivor in survivors:
+            to_winner = [
+                (mode, sorted(ids))
+                for sender, receiver, mode, ids in shipped
+                if sender == survivor.peer_id and receiver == winner.peer_id
+            ]
+            assert to_winner == [("journal-sync-reply", written)]
